@@ -27,7 +27,6 @@ from .atoms import (
     atom_inner,
     cross_gram,
     eval_model,
-    functional_row,
     gram,
     model_distance,
 )
@@ -59,7 +58,6 @@ from .covering import (
     InputBall,
     OmegaElement,
     cover_box,
-    covering_to_csv,
     eta_eigen_bound,
     eta_for,
     eta_radial,
@@ -77,7 +75,6 @@ from .kernels import (
     LaplacianKernel,
     LTIControlKernel,
     kernel_from_config,
-    lti_eval,
 )
 from .soap import (
     SoapInfeasible,

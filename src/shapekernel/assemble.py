@@ -280,15 +280,19 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         i: _shift_coeffs(c, basis_index, A)
         for i, c in enumerate(spec.constraints)
     }
+    # A key rounds all A entries: build each once, not once per record.
+    zero_key = _epigraph_key(np.zeros(A))
+    key_by_constraint = {i: _epigraph_key(a0)
+                         for i, a0 in shift_by_constraint.items()}
 
     # First pass: reserve epigraph/xi variables so the layout is fixed.
     needs_t = isinstance(spec.regularizer, NormMin)
     if needs_t:
-        lay.t_col(_epigraph_key(np.zeros(A)))
+        lay.t_col(zero_key)
     for rec in records:
         if isinstance(rec, (SocBufferRecord, Rsoc2x2Record)) and rec.eta > 0:
             ci = rec.provenance[0] if rec.provenance else 0
-            lay.t_col(_epigraph_key(shift_by_constraint.get(ci, np.zeros(A))))
+            lay.t_col(key_by_constraint.get(ci, zero_key))
         elif isinstance(rec, InclusionRecord) and rec.xi_count:
             lay.xi_col(tuple(rec.provenance))
     lay.finalize()
@@ -334,7 +338,7 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         # norm, matching Model.norm and the epigraph rows).
         P_mat[:A, :A] += 2.0 * reg.lam * np.eye(A)
     elif isinstance(reg, NormMin):
-        q_vec[lay.t_index(_epigraph_key(np.zeros(A)))] += 1.0
+        q_vec[lay.t_index(zero_key)] += 1.0
 
     # ---------------------------------------------------------------- rows
     A_eq_rows, b_eq, eq_prov = [], [], []
@@ -371,6 +375,7 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         prov = tuple(rec.provenance)
         ci = prov[0] if prov else 0
         a0 = shift_by_constraint.get(ci, np.zeros(A))
+        t_key = key_by_constraint.get(ci, zero_key)
         if isinstance(rec, LinearRecord):
             row = row_template()
             row[lay.a] = gram_row(rec.atom)
@@ -387,7 +392,7 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
             row[lay.a] = gram_row(rec.atom)
             bias_part(row, rec.gamma)
             if rec.eta > 0:
-                row[lay.t_index(_epigraph_key(a0))] = -rec.eta
+                row[lay.t_index(t_key)] = -rec.eta
             add_nonneg(row, rec.offset + rec.shift_val, ("record",) + prov)
         elif isinstance(rec, Rsoc2x2Record):
             diag_rows = []
@@ -396,7 +401,7 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
                 row[lay.a] = gram_row(rec.atoms[p][p])
                 bias_part(row, rec.gamma[p])
                 if rec.eta > 0:
-                    row[lay.t_index(_epigraph_key(a0))] = -rec.eta
+                    row[lay.t_index(t_key)] = -rec.eta
                 rhs = rec.offset[p] + rec.shift_vals[p][p]
                 add_nonneg(row.copy(), rhs, ("record",) + prov + (p,))
                 diag_rows.append((row, rhs))

@@ -35,6 +35,10 @@ __all__ = [
 #: above float noise.
 DEDUP_DIGITS = 12
 
+#: rows per kernel block when only a Gram's upper triangle is filled; small,
+#: so a per-pair kernel evaluates few entries below the diagonal
+_ROW_CHUNK = 4
+
 
 @dataclass(frozen=True)
 class DiffFunctional:
@@ -194,30 +198,53 @@ def atom_inner(a1: Atom, a2: Atom, kernel: Kernel) -> float:
     return total
 
 
-def functional_row(atom: Atom, basis: Sequence[Atom], kernel: Kernel,
-                   gram_matrix: np.ndarray | None = None,
-                   index: dict | None = None) -> np.ndarray:
-    """Gram row ``[<basis_j, atom>]_j``, reusing G when the atom is in basis."""
-    if gram_matrix is not None and index is not None:
-        j = index.get(atom.key())
-        if j is not None:
-            return gram_matrix[:, j]
-    return np.array([atom_inner(b, atom, kernel) for b in basis])
+def _block_gram(rows: Sequence[Atom], cols: Sequence[Atom], kernel: Kernel,
+                upper: bool = False) -> np.ndarray:
+    """Inner products of two atom lists, one block per functional pair.
+
+    Terms are summed in :func:`atom_inner`'s order, so the per-pair default
+    block reproduces it bit for bit.  With ``upper`` only entries ``j >= i``
+    are filled: row chunks skip the columns left of their first row.
+    """
+    def groups(atoms):
+        index: dict[tuple, list[int]] = {}
+        for i, atom in enumerate(atoms):
+            index.setdefault(atom.functional.terms, []).append(i)
+        return [(terms, np.array(ix)) for terms, ix in index.items()]
+
+    X_rows = np.array([a.x for a in rows], dtype=float)
+    X_cols = np.array([a.x for a in cols], dtype=float)
+    col_groups = groups(cols)
+    G = np.zeros((len(rows), len(cols)))
+    for terms1, I in groups(rows):
+        chunks = np.split(I, range(_ROW_CHUNK, I.size, _ROW_CHUNK)) \
+            if upper else [I]
+        for terms2, J_all in col_groups:
+            for Ic in chunks:
+                J = J_all[J_all >= Ic[0]] if upper else J_all
+                block = 0.0
+                for q1, r1, b1 in terms1:
+                    for q2, r2, b2 in terms2:
+                        block = block + b1 * b2 * kernel.partial_block(
+                            r1, r2, q1, q2, X_rows[Ic], X_cols[J])
+                G[np.ix_(Ic, J)] = block
+    return G
 
 
 def cross_gram(rows: Sequence[Atom], cols: Sequence[Atom],
                kernel: Kernel) -> np.ndarray:
     """Matrix of inner products between two atom lists."""
-    G = np.empty((len(rows), len(cols)))
-    for i, a in enumerate(rows):
-        for j, b in enumerate(cols):
-            G[i, j] = atom_inner(a, b, kernel)
-    return G
+    return _block_gram(rows, cols, kernel)
 
 
 def gram(basis: Sequence[Atom], kernel: Kernel
          ) -> tuple[np.ndarray, np.ndarray, float]:
     """Gram matrix of a basis plus a Cholesky factor of its jittered form.
+
+    Atoms are grouped by ``functional.terms``; each pair of groups costs
+    one :meth:`Kernel.partial_block` call per term pair, scattered into
+    place.  Entry ``(i, j)``, ``i <= j``, is ``atom_inner(basis[i],
+    basis[j])`` to rounding; the lower triangle mirrors the upper one.
 
     Returns ``(G, L, jitter)`` with ``L L^T = G + jitter * I``.  The jitter
     starts at ``1e-10 * trace(G)/A`` and escalates tenfold until the
@@ -227,12 +254,9 @@ def gram(basis: Sequence[Atom], kernel: Kernel
     if not basis:
         raise ValueError("basis must be non-empty")
     A = len(basis)
-    G = np.empty((A, A))
-    for i in range(A):
-        for j in range(i, A):
-            v = atom_inner(basis[i], basis[j], kernel)
-            G[i, j] = v
-            G[j, i] = v
+    G = _block_gram(basis, basis, kernel, upper=True)
+    for i in range(A - 1):
+        G[i + 1:, i] = G[i, i + 1:]
     scale = max(float(np.trace(G)) / A, np.finfo(float).tiny)
     eps = 1e-10
     while True:

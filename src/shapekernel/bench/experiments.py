@@ -98,16 +98,6 @@ def _functional_many(model, functional: DiffFunctional, X) -> np.ndarray:
     return out
 
 
-def _scalar_gram(X: np.ndarray, kernel) -> np.ndarray:
-    """Dense value-functional Gram matrix of a scalar kernel."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    zero = (0,) * X.shape[1]
-    K = np.empty((X.shape[0], X.shape[0]))
-    for i in range(X.shape[0]):
-        K[i] = kernel.eval_partial_many(zero, zero, 0, 0, X, X[i])
-    return K
-
-
 def _ball_samples(center, radius: float, n: int,
                   rng: np.random.Generator) -> np.ndarray:
     """n points uniform in the euclidean ball around ``center``."""
@@ -593,8 +583,10 @@ def _robot_cv(X, Y, output_cov, p: dict, seed):
     rng = np.random.default_rng([int(seed), 101])
     splits = np.array_split(rng.permutation(n), folds)
     best = None
+    zero = (0,) * X.shape[1]
     for sig in sig_grid:
-        K = _scalar_gram(X, GaussianKernel([sig] * X.shape[1]))
+        K = GaussianKernel([sig] * X.shape[1]).partial_block(
+            zero, zero, 0, 0, X, X)
         for lam in lam_grid:
             err = 0.0
             for f in range(folds):
@@ -872,7 +864,8 @@ def _cv_norm_cap(X, y, kernel, folds: int, grid, rng) -> float:
     """k-fold search for the norm cap, scored along the ridge path."""
     n = X.shape[0]
     splits = np.array_split(rng.permutation(n), folds)
-    K = _scalar_gram(X, kernel)
+    zero = (0,) * X.shape[1]
+    K = kernel.partial_block(zero, zero, 0, 0, X, X)
     scores = np.zeros(len(grid))
     for f in range(folds):
         val = splits[f]

@@ -450,6 +450,12 @@ def _chol_solve_factory(H: np.ndarray):
 # Main solver
 # --------------------------------------------------------------------------
 
+def _centering(mu_aff: float, mu: float) -> float:
+    """Mehrotra's ``(mu_aff / mu)^3``, the ratio clamped to [0, 1] first: a
+    diverged predictor (|mu_aff| ~ 1e252) would overflow the cube."""
+    return min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
+
+
 def solve(prog: ConeProgram, settings: SolverSettings | None = None,
           x0: np.ndarray | None = None) -> Solution:
     """Solve the cone program; see module docstring for the method."""
@@ -583,7 +589,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             )
             mu_aff = float((s + alpha_aff * dsa) @ (z + alpha_aff * dza))
             mu_aff /= cones.degree
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+            sigma = _centering(mu_aff, mu)
 
             # --- combined (corrector) direction
             corr = _jordan_product(W.apply_inv(dsa), W.apply(dza), cones)

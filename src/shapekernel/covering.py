@@ -22,7 +22,6 @@ recovered exactly.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -43,7 +42,6 @@ __all__ = [
     "omega_cover",
     "refine_radius",
     "fill_distance",
-    "covering_to_csv",
 ]
 
 _NORMS = ("euclidean", "max")
@@ -481,20 +479,3 @@ def refine_radius(kernel: Kernel, op: SdpOperator, z, eta_target: float,
         else:
             hi = mid
     return lo
-
-
-# --------------------------------------------------------------------------
-# Export
-# --------------------------------------------------------------------------
-
-def covering_to_csv(path, cover: list[InputBall],
-                    etas: list[float] | None = None) -> None:
-    """Dump covering centers, radii, and buffers to CSV."""
-    d = len(cover[0].center) if cover else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"center_{i}" for i in range(d)] + ["delta", "eta"])
-        for i, ball in enumerate(cover):
-            eta = "" if etas is None else repr(float(etas[i]))
-            w.writerow([repr(c) for c in ball.center]
-                       + [repr(ball.radius), eta])

@@ -29,7 +29,6 @@ __all__ = [
     "LaplacianKernel",
     "DecomposableGaussianKernel",
     "LTIControlKernel",
-    "lti_eval",
     "kernel_from_config",
 ]
 
@@ -60,7 +59,15 @@ def _as_multi_index(r, d: int) -> MultiIndex:
 
 
 class Kernel:
-    """Base class: a positive-definite matrix-valued kernel on a box in R^d."""
+    """Base class: a positive-definite matrix-valued kernel on a box in R^d.
+
+    ``partial_block(r1, r2, q1, q2, X1, X2)`` maps points ``X1`` (n1, d) and
+    ``X2`` (n2, d) to the (n1, n2) matrix of ``eval_partial(r1, r2, q1, q2,
+    X1[i], X2[j])``; Gram matrices and ``eval_partial_many`` use it.  The
+    default loops over the pairs, so its entries equal the scalar calls bit
+    for bit.  Override it where the partial has a closed form that
+    vectorizes over point pairs and agrees with the scalar path to rounding.
+    """
 
     dim: int
     out_dim: int
@@ -77,10 +84,18 @@ class Kernel:
 
     def eval_partial_many(self, r1, r2, q1: int, q2: int, X, x2) -> np.ndarray:
         """Vectorized :meth:`eval_partial` over the rows of ``X``."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array(
-            [self.eval_partial(r1, r2, q1, q2, row, x2) for row in X]
-        )
+        y = _as_point(x2, self.dim, "x2")
+        return self.partial_block(r1, r2, q1, q2, X, y[None, :])[:, 0]
+
+    def partial_block(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+        """Matrix of :meth:`eval_partial` over all rows of X1 times X2."""
+        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+        out = np.empty((X1.shape[0], X2.shape[0]))
+        for i, x in enumerate(X1):
+            for j, y in enumerate(X2):
+                out[i, j] = self.eval_partial(r1, r2, q1, q2, x, y)
+        return out
 
     @property
     def translation_invariant(self) -> bool:
@@ -120,11 +135,12 @@ class Kernel:
 # Gaussian family
 # --------------------------------------------------------------------------
 
-def _gauss_profile_derivative(n: int, t: float, s2: float) -> float:
+def _gauss_profile_derivative(n: int, t, s2: float):
     """n-th derivative of g(t) = exp(-t^2 / (2 s2)), divided by g(t).
 
     The polynomial prefactors follow the recursion p_{n+1} = p_n' - (t/s2) p_n
     with p_0 = 1; orders up to 4 cover mixed partials of order (2, 2).
+    ``t`` may be a float or an array (elementwise arithmetic only).
     """
     if n == 0:
         return 1.0
@@ -188,37 +204,31 @@ class GaussianKernel(Kernel):
             raise ValueError("scalar kernel has a single output component")
         return self.scalar_partial(r1, r2, x, x2)
 
-    def scalar_partial_many(self, r1, r2, X, x2) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = _as_point(x2, self.dim, "x2")
+    def partial_block(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+        """exp of the outer differences times one polynomial per axis;
+        works axis by axis, so memory stays at a few (n1, n2) arrays."""
+        if q1 != 0 or q2 != 0:
+            raise ValueError("scalar kernel has a single output component")
         r1 = _as_multi_index(r1, self.dim)
         r2 = _as_multi_index(r2, self.dim)
         self._check_orders(r1, r2)
-        diffs = X - y[None, :]
-        scaled = diffs / self.lengthscales[None, :]
-        values = np.exp(-0.5 * np.sum(scaled * scaled, axis=1))
+        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+        sq = np.zeros((X1.shape[0], X2.shape[0]))
+        polys = []
         for i in range(self.dim):
+            diff = X1[:, i, None] - X2[None, :, i]
+            t = diff / self.lengthscales[i]
+            sq += t * t
             n = r1[i] + r2[i]
             if n:
                 s2 = float(self.lengthscales[i]) ** 2
-                u = diffs[:, i] / s2
-                if n == 1:
-                    poly = -u
-                elif n == 2:
-                    poly = u * u - 1.0 / s2
-                elif n == 3:
-                    poly = -u ** 3 + 3.0 * u / s2
-                else:
-                    poly = u ** 4 - 6.0 * u * u / s2 + 3.0 / (s2 * s2)
-                if r2[i] % 2:
-                    poly = -poly
-                values = values * poly
+                poly = _gauss_profile_derivative(n, diff, s2)
+                polys.append(-poly if r2[i] % 2 else poly)
+        values = np.exp(-0.5 * sq)
+        for poly in polys:
+            values = values * poly
         return values
-
-    def eval_partial_many(self, r1, r2, q1: int, q2: int, X, x2) -> np.ndarray:
-        if q1 != 0 or q2 != 0:
-            raise ValueError("scalar kernel has a single output component")
-        return self.scalar_partial_many(r1, r2, X, x2)
 
     @property
     def translation_invariant(self) -> bool:
@@ -347,9 +357,9 @@ class DecomposableGaussianKernel(Kernel):
             self.output_cov[q1, q2]
         )
 
-    def eval_partial_many(self, r1, r2, q1: int, q2: int, X, x2) -> np.ndarray:
+    def partial_block(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
         self._check_q(q1, q2)
-        return self.scalar.scalar_partial_many(r1, r2, X, x2) * float(
+        return self.scalar.partial_block(r1, r2, 0, 0, X1, X2) * float(
             self.output_cov[q1, q2]
         )
 
@@ -382,30 +392,6 @@ def _gramian_van_loan(A: np.ndarray, BBt: np.ndarray, m: float) -> np.ndarray:
     C[q:, q:] = A.T
     F = expm(C * m)
     return F[q:, q:].T @ F[:q, q:]
-
-
-def lti_eval(A, B, s_time: float, t_time: float) -> np.ndarray:
-    """Kernel of the LTI system x' = Ax + Bu on [0, min(s,t)].
-
-    Returns ``int_0^{min(s,t)} e^{(s-tau)A} B B^T e^{(t-tau)A^T} dtau``
-    evaluated exactly through the augmented-matrix exponential (no
-    quadrature): the integral equals ``e^{(s-m)A} W(m) e^{(t-m)A^T}`` with
-    ``m = min(s, t)`` and ``W`` the controllability Gramian.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
-    if s_time < 0 or t_time < 0:
-        raise ValueError(
-            f"times must be nonnegative, got ({s_time}, {t_time})"
-        )
-    m = min(float(s_time), float(t_time))
-    q = A.shape[0]
-    if m == 0.0:
-        return np.zeros((q, q))
-    W = _gramian_van_loan(A, B @ B.T, m)
-    left = expm(A * (float(s_time) - m)) if s_time > m else np.eye(q)
-    right = expm(A * (float(t_time) - m)) if t_time > m else np.eye(q)
-    return left @ W @ right.T
 
 
 class LTIControlKernel(Kernel):

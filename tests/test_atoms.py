@@ -15,13 +15,15 @@ from shapekernel import (
     DiffFunctional,
     GaussianKernel,
     DecomposableGaussianKernel,
+    Kernel,
+    LaplacianKernel,
+    LTIControlKernel,
     Model,
     SdpOperator,
     apply_functional,
     atom_inner,
     cross_gram,
     eval_model,
-    functional_row,
     gram,
     model_distance,
 )
@@ -175,7 +177,7 @@ class TestGram:
         )
 
     def test_indefinite_input_raises(self):
-        class BadKernel:
+        class BadKernel(Kernel):
             dim = 1
             out_dim = 1
 
@@ -195,16 +197,6 @@ class TestGram:
         with pytest.raises(ValueError, match="non-empty"):
             gram((), kernel)
 
-    def test_functional_row_reuses_gram_column(self, kernel, basis):
-        G, _, _ = gram(basis, kernel)
-        index = {a.key(): j for j, a in enumerate(basis)}
-        row = functional_row(basis[2], basis, kernel, G, index)
-        np.testing.assert_array_equal(row, G[:, 2])
-        probe = Atom((0.05, 0.05), DiffFunctional.value(2))
-        fresh = functional_row(probe, basis, kernel, G, index)
-        manual = np.array([atom_inner(b, probe, kernel) for b in basis])
-        np.testing.assert_allclose(fresh, manual, rtol=1e-14)
-
     def test_cross_gram_matches_atom_inner(self, kernel, basis):
         C = cross_gram(basis[:2], basis[2:5], kernel)
         for i, a in enumerate(basis[:2]):
@@ -212,6 +204,58 @@ class TestGram:
                 assert C[i, j] == pytest.approx(
                     atom_inner(a, b, kernel), rel=1e-14
                 )
+
+
+def _reference_gram(basis, kernel):
+    """Reference Gram: one ``atom_inner`` per upper-triangle pair."""
+    n = len(basis)
+    G = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            G[i, j] = G[j, i] = atom_inner(basis[i], basis[j], kernel)
+    return G
+
+
+class TestBlockGram:
+    """``gram`` through grouped kernel blocks against ``atom_inner``."""
+
+    def test_mixed_gaussian_basis_matches_scalar_reference(self):
+        # Interleaved like an SDP convexity basis: value atoms, negated
+        # first partials, then d11/d12/d22 atoms anchor by anchor; more than
+        # one row chunk per functional group.
+        kernel = GaussianKernel([0.6, 0.9])
+        rng = np.random.default_rng(12)
+        atoms = [Atom(tuple(rng.uniform(-1, 1, 2)), DiffFunctional.value(2))
+                 for _ in range(20)]
+        for axis in (0, 1):
+            atoms += [Atom(tuple(rng.uniform(-1, 1, 2)),
+                           DiffFunctional.partial(2, axis, beta=-1.0))
+                      for _ in range(9)]
+        for _ in range(18):
+            x = tuple(rng.uniform(-1, 1, 2))
+            atoms += [Atom(x, DiffFunctional.mixed(2, axes))
+                      for axes in ((0, 0), (0, 1), (1, 1))]
+        G, _, _ = gram(atoms, kernel)
+        ref = _reference_gram(atoms, kernel)
+        scale = np.abs(ref).max()
+        np.testing.assert_allclose(G, ref, rtol=1e-12, atol=1e-12 * scale)
+        assert np.array_equal(G, G.T)
+        C = cross_gram(atoms[:30], atoms[25:], kernel)
+        np.testing.assert_allclose(C, ref[:30, 25:], rtol=1e-12,
+                                   atol=1e-12 * scale)
+
+    def test_per_pair_kernels_match_scalar_reference_exactly(self):
+        rng = np.random.default_rng(13)
+        lap = LaplacianKernel(2.0, dim=1)
+        lap_basis = [Atom((x,), DiffFunctional.value(1, beta=b))
+                     for x in rng.uniform(-1, 1, 20) for b in (1.0, -1.0)]
+        rng.shuffle(lap_basis)
+        lti = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
+        lti_basis = [Atom((t,), DiffFunctional.value(1, q=q))
+                     for t in rng.uniform(0.1, 2, 20) for q in (0, 1)]
+        for kernel, basis in ((lap, lap_basis), (lti, lti_basis)):
+            G, _, _ = gram(basis, kernel)
+            assert np.array_equal(G, _reference_gram(basis, kernel))
 
 
 class TestModel:

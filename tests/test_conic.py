@@ -19,6 +19,7 @@ from shapekernel import (
     kkt_residuals,
     solve,
 )
+from shapekernel.conic import _centering
 
 
 def assert_kkt_clean(prog, sol, tol=1e-7):
@@ -262,6 +263,14 @@ class TestStatuses:
         )
         sol = solve(prog, SolverSettings(max_iter=1))
         assert sol.status == "max_iter"
+
+    def test_centering_survives_diverged_predictor(self):
+        # Seen in a relaxed catenary solve: the predictor diverged to
+        # mu_aff ~ 1e252 at mu ~ 1e-16; cubing the raw ratio overflows.
+        assert _centering(1e252, 1e-16) == 1.0
+        assert _centering(-1e252, 1e-16) == 0.0
+        assert _centering(0.5, 1.0) == 0.125
+        assert _centering(1.0, 0.0) == 0.0
 
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValueError, match="positive"):

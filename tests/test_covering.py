@@ -5,7 +5,6 @@ against the closed-form radial expression and a dense-grid supremum
 computed from the kernel's own (already validated) partials.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from shapekernel import (
     SdpOperator,
     atom_inner,
     cover_box,
-    covering_to_csv,
     eta_eigen_bound,
     eta_for,
     eta_radial,
@@ -357,18 +355,3 @@ class TestRefineRadius:
         with pytest.raises(ValueError, match="delta_hi"):
             refine_radius(k, op, [0.0], 0.1, delta_hi=0.0)
 
-
-class TestCoveringCsv:
-    def test_round_trip(self, tmp_path):
-        cover = cover_box([(0.2, 0.8)], 0.01)
-        etas = [0.1 * (i + 1) for i in range(len(cover))]
-        path = tmp_path / "cover.csv"
-        covering_to_csv(path, cover, etas)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["center_0", "delta", "eta"]
-        assert len(rows) == len(cover) + 1
-        for row, ball, eta in zip(rows[1:], cover, etas):
-            assert float(row[0]) == ball.center[0]
-            assert float(row[1]) == ball.radius
-            assert float(row[2]) == eta

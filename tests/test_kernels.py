@@ -5,6 +5,7 @@ differences; the control kernel is checked against brute-force trapezoid
 quadrature of its defining integral.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from shapekernel import (
     LaplacianKernel,
     LTIControlKernel,
     kernel_from_config,
-    lti_eval,
 )
 
 
@@ -125,6 +125,8 @@ class TestGaussianKernel:
         k = GaussianKernel([1.0])
         with pytest.raises(ValueError, match="smoothness"):
             k.eval_partial((3,), (0,), 0, 0, [0.0], [0.5])
+        with pytest.raises(ValueError, match="smoothness"):
+            k.partial_block((3,), (0,), 0, 0, [[0.0]], [[0.5]])
 
     def test_radial_profile_only_for_equal_lengthscales(self):
         iso = GaussianKernel([0.8, 0.8])
@@ -253,7 +255,7 @@ class TestLTIControlKernel:
         with pytest.raises(ValueError, match="nonnegative"):
             k.eval([-0.1], [1.0])
         with pytest.raises(ValueError, match="nonnegative"):
-            lti_eval(self.A, self.B, 1.0, -2.0)
+            k.eval([1.0], [-2.0])
 
     def test_transpose_symmetry(self):
         k = LTIControlKernel(self.A, self.B)
@@ -277,12 +279,56 @@ class TestLTIControlKernel:
         eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
         assert eigs.min() > -1e-10
 
-    def test_helper_agrees_with_kernel_object(self):
-        k = LTIControlKernel(self.A, self.B)
-        np.testing.assert_allclose(
-            lti_eval(self.A, self.B, 0.9, 1.4), k.eval([0.9], [1.4]),
-            atol=1e-12,
-        )
+
+def _multi_indices(d, max_order):
+    """Every length-d multi-index of total order at most ``max_order``."""
+    return [r for r in itertools.product(range(max_order + 1), repeat=d)
+            if sum(r) <= max_order]
+
+
+class TestPartialBlock:
+    """``partial_block`` against the per-pair ``eval_partial`` loop."""
+
+    @staticmethod
+    def loop(k, r1, r2, q1, q2, X1, X2):
+        return np.array([[k.eval_partial(r1, r2, q1, q2, x, y) for y in X2]
+                         for x in X1])
+
+    @pytest.mark.parametrize("kernel", [
+        GaussianKernel([0.8, 1.1]),
+        DecomposableGaussianKernel([0.7, 1.3], [[2.0, 0.5], [0.5, 1.0]]),
+    ], ids=["gaussian", "decomposable"])
+    def test_closed_form_matches_scalar_loop(self, kernel):
+        rng = np.random.default_rng(3)
+        X1 = rng.uniform(-1, 1, size=(7, 2))
+        X2 = rng.uniform(-1, 1, size=(5, 2))
+        orders = _multi_indices(2, kernel.smoothness)
+        Q = kernel.out_dim
+        for r1 in orders:
+            for r2 in orders:
+                for q1 in range(Q):
+                    for q2 in range(Q):
+                        block = kernel.partial_block(r1, r2, q1, q2, X1, X2)
+                        assert block.shape == (7, 5)
+                        np.testing.assert_allclose(
+                            block, self.loop(kernel, r1, r2, q1, q2, X1, X2),
+                            rtol=1e-12, atol=1e-15)
+
+    def test_per_pair_kernels_are_bit_identical(self):
+        rng = np.random.default_rng(4)
+        lap = LaplacianKernel(1.7, dim=2)
+        X1 = rng.uniform(-1, 1, size=(6, 2))
+        X2 = rng.uniform(-1, 1, size=(4, 2))
+        assert np.array_equal(lap.partial_block((0, 0), (0, 0), 0, 0, X1, X2),
+                              self.loop(lap, (0, 0), (0, 0), 0, 0, X1, X2))
+        lti = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
+        T1 = rng.uniform(0, 2, size=(6, 1))
+        T2 = rng.uniform(0, 2, size=(4, 1))
+        for q1 in range(2):
+            for q2 in range(2):
+                assert np.array_equal(
+                    lti.partial_block((0,), (0,), q1, q2, T1, T2),
+                    self.loop(lti, (0,), (0,), q1, q2, T1, T2))
 
 
 class TestConfigRoundTrip:
