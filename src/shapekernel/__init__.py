@@ -26,7 +26,6 @@ from .atoms import (
     apply_functional,
     atom_inner,
     cross_gram,
-    eval_model,
     gram,
     model_distance,
 )
@@ -51,21 +50,18 @@ from .conic import (
     ConeProgram,
     Solution,
     SolverSettings,
-    kkt_residuals,
     solve,
 )
 from .covering import (
     InputBall,
     OmegaElement,
     cover_box,
-    eta_eigen_bound,
     eta_for,
     eta_radial,
     eta_sampled,
     fill_distance,
     grid_cover,
     omega_cover,
-    operator_cross_matrix,
     refine_radius,
 )
 from .kernels import (

@@ -37,7 +37,6 @@ from .tighten import (
     Rsoc2x2Record,
     ShapeConstraint,
     SocBufferRecord,
-    _functional_grid,
     discretize,
 )
 
@@ -556,15 +555,30 @@ def recover_model(prog: ConeProgram, sol: Solution, basis: list[Atom],
 
 def solve_problem(spec: ProblemSpec, records: list,
                   settings: SolverSettings | None = None,
-                  x0: np.ndarray | None = None,
-                  basis: list[Atom] | None = None):
+                  warm: Model | None = None):
     """Collect, assemble, solve, recover.  Returns (model, solution, program).
+
+    This is the one solve path: every experiment, the reference solve and
+    the refinement loop go through it.  ``warm`` starts the solver from a
+    previous model: its coefficients on atoms that are still in the basis
+    are mapped into the whitened coordinates ``L^T a`` the program uses;
+    bias, epigraph and auxiliary variables start at zero.
 
     Raises on infeasible/unbounded status so callers never mistake a
     certificate of infeasibility for a model.
     """
-    basis = collect_atoms(spec, records) if basis is None else basis
+    basis = collect_atoms(spec, records)
     prog = assemble(spec, basis, records)
+    x0 = None
+    if warm is not None:
+        index = {atom.key(): i for i, atom in enumerate(basis)}
+        a_prev = np.zeros(len(basis))
+        for atom, coef in zip(warm.basis, warm.coeffs):
+            pos = index.get(atom.key())
+            if pos is not None:
+                a_prev[pos] = coef
+        x0 = np.zeros(prog.n)
+        x0[: a_prev.size] = prog.meta["factor"].T @ a_prev
     sol = solve(prog, settings=settings, x0=x0)
     if sol.status in ("infeasible", "unbounded"):
         raise RuntimeError(
@@ -638,9 +652,9 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
                              constraint_index=constraint_index)
         model, sol, _ = solve_problem(spec, records, settings=settings)
         value = sol.objective
-        vals = _functional_grid(model, func, X)
+        vals = model.apply(func, X)
         if constraint.shift is not None:
-            vals = vals - _functional_grid(constraint.shift, func, X)
+            vals = vals - constraint.shift.apply(func, X)
         bias = model.bias[: gm.shape[1]] if gm.shape[1] else np.zeros(0)
         slack = vals + (gm[0] @ bias if gm.shape[1] else 0.0) - offset
         violated = np.where(slack < -tol)[0]
@@ -694,26 +708,21 @@ def _record_width(rec) -> float:
 
 
 def compute_bounds(spec: ProblemSpec, records: list, v_app: float,
-                   relax=None, mu_f: float | None = None,
+                   v_relax: float | None = None, mu_f: float | None = None,
                    mu_b: float | None = None,
                    lipschitz_b: float | None = None,
                    bias_direction=None, model: Model | None = None,
-                   grid_res: int = 33,
-                   settings: SolverSettings | None = None) -> BoundReport:
+                   grid_res: int = 33) -> BoundReport:
     """Certificate sandwich, error radii, and the a-priori bound value.
 
-    ``relax`` may be a precomputed relaxation value or a ConeProgram to
-    solve.  Radii need the strong-convexity moduli; the a-priori value
-    needs the bias Lipschitz constant and a bias direction with
-    ``bias_map @ direction > 0`` rowwise on every constraint.
+    ``v_relax`` is the value of the relaxed program, when one was solved.
+    Radii need the strong-convexity moduli; the a-priori value needs the
+    bias Lipschitz constant and a bias direction with ``bias_map @
+    direction > 0`` rowwise on every constraint.
     """
     rep = BoundReport(v_app=float(v_app), mu_f=mu_f, mu_b=mu_b)
-    if isinstance(relax, ConeProgram):
-        rsol = solve(relax, settings=settings)
-        rep.v_relax = rsol.objective
-    elif relax is not None:
-        rep.v_relax = float(relax)
-    if rep.v_relax is not None:
+    if v_relax is not None:
+        rep.v_relax = float(v_relax)
         rep.gap = rep.v_app - rep.v_relax
         if mu_f:
             rep.radius_f = math.sqrt(2.0 * max(rep.gap, 0.0) / mu_f)

@@ -27,7 +27,6 @@ __all__ = [
     "cross_gram",
     "gram",
     "apply_functional",
-    "eval_model",
     "model_distance",
 ]
 
@@ -318,21 +317,42 @@ class Model:
 
     # ---------------------------------------------------------- evaluation
     def eval(self, x) -> np.ndarray:
-        return eval_model(self, x)
+        """Model output f(x) in R^Q (bias mapping is applied by the problem)."""
+        d = self.kernel.dim
+        return np.array([
+            apply_functional(DiffFunctional.value(d, q), self, x)
+            for q in range(self.kernel.out_dim)
+        ])
 
-    def eval_component_many(self, X, q: int = 0) -> np.ndarray:
-        """Vectorized component evaluation over the rows of ``X``."""
+    def apply(self, functional: DiffFunctional, X) -> np.ndarray:
+        """``functional(f)(x)`` at every row of ``X``: the grid evaluator.
+
+        Basis atom ``j`` contributes ``a_j * sum_{f, a} beta_f beta_a *
+        eval_partial_many(r_f, r_a, q_f, q_a, X, x_j)``: the term sum is
+        formed first and then scaled by the coefficient; atoms with a zero
+        coefficient are skipped.  Verification grids, component outputs and
+        the experiments' tables all go through here.  The one-point form,
+        :func:`apply_functional`, uses the scalar kernel partials instead;
+        it stays separate because the refinement loop's saturation test
+        depends on last-bit rounding, where a kernel's scalar and vector
+        paths may differ (the Laplacian kernel's ``math.exp``).
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros(X.shape[0])
         for a_j, atom in zip(self.coeffs, self.basis):
             if a_j == 0.0:
                 continue
-            for q2, r2, b2 in atom.functional.terms:
-                zero = (0,) * len(atom.x)
-                out += a_j * b2 * self.kernel.eval_partial_many(
-                    zero, r2, q, q2, X, atom.x
-                )
+            acc = np.zeros(X.shape[0])
+            for qf, rf, bf in functional.terms:
+                for qa, ra, ba in atom.functional.terms:
+                    acc += bf * ba * self.kernel.eval_partial_many(
+                        rf, ra, qf, qa, X, atom.x)
+            out += a_j * acc
         return out
+
+    def eval_component_many(self, X, q: int = 0) -> np.ndarray:
+        """Output component ``q`` at every row of ``X``."""
+        return self.apply(DiffFunctional.value(self.kernel.dim, q), X)
 
     def to_json(self) -> dict:
         return {
@@ -361,16 +381,6 @@ def apply_functional(D: DiffFunctional, model: Model, x) -> float:
         if a_j != 0.0:
             total += a_j * atom_inner(atom, probe, model.kernel)
     return total
-
-
-def eval_model(model: Model, x) -> np.ndarray:
-    """Model output f(x) in R^Q (bias mapping is applied by the problem)."""
-    Q = model.kernel.out_dim
-    d = model.kernel.dim
-    return np.array([
-        apply_functional(DiffFunctional.value(d, q), model, x)
-        for q in range(Q)
-    ])
 
 
 def model_distance(m1: Model, m2: Model) -> float:

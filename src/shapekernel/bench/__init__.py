@@ -18,7 +18,7 @@ from .data import (
 )
 from .experiments import (
     constraints_for,
-    register_experiment,
+    records_for,
     run_catenary,
     run_control,
     run_econ,
@@ -41,7 +41,7 @@ __all__ = [
     "preprocess_econ",
     "synth_robot_data",
     "constraints_for",
-    "register_experiment",
+    "records_for",
     "run_catenary",
     "run_control",
     "run_econ",

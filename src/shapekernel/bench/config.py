@@ -1,8 +1,8 @@
 """Run configuration for the benchmark experiments.
 
 A single JSON-round-trippable bundle holds everything a runner needs:
-experiment name, kernel overrides, covering parameters, solver settings,
-random seed, and output choices.  Every random draw inside a run derives
+experiment name, covering parameters, solver settings, runner
+parameters, random seed, and output choices.  Every random draw inside a run derives
 from the seed, so a fixed config reproduces all numeric outputs exactly.
 """
 
@@ -22,7 +22,7 @@ __all__ = [
     "default_config",
 ]
 
-EXPERIMENTS = ("catenary", "control", "robotarm", "econ", "custom")
+EXPERIMENTS = ("catenary", "control", "robotarm", "econ")
 
 #: covering schemes selectable from the command line
 SCHEMES = ("ball", "hyp", "soap-ball", "soap-hyp", "disc", "none")
@@ -33,8 +33,7 @@ class CoveringConfig:
     """Covering construction knobs shared by all experiments.
 
     ``delta0``/``gamma``/``k_max`` drive the adaptive refinement loop;
-    ``norm`` picks the input-ball shape; ``n_x``/``n_u`` size the buffer
-    sampling; ``eta_safety`` inflates sampled buffers by a relative margin
+    ``n_x``/``n_u`` size the buffer sampling; ``eta_safety`` inflates sampled buffers by a relative margin
     (guards against the sampled supremum sitting slightly below the true
     one).
     """
@@ -42,7 +41,6 @@ class CoveringConfig:
     delta0: float = 0.01
     gamma: float = 0.8
     k_max: int = 30
-    norm: str = "max"
     n_x: int = 50
     n_u: int = 20
     eta_safety: float = 0.0
@@ -78,7 +76,7 @@ _DEFAULTS: dict = {
         },
     },
     "robotarm": {
-        "covering": {"norm": "euclidean", "n_x": 1000},
+        "covering": {"n_x": 1000},
         "params": {
             "segments": 2,
             "n_obs": 40,
@@ -110,7 +108,6 @@ _DEFAULTS: dict = {
             "regimes": ["none", "monot", "conv", "both"],
         },
     },
-    "custom": {"params": {}},
 }
 
 
@@ -123,7 +120,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     scheme: str | None = None
     grid_res: int = 1001
-    kernel: dict = field(default_factory=dict)
     covering: CoveringConfig = field(default_factory=CoveringConfig)
     solver: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
@@ -149,9 +145,6 @@ class ExperimentConfig:
     def solver_settings(self) -> SolverSettings:
         return SolverSettings(**self.solver)
 
-    def param(self, key: str, default=None):
-        return self.params.get(key, default)
-
     # ---------------------------------------------------------- round-trip
     def to_json(self) -> dict:
         data = asdict(self)
@@ -169,11 +162,6 @@ class ExperimentConfig:
             raise ValueError("config file must name an experiment")
         base = default_config(data["experiment"])
         return _merge_config(base, data)
-
-    def dump_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def default_config(experiment: str) -> ExperimentConfig:

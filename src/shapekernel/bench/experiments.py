@@ -15,9 +15,13 @@ Four fully scripted studies exercise the whole pipeline end to end:
               cross-validated on held-out data.
 
 Each runner returns ``(summary, tables, models)``; :func:`run_experiment`
-dispatches by name, stamps timings, and writes artifacts.  All randomness
-derives from the config seed, so numeric outputs are reproducible
-bit-for-bit; wall-clock timings live only in the summary.
+looks the runner up in a fixed table by experiment name, stamps timings,
+and writes artifacts, and :func:`constraints_for` gives the constraints a
+saved model is re-checked against.  The covering schemes ``disc``, ``ball``
+and ``hyp`` build their rows through one function, :func:`records_for`;
+every solve goes through :func:`~shapekernel.assemble.solve_problem`.  All
+randomness derives from the config seed, so numeric outputs are
+reproducible bit-for-bit; wall-clock timings live only in the summary.
 """
 
 from __future__ import annotations
@@ -70,8 +74,8 @@ from .results import emit_results
 
 __all__ = [
     "run_experiment",
-    "register_experiment",
     "constraints_for",
+    "records_for",
     "run_catenary",
     "run_control",
     "run_robotarm",
@@ -80,23 +84,8 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Shared evaluation helpers
+# Shared helpers
 # --------------------------------------------------------------------------
-
-def _functional_many(model, functional: DiffFunctional, X) -> np.ndarray:
-    """Apply a linear functional to the model at every row of ``X``."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.zeros(X.shape[0])
-    for a_j, atom in zip(model.coeffs, model.basis):
-        if a_j == 0.0:
-            continue
-        for q2, r2, b2 in atom.functional.terms:
-            for q1, r1, b1 in functional.terms:
-                out += a_j * b1 * b2 * model.kernel.eval_partial_many(
-                    r1, r2, q1, q2, X, atom.x
-                )
-    return out
-
 
 def _ball_samples(center, radius: float, n: int,
                   rng: np.random.Generator) -> np.ndarray:
@@ -109,30 +98,35 @@ def _ball_samples(center, radius: float, n: int,
     return center[None, :] + radius * v * r[:, None]
 
 
-# --------------------------------------------------------------------------
-# Experiment registry
-# --------------------------------------------------------------------------
+def records_for(scheme: str, c: ShapeConstraint, balls: list, kernel, cov,
+                seed, constraint_index: int = 0) -> list:
+    """Rows of one constraint over a ball covering, by covering scheme.
 
-_RUNNERS: dict = {}
-_CONSTRAINT_BUILDERS: dict = {}
-
-
-def register_experiment(name: str, runner, constraint_builder=None) -> None:
-    """Add a runner (and optional verify-constraint builder) by name."""
-    _RUNNERS[name] = runner
-    if constraint_builder is not None:
-        _CONSTRAINT_BUILDERS[name] = constraint_builder
+    ``disc`` enforces the constraint at the ball centers only (a
+    relaxation); ``ball`` buffers each center by the ball's width from
+    :func:`eta_for`; ``hyp`` uses the halfspace enclosures of
+    :func:`omega_cover`.  ``cov`` supplies the sampling sizes and the
+    safety margin, ``seed`` the sampling seed.
+    """
+    if scheme == "disc":
+        return discretize(c, [b.center for b in balls],
+                          constraint_index=constraint_index)
+    if scheme == "ball":
+        etas = [eta_for(kernel, c.operator, b.center, b.radius, norm=b.norm,
+                        n_x=cov.n_x, n_u=cov.n_u, seed=seed,
+                        safety=cov.eta_safety) for b in balls]
+        return tighten_soc(c, balls, etas, constraint_index=constraint_index)
+    if scheme == "hyp":
+        omegas = omega_cover(kernel, c.operator.entries[0][0], balls,
+                             n_x=cov.n_x, seed=seed, safety=cov.eta_safety)
+        return tighten_omega(c, omegas, constraint_index=constraint_index)
+    raise ValueError(f"scheme {scheme!r} not available for this experiment")
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Dispatch to the named runner and write all artifacts."""
-    runner = _RUNNERS.get(cfg.experiment)
-    if runner is None:
-        raise ValueError(
-            f"no runner registered for experiment {cfg.experiment!r}"
-        )
     t0 = time.perf_counter()
-    summary, tables, models = runner(cfg)
+    summary, tables, models = _RUNNERS[cfg.experiment](cfg)
     summary.setdefault("timings", {})["total_s"] = time.perf_counter() - t0
     summary["experiment"] = cfg.experiment
     summary["config"] = cfg.to_json()
@@ -145,12 +139,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def constraints_for(cfg: ExperimentConfig) -> list:
     """(label, constraint) pairs for re-checking a saved model."""
-    builder = _CONSTRAINT_BUILDERS.get(cfg.experiment)
-    if builder is None:
-        raise ValueError(
-            f"no constraint builder registered for {cfg.experiment!r}"
-        )
-    return builder(cfg)
+    return _CONSTRAINT_BUILDERS[cfg.experiment](cfg)
 
 
 # --------------------------------------------------------------------------
@@ -189,31 +178,6 @@ def _catenary_spec(objective: str = "norm",
     )
 
 
-def _catenary_uniform(spec, scheme: str, m: int, cov, settings, seed):
-    """One uniform-covering solve; returns (model, sol, records, centers)."""
-    c = spec.constraints[0]
-    (lo, hi), = c.region
-    cover = cover_box(c.region, (hi - lo) / (2.0 * m), norm="max")
-    centers = [b.center for b in cover]
-    kernel = spec.kernel
-    if scheme == "ball":
-        etas = [eta_for(kernel, c.operator, b.center, b.radius, norm=b.norm,
-                        n_x=cov.n_x, n_u=cov.n_u, seed=seed,
-                        safety=cov.eta_safety) for b in cover]
-        records = tighten_soc(c, cover, etas)
-    elif scheme == "hyp":
-        omegas = omega_cover(kernel, c.operator.entries[0][0], cover,
-                             style="ball_halfspace", n_x=cov.n_x, seed=seed,
-                             safety=cov.eta_safety)
-        records = tighten_omega(c, omegas)
-    elif scheme == "disc":
-        records = discretize(c, centers)
-    else:
-        raise ValueError(f"unknown uniform scheme {scheme!r}")
-    model, sol, _ = solve_problem(spec, records, settings=settings)
-    return model, sol, records, centers
-
-
 def run_catenary(cfg: ExperimentConfig):
     p = cfg.params
     cov = cfg.covering
@@ -246,26 +210,22 @@ def run_catenary(cfg: ExperimentConfig):
     for scheme in schemes:
         t0 = time.perf_counter()
         if scheme in ("ball", "hyp", "disc"):
-            model = sol = records = None
-            v_app = v_relax = None
-            max_eta = None
+            (lo, hi), = c.region
             for m in m_list:
                 ts = time.perf_counter()
-                model, sol, records, centers = _catenary_uniform(
-                    spec, scheme, m, cov, settings, cfg.seed)
+                cover = cover_box(c.region, (hi - lo) / (2.0 * m), norm="max")
+                records = records_for(scheme, c, cover, spec.kernel, cov,
+                                      cfg.seed)
+                model, sol, _ = solve_problem(spec, records,
+                                              settings=settings)
                 v_app = sol.objective
-                if scheme == "ball":
-                    rrecords = relax_records(records)
-                    _, rsol, _ = solve_problem(spec, rrecords,
+                v_relax = None
+                if scheme != "disc":
+                    # the relaxation: the same anchors without buffers
+                    relaxed = discretize(c, [b.center for b in cover])
+                    _, rsol, _ = solve_problem(spec, relaxed,
                                                settings=settings)
                     v_relax = rsol.objective
-                elif scheme == "hyp":
-                    rrecords = discretize(c, centers)
-                    _, rsol, _ = solve_problem(spec, rrecords,
-                                               settings=settings)
-                    v_relax = rsol.objective
-                else:
-                    v_relax = None
                 max_eta = max(
                     (getattr(r, "eta", 0.0) for r in records), default=0.0)
                 gap = None if v_relax is None else v_app - v_relax
@@ -284,7 +244,7 @@ def run_catenary(cfg: ExperimentConfig):
                 settings=settings, n_x=cov.n_x, n_u=cov.n_u, seed=cfg.seed,
                 safety=cov.eta_safety,
                 max_elements=int(p.get("max_elements", 4000)))
-            hist = state.history_rows()
+            hist = state.history
             hist_rows = []
             for row in hist:
                 conv_rows.append([scheme, row["k"], row["M_total"], row["v"],
@@ -325,8 +285,8 @@ def run_catenary(cfg: ExperimentConfig):
         timings[f"{scheme}_s"] = time.perf_counter() - t0
 
         check = verify_pointwise(model, c, grid_res=verify_res)
-        report = compute_bounds(spec, records, v_app, relax=relax_value,
-                                mu_f=mu_f, model=model, settings=settings)
+        report = compute_bounds(spec, records, v_app, v_relax=relax_value,
+                                mu_f=mu_f, model=model)
         scheme_summaries[scheme] = {
             "v_app": v_app,
             "v_relax": relax_value,
@@ -434,13 +394,14 @@ def run_control(cfg: ExperimentConfig):
     verify_res = int(p.get("verify_res", 10_000))
     timings: dict = {}
 
-    etas = []
+    # one anchor ball per wall; the walls table reports the widths, and the
+    # ``ball`` records below find them in the buffer cache (same arguments)
+    balls = [InputBall((w["center"],), w["delta"], "max") for w in walls]
     t0 = time.perf_counter()
-    for i, c in enumerate(cons):
-        w = walls[i // 2]
-        etas.append(eta_for(kernel, c.operator, (w["center"],), w["delta"],
-                            norm="max", n_x=cov.n_x, n_u=1, seed=cfg.seed,
-                            safety=cov.eta_safety))
+    etas = [eta_for(kernel, c.operator, balls[i // 2].center,
+                    balls[i // 2].radius, norm="max", n_x=cov.n_x,
+                    n_u=cov.n_u, seed=cfg.seed, safety=cov.eta_safety)
+            for i, c in enumerate(cons)]
     timings["buffers_s"] = time.perf_counter() - t0
 
     low_arr = np.array([w["low"] for w in walls])
@@ -463,18 +424,8 @@ def run_control(cfg: ExperimentConfig):
     for scheme in schemes:
         records = []
         for i, c in enumerate(cons):
-            w = walls[i // 2]
-            if scheme == "ball":
-                ball = InputBall((w["center"],), w["delta"], "max")
-                records.extend(tighten_soc(c, [ball], [etas[i]],
-                                           constraint_index=i))
-            elif scheme == "disc":
-                records.extend(discretize(c, [(w["center"],)],
-                                          constraint_index=i))
-            else:
-                raise ValueError(
-                    f"scheme {scheme!r} not available for this experiment"
-                )
+            records.extend(records_for(scheme, c, [balls[i // 2]], kernel,
+                                       cov, cfg.seed, constraint_index=i))
         t0 = time.perf_counter()
         model, sol, _ = solve_problem(spec, records, settings=settings)
         timings[f"{scheme}_s"] = time.perf_counter() - t0
@@ -563,10 +514,8 @@ def _robot_anchors(geom: RobotGeometry, m_per_axis: int, p: dict):
                     "ball": InputBall(cell.center, delta, "euclidean"),
                     "axis": i,
                     "component": l,
-                    "sign": sign,
-                    "functional": func,
                 })
-    return kept, delta, n_candidates
+    return kept, n_candidates
 
 
 def _robot_cv(X, Y, output_cov, p: dict, seed):
@@ -618,8 +567,7 @@ def _robot_metrics(model, geom: RobotGeometry, kept, p: dict, seed):
     total = 0.0
     for i in range(d):
         for l in (0, 1):
-            df = _functional_many(
-                model, DiffFunctional.partial(d, axis=i, q=l), Zc)
+            df = model.apply(DiffFunctional.partial(d, axis=i, q=l), Zc)
             total += float(np.maximum(0.0, -(C[:, i, l] * df)).sum())
     l1_cons = total / Zc.shape[0]
 
@@ -631,10 +579,8 @@ def _robot_metrics(model, geom: RobotGeometry, kept, p: dict, seed):
     for item in kept:
         pts = _ball_samples(item["ball"].center, item["ball"].radius,
                             n_ball, rng)
-        df = _functional_many(
-            model,
-            DiffFunctional.partial(d, axis=item["axis"],
-                                   q=item["component"]),
+        df = model.apply(
+            DiffFunctional.partial(d, axis=item["axis"], q=item["component"]),
             pts)
         coeffs = geom.partials(pts)[:, item["axis"], item["component"]]
         v = np.maximum(0.0, -(coeffs * df))
@@ -684,16 +630,7 @@ def run_robotarm(cfg: ExperimentConfig):
                     f"anchor count {m_per_axis_pow} is not a perfect "
                     f"{d}-th power"
                 )
-            kept, delta, n_candidates = _robot_anchors(geom, m_axis, p)
-            eta_map = {}
-            for i in range(segments):
-                for l in (0, 1):
-                    op = SdpOperator.scalar(
-                        DiffFunctional.partial(d, axis=i, order=1, q=l))
-                    eta_map[(i, l)] = eta_for(
-                        kernel, op, np.zeros(d), delta, norm="euclidean",
-                        n_x=cov.n_x, n_u=1, seed=cfg.seed,
-                        safety=cov.eta_safety)
+            kept, n_candidates = _robot_anchors(geom, m_axis, p)
             clist = [item["constraint"] for item in kept]
             for scheme in schemes:
                 spec = ProblemSpec(
@@ -703,29 +640,9 @@ def run_robotarm(cfg: ExperimentConfig):
                 records = []
                 if scheme != "none":
                     for j, item in enumerate(kept):
-                        c = item["constraint"]
-                        if scheme == "disc":
-                            records.extend(discretize(
-                                c, [item["ball"].center],
-                                constraint_index=j))
-                        elif scheme == "ball":
-                            records.extend(tighten_soc(
-                                c, [item["ball"]],
-                                [eta_map[(item["axis"],
-                                          item["component"])]],
-                                constraint_index=j))
-                        elif scheme == "hyp":
-                            omegas = omega_cover(
-                                kernel, item["functional"], [item["ball"]],
-                                style="ball_halfspace", n_x=cov.n_x,
-                                seed=cfg.seed, safety=cov.eta_safety)
-                            records.extend(tighten_omega(
-                                c, omegas, constraint_index=j))
-                        else:
-                            raise ValueError(
-                                f"scheme {scheme!r} not available for "
-                                "this experiment"
-                            )
+                        records.extend(records_for(
+                            scheme, item["constraint"], [item["ball"]],
+                            kernel, cov, cfg.seed, constraint_index=j))
                 t0 = time.perf_counter()
                 model, sol, _ = solve_problem(spec, records,
                                               settings=settings)
@@ -779,9 +696,10 @@ def run_robotarm(cfg: ExperimentConfig):
 def _robot_verify_constraints(cfg: ExperimentConfig) -> list:
     p = cfg.params
     geom = RobotGeometry(int(p.get("segments", 2)))
-    m = int(p.get("m_list", [16])[0])
+    # the runner saves the models of the last anchor count
+    m = int(p.get("m_list", [16, 81])[-1])
     m_axis = round(m ** (1.0 / geom.dim))
-    kept, _, _ = _robot_anchors(geom, m_axis, p)
+    kept, _ = _robot_anchors(geom, m_axis, p)
     return [
         (f"anchor{j}_axis{item['axis']}_q{item['component']}",
          item["constraint"])
@@ -900,11 +818,8 @@ def run_econ(cfg: ExperimentConfig):
     # translation-invariant kernel: one buffer per constraint operator
     t0 = time.perf_counter()
     radius = anchors[0].radius
-    eta_cache = {}
 
-    def records_for(clist, tag):
-        if tag in eta_cache:
-            return eta_cache[tag]
+    def buffered(clist):
         recs = []
         for j, c in enumerate(clist):
             eta = eta_for(kernel, c.operator, (0.0, 0.0), radius,
@@ -912,11 +827,9 @@ def run_econ(cfg: ExperimentConfig):
                           seed=cfg.seed, safety=cov.eta_safety)
             recs.extend(tighten_soc(c, anchors, [eta] * len(anchors),
                                     constraint_index=j))
-        eta_cache[tag] = recs
         return recs
 
-    records_map = {name: records_for(regimes[name], name)
-                   for name in regime_names}
+    records_map = {name: buffered(regimes[name]) for name in regime_names}
     timings["buffers_s"] = time.perf_counter() - t0
 
     reps = int(p.get("reps", 5))
@@ -961,8 +874,7 @@ def run_econ(cfg: ExperimentConfig):
                                            settings=settings)
                 report = compute_bounds(spec, records_map[regime],
                                         sol.objective,
-                                        relax=rsol.objective, model=model,
-                                        settings=settings)
+                                        v_relax=rsol.objective, model=model)
                 bound_json = report.to_json()
     timings["all_reps_s"] = time.perf_counter() - t_all
 
@@ -1006,15 +918,17 @@ def _econ_verify_constraints(cfg: ExperimentConfig) -> list:
     return list(zip(labels, regimes["both"]))
 
 
-def _custom_runner(cfg: ExperimentConfig):
-    raise ValueError(
-        "the 'custom' experiment has no built-in runner; register one "
-        "with register_experiment('custom', runner)"
-    )
+_RUNNERS = {
+    "catenary": run_catenary,
+    "control": run_control,
+    "robotarm": run_robotarm,
+    "econ": run_econ,
+}
 
-
-register_experiment("catenary", run_catenary, _catenary_verify_constraints)
-register_experiment("control", run_control, _control_verify_constraints)
-register_experiment("robotarm", run_robotarm, _robot_verify_constraints)
-register_experiment("econ", run_econ, _econ_verify_constraints)
-register_experiment("custom", _custom_runner)
+#: builders of the (label, constraint) pairs a saved model is checked against
+_CONSTRAINT_BUILDERS = {
+    "catenary": _catenary_verify_constraints,
+    "control": _control_verify_constraints,
+    "robotarm": _robot_verify_constraints,
+    "econ": _econ_verify_constraints,
+}

@@ -19,7 +19,6 @@ Schur-complement solve.  Everything is deterministic for fixed inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,23 +30,9 @@ __all__ = [
     "SolverSettings",
     "Solution",
     "solve",
-    "kkt_residuals",
 ]
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def _jsonable(v):
-    """Best-effort conversion to JSON-encodable values (None if impossible)."""
-    if isinstance(v, (str, int, float, bool)) or v is None:
-        return v
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(item) for item in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(val) for k, val in v.items()}
-    if isinstance(v, np.generic):
-        return v.item()
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -116,31 +101,6 @@ class ConeProgram:
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.P @ x + self.q @ x + self.const)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "P": self.P.tolist(),
-            "q": self.q.tolist(),
-            "const": self.const,
-            "A_eq": self.A_eq.tolist(),
-            "b_eq": self.b_eq.tolist(),
-            "blocks": [
-                {
-                    "kind": b.kind,
-                    "G": b.G.tolist(),
-                    "h": b.h.tolist(),
-                    "provenance": _jsonable(b.provenance),
-                }
-                for b in self.blocks
-            ],
-            "meta": {k: _jsonable(v) for k, v in self.meta.items()
-                     if _jsonable(v) is not None},
-        }
-
-    def dump_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
 @dataclass
@@ -793,7 +753,3 @@ def _final_residuals(prog: ConeProgram, x, y, z, s) -> dict:
         "comp_gap": float(s @ z) if s.size else 0.0,
     }
 
-
-def kkt_residuals(prog: ConeProgram, sol: Solution) -> dict:
-    """Recompute the KKT residual report for a solution (test hook)."""
-    return _final_residuals(prog, sol.x, sol.y_eq, sol.z, sol.s)

@@ -9,9 +9,9 @@ finitely many conic rows:
   functional can vary over the ball (the margin added to the constraint so
   that enforcing it at the ball center implies it on the whole ball),
 * optionally, an explicit enclosure of the functional's image in the
-  RKHS --- a feature-space ball, or the intersection of the ambient norm
-  ball with a halfspace --- which yields tighter rows for kernels whose
-  correlation profile is known.
+  RKHS --- the intersection of the ambient norm ball with a halfspace ---
+  which yields tighter rows for kernels whose correlation profile is
+  known.
 
 Buffer widths come either from the closed-form profile of radial kernels or
 from sampling; sampling *under*-estimates the true supremum, so an optional
@@ -37,7 +37,6 @@ __all__ = [
     "grid_cover",
     "eta_radial",
     "eta_sampled",
-    "eta_eigen_bound",
     "eta_for",
     "omega_cover",
     "refine_radius",
@@ -244,13 +243,6 @@ def _directions(P: int, n_u: int, seed) -> np.ndarray:
 _eta_cache: dict = {}
 
 
-def _eta_cache_key(kernel, op, z, delta, norm, n_x, n_u, seed, mode):
-    zkey = None if kernel.translation_invariant \
-        else tuple(round(float(c), 12) for c in np.atleast_1d(z))
-    return (kernel.fingerprint(), op.canonical(), zkey,
-            round(float(delta), 12), norm, n_x, n_u, seed, mode)
-
-
 def eta_sampled(kernel: Kernel, op: SdpOperator, z, delta: float,
                 norm: str = "max", n_x: int = 50, n_u: int = 20,
                 seed=0, safety: float = 0.0) -> float:
@@ -270,17 +262,18 @@ def eta_sampled(kernel: Kernel, op: SdpOperator, z, delta: float,
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return 0.0
-    key = _eta_cache_key(kernel, op, z, delta, norm, n_x, n_u, seed, "qf")
+    zkey = None if kernel.translation_invariant \
+        else tuple(round(float(c), 12) for c in np.atleast_1d(z))
+    key = (kernel.fingerprint(), op.canonical(), zkey,
+           round(float(delta), 12), norm, n_x, n_u, seed)
     raw = _eta_cache.get(key)
     if raw is None:
-        raw = _eta_sampled_raw(kernel, op, z, delta, norm, n_x, n_u, seed,
-                               eigen=False)
+        raw = _eta_sampled_raw(kernel, op, z, delta, norm, n_x, n_u, seed)
         _eta_cache[key] = raw
     return raw * (1.0 + safety)
 
 
-def _eta_sampled_raw(kernel, op, z, delta, norm, n_x, n_u, seed,
-                     eigen: bool) -> float:
+def _eta_sampled_raw(kernel, op, z, delta, norm, n_x, n_u, seed) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     base = np.zeros_like(z) if kernel.translation_invariant else z
     offsets = _unit_offsets(z.size, norm, n_x, seed) * float(delta)
@@ -291,33 +284,9 @@ def _eta_sampled_raw(kernel, op, z, delta, norm, n_x, n_u, seed,
     best = 0.0
     for off in offsets:
         D = _delta_matrix(kernel, op, base, base + off, Mzz=Mzz)
-        if eigen:
-            lam = float(np.max(np.linalg.eigvalsh(0.5 * (D + D.T))))
-            best = max(best, max(lam, 0.0))
-        else:
-            quad = np.abs(np.einsum("ki,ij,kj->k", vs, D, vs))
-            best = max(best, float(np.max(quad)))
+        quad = np.abs(np.einsum("ki,ij,kj->k", vs, D, vs))
+        best = max(best, float(np.max(quad)))
     return float(np.sqrt(best))
-
-
-def eta_eigen_bound(kernel: Kernel, op: SdpOperator, z, delta: float,
-                    norm: str = "max", n_x: int = 50, seed=0) -> float:
-    """Eigenvalue upper bound on the sampled buffer (same x-samples).
-
-    Uses the largest eigenvalue of the symmetrized difference matrix, which
-    dominates every direction quadratic form used by ``eta_sampled``.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if delta == 0.0:
-        return 0.0
-    key = _eta_cache_key(kernel, op, z, delta, norm, n_x, 1, seed, "eig")
-    raw = _eta_cache.get(key)
-    if raw is None:
-        raw = _eta_sampled_raw(kernel, op, z, delta, norm, n_x, 1, seed,
-                               eigen=True)
-        _eta_cache[key] = raw
-    return raw
 
 
 def eta_for(kernel: Kernel, op: SdpOperator, z, delta: float,
@@ -372,61 +341,41 @@ class OmegaElement:
 
 
 def omega_cover(kernel: Kernel, functional: DiffFunctional,
-                input_cover: list[InputBall], style: str = "ball",
-                n_x: int = 50, seed=0, safety: float = 0.0
-                ) -> list[OmegaElement]:
+                input_cover: list[InputBall], n_x: int = 50, seed=0,
+                safety: float = 0.0) -> list[OmegaElement]:
     """Enclose the image of each input ball under the functional.
 
-    ``ball`` style: one feature ball around the anchored functional with
-    the sampled/closed-form buffer as radius.  ``ball_halfspace`` style
-    (translation-invariant kernels only): the ambient norm ball of radius
-    ``sqrt(<phi, phi>)`` intersected with ``{g : <g, phi_center> >=
-    rho}``, where ``rho`` is the minimum correlation of the functional
-    between the center and any point of the input ball; stored in
-    ``<=`` form with the negated normal.
+    Each element is the ambient norm ball of radius ``sqrt(<phi, phi>)``
+    intersected with ``{g : <g, phi_center> >= rho}``, where ``rho`` is the
+    minimum correlation of the functional between the center and any point
+    of the input ball (translation-invariant kernels only); it is stored in
+    ``<=`` form with the negated normal.  ``safety`` lowers ``rho`` by that
+    fraction of its magnitude.
     """
-    if style not in ("ball", "ball_halfspace"):
-        raise ValueError(f"unknown omega style {style!r}")
-    op = SdpOperator.scalar(functional)
-    out = []
-    if style == "ball_halfspace" and not kernel.translation_invariant:
+    if not kernel.translation_invariant:
         raise ValueError(
             "halfspace enclosures need a translation-invariant kernel"
         )
+    out = []
     r0 = None
     for ball in input_cover:
-        anchor = Atom(ball.center, functional)
-        if style == "ball":
-            eta = eta_for(kernel, op, ball.center, ball.radius,
-                          norm=ball.norm, n_x=n_x, seed=seed, safety=safety)
-            if not eta > 0:
-                raise ValueError(
-                    "degenerate covering element (zero radius); use a "
-                    "pointwise discretization instead"
-                )
-            out.append(OmegaElement(
-                balls=((anchor, float(eta)),), halfspaces=(),
-                diameter_bound=2.0 * float(eta), source=ball,
-            ))
-        else:
-            if r0 is None:
-                r0 = float(np.sqrt(max(atom_inner(anchor, anchor, kernel),
-                                       0.0)))
-            rho = _min_correlation(kernel, functional, ball, n_x, seed)
-            rho = rho - safety * abs(rho)
-            if not rho > 0:
-                raise ValueError(
-                    "halfspace level must stay positive; shrink the "
-                    "input balls"
-                )
-            gap = max(r0 * r0 - (rho / r0) ** 2, 0.0)
-            out.append(OmegaElement(
-                balls=((None, r0),),
-                halfspaces=((Atom(ball.center, functional.scaled(-1.0)),
-                             -float(rho)),),
-                diameter_bound=2.0 * float(np.sqrt(gap)),
-                source=ball,
-            ))
+        if r0 is None:
+            anchor = Atom(ball.center, functional)
+            r0 = float(np.sqrt(max(atom_inner(anchor, anchor, kernel), 0.0)))
+        rho = _min_correlation(kernel, functional, ball, n_x, seed)
+        rho = rho - safety * abs(rho)
+        if not rho > 0:
+            raise ValueError(
+                "halfspace level must stay positive; shrink the input balls"
+            )
+        gap = max(r0 * r0 - (rho / r0) ** 2, 0.0)
+        out.append(OmegaElement(
+            balls=((None, r0),),
+            halfspaces=((Atom(ball.center, functional.scaled(-1.0)),
+                         -float(rho)),),
+            diameter_bound=2.0 * float(np.sqrt(gap)),
+            source=ball,
+        ))
     return out
 
 

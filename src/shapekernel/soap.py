@@ -20,15 +20,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import (
+# The loop solves through ``solve_problem``; ``assemble``,
+# ``collect_atoms``, ``recover_model`` and ``conic_solve`` stay bound only
+# because the benchmark tracer (perfbench/tracer.py) looks them up here.
+from .assemble import (  # noqa: F401
     ProblemSpec,
     _oriented,
     assemble,
     collect_atoms,
     recover_model,
+    solve_problem,
 )
-from .atoms import apply_functional, atom_inner
-from .conic import SolverSettings, solve as conic_solve
+from .atoms import apply_functional
+from .conic import SolverSettings, solve as conic_solve  # noqa: F401
 from .covering import (
     InputBall,
     OmegaElement,
@@ -64,9 +68,6 @@ class SoapState:
 
     def total_elements(self) -> int:
         return sum(len(c) for c in self.coverings)
-
-    def history_rows(self) -> list[dict]:
-        return list(self.history)
 
 
 class SoapInfeasible(RuntimeError):
@@ -119,7 +120,7 @@ def record_slack(model, rec, spec: ProblemSpec,
         return float(g @ bias[: g.size]) if g.size and bias.size else 0.0
 
     def fval(atom):
-        v = _model_functional(model, atom)
+        v = apply_functional(atom.functional, model, atom.x)
         if shift is not None:
             v -= apply_functional(atom.functional, shift, atom.x)
         return v
@@ -155,15 +156,6 @@ def record_slack(model, rec, spec: ProblemSpec,
             if rec.xi_count else gval(rec.gamma) - rec.offset
         return lhs - rec.r0 * nrm
     raise TypeError(f"unknown record type {type(rec).__name__}")
-
-
-def _model_functional(model, atom) -> float:
-    """<f, atom> for the model's own kernel/basis."""
-    total = 0.0
-    for coeff, basis_atom in zip(model.coeffs, model.basis):
-        if coeff:
-            total += coeff * atom_inner(basis_atom, atom, model.kernel)
-    return total
 
 
 def detect_saturated(model, records: list, tol_sat: float = 1e-8, *,
@@ -208,8 +200,8 @@ def _burst_ball(kernel, op, constraint, ball: InputBall, eta_old: float,
 
 def _omega_diameter(kernel, functional, ball: InputBall, n_x, seed,
                     safety) -> float:
-    elems = omega_cover(kernel, functional, [ball], style="ball_halfspace",
-                        n_x=n_x, seed=seed, safety=safety)
+    elems = omega_cover(kernel, functional, [ball], n_x=n_x, seed=seed,
+                        safety=safety)
     return elems[0].diameter_bound
 
 
@@ -278,12 +270,10 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             if c.size != 1:
                 raise ValueError("omega mode needs scalar constraints")
             elems = omega_cover(kernel, c.operator.entries[0][0], balls,
-                                style="ball_halfspace", n_x=n_x, seed=seed,
-                                safety=safety)
+                                n_x=n_x, seed=seed, safety=safety)
             state.coverings.append(elems)
             state.etas.append([])
 
-    prev_model = None
     model = None
     for k in range(k_max + 1):
         t0 = time.perf_counter()
@@ -301,26 +291,12 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
                 rec_elem.append((ci, ei))
             records.extend(recs)
 
-        basis = collect_atoms(spec, records)
-        prog = assemble(spec, basis, records)
-        x0 = None
-        if prev_model is not None:
-            # Previous primal coefficients carried over, mapped into the
-            # whitened coordinates the program uses; bias, epigraph, and
-            # auxiliary variables restart at zero.
-            index = {atom.key(): i for i, atom in enumerate(basis)}
-            a_prev = np.zeros(prog.meta["basis_size"])
-            for atom, coef in zip(prev_model.basis, prev_model.coeffs):
-                pos = index.get(atom.key())
-                if pos is not None:
-                    a_prev[pos] = coef
-            x0 = np.zeros(prog.n)
-            x0[: a_prev.size] = prog.meta["factor"].T @ a_prev
         try:
-            sol = conic_solve(prog, settings=settings, x0=x0)
-            if sol.status in ("infeasible", "unbounded"):
-                raise RuntimeError(f"solver returned status {sol.status!r}")
-            model = recover_model(prog, sol, basis, spec)
+            # Warm start from the previous iterate (None in round 0).  The
+            # program is dropped at once: held, it would stay alive through
+            # the next round's solve next to that round's program.
+            model, sol = solve_problem(spec, records, settings=settings,
+                                       warm=model)[:2]
         except RuntimeError as err:
             if k == 0:
                 raise SoapInfeasible(
@@ -348,7 +324,6 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             "wallTime": time.perf_counter() - t0,
         })
         state.model = model
-        prev_model = model
 
         if not saturated:
             state.stopped_reason = "no saturation"
@@ -393,8 +368,8 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
                         balls = _burst_omega(kernel, func, c, elem, gamma,
                                              n_x, seed, safety)
                         new_elems.extend(omega_cover(
-                            kernel, func, balls, style="ball_halfspace",
-                            n_x=n_x, seed=seed, safety=safety))
+                            kernel, func, balls, n_x=n_x, seed=seed,
+                            safety=safety))
                     else:
                         keep.append(elem)
                 state.coverings[ci] = keep + new_elems

@@ -66,7 +66,6 @@ class ShapeConstraint:
     offset: tuple
     bias_map: tuple = ()
     shift: Model | None = None
-    mode: str = "soc_ball"
 
     def __post_init__(self):
         region = tuple((float(lo), float(hi)) for lo, hi in self.region)
@@ -88,8 +87,6 @@ class ShapeConstraint:
             raise ValueError("bias_map row count must match operator size")
         object.__setattr__(
             self, "bias_map", tuple(tuple(row) for row in gm))
-        if self.mode not in ("discretized", "soc_ball", "omega"):
-            raise ValueError(f"unknown constraint mode {self.mode!r}")
 
     @property
     def size(self) -> int:
@@ -130,17 +127,6 @@ class LinearRecord:
     equality: bool = False
     provenance: tuple = ()
 
-    def to_json(self) -> dict:
-        return {
-            "variant": "linear",
-            "atom": self.atom.to_json(),
-            "gamma": list(self.gamma),
-            "offset": self.offset,
-            "shift_val": self.shift_val,
-            "equality": self.equality,
-            "provenance": list(self.provenance),
-        }
-
 
 @dataclass(frozen=True)
 class SocBufferRecord:
@@ -160,17 +146,6 @@ class SocBufferRecord:
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("buffer width must be nonnegative")
-
-    def to_json(self) -> dict:
-        return {
-            "variant": "soc_buffer",
-            "atom": self.atom.to_json(),
-            "eta": self.eta,
-            "gamma": list(self.gamma),
-            "offset": self.offset,
-            "shift_val": self.shift_val,
-            "provenance": list(self.provenance),
-        }
 
 
 @dataclass(frozen=True)
@@ -194,17 +169,6 @@ class Rsoc2x2Record:
             raise ValueError("buffer width must be nonnegative")
         if len(self.atoms) != 2 or any(len(r) != 2 for r in self.atoms):
             raise ValueError("need a 2x2 atom block")
-
-    def to_json(self) -> dict:
-        return {
-            "variant": "rsoc_2x2",
-            "atoms": [[a.to_json() for a in row] for row in self.atoms],
-            "eta": self.eta,
-            "gamma": [list(r) for r in self.gamma],
-            "offset": list(self.offset),
-            "shift_vals": [list(r) for r in self.shift_vals],
-            "provenance": list(self.provenance),
-        }
 
 
 @dataclass(frozen=True)
@@ -232,26 +196,11 @@ class InclusionRecord:
     def xi_count(self) -> int:
         return 0 if math.isinf(self.rho) else 1
 
-    def to_json(self) -> dict:
-        return {
-            "variant": "inclusion",
-            "r0": self.r0,
-            "normal": self.normal.to_json(),
-            "rho": self.rho,
-            "gamma": list(self.gamma),
-            "offset": self.offset,
-            "diameter": self.diameter,
-            "provenance": list(self.provenance),
-        }
 
 
 # --------------------------------------------------------------------------
 # Reductions
 # --------------------------------------------------------------------------
-
-def _gamma_rows(c: ShapeConstraint) -> np.ndarray:
-    return c.gamma()
-
 
 def discretize(c: ShapeConstraint, points, constraint_index: int = 0
                ) -> list:
@@ -259,7 +208,7 @@ def discretize(c: ShapeConstraint, points, constraint_index: int = 0
     P = c.size
     if P > 2:
         raise ValueError(_PSD_HOOK_MSG)
-    gm = _gamma_rows(c)
+    gm = c.gamma()
     out = []
     for m, x in enumerate(points):
         if not c.contains(x):
@@ -278,7 +227,7 @@ def discretize(c: ShapeConstraint, points, constraint_index: int = 0
 
 
 def _rsoc_record(c: ShapeConstraint, x, eta: float, prov) -> Rsoc2x2Record:
-    gm = _gamma_rows(c)
+    gm = c.gamma()
     ent = c.operator.entries
     atoms = tuple(tuple(Atom(x, ent[i][j]) for j in range(2))
                   for i in range(2))
@@ -298,7 +247,7 @@ def tighten_soc(c: ShapeConstraint, cover: list[InputBall], etas,
         raise ValueError(_PSD_HOOK_MSG)
     if len(etas) != len(cover):
         raise ValueError("need one buffer width per covering ball")
-    gm = _gamma_rows(c)
+    gm = c.gamma()
     out = []
     for m, (ball, eta) in enumerate(zip(cover, etas)):
         if eta is None:
@@ -323,61 +272,31 @@ def tighten_omega(c: ShapeConstraint, omegas: list[OmegaElement],
                   constraint_index: int = 0) -> list:
     """Inclusion tightening from feature enclosures (scalar constraints).
 
-    A single atom-centered ball maps to the buffered anchor row (the two
-    reductions coincide there); the ambient ball plus one halfspace maps to
-    an :class:`InclusionRecord` with auxiliary ``xi``.
+    Each element must be the ambient ball cut by one halfspace (what
+    :func:`~shapekernel.covering.omega_cover` builds); it maps to an
+    :class:`InclusionRecord` with auxiliary ``xi``.
     """
     if c.size != 1:
         raise ValueError("feature enclosures apply to scalar constraints")
-    gm = _gamma_rows(c)
+    gm = c.gamma()
     out = []
     for m, elem in enumerate(omegas):
-        nb, nh = len(elem.balls), len(elem.halfspaces)
-        prov = (constraint_index, m)
-        if (nb, nh) == (1, 0):
-            center, radius = elem.balls[0]
-            if center is None:
-                raise ValueError(
-                    "origin-ball element without halfspace is vacuous"
-                )
-            out.append(SocBufferRecord(
-                atom=center, eta=float(radius), gamma=tuple(gm[0]),
-                offset=c.offset[0],
-                shift_val=c.shift_value(center.functional, center.x),
-                provenance=prov,
-            ))
-        elif (nb, nh) == (1, 1) and elem.balls[0][0] is None:
-            normal, rho = elem.halfspaces[0]
-            out.append(InclusionRecord(
-                r0=float(elem.balls[0][1]), normal=normal, rho=float(rho),
-                gamma=tuple(gm[0]), offset=c.offset[0],
-                diameter=float(elem.diameter_bound), provenance=prov,
-            ))
-        else:
+        if len(elem.balls) != 1 or len(elem.halfspaces) != 1 \
+                or elem.balls[0][0] is not None:
             raise ValueError("general inclusion not implemented")
+        normal, rho = elem.halfspaces[0]
+        out.append(InclusionRecord(
+            r0=float(elem.balls[0][1]), normal=normal, rho=float(rho),
+            gamma=tuple(gm[0]), offset=c.offset[0],
+            diameter=float(elem.diameter_bound),
+            provenance=(constraint_index, m),
+        ))
     return out
 
 
 # --------------------------------------------------------------------------
 # Verification
 # --------------------------------------------------------------------------
-
-def _functional_grid(model: Model, functional, X: np.ndarray) -> np.ndarray:
-    """Vectorized ``functional(model)(x)`` over grid rows ``X``."""
-    kernel = model.kernel
-    out = np.zeros(X.shape[0])
-    for j, atom in enumerate(model.basis):
-        a_j = model.coeffs[j]
-        if a_j == 0.0:
-            continue
-        acc = np.zeros(X.shape[0])
-        for qf, rf, bf in functional.terms:
-            for qa, ra, ba in atom.functional.terms:
-                acc += bf * ba * kernel.eval_partial_many(
-                    rf, ra, qf, qa, X, atom.x)
-        out += a_j * acc
-    return out
-
 
 def _region_grid(region, grid_res: int) -> np.ndarray:
     axes = [np.linspace(lo, hi, max(int(grid_res), 2))
@@ -397,39 +316,24 @@ def verify_pointwise(model: Model, c: ShapeConstraint, grid_res: int) -> dict:
         raise ValueError("grid resolution must be at least 2 per axis")
     X = _region_grid(c.region, grid_res)
     P = c.size
-    gm = _gamma_rows(c)
+    gm = c.gamma()
     B = c.bias_dim
     bias = np.zeros(B)
     if B and model.bias.size:
         bias = np.asarray(model.bias, dtype=float)[:B]
     affine = gm @ bias - np.asarray(c.offset)
-    if P == 1:
-        func = c.operator.entries[0][0]
-        vals = _functional_grid(model, func, X)
-        if c.shift is not None:
-            vals = vals - _functional_grid(c.shift, func, X)
-        slack = vals + affine[0]
-        idx = int(np.argmin(slack))
-        min_eig = float(slack[idx])
-    else:
-        entry_vals = {}
-        for i in range(P):
-            for j in range(i, P):
-                func = c.operator.entries[i][j]
-                v = _functional_grid(model, func, X)
-                if c.shift is not None:
-                    v = v - _functional_grid(c.shift, func, X)
-                entry_vals[(i, j)] = v
-        min_eig, idx = np.inf, 0
-        for n in range(X.shape[0]):
-            M = np.empty((P, P))
-            for i in range(P):
-                for j in range(i, P):
-                    M[i, j] = M[j, i] = entry_vals[(i, j)][n]
-                M[i, i] += affine[i]
-            lam = float(np.linalg.eigvalsh(M)[0])
-            if lam < min_eig:
-                min_eig, idx = lam, n
+    S = np.empty((X.shape[0], P, P))
+    for i in range(P):
+        for j in range(i, P):
+            func = c.operator.entries[i][j]
+            v = model.apply(func, X)
+            if c.shift is not None:
+                v = v - c.shift.apply(func, X)
+            S[:, i, j] = S[:, j, i] = v
+        S[:, i, i] += affine[i]
+    lams = S[:, 0, 0] if P == 1 else np.linalg.eigvalsh(S)[:, 0]
+    idx = int(np.argmin(lams))
+    min_eig = float(lams[idx])
     return {
         "maxViolation": max(0.0, -min_eig),
         "worstPoint": tuple(float(v) for v in X[idx]),

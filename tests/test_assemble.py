@@ -242,7 +242,6 @@ class TestConstrainedSolves:
             region=((0.0, 1.0),),
             operator=SdpOperator.scalar(DiffFunctional.partial(1, axis=0)),
             offset=(0.0,),
-            mode="discretized",
         )
         grid = [(float(v),) for v in np.linspace(0, 1, 21)]
         records = discretize(c, grid)
@@ -267,7 +266,6 @@ class TestConstrainedSolves:
             region=((0.2, 0.8),),
             operator=SdpOperator.scalar(DiffFunctional.value(1)),
             offset=(0.3,),
-            mode="soc_ball",
         )
         cover = cover_box([(0.2, 0.8)], 0.02)
         etas = [eta_for(kernel, c.operator, b.center, b.radius, norm=b.norm)
@@ -292,11 +290,9 @@ class TestConstrainedSolves:
             region=((0.2, 0.8),),
             operator=SdpOperator.scalar(DiffFunctional.value(1)),
             offset=(0.1,),
-            mode="omega",
         )
         cover = cover_box([(0.2, 0.8)], 0.05)
-        elems = omega_cover(kernel, c.operator.entries[0][0], cover,
-                            style="ball_halfspace")
+        elems = omega_cover(kernel, c.operator.entries[0][0], cover)
         records = tighten_omega(c, elems)
         xs = np.linspace(0.2, 0.8, 7)
         spec = ProblemSpec(
@@ -362,7 +358,6 @@ class TestConstrainedSolves:
             operator=SdpOperator.scalar(DiffFunctional.value(1)),
             offset=(-2.0,),
             shift=shift,
-            mode="soc_ball",
         )
         cover = cover_box([(0.2, 0.8)], 0.1)
         etas = [eta_for(kernel, c.operator, b.center, b.radius, norm=b.norm)
@@ -438,7 +433,6 @@ class TestSolveReference:
             region=((0.0, 1.0),),
             operator=SdpOperator.scalar(DiffFunctional.value(1)),
             offset=(0.25,),
-            mode="discretized",
         )
         xs = np.linspace(0, 1, 7)
         spec = ProblemSpec(
@@ -512,7 +506,7 @@ class TestComputeBounds:
         model, sol, _ = solve_problem(spec, records)
         _, relax_sol, _ = solve_problem(spec, relax_records(records))
         rep = compute_bounds(spec, records, sol.objective,
-                             relax=relax_sol.objective, mu_f=2.0)
+                             v_relax=relax_sol.objective, mu_f=2.0)
         assert rep.gap == pytest.approx(sol.objective - relax_sol.objective)
         assert rep.gap >= -1e-9
         assert rep.radius_f == pytest.approx(
@@ -524,20 +518,11 @@ class TestComputeBounds:
             fill_distance(anchors, c.region, 33), rel=1e-12
         )
 
-    def test_relax_accepts_program(self, kernel):
-        spec, c, records, _, _ = self.make_constrained(kernel)
-        model, sol, _ = solve_problem(spec, records)
-        basis = collect_atoms(spec, relax_records(records))
-        relax_prog = assemble(spec, basis, relax_records(records))
-        rep = compute_bounds(spec, records, sol.objective, relax=relax_prog)
-        assert rep.v_relax is not None
-        assert rep.gap >= -1e-8
-
     def test_a_priori_bound_and_note(self, kernel):
         spec, c, records, _, _ = self.make_constrained(kernel)
         model, sol, _ = solve_problem(spec, records)
         rep = compute_bounds(
-            spec, records, sol.objective, relax=sol.objective,
+            spec, records, sol.objective, v_relax=sol.objective,
             mu_f=2.0, lipschitz_b=1.5, bias_direction=(1.0,), model=model,
         )
         c_f = model.norm / 1.0  # min Gamma beta = 1
@@ -549,7 +534,7 @@ class TestComputeBounds:
         spec, c, records, _, _ = self.make_constrained(kernel)
         model, sol, _ = solve_problem(spec, records)
         rep = compute_bounds(
-            spec, records, sol.objective, relax=sol.objective,
+            spec, records, sol.objective, v_relax=sol.objective,
             lipschitz_b=1.5, bias_direction=(-1.0,), model=model,
         )
         assert rep.a_priori is None

@@ -23,7 +23,6 @@ from shapekernel import (
     apply_functional,
     atom_inner,
     cross_gram,
-    eval_model,
     gram,
     model_distance,
 )
@@ -278,7 +277,6 @@ class TestModel:
             for a_j, atom in zip(model.coeffs, basis)
         )
         assert model.eval(x)[0] == pytest.approx(want, rel=1e-13)
-        assert eval_model(model, x)[0] == pytest.approx(want, rel=1e-13)
 
     def test_eval_component_many_matches_pointwise(self, kernel, basis):
         model = self.make_model(kernel, basis, seed=3)
@@ -286,6 +284,11 @@ class TestModel:
         vec = model.eval_component_many(X)
         loop = np.array([model.eval(x)[0] for x in X])
         np.testing.assert_allclose(vec, loop, rtol=1e-12, atol=1e-14)
+        D = DiffFunctional(((0, (1, 0), 0.5), (0, (0, 2), -1.5)))
+        np.testing.assert_allclose(
+            model.apply(D, X),
+            [apply_functional(D, model, x) for x in X],
+            rtol=1e-12, atol=1e-14)
 
     def test_apply_functional_matches_finite_differences(self, kernel, basis):
         model = self.make_model(kernel, basis, seed=5)

@@ -21,16 +21,15 @@ from shapekernel import (
     SdpOperator,
     atom_inner,
     cover_box,
-    eta_eigen_bound,
     eta_for,
     eta_radial,
     eta_sampled,
     fill_distance,
     grid_cover,
     omega_cover,
-    operator_cross_matrix,
     refine_radius,
 )
+from shapekernel.covering import operator_cross_matrix
 
 
 class TestInputBall:
@@ -199,17 +198,6 @@ class TestEtaSampled:
                                safety=0.25)
         assert inflated == pytest.approx(1.25 * base, rel=1e-14)
 
-    def test_matrix_operator_dominated_by_eigen_bound(self):
-        k = GaussianKernel([0.9, 1.2])
-        val = DiffFunctional.value(2)
-        dx = DiffFunctional.partial(2, axis=0)
-        dy = DiffFunctional.partial(2, axis=1)
-        op = SdpOperator(((val, dx), (dx, dy)))
-        for delta in (0.05, 0.15, 0.3):
-            s = eta_sampled(k, op, [0.1, 0.1], delta, n_x=80, n_u=16, seed=5)
-            e = eta_eigen_bound(k, op, [0.1, 0.1], delta, n_x=80, seed=5)
-            assert e >= s - 1e-12, delta
-
     def test_cross_matrix_shape_and_symmetry(self):
         k = GaussianKernel([1.0, 1.0])
         val = DiffFunctional.value(2)
@@ -256,25 +244,11 @@ class TestEtaFor:
 
 
 class TestOmegaCover:
-    def test_ball_style_wraps_buffer_width(self):
-        k = GaussianKernel([1.0])
-        D = DiffFunctional.value(1)
-        cover = cover_box([(0.0, 1.0)], 0.05)
-        elems = omega_cover(k, D, cover, style="ball")
-        assert len(elems) == len(cover)
-        for elem, ball in zip(elems, cover):
-            (anchor, radius), = elem.balls
-            assert anchor.x == ball.center
-            assert radius == pytest.approx(eta_radial(k, 0.05), rel=1e-12)
-            assert elem.halfspaces == ()
-            assert elem.diameter_bound == pytest.approx(2 * radius)
-            assert elem.source == ball
-
     def test_ball_halfspace_geometry(self):
         k = GaussianKernel([1.0])
         D = DiffFunctional.value(1)
         cover = [InputBall((0.4,), 0.2, norm="max")]
-        (elem,) = omega_cover(k, D, cover, style="ball_halfspace")
+        (elem,) = omega_cover(k, D, cover)
         (center, r0), = elem.balls
         assert center is None
         assert r0 == pytest.approx(1.0, rel=1e-12)  # sqrt(k(0))
@@ -291,9 +265,8 @@ class TestOmegaCover:
         k = GaussianKernel([1.0])
         D = DiffFunctional.value(1)
         cover = [InputBall((0.0,), 0.1)]
-        (plain,) = omega_cover(k, D, cover, style="ball_halfspace")
-        (guarded,) = omega_cover(k, D, cover, style="ball_halfspace",
-                                 safety=0.1)
+        (plain,) = omega_cover(k, D, cover)
+        (guarded,) = omega_cover(k, D, cover, safety=0.1)
         assert -guarded.halfspaces[0][1] == pytest.approx(
             0.9 * -plain.halfspaces[0][1], rel=1e-12
         )
@@ -302,20 +275,7 @@ class TestOmegaCover:
         k = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
         D = DiffFunctional.value(1, q=0)
         with pytest.raises(ValueError, match="translation-invariant"):
-            omega_cover(k, D, [InputBall((0.5,), 0.1)],
-                        style="ball_halfspace")
-
-    def test_zero_radius_ball_rejected(self):
-        k = GaussianKernel([1.0])
-        D = DiffFunctional.value(1)
-        with pytest.raises(ValueError, match="degenerate"):
-            omega_cover(k, D, [InputBall((0.5,), 0.0)], style="ball")
-
-    def test_unknown_style_rejected(self):
-        k = GaussianKernel([1.0])
-        D = DiffFunctional.value(1)
-        with pytest.raises(ValueError, match="unknown omega style"):
-            omega_cover(k, D, [InputBall((0.5,), 0.1)], style="polytope")
+            omega_cover(k, D, [InputBall((0.5,), 0.1)])
 
     def test_element_validation(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -8,6 +8,7 @@ known sub-interval, so refinement must concentrate there and leave the
 slack zone untouched.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -212,8 +213,7 @@ class TestSlackVsSolver:
         spec = step_spec()
         c = spec.constraints[0]
         balls = cover_box(c.region, 0.05, norm="max")
-        elems = omega_cover(spec.kernel, VAL, balls,
-                            style="ball_halfspace", n_x=50, seed=0)
+        elems = omega_cover(spec.kernel, VAL, balls, n_x=50, seed=0)
         recs = tighten_omega(c, elems, constraint_index=0)
         assert any(isinstance(r, InclusionRecord) for r in recs)
         model, sol, prog = solve_problem(spec, recs)
@@ -361,7 +361,7 @@ class TestRunSoapBall:
 
     def test_history_rows_schema(self, ball_run):
         _, _, state = ball_run
-        rows = state.history_rows()
+        rows = state.history
         assert len(rows) == 7
         for k, row in enumerate(rows):
             assert set(row) == {"k", "M_total", "v", "bursts", "maxEta",
@@ -372,7 +372,7 @@ class TestRunSoapBall:
 
     def test_refinement_grows_cover_and_relaxes_value(self, ball_run):
         _, _, state = ball_run
-        rows = state.history_rows()
+        rows = state.history
         assert rows[0]["M_total"] == 6  # uniform cover of [0.2, 0.8] at 0.05
         assert rows[-1]["M_total"] > rows[0]["M_total"]
         assert rows[-1]["M_total"] == state.total_elements()
@@ -407,8 +407,8 @@ class TestRunSoapBall:
         model, state = run_soap(spec, mode="ball", gamma=0.7, k_max=6,
                                 delta0=0.05, tol_sat=1e-6, seed=0)
         assert state.stopped_reason == "no saturation"
-        assert len(state.history_rows()) == 1
-        assert state.history_rows()[0]["bursts"] == 0
+        assert len(state.history) == 1
+        assert state.history[0]["bursts"] == 0
         assert model is state.model
 
     def test_element_budget_stops_the_loop(self):
@@ -416,7 +416,7 @@ class TestRunSoapBall:
                                 k_max=6, delta0=0.01, tol_sat=1e-6, seed=0,
                                 max_elements=10)
         assert state.stopped_reason == "element budget reached"
-        assert len(state.history_rows()) == 1
+        assert len(state.history) == 1
         assert state.total_elements() >= 10
         assert model is not None
 
@@ -426,7 +426,7 @@ class TestRunSoapOmega:
         spec = step_spec()
         model, state = run_soap(spec, mode="omega", gamma=0.7, k_max=3,
                                 delta0=0.05, tol_sat=1e-6, seed=0)
-        rows = state.history_rows()
+        rows = state.history
         assert state.stopped_reason == "k_max reached"
         assert rows[0]["M_total"] == 6
         assert rows[-1]["M_total"] > rows[0]["M_total"]
@@ -443,7 +443,7 @@ class TestRunSoapOmega:
         spec = step_spec()
         _, state = run_soap(spec, mode="omega", gamma=0.7, k_max=3,
                             delta0=0.05, tol_sat=1e-6, seed=0)
-        rows = state.history_rows()
+        rows = state.history
         for prev, nxt in zip(rows, rows[1:]):
             assert nxt["maxEta"] <= prev["maxEta"] * (1 + 1e-9)
 
@@ -476,29 +476,32 @@ class TestSoapInfeasible:
 
 
 class TestWarmStart:
-    def test_coefficients_map_to_identical_program_slacks(self):
+    def test_coefficients_map_to_identical_program_slacks(self, monkeypatch):
         spec = step_spec()
         c = spec.constraints[0]
         pts = [b.center for b in cover_box(c.region, 0.05, norm="max")]
         recs = discretize(c, pts, constraint_index=0)
-        model, sol, prog = solve_problem(spec, recs)
-        # Re-map the recovered coefficients into whitened program
-        # coordinates exactly the way the refinement loop warm-starts.
-        x0 = np.zeros(prog.n)
-        x0[: len(model.coeffs)] = prog.meta["factor"].T @ model.coeffs
-        rows = nonneg_row_slacks(prog, x0)
+        model, _, _ = solve_problem(spec, recs)
+        # The solver's starting point, mapped from the model's coefficients
+        # into whitened program coordinates, must reproduce its slacks.
+        assemble_module = importlib.import_module("shapekernel.assemble")
+        conic_solve = assemble_module.solve
+        seen = {}
+
+        def spy(prog, settings=None, x0=None):
+            seen["prog"], seen["x0"] = prog, x0
+            return conic_solve(prog, settings=settings, x0=x0)
+
+        monkeypatch.setattr(assemble_module, "solve", spy)
+        warm, _, _ = solve_problem(spec, recs, warm=model)
+        rows = nonneg_row_slacks(seen["prog"], seen["x0"])
         for rec in recs:
             assert rows[tuple(rec.provenance)] == pytest.approx(
                 record_slack(model, rec, spec), abs=1e-7)
+        assert warm.norm == pytest.approx(model.norm, rel=1e-6)
 
 
 class TestSoapState:
     def test_total_elements_sums_all_constraints(self):
         state = SoapState(mode="ball", coverings=[[1, 2, 3], [4]])
         assert state.total_elements() == 4
-
-    def test_history_rows_returns_a_copy(self):
-        state = SoapState(mode="ball", history=[{"k": 0}])
-        rows = state.history_rows()
-        rows.append({"k": 1})
-        assert state.history == [{"k": 0}]

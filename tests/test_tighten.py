@@ -39,8 +39,8 @@ def kernel():
     return GaussianKernel([1.0])
 
 
-def scalar_constraint(mode="soc_ball", offset=0.0, bias_map=(),
-                      region=((0.0, 1.0),), order=0):
+def scalar_constraint(offset=0.0, bias_map=(), region=((0.0, 1.0),),
+                      order=0):
     if order == 0:
         D = DiffFunctional.value(1)
     else:
@@ -50,7 +50,6 @@ def scalar_constraint(mode="soc_ball", offset=0.0, bias_map=(),
         operator=SdpOperator.scalar(D),
         offset=(offset,),
         bias_map=bias_map,
-        mode=mode,
     )
 
 
@@ -62,7 +61,6 @@ def matrix_constraint():
         region=((0.0, 1.0),),
         operator=op,
         offset=(0.0, 0.0),
-        mode="discretized",
     )
 
 
@@ -83,8 +81,6 @@ class TestShapeConstraint:
                 offset=(0.0,),
                 bias_map=((1.0,), (2.0,)),
             )
-        with pytest.raises(ValueError, match="unknown constraint mode"):
-            scalar_constraint(mode="exact")
 
     def test_gamma_and_bias_dim(self):
         c = scalar_constraint(bias_map=((1.0, -2.0),))
@@ -116,7 +112,7 @@ class TestShapeConstraint:
 
 class TestDiscretize:
     def test_scalar_records(self):
-        c = scalar_constraint(mode="discretized", offset=0.5,
+        c = scalar_constraint(offset=0.5,
                               bias_map=((2.0,),), order=1)
         recs = discretize(c, [[0.25], [0.75]], constraint_index=3)
         assert len(recs) == 2
@@ -131,7 +127,7 @@ class TestDiscretize:
         assert recs[1].provenance == (3, 1)
 
     def test_point_outside_region_rejected(self):
-        c = scalar_constraint(mode="discretized")
+        c = scalar_constraint()
         with pytest.raises(ValueError, match="outside region"):
             discretize(c, [[1.5]])
 
@@ -149,7 +145,7 @@ class TestDiscretize:
         op = SdpOperator(tuple(tuple(val for _ in range(3))
                                for _ in range(3)))
         c = ShapeConstraint(region=((0.0, 1.0),), operator=op,
-                            offset=(0.0, 0.0, 0.0), mode="discretized")
+                            offset=(0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="rotated second-order cones"):
             discretize(c, [[0.5]])
 
@@ -193,31 +189,10 @@ class TestTightenSoc:
 
 
 class TestTightenOmega:
-    def test_atom_ball_elements_reduce_to_buffered_rows(self, kernel):
-        # The two guaranteed reductions must coincide on atom-centered
-        # balls: same anchors, same widths, same affine data.
-        c = scalar_constraint(mode="omega", offset=0.25,
-                              bias_map=((1.5,),))
-        cover = cover_box([(0.0, 1.0)], 0.05)
-        etas = [eta_for(kernel, c.operator, b.center, b.radius,
-                        norm=b.norm) for b in cover]
-        soc_recs = tighten_soc(c, cover, etas)
-        elems = omega_cover(kernel, c.operator.entries[0][0], cover,
-                            style="ball")
-        omega_recs = tighten_omega(c, elems)
-        assert len(soc_recs) == len(omega_recs)
-        for a, b in zip(soc_recs, omega_recs):
-            assert isinstance(b, SocBufferRecord)
-            assert a.atom == b.atom
-            assert a.eta == pytest.approx(b.eta, abs=1e-15)
-            assert a.gamma == b.gamma
-            assert a.offset == b.offset
-
     def test_halfspace_elements_become_inclusion_records(self, kernel):
-        c = scalar_constraint(mode="omega", offset=0.1, bias_map=((1.0,),))
+        c = scalar_constraint(offset=0.1, bias_map=((1.0,),))
         cover = [InputBall((0.3,), 0.2), InputBall((0.7,), 0.2)]
-        elems = omega_cover(kernel, c.operator.entries[0][0], cover,
-                            style="ball_halfspace")
+        elems = omega_cover(kernel, c.operator.entries[0][0], cover)
         recs = tighten_omega(c, elems, constraint_index=2)
         rho = math.exp(-0.5 * 0.2**2)
         for m, rec in enumerate(recs):
@@ -243,20 +218,12 @@ class TestTightenOmega:
             region=((0.0, 1.0),),
             operator=matrix_constraint().operator,
             offset=(0.0, 0.0),
-            mode="omega",
         )
         with pytest.raises(ValueError, match="scalar"):
             tighten_omega(c, [])
 
-    def test_vacuous_origin_ball_rejected(self):
-        c = scalar_constraint(mode="omega")
-        elem = OmegaElement(balls=((None, 1.0),), halfspaces=(),
-                            diameter_bound=2.0)
-        with pytest.raises(ValueError, match="vacuous"):
-            tighten_omega(c, [elem])
-
     def test_general_inclusion_not_implemented(self):
-        c = scalar_constraint(mode="omega")
+        c = scalar_constraint()
         a = Atom((0.5,), DiffFunctional.value(1))
         elem = OmegaElement(
             balls=((a, 0.5),),
@@ -266,6 +233,11 @@ class TestTightenOmega:
         )
         with pytest.raises(ValueError, match="not implemented"):
             tighten_omega(c, [elem])
+        # the whole ambient ball, with no halfspace, is vacuous
+        origin = OmegaElement(balls=((None, 1.0),), halfspaces=(),
+                              diameter_bound=2.0)
+        with pytest.raises(ValueError, match="not implemented"):
+            tighten_omega(c, [origin])
 
 
 class TestRecordValidation:
@@ -289,16 +261,6 @@ class TestRecordValidation:
                 r0=0.0, normal=Atom((0.0,), DiffFunctional.value(1)),
                 rho=0.1, gamma=(), offset=0.0,
             )
-
-    def test_json_variants(self):
-        a = Atom((0.0,), DiffFunctional.value(1))
-        assert LinearRecord(a, (), 0.0).to_json()["variant"] == "linear"
-        assert SocBufferRecord(a, 0.1, (), 0.0).to_json()["variant"] == \
-            "soc_buffer"
-        assert Rsoc2x2Record(((a, a), (a, a)), 0.0, ((), ()),
-                             (0.0, 0.0)).to_json()["variant"] == "rsoc_2x2"
-        assert InclusionRecord(1.0, a, 0.1, (), 0.0).to_json()[
-            "variant"] == "inclusion"
 
 
 class TestVerifyPointwise:
@@ -353,6 +315,14 @@ class TestVerifyPointwise:
         fp = -(xs - 0.4) * f
         want = (f - np.abs(fp)).min()
         assert report["minEig"] == pytest.approx(want, abs=1e-12)
+        # the stacked eigensolve equals a per-point loop bit for bit
+        X = xs.reshape(-1, 1)
+        v = model.apply(c.operator.entries[0][0], X)
+        d = model.apply(c.operator.entries[0][1], X)
+        loop = [np.linalg.eigvalsh(np.array([[a, b], [b, a]]))[0]
+                for a, b in zip(v, d)]
+        assert report["minEig"] == min(loop)
+        assert report["worstPoint"] == (xs[int(np.argmin(loop))],)
 
     def test_small_grid_rejected(self, kernel):
         model = Model.zero(kernel)
