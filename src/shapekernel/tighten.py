@@ -281,6 +281,9 @@ def tighten_omega(c: ShapeConstraint, omegas: list[OmegaElement],
     gm = c.gamma()
     out = []
     for m, elem in enumerate(omegas):
+        if not elem.halfspaces and len(elem.balls) == 1 \
+                and elem.balls[0][0] is None:
+            raise ValueError("origin-ball element without halfspace is vacuous")
         if len(elem.balls) != 1 or len(elem.halfspaces) != 1 \
                 or elem.balls[0][0] is not None:
             raise ValueError("general inclusion not implemented")

@@ -233,11 +233,13 @@ class TestTightenOmega:
         )
         with pytest.raises(ValueError, match="not implemented"):
             tighten_omega(c, [elem])
-        # the whole ambient ball, with no halfspace, is vacuous
-        origin = OmegaElement(balls=((None, 1.0),), halfspaces=(),
-                              diameter_bound=2.0)
-        with pytest.raises(ValueError, match="not implemented"):
-            tighten_omega(c, [origin])
+
+    def test_vacuous_origin_ball_rejected(self):
+        c = scalar_constraint()
+        elem = OmegaElement(balls=((None, 1.0),), halfspaces=(),
+                            diameter_bound=2.0)
+        with pytest.raises(ValueError, match="vacuous"):
+            tighten_omega(c, [elem])
 
 
 class TestRecordValidation:
