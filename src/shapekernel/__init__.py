@@ -80,11 +80,9 @@ from .soap import (
     run_soap,
 )
 from .tighten import (
+    AnchorRecord,
     InclusionRecord,
-    LinearRecord,
-    Rsoc2x2Record,
     ShapeConstraint,
-    SocBufferRecord,
     discretize,
     tighten_omega,
     tighten_soc,

@@ -15,6 +15,7 @@ certificates and error radii.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -26,17 +27,16 @@ from .atoms import (
     DiffFunctional,
     Model,
     gram,
+    lead_sign,
     model_distance,
 )
 from .conic import ConeBlock, ConeProgram, SolverSettings, Solution, solve
 from .covering import fill_distance
 from .kernels import Kernel
 from .tighten import (
+    AnchorRecord,
     InclusionRecord,
-    LinearRecord,
-    Rsoc2x2Record,
     ShapeConstraint,
-    SocBufferRecord,
     discretize,
 )
 
@@ -152,9 +152,7 @@ def _oriented(atom: Atom) -> tuple[Atom, float]:
     The leading coefficient of the canonical functional is made positive so
     that an atom and its negation share one basis column.
     """
-    terms = atom.functional.canonical()
-    lead = next((b for _, _, b in terms if b != 0.0), 1.0)
-    if lead < 0:
+    if lead_sign(atom.functional.canonical()) < 0:
         return Atom(atom.x, atom.functional.scaled(-1.0)), -1.0
     return atom, 1.0
 
@@ -181,11 +179,9 @@ def collect_atoms(spec: ProblemSpec, records: list) -> list[Atom]:
     for eq in spec.equalities:
         add(eq.atom())
     for rec in records:
-        if isinstance(rec, (LinearRecord, SocBufferRecord)):
-            add(rec.atom)
-        elif isinstance(rec, Rsoc2x2Record):
-            for i in range(2):
-                for j in range(i, 2):
+        if isinstance(rec, AnchorRecord):
+            for i in range(rec.size):
+                for j in range(i, rec.size):
                     add(rec.atoms[i][j])
         elif isinstance(rec, InclusionRecord):
             add(_oriented(rec.normal)[0])
@@ -250,10 +246,10 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
              ) -> ConeProgram:
     """Build the cone program over coefficients, bias, and auxiliaries.
 
-    Functional evaluations become Gram rows; buffered records of one
-    constraint share a norm epigraph (one SOC row per distinct shift);
-    enclosure records get their own SOC row over the extended coefficient
-    vector plus a nonnegative auxiliary.
+    Functional evaluations become Gram rows; anchor records with a positive
+    buffer width share their constraint's norm epigraph (one SOC row per
+    distinct shift); enclosure records get their own SOC row over the
+    extended coefficient vector plus a nonnegative auxiliary.
 
     The coefficient block of the decision vector carries the whitened
     coordinates ``u = L^T a`` (L the stabilized Cholesky factor of the atom
@@ -289,10 +285,10 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     if needs_t:
         lay.t_col(zero_key)
     for rec in records:
-        if isinstance(rec, (SocBufferRecord, Rsoc2x2Record)) and rec.eta > 0:
+        if isinstance(rec, AnchorRecord) and rec.eta > 0:
             ci = rec.provenance[0] if rec.provenance else 0
             lay.t_col(key_by_constraint.get(ci, zero_key))
-        elif isinstance(rec, InclusionRecord) and rec.xi_count:
+        elif isinstance(rec, InclusionRecord):
             lay.xi_col(tuple(rec.provenance))
     lay.finalize()
     n = lay.n
@@ -340,7 +336,7 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         q_vec[lay.t_index(zero_key)] += 1.0
 
     # ---------------------------------------------------------------- rows
-    A_eq_rows, b_eq, eq_prov = [], [], []
+    A_eq_rows, b_eq = [], []
     blocks: list[ConeBlock] = []
     nn_G, nn_h, nn_prov = [], [], []
 
@@ -356,7 +352,6 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         bias_part(row, eq.bias_row)
         A_eq_rows.append(row)
         b_eq.append(eq.value)
-        eq_prov.append(("equality", eq.x))
 
     if spec.bias_set == "box" and B:
         lo, hi = spec.bias_bounds
@@ -375,47 +370,27 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         ci = prov[0] if prov else 0
         a0 = shift_by_constraint.get(ci, np.zeros(A))
         t_key = key_by_constraint.get(ci, zero_key)
-        if isinstance(rec, LinearRecord):
-            row = row_template()
-            row[lay.a] = gram_row(rec.atom)
-            bias_part(row, rec.gamma)
-            rhs = rec.offset + rec.shift_val
-            if rec.equality:
-                A_eq_rows.append(row)
-                b_eq.append(rhs)
-                eq_prov.append(("record",) + prov)
-            else:
-                add_nonneg(row, rhs, ("record",) + prov)
-        elif isinstance(rec, SocBufferRecord):
-            row = row_template()
-            row[lay.a] = gram_row(rec.atom)
-            bias_part(row, rec.gamma)
-            if rec.eta > 0:
-                row[lay.t_index(t_key)] = -rec.eta
-            add_nonneg(row, rec.offset + rec.shift_val, ("record",) + prov)
-        elif isinstance(rec, Rsoc2x2Record):
-            diag_rows = []
-            for p in (0, 1):
+        if isinstance(rec, AnchorRecord):
+            # One nonnegative row per diagonal entry (tagged with its index
+            # when P = 2); for P = 2 the rotated cone repeats both rows and
+            # adds the scaled off-diagonal one.
+            tags = [()] if rec.size == 1 else [(0,), (1,)]
+            for p, tag in enumerate(tags):
                 row = row_template()
                 row[lay.a] = gram_row(rec.atoms[p][p])
                 bias_part(row, rec.gamma[p])
                 if rec.eta > 0:
                     row[lay.t_index(t_key)] = -rec.eta
-                rhs = rec.offset[p] + rec.shift_vals[p][p]
-                add_nonneg(row.copy(), rhs, ("record",) + prov + (p,))
-                diag_rows.append((row, rhs))
-            off_row = row_template()
-            off_row[lay.a] = gram_row(rec.atoms[0][1])
-            off_rhs = rec.shift_vals[0][1]
-            Gb = np.zeros((3, n))
-            hb = np.zeros(3)
-            for k, (row, rhs) in enumerate(diag_rows):
-                Gb[k] = -row
-                hb[k] = -rhs
-            Gb[2] = -math.sqrt(2.0) * off_row
-            hb[2] = -math.sqrt(2.0) * off_rhs
-            blocks.append(ConeBlock("rsoc", Gb, hb,
-                                    provenance=("record",) + prov))
+                add_nonneg(row, rec.offset[p] + rec.shift_vals[p][p],
+                           ("record",) + prov + tag)
+            if rec.size == 2:
+                off_row = row_template()
+                off_row[lay.a] = gram_row(rec.atoms[0][1])
+                Gb = np.vstack(nn_G[-2:] + [-math.sqrt(2.0) * off_row])
+                hb = np.array(nn_h[-2:]
+                              + [-math.sqrt(2.0) * rec.shift_vals[0][1]])
+                blocks.append(ConeBlock("rsoc", Gb, hb,
+                                        provenance=("record",) + prov))
         elif isinstance(rec, InclusionRecord):
             pos, sign = _oriented(rec.normal)
             col = basis_index[pos.key()]
@@ -427,17 +402,15 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
             bias_part(bias_row, rec.gamma)
             Gb[0] = -bias_row
             hb[0] = -rec.offset
-            if rec.xi_count:
-                xi_idx = lay.xi_index(prov)
-                Gb[0, xi_idx] += rec.rho
-                xi_row = row_template()
-                xi_row[xi_idx] = 1.0
-                add_nonneg(xi_row, 0.0, ("xi",) + prov)
+            xi_idx = lay.xi_index(prov)
+            Gb[0, xi_idx] += rec.rho
+            xi_row = row_template()
+            xi_row[xi_idx] = 1.0
+            add_nonneg(xi_row, 0.0, ("xi",) + prov)
             # s1 = r0 * (u - L^T a0 + sign*xi*L^T e_col)
             Gb[1:, lay.a] = -rec.r0 * np.eye(A)
             hb[1:] = -rec.r0 * (L.T @ a0)
-            if rec.xi_count:
-                Gb[1:, xi_idx] = -rec.r0 * sign * L.T[:, col]
+            Gb[1:, xi_idx] = -rec.r0 * sign * L.T[:, col]
             blocks.append(ConeBlock("soc", Gb, hb,
                                     provenance=("record",) + prov))
         else:
@@ -475,7 +448,6 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         const=const,
         A_eq=np.vstack(A_eq_rows) if A_eq_rows else None,
         b_eq=np.asarray(b_eq) if b_eq else None,
-        eq_provenance=eq_prov,
         blocks=blocks,
         meta={
             "basis_size": A,
@@ -594,29 +566,14 @@ def solve_problem(spec: ProblemSpec, records: list,
 # --------------------------------------------------------------------------
 
 def relax_records(records: list) -> list:
-    """Zero-buffer copies of buffered records (the discretized relaxation
+    """Zero-buffer copies of anchor records (the discretized relaxation
     at the same anchors)."""
-    out = []
-    for rec in records:
-        if isinstance(rec, SocBufferRecord):
-            out.append(LinearRecord(
-                atom=rec.atom, gamma=rec.gamma, offset=rec.offset,
-                shift_val=rec.shift_val, provenance=rec.provenance,
-            ))
-        elif isinstance(rec, Rsoc2x2Record):
-            out.append(Rsoc2x2Record(
-                atoms=rec.atoms, eta=0.0, gamma=rec.gamma,
-                offset=rec.offset, shift_vals=rec.shift_vals,
-                provenance=rec.provenance,
-            ))
-        elif isinstance(rec, InclusionRecord):
-            raise ValueError(
-                "enclosure records have no zero-buffer form; relax the "
-                "underlying constraint with discretize() instead"
-            )
-        else:
-            out.append(rec)
-    return out
+    if any(isinstance(rec, InclusionRecord) for rec in records):
+        raise ValueError(
+            "enclosure records have no zero-buffer form; relax the "
+            "underlying constraint with discretize() instead"
+        )
+    return [dataclasses.replace(rec, eta=0.0) for rec in records]
 
 
 def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
@@ -687,26 +644,6 @@ class BoundReport:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def _record_anchor(rec) -> tuple | None:
-    if isinstance(rec, (LinearRecord, SocBufferRecord)):
-        return rec.atom.x
-    if isinstance(rec, Rsoc2x2Record):
-        return rec.atoms[0][0].x
-    if isinstance(rec, InclusionRecord):
-        return rec.normal.x
-    return None
-
-
-def _record_width(rec) -> float:
-    if isinstance(rec, SocBufferRecord):
-        return rec.eta
-    if isinstance(rec, Rsoc2x2Record):
-        return rec.eta
-    if isinstance(rec, InclusionRecord):
-        return getattr(rec, "diameter", 0.0)
-    return 0.0
-
-
 def compute_bounds(spec: ProblemSpec, records: list, v_app: float,
                    v_relax: float | None = None, mu_f: float | None = None,
                    mu_b: float | None = None,
@@ -729,14 +666,16 @@ def compute_bounds(spec: ProblemSpec, records: list, v_app: float,
         if mu_b:
             rep.radius_b = math.sqrt(2.0 * max(rep.gap, 0.0) / mu_b)
 
-    widths = [_record_width(r) for r in records]
+    widths = [r.eta if isinstance(r, AnchorRecord) else r.diameter
+              for r in records]
     rep.eta_inf = max(widths) if widths else None
 
     by_constraint: dict = {}
     for rec in records:
-        anchor = _record_anchor(rec)
-        if anchor is not None and rec.provenance:
-            by_constraint.setdefault(rec.provenance[0], []).append(anchor)
+        anchor = rec.atoms[0][0] if isinstance(rec, AnchorRecord) \
+            else rec.normal
+        if rec.provenance:
+            by_constraint.setdefault(rec.provenance[0], []).append(anchor.x)
     fills = []
     for ci, anchors in by_constraint.items():
         if ci < len(spec.constraints):

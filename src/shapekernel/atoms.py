@@ -27,6 +27,7 @@ __all__ = [
     "cross_gram",
     "gram",
     "apply_functional",
+    "lead_sign",
     "model_distance",
 ]
 
@@ -114,6 +115,15 @@ class DiffFunctional:
         )
 
 
+def lead_sign(terms) -> float:
+    """``-1.0`` when the first nonzero weight of the canonical ``(q, r,
+    beta)`` triples is negative, else ``1.0``: flipping a negative lead gives
+    an element and its negation one form (an atom's basis column, an
+    operator's buffer-width cache key)."""
+    lead = next((b for _, _, b in terms if b != 0.0), 1.0)
+    return -1.0 if lead < 0 else 1.0
+
+
 @dataclass(frozen=True)
 class SdpOperator:
     """Symmetric P x P array of functionals defining a matrix inequality.
@@ -147,6 +157,14 @@ class SdpOperator:
 
     def canonical(self) -> tuple:
         return tuple(tuple(f.canonical() for f in row) for row in self.entries)
+
+    def oriented_canonical(self) -> tuple:
+        """:meth:`canonical` of ``self`` or ``-self``, whichever has a
+        positive lead weight, so an operator and its negation share it."""
+        canon = self.canonical()
+        s = lead_sign([t for row in canon for f in row for t in f])
+        return tuple(tuple(tuple((q, r, s * b) for q, r, b in f) for f in row)
+                     for row in canon)
 
 
 @dataclass(frozen=True)
@@ -302,11 +320,6 @@ class Model:
             G, L, _ = gram(self.basis, self.kernel)
             object.__setattr__(self, "gram_matrix", G)
             object.__setattr__(self, "factor", L)
-
-    @staticmethod
-    def zero(kernel: Kernel, bias_dim: int = 0) -> "Model":
-        return Model(kernel, (), np.zeros(0), np.zeros(bias_dim),
-                     gram_matrix=np.zeros((0, 0)), factor=np.zeros((0, 0)))
 
     @property
     def norm(self) -> float:

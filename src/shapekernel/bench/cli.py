@@ -16,6 +16,7 @@ exiting nonzero if any violation exceeds the tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -38,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("experiment", choices=EXPERIMENTS)
     run_p.add_argument("--config", help="JSON config file (merged over "
                        "the experiment defaults)")
-    run_p.add_argument("--out", help="output directory "
+    run_p.add_argument("--out", dest="out_dir", help="output directory "
                        "(default: results/<experiment>)")
     run_p.add_argument("--seed", type=int, help="master random seed")
     run_p.add_argument("--scheme", choices=SCHEMES,
@@ -77,17 +78,17 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.scheme is not None:
-        cfg.scheme = args.scheme
+    # replace() re-runs the config's checks (a scheme the experiment
+    # cannot run, a grid below 2 points) on the command-line values
+    overrides = {key: getattr(args, key) for key in
+                 ("out_dir", "seed", "scheme", "grid_res")
+                 if getattr(args, key) is not None}
+    try:
+        cfg = dataclasses.replace(_load_config(args), **overrides)
+    except ValueError as err:
+        raise SystemExit(f"shapekernel run: {err}") from None
     if args.eta_safety is not None:
         cfg.covering.eta_safety = args.eta_safety
-    if args.grid_res is not None:
-        cfg.grid_res = args.grid_res
     summary = run_experiment(cfg)
     print(f"wrote {len(summary['files'])} files to {summary['out_dir']}")
     for name in summary["files"]:

@@ -17,6 +17,7 @@ from ..conic import SolverSettings
 __all__ = [
     "EXPERIMENTS",
     "SCHEMES",
+    "EXPERIMENT_SCHEMES",
     "CoveringConfig",
     "ExperimentConfig",
     "default_config",
@@ -26,6 +27,15 @@ EXPERIMENTS = ("catenary", "control", "robotarm", "econ")
 
 #: covering schemes selectable from the command line
 SCHEMES = ("ball", "hyp", "soap-ball", "soap-hyp", "disc", "none")
+
+#: the schemes each experiment's runner can run on its own (econ compares
+#: fixed regimes and reads no scheme)
+EXPERIMENT_SCHEMES = {
+    "catenary": SCHEMES,
+    "control": ("ball", "disc"),
+    "robotarm": ("none", "disc", "ball", "hyp"),
+    "econ": (),
+}
 
 
 @dataclass
@@ -130,9 +140,11 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {EXPERIMENTS}"
             )
-        if self.scheme is not None and self.scheme not in SCHEMES:
+        allowed = EXPERIMENT_SCHEMES[self.experiment]
+        if self.scheme is not None and self.scheme not in allowed:
             raise ValueError(
-                f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
+                f"scheme {self.scheme!r} not available for "
+                f"{self.experiment!r}; expected one of {allowed}"
             )
         if isinstance(self.covering, dict):
             self.covering = CoveringConfig(**self.covering)

@@ -69,7 +69,6 @@ class ConeProgram:
     const: float = 0.0
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    eq_provenance: list = field(default_factory=list)
     blocks: list[ConeBlock] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
@@ -130,9 +129,6 @@ class Solution:
 
     def block_slack(self, i: int) -> np.ndarray:
         return self.s[self.block_slices[i]]
-
-    def block_dual(self, i: int) -> np.ndarray:
-        return self.z[self.block_slices[i]]
 
 
 # --------------------------------------------------------------------------

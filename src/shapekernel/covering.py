@@ -66,11 +66,6 @@ class InputBall:
         object.__setattr__(self, "center",
                            tuple(float(c) for c in self.center))
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        diff = np.asarray(x, dtype=float) - np.asarray(self.center)
-        ord_ = np.inf if self.norm == "max" else 2
-        return float(np.linalg.norm(diff, ord_)) <= self.radius + tol
-
 
 def _check_box(box) -> tuple[np.ndarray, np.ndarray]:
     lo = np.asarray([b[0] for b in box], dtype=float)
@@ -264,7 +259,9 @@ def eta_sampled(kernel: Kernel, op: SdpOperator, z, delta: float,
         return 0.0
     zkey = None if kernel.translation_invariant \
         else tuple(round(float(c), 12) for c in np.atleast_1d(z))
-    key = (kernel.fingerprint(), op.canonical(), zkey,
+    # op and -op have equal widths bit for bit: every sampled entry is a
+    # product of two term weights, so the key is sign-normalized.
+    key = (kernel.fingerprint(), op.oriented_canonical(), zkey,
            round(float(delta), 12), norm, n_x, n_u, seed)
     raw = _eta_cache.get(key)
     if raw is None:

@@ -41,14 +41,7 @@ from .covering import (
     omega_cover,
     refine_radius,
 )
-from .tighten import (
-    InclusionRecord,
-    LinearRecord,
-    Rsoc2x2Record,
-    SocBufferRecord,
-    tighten_omega,
-    tighten_soc,
-)
+from .tighten import AnchorRecord, InclusionRecord, tighten_omega, tighten_soc
 
 __all__ = ["SoapState", "SoapInfeasible", "run_soap", "detect_saturated",
            "record_slack"]
@@ -107,8 +100,9 @@ def record_slack(model, rec, spec: ProblemSpec,
                  a0_map: dict | None = None) -> float:
     """Signed slack of one record at the model (0 = saturated).
 
-    Scalar records return the scalar slack; 2x2 records return the smallest
-    eigenvalue of the buffered slack matrix.
+    Size-1 anchor records return the scalar slack, size-2 ones the smallest
+    eigenvalue of the buffered slack matrix; enclosure records return the
+    margin of their cone at the model's auxiliary ``xi``.
     """
     a0_map = _shift_coeff_map(model, spec) if a0_map is None else a0_map
     ci = rec.provenance[0] if rec.provenance else 0
@@ -125,25 +119,20 @@ def record_slack(model, rec, spec: ProblemSpec,
             v -= apply_functional(atom.functional, shift, atom.x)
         return v
 
-    if isinstance(rec, LinearRecord):
-        return fval(rec.atom) + gval(rec.gamma) - rec.offset
-    if isinstance(rec, SocBufferRecord):
-        nrm = _norm_shifted(model, a0_map, ci)
-        return fval(rec.atom) + gval(rec.gamma) - rec.offset - rec.eta * nrm
-    if isinstance(rec, Rsoc2x2Record):
-        nrm = _norm_shifted(model, a0_map, ci)
-        M = np.empty((2, 2))
-        for i in range(2):
+    if isinstance(rec, AnchorRecord):
+        # eta = 0 (a relaxed row) needs no norm: x - 0.0 is exact
+        nrm = _norm_shifted(model, a0_map, ci) if rec.eta else 0.0
+        M = np.empty((rec.size, rec.size))
+        for i in range(rec.size):
             M[i, i] = (fval(rec.atoms[i][i])
                        + gval(rec.gamma[i]) - rec.offset[i]
                        - rec.eta * nrm)
+        if rec.size == 1:
+            return float(M[0, 0])
         M[0, 1] = M[1, 0] = fval(rec.atoms[0][1])
         return float(np.linalg.eigvalsh(M)[0])
     if isinstance(rec, InclusionRecord):
-        xi = 0.0
-        if rec.xi_count:
-            xi = float(model.aux.get("xi", {}).get(tuple(rec.provenance),
-                                                   0.0))
+        xi = float(model.aux.get("xi", {}).get(tuple(rec.provenance), 0.0))
         pos, sign = _oriented(rec.normal)
         index = {atom.key(): i for i, atom in enumerate(model.basis)}
         w = np.asarray(model.coeffs, dtype=float).copy()
@@ -152,9 +141,7 @@ def record_slack(model, rec, spec: ProblemSpec,
             w = w - a0
         w[index[pos.key()]] += sign * xi
         nrm = float(np.linalg.norm(model.factor.T @ w))
-        lhs = gval(rec.gamma) - rec.offset - xi * rec.rho \
-            if rec.xi_count else gval(rec.gamma) - rec.offset
-        return lhs - rec.r0 * nrm
+        return gval(rec.gamma) - rec.offset - xi * rec.rho - rec.r0 * nrm
     raise TypeError(f"unknown record type {type(rec).__name__}")
 
 

@@ -4,15 +4,16 @@ A :class:`ShapeConstraint` demands that the slack matrix
 
     S(x) = [D_{p1,p2}(f - f0)(x)]_{p1,p2} + diag(Gamma b - b0)
 
-stay positive semidefinite for every ``x`` in a box.  Three reductions to
-finitely many conic rows are provided:
+stay positive semidefinite for every ``x`` in a box.  Two row families
+reduce it to finitely many conic rows:
 
-* :func:`discretize` — enforce ``S(x_m) >= 0`` at sample points only (a
-  relaxation: nothing is guaranteed between points),
-* :func:`tighten_soc` — enforce ``S(x_m) >= eta_m ||f - f0|| I`` at ball
-  centers, where ``eta_m`` is the covering module's buffer for the ball;
-  a guaranteed tightening (the solution is feasible on the whole region),
-* :func:`tighten_omega` — enforce inclusion-style rows built from
+* :class:`AnchorRecord` — ``S(x_m) >= eta_m ||f - f0|| I`` at one anchor
+  ``x_m``, for operators of size P in {1, 2}.  :func:`tighten_soc` takes
+  ``eta_m`` from the covering module's buffer width of the ball around
+  ``x_m``, a guaranteed tightening (the solution is feasible on the whole
+  region); :func:`discretize` sets ``eta_m = 0``, the pointwise relaxation
+  (nothing is guaranteed between anchors).
+* :class:`InclusionRecord` — :func:`tighten_omega`'s rows built from
   feature-space enclosures (guaranteed as well, often tighter).
 
 Records carry provenance ``(constraint index, element index)`` so assembled
@@ -21,7 +22,6 @@ rows, solver duals, and refinement bookkeeping can be traced back.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +31,7 @@ from .covering import InputBall, OmegaElement
 
 __all__ = [
     "ShapeConstraint",
-    "LinearRecord",
-    "SocBufferRecord",
-    "Rsoc2x2Record",
+    "AnchorRecord",
     "InclusionRecord",
     "discretize",
     "tighten_soc",
@@ -116,59 +114,36 @@ class ShapeConstraint:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearRecord:
-    """Scalar affine row ``<f, atom> + gamma.b - offset - shift_val >= 0``
-    (or ``= 0`` when ``equality``)."""
+class AnchorRecord:
+    """Buffered slack matrix at one anchor: ``M - eta ||f - f0|| I >= 0``.
 
-    atom: Atom
-    gamma: tuple
-    offset: float
-    shift_val: float = 0.0
-    equality: bool = False
-    provenance: tuple = ()
-
-
-@dataclass(frozen=True)
-class SocBufferRecord:
-    """Buffered row ``<f - f0, atom> + gamma.b - offset >= eta ||f - f0||``.
-
-    The norm is shared across records of the same constraint through an
-    epigraph variable introduced at assembly time.
+    ``M[p,q] = <f - f0, atoms[p][q]> + (gamma b - offset)[p] delta_{pq}``
+    with ``shift_vals[p][q]`` the shift model's value of ``atoms[p][q]``,
+    for P in {1, 2}.  A size-1 record is one nonnegative row; a size-2
+    record is two diagonal rows plus one rotated cone
+    ``2 (M11 - eta t)(M22 - eta t) >= 2 M12^2``.  The norm is shared across
+    the records of one constraint through an epigraph variable ``t``
+    introduced at assembly time; ``eta = 0`` drops it (the discretized
+    relaxation).
     """
 
-    atom: Atom
+    atoms: tuple  # P x P
     eta: float
-    gamma: tuple
-    offset: float
-    shift_val: float = 0.0
+    gamma: tuple  # P x B
+    offset: tuple  # length P
+    shift_vals: tuple  # P x P
     provenance: tuple = ()
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("buffer width must be nonnegative")
+        if self.size not in (1, 2) or any(len(r) != self.size
+                                          for r in self.atoms):
+            raise ValueError("need a 1x1 or 2x2 atom block")
 
-
-@dataclass(frozen=True)
-class Rsoc2x2Record:
-    """2x2 slack-matrix block ``M - eta*t*I >= 0`` encoded exactly.
-
-    ``M[p,q] = <f - f0, atoms[p][q]> + (gamma b - offset)[p] delta_{pq}``.
-    Assembly emits two nonnegative rows for the diagonal and one rotated
-    cone ``2 (M11 - eta t)(M22 - eta t) >= 2 M12^2``.
-    """
-
-    atoms: tuple  # ((a11, a12), (a12, a22))
-    eta: float
-    gamma: tuple  # 2 x B
-    offset: tuple  # length 2
-    shift_vals: tuple = ((0.0, 0.0), (0.0, 0.0))
-    provenance: tuple = ()
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("buffer width must be nonnegative")
-        if len(self.atoms) != 2 or any(len(r) != 2 for r in self.atoms):
-            raise ValueError("need a 2x2 atom block")
+    @property
+    def size(self) -> int:
+        return len(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -176,8 +151,8 @@ class InclusionRecord:
     """Feature-enclosure row for a scalar constraint.
 
     Demands ``gamma.b - offset - xi*rho >= r0 ||f - f0 + xi*normal||`` with
-    one auxiliary ``xi >= 0``; ``rho = +inf`` pins ``xi = 0`` (pure ambient
-    ball).  ``normal`` carries its own sign in the functional.
+    one auxiliary ``xi >= 0``.  ``normal`` carries its own sign in the
+    functional.
     """
 
     r0: float
@@ -191,81 +166,54 @@ class InclusionRecord:
     def __post_init__(self):
         if not self.r0 > 0:
             raise ValueError("ambient ball radius must be positive")
-
-    @property
-    def xi_count(self) -> int:
-        return 0 if math.isinf(self.rho) else 1
-
+        if not np.isfinite(self.rho):
+            raise ValueError("halfspace level must be finite")
 
 
 # --------------------------------------------------------------------------
 # Reductions
 # --------------------------------------------------------------------------
 
-def discretize(c: ShapeConstraint, points, constraint_index: int = 0
-               ) -> list:
-    """Pointwise relaxation: enforce the slack matrix at sample points only."""
+def _anchor_records(c: ShapeConstraint, points, etas,
+                    constraint_index: int) -> list[AnchorRecord]:
+    """One :class:`AnchorRecord` per point, buffered by its eta."""
     P = c.size
     if P > 2:
         raise ValueError(_PSD_HOOK_MSG)
-    gm = c.gamma()
+    ent = c.operator.entries
+    gamma = tuple(tuple(row) for row in c.gamma())
     out = []
-    for m, x in enumerate(points):
+    for m, (x, eta) in enumerate(zip(points, etas)):
+        if eta is None:
+            raise ValueError(f"missing buffer width for element {m}")
         if not c.contains(x):
-            raise ValueError(f"discretization point {x!r} outside region")
+            raise ValueError(f"anchor {x!r} outside region")
         x = tuple(float(v) for v in np.atleast_1d(x))
-        if P == 1:
-            func = c.operator.entries[0][0]
-            out.append(LinearRecord(
-                atom=Atom(x, func), gamma=tuple(gm[0]), offset=c.offset[0],
-                shift_val=c.shift_value(func, x),
-                provenance=(constraint_index, m),
-            ))
-        else:
-            out.append(_rsoc_record(c, x, 0.0, (constraint_index, m)))
+        out.append(AnchorRecord(
+            atoms=tuple(tuple(Atom(x, ent[i][j]) for j in range(P))
+                        for i in range(P)),
+            eta=float(eta), gamma=gamma, offset=c.offset,
+            shift_vals=tuple(tuple(c.shift_value(ent[i][j], x)
+                                   for j in range(P)) for i in range(P)),
+            provenance=(constraint_index, m),
+        ))
     return out
 
 
-def _rsoc_record(c: ShapeConstraint, x, eta: float, prov) -> Rsoc2x2Record:
-    gm = c.gamma()
-    ent = c.operator.entries
-    atoms = tuple(tuple(Atom(x, ent[i][j]) for j in range(2))
-                  for i in range(2))
-    shift_vals = tuple(tuple(c.shift_value(ent[i][j], x) for j in range(2))
-                       for i in range(2))
-    return Rsoc2x2Record(
-        atoms=atoms, eta=float(eta), gamma=tuple(tuple(r) for r in gm),
-        offset=c.offset, shift_vals=shift_vals, provenance=tuple(prov),
-    )
+def discretize(c: ShapeConstraint, points, constraint_index: int = 0
+               ) -> list:
+    """Pointwise relaxation: enforce the slack matrix at sample points only."""
+    points = list(points)
+    return _anchor_records(c, points, [0.0] * len(points), constraint_index)
 
 
 def tighten_soc(c: ShapeConstraint, cover: list[InputBall], etas,
                 constraint_index: int = 0) -> list:
     """Ball-covering tightening: buffer each anchor row by its eta."""
-    P = c.size
-    if P > 2:
-        raise ValueError(_PSD_HOOK_MSG)
     if len(etas) != len(cover):
         raise ValueError("need one buffer width per covering ball")
-    gm = c.gamma()
-    out = []
-    for m, (ball, eta) in enumerate(zip(cover, etas)):
-        if eta is None:
-            raise ValueError(f"missing buffer width for element {m}")
-        if not c.contains(ball.center):
-            raise ValueError(f"anchor {ball.center!r} outside region")
-        if P == 1:
-            func = c.operator.entries[0][0]
-            out.append(SocBufferRecord(
-                atom=Atom(ball.center, func), eta=float(eta),
-                gamma=tuple(gm[0]), offset=c.offset[0],
-                shift_val=c.shift_value(func, ball.center),
-                provenance=(constraint_index, m),
-            ))
-        else:
-            out.append(_rsoc_record(c, ball.center, eta,
-                                    (constraint_index, m)))
-    return out
+    return _anchor_records(c, [ball.center for ball in cover], etas,
+                           constraint_index)
 
 
 def tighten_omega(c: ShapeConstraint, omegas: list[OmegaElement],

@@ -12,23 +12,21 @@ import numpy as np
 import pytest
 
 from shapekernel import (
+    AnchorRecord,
     Atom,
     BoundReport,
     DiffFunctional,
     Equality,
     GaussianKernel,
     InclusionRecord,
-    LinearRecord,
     Model,
     NormBound,
     NormMin,
     Observation,
     ProblemSpec,
     Ridge,
-    Rsoc2x2Record,
     SdpOperator,
     ShapeConstraint,
-    SocBufferRecord,
     apply_functional,
     assemble,
     collect_atoms,
@@ -64,9 +62,9 @@ class TestCollectAtoms:
     def test_deduplication_across_sources(self, kernel):
         obs = value_obs([0.1, 0.5], [1.0, 2.0])
         spec = ProblemSpec(kernel=kernel, observations=obs, loss="squared")
-        rec = LinearRecord(
-            atom=Atom((0.5,), DiffFunctional.value(1)), gamma=(),
-            offset=0.0,
+        rec = AnchorRecord(
+            atoms=((Atom((0.5,), DiffFunctional.value(1)),),), eta=0.0,
+            gamma=((),), offset=(0.0,), shift_vals=((0.0,),),
         )
         atoms = collect_atoms(spec, [rec, rec])
         assert len(atoms) == 2  # (0.5, value) shared with the observation
@@ -91,8 +89,9 @@ class TestCollectAtoms:
         der = DiffFunctional.partial(1, axis=0)
         a = Atom((0.3,), val)
         b = Atom((0.3,), der)
-        rec = Rsoc2x2Record(atoms=((a, b), (b, a)), eta=0.0,
-                            gamma=((), ()), offset=(0.0, 0.0))
+        rec = AnchorRecord(atoms=((a, b), (b, a)), eta=0.0,
+                           gamma=((), ()), offset=(0.0, 0.0),
+                           shift_vals=((0.0, 0.0), (0.0, 0.0)))
         spec = ProblemSpec(kernel=kernel, regularizer=Ridge(1.0))
         atoms = collect_atoms(spec, [rec])
         assert len(atoms) == 2
@@ -311,24 +310,6 @@ class TestConstrainedSolves:
         report = verify_pointwise(model, c, grid_res=2001)
         assert report["maxViolation"] <= 1e-6
 
-    def test_infinite_rho_pins_xi_out_of_layout(self, kernel):
-        rec = InclusionRecord(
-            r0=1.0,
-            normal=Atom((0.5,), DiffFunctional.value(1)),
-            rho=math.inf,
-            gamma=(),
-            offset=-1.0,  # -offset = +1 > 0 keeps it feasible
-            provenance=(0, 0),
-        )
-        spec = ProblemSpec(
-            kernel=kernel,
-            observations=value_obs([0.4], [0.2]),
-            loss="squared",
-            regularizer=Ridge(0.1),
-        )
-        model, sol, prog = solve_problem(spec, [rec])
-        assert prog.meta["xi_indices"] == {}
-
     def test_infeasible_tightening_raises(self, kernel):
         # ||f|| <= 0.05 cannot reach f >= 10 anywhere.
         c = ShapeConstraint(
@@ -379,20 +360,23 @@ class TestConstrainedSolves:
 class TestRelaxRecords:
     def test_buffered_rows_lose_eta(self, kernel):
         a = Atom((0.5,), DiffFunctional.value(1))
-        soc = SocBufferRecord(atom=a, eta=0.3, gamma=(1.0,), offset=0.2,
-                              shift_val=0.1, provenance=(0, 4))
+        soc = AnchorRecord(atoms=((a,),), eta=0.3, gamma=((1.0,),),
+                           offset=(0.2,), shift_vals=((0.1,),),
+                           provenance=(0, 4))
         (lin,) = relax_records([soc])
-        assert isinstance(lin, LinearRecord)
-        assert lin.atom == a
-        assert lin.gamma == (1.0,)
-        assert lin.offset == 0.2
-        assert lin.shift_val == 0.1
+        assert isinstance(lin, AnchorRecord)
+        assert lin.atoms == ((a,),)
+        assert lin.eta == 0.0
+        assert lin.gamma == ((1.0,),)
+        assert lin.offset == (0.2,)
+        assert lin.shift_vals == ((0.1,),)
         assert lin.provenance == (0, 4)
 
     def test_matrix_rows_zeroed(self):
         a = Atom((0.5,), DiffFunctional.value(1))
-        rec = Rsoc2x2Record(atoms=((a, a), (a, a)), eta=0.7,
-                            gamma=((), ()), offset=(0.0, 0.0))
+        rec = AnchorRecord(atoms=((a, a), (a, a)), eta=0.7,
+                           gamma=((), ()), offset=(0.0, 0.0),
+                           shift_vals=((0.0, 0.0), (0.0, 0.0)))
         (out,) = relax_records([rec])
         assert out.eta == 0.0
 

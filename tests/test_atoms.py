@@ -319,7 +319,7 @@ class TestModel:
         )
 
     def test_zero_model(self, kernel):
-        z = Model.zero(kernel, bias_dim=2)
+        z = Model(kernel, (), np.zeros(0), np.zeros(2))
         assert z.norm == 0.0
         assert z.bias.shape == (2,)
         np.testing.assert_array_equal(z.eval([0.0, 0.0]), [0.0])

@@ -3,14 +3,19 @@
 Each experiment runs end to end through ``run_experiment`` (the path
 ``shapekernel run`` takes), and ``shapekernel verify`` re-checks one saved
 tightened model against the experiment's constraints on a small grid.
+Also checked: the scheme each experiment accepts, and that every name the
+benchmark tracer (``perfbench/tracer.py``) wraps still exists.
 """
 
+import importlib
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
 from shapekernel.bench.cli import main
-from shapekernel.bench.config import ExperimentConfig
+from shapekernel.bench.config import SCHEMES, ExperimentConfig
 from shapekernel.bench.experiments import run_experiment
 
 #: experiment -> (config overlay, saved tightened model, verify grid per axis)
@@ -66,3 +71,59 @@ def test_verify_passes_on_the_saved_tightened_model(tiny_run, capsys):
     if name == "robotarm":
         assert len(report["constraints"]) == \
             summary["medians"]["m16_ball"]["kept"]
+
+
+#: (experiment, scheme) pairs the runner cannot honour
+REJECTED = [("control", s) for s in ("hyp", "soap-ball", "soap-hyp", "none")]
+REJECTED += [("robotarm", s) for s in ("soap-ball", "soap-hyp")]
+REJECTED += [("econ", s) for s in SCHEMES]
+
+
+@pytest.mark.parametrize("experiment, scheme", REJECTED)
+def test_scheme_the_experiment_cannot_run_is_rejected(experiment, scheme):
+    with pytest.raises(ValueError, match="not available"):
+        ExperimentConfig(experiment=experiment, scheme=scheme)
+
+
+def test_accepted_schemes():
+    for scheme in SCHEMES:
+        assert ExperimentConfig("catenary", scheme=scheme).scheme == scheme
+    for scheme in ("ball", "disc"):
+        ExperimentConfig("control", scheme=scheme)
+    for scheme in ("none", "disc", "ball", "hyp"):
+        ExperimentConfig("robotarm", scheme=scheme)
+
+
+def test_cli_rejects_scheme_before_running(tmp_path):
+    # a tiny config, so a missing check would cost seconds, not minutes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "econ", **TINY["econ"][0]}))
+    with pytest.raises(SystemExit, match="not available"):
+        main(["run", "econ", "--config", str(config), "--out",
+              str(tmp_path / "out"), "--scheme", "ball"])
+    # the same check on a scheme named in the config file
+    config.write_text(json.dumps({"experiment": "econ", "scheme": "ball",
+                                  **TINY["econ"][0]}))
+    with pytest.raises(SystemExit, match="not available"):
+        main(["run", "econ", "--config", str(config), "--out",
+              str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def _load_tracer():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
+        / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracer = _load_tracer()
+    sites = [entry[:2] for entry in tracer.TRACED] + list(tracer.SOLVE_SITES)
+    missing = [(mod, attr) for mod, attr in sites
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing
+    model = importlib.import_module("shapekernel.atoms").Model
+    assert callable(model.eval_component_many)

@@ -308,9 +308,9 @@ class TestSolutionBookkeeping:
     def test_duals_lie_in_dual_cone_and_complementarity(self):
         prog = self.make_two_block_program()
         sol = solve(prog)
-        z_nn = sol.block_dual(0)
+        z_nn = sol.z[sol.block_slices[0]]
         assert (z_nn >= -1e-9).all()
-        z_soc = sol.block_dual(1)
+        z_soc = sol.z[sol.block_slices[1]]
         assert z_soc[0] >= np.linalg.norm(z_soc[1:]) - 1e-8
         assert abs(sol.s @ sol.z) <= 1e-6
 

@@ -29,20 +29,11 @@ from shapekernel import (
     omega_cover,
     refine_radius,
 )
+from shapekernel import covering
 from shapekernel.covering import operator_cross_matrix
 
 
 class TestInputBall:
-    def test_contains_max_norm(self):
-        b = InputBall((0.5, 0.5), 0.1, norm="max")
-        assert b.contains([0.59, 0.41])
-        assert not b.contains([0.62, 0.5])
-
-    def test_contains_euclidean(self):
-        b = InputBall((0.0, 0.0), 0.1, norm="euclidean")
-        assert b.contains([0.07, 0.07])
-        assert not b.contains([0.09, 0.09])
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError, match="unknown norm"):
             InputBall((0.0,), 0.1, norm="manhattan")
@@ -197,6 +188,30 @@ class TestEtaSampled:
         inflated = eta_sampled(k, op, [0.0], 0.2, n_x=100, seed=7,
                                safety=0.25)
         assert inflated == pytest.approx(1.25 * base, rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["lti-value", "gauss-2x2"])
+    def test_negated_operator_shares_the_cached_width(self, case):
+        if case == "lti-value":
+            k = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
+            op = SdpOperator.scalar(DiffFunctional.value(1))
+            z = [0.4]
+        else:
+            k = GaussianKernel([0.7, 1.3])
+            val = DiffFunctional.value(2)
+            dx = DiffFunctional.partial(2, axis=0)
+            op = SdpOperator(((val, dx), (dx, val)))
+            z = [0.1, -0.2]
+        neg = SdpOperator(tuple(tuple(f.scaled(-1.0) for f in row)
+                                for row in op.entries))
+        kw = dict(norm="max", n_x=30, n_u=8, seed=5)
+        delta = 0.0731
+        width = eta_for(k, op, z, delta, **kw)
+        entries = len(covering._eta_cache)
+        assert eta_for(k, neg, z, delta, **kw) == width
+        assert len(covering._eta_cache) == entries
+        # the shared entry is what sampling -op gives, bit for bit
+        raw = covering._eta_sampled_raw(k, neg, z, delta, "max", 30, 8, 5)
+        assert raw == width
 
     def test_cross_matrix_shape_and_symmetry(self):
         k = GaussianKernel([1.0, 1.0])

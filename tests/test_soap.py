@@ -15,25 +15,23 @@ import numpy as np
 import pytest
 
 from shapekernel import (
+    AnchorRecord,
     Atom,
     DiffFunctional,
     Equality,
     GaussianKernel,
     InclusionRecord,
     InputBall,
-    LinearRecord,
     Model,
     NormMin,
     Observation,
     OmegaElement,
     ProblemSpec,
     Ridge,
-    Rsoc2x2Record,
     SdpOperator,
     ShapeConstraint,
     SoapInfeasible,
     SoapState,
-    SocBufferRecord,
     cover_box,
     detect_saturated,
     discretize,
@@ -116,7 +114,8 @@ class TestRecordSlack:
         spec = ProblemSpec(kernel=kern, regularizer=NormMin(), constraints=[
             ShapeConstraint(((0.0, 1.0),), SdpOperator.scalar(VAL), (0.1,))
         ])
-        rec = LinearRecord(atom=Atom((0.5,), VAL), gamma=(), offset=0.1,
+        rec = AnchorRecord(atoms=((Atom((0.5,), VAL),),), eta=0.0,
+                           gamma=((),), offset=(0.1,), shift_vals=((0.0,),),
                            provenance=(0, 0))
         expected = 0.7 * float(kern.eval((0.3,), (0.5,))[0, 0]) - 0.1
         assert record_slack(model, rec, spec) == pytest.approx(expected,
@@ -132,8 +131,9 @@ class TestRecordSlack:
                                                SdpOperator.scalar(VAL),
                                                (0.1,), bias_map=((2.0,),))
                            ])
-        rec = LinearRecord(atom=Atom((0.5,), VAL), gamma=(2.0,), offset=0.1,
-                           provenance=(0, 0))
+        rec = AnchorRecord(atoms=((Atom((0.5,), VAL),),), eta=0.0,
+                           gamma=((2.0,),), offset=(0.1,),
+                           shift_vals=((0.0,),), provenance=(0, 0))
         expected = (0.7 * float(kern.eval((0.3,), (0.5,))[0, 0])
                     + 2.0 * 0.25 - 0.1)
         assert record_slack(model, rec, spec) == pytest.approx(expected,
@@ -146,8 +146,9 @@ class TestRecordSlack:
         spec = ProblemSpec(kernel=kern, regularizer=NormMin(), constraints=[
             ShapeConstraint(((0.0, 1.0),), SdpOperator.scalar(VAL), (0.1,))
         ])
-        rec = SocBufferRecord(atom=Atom((0.5,), VAL), gamma=(), offset=0.1,
-                              eta=0.25, provenance=(0, 0))
+        rec = AnchorRecord(atoms=((Atom((0.5,), VAL),),), eta=0.25,
+                           gamma=((),), offset=(0.1,), shift_vals=((0.0,),),
+                           provenance=(0, 0))
         fval = sum(
             coef * float(kern.eval(atom.x, (0.5,))[0, 0])
             for coef, atom in zip(model.coeffs, model.basis)
@@ -238,7 +239,7 @@ class TestSlackVsSolver:
         etas = [eta_for(spec.kernel, op, b.center, b.radius, norm=b.norm,
                         n_x=50, n_u=20, seed=0) for b in balls]
         recs = tighten_soc(c, balls, etas, constraint_index=0)
-        assert all(isinstance(r, Rsoc2x2Record) for r in recs)
+        assert all(r.size == 2 for r in recs)
         model, sol, prog = solve_problem(spec, recs)
         (t_val,) = model.aux["t"].values()
         corr = recs[0].eta and (t_val - model.norm)
@@ -268,7 +269,7 @@ class TestDetectSaturated:
         # The floor binds where the data pulls the fit down, not under the
         # high targets on the right.
         for idx in sat:
-            assert recs[idx].atom.x[0] < 0.65
+            assert recs[idx].atoms[0][0].x[0] < 0.65
 
     def test_slack_constraint_never_saturates(self):
         spec = step_spec()

@@ -11,19 +11,18 @@ import numpy as np
 import pytest
 
 from shapekernel import (
+    AnchorRecord,
     Atom,
     DiffFunctional,
     GaussianKernel,
     InclusionRecord,
     InputBall,
-    LinearRecord,
     Model,
     OmegaElement,
-    Rsoc2x2Record,
     SdpOperator,
     ShapeConstraint,
-    SocBufferRecord,
     apply_functional,
+    relax_records,
     cover_box,
     eta_for,
     omega_cover,
@@ -117,12 +116,15 @@ class TestDiscretize:
         recs = discretize(c, [[0.25], [0.75]], constraint_index=3)
         assert len(recs) == 2
         r = recs[0]
-        assert isinstance(r, LinearRecord)
-        assert r.atom.x == (0.25,)
-        assert r.atom.functional == DiffFunctional.partial(1, axis=0)
-        assert r.gamma == (2.0,)
-        assert r.offset == 0.5
-        assert not r.equality
+        assert isinstance(r, AnchorRecord)
+        assert r.size == 1
+        (atom,), = r.atoms
+        assert atom.x == (0.25,)
+        assert atom.functional == DiffFunctional.partial(1, axis=0)
+        assert r.eta == 0.0
+        assert r.gamma == ((2.0,),)
+        assert r.offset == (0.5,)
+        assert r.shift_vals == ((0.0,),)
         assert r.provenance == (3, 0)
         assert recs[1].provenance == (3, 1)
 
@@ -135,7 +137,8 @@ class TestDiscretize:
         c = matrix_constraint()
         recs = discretize(c, [[0.5]])
         (r,) = recs
-        assert isinstance(r, Rsoc2x2Record)
+        assert isinstance(r, AnchorRecord)
+        assert r.size == 2
         assert r.eta == 0.0
         assert r.atoms[0][1] == r.atoms[1][0]
         assert r.offset == (0.0, 0.0)
@@ -159,10 +162,10 @@ class TestTightenSoc:
         recs = tighten_soc(c, cover, etas, constraint_index=1)
         assert len(recs) == len(cover)
         for m, (rec, ball) in enumerate(zip(recs, cover)):
-            assert isinstance(rec, SocBufferRecord)
-            assert rec.atom.x == ball.center
-            assert rec.eta == pytest.approx(etas[m])
-            assert rec.offset == 0.5
+            assert isinstance(rec, AnchorRecord)
+            assert rec.atoms[0][0].x == ball.center
+            assert rec.eta == etas[m]
+            assert rec.offset == (0.5,)
             assert rec.provenance == (1, m)
 
     def test_eta_count_mismatch_rejected(self):
@@ -184,8 +187,53 @@ class TestTightenSoc:
         )
         recs = tighten_soc(c, [InputBall((0.5,), 0.1)], [0.3])
         (r,) = recs
-        assert isinstance(r, Rsoc2x2Record)
+        assert isinstance(r, AnchorRecord)
+        assert r.size == 2
         assert r.eta == 0.3
+
+    def test_missing_eta_rejected(self):
+        c = scalar_constraint()
+        with pytest.raises(ValueError, match="missing buffer width"):
+            tighten_soc(c, [InputBall((0.5,), 0.1)], [None])
+
+
+class TestRelaxedTighteningIsDiscretization:
+    """Zeroing the buffers of :func:`tighten_soc` gives exactly the records
+    :func:`discretize` builds at the ball centers."""
+
+    @staticmethod
+    def check(c, cover):
+        etas = [0.1 * (m + 1) for m in range(len(cover))]
+        tight = tighten_soc(c, cover, etas, constraint_index=2)
+        relaxed = discretize(c, [b.center for b in cover],
+                             constraint_index=2)
+        assert [r.eta for r in tight] == etas
+        assert relax_records(tight) == relaxed
+
+    def test_scalar_constraint(self):
+        self.check(scalar_constraint(offset=0.3, bias_map=((1.0, -2.0),),
+                                     order=1),
+                   cover_box([(0.0, 1.0)], 0.1))
+
+    def test_matrix_constraint(self):
+        self.check(matrix_constraint(), cover_box([(0.0, 1.0)], 0.125))
+
+    def test_shifted_constraint(self, kernel):
+        val = DiffFunctional.value(1)
+        der = DiffFunctional.partial(1, axis=0)
+        shift = Model(kernel, (Atom((0.4,), val), Atom((0.7,), der)),
+                      np.array([1.5, -0.5]))
+        c = ShapeConstraint(region=((0.0, 1.0),),
+                            operator=SdpOperator(((val, der), (der, val))),
+                            offset=(0.1, 0.2), shift=shift)
+        cover = cover_box([(0.0, 1.0)], 0.25)
+        self.check(c, cover)
+        (rec, *_) = discretize(c, [cover[0].center])
+        x = cover[0].center
+        assert rec.shift_vals == (
+            (apply_functional(val, shift, x), apply_functional(der, shift, x)),
+            (apply_functional(der, shift, x), apply_functional(val, shift, x)),
+        )
 
 
 class TestTightenOmega:
@@ -199,19 +247,11 @@ class TestTightenOmega:
             assert isinstance(rec, InclusionRecord)
             assert rec.r0 == pytest.approx(1.0, rel=1e-12)
             assert rec.rho == pytest.approx(-rho, rel=1e-12)
-            assert rec.xi_count == 1
             assert rec.normal.x == cover[m].center
             assert rec.diameter == pytest.approx(
                 2 * math.sqrt(1 - rho**2), rel=1e-9
             )
             assert rec.provenance == (2, m)
-
-    def test_infinite_rho_pins_xi(self):
-        rec = InclusionRecord(
-            r0=1.0, normal=Atom((0.0,), DiffFunctional.value(1)),
-            rho=math.inf, gamma=(1.0,), offset=0.0,
-        )
-        assert rec.xi_count == 0
 
     def test_matrix_constraint_rejected(self):
         c = ShapeConstraint(
@@ -246,16 +286,34 @@ class TestRecordValidation:
     def test_negative_buffer_rejected(self):
         a = Atom((0.0,), DiffFunctional.value(1))
         with pytest.raises(ValueError, match="nonnegative"):
-            SocBufferRecord(atom=a, eta=-0.1, gamma=(), offset=0.0)
+            AnchorRecord(atoms=((a,),), eta=-0.1, gamma=((),),
+                         offset=(0.0,), shift_vals=((0.0,),))
         with pytest.raises(ValueError, match="nonnegative"):
-            Rsoc2x2Record(atoms=((a, a), (a, a)), eta=-1.0,
-                          gamma=((), ()), offset=(0.0, 0.0))
+            AnchorRecord(atoms=((a, a), (a, a)), eta=-1.0,
+                         gamma=((), ()), offset=(0.0, 0.0),
+                         shift_vals=((0.0, 0.0), (0.0, 0.0)))
 
     def test_rsoc_block_shape_enforced(self):
         a = Atom((0.0,), DiffFunctional.value(1))
-        with pytest.raises(ValueError, match="2x2"):
-            Rsoc2x2Record(atoms=((a,),), eta=0.0, gamma=((),),
-                          offset=(0.0,))
+        for atoms in (((a, a),), ((a, a), (a,)),
+                      ((a, a, a),) * 3, ()):
+            with pytest.raises(ValueError, match="1x1 or 2x2"):
+                AnchorRecord(atoms=atoms, eta=0.0, gamma=(), offset=(),
+                             shift_vals=())
+
+    def test_anchor_outside_region_rejected(self):
+        c = matrix_constraint()
+        with pytest.raises(ValueError, match="outside region"):
+            discretize(c, [[0.5], [1.2]])
+        with pytest.raises(ValueError, match="outside region"):
+            tighten_soc(c, [InputBall((-0.3,), 0.1)], [0.2])
+
+    def test_infinite_halfspace_level_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            InclusionRecord(
+                r0=1.0, normal=Atom((0.0,), DiffFunctional.value(1)),
+                rho=math.inf, gamma=(), offset=0.0,
+            )
 
     def test_inclusion_radius_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -327,6 +385,6 @@ class TestVerifyPointwise:
         assert report["worstPoint"] == (xs[int(np.argmin(loop))],)
 
     def test_small_grid_rejected(self, kernel):
-        model = Model.zero(kernel)
+        model = Model(kernel, (), np.zeros(0))
         with pytest.raises(ValueError, match="at least 2"):
             verify_pointwise(model, scalar_constraint(), grid_res=1)
