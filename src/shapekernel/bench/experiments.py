@@ -98,6 +98,12 @@ def _ball_samples(center, radius: float, n: int,
     return center[None, :] + radius * v * r[:, None]
 
 
+def _check_status(warnings: list, label: str, status: str) -> None:
+    """Add a warning naming the solve when it did not end ``optimal``."""
+    if status != "optimal":
+        warnings.append(f"{label}: solver status {status!r}")
+
+
 def records_for(scheme: str, c: ShapeConstraint, balls: list, kernel, cov,
                 seed, constraint_index: int = 0) -> list:
     """Rows of one constraint over a ball covering, by covering scheme.
@@ -206,6 +212,7 @@ def run_catenary(cfg: ExperimentConfig):
     tables: dict = {}
     models: dict = {}
     scheme_summaries: dict = {}
+    warnings: list = []
 
     for scheme in schemes:
         t0 = time.perf_counter()
@@ -218,6 +225,7 @@ def run_catenary(cfg: ExperimentConfig):
                                       cfg.seed)
                 model, sol, _ = solve_problem(spec, records,
                                               settings=settings)
+                _check_status(warnings, f"{scheme} m={m}", sol.status)
                 v_app = sol.objective
                 v_relax = None
                 if scheme != "disc":
@@ -225,6 +233,8 @@ def run_catenary(cfg: ExperimentConfig):
                     relaxed = discretize(c, [b.center for b in cover])
                     _, rsol, _ = solve_problem(spec, relaxed,
                                                settings=settings)
+                    _check_status(warnings, f"{scheme} m={m} relaxation",
+                                  rsol.status)
                     v_relax = rsol.objective
                 max_eta = max(
                     (getattr(r, "eta", 0.0) for r in records), default=0.0)
@@ -247,6 +257,8 @@ def run_catenary(cfg: ExperimentConfig):
             hist = state.history
             hist_rows = []
             for row in hist:
+                _check_status(warnings, f"{scheme} round {row['k']}",
+                              row["status"])
                 conv_rows.append([scheme, row["k"], row["M_total"], row["v"],
                                   None, None, row["v"] - v_ref,
                                   row["maxEta"]])
@@ -264,6 +276,7 @@ def run_catenary(cfg: ExperimentConfig):
                 anchors = [om.source.center for om in state.coverings[0]]
             records = discretize(c, anchors)
             _, rsol, _ = solve_problem(spec, records, settings=settings)
+            _check_status(warnings, f"{scheme} relaxation", rsol.status)
             relax_value = rsol.objective
             if mode == "ball":
                 records = tighten_soc(c, state.coverings[0], state.etas[0])
@@ -275,6 +288,7 @@ def run_catenary(cfg: ExperimentConfig):
         elif scheme == "none":
             spec_free = _catenary_spec(objective, constrained=False)
             model, sol, _ = solve_problem(spec_free, [], settings=settings)
+            _check_status(warnings, scheme, sol.status)
             v_app = sol.objective
             records = []
             relax_value = None
@@ -317,7 +331,7 @@ def run_catenary(cfg: ExperimentConfig):
             "rows": timing_table,
         },
         "timings": timings,
-        "warnings": [],
+        "warnings": warnings,
     }
     return summary, tables, models
 
@@ -421,6 +435,7 @@ def run_control(cfg: ExperimentConfig):
     scheme_summaries: dict = {}
     models: dict = {}
     solved: dict = {}
+    warnings: list = []
     for scheme in schemes:
         records = []
         for i, c in enumerate(cons):
@@ -429,6 +444,7 @@ def run_control(cfg: ExperimentConfig):
         t0 = time.perf_counter()
         model, sol, _ = solve_problem(spec, records, settings=settings)
         timings[f"{scheme}_s"] = time.perf_counter() - t0
+        _check_status(warnings, scheme, sol.status)
         max_violation, n_violated = violations(model, verify_res)
         scheme_summaries[scheme] = {
             "v_app": sol.objective,
@@ -467,7 +483,7 @@ def run_control(cfg: ExperimentConfig):
         "n_constraints": len(cons),
         "max_eta": float(max(etas)),
         "timings": timings,
-        "warnings": [],
+        "warnings": warnings,
     }
     return summary, tables, models
 
@@ -609,6 +625,7 @@ def run_robotarm(cfg: ExperimentConfig):
     per_seed: dict = {}
     timings: dict = {}
     models: dict = {}
+    warnings: list = []
     t_all = time.perf_counter()
     for seed in seeds:
         data, geom = synth_robot_data(segments, n_obs, noise, seed)
@@ -648,6 +665,9 @@ def run_robotarm(cfg: ExperimentConfig):
                                               settings=settings)
                 elapsed = time.perf_counter() - t0
                 timings[f"seed{seed}_m{m_per_axis_pow}_{scheme}_s"] = elapsed
+                _check_status(warnings,
+                              f"seed {seed} m={m_per_axis_pow} {scheme}",
+                              sol.status)
                 l2_err, l1_cons, l1_cov, l1_cov_max = _robot_metrics(
                     model, geom, kept, p, seed)
                 rows.append([seed, m_per_axis_pow, scheme, n_candidates,
@@ -688,7 +708,7 @@ def run_robotarm(cfg: ExperimentConfig):
         "l1_ordering_ball_le_disc_le_none": orderings,
         "constraint_cap": {str(m): int(d * m) for m in m_list},
         "timings": {**timings, "all_seeds_s": time.perf_counter() - t_all},
-        "warnings": [],
+        "warnings": warnings,
     }
     return summary, {"results": (header, rows)}, models
 
@@ -841,6 +861,8 @@ def run_econ(cfg: ExperimentConfig):
     rows = []
     models: dict = {}
     bound_json = None
+    warnings = (["dataset file missing: synthetic fallback in use"]
+                if fallback else [])
     t_all = time.perf_counter()
     for rep in range(reps):
         rng = np.random.default_rng([cfg.seed, 500 + rep])
@@ -861,6 +883,7 @@ def run_econ(cfg: ExperimentConfig):
             model, sol, _ = solve_problem(spec, records_map[regime],
                                           settings=settings)
             timings[f"rep{rep}_{regime}_s"] = time.perf_counter() - t0
+            _check_status(warnings, f"rep {rep} {regime}", sol.status)
             pred_tr = model.eval_component_many(X[train_idx], 0)
             pred_te = model.eval_component_many(X[test_idx], 0)
             mse_tr = float(((pred_tr - g[train_idx]) ** 2).mean())
@@ -872,6 +895,8 @@ def run_econ(cfg: ExperimentConfig):
                 rrecords = relax_records(records_map[regime])
                 _, rsol, _ = solve_problem(spec, rrecords,
                                            settings=settings)
+                _check_status(warnings, f"rep {rep} {regime} relaxation",
+                              rsol.status)
                 report = compute_bounds(spec, records_map[regime],
                                         sol.objective,
                                         v_relax=rsol.objective, model=model)
@@ -903,8 +928,7 @@ def run_econ(cfg: ExperimentConfig):
         "test_mse_both_le_none": ordered,
         "bound_report": bound_json,
         "timings": timings,
-        "warnings": (["dataset file missing: synthetic fallback in use"]
-                     if fallback else []),
+        "warnings": warnings,
     }
     return summary, {"mse": (header, rows)}, models
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import Atom, DiffFunctional, SdpOperator, atom_inner
+from .atoms import (Atom, DiffFunctional, SdpOperator, atom_inner,
+                    cross_gram)
 from .kernels import Kernel
 
 __all__ = [
@@ -200,30 +201,6 @@ def _unit_offsets(d: int, norm: str, n_x: int, seed) -> np.ndarray:
     return np.vstack([rand, np.asarray(probes)])
 
 
-def operator_cross_matrix(kernel: Kernel, op: SdpOperator,
-                          x1, x2) -> np.ndarray:
-    """P^2 x P^2 matrix of pairwise inner products of the operator's entry
-    functionals anchored at ``x1`` and ``x2``."""
-    P = op.size
-    atoms1 = [[Atom(tuple(np.atleast_1d(x1)), op.entries[i][j])
-               for j in range(P)] for i in range(P)]
-    atoms2 = [[Atom(tuple(np.atleast_1d(x2)), op.entries[i][j])
-               for j in range(P)] for i in range(P)]
-    M = np.empty((P * P, P * P))
-    for i, j in itertools.product(range(P), repeat=2):
-        for k, l in itertools.product(range(P), repeat=2):
-            M[i * P + j, k * P + l] = atom_inner(
-                atoms1[i][j], atoms2[k][l], kernel)
-    return M
-
-
-def _delta_matrix(kernel, op, z, x, Mzz=None) -> np.ndarray:
-    Mzz = operator_cross_matrix(kernel, op, z, z) if Mzz is None else Mzz
-    Mxx = operator_cross_matrix(kernel, op, x, x)
-    Mzx = operator_cross_matrix(kernel, op, z, x)
-    return Mzz + Mxx - Mzx - Mzx.T
-
-
 def _directions(P: int, n_u: int, seed) -> np.ndarray:
     if P == 1:
         return np.ones((1, 1))
@@ -244,12 +221,18 @@ def eta_sampled(kernel: Kernel, op: SdpOperator, z, delta: float,
     """Sampled buffer width for an operator over the ball B(z, delta).
 
     Maximizes ``|v^T Delta(x) v|^(1/2)`` over sampled ``x`` in the ball and
-    directions ``u`` (``v = vec(u u^T)``), where ``Delta`` collects the
-    pairwise inner-product differences of the operator entries anchored at
-    ``z`` and ``x``.  For size-1 operators the direction loop collapses;
-    for size 2 the directions are equidistant angles on half the circle.
-    The result is a lower estimate of the supremum; ``safety`` inflates it
-    by ``(1 + safety)``.
+    directions ``u`` (``v = vec(u u^T)``), where ``Delta(x) = Mzz + Mxx -
+    Mzx - Mzx^T`` collects the pairwise inner products of the operator's
+    P^2 entry functionals anchored at ``z`` and ``x``.  All offsets are
+    handled at once, with no atom objects: one one-row
+    :meth:`~shapekernel.kernels.Kernel.partial_block` per term pair of
+    entries gives ``Mzx`` at every ``x``; ``Mxx`` equals ``Mzz`` for
+    translation-invariant kernels and otherwise comes from
+    :meth:`~shapekernel.kernels.Kernel.partial_pairs`; one ``einsum`` forms
+    every quadratic form.  For size-1 operators the direction set is
+    ``{1}``; for size 2 the directions are equidistant angles on half the
+    circle.  The result is a lower estimate of the supremum; ``safety``
+    inflates it by ``(1 + safety)``.
     """
     if n_x < 1 or n_u < 1:
         raise ValueError("need at least one sample per loop")
@@ -270,20 +253,37 @@ def eta_sampled(kernel: Kernel, op: SdpOperator, z, delta: float,
     return raw * (1.0 + safety)
 
 
+def _entry_products(evaluate, funcs, X1, X2) -> np.ndarray:
+    """(n, P^2, P^2) inner products of the entry functionals ``funcs``, one
+    P^2 x P^2 matrix per row of ``X2``; ``evaluate(r1, r2, q1, q2, X1, X2)``
+    is a kernel partial giving one value per row of ``X2``."""
+    out = np.zeros((len(X2), len(funcs), len(funcs)))
+    for (i, f1), (j, f2) in itertools.product(enumerate(funcs), repeat=2):
+        for q1, r1, b1 in f1.terms:
+            for q2, r2, b2 in f2.terms:
+                out[:, i, j] += b1 * b2 * evaluate(r1, r2, q1, q2, X1, X2)
+    return out
+
+
 def _eta_sampled_raw(kernel, op, z, delta, norm, n_x, n_u, seed) -> float:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     base = np.zeros_like(z) if kernel.translation_invariant else z
-    offsets = _unit_offsets(z.size, norm, n_x, seed) * float(delta)
-    P = op.size
-    dirs = _directions(P, n_u, seed)
-    vs = np.stack([np.outer(u, u).ravel() for u in dirs])
-    Mzz = operator_cross_matrix(kernel, op, base, base)
-    best = 0.0
-    for off in offsets:
-        D = _delta_matrix(kernel, op, base, base + off, Mzz=Mzz)
-        quad = np.abs(np.einsum("ki,ij,kj->k", vs, D, vs))
-        best = max(best, float(np.max(quad)))
-    return float(np.sqrt(best))
+    X = base + _unit_offsets(z.size, norm, n_x, seed) * float(delta)
+    funcs = [f for row in op.entries for f in row]
+
+    def from_base(r1, r2, q1, q2, X1, X2):
+        return kernel.partial_block(r1, r2, q1, q2, X1, X2)[0]
+
+    Mzz = _entry_products(from_base, funcs, base[None], base[None])
+    Mzx = _entry_products(from_base, funcs, base[None], X)
+    # translation invariance: the kernel sees only x - x = 0 = z - z
+    Mxx = Mzz if kernel.translation_invariant else \
+        _entry_products(kernel.partial_pairs, funcs, X, X)
+    D = Mzz + Mxx - Mzx - Mzx.transpose(0, 2, 1)
+    vs = np.stack([np.outer(u, u).ravel()
+                   for u in _directions(op.size, n_u, seed)])
+    quad = np.abs(np.einsum("ki,nij,kj->nk", vs, D, vs))
+    return float(np.sqrt(np.max(quad)))
 
 
 def eta_for(kernel: Kernel, op: SdpOperator, z, delta: float,
@@ -388,10 +388,10 @@ def _min_correlation(kernel: Kernel, functional: DiffFunctional,
     center = np.asarray(ball.center, dtype=float)
     base = np.zeros_like(center) if kernel.translation_invariant else center
     offsets = _unit_offsets(center.size, ball.norm, n_x, seed) * ball.radius
-    a0 = Atom(tuple(base), functional)
-    vals = [atom_inner(a0, Atom(tuple(base + off), functional), kernel)
-            for off in offsets]
-    return float(np.min(vals))
+    row = cross_gram([Atom(tuple(base), functional)],
+                     [Atom(tuple(base + off), functional) for off in offsets],
+                     kernel)
+    return float(np.min(row))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Shipped variants:
 * :class:`LaplacianKernel` — scalar exponential kernel, value-only (s = 0).
 * :class:`DecomposableGaussianKernel` — ``k(x,y) * Sigma`` for vector outputs.
 * :class:`LTIControlKernel` — the controllability-Gramian kernel of a linear
-  time-invariant system, computed via the augmented-matrix exponential.
+  time-invariant system, in closed form through the eigendecomposition of
+  ``A``; a defective ``A`` falls back to Van Loan's augmented-matrix
+  exponential.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ __all__ = [
 ]
 
 MultiIndex = tuple[int, ...]
-
-# Cache-key quantization for time arguments of the LTI kernel.
-_TIME_DIGITS = 12
 
 
 def _as_point(x, d: int, name: str = "x") -> np.ndarray:
@@ -67,6 +66,7 @@ class Kernel:
     default loops over the pairs, so its entries equal the scalar calls bit
     for bit.  Override it where the partial has a closed form that
     vectorizes over point pairs and agrees with the scalar path to rounding.
+    ``partial_pairs`` is the diagonal analogue: one value per row pair.
     """
 
     dim: int
@@ -96,6 +96,13 @@ class Kernel:
             for j, y in enumerate(X2):
                 out[i, j] = self.eval_partial(r1, r2, q1, q2, x, y)
         return out
+
+    def partial_pairs(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+        """Vector of :meth:`eval_partial` at the pairs ``(X1[k], X2[k])``."""
+        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+        return np.array([self.eval_partial(r1, r2, q1, q2, x, y)
+                         for x, y in zip(X1, X2)])
 
     @property
     def translation_invariant(self) -> bool:
@@ -379,6 +386,12 @@ class DecomposableGaussianKernel(Kernel):
 # LTI control kernel
 # --------------------------------------------------------------------------
 
+#: largest eigenvector condition number the closed form accepts: its error
+#: grows like cond(V)^2 * eps, about 1e-10 relative at this bound; beyond it
+#: the Van Loan path is used
+_EIG_COND_MAX = 1e3
+
+
 def _gramian_van_loan(A: np.ndarray, BBt: np.ndarray, m: float) -> np.ndarray:
     """Controllability Gramian W(m) = int_0^m e^{uA} B B^T e^{uA^T} du.
 
@@ -400,6 +413,16 @@ class LTIControlKernel(Kernel):
     ``K(s, t) = int_0^{min(s,t)} e^{(s-tau)A} B B^T e^{(t-tau)A^T} dtau`` for a
     system ``x' = Ax + Bu`` started at the origin.  Time is the only input
     (d = 1); outputs are the Q state components.  Value functionals only.
+
+    With ``A = V diag(lam) V^-1`` and ``C = V^-1 B B^T V^-T`` the integral
+    has the closed form ``K(s, t)[q1, q2] = sum_ij V[q1, i] V[q2, j] C_ij
+    e^{lam_i (s - m) + lam_j (t - m)} g(lam_i + lam_j, m)``, ``m = min(s,
+    t)``, ``g(a, m) = expm1(a m) / a`` and ``g(0, m) = m``.  It is evaluated
+    over broadcast time arrays (in complex arithmetic when ``A`` has complex
+    eigenvalues, keeping the real part), so ``eval``, ``partial_block`` and
+    ``partial_pairs`` share one body.  A defective (or nearly defective)
+    ``A`` has no usable eigenbasis; then every entry comes from the Van Loan
+    (1978) Gramian and ``expm``, one time pair at a time.
     """
 
     def __init__(self, A, B):
@@ -413,57 +436,18 @@ class LTIControlKernel(Kernel):
         self.dim = 1
         self.out_dim = A.shape[0]
         self.smoothness = 0
-        self._gram_cache: dict[float, np.ndarray] = {}
-        self._exp_cache: dict[float, np.ndarray] = {}
-        # Diagonalization fast path for e^{A dt}; falls back to expm when the
-        # eigenvector matrix is ill-conditioned (defective A).
         self._eig = None
         try:
             lam, V = np.linalg.eig(A)
-            if np.linalg.cond(V) < 1e8:
-                self._eig = (lam, V, np.linalg.inv(V))
+            if np.linalg.cond(V) < _EIG_COND_MAX:
+                Vinv = np.linalg.inv(V)
+                self._eig = (lam, V, Vinv @ self.BBt @ Vinv.T)
         except np.linalg.LinAlgError:
             self._eig = None
 
     # ------------------------------------------------------------- helpers
-    def _gramian(self, m: float) -> np.ndarray:
-        key = round(m, _TIME_DIGITS)
-        W = self._gram_cache.get(key)
-        if W is None:
-            W = _gramian_van_loan(self.A, self.BBt, m)
-            self._gram_cache[key] = W
-        return W
-
-    def _exp_a(self, dt: float) -> np.ndarray:
-        if dt == 0.0:
-            return np.eye(self.out_dim)
-        key = round(dt, _TIME_DIGITS)
-        E = self._exp_cache.get(key)
-        if E is None:
-            if self._eig is not None:
-                lam, V, Vinv = self._eig
-                E = np.real(V @ np.diag(np.exp(lam * dt)) @ Vinv)
-            else:
-                E = expm(self.A * dt)
-            self._exp_cache[key] = E
-        return E
-
-    # ----------------------------------------------------------------- API
-    def eval(self, x, x2) -> np.ndarray:
-        s = float(_as_point(x, 1, "x")[0])
-        t = float(_as_point(x2, 1, "x2")[0])
-        if s < 0 or t < 0:
-            raise ValueError(f"times must be nonnegative, got ({s}, {t})")
-        m = min(s, t)
-        if m == 0.0:
-            return np.zeros((self.out_dim, self.out_dim))
-        W = self._gramian(m)
-        return self._exp_a(s - m) @ W @ self._exp_a(t - m).T
-
-    def eval_partial(self, r1, r2, q1: int, q2: int, x, x2) -> float:
-        r1 = _as_multi_index(r1, 1)
-        r2 = _as_multi_index(r2, 1)
-        if sum(r1) or sum(r2):
+    def _check_value(self, r1, r2, q1: int, q2: int) -> None:
+        if sum(_as_multi_index(r1, 1)) or sum(_as_multi_index(r2, 1)):
             raise ValueError(
                 "kernel not differentiable: the control kernel accepts "
                 "value functionals only"
@@ -472,20 +456,64 @@ class LTIControlKernel(Kernel):
             raise ValueError(
                 f"output indices ({q1},{q2}) out of range for Q={self.out_dim}"
             )
+
+    def _closed_form(self, S, T, q1=None, q2=None) -> np.ndarray:
+        """K(S, T) over broadcast time arrays: entry ``[q1, q2]`` of shape
+        ``broadcast(S, T)``, or the full ``(..., Q, Q)`` stack."""
+        S, T = np.broadcast_arrays(np.asarray(S, dtype=float),
+                                   np.asarray(T, dtype=float))
+        if np.any(S < 0) or np.any(T < 0):
+            raise ValueError("times must be nonnegative")
+        lam, V, C = self._eig
+        M = np.minimum(S, T)
+        a = lam[:, None] + lam[None, :]
+        zero = a == 0
+        a_safe = np.where(zero, 1.0, a)
+        m = M[..., None, None]
+        g = np.where(zero, m, np.expm1(a_safe * m) / a_safe)
+        inner = g * np.exp(lam[:, None] * (S - M)[..., None, None]
+                           + lam[None, :] * (T - M)[..., None, None])
+        if q1 is None:
+            return np.real(V @ (C * inner) @ V.T)
+        coef = V[q1][:, None] * V[q2][None, :] * C
+        return np.real((coef * inner).sum(axis=(-2, -1)))
+
+    def _eval_van_loan(self, s: float, t: float) -> np.ndarray:
+        m = min(s, t)
+        if m == 0.0:
+            return np.zeros((self.out_dim, self.out_dim))
+        W = _gramian_van_loan(self.A, self.BBt, m)
+        return expm(self.A * (s - m)) @ W @ expm(self.A * (t - m)).T
+
+    # ----------------------------------------------------------------- API
+    def eval(self, x, x2) -> np.ndarray:
+        s = float(_as_point(x, 1, "x")[0])
+        t = float(_as_point(x2, 1, "x2")[0])
+        if s < 0 or t < 0:
+            raise ValueError(f"times must be nonnegative, got ({s}, {t})")
+        if self._eig is None:
+            return self._eval_van_loan(s, t)
+        return self._closed_form(s, t)
+
+    def eval_partial(self, r1, r2, q1: int, q2: int, x, x2) -> float:
+        self._check_value(r1, r2, q1, q2)
         return float(self.eval(x, x2)[q1, q2])
 
-    def eval_partial_many(self, r1, r2, q1: int, q2: int, X, x2) -> np.ndarray:
-        r1 = _as_multi_index(r1, 1)
-        r2 = _as_multi_index(r2, 1)
-        if sum(r1) or sum(r2):
-            raise ValueError(
-                "kernel not differentiable: the control kernel accepts "
-                "value functionals only"
-            )
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array(
-            [float(self.eval(row, x2)[q1, q2]) for row in X]
-        )
+    def partial_block(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+        if self._eig is None:
+            return super().partial_block(r1, r2, q1, q2, X1, X2)
+        self._check_value(r1, r2, q1, q2)
+        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+        return self._closed_form(X1[:, 0, None], X2[None, :, 0], q1, q2)
+
+    def partial_pairs(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+        if self._eig is None:
+            return super().partial_pairs(r1, r2, q1, q2, X1, X2)
+        self._check_value(r1, r2, q1, q2)
+        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+        return self._closed_form(X1[:, 0], X2[:, 0], q1, q2)
 
     def to_config(self) -> dict:
         return {

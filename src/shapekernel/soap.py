@@ -306,6 +306,7 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             "k": k,
             "M_total": state.total_elements(),
             "v": float(sol.objective),
+            "status": sol.status,
             "bursts": len(saturated),
             "maxEta": float(max(widths)) if widths else 0.0,
             "wallTime": time.perf_counter() - t0,

@@ -249,12 +249,18 @@ class TestBlockGram:
         lap_basis = [Atom((x,), DiffFunctional.value(1, beta=b))
                      for x in rng.uniform(-1, 1, 20) for b in (1.0, -1.0)]
         rng.shuffle(lap_basis)
+        G, _, _ = gram(lap_basis, lap)
+        assert np.array_equal(G, _reference_gram(lap_basis, lap))
+
+    def test_lti_closed_form_matches_scalar_reference(self):
+        rng = np.random.default_rng(13)
         lti = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
-        lti_basis = [Atom((t,), DiffFunctional.value(1, q=q))
-                     for t in rng.uniform(0.1, 2, 20) for q in (0, 1)]
-        for kernel, basis in ((lap, lap_basis), (lti, lti_basis)):
-            G, _, _ = gram(basis, kernel)
-            assert np.array_equal(G, _reference_gram(basis, kernel))
+        basis = [Atom((t,), DiffFunctional.value(1, q=q))
+                 for t in rng.uniform(0.1, 2, 20) for q in (0, 1)]
+        G, _, _ = gram(basis, lti)
+        np.testing.assert_allclose(G, _reference_gram(basis, lti),
+                                   rtol=1e-10, atol=1e-14)
+        assert np.array_equal(G, G.T)
 
 
 class TestModel:

@@ -7,10 +7,12 @@ Also checked: the scheme each experiment accepts, and that every name the
 benchmark tracer (``perfbench/tracer.py``) wraps still exists.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -41,15 +43,21 @@ TINY = {
 }
 
 
+def _run_tiny(name, out):
+    """Write the tiny config of ``name`` to ``out`` and run it through
+    ``run_experiment``; returns the config path and the summary."""
+    config = out / "config.json"
+    config.write_text(json.dumps({"experiment": name, "out_dir": str(out),
+                                  **TINY[name][0]}))
+    return config, run_experiment(ExperimentConfig.load(config))
+
+
 @pytest.fixture(scope="module", params=sorted(TINY))
 def tiny_run(request, tmp_path_factory):
     name = request.param
-    overlay, model, grid = TINY[name]
+    _, model, grid = TINY[name]
     out = tmp_path_factory.mktemp(name)
-    config = out / "config.json"
-    config.write_text(json.dumps({"experiment": name, "out_dir": str(out),
-                                  **overlay}))
-    summary = run_experiment(ExperimentConfig.load(config))
+    config, summary = _run_tiny(name, out)
     return name, config, out / f"{model}.json", grid, summary
 
 
@@ -127,3 +135,38 @@ def test_every_traced_name_resolves():
     assert not missing
     model = importlib.import_module("shapekernel.atoms").Model
     assert callable(model.eval_component_many)
+
+
+def test_non_optimal_status_becomes_a_warning(tmp_path, monkeypatch):
+    assemble = sys.modules["shapekernel.assemble"]
+    solve = assemble.solve
+
+    def stalled(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), status="max_iter")
+
+    monkeypatch.setattr(assemble, "solve", stalled)
+    _, summary = _run_tiny("control", tmp_path)
+    assert summary["warnings"] == ["ball: solver status 'max_iter'",
+                                   "disc: solver status 'max_iter'"]
+
+
+def test_control_never_evaluates_the_kernel_pair_by_pair(tmp_path,
+                                                         monkeypatch):
+    # the closed-form blocks carry every control evaluation; a lost
+    # override or a wrong eigenbasis test would fall back to one Van Loan
+    # exponential per time pair without failing any other test
+    from shapekernel import covering
+    from shapekernel.kernels import LTIControlKernel
+
+    # widths cached by an earlier run would skip the sampler
+    monkeypatch.setattr(covering, "_eta_cache", {})
+    calls = []
+    scalar = LTIControlKernel.eval_partial
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return scalar(self, *args, **kwargs)
+
+    monkeypatch.setattr(LTIControlKernel, "eval_partial", counted)
+    _run_tiny("control", tmp_path)
+    assert not calls

@@ -30,7 +30,33 @@ from shapekernel import (
     refine_radius,
 )
 from shapekernel import covering
-from shapekernel.covering import operator_cross_matrix
+
+
+def _cross_matrix_loop(kernel, op, x1, x2):
+    """P^2 x P^2 inner products of the operator's entries anchored at ``x1``
+    and ``x2``, one ``atom_inner`` per pair."""
+    funcs = [f for row in op.entries for f in row]
+    return np.array([[atom_inner(Atom(tuple(np.atleast_1d(x1)), f),
+                                 Atom(tuple(np.atleast_1d(x2)), g), kernel)
+                      for g in funcs] for f in funcs])
+
+
+def _eta_loop(kernel, op, z, delta, norm, n_x, n_u, seed):
+    """Oracle of the batched sampler: one Delta matrix per offset."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    base = np.zeros_like(z) if kernel.translation_invariant else z
+    offsets = covering._unit_offsets(z.size, norm, n_x, seed) * delta
+    vs = np.stack([np.outer(u, u).ravel()
+                   for u in covering._directions(op.size, n_u, seed)])
+    Mzz = _cross_matrix_loop(kernel, op, base, base)
+    best = 0.0
+    for off in offsets:
+        x = base + off
+        Mzx = _cross_matrix_loop(kernel, op, base, x)
+        D = Mzz + _cross_matrix_loop(kernel, op, x, x) - Mzx - Mzx.T
+        quad = np.abs(np.einsum("ki,ij,kj->k", vs, D, vs))
+        best = max(best, float(np.max(quad)))
+    return math.sqrt(best)
 
 
 class TestInputBall:
@@ -213,15 +239,26 @@ class TestEtaSampled:
         raw = covering._eta_sampled_raw(k, neg, z, delta, "max", 30, 8, 5)
         assert raw == width
 
-    def test_cross_matrix_shape_and_symmetry(self):
-        k = GaussianKernel([1.0, 1.0])
-        val = DiffFunctional.value(2)
-        dx = DiffFunctional.partial(2, axis=0)
-        op = SdpOperator(((val, dx), (dx, val)))
-        M = operator_cross_matrix(k, op, [0.0, 0.0], [0.0, 0.0])
-        assert M.shape == (4, 4)
-        np.testing.assert_allclose(M, M.T, atol=1e-12)
-        assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > -1e-10
+    @pytest.mark.parametrize("case", ["lti-value", "lti-2x2", "gauss-2x2"])
+    def test_batched_sampler_matches_per_offset_loop(self, case):
+        lti = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
+        if case == "lti-value":
+            k, z = lti, [0.4]
+            op = SdpOperator.scalar(DiffFunctional.value(1, q=1))
+        elif case == "lti-2x2":
+            k, z = lti, [0.7]
+            v0 = DiffFunctional.value(1, q=0)
+            v1 = DiffFunctional(((0, (0,), 0.5), (1, (0,), -1.0)))
+            op = SdpOperator(((v0, v1), (v1, v0)))
+        else:
+            k, z = GaussianKernel([0.7, 1.3]), [0.1, -0.2]
+            val = DiffFunctional.value(2)
+            dx = DiffFunctional.partial(2, axis=0)
+            op = SdpOperator(((val, dx), (dx, val)))
+        args = (0.0731, "max", 30, 8, 5)
+        got = covering._eta_sampled_raw(k, op, z, *args)
+        assert got > 0
+        assert got == pytest.approx(_eta_loop(k, op, z, *args), rel=1e-12)
 
     def test_invalid_sample_counts_rejected(self):
         k = GaussianKernel([1.0])
@@ -285,6 +322,17 @@ class TestOmegaCover:
         assert -guarded.halfspaces[0][1] == pytest.approx(
             0.9 * -plain.halfspaces[0][1], rel=1e-12
         )
+
+    def test_sampled_level_matches_per_offset_loop(self):
+        # non-radial: the level is the minimum over sampled offsets
+        k = GaussianKernel([0.6, 1.1])
+        D = DiffFunctional(((0, (1, 0), 1.0), (0, (0, 1), -0.5)))
+        ball = InputBall((0.3, -0.4), 0.15, norm="euclidean")
+        (elem,) = omega_cover(k, D, [ball], n_x=40, seed=9)
+        offsets = covering._unit_offsets(2, "euclidean", 40, 9) * 0.15
+        a0 = Atom((0.0, 0.0), D)
+        want = min(atom_inner(a0, Atom(tuple(off), D), k) for off in offsets)
+        assert -elem.halfspaces[0][1] == pytest.approx(want, rel=1e-12)
 
     def test_halfspace_needs_translation_invariance(self):
         k = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])

@@ -19,6 +19,7 @@ from shapekernel import (
     LTIControlKernel,
     kernel_from_config,
 )
+from shapekernel.kernels import _gramian_van_loan
 
 
 def fd_mixed_partial(f, x, y, r1, r2, h=5e-3):
@@ -321,14 +322,96 @@ class TestPartialBlock:
         X2 = rng.uniform(-1, 1, size=(4, 2))
         assert np.array_equal(lap.partial_block((0, 0), (0, 0), 0, 0, X1, X2),
                               self.loop(lap, (0, 0), (0, 0), 0, 0, X1, X2))
-        lti = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
-        T1 = rng.uniform(0, 2, size=(6, 1))
-        T2 = rng.uniform(0, 2, size=(4, 1))
+
+
+def _van_loan(k, s, t):
+    """K(s, t) from the Van Loan Gramian and ``expm``, one pair at a time."""
+    m = min(s, t)
+    if m == 0.0:
+        return np.zeros((k.out_dim, k.out_dim))
+    W = _gramian_van_loan(k.A, k.BBt, m)
+    return expm(k.A * (s - m)) @ W @ expm(k.A * (t - m)).T
+
+
+def _times(rng, n):
+    """Times in [0, 2] with a zero; the caller adds coincident pairs."""
+    T = rng.uniform(0.0, 2.0, size=(n, 1))
+    T[0, 0] = 0.0
+    return T
+
+
+class TestLTIClosedForm:
+    """The eigendecomposition form of the control kernel against the
+    per-pair Van Loan oracle, and its fallback for a defective ``A``."""
+
+    B = np.array([[0.0], [1.0]])
+
+    @pytest.mark.parametrize("A", [
+        [[0.0, 1.0], [0.0, -1.0]],
+        [[-0.5, 1.0], [0.3, -2.0]],
+        [[0.0, 1.0], [-4.0, -0.4]],
+        [[0.0, 1.0], [-4.0, 0.0]],
+    ], ids=["shipped-zero-eig", "distinct-real", "damped-oscillator",
+            "pure-oscillator"])
+    def test_partial_block_matches_van_loan(self, A):
+        k = LTIControlKernel(A, self.B)
+        assert k._eig is not None
+        rng = np.random.default_rng(21)
+        T1 = _times(rng, 7)
+        T2 = np.vstack([_times(rng, 5), T1[3:5]])
         for q1 in range(2):
             for q2 in range(2):
+                ref = np.array([[_van_loan(k, s, t)[q1, q2] for t in T2[:, 0]]
+                                for s in T1[:, 0]])
+                np.testing.assert_allclose(
+                    k.partial_block((0,), (0,), q1, q2, T1, T2), ref,
+                    rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(k.eval([0.9], [1.6]),
+                                   _van_loan(k, 0.9, 1.6),
+                                   rtol=1e-10, atol=1e-14)
+
+    def test_pure_oscillator_hits_the_zero_exponent_branch(self):
+        k = LTIControlKernel([[0.0, 1.0], [-4.0, 0.0]], self.B)
+        lam = k._eig[0]
+        assert np.any(lam[:, None] + lam[None, :] == 0)
+
+    def test_defective_a_falls_back_to_the_per_pair_loop(self):
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        k = LTIControlKernel(A, self.B)
+        assert k._eig is None
+        rng = np.random.default_rng(22)
+        T1, T2 = _times(rng, 5), _times(rng, 4)
+        for q1 in range(2):
+            for q2 in range(2):
+                block = k.partial_block((0,), (0,), q1, q2, T1, T2)
+                assert np.array_equal(block, TestPartialBlock.loop(
+                    k, (0,), (0,), q1, q2, T1, T2))
                 assert np.array_equal(
-                    lti.partial_block((0,), (0,), q1, q2, T1, T2),
-                    self.loop(lti, (0,), (0,), q1, q2, T1, T2))
+                    k.partial_pairs((0,), (0,), q1, q2, T1[:4], T2),
+                    np.diag(block))
+        oracle = TestLTIControlKernel()
+        oracle.A, oracle.B = A, self.B
+        for s, t in [(1.0, 1.0), (0.5, 1.5), (2.0, 0.7)]:
+            np.testing.assert_allclose(k.eval([s], [t]),
+                                       oracle.quad_oracle(s, t), atol=1e-9)
+
+    def test_partial_pairs_is_the_block_diagonal(self):
+        k = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], self.B)
+        rng = np.random.default_rng(23)
+        T1, T2 = _times(rng, 6), _times(rng, 6)
+        T2[2] = T1[2]
+        for q1 in range(2):
+            for q2 in range(2):
+                np.testing.assert_array_equal(
+                    k.partial_pairs((0,), (0,), q1, q2, T1, T2),
+                    np.diag(k.partial_block((0,), (0,), q1, q2, T1, T2)))
+
+    def test_block_rejects_derivatives_and_negative_times(self):
+        k = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], self.B)
+        with pytest.raises(ValueError, match="not differentiable"):
+            k.partial_block((1,), (0,), 0, 0, [[0.5]], [[1.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            k.partial_pairs((0,), (0,), 0, 0, [[0.5]], [[-1.0]])
 
 
 class TestConfigRoundTrip:
