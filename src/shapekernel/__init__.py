@@ -37,7 +37,6 @@ from .assemble import (
     Observation,
     ProblemSpec,
     Ridge,
-    assemble,
     collect_atoms,
     compute_bounds,
     recover_model,

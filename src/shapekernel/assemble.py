@@ -40,23 +40,6 @@ from .tighten import (
     discretize,
 )
 
-__all__ = [
-    "Observation",
-    "Equality",
-    "Ridge",
-    "NormBound",
-    "NormMin",
-    "ProblemSpec",
-    "collect_atoms",
-    "assemble",
-    "recover_model",
-    "solve_problem",
-    "relax_records",
-    "solve_reference",
-    "BoundReport",
-    "compute_bounds",
-]
-
 _Q12 = 12  # coefficient quantization for epigraph sharing keys
 
 
@@ -124,8 +107,6 @@ class ProblemSpec:
     equalities: list = field(default_factory=list)
     regularizer: object | None = None
     bias_dim: int = 0
-    bias_set: str = "all"  # 'all' | 'zero' | 'box'
-    bias_bounds: tuple | None = None
     constraints: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -136,10 +117,6 @@ class ProblemSpec:
             )
         if self.loss == "none" and self.regularizer is None:
             raise ValueError("need a loss or a regularizer")
-        if self.bias_set not in ("all", "zero", "box"):
-            raise ValueError(f"unknown bias set {self.bias_set!r}")
-        if self.bias_set == "box" and self.bias_bounds is None:
-            raise ValueError("box bias set needs bounds")
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +241,7 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     """
     kernel = spec.kernel
     A = len(basis)
-    B = spec.bias_dim if spec.bias_set != "zero" else 0
+    B = spec.bias_dim
     G_mat, L, jitter = gram(basis, kernel)
     basis_index = {atom.key(): i for i, atom in enumerate(basis)}
     # Row i: exact whitened evaluation row of basis atom i.
@@ -353,18 +330,6 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         A_eq_rows.append(row)
         b_eq.append(eq.value)
 
-    if spec.bias_set == "box" and B:
-        lo, hi = spec.bias_bounds
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (B,))
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (B,))
-        for j in range(B):
-            row = row_template()
-            row[lay.A + j] = 1.0
-            add_nonneg(row.copy(), lo[j], ("bias_lo", j))
-            row2 = row_template()
-            row2[lay.A + j] = -1.0
-            add_nonneg(row2, -hi[j], ("bias_hi", j))
-
     for rec in records:
         prov = tuple(rec.provenance)
         ci = prov[0] if prov else 0
@@ -373,7 +338,10 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         if isinstance(rec, AnchorRecord):
             # One nonnegative row per diagonal entry (tagged with its index
             # when P = 2); for P = 2 the rotated cone repeats both rows and
-            # adds the scaled off-diagonal one.
+            # adds the scaled off-diagonal one.  The cone alone implies the
+            # two rows, but without them the interior-point path can stall
+            # at the cone's apex: econ's `both` solve, whose optimum is
+            # f = 0, then ends `max_iter` on seed 4.
             tags = [()] if rec.size == 1 else [(0,), (1,)]
             for p, tag in enumerate(tags):
                 row = row_template()
@@ -487,8 +455,6 @@ def recover_model(prog: ConeProgram, sol: Solution, basis: list[Atom],
     else:
         coeffs = u.copy()
     bias = sol.x[b_lo:b_hi].copy()
-    if spec.bias_set == "zero" and spec.bias_dim:
-        bias = np.zeros(spec.bias_dim)
     aux = {
         "status": sol.status,
         "objective": sol.objective,
@@ -587,7 +553,8 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
     solves, adds the most violated grid points, and repeats; at
     termination the returned model is feasible on the *entire* grid, so its
     objective equals the full-grid discretized optimum.  Returns
-    ``(model, value, points_used)``.
+    ``(model, value, points_used, statuses)``, the last the solver status
+    of every round.
     """
     if constraint.size != 1:
         raise ValueError("reference solve supports scalar constraints only")
@@ -603,12 +570,14 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
     active_idx = sorted(set(range(0, len(X), stride)) | {len(X) - 1})
     model = None
     value = math.nan
+    statuses = []
     for _ in range(max_rounds):
         pts = [tuple(X[i]) for i in active_idx]
         records = discretize(constraint, pts,
                              constraint_index=constraint_index)
         model, sol, _ = solve_problem(spec, records, settings=settings)
         value = sol.objective
+        statuses.append(sol.status)
         vals = model.apply(func, X)
         if constraint.shift is not None:
             vals = vals - constraint.shift.apply(func, X)
@@ -619,7 +588,7 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
             break
         worst = violated[np.argsort(slack[violated])][:batch]
         active_idx = sorted(set(active_idx) | set(int(i) for i in worst))
-    return model, float(value), len(active_idx)
+    return model, float(value), len(active_idx), statuses
 
 
 # --------------------------------------------------------------------------

@@ -18,18 +18,6 @@ import numpy as np
 
 from .kernels import Kernel
 
-__all__ = [
-    "DiffFunctional",
-    "SdpOperator",
-    "Atom",
-    "Model",
-    "atom_inner",
-    "cross_gram",
-    "gram",
-    "apply_functional",
-    "lead_sign",
-    "model_distance",
-]
 
 #: quantization (decimal digits) for dedup keys — below solver tolerance,
 #: above float noise.

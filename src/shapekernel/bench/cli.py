@@ -25,8 +25,6 @@ from ..tighten import verify_pointwise
 from .config import EXPERIMENTS, SCHEMES, ExperimentConfig, default_config
 from .experiments import constraints_for, run_experiment
 
-__all__ = ["main"]
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

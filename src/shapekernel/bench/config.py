@@ -14,14 +14,6 @@ from dataclasses import asdict, dataclass, field
 
 from ..conic import SolverSettings
 
-__all__ = [
-    "EXPERIMENTS",
-    "SCHEMES",
-    "EXPERIMENT_SCHEMES",
-    "CoveringConfig",
-    "ExperimentConfig",
-    "default_config",
-]
 
 EXPERIMENTS = ("catenary", "control", "robotarm", "econ")
 

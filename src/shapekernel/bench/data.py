@@ -17,16 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Dataset",
-    "latin_hypercube",
-    "RobotGeometry",
-    "synth_robot_data",
-    "load_labour_csv",
-    "cobb_douglas_data",
-    "preprocess_econ",
-]
-
 
 @dataclass
 class Dataset:

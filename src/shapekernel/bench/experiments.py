@@ -72,16 +72,6 @@ from .data import (
 )
 from .results import emit_results
 
-__all__ = [
-    "run_experiment",
-    "constraints_for",
-    "records_for",
-    "run_catenary",
-    "run_control",
-    "run_robotarm",
-    "run_econ",
-]
-
 
 # --------------------------------------------------------------------------
 # Shared helpers
@@ -200,9 +190,12 @@ def run_catenary(cfg: ExperimentConfig):
     c = spec.constraints[0]
 
     t0 = time.perf_counter()
-    ref_model, v_ref, ref_active = solve_reference(
+    _, v_ref, ref_active, ref_statuses = solve_reference(
         spec, c, int(p.get("reference_points", 10_000)), settings=settings)
     timings["reference_s"] = time.perf_counter() - t0
+    warnings: list = []
+    for k, status in enumerate(ref_statuses):
+        _check_status(warnings, f"reference round {k}", status)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_res).reshape(-1, 1)
     conv_header = ["scheme", "step", "elements", "v_app", "v_relax", "gap",
@@ -212,7 +205,6 @@ def run_catenary(cfg: ExperimentConfig):
     tables: dict = {}
     models: dict = {}
     scheme_summaries: dict = {}
-    warnings: list = []
 
     for scheme in schemes:
         t0 = time.perf_counter()

@@ -17,8 +17,6 @@ import numpy as np
 
 from ..atoms import Model
 
-__all__ = ["format_cell", "write_csv", "clean_json", "emit_results"]
-
 
 def format_cell(value) -> str:
     """One CSV cell: round-trippable floats, empty string for missing."""

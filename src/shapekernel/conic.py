@@ -15,6 +15,17 @@ The iteration is a Mehrotra-style predictor-corrector with Nesterov-Todd
 scaling, dense linear algebra, and infeasible start: problem sizes here are a
 few thousand variables at most, so each Newton step is a Cholesky-backed
 Schur-complement solve.  Everything is deterministic for fixed inputs.
+
+Newton matrix.  Eliminating the slack and cone-multiplier steps leaves
+``H = P + G^T W^{-2} G`` over ``x`` (equality rows add a Schur complement
+on top), factored once per iteration.  ``W^{-2}`` is diagonal on the
+nonnegative rows and ``(2 wt wt^T - J) / eta^2`` on a second-order block,
+with ``wt = J wbar`` and ``J = diag(1, -1, ..., -1)``.  Blocks enter ``H``
+through one dense product over their rows, except wide ones: a block with
+``d >= n`` rows (a norm cap or norm epigraph over the whole coefficient
+vector) adds ``(2 v v^T - G_b^T J G_b) / eta^2`` with ``v = G_b^T wt``, a
+rank-one update of an ``n x n`` matrix formed once per solve, so it costs
+O(n^2) per iteration instead of O(d n^2).
 """
 
 from __future__ import annotations
@@ -22,15 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear
-
-__all__ = [
-    "ConeBlock",
-    "ConeProgram",
-    "SolverSettings",
-    "Solution",
-    "solve",
-]
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -260,13 +262,21 @@ class _Scaling:
             out[sl] = self._apply_soc_inv(eta, wbar, u[sl])
         return out
 
-    def apply_w2inv_mat(self, M: np.ndarray) -> np.ndarray:
-        """(W^T W)^{-1} M for a matrix M, blockwise closed form."""
+    def apply_w2inv_mat(self, M: np.ndarray, blocks=None) -> np.ndarray:
+        """(W^T W)^{-1} M for a matrix M, blockwise closed form.
+
+        With ``blocks`` (SOC block indices), M holds the nonneg rows and
+        then only the rows of those blocks, in that order.
+        """
         out = np.empty_like(M)
         l = self.cones.l
         if l:
             out[:l] = M[:l] / (self.w_nn ** 2)[:, None]
-        for (eta, wbar), sl in zip(self.soc, self.cones.soc_slices):
+        start = l
+        for k in range(len(self.soc)) if blocks is None else blocks:
+            eta, wbar = self.soc[k]
+            sl = slice(start, start + wbar.size)
+            start = sl.stop
             blk = M[sl]
             wt = np.empty_like(wbar)
             wt[0], wt[1:] = wbar[0], -wbar[1:]
@@ -383,6 +393,40 @@ def _original_slices(prog: ConeProgram) -> list[slice]:
 # Newton system
 # --------------------------------------------------------------------------
 
+def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
+    """``W -> H = P + G^T W^{-2} G`` with wide SOC blocks as rank-one terms.
+
+    A SOC block of dimension d >= n is wide: its n x n matrix
+    ``C_b = G_b^T J G_b`` (J = diag(1, -1, ..., -1)) is no larger than its
+    own rows, so ``C_b`` is formed once here and the block's rows leave the
+    per-iteration product.  Each call then adds the block's exact term
+    ``(2 v v^T - C_b) / eta_b^2`` with ``v = G_b^T J wbar_b``.  Without a
+    wide block H is the plain product over all rows.
+    """
+    n = G.shape[1]
+    wide = [k for k, d in enumerate(cones.soc_dims) if d >= n]
+    if not wide:
+        return lambda W: _sym(P + G.T @ W.apply_w2inv_mat(G))
+    narrow = [k for k in range(len(cones.soc_dims)) if k not in wide]
+    rows = np.concatenate([np.arange(cones.l)] + [
+        np.arange(cones.soc_slices[k].start, cones.soc_slices[k].stop)
+        for k in narrow])
+    Gn = G[rows]
+    terms = []
+    for k in wide:
+        Gb = G[cones.soc_slices[k]]
+        terms.append((k, Gb, np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]))
+
+    def newton_matrix(W: _Scaling) -> np.ndarray:
+        H = P + Gn.T @ W.apply_w2inv_mat(Gn, narrow)
+        for k, Gb, C in terms:
+            eta, wbar = W.soc[k]
+            v = Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:]
+            H += (2.0 * np.outer(v, v) - C) / (eta * eta)
+        return _sym(H)
+    return newton_matrix
+
+
 def _chol_solve_factory(H: np.ndarray):
     """Cholesky factor with escalating static regularization."""
     n = H.shape[0]
@@ -426,6 +470,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     if m == 0:
         return _solve_equality_qp(prog, st, A, b)
 
+    newton_matrix = _newton_matrix_factory(P, G, cones)
     # Infeasible start: x from the warm start (or zero), multipliers at the
     # cone identity.  The iteration drives the residuals to zero itself.
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -498,8 +543,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             lmbda = W.lmbda
             mu = cgap / cones.degree
 
-            W2invG = W.apply_w2inv_mat(G)
-            H = _sym(P + G.T @ W2invG)
+            H = newton_matrix(W)
             if not np.all(np.isfinite(H)):
                 break
             try:
@@ -661,6 +705,10 @@ def _dual_polish(P, q, A, G, h, x, s, cones, feas_tol, qnorm):
     if not cols:
         ok = float(np.linalg.norm(grad, np.inf)) <= feas_tol * qnorm
         return (y, z) if ok else None
+    # Imported here: scipy.optimize takes about 0.3 s to load, and only
+    # solves that end without a certificate get this far.
+    from scipy.optimize import lsq_linear
+
     C = np.column_stack(cols)
     res = lsq_linear(C, -grad, bounds=(np.asarray(lower), np.inf))
     w = res.x

@@ -31,19 +31,6 @@ from .atoms import (Atom, DiffFunctional, SdpOperator, atom_inner,
                     cross_gram)
 from .kernels import Kernel
 
-__all__ = [
-    "InputBall",
-    "OmegaElement",
-    "cover_box",
-    "grid_cover",
-    "eta_radial",
-    "eta_sampled",
-    "eta_for",
-    "omega_cover",
-    "refine_radius",
-    "fill_distance",
-]
-
 _NORMS = ("euclidean", "max")
 
 

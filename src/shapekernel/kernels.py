@@ -25,14 +25,6 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-__all__ = [
-    "Kernel",
-    "GaussianKernel",
-    "LaplacianKernel",
-    "DecomposableGaussianKernel",
-    "LTIControlKernel",
-    "kernel_from_config",
-]
 
 MultiIndex = tuple[int, ...]
 

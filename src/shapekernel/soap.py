@@ -43,9 +43,6 @@ from .covering import (
 )
 from .tighten import AnchorRecord, InclusionRecord, tighten_omega, tighten_soc
 
-__all__ = ["SoapState", "SoapInfeasible", "run_soap", "detect_saturated",
-           "record_slack"]
-
 
 @dataclass
 class SoapState:

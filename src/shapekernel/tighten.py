@@ -29,16 +29,6 @@ import numpy as np
 from .atoms import Atom, Model, SdpOperator, apply_functional
 from .covering import InputBall, OmegaElement
 
-__all__ = [
-    "ShapeConstraint",
-    "AnchorRecord",
-    "InclusionRecord",
-    "discretize",
-    "tighten_soc",
-    "tighten_omega",
-    "verify_pointwise",
-]
-
 _PSD_HOOK_MSG = (
     "operators larger than 2x2 need a PSD-capable external solver; "
     "the embedded cone set stops at rotated second-order cones"

@@ -28,7 +28,6 @@ from shapekernel import (
     SdpOperator,
     ShapeConstraint,
     apply_functional,
-    assemble,
     collect_atoms,
     compute_bounds,
     cover_box,
@@ -42,6 +41,7 @@ from shapekernel import (
     tighten_omega,
     tighten_soc,
 )
+from shapekernel.assemble import assemble
 
 
 def value_obs(xs, ys, weights=None):
@@ -102,6 +102,34 @@ class TestCollectAtoms:
             collect_atoms(spec, [object()])
 
 
+class TestAnchorRows:
+    def test_matrix_record_keeps_its_diagonal_rows(self, kernel):
+        # the rotated cone implies its two diagonal rows; they stay as
+        # nonnegative rows as well, equal to the cone's first two rows
+        val = DiffFunctional.value(1)
+        der = DiffFunctional.partial(1, axis=0)
+        a, b = Atom((0.3,), val), Atom((0.3,), der)
+        rec = AnchorRecord(atoms=((a, b), (b, a)), eta=0.4,
+                           gamma=((), ()), offset=(0.1, 0.2),
+                           shift_vals=((0.0, 0.0), (0.0, 0.0)),
+                           provenance=(0, 0))
+        spec = ProblemSpec(kernel=kernel, regularizer=Ridge(1.0))
+        basis = collect_atoms(spec, [rec])
+        prog = assemble(spec, basis, [rec])
+        kinds = [blk.kind for blk in prog.blocks]
+        assert sorted(kinds) == ["nonneg", "rsoc", "soc"]  # soc: epigraph
+        nonneg = prog.blocks[kinds.index("nonneg")]
+        cone = prog.blocks[kinds.index("rsoc")]
+        assert cone.provenance == ("record", 0, 0)
+        assert prog.meta["nonneg_provenance"] == [("record", 0, 0, 0),
+                                                  ("record", 0, 0, 1)]
+        np.testing.assert_array_equal(nonneg.G, cone.G[:2])
+        np.testing.assert_array_equal(nonneg.h, cone.h[:2])
+        t = next(iter(prog.meta["t_keys"].values()))
+        np.testing.assert_array_equal(cone.G[:2, t], [0.4, 0.4])
+        np.testing.assert_array_equal(cone.h[:2], [-0.1, -0.2])
+
+
 class TestRidgeRegression:
     def test_matches_normal_equations(self, kernel):
         rng = np.random.default_rng(17)
@@ -159,18 +187,6 @@ class TestRidgeRegression:
         model, sol, _ = solve_problem(spec, [])
         # Strong ridge forces f ~ 0, so the bias carries the mean.
         assert model.bias[0] == pytest.approx(np.mean(ys), abs=0.05)
-
-    def test_bias_set_zero_removes_columns(self, kernel):
-        obs = [
-            Observation(DiffFunctional.value(1), (0.2,), 1.0,
-                        bias_row=(1.0,))
-        ]
-        spec = ProblemSpec(kernel=kernel, observations=obs, loss="squared",
-                           regularizer=Ridge(0.1), bias_dim=1,
-                           bias_set="zero")
-        model, sol, prog = solve_problem(spec, [])
-        assert prog.meta["bias_dim"] == 0
-        np.testing.assert_array_equal(model.bias, [0.0])
 
 
 class TestNormObjectives:
@@ -427,8 +443,9 @@ class TestSolveReference:
             constraints=[c],
         )
         n_points = 150
-        model, value, used = solve_reference(spec, c, n_points, init=16,
-                                             batch=16)
+        model, value, used, statuses = solve_reference(
+            spec, c, n_points, init=16, batch=16)
+        assert statuses and set(statuses) == {"optimal"}
         # One-shot solve on the full grid must agree.
         grid = [(float(v),) for v in np.linspace(0, 1, n_points)]
         records = discretize(c, grid)
@@ -540,26 +557,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="loss or a regularizer"):
             ProblemSpec(kernel=kernel, loss="none")
 
-    def test_box_bias_needs_bounds(self, kernel):
-        with pytest.raises(ValueError, match="needs bounds"):
-            ProblemSpec(kernel=kernel, loss="squared", bias_set="box")
-
     def test_regularizer_validation(self):
         with pytest.raises(ValueError, match="positive"):
             Ridge(0.0)
         with pytest.raises(ValueError, match="positive"):
             NormBound(-1.0)
-
-    def test_bias_box_rows_enforced(self, kernel):
-        obs = [
-            Observation(DiffFunctional.value(1), (0.5,), 10.0,
-                        bias_row=(1.0,))
-        ]
-        spec = ProblemSpec(
-            kernel=kernel, observations=obs, loss="squared",
-            regularizer=Ridge(10.0), bias_dim=1, bias_set="box",
-            bias_bounds=(-0.5, 0.5),
-        )
-        model, sol, _ = solve_problem(spec, [])
-        # Huge ridge kills f; the bias wants to reach 10 but is boxed.
-        assert model.bias[0] == pytest.approx(0.5, abs=1e-5)

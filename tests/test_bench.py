@@ -11,8 +11,11 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
 import sys
+import types
 
 import pytest
 
@@ -43,12 +46,13 @@ TINY = {
 }
 
 
-def _run_tiny(name, out):
-    """Write the tiny config of ``name`` to ``out`` and run it through
-    ``run_experiment``; returns the config path and the summary."""
+def _run_tiny(name, out, **extra):
+    """Write the tiny config of ``name`` (with ``extra`` keys) to ``out``
+    and run it through ``run_experiment``; returns the config path and the
+    summary."""
     config = out / "config.json"
     config.write_text(json.dumps({"experiment": name, "out_dir": str(out),
-                                  **TINY[name][0]}))
+                                  **TINY[name][0], **extra}))
     return config, run_experiment(ExperimentConfig.load(config))
 
 
@@ -148,6 +152,41 @@ def test_non_optimal_status_becomes_a_warning(tmp_path, monkeypatch):
     _, summary = _run_tiny("control", tmp_path)
     assert summary["warnings"] == ["ball: solver status 'max_iter'",
                                    "disc: solver status 'max_iter'"]
+
+
+def test_reference_solve_status_becomes_a_warning(tmp_path, monkeypatch):
+    assemble = sys.modules["shapekernel.assemble"]
+    solve = assemble.solve
+
+    def stalled(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), status="max_iter")
+
+    monkeypatch.setattr(assemble, "solve", stalled)
+    _, summary = _run_tiny("catenary", tmp_path, scheme="ball")
+    reference = [w for w in summary["warnings"]
+                 if w.startswith("reference round")]
+    assert reference[0] == "reference round 0: solver status 'max_iter'"
+    assert summary["warnings"][len(reference):] == [
+        "ball m=30: solver status 'max_iter'",
+        "ball m=30 relaxation: solver status 'max_iter'"]
+
+
+def test_submodule_import_binds_the_module():
+    # a package re-export of the same name would bind the function
+    import shapekernel.assemble as m
+    assert isinstance(m, types.ModuleType)
+
+
+def test_experiment_import_leaves_scipy_optimize_unloaded():
+    # the dual polish imports it on first use; most runs never polish
+    src = pathlib.Path(importlib.import_module("shapekernel").__file__)
+    code = ("import sys, shapekernel.bench.experiments; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(src.parents[1])})
+    assert out.stdout.strip() == "False"
 
 
 def test_control_never_evaluates_the_kernel_pair_by_pair(tmp_path,

@@ -18,7 +18,13 @@ from shapekernel import (
     Solution,
     solve,
 )
-from shapekernel.conic import _centering
+from shapekernel.conic import (
+    _canonicalize,
+    _centering,
+    _newton_matrix_factory,
+    _Scaling,
+    _sym,
+)
 
 
 def assert_kkt_clean(prog, sol, tol=1e-7):
@@ -347,3 +353,44 @@ class TestScalingInvariance:
         assert scaled.objective == pytest.approx(
             100 * base.objective, rel=1e-6
         )
+
+
+class TestNewtonMatrix:
+    """H = P + G^T W^{-2} G, the matrix every Newton step factors."""
+
+    @staticmethod
+    def newton_matrices(n, soc_dims, seed=3):
+        # dense random rows: a nonneg block, SOC blocks of the given
+        # dimensions and one rotated cone, at a random interior (s, z)
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(n, n))
+        blocks = [ConeBlock("nonneg", rng.normal(size=(4, n)), np.zeros(4))]
+        blocks += [ConeBlock("soc", rng.normal(size=(d, n)), np.zeros(d))
+                   for d in soc_dims]
+        blocks.append(ConeBlock("rsoc", rng.normal(size=(3, n)),
+                                np.zeros(3)))
+        prog = ConeProgram(n=n, P=M @ M.T, blocks=blocks)
+        G, _, cones, _, _ = _canonicalize(prog)
+
+        def interior():
+            v = rng.normal(size=cones.m)
+            v[: cones.l] = rng.uniform(0.1, 2.0, cones.l)
+            for sl in cones.soc_slices:
+                v[sl.start] = np.linalg.norm(v[sl][1:]) + \
+                    rng.uniform(0.1, 2.0)
+            return v
+
+        W = _Scaling(interior(), interior(), cones)
+        expected = _sym(prog.P + G.T @ W.apply_w2inv_mat(G))
+        return _newton_matrix_factory(prog.P, G, cones)(W), expected
+
+    def test_wide_blocks_match_the_full_product(self):
+        # blocks of dimension 9 and 7 are wide (d >= n = 7), 3 is not
+        got, expected = self.newton_matrices(7, [9, 3, 7])
+        err = np.max(np.abs(got - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected))
+        np.testing.assert_array_equal(got, got.T)
+
+    def test_without_wide_blocks_h_is_the_full_product(self):
+        got, expected = self.newton_matrices(7, [6, 3])
+        assert np.array_equal(got, expected)
