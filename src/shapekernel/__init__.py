@@ -27,7 +27,6 @@ from .atoms import (
     atom_inner,
     cross_gram,
     gram,
-    model_distance,
 )
 from .assemble import (
     BoundReport,

@@ -28,7 +28,6 @@ from .atoms import (
     Model,
     gram,
     lead_sign,
-    model_distance,
 )
 from .conic import ConeBlock, ConeProgram, SolverSettings, Solution, solve
 from .covering import fill_distance
@@ -39,8 +38,6 @@ from .tighten import (
     ShapeConstraint,
     discretize,
 )
-
-_Q12 = 12  # coefficient quantization for epigraph sharing keys
 
 
 # --------------------------------------------------------------------------
@@ -138,9 +135,8 @@ def collect_atoms(spec: ProblemSpec, records: list) -> list[Atom]:
     """Deduplicated atom basis spanning every optimal solution.
 
     Observation and equality atoms come first, then constraint-record
-    anchors, enclosure normals (sign-normalized), and the atoms of every
-    shift model.  Dedup key: point quantized to 12 digits plus the
-    functional's canonical form.
+    anchors and enclosure normals (sign-normalized).  Dedup key: point
+    quantized to 12 digits plus the functional's canonical form.
     """
     seen: dict = {}
     out: list[Atom] = []
@@ -164,10 +160,6 @@ def collect_atoms(spec: ProblemSpec, records: list) -> list[Atom]:
             add(_oriented(rec.normal)[0])
         else:
             raise TypeError(f"unknown record type {type(rec).__name__}")
-    for c in spec.constraints:
-        if c.shift is not None:
-            for atom in c.shift.basis:
-                add(atom)
     return out
 
 
@@ -175,103 +167,47 @@ def collect_atoms(spec: ProblemSpec, records: list) -> list[Atom]:
 # Assembly
 # --------------------------------------------------------------------------
 
-class _Layout:
-    """Variable layout: [a | b | epigraphs t | enclosure xis]."""
-
-    def __init__(self, A: int, B: int):
-        self.A = A
-        self.B = B
-        self.t_keys: dict = {}
-        self.xi_keys: dict = {}
-
-    def finalize(self):
-        self.n = self.A + self.B + len(self.t_keys) + len(self.xi_keys)
-        self.a = slice(0, self.A)
-        self.b = slice(self.A, self.A + self.B)
-
-    def t_col(self, key) -> int:
-        if key not in self.t_keys:
-            self.t_keys[key] = len(self.t_keys)
-        return self.t_keys[key]
-
-    def t_index(self, key) -> int:
-        return self.A + self.B + self.t_keys[key]
-
-    def xi_col(self, prov) -> int:
-        if prov not in self.xi_keys:
-            self.xi_keys[prov] = len(self.xi_keys)
-        return self.xi_keys[prov]
-
-    def xi_index(self, prov) -> int:
-        return self.A + self.B + len(self.t_keys) + self.xi_keys[prov]
-
-
-def _shift_coeffs(c: ShapeConstraint, basis_index: dict, A: int) -> np.ndarray:
-    a0 = np.zeros(A)
-    if c.shift is None:
-        return a0
-    for atom, coef in zip(c.shift.basis, c.shift.coeffs):
-        a0[basis_index[atom.key()]] += coef
-    return a0
-
-
-def _epigraph_key(a0: np.ndarray) -> tuple:
-    return tuple(round(float(v), _Q12) for v in a0)
-
-
 def assemble(spec: ProblemSpec, basis: list[Atom], records: list
              ) -> ConeProgram:
     """Build the cone program over coefficients, bias, and auxiliaries.
 
-    Functional evaluations become Gram rows; anchor records with a positive
-    buffer width share their constraint's norm epigraph (one SOC row per
-    distinct shift); enclosure records get their own SOC row over the
-    extended coefficient vector plus a nonnegative auxiliary.
+    The decision vector is ``[a | b | t? | xi]``: coefficients, bias, one
+    norm epigraph ``t >= ||f||`` when the objective (``NormMin``) or a
+    record with a positive buffer width needs it, and one nonnegative
+    auxiliary per enclosure record.  Functional evaluations become Gram
+    rows; every buffered anchor row subtracts ``eta t``; enclosure records
+    get their own SOC row over the extended coefficient vector.
 
     The coefficient block of the decision vector carries the whitened
     coordinates ``u = L^T a`` (L the stabilized Cholesky factor of the atom
     Gram) rather than the raw expansion coefficients.  Evaluation rows
     ``r . a`` become ``(L^{-1} r) . u`` — computed for the whole basis in
-    one triangular solve — and every norm expression ``||L^T (a - a0)||``
-    becomes ``||u - L^T a0||``, an identity block.  This keeps the program
-    well conditioned even when the Gram is numerically singular (smooth
-    kernels at tight anchor spacing), which otherwise stalls the
-    interior-point iteration; :func:`recover_model` maps ``u`` back with a
-    single triangular back-solve.
+    one triangular solve — and every norm expression ``||L^T a||`` becomes
+    ``||u||``, an identity block.  This keeps the program well conditioned
+    even when the Gram is numerically singular (smooth kernels at tight
+    anchor spacing), which otherwise stalls the interior-point iteration;
+    :func:`recover_model` maps ``u`` back with a single triangular
+    back-solve.
     """
     kernel = spec.kernel
     A = len(basis)
     B = spec.bias_dim
-    G_mat, L, jitter = gram(basis, kernel)
+    G_mat, L, _ = gram(basis, kernel)
     basis_index = {atom.key(): i for i, atom in enumerate(basis)}
     # Row i: exact whitened evaluation row of basis atom i.
     W_rows = solve_triangular(L, G_mat, lower=True).T if A else G_mat
 
-    lay = _Layout(A, B)
-    shift_by_constraint = {
-        i: _shift_coeffs(c, basis_index, A)
-        for i, c in enumerate(spec.constraints)
-    }
-    # A key rounds all A entries: build each once, not once per record.
-    zero_key = _epigraph_key(np.zeros(A))
-    key_by_constraint = {i: _epigraph_key(a0)
-                         for i, a0 in shift_by_constraint.items()}
-
-    # First pass: reserve epigraph/xi variables so the layout is fixed.
-    needs_t = isinstance(spec.regularizer, NormMin)
-    if needs_t:
-        lay.t_col(zero_key)
+    a_cols, b_cols = slice(0, A), slice(A, A + B)
+    needs_t = isinstance(spec.regularizer, NormMin) or any(
+        isinstance(rec, AnchorRecord) and rec.eta > 0 for rec in records)
+    t_idx = A + B if needs_t else None
+    xi0 = A + B + int(needs_t)  # first enclosure auxiliary
+    xi_index: dict = {}
     for rec in records:
-        if isinstance(rec, AnchorRecord) and rec.eta > 0:
-            ci = rec.provenance[0] if rec.provenance else 0
-            lay.t_col(key_by_constraint.get(ci, zero_key))
-        elif isinstance(rec, InclusionRecord):
-            lay.xi_col(tuple(rec.provenance))
-    lay.finalize()
-    n = lay.n
-
-    def row_template() -> np.ndarray:
-        return np.zeros(n)
+        prov = tuple(rec.provenance)
+        if isinstance(rec, InclusionRecord) and prov not in xi_index:
+            xi_index[prov] = xi0 + len(xi_index)
+    n = xi0 + len(xi_index)
 
     def gram_row(atom: Atom) -> np.ndarray:
         # Every row atom is in the basis by construction (collect_atoms).
@@ -282,7 +218,7 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         if B and g.size:
             if g.size != B:
                 raise ValueError("bias row length mismatch")
-            row[lay.b] = g
+            row[b_cols] = g
 
     # ---------------------------------------------------------------- cost
     P_mat = np.zeros((n, n))
@@ -295,7 +231,7 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         y = np.zeros(N)
         w = np.zeros(N)
         for k, obs in enumerate(spec.observations):
-            J[k, lay.a] = gram_row(obs.atom())
+            J[k, a_cols] = gram_row(obs.atom())
             bias_part(J[k], obs.bias_row)
             y[k] = obs.target
             w[k] = obs.weight
@@ -307,10 +243,10 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     reg = spec.regularizer
     if isinstance(reg, Ridge):
         # ||f||^2 = u.u in whitened coordinates (the jitter-stabilized
-        # norm, matching Model.norm and the epigraph rows).
+        # norm, matching Model.norm and the epigraph row).
         P_mat[:A, :A] += 2.0 * reg.lam * np.eye(A)
     elif isinstance(reg, NormMin):
-        q_vec[lay.t_index(zero_key)] += 1.0
+        q_vec[t_idx] += 1.0
 
     # ---------------------------------------------------------------- rows
     A_eq_rows, b_eq = [], []
@@ -324,17 +260,14 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         nn_prov.append(prov)
 
     for eq in spec.equalities:
-        row = row_template()
-        row[lay.a] = gram_row(eq.atom())
+        row = np.zeros(n)
+        row[a_cols] = gram_row(eq.atom())
         bias_part(row, eq.bias_row)
         A_eq_rows.append(row)
         b_eq.append(eq.value)
 
     for rec in records:
         prov = tuple(rec.provenance)
-        ci = prov[0] if prov else 0
-        a0 = shift_by_constraint.get(ci, np.zeros(A))
-        t_key = key_by_constraint.get(ci, zero_key)
         if isinstance(rec, AnchorRecord):
             # One nonnegative row per diagonal entry (tagged with its index
             # when P = 2); for P = 2 the rotated cone repeats both rows and
@@ -344,19 +277,17 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
             # f = 0, then ends `max_iter` on seed 4.
             tags = [()] if rec.size == 1 else [(0,), (1,)]
             for p, tag in enumerate(tags):
-                row = row_template()
-                row[lay.a] = gram_row(rec.atoms[p][p])
+                row = np.zeros(n)
+                row[a_cols] = gram_row(rec.atoms[p][p])
                 bias_part(row, rec.gamma[p])
                 if rec.eta > 0:
-                    row[lay.t_index(t_key)] = -rec.eta
-                add_nonneg(row, rec.offset[p] + rec.shift_vals[p][p],
-                           ("record",) + prov + tag)
+                    row[t_idx] = -rec.eta
+                add_nonneg(row, rec.offset[p], ("record",) + prov + tag)
             if rec.size == 2:
-                off_row = row_template()
-                off_row[lay.a] = gram_row(rec.atoms[0][1])
+                off_row = np.zeros(n)
+                off_row[a_cols] = gram_row(rec.atoms[0][1])
                 Gb = np.vstack(nn_G[-2:] + [-math.sqrt(2.0) * off_row])
-                hb = np.array(nn_h[-2:]
-                              + [-math.sqrt(2.0) * rec.shift_vals[0][1]])
+                hb = np.array(nn_h[-2:] + [0.0])
                 blocks.append(ConeBlock("rsoc", Gb, hb,
                                         provenance=("record",) + prov))
         elif isinstance(rec, InclusionRecord):
@@ -366,18 +297,17 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
             Gb = np.zeros((dim, n))
             hb = np.zeros(dim)
             # s0 = gamma.b - offset - xi*rho
-            bias_row = row_template()
+            bias_row = np.zeros(n)
             bias_part(bias_row, rec.gamma)
             Gb[0] = -bias_row
             hb[0] = -rec.offset
-            xi_idx = lay.xi_index(prov)
+            xi_idx = xi_index[prov]
             Gb[0, xi_idx] += rec.rho
-            xi_row = row_template()
+            xi_row = np.zeros(n)
             xi_row[xi_idx] = 1.0
             add_nonneg(xi_row, 0.0, ("xi",) + prov)
-            # s1 = r0 * (u - L^T a0 + sign*xi*L^T e_col)
-            Gb[1:, lay.a] = -rec.r0 * np.eye(A)
-            hb[1:] = -rec.r0 * (L.T @ a0)
+            # s1 = r0 * (u + sign*xi*L^T e_col)
+            Gb[1:, a_cols] = -rec.r0 * np.eye(A)
             Gb[1:, xi_idx] = -rec.r0 * sign * L.T[:, col]
             blocks.append(ConeBlock("soc", Gb, hb,
                                     provenance=("record",) + prov))
@@ -388,20 +318,16 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         Gb = np.zeros((1 + A, n))
         hb = np.zeros(1 + A)
         hb[0] = reg.lam_tilde
-        Gb[1:, lay.a] = -np.eye(A)
+        Gb[1:, a_cols] = -np.eye(A)
         blocks.append(ConeBlock("soc", Gb, hb, provenance=("norm_bound",)))
 
-    # One SOC row per distinct epigraph: ||u - L^T a0|| <= t_key.
-    for key in lay.t_keys:
-        t_idx = lay.t_index(key)
-        a0 = np.asarray(key, dtype=float)
+    if needs_t:
+        # the norm epigraph ||u|| <= t
         Gb = np.zeros((1 + A, n))
-        hb = np.zeros(1 + A)
         Gb[0, t_idx] = -1.0
-        Gb[1:, lay.a] = -np.eye(A)
-        hb[1:] = -L.T @ a0
-        blocks.append(ConeBlock("soc", Gb, hb,
-                                provenance=("epigraph", key)))
+        Gb[1:, a_cols] = -np.eye(A)
+        blocks.append(ConeBlock("soc", Gb, np.zeros(1 + A),
+                                provenance=("epigraph",)))
 
     if nn_G:
         blocks.insert(0, ConeBlock(
@@ -418,19 +344,14 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         b_eq=np.asarray(b_eq) if b_eq else None,
         blocks=blocks,
         meta={
-            "basis_size": A,
-            "bias_dim": B,
-            "jitter": jitter,
             "a_slice": (0, A),
             "b_slice": (A, A + B),
-            "t_keys": {str(k): lay.t_index(k) for k in lay.t_keys},
-            "xi_indices": {prov: lay.xi_index(prov)
-                           for prov in lay.xi_keys},
-            "nonneg_provenance": nn_prov,
+            "t_index": t_idx,
+            "xi_indices": xi_index,
+            "gram": G_mat,
+            "factor": L,
         },
     )
-    prog.meta["gram"] = G_mat
-    prog.meta["factor"] = L
     return prog
 
 
@@ -439,8 +360,9 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
 # --------------------------------------------------------------------------
 
 def recover_model(prog: ConeProgram, sol: Solution, basis: list[Atom],
-                  spec: ProblemSpec, active_tol: float = 1e-6) -> Model:
-    """Map a solver solution back to a Model with auxiliary diagnostics."""
+                  spec: ProblemSpec) -> Model:
+    """Map a solver solution back to a Model; ``aux`` holds each enclosure
+    record's ``"xi"`` and, when the program has one, the epigraph's ``"t"``."""
     if sol.status not in ("optimal", "max_iter"):
         raise RuntimeError(
             f"cannot recover a model from solver status {sol.status!r}"
@@ -455,31 +377,10 @@ def recover_model(prog: ConeProgram, sol: Solution, basis: list[Atom],
     else:
         coeffs = u.copy()
     bias = sol.x[b_lo:b_hi].copy()
-    aux = {
-        "status": sol.status,
-        "objective": sol.objective,
-        "iterations": sol.iterations,
-        "xi": {},
-        "t": {},
-        "active": [],
-    }
-    for prov, idx in prog.meta.get("xi_indices", {}).items():
-        aux["xi"][prov] = float(sol.x[idx])
-    for key, idx in prog.meta.get("t_keys", {}).items():
-        aux["t"][key] = float(sol.x[idx])
-    nn_prov = prog.meta.get("nonneg_provenance", [])
-    for bi, blk in enumerate(prog.blocks):
-        if blk.kind == "nonneg":
-            slack = sol.block_slack(bi)
-            for k, p in enumerate(nn_prov):
-                if slack[k] <= active_tol and p and p[0] == "record":
-                    aux["active"].append(tuple(p[1:]))
-        elif blk.provenance and blk.provenance[0] == "record":
-            s = sol.block_slack(bi)
-            margin = s[0] - np.linalg.norm(s[1:]) if blk.kind == "soc" \
-                else 2 * s[0] * s[1] - s[2:] @ s[2:]
-            if margin <= active_tol:
-                aux["active"].append(tuple(blk.provenance[1:]))
+    aux = {"xi": {prov: float(sol.x[idx])
+                  for prov, idx in prog.meta["xi_indices"].items()}}
+    if prog.meta["t_index"] is not None:
+        aux["t"] = float(sol.x[prog.meta["t_index"]])
     return Model(
         kernel=spec.kernel,
         basis=tuple(basis),
@@ -579,8 +480,6 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
         value = sol.objective
         statuses.append(sol.status)
         vals = model.apply(func, X)
-        if constraint.shift is not None:
-            vals = vals - constraint.shift.apply(func, X)
         bias = model.bias[: gm.shape[1]] if gm.shape[1] else np.zeros(0)
         slack = vals + (gm[0] @ bias if gm.shape[1] else 0.0) - offset
         violated = np.where(slack < -tol)[0]
@@ -601,13 +500,9 @@ class BoundReport:
     v_relax: float | None = None
     gap: float | None = None
     radius_f: float | None = None
-    radius_b: float | None = None
-    a_priori: float | None = None
-    a_priori_note: str = ""
     eta_inf: float | None = None
     fill_dist: float | None = None
     mu_f: float | None = None
-    mu_b: float | None = None
 
     def to_json(self) -> dict:
         return {k: v for k, v in self.__dict__.items()}
@@ -615,26 +510,21 @@ class BoundReport:
 
 def compute_bounds(spec: ProblemSpec, records: list, v_app: float,
                    v_relax: float | None = None, mu_f: float | None = None,
-                   mu_b: float | None = None,
-                   lipschitz_b: float | None = None,
-                   bias_direction=None, model: Model | None = None,
                    grid_res: int = 33) -> BoundReport:
-    """Certificate sandwich, error radii, and the a-priori bound value.
+    """Certificate sandwich, error radius, buffer width and fill distance.
 
-    ``v_relax`` is the value of the relaxed program, when one was solved.
-    Radii need the strong-convexity moduli; the a-priori value needs the
-    bias Lipschitz constant and a bias direction with ``bias_map @
-    direction > 0`` rowwise on every constraint.
+    ``v_relax`` is the value of the relaxed program, when one was solved;
+    the radius ``sqrt(2 gap / mu_f)`` also needs the strong-convexity
+    modulus ``mu_f``.  ``eta_inf`` is the largest buffer width (enclosure
+    diameter), ``fill_dist`` the largest fill distance of any constraint's
+    anchors in its region.
     """
-    rep = BoundReport(v_app=float(v_app), mu_f=mu_f, mu_b=mu_b)
+    rep = BoundReport(v_app=float(v_app), mu_f=mu_f)
     if v_relax is not None:
         rep.v_relax = float(v_relax)
         rep.gap = rep.v_app - rep.v_relax
         if mu_f:
             rep.radius_f = math.sqrt(2.0 * max(rep.gap, 0.0) / mu_f)
-        if mu_b:
-            rep.radius_b = math.sqrt(2.0 * max(rep.gap, 0.0) / mu_b)
-
     widths = [r.eta if isinstance(r, AnchorRecord) else r.diameter
               for r in records]
     rep.eta_inf = max(widths) if widths else None
@@ -652,36 +542,4 @@ def compute_bounds(spec: ProblemSpec, records: list, v_app: float,
             fills.append(fill_distance(anchors, region, grid_res))
     rep.fill_dist = max(fills) if fills else None
 
-    if lipschitz_b is not None and bias_direction is not None \
-            and model is not None and rep.eta_inf is not None:
-        beta = np.asarray(bias_direction, dtype=float)
-        c_f = 0.0
-        ok = True
-        for c in spec.constraints:
-            gm = c.gamma()
-            prod = gm @ beta[: gm.shape[1]] if gm.shape[1] else \
-                np.zeros(c.size)
-            if np.any(prod <= 0):
-                ok = False
-                break
-            dist = _norm_against_shift(model, c)
-            c_f = max(c_f, dist / float(np.min(prod)))
-        if ok:
-            rep.a_priori = (
-                lipschitz_b * c_f * float(np.linalg.norm(beta)) * rep.eta_inf
-            )
-            rep.a_priori_note = (
-                "uses the tightened solution's norm as surrogate"
-            )
-        else:
-            rep.a_priori_note = (
-                "unavailable: bias direction not strictly positive under "
-                "some constraint's bias map"
-            )
     return rep
-
-
-def _norm_against_shift(model: Model, c: ShapeConstraint) -> float:
-    if c.shift is None:
-        return model.norm
-    return model_distance(model, c.shift)

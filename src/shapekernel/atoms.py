@@ -3,9 +3,10 @@
 An *atom* is the RKHS element obtained by applying a linear differential
 functional to one argument of the kernel and pinning the other at a point:
 ``lK(., x)``.  Atoms are the single currency of the whole pipeline — data
-observations, constraint anchors, covering centers/normals, and shift
-functions are all finite combinations of atoms, so every inner product,
-functional evaluation, and norm reduces to Gram algebra over one basis.
+observations, constraint anchors and covering centers/normals are all
+atoms, and every model is a finite combination of them, so every inner
+product, functional evaluation, and norm reduces to Gram algebra over one
+basis.
 """
 
 from __future__ import annotations
@@ -382,16 +383,3 @@ def apply_functional(D: DiffFunctional, model: Model, x) -> float:
         if a_j != 0.0:
             total += a_j * atom_inner(atom, probe, model.kernel)
     return total
-
-
-def model_distance(m1: Model, m2: Model) -> float:
-    """Kernel-norm distance ||f1 - f2||_K via the joint Gram matrix."""
-    if m1.kernel.fingerprint() != m2.kernel.fingerprint():
-        raise ValueError("models use different kernels")
-    n1 = float(m1.coeffs @ (m1.gram_matrix @ m1.coeffs)) if m1.basis else 0.0
-    n2 = float(m2.coeffs @ (m2.gram_matrix @ m2.coeffs)) if m2.basis else 0.0
-    cross = 0.0
-    if m1.basis and m2.basis:
-        C = cross_gram(m1.basis, m2.basis, m1.kernel)
-        cross = float(m1.coeffs @ C @ m2.coeffs)
-    return float(np.sqrt(max(n1 + n2 - 2.0 * cross, 0.0)))

@@ -83,10 +83,11 @@ def _cmd_run(args) -> int:
                  if getattr(args, key) is not None}
     try:
         cfg = dataclasses.replace(_load_config(args), **overrides)
+        if args.eta_safety is not None:
+            cfg.covering = dataclasses.replace(cfg.covering,
+                                               eta_safety=args.eta_safety)
     except ValueError as err:
         raise SystemExit(f"shapekernel run: {err}") from None
-    if args.eta_safety is not None:
-        cfg.covering.eta_safety = args.eta_safety
     summary = run_experiment(cfg)
     print(f"wrote {len(summary['files'])} files to {summary['out_dir']}")
     for name in summary["files"]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..conic import SolverSettings
 
@@ -35,9 +35,9 @@ class CoveringConfig:
     """Covering construction knobs shared by all experiments.
 
     ``delta0``/``gamma``/``k_max`` drive the adaptive refinement loop;
-    ``n_x``/``n_u`` size the buffer sampling; ``eta_safety`` inflates sampled buffers by a relative margin
-    (guards against the sampled supremum sitting slightly below the true
-    one).
+    ``n_x``/``n_u`` size the buffer sampling; ``eta_safety`` >= 0 inflates
+    sampled buffers by a relative margin (guards against the sampled
+    supremum sitting slightly below the true one).
     """
 
     delta0: float = 0.01
@@ -46,6 +46,17 @@ class CoveringConfig:
     n_x: int = 50
     n_u: int = 20
     eta_safety: float = 0.0
+
+    def __post_init__(self):
+        for ok, rule in ((self.delta0 > 0, "delta0 must be positive"),
+                         (0 < self.gamma < 1, "gamma must lie in (0, 1)"),
+                         (self.k_max >= 0, "k_max must be nonnegative"),
+                         (self.n_x >= 1, "n_x must be at least 1"),
+                         (self.n_u >= 1, "n_u must be at least 1"),
+                         (self.eta_safety >= 0,
+                          "eta_safety must be nonnegative")):
+            if not ok:
+                raise ValueError(f"covering {rule}")
 
 
 #: per-experiment defaults (covering overrides + runner parameters)
@@ -139,6 +150,8 @@ class ExperimentConfig:
                 f"{self.experiment!r}; expected one of {allowed}"
             )
         if isinstance(self.covering, dict):
+            _check_keys("covering", self.covering,
+                        [f.name for f in fields(CoveringConfig)])
             self.covering = CoveringConfig(**self.covering)
         self.seed = int(self.seed)
         self.grid_res = int(self.grid_res)
@@ -182,11 +195,24 @@ def default_config(experiment: str) -> ExperimentConfig:
     )
 
 
+def _check_keys(section: str, given: dict, known) -> None:
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {section} keys {unknown}; expected some "
+                         f"of {sorted(known)}")
+
+
 def _merge_config(base: ExperimentConfig, data: dict) -> ExperimentConfig:
-    """Overlay a JSON dict onto a default config (params merge per key)."""
+    """Overlay a JSON dict onto a default config (params merge per key).
+
+    An unknown ``params`` or ``covering`` key raises ``ValueError``
+    rather than leaving the setting it misspells at its default.
+    """
     merged = base.to_json()
     for key, value in data.items():
         if key == "params" and isinstance(value, dict):
+            _check_keys(f"{base.experiment} params", value,
+                        _DEFAULTS[base.experiment]["params"])
             merged["params"].update(value)
         elif key == "covering" and isinstance(value, dict):
             merged["covering"].update(value)

@@ -292,7 +292,7 @@ def run_catenary(cfg: ExperimentConfig):
 
         check = verify_pointwise(model, c, grid_res=verify_res)
         report = compute_bounds(spec, records, v_app, v_relax=relax_value,
-                                mu_f=mu_f, model=model)
+                                mu_f=mu_f)
         scheme_summaries[scheme] = {
             "v_app": v_app,
             "v_relax": relax_value,
@@ -891,7 +891,7 @@ def run_econ(cfg: ExperimentConfig):
                               rsol.status)
                 report = compute_bounds(spec, records_map[regime],
                                         sol.objective,
-                                        v_relax=rsol.objective, model=model)
+                                        v_relax=rsol.objective)
                 bound_json = report.to_json()
     timings["all_reps_s"] = time.perf_counter() - t_all
 

@@ -72,38 +72,13 @@ class SoapInfeasible(RuntimeError):
 # Saturation detection
 # --------------------------------------------------------------------------
 
-def _norm_shifted(model, a0_map: dict, ci: int) -> float:
-    """||f - f0_ci|| via the model's stored factor."""
-    a = np.asarray(model.coeffs, dtype=float)
-    a0 = a0_map.get(ci)
-    diff = a if a0 is None else a - a0
-    return float(np.linalg.norm(model.factor.T @ diff))
-
-
-def _shift_coeff_map(model, spec: ProblemSpec) -> dict:
-    index = {atom.key(): i for i, atom in enumerate(model.basis)}
-    out = {}
-    for ci, c in enumerate(spec.constraints):
-        if c.shift is None:
-            continue
-        a0 = np.zeros(len(model.basis))
-        for atom, coef in zip(c.shift.basis, c.shift.coeffs):
-            a0[index[atom.key()]] += coef
-        out[ci] = a0
-    return out
-
-
-def record_slack(model, rec, spec: ProblemSpec,
-                 a0_map: dict | None = None) -> float:
+def record_slack(model, rec) -> float:
     """Signed slack of one record at the model (0 = saturated).
 
     Size-1 anchor records return the scalar slack, size-2 ones the smallest
     eigenvalue of the buffered slack matrix; enclosure records return the
     margin of their cone at the model's auxiliary ``xi``.
     """
-    a0_map = _shift_coeff_map(model, spec) if a0_map is None else a0_map
-    ci = rec.provenance[0] if rec.provenance else 0
-    shift = spec.constraints[ci].shift if ci < len(spec.constraints) else None
     bias = np.asarray(model.bias, dtype=float)
 
     def gval(gamma):
@@ -111,14 +86,11 @@ def record_slack(model, rec, spec: ProblemSpec,
         return float(g @ bias[: g.size]) if g.size and bias.size else 0.0
 
     def fval(atom):
-        v = apply_functional(atom.functional, model, atom.x)
-        if shift is not None:
-            v -= apply_functional(atom.functional, shift, atom.x)
-        return v
+        return apply_functional(atom.functional, model, atom.x)
 
     if isinstance(rec, AnchorRecord):
         # eta = 0 (a relaxed row) needs no norm: x - 0.0 is exact
-        nrm = _norm_shifted(model, a0_map, ci) if rec.eta else 0.0
+        nrm = model.norm if rec.eta else 0.0
         M = np.empty((rec.size, rec.size))
         for i in range(rec.size):
             M[i, i] = (fval(rec.atoms[i][i])
@@ -133,27 +105,23 @@ def record_slack(model, rec, spec: ProblemSpec,
         pos, sign = _oriented(rec.normal)
         index = {atom.key(): i for i, atom in enumerate(model.basis)}
         w = np.asarray(model.coeffs, dtype=float).copy()
-        a0 = a0_map.get(ci)
-        if a0 is not None:
-            w = w - a0
         w[index[pos.key()]] += sign * xi
         nrm = float(np.linalg.norm(model.factor.T @ w))
         return gval(rec.gamma) - rec.offset - xi * rec.rho - rec.r0 * nrm
     raise TypeError(f"unknown record type {type(rec).__name__}")
 
 
-def detect_saturated(model, records: list, tol_sat: float = 1e-8, *,
-                     spec: ProblemSpec) -> list[int]:
+def detect_saturated(model, records: list, tol_sat: float = 1e-8
+                     ) -> list[int]:
     """Indices of records whose inequality binds at the model.
 
     The threshold is scaled by ``(1 + ||f||)`` so it stays meaningful for
     large-norm solutions.
     """
-    a0_map = _shift_coeff_map(model, spec)
     tol_eff = tol_sat * (1.0 + model.norm)
     out = []
     for idx, rec in enumerate(records):
-        slack = record_slack(model, rec, spec, a0_map=a0_map)
+        slack = record_slack(model, rec)
         if abs(slack) <= tol_eff:
             out.append(idx)
     return out
@@ -291,7 +259,7 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
                 f"iterate {k} became infeasible: {err}", state,
             ) from err
 
-        saturated = detect_saturated(model, records, tol_sat, spec=spec)
+        saturated = detect_saturated(model, records, tol_sat)
         widths = []
         for ci in range(len(spec.constraints)):
             if mode == "ball":

@@ -2,12 +2,12 @@
 
 A :class:`ShapeConstraint` demands that the slack matrix
 
-    S(x) = [D_{p1,p2}(f - f0)(x)]_{p1,p2} + diag(Gamma b - b0)
+    S(x) = [D_{p1,p2} f(x)]_{p1,p2} + diag(Gamma b - b0)
 
 stay positive semidefinite for every ``x`` in a box.  Two row families
 reduce it to finitely many conic rows:
 
-* :class:`AnchorRecord` — ``S(x_m) >= eta_m ||f - f0|| I`` at one anchor
+* :class:`AnchorRecord` — ``S(x_m) >= eta_m ||f|| I`` at one anchor
   ``x_m``, for operators of size P in {1, 2}.  :func:`tighten_soc` takes
   ``eta_m`` from the covering module's buffer width of the ball around
   ``x_m``, a guaranteed tightening (the solution is feasible on the whole
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import Atom, Model, SdpOperator, apply_functional
+from .atoms import Atom, Model, SdpOperator
 from .covering import InputBall, OmegaElement
 
 _PSD_HOOK_MSG = (
@@ -45,15 +45,13 @@ class ShapeConstraint:
 
     ``operator`` holds the functionals filling the slack matrix; ``bias_map``
     (P x B) and ``offset`` (length P) give the affine part
-    ``diag(bias_map @ b - offset)``; ``shift`` is the fixed model subtracted
-    from the unknown before the operator applies (``None`` means zero).
+    ``diag(bias_map @ b - offset)``.
     """
 
     region: tuple
     operator: SdpOperator
     offset: tuple
     bias_map: tuple = ()
-    shift: Model | None = None
 
     def __post_init__(self):
         region = tuple((float(lo), float(hi)) for lo, hi in self.region)
@@ -93,11 +91,6 @@ class ShapeConstraint:
         return all(lo - tol <= v <= hi + tol
                    for v, (lo, hi) in zip(x, self.region))
 
-    def shift_value(self, functional, x) -> float:
-        if self.shift is None:
-            return 0.0
-        return apply_functional(functional, self.shift, x)
-
 
 # --------------------------------------------------------------------------
 # Conic constraint records
@@ -105,14 +98,13 @@ class ShapeConstraint:
 
 @dataclass(frozen=True)
 class AnchorRecord:
-    """Buffered slack matrix at one anchor: ``M - eta ||f - f0|| I >= 0``.
+    """Buffered slack matrix at one anchor: ``M - eta ||f|| I >= 0``.
 
-    ``M[p,q] = <f - f0, atoms[p][q]> + (gamma b - offset)[p] delta_{pq}``
-    with ``shift_vals[p][q]`` the shift model's value of ``atoms[p][q]``,
+    ``M[p,q] = <f, atoms[p][q]> + (gamma b - offset)[p] delta_{pq}``
     for P in {1, 2}.  A size-1 record is one nonnegative row; a size-2
     record is two diagonal rows plus one rotated cone
     ``2 (M11 - eta t)(M22 - eta t) >= 2 M12^2``.  The norm is shared across
-    the records of one constraint through an epigraph variable ``t``
+    all buffered records through one epigraph variable ``t >= ||f||``
     introduced at assembly time; ``eta = 0`` drops it (the discretized
     relaxation).
     """
@@ -121,7 +113,6 @@ class AnchorRecord:
     eta: float
     gamma: tuple  # P x B
     offset: tuple  # length P
-    shift_vals: tuple  # P x P
     provenance: tuple = ()
 
     def __post_init__(self):
@@ -140,7 +131,7 @@ class AnchorRecord:
 class InclusionRecord:
     """Feature-enclosure row for a scalar constraint.
 
-    Demands ``gamma.b - offset - xi*rho >= r0 ||f - f0 + xi*normal||`` with
+    Demands ``gamma.b - offset - xi*rho >= r0 ||f + xi*normal||`` with
     one auxiliary ``xi >= 0``.  ``normal`` carries its own sign in the
     functional.
     """
@@ -183,8 +174,6 @@ def _anchor_records(c: ShapeConstraint, points, etas,
             atoms=tuple(tuple(Atom(x, ent[i][j]) for j in range(P))
                         for i in range(P)),
             eta=float(eta), gamma=gamma, offset=c.offset,
-            shift_vals=tuple(tuple(c.shift_value(ent[i][j], x)
-                                   for j in range(P)) for i in range(P)),
             provenance=(constraint_index, m),
         ))
     return out
@@ -267,10 +256,7 @@ def verify_pointwise(model: Model, c: ShapeConstraint, grid_res: int) -> dict:
     for i in range(P):
         for j in range(i, P):
             func = c.operator.entries[i][j]
-            v = model.apply(func, X)
-            if c.shift is not None:
-                v = v - c.shift.apply(func, X)
-            S[:, i, j] = S[:, j, i] = v
+            S[:, i, j] = S[:, j, i] = model.apply(func, X)
         S[:, i, i] += affine[i]
     lams = S[:, 0, 0] if P == 1 else np.linalg.eigvalsh(S)[:, 0]
     idx = int(np.argmin(lams))

@@ -19,7 +19,6 @@ from shapekernel import (
     Equality,
     GaussianKernel,
     InclusionRecord,
-    Model,
     NormBound,
     NormMin,
     Observation,
@@ -64,7 +63,7 @@ class TestCollectAtoms:
         spec = ProblemSpec(kernel=kernel, observations=obs, loss="squared")
         rec = AnchorRecord(
             atoms=((Atom((0.5,), DiffFunctional.value(1)),),), eta=0.0,
-            gamma=((),), offset=(0.0,), shift_vals=((0.0,),),
+            gamma=((),), offset=(0.0,),
         )
         atoms = collect_atoms(spec, [rec, rec])
         assert len(atoms) == 2  # (0.5, value) shared with the observation
@@ -90,8 +89,7 @@ class TestCollectAtoms:
         a = Atom((0.3,), val)
         b = Atom((0.3,), der)
         rec = AnchorRecord(atoms=((a, b), (b, a)), eta=0.0,
-                           gamma=((), ()), offset=(0.0, 0.0),
-                           shift_vals=((0.0, 0.0), (0.0, 0.0)))
+                           gamma=((), ()), offset=(0.0, 0.0))
         spec = ProblemSpec(kernel=kernel, regularizer=Ridge(1.0))
         atoms = collect_atoms(spec, [rec])
         assert len(atoms) == 2
@@ -111,7 +109,6 @@ class TestAnchorRows:
         a, b = Atom((0.3,), val), Atom((0.3,), der)
         rec = AnchorRecord(atoms=((a, b), (b, a)), eta=0.4,
                            gamma=((), ()), offset=(0.1, 0.2),
-                           shift_vals=((0.0, 0.0), (0.0, 0.0)),
                            provenance=(0, 0))
         spec = ProblemSpec(kernel=kernel, regularizer=Ridge(1.0))
         basis = collect_atoms(spec, [rec])
@@ -121,14 +118,56 @@ class TestAnchorRows:
         nonneg = prog.blocks[kinds.index("nonneg")]
         cone = prog.blocks[kinds.index("rsoc")]
         assert cone.provenance == ("record", 0, 0)
-        assert prog.meta["nonneg_provenance"] == [("record", 0, 0, 0),
-                                                  ("record", 0, 0, 1)]
+        assert nonneg.provenance == ("nonneg", (("record", 0, 0, 0),
+                                                ("record", 0, 0, 1)))
         np.testing.assert_array_equal(nonneg.G, cone.G[:2])
         np.testing.assert_array_equal(nonneg.h, cone.h[:2])
-        t = next(iter(prog.meta["t_keys"].values()))
+        t = prog.meta["t_index"]
         np.testing.assert_array_equal(cone.G[:2, t], [0.4, 0.4])
         np.testing.assert_array_equal(cone.h[:2], [-0.1, -0.2])
 
+
+
+class TestNormEpigraph:
+    def test_buffered_constraints_share_one_epigraph(self, kernel):
+        val = DiffFunctional.value(1)
+        der = DiffFunctional.partial(1, axis=0)
+        level = ShapeConstraint(region=((0.2, 0.8),),
+                                operator=SdpOperator.scalar(val),
+                                offset=(-1.0,), bias_map=((1.0,),))
+        slope = ShapeConstraint(region=((0.0, 1.0),),
+                                operator=SdpOperator.scalar(der),
+                                offset=(-5.0,))
+        floor = ShapeConstraint(region=((0.3, 0.7),),
+                                operator=SdpOperator.scalar(val),
+                                offset=(-2.0,))
+        records = []
+        for ci, c in enumerate((level, slope)):
+            cover = cover_box(c.region, 0.1)
+            etas = [eta_for(kernel, c.operator, b.center, b.radius,
+                            norm=b.norm) for b in cover]
+            records += tighten_soc(c, cover, etas, constraint_index=ci)
+        elems = omega_cover(kernel, val, cover_box(floor.region, 0.1))
+        records += tighten_omega(floor, elems, constraint_index=2)
+        spec = ProblemSpec(kernel=kernel, regularizer=NormMin(), bias_dim=1,
+                           constraints=[level, slope, floor])
+        basis = collect_atoms(spec, records)
+        prog = assemble(spec, basis, records)
+        epigraphs = [blk for blk in prog.blocks
+                     if blk.provenance == ("epigraph",)]
+        assert len(epigraphs) == 1
+        xi = prog.meta["xi_indices"]
+        assert len(xi) == len(elems)
+        A = len(basis)
+        assert prog.n == A + 1 + 1 + len(xi)
+        t = prog.meta["t_index"]
+        assert t == A + 1
+        assert epigraphs[0].G[0, t] == -1.0
+        # every buffered row of both constraints subtracts eta * t
+        nonneg = prog.blocks[0]
+        buffered = [r for r in records if isinstance(r, AnchorRecord)]
+        np.testing.assert_array_equal(nonneg.G[:len(buffered), t],
+                                      [r.eta for r in buffered])
 
 class TestRidgeRegression:
     def test_matches_normal_equations(self, kernel):
@@ -207,7 +246,8 @@ class TestNormObjectives:
         assert model.norm == pytest.approx(norm_ref, rel=1e-6)
         # The epigraph objective value is the norm itself.
         assert sol.objective == pytest.approx(norm_ref, rel=1e-6)
-        assert len(prog.meta["t_keys"]) == 1
+        assert prog.meta["t_index"] == len(model.basis)
+        assert model.aux["t"] == pytest.approx(norm_ref, rel=1e-6)
 
     def test_norm_bound_binds_when_small(self, kernel):
         xs = np.linspace(0, 1, 6)
@@ -298,7 +338,8 @@ class TestConstrainedSolves:
         report = verify_pointwise(model, c, grid_res=2001)
         assert report["maxViolation"] <= 1e-6
         # Buffered rows share one epigraph: a single t column.
-        assert len(prog.meta["t_keys"]) == 1
+        assert prog.meta["t_index"] == len(model.basis)
+        assert prog.n == len(model.basis) + 1
 
     def test_enclosure_rows_add_one_xi_each(self, kernel):
         c = ShapeConstraint(
@@ -347,52 +388,25 @@ class TestConstrainedSolves:
         with pytest.raises(RuntimeError, match="too strong|infeasible"):
             solve_problem(spec, records)
 
-    def test_shift_model_creates_second_epigraph(self, kernel):
-        shift = Model(kernel, (Atom((0.5,), DiffFunctional.value(1)),),
-                      np.array([1.0]))
-        c = ShapeConstraint(
-            region=((0.2, 0.8),),
-            operator=SdpOperator.scalar(DiffFunctional.value(1)),
-            offset=(-2.0,),
-            shift=shift,
-        )
-        cover = cover_box([(0.2, 0.8)], 0.1)
-        etas = [eta_for(kernel, c.operator, b.center, b.radius, norm=b.norm)
-                for b in cover]
-        records = tighten_soc(c, cover, etas)
-        spec = ProblemSpec(
-            kernel=kernel,
-            observations=value_obs([0.3, 0.7], [1.0, 1.0]),
-            loss="squared",
-            regularizer=NormMin(),
-            constraints=[c],
-        )
-        basis = collect_atoms(spec, records)
-        prog = assemble(spec, basis, records)
-        # Zero-shift epigraph (objective) plus the shifted-constraint one.
-        assert len(prog.meta["t_keys"]) == 2
 
 
 class TestRelaxRecords:
     def test_buffered_rows_lose_eta(self, kernel):
         a = Atom((0.5,), DiffFunctional.value(1))
         soc = AnchorRecord(atoms=((a,),), eta=0.3, gamma=((1.0,),),
-                           offset=(0.2,), shift_vals=((0.1,),),
-                           provenance=(0, 4))
+                           offset=(0.2,), provenance=(0, 4))
         (lin,) = relax_records([soc])
         assert isinstance(lin, AnchorRecord)
         assert lin.atoms == ((a,),)
         assert lin.eta == 0.0
         assert lin.gamma == ((1.0,),)
         assert lin.offset == (0.2,)
-        assert lin.shift_vals == ((0.1,),)
         assert lin.provenance == (0, 4)
 
     def test_matrix_rows_zeroed(self):
         a = Atom((0.5,), DiffFunctional.value(1))
         rec = AnchorRecord(atoms=((a, a), (a, a)), eta=0.7,
-                           gamma=((), ()), offset=(0.0, 0.0),
-                           shift_vals=((0.0, 0.0), (0.0, 0.0)))
+                           gamma=((), ()), offset=(0.0, 0.0))
         (out,) = relax_records([rec])
         assert out.eta == 0.0
 
@@ -518,28 +532,6 @@ class TestComputeBounds:
         assert rep.fill_dist == pytest.approx(
             fill_distance(anchors, c.region, 33), rel=1e-12
         )
-
-    def test_a_priori_bound_and_note(self, kernel):
-        spec, c, records, _, _ = self.make_constrained(kernel)
-        model, sol, _ = solve_problem(spec, records)
-        rep = compute_bounds(
-            spec, records, sol.objective, v_relax=sol.objective,
-            mu_f=2.0, lipschitz_b=1.5, bias_direction=(1.0,), model=model,
-        )
-        c_f = model.norm / 1.0  # min Gamma beta = 1
-        want = 1.5 * c_f * 1.0 * rep.eta_inf
-        assert rep.a_priori == pytest.approx(want, rel=1e-10)
-        assert "surrogate" in rep.a_priori_note
-
-    def test_a_priori_unavailable_on_bad_direction(self, kernel):
-        spec, c, records, _, _ = self.make_constrained(kernel)
-        model, sol, _ = solve_problem(spec, records)
-        rep = compute_bounds(
-            spec, records, sol.objective, v_relax=sol.objective,
-            lipschitz_b=1.5, bias_direction=(-1.0,), model=model,
-        )
-        assert rep.a_priori is None
-        assert "unavailable" in rep.a_priori_note
 
     def test_report_serializes(self):
         rep = BoundReport(v_app=1.0, v_relax=0.5, gap=0.5)

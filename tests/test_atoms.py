@@ -24,7 +24,6 @@ from shapekernel import (
     atom_inner,
     cross_gram,
     gram,
-    model_distance,
 )
 
 
@@ -342,49 +341,3 @@ class TestModel:
         np.testing.assert_allclose(clone.eval(x), model.eval(x), rtol=1e-12)
         assert clone.norm == pytest.approx(model.norm, rel=1e-10)
 
-
-class TestModelDistance:
-    def test_same_model_distance_zero(self, kernel, basis):
-        m = Model(kernel, basis, np.linspace(-1, 1, len(basis)))
-        assert model_distance(m, m) == pytest.approx(0.0, abs=1e-8)
-
-    def test_shared_basis_matches_quadratic_form(self, kernel, basis):
-        rng = np.random.default_rng(9)
-        a1, a2 = rng.normal(size=len(basis)), rng.normal(size=len(basis))
-        m1 = Model(kernel, basis, a1)
-        m2 = Model(kernel, basis, a2)
-        diff = a1 - a2
-        want = math.sqrt(diff @ m1.gram_matrix @ diff)
-        assert model_distance(m1, m2) == pytest.approx(want, rel=1e-7)
-
-    def test_symmetry_and_triangle(self, kernel, basis):
-        rng = np.random.default_rng(10)
-        models = [
-            Model(kernel, basis, rng.normal(size=len(basis)))
-            for _ in range(3)
-        ]
-        d01 = model_distance(models[0], models[1])
-        d10 = model_distance(models[1], models[0])
-        assert d01 == pytest.approx(d10, rel=1e-12)
-        d02 = model_distance(models[0], models[2])
-        d12 = model_distance(models[1], models[2])
-        assert d02 <= d01 + d12 + 1e-10
-
-    def test_disjoint_bases(self, kernel):
-        b1 = (Atom((0.1, 0.1), DiffFunctional.value(2)),)
-        b2 = (Atom((0.4, -0.2), DiffFunctional.value(2)),)
-        m1 = Model(kernel, b1, np.array([1.0]))
-        m2 = Model(kernel, b2, np.array([1.0]))
-        g11 = atom_inner(b1[0], b1[0], kernel)
-        g22 = atom_inner(b2[0], b2[0], kernel)
-        g12 = atom_inner(b1[0], b2[0], kernel)
-        want = math.sqrt(g11 + g22 - 2 * g12)
-        assert model_distance(m1, m2) == pytest.approx(want, rel=1e-10)
-
-    def test_kernel_mismatch_rejected(self, basis):
-        k1 = GaussianKernel([0.8, 1.1])
-        k2 = GaussianKernel([0.9, 1.1])
-        m1 = Model(k1, basis, np.ones(len(basis)))
-        m2 = Model(k2, basis, np.ones(len(basis)))
-        with pytest.raises(ValueError, match="different kernels"):
-            model_distance(m1, m2)

@@ -20,7 +20,8 @@ import types
 import pytest
 
 from shapekernel.bench.cli import main
-from shapekernel.bench.config import SCHEMES, ExperimentConfig
+from shapekernel.bench.config import (SCHEMES, CoveringConfig,
+                                      ExperimentConfig)
 from shapekernel.bench.experiments import run_experiment
 
 #: experiment -> (config overlay, saved tightened model, verify grid per axis)
@@ -121,6 +122,41 @@ def test_cli_rejects_scheme_before_running(tmp_path):
               str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eta_safety", -0.05), ("n_x", 0), ("n_u", 0), ("delta0", 0.0),
+    ("delta0", -0.01), ("gamma", 0.0), ("gamma", 1.0), ("k_max", -1),
+])
+def test_out_of_range_covering_value_is_rejected(key, value):
+    # a negative eta_safety shrinks every sampled buffer width, so the
+    # "tightened" model would no longer be certified
+    with pytest.raises(ValueError, match=key):
+        CoveringConfig(**{key: value})
+
+
+def test_cli_rejects_negative_eta_safety_before_running(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "econ", **TINY["econ"][0]}))
+    with pytest.raises(SystemExit, match="shapekernel run: .*eta_safety"):
+        main(["run", "econ", "--config", str(config), "--out",
+              str(tmp_path / "out"), "--eta-safety", "-0.1"])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key", [("params", "wall_clearence"),
+                                          ("covering", "nx")])
+def test_unknown_config_key_is_rejected(tmp_path, section, key):
+    # a misspelled key would otherwise run at the default value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "control",
+                                  section: {key: 0.7}}))
+    with pytest.raises(ValueError, match=f"unknown .*{key}"):
+        ExperimentConfig.load(config)
+    with pytest.raises(SystemExit, match=f"shapekernel run: unknown .*{key}"):
+        main(["run", "control", "--config", str(config), "--out",
+              str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 def _load_tracer():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \

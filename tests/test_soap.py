@@ -111,62 +111,47 @@ class TestRecordSlack:
     def test_linear_matches_hand_value(self):
         kern = GaussianKernel([1.0])
         model = Model(kern, (Atom((0.3,), VAL),), np.array([0.7]))
-        spec = ProblemSpec(kernel=kern, regularizer=NormMin(), constraints=[
-            ShapeConstraint(((0.0, 1.0),), SdpOperator.scalar(VAL), (0.1,))
-        ])
         rec = AnchorRecord(atoms=((Atom((0.5,), VAL),),), eta=0.0,
-                           gamma=((),), offset=(0.1,), shift_vals=((0.0,),),
-                           provenance=(0, 0))
+                           gamma=((),), offset=(0.1,), provenance=(0, 0))
         expected = 0.7 * float(kern.eval((0.3,), (0.5,))[0, 0]) - 0.1
-        assert record_slack(model, rec, spec) == pytest.approx(expected,
-                                                               abs=1e-12)
+        assert record_slack(model, rec) == pytest.approx(expected,
+                                                         abs=1e-12)
 
     def test_linear_includes_bias_term(self):
         kern = GaussianKernel([1.0])
         model = Model(kern, (Atom((0.3,), VAL),), np.array([0.7]),
                       bias=np.array([0.25]))
-        spec = ProblemSpec(kernel=kern, bias_dim=1, regularizer=NormMin(),
-                           constraints=[
-                               ShapeConstraint(((0.0, 1.0),),
-                                               SdpOperator.scalar(VAL),
-                                               (0.1,), bias_map=((2.0,),))
-                           ])
         rec = AnchorRecord(atoms=((Atom((0.5,), VAL),),), eta=0.0,
                            gamma=((2.0,),), offset=(0.1,),
-                           shift_vals=((0.0,),), provenance=(0, 0))
+                           provenance=(0, 0))
         expected = (0.7 * float(kern.eval((0.3,), (0.5,))[0, 0])
                     + 2.0 * 0.25 - 0.1)
-        assert record_slack(model, rec, spec) == pytest.approx(expected,
-                                                               abs=1e-12)
+        assert record_slack(model, rec) == pytest.approx(expected,
+                                                         abs=1e-12)
 
     def test_soc_buffer_subtracts_scaled_norm(self):
         kern = GaussianKernel([1.0])
         model = Model(kern, (Atom((0.3,), VAL), Atom((0.9,), VAL)),
                       np.array([0.7, -0.2]))
-        spec = ProblemSpec(kernel=kern, regularizer=NormMin(), constraints=[
-            ShapeConstraint(((0.0, 1.0),), SdpOperator.scalar(VAL), (0.1,))
-        ])
         rec = AnchorRecord(atoms=((Atom((0.5,), VAL),),), eta=0.25,
-                           gamma=((),), offset=(0.1,), shift_vals=((0.0,),),
-                           provenance=(0, 0))
+                           gamma=((),), offset=(0.1,), provenance=(0, 0))
         fval = sum(
             coef * float(kern.eval(atom.x, (0.5,))[0, 0])
             for coef, atom in zip(model.coeffs, model.basis)
         )
         expected = fval - 0.1 - 0.25 * model.norm
-        assert record_slack(model, rec, spec) == pytest.approx(expected,
-                                                               rel=1e-10)
+        assert record_slack(model, rec) == pytest.approx(expected,
+                                                         rel=1e-10)
 
     def test_unknown_record_type_rejected(self):
         kern = GaussianKernel([1.0])
         model = Model(kern, (Atom((0.3,), VAL),), np.array([0.7]))
-        spec = ProblemSpec(kernel=kern, regularizer=NormMin())
 
         class Stub:
             provenance = (0,)
 
         with pytest.raises(TypeError, match="unknown record type"):
-            record_slack(model, Stub(), spec)
+            record_slack(model, Stub())
 
 
 class TestSlackVsSolver:
@@ -181,7 +166,7 @@ class TestSlackVsSolver:
         model, sol, prog = solve_problem(spec, recs)
         rows = nonneg_row_slacks(prog, sol.x)
         for rec in recs:
-            got = record_slack(model, rec, spec)
+            got = record_slack(model, rec)
             assert got == pytest.approx(rows[tuple(rec.provenance)],
                                         abs=1e-7)
 
@@ -192,10 +177,10 @@ class TestSlackVsSolver:
         rows = nonneg_row_slacks(prog, sol.x)
         # The program replaces ||f|| by the epigraph variable t >= ||f||;
         # adding back eta * (t - ||f||) must reproduce the row slack.
-        (t_val,) = model.aux["t"].values()
+        t_val = model.aux["t"]
         assert t_val >= model.norm - 1e-7
         for rec in recs:
-            got = record_slack(model, rec, spec)
+            got = record_slack(model, rec)
             row = rows[tuple(rec.provenance)]
             assert row == pytest.approx(got - rec.eta * (t_val - model.norm),
                                         abs=1e-6)
@@ -205,7 +190,7 @@ class TestSlackVsSolver:
         _, _, recs = ball_setup(spec, 0.05)
         model, sol, prog = solve_problem(spec, recs)
         rows = nonneg_row_slacks(prog, sol.x)
-        sat = detect_saturated(model, recs, tol_sat=1e-6, spec=spec)
+        sat = detect_saturated(model, recs, tol_sat=1e-6)
         assert sat
         for idx in sat:
             assert rows[tuple(recs[idx].provenance)] <= 1e-5
@@ -224,7 +209,7 @@ class TestSlackVsSolver:
             bi, blk = block_for(prog, rec)
             s = sol.block_slack(bi)
             margin = float(s[0] - np.linalg.norm(s[1:]))
-            got = record_slack(model, rec, spec)
+            got = record_slack(model, rec)
             assert got == pytest.approx(margin, abs=1e-6)
 
     def test_matrix_min_eig_matches_rsoc_block(self):
@@ -241,7 +226,7 @@ class TestSlackVsSolver:
         recs = tighten_soc(c, balls, etas, constraint_index=0)
         assert all(r.size == 2 for r in recs)
         model, sol, prog = solve_problem(spec, recs)
-        (t_val,) = model.aux["t"].values()
+        t_val = model.aux["t"]
         corr = recs[0].eta and (t_val - model.norm)
         for rec in recs:
             bi, blk = block_for(prog, rec)
@@ -250,7 +235,7 @@ class TestSlackVsSolver:
                 [s[0] + rec.eta * corr, s[2] / math.sqrt(2.0)],
                 [s[2] / math.sqrt(2.0), s[1] + rec.eta * corr],
             ])
-            got = record_slack(model, rec, spec)
+            got = record_slack(model, rec)
             assert got == pytest.approx(float(np.linalg.eigvalsh(M)[0]),
                                         abs=1e-6)
 
@@ -260,11 +245,11 @@ class TestDetectSaturated:
         spec = step_spec()
         _, _, recs = ball_setup(spec, 0.05)
         model, _, _ = solve_problem(spec, recs)
-        sat = detect_saturated(model, recs, tol_sat=1e-6, spec=spec)
+        sat = detect_saturated(model, recs, tol_sat=1e-6)
         assert sat
         tol_eff = 1e-6 * (1.0 + model.norm)
         for idx, rec in enumerate(recs):
-            slack = record_slack(model, rec, spec)
+            slack = record_slack(model, rec)
             assert (idx in sat) == (abs(slack) <= tol_eff)
         # The floor binds where the data pulls the fit down, not under the
         # high targets on the right.
@@ -280,7 +265,7 @@ class TestDetectSaturated:
                            constraints=[low])
         _, _, recs = ball_setup(spec, 0.05)
         model, _, _ = solve_problem(spec, recs)
-        assert detect_saturated(model, recs, tol_sat=1e-6, spec=spec) == []
+        assert detect_saturated(model, recs, tol_sat=1e-6) == []
 
 
 class TestBurstBall:
@@ -498,7 +483,7 @@ class TestWarmStart:
         rows = nonneg_row_slacks(seen["prog"], seen["x0"])
         for rec in recs:
             assert rows[tuple(rec.provenance)] == pytest.approx(
-                record_slack(model, rec, spec), abs=1e-7)
+                record_slack(model, rec), abs=1e-7)
         assert warm.norm == pytest.approx(model.norm, rel=1e-6)
 
 

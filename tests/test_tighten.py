@@ -21,7 +21,6 @@ from shapekernel import (
     OmegaElement,
     SdpOperator,
     ShapeConstraint,
-    apply_functional,
     relax_records,
     cover_box,
     eta_for,
@@ -94,19 +93,6 @@ class TestShapeConstraint:
         assert c.contains([0.2])
         assert not c.contains([0.1])
 
-    def test_shift_value(self, kernel):
-        shift = Model(kernel, (Atom((0.5,), DiffFunctional.value(1)),),
-                      np.array([2.0]))
-        c = ShapeConstraint(
-            region=((0.0, 1.0),),
-            operator=SdpOperator.scalar(DiffFunctional.value(1)),
-            offset=(0.0,),
-            shift=shift,
-        )
-        D = DiffFunctional.value(1)
-        want = apply_functional(D, shift, [0.3])
-        assert c.shift_value(D, [0.3]) == pytest.approx(want, rel=1e-14)
-        assert scalar_constraint().shift_value(D, [0.3]) == 0.0
 
 
 class TestDiscretize:
@@ -124,7 +110,6 @@ class TestDiscretize:
         assert r.eta == 0.0
         assert r.gamma == ((2.0,),)
         assert r.offset == (0.5,)
-        assert r.shift_vals == ((0.0,),)
         assert r.provenance == (3, 0)
         assert recs[1].provenance == (3, 1)
 
@@ -218,22 +203,6 @@ class TestRelaxedTighteningIsDiscretization:
     def test_matrix_constraint(self):
         self.check(matrix_constraint(), cover_box([(0.0, 1.0)], 0.125))
 
-    def test_shifted_constraint(self, kernel):
-        val = DiffFunctional.value(1)
-        der = DiffFunctional.partial(1, axis=0)
-        shift = Model(kernel, (Atom((0.4,), val), Atom((0.7,), der)),
-                      np.array([1.5, -0.5]))
-        c = ShapeConstraint(region=((0.0, 1.0),),
-                            operator=SdpOperator(((val, der), (der, val))),
-                            offset=(0.1, 0.2), shift=shift)
-        cover = cover_box([(0.0, 1.0)], 0.25)
-        self.check(c, cover)
-        (rec, *_) = discretize(c, [cover[0].center])
-        x = cover[0].center
-        assert rec.shift_vals == (
-            (apply_functional(val, shift, x), apply_functional(der, shift, x)),
-            (apply_functional(der, shift, x), apply_functional(val, shift, x)),
-        )
 
 
 class TestTightenOmega:
@@ -287,19 +256,17 @@ class TestRecordValidation:
         a = Atom((0.0,), DiffFunctional.value(1))
         with pytest.raises(ValueError, match="nonnegative"):
             AnchorRecord(atoms=((a,),), eta=-0.1, gamma=((),),
-                         offset=(0.0,), shift_vals=((0.0,),))
+                         offset=(0.0,))
         with pytest.raises(ValueError, match="nonnegative"):
             AnchorRecord(atoms=((a, a), (a, a)), eta=-1.0,
-                         gamma=((), ()), offset=(0.0, 0.0),
-                         shift_vals=((0.0, 0.0), (0.0, 0.0)))
+                         gamma=((), ()), offset=(0.0, 0.0))
 
     def test_rsoc_block_shape_enforced(self):
         a = Atom((0.0,), DiffFunctional.value(1))
         for atoms in (((a, a),), ((a, a), (a,)),
                       ((a, a, a),) * 3, ()):
             with pytest.raises(ValueError, match="1x1 or 2x2"):
-                AnchorRecord(atoms=atoms, eta=0.0, gamma=(), offset=(),
-                             shift_vals=())
+                AnchorRecord(atoms=atoms, eta=0.0, gamma=(), offset=())
 
     def test_anchor_outside_region_rejected(self):
         c = matrix_constraint()
@@ -350,19 +317,6 @@ class TestVerifyPointwise:
         edge = math.exp(-0.125)
         assert report["minEig"] == pytest.approx(edge + 0.3 - 0.9,
                                                  abs=1e-10)
-
-    def test_shift_subtracted(self, kernel):
-        atom = Atom((0.5,), DiffFunctional.value(1))
-        model = Model(kernel, (atom,), np.array([1.0]))
-        shift = Model(kernel, (atom,), np.array([1.0]))
-        c = ShapeConstraint(
-            region=((0.0, 1.0),),
-            operator=SdpOperator.scalar(DiffFunctional.value(1)),
-            offset=(0.0,),
-            shift=shift,
-        )
-        report = verify_pointwise(model, c, grid_res=101)
-        assert report["minEig"] == pytest.approx(0.0, abs=1e-12)
 
     def test_matrix_eigenvalues_against_numpy(self, kernel):
         # Slack matrix [[f, f'], [f', f]] has eigenvalues f +- |f'|.
