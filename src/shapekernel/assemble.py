@@ -454,8 +454,8 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
     solves, adds the most violated grid points, and repeats; at
     termination the returned model is feasible on the *entire* grid, so its
     objective equals the full-grid discretized optimum.  Returns
-    ``(model, value, points_used, statuses)``, the last the solver status
-    of every round.
+    ``(model, value, points_used, statuses)``, the last the solver
+    ``(status, stop_reason)`` of every round.
     """
     if constraint.size != 1:
         raise ValueError("reference solve supports scalar constraints only")
@@ -478,7 +478,7 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
                              constraint_index=constraint_index)
         model, sol, _ = solve_problem(spec, records, settings=settings)
         value = sol.objective
-        statuses.append(sol.status)
+        statuses.append((sol.status, sol.stop_reason))
         vals = model.apply(func, X)
         bias = model.bias[: gm.shape[1]] if gm.shape[1] else np.zeros(0)
         slack = vals + (gm[0] @ bias if gm.shape[1] else 0.0) - offset

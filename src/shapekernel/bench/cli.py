@@ -99,9 +99,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        model = Model.from_json(json.load(fh))
-    cfg = ExperimentConfig.load(args.config)
+    try:
+        cfg = ExperimentConfig.load(args.config)
+        with open(args.model, "r", encoding="utf-8") as fh:
+            model = Model.from_json(json.load(fh))
+    except (OSError, ValueError) as err:
+        raise SystemExit(f"shapekernel verify: {err}") from None
     report = {"experiment": cfg.experiment, "model": args.model,
               "grid_res": args.grid_res, "tol": args.tol,
               "constraints": []}

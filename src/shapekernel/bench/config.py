@@ -205,9 +205,11 @@ def _check_keys(section: str, given: dict, known) -> None:
 def _merge_config(base: ExperimentConfig, data: dict) -> ExperimentConfig:
     """Overlay a JSON dict onto a default config (params merge per key).
 
-    An unknown ``params`` or ``covering`` key raises ``ValueError``
-    rather than leaving the setting it misspells at its default.
+    An unknown top-level, ``params`` or ``covering`` key raises
+    ``ValueError`` rather than leaving the setting it misspells at its
+    default.
     """
+    _check_keys("config", data, [f.name for f in fields(ExperimentConfig)])
     merged = base.to_json()
     for key, value in data.items():
         if key == "params" and isinstance(value, dict):

@@ -88,10 +88,13 @@ def _ball_samples(center, radius: float, n: int,
     return center[None, :] + radius * v * r[:, None]
 
 
-def _check_status(warnings: list, label: str, status: str) -> None:
-    """Add a warning naming the solve when it did not end ``optimal``."""
+def _check_status(warnings: list, label: str, status: str,
+                  stop_reason: str) -> None:
+    """Add a warning naming the solve and why it stopped when it did not
+    end ``optimal``."""
     if status != "optimal":
-        warnings.append(f"{label}: solver status {status!r}")
+        warnings.append(f"{label}: solver status {status!r} "
+                        f"(stop reason {stop_reason!r})")
 
 
 def records_for(scheme: str, c: ShapeConstraint, balls: list, kernel, cov,
@@ -194,8 +197,8 @@ def run_catenary(cfg: ExperimentConfig):
         spec, c, int(p.get("reference_points", 10_000)), settings=settings)
     timings["reference_s"] = time.perf_counter() - t0
     warnings: list = []
-    for k, status in enumerate(ref_statuses):
-        _check_status(warnings, f"reference round {k}", status)
+    for k, (status, reason) in enumerate(ref_statuses):
+        _check_status(warnings, f"reference round {k}", status, reason)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_res).reshape(-1, 1)
     conv_header = ["scheme", "step", "elements", "v_app", "v_relax", "gap",
@@ -217,7 +220,8 @@ def run_catenary(cfg: ExperimentConfig):
                                       cfg.seed)
                 model, sol, _ = solve_problem(spec, records,
                                               settings=settings)
-                _check_status(warnings, f"{scheme} m={m}", sol.status)
+                _check_status(warnings, f"{scheme} m={m}", sol.status,
+                              sol.stop_reason)
                 v_app = sol.objective
                 v_relax = None
                 if scheme != "disc":
@@ -226,7 +230,7 @@ def run_catenary(cfg: ExperimentConfig):
                     _, rsol, _ = solve_problem(spec, relaxed,
                                                settings=settings)
                     _check_status(warnings, f"{scheme} m={m} relaxation",
-                                  rsol.status)
+                                  rsol.status, rsol.stop_reason)
                     v_relax = rsol.objective
                 max_eta = max(
                     (getattr(r, "eta", 0.0) for r in records), default=0.0)
@@ -250,7 +254,7 @@ def run_catenary(cfg: ExperimentConfig):
             hist_rows = []
             for row in hist:
                 _check_status(warnings, f"{scheme} round {row['k']}",
-                              row["status"])
+                              row["status"], row["stop_reason"])
                 conv_rows.append([scheme, row["k"], row["M_total"], row["v"],
                                   None, None, row["v"] - v_ref,
                                   row["maxEta"]])
@@ -268,7 +272,8 @@ def run_catenary(cfg: ExperimentConfig):
                 anchors = [om.source.center for om in state.coverings[0]]
             records = discretize(c, anchors)
             _, rsol, _ = solve_problem(spec, records, settings=settings)
-            _check_status(warnings, f"{scheme} relaxation", rsol.status)
+            _check_status(warnings, f"{scheme} relaxation", rsol.status,
+                          rsol.stop_reason)
             relax_value = rsol.objective
             if mode == "ball":
                 records = tighten_soc(c, state.coverings[0], state.etas[0])
@@ -280,7 +285,7 @@ def run_catenary(cfg: ExperimentConfig):
         elif scheme == "none":
             spec_free = _catenary_spec(objective, constrained=False)
             model, sol, _ = solve_problem(spec_free, [], settings=settings)
-            _check_status(warnings, scheme, sol.status)
+            _check_status(warnings, scheme, sol.status, sol.stop_reason)
             v_app = sol.objective
             records = []
             relax_value = None
@@ -436,7 +441,7 @@ def run_control(cfg: ExperimentConfig):
         t0 = time.perf_counter()
         model, sol, _ = solve_problem(spec, records, settings=settings)
         timings[f"{scheme}_s"] = time.perf_counter() - t0
-        _check_status(warnings, scheme, sol.status)
+        _check_status(warnings, scheme, sol.status, sol.stop_reason)
         max_violation, n_violated = violations(model, verify_res)
         scheme_summaries[scheme] = {
             "v_app": sol.objective,
@@ -659,7 +664,7 @@ def run_robotarm(cfg: ExperimentConfig):
                 timings[f"seed{seed}_m{m_per_axis_pow}_{scheme}_s"] = elapsed
                 _check_status(warnings,
                               f"seed {seed} m={m_per_axis_pow} {scheme}",
-                              sol.status)
+                              sol.status, sol.stop_reason)
                 l2_err, l1_cons, l1_cov, l1_cov_max = _robot_metrics(
                     model, geom, kept, p, seed)
                 rows.append([seed, m_per_axis_pow, scheme, n_candidates,
@@ -875,7 +880,8 @@ def run_econ(cfg: ExperimentConfig):
             model, sol, _ = solve_problem(spec, records_map[regime],
                                           settings=settings)
             timings[f"rep{rep}_{regime}_s"] = time.perf_counter() - t0
-            _check_status(warnings, f"rep {rep} {regime}", sol.status)
+            _check_status(warnings, f"rep {rep} {regime}", sol.status,
+                          sol.stop_reason)
             pred_tr = model.eval_component_many(X[train_idx], 0)
             pred_te = model.eval_component_many(X[test_idx], 0)
             mse_tr = float(((pred_tr - g[train_idx]) ** 2).mean())
@@ -888,7 +894,7 @@ def run_econ(cfg: ExperimentConfig):
                 _, rsol, _ = solve_problem(spec, rrecords,
                                            settings=settings)
                 _check_status(warnings, f"rep {rep} {regime} relaxation",
-                              rsol.status)
+                              rsol.status, rsol.stop_reason)
                 report = compute_bounds(spec, records_map[regime],
                                         sol.objective,
                                         v_relax=rsol.objective)

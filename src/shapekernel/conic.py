@@ -26,6 +26,19 @@ through one dense product over their rows, except wide ones: a block with
 vector) adds ``(2 v v^T - G_b^T J G_b) / eta^2`` with ``v = G_b^T wt``, a
 rank-one update of an ``n x n`` matrix formed once per solve, so it costs
 O(n^2) per iteration instead of O(d n^2).
+
+Block runs.  Consecutive SOC blocks of one dimension sit on contiguous
+canonical rows, so each per-block step works on a whole run at once through
+the view ``v[r0:r0 + c*d].reshape(c, d)`` (econ's 225 anchor cones are one
+run).  Every output keeps the bits of the one-block-at-a-time code, because
+SOAP's saturation test reads slacks at the solver's own tolerance, so its
+stop turns on last bits: reductions are ``np.vecdot`` or stacked ``@``,
+Python's ``min``/``max`` NaN rules are kept, and a block's leading entry is
+squared by libm ``pow`` (``np.float_power``), as the numpy scalar was, not
+as ``x * x``.  The Cholesky back half is a triangular solve, bit-equal to
+an LU solve with ``L^T``; the forward half stays an LU solve, since a
+triangular one changes its bits.  Both holdovers can go once SOAP's stop
+no longer depends on rounding.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -75,20 +89,17 @@ class ConeProgram:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.P is None:
-            self.P = np.zeros((self.n, self.n))
-        self.P = np.asarray(self.P, dtype=float)
-        if self.q is None:
-            self.q = np.zeros(self.n)
-        self.q = np.asarray(self.q, dtype=float).ravel()
+        self.P = np.asarray(np.zeros((self.n, self.n)) if self.P is None
+                            else self.P, dtype=float)
+        self.q = np.asarray(np.zeros(self.n) if self.q is None else self.q,
+                            dtype=float).ravel()
         if self.A_eq is None:
             self.A_eq = np.zeros((0, self.n))
         self.A_eq = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
         if self.A_eq.size == 0:
             self.A_eq = self.A_eq.reshape(0, self.n)
-        if self.b_eq is None:
-            self.b_eq = np.zeros(0)
-        self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
+        self.b_eq = np.asarray(np.zeros(0) if self.b_eq is None
+                               else self.b_eq, dtype=float).ravel()
         if self.P.shape != (self.n, self.n):
             raise ValueError("objective Hessian has wrong shape")
         if self.q.size != self.n:
@@ -118,11 +129,17 @@ class SolverSettings:
 
 @dataclass
 class Solution:
+    """``stop_reason`` is the status, or why a ``max_iter`` solve stopped:
+    ``dual_stall``, ``non_finite`` (iterate, Newton matrix or direction),
+    ``factorization`` (or a direct equality solve off its residuals) or
+    ``max_iter``; ``polished`` if the dual polish made it ``optimal``."""
+
     x: np.ndarray
     y_eq: np.ndarray
     z: np.ndarray
     s: np.ndarray
     status: str
+    stop_reason: str
     objective: float
     residuals: dict
     iterations: int
@@ -142,58 +159,70 @@ class _Cones:
         self.l = nonneg
         self.soc_dims = soc_dims
         self.m = nonneg + sum(soc_dims)
-        self.soc_slices = []
-        start = nonneg
-        for dim in soc_dims:
-            self.soc_slices.append(slice(start, start + dim))
-            start += dim
+        ends = np.cumsum([nonneg, *soc_dims]).tolist()
+        self.soc_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
         # Barrier degree: each nonneg entry and each SOC block counts one.
         self.degree = max(nonneg + len(soc_dims), 1)
+        self.runs = self.runs_of(range(len(soc_dims)))
+
+    def runs_of(self, blocks) -> list[tuple[int, int, int, int]]:
+        """Runs ``(row0, count, dim, block0)``: consecutive equal-dimension
+        SOC blocks among ``blocks``, ``row0`` counted in a vector of the
+        nonneg rows and then the rows of ``blocks``, in order."""
+        runs, row = [], self.l
+        for k in blocks:
+            r0, c, d, k0 = runs[-1] if runs else (0, 0, 0, 0)
+            if d == self.soc_dims[k] and k0 + c == k:
+                runs[-1] = (r0, c + 1, d, k0)
+            else:
+                runs.append((row, 1, self.soc_dims[k], k))
+            row += self.soc_dims[k]
+        return runs
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.m)
         e[: self.l] = 1.0
-        for sl in self.soc_slices:
-            e[sl.start] = 1.0
+        e[[sl.start for sl in self.soc_slices]] = 1.0
         return e
 
 
-def _soc_residual(v: np.ndarray) -> float:
-    """v0 - ||v1|| : positive inside the cone."""
-    return v[0] - np.linalg.norm(v[1:])
+def _run(v: np.ndarray, row0: int, count: int, dim: int) -> np.ndarray:
+    """Rows ``row0 ..`` of ``v`` as ``count`` blocks of ``dim``: a view."""
+    return v[row0: row0 + count * dim].reshape(count, dim, *v.shape[1:])
+
+
+def _max(a, b):
+    """Python's ``max(a, b)`` elementwise: ``b`` only where ``b > a``."""
+    return np.where(b > a, b, a)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray, cones: _Cones) -> float:
     """Largest alpha with v + alpha*dv in the cone (inf -> 1e18)."""
     alpha = 1e18
-    if cones.l:
-        neg = dv[: cones.l] < 0
-        if np.any(neg):
-            alpha = min(alpha, float(
-                np.min(-v[: cones.l][neg] / dv[: cones.l][neg])
-            ))
-    for sl in cones.soc_slices:
-        vb, db = v[sl], dv[sl]
+    vn, dn = v[: cones.l], dv[: cones.l]
+    if (dn < 0).any():
+        alpha = min(alpha, float(np.min(-vn[dn < 0] / dn[dn < 0])))
+    for r0, c, d, _ in cones.runs:
+        vb, db = _run(v, r0, c, d), _run(dv, r0, c, d)
+        v0, d0, v1, d1 = vb[:, 0], db[:, 0], vb[:, 1:], db[:, 1:]
         # f(a) = ||vb1 + a db1||^2 - (vb0 + a db0)^2 is negative strictly
         # inside the cone; the boundary is hit at the first positive root.
-        a = db[1:] @ db[1:] - db[0] * db[0]
-        b = 2.0 * (vb[1:] @ db[1:] - vb[0] * db[0])
-        c = vb[1:] @ vb[1:] - vb[0] * vb[0]
-        step = 1e18
-        if abs(a) < 1e-300:
-            if b > 0:
-                step = max(-c / b, 0.0)
-        else:
-            disc = b * b - 4.0 * a * c
-            if disc >= 0:
-                sq = np.sqrt(disc)
-                pos = [r for r in ((-b - sq) / (2 * a), (-b + sq) / (2 * a))
-                       if r > 0]
-                if pos:
-                    step = min(pos)
-        if db[0] < 0:
-            step = min(step, -vb[0] / db[0])
-        alpha = min(alpha, step)
+        # A step of 1e18 or more never beats alpha, so it stands for "none".
+        a = np.vecdot(d1, d1) - d0 * d0
+        b = 2.0 * (np.vecdot(v1, d1) - v0 * d0)
+        cc = np.vecdot(v1, v1) - v0 * v0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sq = np.sqrt(b * b - 4.0 * a * cc)  # NaN: no real root
+            roots = np.stack([-b - sq, -b + sq]) / (2 * a)
+            step = np.where(roots > 0, roots, 1e18).min(axis=0)
+            linear = np.abs(a) < 1e-300
+            if linear.any():
+                step[linear] = np.where(b > 0, _max(-cc / b, 0.0),
+                                        1e18)[linear]
+            edge = -v0 / d0
+        hit = (d0 < 0) & (edge < step)
+        step[hit] = edge[hit]
+        alpha = min(alpha, *step.tolist())
     return alpha
 
 
@@ -202,7 +231,8 @@ def _max_step(v: np.ndarray, dv: np.ndarray, cones: _Cones) -> float:
 # --------------------------------------------------------------------------
 
 class _Scaling:
-    """Blockwise NT scaling point: W z = W^{-1} s = lambda."""
+    """Blockwise NT scaling point: W z = W^{-1} s = lambda.  Per SOC block
+    a scale ``eta[k]`` and a unit point ``wbar`` on the block's rows."""
 
     def __init__(self, s: np.ndarray, z: np.ndarray, cones: _Cones):
         self.cones = cones
@@ -211,56 +241,49 @@ class _Scaling:
         self.lmbda = np.zeros(cones.m)
         if l:
             self.lmbda[:l] = np.sqrt(s[:l] * z[:l])
-        self.soc = []  # per-block (eta, wbar)
-        for sl in cones.soc_slices:
-            sb, zb = s[sl], z[sl]
-            ds = np.sqrt(max(sb[0] ** 2 - sb[1:] @ sb[1:], 1e-300))
-            dz = np.sqrt(max(zb[0] ** 2 - zb[1:] @ zb[1:], 1e-300))
-            sbar, zbar = sb / ds, zb / dz
-            gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
-            wbar = np.empty_like(sb)
-            wbar[0] = (sbar[0] + zbar[0]) / (2.0 * gamma)
-            wbar[1:] = (sbar[1:] - zbar[1:]) / (2.0 * gamma)
-            eta = np.sqrt(ds / dz)
-            self.soc.append((eta, wbar))
-            self.lmbda[sl] = self._apply_soc(eta, wbar, zb)
+        self.eta = np.empty(len(cones.soc_dims))
+        self.wbar = np.zeros(cones.m)
+        for r0, c, d, k0 in cones.runs:
+            sb, zb = _run(s, r0, c, d), _run(z, r0, c, d)
+            ds = np.sqrt(_max(np.float_power(sb[:, 0], 2)
+                              - np.vecdot(sb[:, 1:], sb[:, 1:]), 1e-300))
+            dz = np.sqrt(_max(np.float_power(zb[:, 0], 2)
+                              - np.vecdot(zb[:, 1:], zb[:, 1:]), 1e-300))
+            sbar, zbar = sb / ds[:, None], zb / dz[:, None]
+            gamma2 = 2.0 * np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
+            wbar = _run(self.wbar, r0, c, d)
+            wbar[:, 0] = (sbar[:, 0] + zbar[:, 0]) / gamma2
+            wbar[:, 1:] = (sbar[:, 1:] - zbar[:, 1:]) / gamma2[:, None]
+            eta = self.eta[k0: k0 + c] = np.sqrt(ds / dz)
+            self._apply_run(eta, wbar, zb, _run(self.lmbda, r0, c, d), 1.0)
 
     @staticmethod
-    def _apply_soc(eta: float, wbar: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # W u with W = eta * [[w0, w1^T], [w1, I + w1 w1^T / (1 + w0)]]
-        out = np.empty_like(u)
-        dot = wbar[1:] @ u[1:]
-        out[0] = wbar[0] * u[0] + dot
-        out[1:] = u[1:] + (u[0] + dot / (1.0 + wbar[0])) * wbar[1:]
-        return eta * out
+    def _apply_run(eta, wbar, u, out, sign: float) -> None:
+        """``out = W u`` (sign 1) or ``W^{-1} u`` (sign -1) on a run, with
+        W = eta * [[w0, w1^T], [w1, I + w1 w1^T / (1 + w0)]] and
+        W^{-1} = (1/eta) * J W_bar J."""
+        dot = np.vecdot(wbar[:, 1:], u[:, 1:])
+        out[:, 0] = wbar[:, 0] * u[:, 0] + sign * dot
+        coef = sign * u[:, 0] + dot / (1.0 + wbar[:, 0])
+        out[:, 1:] = u[:, 1:] + coef[:, None] * wbar[:, 1:]
+        (np.multiply if sign > 0 else np.divide)(out, eta[:, None], out=out)
 
-    @staticmethod
-    def _apply_soc_inv(eta: float, wbar: np.ndarray,
-                       u: np.ndarray) -> np.ndarray:
-        # W^{-1} = (1/eta) * J W_bar J
+    def _apply(self, u: np.ndarray, sign: float) -> np.ndarray:
         out = np.empty_like(u)
-        dot = wbar[1:] @ u[1:]
-        out[0] = wbar[0] * u[0] - dot
-        out[1:] = u[1:] + (-u[0] + dot / (1.0 + wbar[0])) * wbar[1:]
-        return out / eta
+        l = self.cones.l
+        out[:l] = self.w_nn * u[:l] if sign > 0 else u[:l] / self.w_nn
+        for r0, c, d, k0 in self.cones.runs:
+            self._apply_run(self.eta[k0: k0 + c], _run(self.wbar, r0, c, d),
+                            _run(u, r0, c, d), _run(out, r0, c, d), sign)
+        return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """W u."""
-        out = np.empty_like(u)
-        l = self.cones.l
-        out[:l] = self.w_nn * u[:l]
-        for (eta, wbar), sl in zip(self.soc, self.cones.soc_slices):
-            out[sl] = self._apply_soc(eta, wbar, u[sl])
-        return out
+        return self._apply(u, 1.0)
 
     def apply_inv(self, u: np.ndarray) -> np.ndarray:
         """W^{-1} u (= W^{-T} u; W is symmetric)."""
-        out = np.empty_like(u)
-        l = self.cones.l
-        out[:l] = u[:l] / self.w_nn
-        for (eta, wbar), sl in zip(self.soc, self.cones.soc_slices):
-            out[sl] = self._apply_soc_inv(eta, wbar, u[sl])
-        return out
+        return self._apply(u, -1.0)
 
     def apply_w2inv_mat(self, M: np.ndarray, blocks=None) -> np.ndarray:
         """(W^T W)^{-1} M for a matrix M, blockwise closed form.
@@ -272,16 +295,18 @@ class _Scaling:
         l = self.cones.l
         if l:
             out[:l] = M[:l] / (self.w_nn ** 2)[:, None]
-        start = l
-        for k in range(len(self.soc)) if blocks is None else blocks:
-            eta, wbar = self.soc[k]
-            sl = slice(start, start + wbar.size)
-            start = sl.stop
-            blk = M[sl]
-            wt = np.empty_like(wbar)
-            wt[0], wt[1:] = wbar[0], -wbar[1:]
-            jblk = np.vstack([blk[:1], -blk[1:]])
-            out[sl] = (2.0 * np.outer(wt, wt @ blk) - jblk) / (eta * eta)
+        cones = self.cones
+        for r0, c, d, k0 in cones.runs if blocks is None else \
+                cones.runs_of(blocks):
+            # (2 wt (wt^T B) - J B) / eta^2 with wt = J wbar, per block
+            wt = _run(self.wbar, cones.soc_slices[k0].start, c, d).copy()
+            np.negative(wt[:, 1:], out=wt[:, 1:])
+            blk, ob = _run(M, r0, c, d), _run(out, r0, c, d)
+            np.multiply(wt[:, :, None], wt[:, None, :] @ blk, out=ob)
+            ob *= 2.0
+            ob[:, :1] -= blk[:, :1]
+            ob[:, 1:] += blk[:, 1:]
+            ob /= np.square(self.eta[k0: k0 + c])[:, None, None]
         return out
 
 
@@ -289,10 +314,10 @@ def _jordan_product(u: np.ndarray, v: np.ndarray, cones: _Cones) -> np.ndarray:
     out = np.empty(cones.m)
     l = cones.l
     out[:l] = u[:l] * v[:l]
-    for sl in cones.soc_slices:
-        ub, vb = u[sl], v[sl]
-        out[sl.start] = ub @ vb
-        out[sl.start + 1: sl.stop] = ub[0] * vb[1:] + vb[0] * ub[1:]
+    for r0, c, d, _ in cones.runs:
+        ub, vb, ob = _run(u, r0, c, d), _run(v, r0, c, d), _run(out, r0, c, d)
+        ob[:, 0] = np.vecdot(ub, vb)
+        ob[:, 1:] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
     return out
 
 
@@ -307,13 +332,14 @@ def _jordan_solve(lmbda: np.ndarray, d: np.ndarray,
     # instead of inf, which would poison later products with NaNs.
     floor = 1e-30 * (1.0 + float(np.max(np.abs(lmbda), initial=0.0)))
     out[:l] = d[:l] / np.maximum(lmbda[:l], floor)
-    for sl in cones.soc_slices:
-        lb, db = lmbda[sl], d[sl]
-        det = max(lb[0] ** 2 - lb[1:] @ lb[1:], floor * floor)
-        lb0 = max(lb[0], floor)
-        u0 = (lb[0] * db[0] - lb[1:] @ db[1:]) / det
-        out[sl.start] = u0
-        out[sl.start + 1: sl.stop] = (db[1:] - u0 * lb[1:]) / lb0
+    for r0, c, dim, _ in cones.runs:
+        lb, db, ob = (_run(v, r0, c, dim) for v in (lmbda, d, out))
+        det = _max(np.float_power(lb[:, 0], 2)
+                   - np.vecdot(lb[:, 1:], lb[:, 1:]), floor * floor)
+        lb0 = _max(lb[:, 0], floor)
+        u0 = (lb[:, 0] * db[:, 0] - np.vecdot(lb[:, 1:], db[:, 1:])) / det
+        ob[:, 0] = u0
+        ob[:, 1:] = (db[:, 1:] - u0[:, None] * lb[:, 1:]) / lb0[:, None]
     return out
 
 
@@ -339,13 +365,9 @@ def _canonicalize(prog: ConeProgram):
             nn_G.append(blk.G)
             nn_h.append(blk.h)
             nn_rows.append((bi, blk.h.size))
-        elif blk.kind == "soc":
-            soc_G.append(blk.G)
-            soc_h.append(blk.h)
-            soc_dims.append(blk.h.size)
-            soc_blocks.append(bi)
-        else:  # rsoc
-            G2, h2 = _rsoc_to_soc(blk.G, blk.h)
+        else:
+            G2, h2 = (blk.G, blk.h) if blk.kind == "soc" else \
+                _rsoc_to_soc(blk.G, blk.h)
             soc_G.append(G2)
             soc_h.append(h2)
             soc_dims.append(blk.h.size)
@@ -420,7 +442,7 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
     def newton_matrix(W: _Scaling) -> np.ndarray:
         H = P + Gn.T @ W.apply_w2inv_mat(Gn, narrow)
         for k, Gb, C in terms:
-            eta, wbar = W.soc[k]
+            eta, wbar = W.eta[k], W.wbar[cones.soc_slices[k]]
             v = Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:]
             H += (2.0 * np.outer(v, v) - C) / (eta * eta)
         return _sym(H)
@@ -442,7 +464,8 @@ def _chol_solve_factory(H: np.ndarray):
                 raise
     def solve(rhs: np.ndarray) -> np.ndarray:
         tmp = np.linalg.solve(L, rhs)
-        return np.linalg.solve(L.T, tmp)
+        return solve_triangular(L, tmp, trans="T", lower=True,
+                                check_finite=False)
     return solve
 
 
@@ -485,7 +508,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     hnorm = max(1.0, float(np.linalg.norm(h, np.inf)) if m else 0.0)
     qnorm = max(1.0, float(np.linalg.norm(q, np.inf)))
 
-    status = "max_iter"
+    status = stop = "max_iter"
     iters = 0
     best_dres = np.inf
     dual_stall = 0
@@ -506,19 +529,20 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
 
         if not (np.isfinite(pobj) and np.isfinite(cgap)):
             x, y, s, z = x_prev, y_prev, s_prev, z_prev
+            stop = "non_finite"
             break
         if pres <= st.feas_tol and dres <= st.feas_tol and relgap <= st.gap_tol:
-            status = "optimal"
+            status = stop = "optimal"
             break
         if _infeasibility_certificate(A, b, G, h, y, z, st.feas_tol):
-            status = "infeasible"
+            status = stop = "infeasible"
             break
         if (
             float(np.linalg.norm(x, np.inf)) >= 1e8
             and pres <= st.feas_tol
             and pobj <= -1e8
         ):
-            status = "unbounded"
+            status = stop = "unbounded"
             break
         if pres <= st.feas_tol and relgap <= st.gap_tol:
             # Primal and gap are done; only dual stationarity is lagging.
@@ -530,6 +554,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             else:
                 dual_stall += 1
             if dual_stall >= 15:
+                stop = "dual_stall"
                 break
         x_prev, y_prev, s_prev, z_prev = x, y, s, z
 
@@ -545,10 +570,12 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
 
             H = newton_matrix(W)
             if not np.all(np.isfinite(H)):
+                stop = "non_finite"
                 break
             try:
                 hsolve = _chol_solve_factory(H)
             except np.linalg.LinAlgError:
+                stop = "factorization"
                 break
 
             if p:
@@ -603,6 +630,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         if not (np.isfinite(alpha) and np.all(np.isfinite(dx))
                 and np.all(np.isfinite(ds)) and np.all(np.isfinite(dz))
                 and np.all(np.isfinite(dy))):
+            stop = "non_finite"
             break
         for _ in range(10):
             s_new, z_new = s + alpha * ds, z + alpha * dz
@@ -632,13 +660,13 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                 cgap2 = abs(float(s @ z2))
                 if cgap2 / max(1.0, abs(prog.objective(x))) <= st.gap_tol:
                     y, z = y2, z2
-                    status = "optimal"
+                    status, stop = "optimal", "polished"
 
     z_orig = _scatter(prog, z, nn_rows, soc_blocks, cones, rotate_back=True)
     s_orig = _scatter(prog, s, nn_rows, soc_blocks, cones, rotate_back=True)
     residuals = _final_residuals(prog, x, y, z_orig, s_orig)
     return Solution(
-        x=x, y_eq=y, z=z_orig, s=s_orig, status=status,
+        x=x, y_eq=y, z=z_orig, s=s_orig, status=status, stop_reason=stop,
         objective=prog.objective(x), residuals=residuals,
         iterations=iters, block_slices=_original_slices(prog),
         block_kinds=[blk.kind for blk in prog.blocks],
@@ -652,8 +680,9 @@ def _sym(M: np.ndarray) -> np.ndarray:
 def _strictly_interior(v: np.ndarray, cones: _Cones) -> bool:
     if cones.l and np.min(v[: cones.l]) <= 0:
         return False
-    for sl in cones.soc_slices:
-        if _soc_residual(v[sl]) <= 0:
+    for r0, c, d, _ in cones.runs:
+        vb = _run(v, r0, c, d)
+        if (vb[:, 0] - np.sqrt(np.vecdot(vb[:, 1:], vb[:, 1:])) <= 0).any():
             return False
     return True
 
@@ -769,6 +798,7 @@ def _solve_equality_qp(prog: ConeProgram, st: SolverSettings,
     return Solution(
         x=x, y_eq=y, z=np.zeros(0), s=np.zeros(0),
         status="optimal" if ok else "max_iter",
+        stop_reason="optimal" if ok else "factorization",
         objective=prog.objective(x), residuals=residuals, iterations=1,
         block_slices=[], block_kinds=[],
     )

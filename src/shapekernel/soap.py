@@ -272,6 +272,7 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             "M_total": state.total_elements(),
             "v": float(sol.objective),
             "status": sol.status,
+            "stop_reason": sol.stop_reason,
             "bursts": len(saturated),
             "maxEta": float(max(widths)) if widths else 0.0,
             "wallTime": time.perf_counter() - t0,

@@ -459,7 +459,7 @@ class TestSolveReference:
         n_points = 150
         model, value, used, statuses = solve_reference(
             spec, c, n_points, init=16, batch=16)
-        assert statuses and set(statuses) == {"optimal"}
+        assert statuses and set(statuses) == {("optimal", "optimal")}
         # One-shot solve on the full grid must agree.
         grid = [(float(v),) for v in np.linspace(0, 1, n_points)]
         records = discretize(c, grid)

@@ -158,6 +158,38 @@ def test_unknown_config_key_is_rejected(tmp_path, section, key):
               str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 
+
+def test_unknown_top_level_config_key_is_rejected(tmp_path):
+    # "sede" used to reach ExperimentConfig(**merged) as a TypeError
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "control", "sede": 3}))
+    unknown = r"unknown config keys \['sede'\]"
+    with pytest.raises(ValueError, match=unknown):
+        ExperimentConfig.load(config)
+    with pytest.raises(SystemExit, match="shapekernel run: " + unknown):
+        main(["run", "control", "--config", str(config), "--out",
+              str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_reports_config_and_file_errors(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text("{}")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "control",
+                                  "params": {"wall_clearence": 0.7}}))
+    with pytest.raises(SystemExit, match="shapekernel verify: unknown "
+                       "control params keys .*wall_clearence"):
+        main(["verify", "--model", str(model), "--config", str(config)])
+    config.write_text(json.dumps({"experiment": "control"}))
+    for missing in ("--model", "--config"):
+        paths = {"--model": str(model), "--config": str(config),
+                 missing: str(tmp_path / "missing.json")}
+        with pytest.raises(SystemExit,
+                           match="shapekernel verify: .*missing.json"):
+            main(["verify", *(x for kv in paths.items() for x in kv)])
+
+
 def _load_tracer():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
         / "tracer.py"
@@ -182,12 +214,14 @@ def test_non_optimal_status_becomes_a_warning(tmp_path, monkeypatch):
     solve = assemble.solve
 
     def stalled(*args, **kwargs):
-        return dataclasses.replace(solve(*args, **kwargs), status="max_iter")
+        return dataclasses.replace(solve(*args, **kwargs), status="max_iter",
+                                   stop_reason="dual_stall")
 
     monkeypatch.setattr(assemble, "solve", stalled)
     _, summary = _run_tiny("control", tmp_path)
-    assert summary["warnings"] == ["ball: solver status 'max_iter'",
-                                   "disc: solver status 'max_iter'"]
+    assert summary["warnings"] == [
+        "ball: solver status 'max_iter' (stop reason 'dual_stall')",
+        "disc: solver status 'max_iter' (stop reason 'dual_stall')"]
 
 
 def test_reference_solve_status_becomes_a_warning(tmp_path, monkeypatch):
@@ -195,16 +229,17 @@ def test_reference_solve_status_becomes_a_warning(tmp_path, monkeypatch):
     solve = assemble.solve
 
     def stalled(*args, **kwargs):
-        return dataclasses.replace(solve(*args, **kwargs), status="max_iter")
+        return dataclasses.replace(solve(*args, **kwargs), status="max_iter",
+                                   stop_reason="dual_stall")
 
     monkeypatch.setattr(assemble, "solve", stalled)
     _, summary = _run_tiny("catenary", tmp_path, scheme="ball")
     reference = [w for w in summary["warnings"]
                  if w.startswith("reference round")]
-    assert reference[0] == "reference round 0: solver status 'max_iter'"
+    text = "solver status 'max_iter' (stop reason 'dual_stall')"
+    assert reference[0] == f"reference round 0: {text}"
     assert summary["warnings"][len(reference):] == [
-        "ball m=30: solver status 'max_iter'",
-        "ball m=30 relaxation: solver status 'max_iter'"]
+        f"ball m=30: {text}", f"ball m=30 relaxation: {text}"]
 
 
 def test_submodule_import_binds_the_module():

@@ -2,7 +2,9 @@
 
 Linear programs are checked against scipy's HiGHS, nonnegative QPs against
 bound-constrained L-BFGS-B, and second-order cone programs against SLSQP
-with an explicit norm constraint.
+with an explicit norm constraint.  The helpers that work on runs of
+equal-dimension cone blocks are checked bit for bit against per-block
+reference copies kept at the end of this file.
 """
 
 import math
@@ -21,8 +23,13 @@ from shapekernel import (
 from shapekernel.conic import (
     _canonicalize,
     _centering,
+    _chol_solve_factory,
+    _jordan_product,
+    _jordan_solve,
+    _max_step,
     _newton_matrix_factory,
     _Scaling,
+    _strictly_interior,
     _sym,
 )
 
@@ -267,7 +274,33 @@ class TestStatuses:
             blocks=[ConeBlock("nonneg", [[-1.0]], [-1.0])],
         )
         sol = solve(prog, SolverSettings(max_iter=1))
-        assert sol.status == "max_iter"
+        assert (sol.status, sol.stop_reason) == ("max_iter", "max_iter")
+
+    def test_stop_reason_names_each_exit(self):
+        def program(P):
+            return ConeProgram(
+                n=1, P=[[P]], blocks=[ConeBlock("nonneg", [[-1.0]], [-1.0])])
+
+        sol = solve(program(2.0))
+        assert (sol.status, sol.stop_reason) == ("optimal", "optimal")
+        # early breaks end "max_iter" but say why they stopped: a Newton
+        # matrix no regularization makes positive definite, and a warm
+        # start whose objective overflows
+        sol = solve(program(-10.0))
+        assert (sol.status, sol.stop_reason) == ("max_iter", "factorization")
+        assert sol.iterations == 1
+        with np.errstate(over="ignore"):
+            sol = solve(program(2.0), x0=np.array([1e200]))
+        assert (sol.status, sol.stop_reason) == ("max_iter", "non_finite")
+        infeasible = ConeProgram(n=1, q=[1.0], blocks=[
+            ConeBlock("nonneg", [[-1.0], [1.0]], [-1.0, 0.0])])
+        assert solve(infeasible).stop_reason == "infeasible"
+        unbounded = ConeProgram(n=1, q=[-1.0], blocks=[
+            ConeBlock("nonneg", [[-1.0]], [0.0])])
+        assert solve(unbounded).stop_reason == "unbounded"
+        direct = ConeProgram(n=2, P=np.eye(2), A_eq=np.ones((1, 2)),
+                             b_eq=[1.0])
+        assert solve(direct).stop_reason == "optimal"
 
     def test_centering_survives_diverged_predictor(self):
         # Seen in a relaxed catenary solve: the predictor diverged to
@@ -394,3 +427,331 @@ class TestNewtonMatrix:
     def test_without_wide_blocks_h_is_the_full_product(self):
         got, expected = self.newton_matrices(7, [6, 3])
         assert np.array_equal(got, expected)
+
+
+# --------------------------------------------------------------------------
+# Block runs against the per-block helpers they replaced
+# --------------------------------------------------------------------------
+
+#: ``x ** 2 != x * x`` for this numpy scalar: libm ``pow`` rounds it apart
+POW_SQUARE = -7461570.523750967
+
+
+def bits(a):
+    """Bytes of ``a`` with every NaN made the same: compares signed zeros
+    exactly and NaNs by position."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def ref_apply_soc(eta, wbar, u, inverse=False):
+    out = np.empty_like(u)
+    dot = wbar[1:] @ u[1:]
+    if inverse:
+        out[0] = wbar[0] * u[0] - dot
+        out[1:] = u[1:] + (-u[0] + dot / (1.0 + wbar[0])) * wbar[1:]
+        return out / eta
+    out[0] = wbar[0] * u[0] + dot
+    out[1:] = u[1:] + (u[0] + dot / (1.0 + wbar[0])) * wbar[1:]
+    return eta * out
+
+
+def ref_scaling(s, z, cones):
+    """Per-block NT scaling: ``([(eta, wbar)], lambda)``."""
+    l = cones.l
+    lmbda = np.zeros(cones.m)
+    lmbda[:l] = np.sqrt(s[:l] * z[:l])
+    soc = []
+    for sl in cones.soc_slices:
+        sb, zb = s[sl], z[sl]
+        ds = np.sqrt(max(sb[0] ** 2 - sb[1:] @ sb[1:], 1e-300))
+        dz = np.sqrt(max(zb[0] ** 2 - zb[1:] @ zb[1:], 1e-300))
+        sbar, zbar = sb / ds, zb / dz
+        gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
+        wbar = np.empty_like(sb)
+        wbar[0] = (sbar[0] + zbar[0]) / (2.0 * gamma)
+        wbar[1:] = (sbar[1:] - zbar[1:]) / (2.0 * gamma)
+        eta = np.sqrt(ds / dz)
+        soc.append((eta, wbar))
+        lmbda[sl] = ref_apply_soc(eta, wbar, zb)
+    return soc, lmbda
+
+
+def ref_apply(soc, w_nn, u, cones, inverse=False):
+    out = np.empty_like(u)
+    l = cones.l
+    out[:l] = u[:l] / w_nn if inverse else w_nn * u[:l]
+    for (eta, wbar), sl in zip(soc, cones.soc_slices):
+        out[sl] = ref_apply_soc(eta, wbar, u[sl], inverse)
+    return out
+
+
+def ref_w2inv_mat(soc, w_nn, M, cones, blocks=None):
+    out = np.empty_like(M)
+    l = cones.l
+    if l:
+        out[:l] = M[:l] / (w_nn ** 2)[:, None]
+    start = l
+    for k in range(len(soc)) if blocks is None else blocks:
+        eta, wbar = soc[k]
+        sl = slice(start, start + wbar.size)
+        start = sl.stop
+        blk = M[sl]
+        wt = np.empty_like(wbar)
+        wt[0], wt[1:] = wbar[0], -wbar[1:]
+        jblk = np.vstack([blk[:1], -blk[1:]])
+        out[sl] = (2.0 * np.outer(wt, wt @ blk) - jblk) / (eta * eta)
+    return out
+
+
+def ref_max_step(v, dv, cones):
+    alpha = 1e18
+    if cones.l:
+        neg = dv[: cones.l] < 0
+        if np.any(neg):
+            alpha = min(alpha, float(
+                np.min(-v[: cones.l][neg] / dv[: cones.l][neg])))
+    for sl in cones.soc_slices:
+        vb, db = v[sl], dv[sl]
+        a = db[1:] @ db[1:] - db[0] * db[0]
+        b = 2.0 * (vb[1:] @ db[1:] - vb[0] * db[0])
+        c = vb[1:] @ vb[1:] - vb[0] * vb[0]
+        step = 1e18
+        if abs(a) < 1e-300:
+            if b > 0:
+                step = max(-c / b, 0.0)
+        else:
+            disc = b * b - 4.0 * a * c
+            if disc >= 0:
+                sq = np.sqrt(disc)
+                pos = [r for r in ((-b - sq) / (2 * a), (-b + sq) / (2 * a))
+                       if r > 0]
+                if pos:
+                    step = min(pos)
+        if db[0] < 0:
+            step = min(step, -vb[0] / db[0])
+        alpha = min(alpha, step)
+    return alpha
+
+
+def ref_jordan_product(u, v, cones):
+    out = np.empty(cones.m)
+    l = cones.l
+    out[:l] = u[:l] * v[:l]
+    for sl in cones.soc_slices:
+        ub, vb = u[sl], v[sl]
+        out[sl.start] = ub @ vb
+        out[sl.start + 1: sl.stop] = ub[0] * vb[1:] + vb[0] * ub[1:]
+    return out
+
+
+def ref_jordan_solve(lmbda, d, cones):
+    out = np.empty(cones.m)
+    l = cones.l
+    floor = 1e-30 * (1.0 + float(np.max(np.abs(lmbda), initial=0.0)))
+    out[:l] = d[:l] / np.maximum(lmbda[:l], floor)
+    for sl in cones.soc_slices:
+        lb, db = lmbda[sl], d[sl]
+        det = max(lb[0] ** 2 - lb[1:] @ lb[1:], floor * floor)
+        lb0 = max(lb[0], floor)
+        u0 = (lb[0] * db[0] - lb[1:] @ db[1:]) / det
+        out[sl.start] = u0
+        out[sl.start + 1: sl.stop] = (db[1:] - u0 * lb[1:]) / lb0
+    return out
+
+
+def ref_strictly_interior(v, cones):
+    if cones.l and np.min(v[: cones.l]) <= 0:
+        return False
+    for sl in cones.soc_slices:
+        if v[sl][0] - np.linalg.norm(v[sl][1:]) <= 0:
+            return False
+    return True
+
+
+class TestBlockRuns:
+    """Every batched helper equals its per-block reference bit for bit."""
+
+    N = 12  # columns: the 40-dimensional blocks are wide (d >= n)
+
+    @classmethod
+    def cones(cls):
+        # SOC dimensions 3, 3, 3 (a run), 5 (a singleton), 40, 3, 40, 40
+        # and a rotated cone, canonical dimension 3, at the end
+        rng = np.random.default_rng(0)
+        dims = [3, 3, 3, 5, 40, 3, 40, 40]
+        blocks = [ConeBlock("nonneg", rng.normal(size=(4, cls.N)),
+                            np.zeros(4))]
+        blocks += [ConeBlock("soc", rng.normal(size=(d, cls.N)), np.zeros(d))
+                   for d in dims]
+        blocks.append(ConeBlock("rsoc", rng.normal(size=(3, cls.N)),
+                                np.zeros(3)))
+        G, _, cones, _, _ = _canonicalize(
+            ConeProgram(n=cls.N, blocks=blocks))
+        return G, cones
+
+    @staticmethod
+    def interior(rng, cones):
+        v = rng.normal(size=cones.m)
+        v[: cones.l] = rng.uniform(0.1, 2.0, cones.l)
+        for sl in cones.soc_slices:
+            v[sl.start] = np.linalg.norm(v[sl][1:]) + rng.uniform(0.1, 2.0)
+        return v
+
+    @classmethod
+    def edge_vectors(cls, rng, cones):
+        """Interior points with NaN, +-inf, +-0, boundary blocks and a
+        leading entry whose libm square differs from x * x."""
+        out = []
+        for value in (np.nan, np.inf, -np.inf, 0.0, -0.0):
+            v = cls.interior(rng, cones)
+            for sl in cones.soc_slices[1::3]:
+                v[sl.start + 1] = value
+            v[cones.soc_slices[4].start] = value
+            out.append(v)
+        v = cls.interior(rng, cones)
+        for sl in cones.soc_slices[::2]:  # boundary: v0 = ||v1||
+            v[sl.start] = np.linalg.norm(v[sl][1:])
+        out.append(v)
+        v = cls.interior(rng, cones)
+        for sl in cones.soc_slices:
+            v[sl] *= abs(POW_SQUARE) / v[sl.start]
+            v[sl.start] = POW_SQUARE
+        out.append(v)
+        return out
+
+    def test_runs_group_consecutive_equal_blocks(self):
+        _, cones = self.cones()
+        assert [r[1:] for r in cones.runs] == [
+            (3, 3, 0), (1, 5, 3), (1, 40, 4), (1, 3, 5), (2, 40, 6),
+            (1, 3, 8)]
+        # the blocks= subset without the wide blocks, rows packed
+        assert cones.runs_of([0, 1, 2, 3, 5, 8]) == [
+            (4, 3, 3, 0), (13, 1, 5, 3), (18, 1, 3, 5), (21, 1, 3, 8)]
+
+    def test_scaling_matches_per_block(self):
+        G, cones = self.cones()
+        rng = np.random.default_rng(1)
+        narrow = [k for k, d in enumerate(cones.soc_dims) if d < self.N]
+        rows = np.concatenate([np.arange(cones.l)] + [
+            np.arange(cones.soc_slices[k].start, cones.soc_slices[k].stop)
+            for k in narrow])
+        pairs = [(self.interior(rng, cones), self.interior(rng, cones))
+                 for _ in range(3)]
+        pairs += [(v, self.interior(rng, cones))
+                  for v in self.edge_vectors(rng, cones)]
+        pairs += [(self.interior(rng, cones), v)
+                  for v in self.edge_vectors(rng, cones)]
+        with np.errstate(all="ignore"):
+            for s, z in pairs:
+                W = _Scaling(s, z, cones)
+                soc, lmbda = ref_scaling(s, z, cones)
+                assert bits(W.lmbda) == bits(lmbda)
+                assert bits(W.eta) == bits([eta for eta, _ in soc])
+                for (_, wbar), sl in zip(soc, cones.soc_slices):
+                    assert bits(W.wbar[sl]) == bits(wbar)
+                u = rng.normal(size=cones.m)
+                for inverse, got in ((False, W.apply(u)),
+                                     (True, W.apply_inv(u))):
+                    assert bits(got) == bits(
+                        ref_apply(soc, W.w_nn, u, cones, inverse))
+                # subnormal products round apart if 2 wt wt^T B is
+                # regrouped
+                for M in (u[:, None], rng.normal(size=(cones.m, 7)), G,
+                          1e-310 * rng.normal(size=(cones.m, 3))):
+                    assert bits(W.apply_w2inv_mat(M)) == bits(
+                        ref_w2inv_mat(soc, W.w_nn, M, cones))
+                assert bits(W.apply_w2inv_mat(G[rows], narrow)) == bits(
+                    ref_w2inv_mat(soc, W.w_nn, G[rows], cones, narrow))
+
+    def test_jordan_helpers_match_per_block(self):
+        _, cones = self.cones()
+        rng = np.random.default_rng(2)
+        vectors = [self.interior(rng, cones) for _ in range(3)]
+        vectors += self.edge_vectors(rng, cones)
+        with np.errstate(all="ignore"):
+            for u in vectors:
+                for v in (rng.normal(size=cones.m), u):
+                    assert bits(_jordan_product(u, v, cones)) == \
+                        bits(ref_jordan_product(u, v, cones))
+                    assert bits(_jordan_solve(u, v, cones)) == \
+                        bits(ref_jordan_solve(u, v, cones))
+                # tiny lambda: the divisor floors take over
+                assert bits(_jordan_solve(1e-200 * u, v, cones)) == \
+                    bits(ref_jordan_solve(1e-200 * u, v, cones))
+
+    def test_max_step_matches_per_block(self):
+        _, cones = self.cones()
+        rng = np.random.default_rng(3)
+        cases = []
+        for _ in range(20):
+            v = self.interior(rng, cones)
+            cases += [(v, rng.normal(size=cones.m)),
+                      (v, 1e-3 * rng.normal(size=cones.m)),
+                      (v, self.interior(rng, cones))]
+        for v in self.edge_vectors(rng, cones):
+            cases += [(v, rng.normal(size=cones.m)),
+                      (self.interior(rng, cones), v)]
+        # |a| < 1e-300: directions on the cone's boundary ray, moving out
+        # (b > 0), moving in, and exactly zero
+        v = self.interior(rng, cones)
+        for sign in (1.0, -1.0, 0.0):
+            dv = rng.normal(size=cones.m)
+            for sl in cones.soc_slices:
+                dv[sl] = 0.0
+                dv[sl.start] = 1.0
+                dv[sl.start + 1] = sign * 1.0 if sign else 1.0
+                v[sl.start + 1] = -sign * abs(v[sl.start + 1])
+            cases.append((v.copy(), dv))
+        # boundary points moving along the boundary ray (a = 0, b > 0):
+        # every block's step is max(-0.0, 0.0), which is -0.0
+        v = self.interior(rng, cones)
+        dv = rng.normal(size=cones.m)
+        for sl in cones.soc_slices:
+            v[sl], dv[sl] = 0.0, 0.0
+            v[sl.start], v[sl.start + 1] = 1.0, 1.0
+            dv[sl.start], dv[sl.start + 1] = -1.0, 1.0
+        cases.append((v, dv))
+        # the same at infinity gives a NaN step, which loses to the finite
+        # steps of its run (blocks 1 and 2 bind, nothing else does) as
+        # Python's min lets it
+        v, dv = self.interior(rng, cones), self.interior(rng, cones)
+        dv[cones.soc_slices[1].start: cones.soc_slices[3].start] = \
+            rng.normal(size=6)
+        v[cones.soc_slices[0]][:2] = np.inf
+        dv[cones.soc_slices[0]] = 0.0
+        dv[cones.soc_slices[0]][:2] = -1.0, 1.0
+        cases.append((v, dv))
+        with np.errstate(all="ignore"):
+            for v, dv in cases:
+                assert bits(_max_step(v, dv, cones)) == \
+                    bits(ref_max_step(v, dv, cones))
+
+    def test_strictly_interior_matches_per_block(self):
+        _, cones = self.cones()
+        rng = np.random.default_rng(4)
+        vectors = [self.interior(rng, cones) for _ in range(3)]
+        vectors += self.edge_vectors(rng, cones)
+        for k in range(len(cones.soc_dims)):
+            v = self.interior(rng, cones)
+            sl = cones.soc_slices[k]
+            v[sl.start] = np.linalg.norm(v[sl][1:])  # one block on the edge
+            vectors.append(v)
+        with np.errstate(all="ignore"):
+            got = [_strictly_interior(v, cones) for v in vectors]
+            assert got == [ref_strictly_interior(v, cones) for v in vectors]
+        assert any(got) and not all(got)
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 301])
+    def test_chol_solve_is_the_two_lu_solves(self, n):
+        # an LU of the upper-triangular L^T neither pivots nor eliminates,
+        # so the triangular back-solve returns the same bits
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, n))
+        H = X @ X.T + 1e-3 * np.eye(n)
+        L = np.linalg.cholesky(H)
+        solve_h = _chol_solve_factory(H)
+        for b in (rng.normal(size=n), 1e150 * rng.normal(size=n)):
+            assert bits(solve_h(b)) == bits(
+                np.linalg.solve(L.T, np.linalg.solve(L, b)))

@@ -350,8 +350,8 @@ class TestRunSoapBall:
         rows = state.history
         assert len(rows) == 7
         for k, row in enumerate(rows):
-            assert set(row) == {"k", "M_total", "v", "status", "bursts",
-                                "maxEta", "wallTime"}
+            assert set(row) == {"k", "M_total", "v", "status", "stop_reason",
+                                "bursts", "maxEta", "wallTime"}
             assert row["k"] == k
             assert row["bursts"] >= 1
             assert row["wallTime"] >= 0.0
