@@ -404,7 +404,10 @@ def solve_problem(spec: ProblemSpec, records: list,
     bias, epigraph and auxiliary variables start at zero.
 
     Raises on infeasible/unbounded status so callers never mistake a
-    certificate of infeasibility for a model.
+    certificate of infeasibility for a model.  A caller that does not read
+    the program should drop it (``solve_problem(...)[:2]``): it holds the
+    program's rows and Gram, which would otherwise stay alive through the
+    caller's next solve.
     """
     basis = collect_atoms(spec, records)
     prog = assemble(spec, basis, records)
@@ -455,7 +458,7 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
     termination the returned model is feasible on the *entire* grid, so its
     objective equals the full-grid discretized optimum.  Returns
     ``(model, value, points_used, statuses)``, the last the solver
-    ``(status, stop_reason)`` of every round.
+    ``(status, stop_reason, iterations)`` of every round.
     """
     if constraint.size != 1:
         raise ValueError("reference solve supports scalar constraints only")
@@ -476,9 +479,9 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
         pts = [tuple(X[i]) for i in active_idx]
         records = discretize(constraint, pts,
                              constraint_index=constraint_index)
-        model, sol, _ = solve_problem(spec, records, settings=settings)
+        model, sol = solve_problem(spec, records, settings=settings)[:2]
         value = sol.objective
-        statuses.append((sol.status, sol.stop_reason))
+        statuses.append((sol.status, sol.stop_reason, sol.iterations))
         vals = model.apply(func, X)
         bias = model.bias[: gm.shape[1]] if gm.shape[1] else np.zeros(0)
         slack = vals + (gm[0] @ bias if gm.shape[1] else 0.0) - offset

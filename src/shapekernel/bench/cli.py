@@ -4,13 +4,17 @@ Two subcommands::
 
     shapekernel run <experiment> [--config cfg.json] [--out DIR]
                     [--seed N] [--scheme S] [--eta-safety E] [--grid-res R]
+                    [--strict]
     shapekernel verify --model model.json --config cfg.json
                     [--grid-res R] [--tol T]
 
 ``run`` executes one experiment and writes CSV tables, model JSON files,
-and a ``summary.json`` into the output directory.  ``verify`` reloads a
-saved model and re-checks the experiment's constraints on a dense grid,
-exiting nonzero if any violation exceeds the tolerance.
+and a ``summary.json`` into the output directory.  It prints each of the
+run's warnings (a solve that did not end ``optimal``, a missing data file)
+to stderr; with ``--strict`` it then exits 1 if there was any.
+``verify`` reloads a saved model and re-checks the experiment's
+constraints on a dense grid, exiting nonzero if any violation exceeds the
+tolerance.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        "buffer radii")
     run_p.add_argument("--grid-res", type=int, dest="grid_res",
                        help="resolution of exported solution grids")
+    run_p.add_argument("--strict", action="store_true",
+                       help="exit 1 if the run raised any warning")
 
     ver_p = sub.add_parser("verify", help="re-check a saved model against "
                            "the experiment's constraints")
@@ -95,7 +101,10 @@ def _cmd_run(args) -> int:
     total = summary.get("timings", {}).get("total_s")
     if total is not None:
         print(f"done in {total:.2f}s")
-    return 0
+    warnings = summary.get("warnings", [])
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return 1 if args.strict and warnings else 0
 
 
 def _cmd_verify(args) -> int:

@@ -153,14 +153,15 @@ class ExperimentConfig:
             _check_keys("covering", self.covering,
                         [f.name for f in fields(CoveringConfig)])
             self.covering = CoveringConfig(**self.covering)
+        # ``solver`` stays the dict the config file gave; the settings it
+        # names are checked and built here, before any run starts
+        _check_keys("solver", self.solver,
+                    [f.name for f in fields(SolverSettings)])
+        self.settings = SolverSettings(**self.solver)
         self.seed = int(self.seed)
         self.grid_res = int(self.grid_res)
         if self.grid_res < 2:
             raise ValueError("grid_res must be at least 2")
-
-    # ------------------------------------------------------------- helpers
-    def solver_settings(self) -> SolverSettings:
-        return SolverSettings(**self.solver)
 
     # ---------------------------------------------------------- round-trip
     def to_json(self) -> dict:

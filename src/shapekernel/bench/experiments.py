@@ -88,13 +88,19 @@ def _ball_samples(center, radius: float, n: int,
     return center[None, :] + radius * v * r[:, None]
 
 
-def _check_status(warnings: list, label: str, status: str,
-                  stop_reason: str) -> None:
-    """Add a warning naming the solve and why it stopped when it did not
-    end ``optimal``."""
-    if status != "optimal":
-        warnings.append(f"{label}: solver status {status!r} "
-                        f"(stop reason {stop_reason!r})")
+def _record_solve(solves: list, label: str, status: str, stop_reason: str,
+                  iterations: int) -> None:
+    """Add one runner solve to the summary's ``solves`` list."""
+    solves.append({"label": label, "status": status,
+                   "stop_reason": stop_reason, "iterations": iterations})
+
+
+def _solve_warnings(solves: list) -> list:
+    """A warning naming each solve that did not end ``optimal`` and why it
+    stopped."""
+    return [f"{s['label']}: solver status {s['status']!r} "
+            f"(stop reason {s['stop_reason']!r})"
+            for s in solves if s["status"] != "optimal"]
 
 
 def records_for(scheme: str, c: ShapeConstraint, balls: list, kernel, cov,
@@ -180,7 +186,7 @@ def _catenary_spec(objective: str = "norm",
 def run_catenary(cfg: ExperimentConfig):
     p = cfg.params
     cov = cfg.covering
-    settings = cfg.solver_settings()
+    settings = cfg.settings
     objective = p.get("objective", "norm")
     mu_f = 2.0 if objective == "norm_squared" else None
     m_list = [int(m) for m in p.get("m_list", [30, 60, 120])]
@@ -196,9 +202,9 @@ def run_catenary(cfg: ExperimentConfig):
     _, v_ref, ref_active, ref_statuses = solve_reference(
         spec, c, int(p.get("reference_points", 10_000)), settings=settings)
     timings["reference_s"] = time.perf_counter() - t0
-    warnings: list = []
-    for k, (status, reason) in enumerate(ref_statuses):
-        _check_status(warnings, f"reference round {k}", status, reason)
+    solves: list = []
+    for k, outcome in enumerate(ref_statuses):
+        _record_solve(solves, f"reference round {k}", *outcome)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_res).reshape(-1, 1)
     conv_header = ["scheme", "step", "elements", "v_app", "v_relax", "gap",
@@ -218,19 +224,19 @@ def run_catenary(cfg: ExperimentConfig):
                 cover = cover_box(c.region, (hi - lo) / (2.0 * m), norm="max")
                 records = records_for(scheme, c, cover, spec.kernel, cov,
                                       cfg.seed)
-                model, sol, _ = solve_problem(spec, records,
-                                              settings=settings)
-                _check_status(warnings, f"{scheme} m={m}", sol.status,
-                              sol.stop_reason)
+                model, sol = solve_problem(spec, records,
+                                           settings=settings)[:2]
+                _record_solve(solves, f"{scheme} m={m}", sol.status,
+                              sol.stop_reason, sol.iterations)
                 v_app = sol.objective
                 v_relax = None
                 if scheme != "disc":
                     # the relaxation: the same anchors without buffers
                     relaxed = discretize(c, [b.center for b in cover])
-                    _, rsol, _ = solve_problem(spec, relaxed,
-                                               settings=settings)
-                    _check_status(warnings, f"{scheme} m={m} relaxation",
-                                  rsol.status, rsol.stop_reason)
+                    rsol = solve_problem(spec, relaxed, settings=settings)[1]
+                    _record_solve(solves, f"{scheme} m={m} relaxation",
+                                  rsol.status, rsol.stop_reason,
+                                  rsol.iterations)
                     v_relax = rsol.objective
                 max_eta = max(
                     (getattr(r, "eta", 0.0) for r in records), default=0.0)
@@ -253,8 +259,9 @@ def run_catenary(cfg: ExperimentConfig):
             hist = state.history
             hist_rows = []
             for row in hist:
-                _check_status(warnings, f"{scheme} round {row['k']}",
-                              row["status"], row["stop_reason"])
+                _record_solve(solves, f"{scheme} round {row['k']}",
+                              row["status"], row["stop_reason"],
+                              row["iterations"])
                 conv_rows.append([scheme, row["k"], row["M_total"], row["v"],
                                   None, None, row["v"] - v_ref,
                                   row["maxEta"]])
@@ -271,9 +278,9 @@ def run_catenary(cfg: ExperimentConfig):
             else:
                 anchors = [om.source.center for om in state.coverings[0]]
             records = discretize(c, anchors)
-            _, rsol, _ = solve_problem(spec, records, settings=settings)
-            _check_status(warnings, f"{scheme} relaxation", rsol.status,
-                          rsol.stop_reason)
+            rsol = solve_problem(spec, records, settings=settings)[1]
+            _record_solve(solves, f"{scheme} relaxation", rsol.status,
+                          rsol.stop_reason, rsol.iterations)
             relax_value = rsol.objective
             if mode == "ball":
                 records = tighten_soc(c, state.coverings[0], state.etas[0])
@@ -284,8 +291,9 @@ def run_catenary(cfg: ExperimentConfig):
                      "stop": state.stopped_reason}
         elif scheme == "none":
             spec_free = _catenary_spec(objective, constrained=False)
-            model, sol, _ = solve_problem(spec_free, [], settings=settings)
-            _check_status(warnings, scheme, sol.status, sol.stop_reason)
+            model, sol = solve_problem(spec_free, [], settings=settings)[:2]
+            _record_solve(solves, scheme, sol.status, sol.stop_reason,
+                          sol.iterations)
             v_app = sol.objective
             records = []
             relax_value = None
@@ -328,7 +336,8 @@ def run_catenary(cfg: ExperimentConfig):
             "rows": timing_table,
         },
         "timings": timings,
-        "warnings": warnings,
+        "solves": solves,
+        "warnings": _solve_warnings(solves),
     }
     return summary, tables, models
 
@@ -396,7 +405,7 @@ def _control_constraints(p: dict, seed):
 def run_control(cfg: ExperimentConfig):
     p = cfg.params
     cov = cfg.covering
-    settings = cfg.solver_settings()
+    settings = cfg.settings
     kernel = LTIControlKernel(p["system_a"], p["system_b"])
     cons, walls, gen = _control_constraints(p, cfg.seed)
     spec = ProblemSpec(kernel=kernel, loss="none", regularizer=Ridge(1.0),
@@ -432,16 +441,17 @@ def run_control(cfg: ExperimentConfig):
     scheme_summaries: dict = {}
     models: dict = {}
     solved: dict = {}
-    warnings: list = []
+    solves: list = []
     for scheme in schemes:
         records = []
         for i, c in enumerate(cons):
             records.extend(records_for(scheme, c, [balls[i // 2]], kernel,
                                        cov, cfg.seed, constraint_index=i))
         t0 = time.perf_counter()
-        model, sol, _ = solve_problem(spec, records, settings=settings)
+        model, sol = solve_problem(spec, records, settings=settings)[:2]
         timings[f"{scheme}_s"] = time.perf_counter() - t0
-        _check_status(warnings, scheme, sol.status, sol.stop_reason)
+        _record_solve(solves, scheme, sol.status, sol.stop_reason,
+                      sol.iterations)
         max_violation, n_violated = violations(model, verify_res)
         scheme_summaries[scheme] = {
             "v_app": sol.objective,
@@ -480,7 +490,8 @@ def run_control(cfg: ExperimentConfig):
         "n_constraints": len(cons),
         "max_eta": float(max(etas)),
         "timings": timings,
-        "warnings": warnings,
+        "solves": solves,
+        "warnings": _solve_warnings(solves),
     }
     return summary, tables, models
 
@@ -607,7 +618,7 @@ def _robot_metrics(model, geom: RobotGeometry, kept, p: dict, seed):
 def run_robotarm(cfg: ExperimentConfig):
     p = cfg.params
     cov = cfg.covering
-    settings = cfg.solver_settings()
+    settings = cfg.settings
     segments = int(p.get("segments", 2))
     n_obs = int(p.get("n_obs", 40))
     noise = float(p.get("noise", 0.2))
@@ -622,7 +633,7 @@ def run_robotarm(cfg: ExperimentConfig):
     per_seed: dict = {}
     timings: dict = {}
     models: dict = {}
-    warnings: list = []
+    solves: list = []
     t_all = time.perf_counter()
     for seed in seeds:
         data, geom = synth_robot_data(segments, n_obs, noise, seed)
@@ -658,13 +669,13 @@ def run_robotarm(cfg: ExperimentConfig):
                             scheme, item["constraint"], [item["ball"]],
                             kernel, cov, cfg.seed, constraint_index=j))
                 t0 = time.perf_counter()
-                model, sol, _ = solve_problem(spec, records,
-                                              settings=settings)
+                model, sol = solve_problem(spec, records,
+                                           settings=settings)[:2]
                 elapsed = time.perf_counter() - t0
                 timings[f"seed{seed}_m{m_per_axis_pow}_{scheme}_s"] = elapsed
-                _check_status(warnings,
+                _record_solve(solves,
                               f"seed {seed} m={m_per_axis_pow} {scheme}",
-                              sol.status, sol.stop_reason)
+                              sol.status, sol.stop_reason, sol.iterations)
                 l2_err, l1_cons, l1_cov, l1_cov_max = _robot_metrics(
                     model, geom, kept, p, seed)
                 rows.append([seed, m_per_axis_pow, scheme, n_candidates,
@@ -705,7 +716,8 @@ def run_robotarm(cfg: ExperimentConfig):
         "l1_ordering_ball_le_disc_le_none": orderings,
         "constraint_cap": {str(m): int(d * m) for m in m_list},
         "timings": {**timings, "all_seeds_s": time.perf_counter() - t_all},
-        "warnings": warnings,
+        "solves": solves,
+        "warnings": _solve_warnings(solves),
     }
     return summary, {"results": (header, rows)}, models
 
@@ -819,7 +831,7 @@ def _cv_norm_cap(X, y, kernel, folds: int, grid, rng) -> float:
 def run_econ(cfg: ExperimentConfig):
     p = cfg.params
     cov = cfg.covering
-    settings = cfg.solver_settings()
+    settings = cfg.settings
     ds, fallback = _econ_dataset(cfg)
     X, g = ds.X, ds.Y[:, 0]
     n = X.shape[0]
@@ -858,8 +870,7 @@ def run_econ(cfg: ExperimentConfig):
     rows = []
     models: dict = {}
     bound_json = None
-    warnings = (["dataset file missing: synthetic fallback in use"]
-                if fallback else [])
+    solves: list = []
     t_all = time.perf_counter()
     for rep in range(reps):
         rng = np.random.default_rng([cfg.seed, 500 + rep])
@@ -877,11 +888,11 @@ def run_econ(cfg: ExperimentConfig):
                                loss="squared", regularizer=NormBound(cap),
                                constraints=regimes[regime])
             t0 = time.perf_counter()
-            model, sol, _ = solve_problem(spec, records_map[regime],
-                                          settings=settings)
+            model, sol = solve_problem(spec, records_map[regime],
+                                       settings=settings)[:2]
             timings[f"rep{rep}_{regime}_s"] = time.perf_counter() - t0
-            _check_status(warnings, f"rep {rep} {regime}", sol.status,
-                          sol.stop_reason)
+            _record_solve(solves, f"rep {rep} {regime}", sol.status,
+                          sol.stop_reason, sol.iterations)
             pred_tr = model.eval_component_many(X[train_idx], 0)
             pred_te = model.eval_component_many(X[test_idx], 0)
             mse_tr = float(((pred_tr - g[train_idx]) ** 2).mean())
@@ -891,10 +902,9 @@ def run_econ(cfg: ExperimentConfig):
             models[f"model_{regime}"] = model
             if regime == "both" and rep == reps - 1:
                 rrecords = relax_records(records_map[regime])
-                _, rsol, _ = solve_problem(spec, rrecords,
-                                           settings=settings)
-                _check_status(warnings, f"rep {rep} {regime} relaxation",
-                              rsol.status, rsol.stop_reason)
+                rsol = solve_problem(spec, rrecords, settings=settings)[1]
+                _record_solve(solves, f"rep {rep} {regime} relaxation",
+                              rsol.status, rsol.stop_reason, rsol.iterations)
                 report = compute_bounds(spec, records_map[regime],
                                         sol.objective,
                                         v_relax=rsol.objective)
@@ -926,7 +936,9 @@ def run_econ(cfg: ExperimentConfig):
         "test_mse_both_le_none": ordered,
         "bound_report": bound_json,
         "timings": timings,
-        "warnings": warnings,
+        "solves": solves,
+        "warnings": (["dataset file missing: synthetic fallback in use"]
+                     if fallback else []) + _solve_warnings(solves),
     }
     return summary, {"mse": (header, rows)}, models
 

@@ -25,7 +25,11 @@ through one dense product over their rows, except wide ones: a block with
 ``d >= n`` rows (a norm cap or norm epigraph over the whole coefficient
 vector) adds ``(2 v v^T - G_b^T J G_b) / eta^2`` with ``v = G_b^T wt``, a
 rank-one update of an ``n x n`` matrix formed once per solve, so it costs
-O(n^2) per iteration instead of O(d n^2).
+O(n^2) per iteration instead of O(d n^2).  That matrix is kept as its
+diagonal when it has no off-diagonal nonzero (identity rows, as in econ).
+Each solve forms H in one workspace of two ``n x n`` buffers, so the matrix
+one call returns is overwritten by the next, and the other blocks' rows
+are a view of G when they come first, as ``assemble`` orders them.
 
 Block runs.  Consecutive SOC blocks of one dimension sit on contiguous
 canonical rows, so each per-block step works on a whole run at once through
@@ -125,6 +129,10 @@ class SolverSettings:
     def __post_init__(self):
         if min(self.feas_tol, self.gap_tol) <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if not 0 < self.step_fraction < 1:
+            raise ValueError("step_fraction must lie in (0, 1)")
 
 
 @dataclass
@@ -422,30 +430,44 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
     ``C_b = G_b^T J G_b`` (J = diag(1, -1, ..., -1)) is no larger than its
     own rows, so ``C_b`` is formed once here and the block's rows leave the
     per-iteration product.  Each call then adds the block's exact term
-    ``(2 v v^T - C_b) / eta_b^2`` with ``v = G_b^T J wbar_b``.  Without a
-    wide block H is the plain product over all rows.
+    ``(2 v v^T - C_b) / eta_b^2`` with ``v = G_b^T J wbar_b``; a ``C_b``
+    with no off-diagonal nonzero is kept as its diagonal (``x - 0`` is
+    exact).  H is formed in two n x n buffers allocated here, so each call
+    overwrites the matrix the last one returned.  The narrow rows are a
+    view of G when they come first, as in every program ``assemble`` builds.
     """
     n = G.shape[1]
     wide = [k for k, d in enumerate(cones.soc_dims) if d >= n]
-    if not wide:
-        return lambda W: _sym(P + G.T @ W.apply_w2inv_mat(G))
     narrow = [k for k in range(len(cones.soc_dims)) if k not in wide]
     rows = np.concatenate([np.arange(cones.l)] + [
         np.arange(cones.soc_slices[k].start, cones.soc_slices[k].stop)
         for k in narrow])
-    Gn = G[rows]
+    Gn = G[rows] if (rows != np.arange(rows.size)).any() else G[: rows.size]
     terms = []
     for k in wide:
         Gb = G[cones.soc_slices[k]]
-        terms.append((k, Gb, np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]))
+        C = np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]
+        if np.count_nonzero(C) == np.count_nonzero(np.diagonal(C)):
+            C = np.diagonal(C).copy()
+        terms.append((k, Gb, C))
+    H, T = np.empty((n, n)), np.empty((n, n))
+    T_diag = T.reshape(-1)[:: n + 1]  # a view of T's diagonal
 
     def newton_matrix(W: _Scaling) -> np.ndarray:
-        H = P + Gn.T @ W.apply_w2inv_mat(Gn, narrow)
+        np.matmul(Gn.T, W.apply_w2inv_mat(Gn, narrow), out=H)
+        np.add(H, P, out=H)
         for k, Gb, C in terms:
             eta, wbar = W.eta[k], W.wbar[cones.soc_slices[k]]
             v = Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:]
-            H += (2.0 * np.outer(v, v) - C) / (eta * eta)
-        return _sym(H)
+            np.outer(v, v, out=T)
+            np.multiply(T, 2.0, out=T)
+            T_C = T_diag if C.ndim == 1 else T
+            np.subtract(T_C, C, out=T_C)
+            np.divide(T, eta * eta, out=T)
+            np.add(H, T, out=H)
+        np.add(H, H.T, out=T)  # _sym(H), in T
+        np.multiply(T, 0.5, out=T)
+        return T
     return newton_matrix
 
 
@@ -568,6 +590,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             lmbda = W.lmbda
             mu = cgap / cones.degree
 
+            hsolve = None  # free the last factor before H is formed
             H = newton_matrix(W)
             if not np.all(np.isfinite(H)):
                 stop = "non_finite"

@@ -273,6 +273,7 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             "v": float(sol.objective),
             "status": sol.status,
             "stop_reason": sol.stop_reason,
+            "iterations": sol.iterations,
             "bursts": len(saturated),
             "maxEta": float(max(widths)) if widths else 0.0,
             "wallTime": time.perf_counter() - t0,

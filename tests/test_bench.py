@@ -74,6 +74,32 @@ def test_run_writes_every_artifact(tiny_run):
     assert model_path.exists()
 
 
+def test_summary_records_every_solve(tiny_run):
+    name, _, model_path, _, _ = tiny_run
+    saved = json.loads((model_path.parent / "summary.json").read_text())
+    solves = saved["solves"]
+    assert solves
+    for entry in solves:
+        assert set(entry) == {"label", "status", "stop_reason",
+                              "iterations"}
+        assert entry["iterations"] >= 1
+    labels = [entry["label"] for entry in solves]
+    assert len(set(labels)) == len(labels)
+    expected = {"catenary": ["ball m=30", "ball m=30 relaxation"],
+                "control": ["ball", "disc"],
+                "econ": ["rep 4 both", "rep 4 both relaxation"],
+                "robotarm": ["seed 0 m=16 ball"]}[name]
+    assert set(expected) <= set(labels)
+    if name == "catenary":
+        assert labels[0] == "reference round 0"
+        assert "soap-hyp round 1" in labels
+    # every solve that did not end optimal is also a warning
+    failed = [entry["label"] for entry in solves
+              if entry["status"] != "optimal"]
+    assert [w.split(":")[0] for w in saved["warnings"]
+            if w.split(":")[0] in labels] == failed
+
+
 def test_verify_passes_on_the_saved_tightened_model(tiny_run, capsys):
     name, config, model_path, grid, summary = tiny_run
     code = main(["verify", "--model", str(model_path), "--config",
@@ -145,7 +171,8 @@ def test_cli_rejects_negative_eta_safety_before_running(tmp_path):
 
 
 @pytest.mark.parametrize("section, key", [("params", "wall_clearence"),
-                                          ("covering", "nx")])
+                                          ("covering", "nx"),
+                                          ("solver", "max_iters")])
 def test_unknown_config_key_is_rejected(tmp_path, section, key):
     # a misspelled key would otherwise run at the default value
     config = tmp_path / "config.json"
@@ -157,6 +184,38 @@ def test_unknown_config_key_is_rejected(tmp_path, section, key):
         main(["run", "control", "--config", str(config), "--out",
               str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+def test_out_of_range_solver_setting_is_rejected_before_running(tmp_path):
+    # max_iter 0 used to run every solve for no iterations
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "control",
+                                  "solver": {"max_iter": 0}}))
+    with pytest.raises(SystemExit,
+                       match="shapekernel run: max_iter must be at least 1"):
+        main(["run", "control", "--config", str(config), "--out",
+              str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("strict, max_iter", [(False, 1), (True, 1),
+                                              (True, 200)])
+def test_run_prints_warnings_and_strict_fails_on_them(tmp_path, capsys,
+                                                      strict, max_iter):
+    # at one iteration per solve both control solves end max_iter
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "control",
+                                  **TINY["control"][0],
+                                  "solver": {"max_iter": max_iter}}))
+    code = main(["run", "control", "--config", str(config), "--out",
+                 str(tmp_path / "out"), *(["--strict"] if strict else [])])
+    warned = max_iter == 1
+    assert code == (1 if strict and warned else 0)
+    text = "solver status 'max_iter' (stop reason 'max_iter')"
+    assert capsys.readouterr().err.splitlines() == (
+        [f"warning: ball: {text}", f"warning: disc: {text}"]
+        if warned else [])
+    assert (tmp_path / "out" / "summary.json").exists()
 
 
 def test_unknown_top_level_config_key_is_rejected(tmp_path):

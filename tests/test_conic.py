@@ -4,10 +4,12 @@ Linear programs are checked against scipy's HiGHS, nonnegative QPs against
 bound-constrained L-BFGS-B, and second-order cone programs against SLSQP
 with an explicit norm constraint.  The helpers that work on runs of
 equal-dimension cone blocks are checked bit for bit against per-block
-reference copies kept at the end of this file.
+reference copies kept at the end of this file, and so is the Newton matrix
+built in its per-solve workspace, against a copy of the per-call factory.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +315,16 @@ class TestStatuses:
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             SolverSettings(feas_tol=0.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iter", 0), ("max_iter", -3), ("step_fraction", 1.5),
+        ("step_fraction", 1.0), ("step_fraction", 0.0),
+    ])
+    def test_out_of_range_settings_rejected(self, key, value):
+        # max_iter 0 ran no iteration at all; a step fraction of 1 or more
+        # steps onto or past the cone boundary
+        with pytest.raises(ValueError, match=key):
+            SolverSettings(**{key: value})
 
     def test_invalid_cone_kind_rejected(self):
         with pytest.raises(ValueError, match="unsupported cone kind"):
@@ -755,3 +767,144 @@ class TestBlockRuns:
         for b in (rng.normal(size=n), 1e150 * rng.normal(size=n)):
             assert bits(solve_h(b)) == bits(
                 np.linalg.solve(L.T, np.linalg.solve(L, b)))
+
+
+# --------------------------------------------------------------------------
+# The Newton workspace against the factory it replaced
+# --------------------------------------------------------------------------
+
+def ref_newton_matrix_factory(P, G, cones):
+    """H with fresh temporaries per call and dense wide constants."""
+    n = G.shape[1]
+    wide = [k for k, d in enumerate(cones.soc_dims) if d >= n]
+    if not wide:
+        return lambda W: _sym(P + G.T @ W.apply_w2inv_mat(G))
+    narrow = [k for k in range(len(cones.soc_dims)) if k not in wide]
+    rows = np.concatenate([np.arange(cones.l)] + [
+        np.arange(cones.soc_slices[k].start, cones.soc_slices[k].stop)
+        for k in narrow])
+    Gn = G[rows]
+    terms = []
+    for k in wide:
+        Gb = G[cones.soc_slices[k]]
+        terms.append((k, Gb, np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]))
+
+    def newton_matrix(W):
+        H = P + Gn.T @ W.apply_w2inv_mat(Gn, narrow)
+        for k, Gb, C in terms:
+            eta, wbar = W.eta[k], W.wbar[cones.soc_slices[k]]
+            v = Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:]
+            H += (2.0 * np.outer(v, v) - C) / (eta * eta)
+        return _sym(H)
+    return newton_matrix
+
+
+def norm_blocks(n, rng, dense_row0=False):
+    """A norm cap and a norm epigraph over the first n - 1 columns, both
+    wide (d = n), as ``assemble`` builds them; the last column is t.  With
+    ``dense_row0`` the cap's leading row is random, so its constant
+    G_b^T J G_b has off-diagonal entries."""
+    cap = np.zeros((n, n))
+    cap[1:, :-1] = -np.eye(n - 1)
+    if dense_row0:
+        cap[0] = rng.normal(size=n)
+    epi = np.zeros((n, n))
+    epi[0, -1] = -1.0
+    epi[1:, :-1] = -np.eye(n - 1)
+    h = np.zeros(n)
+    h[0] = 2.0
+    return [ConeBlock("soc", cap, h, ("norm_bound",)),
+            ConeBlock("soc", epi, np.zeros(n), ("epigraph",))]
+
+
+class TestNewtonWorkspace:
+    """The in-place Newton matrix keeps the bits of the per-call one."""
+
+    N = 30
+
+    @classmethod
+    def program(cls, layout, rng, psd_P=True):
+        n = cls.N
+        blocks = [ConeBlock("nonneg", rng.normal(size=(6, n)), np.zeros(6))]
+        for name in layout:
+            if name == "soc":
+                blocks.append(ConeBlock("soc", rng.normal(size=(3, n)),
+                                        np.zeros(3)))
+            elif name == "rsoc":
+                blocks.append(ConeBlock("rsoc", rng.normal(size=(4, n)),
+                                        np.zeros(4)))
+            else:
+                blocks += norm_blocks(n, rng, dense_row0=name == "dense")
+        M = rng.normal(size=(n, n))
+        P = M @ M.T if psd_P else np.zeros((n, n))
+        G, _, cones, _, _ = _canonicalize(ConeProgram(n=n, blocks=blocks))
+        return P, G, cones
+
+    @staticmethod
+    def scaling(rng, cones):
+        return _Scaling(TestBlockRuns.interior(rng, cones),
+                        TestBlockRuns.interior(rng, cones), cones)
+
+    @staticmethod
+    def narrow_rows(factory):
+        cells = factory.__code__.co_freevars
+        return dict(zip(cells, (c.cell_contents
+                                for c in factory.__closure__)))["Gn"]
+
+    @pytest.mark.parametrize("layout, psd_P, prefix", [
+        (["soc", "rsoc", "soc"], False, True),    # no wide block
+        (["soc", "rsoc", "soc"], True, True),
+        (["soc", "norms"], True, True),           # diagonal constants
+        (["soc", "norms"], False, True),
+        (["rsoc", "dense"], True, True),          # dense leading row
+        (["norms", "soc", "rsoc"], True, False),  # wide blocks not last
+        (["dense", "soc"], False, False),
+    ])
+    def test_matches_the_per_call_factory(self, layout, psd_P, prefix):
+        rng = np.random.default_rng(len(layout) + 10 * psd_P)
+        P, G, cones = self.program(layout, rng, psd_P)
+        factory = _newton_matrix_factory(P, G, cones)
+        ref = ref_newton_matrix_factory(P, G, cones)
+        # the narrow rows are a view of G exactly when they come first
+        assert np.shares_memory(self.narrow_rows(factory), G) == prefix
+        for _ in range(2):
+            W = self.scaling(rng, cones)
+            assert bits(factory(W)) == bits(ref(W))
+
+    def test_next_call_overwrites_the_returned_matrix(self):
+        rng = np.random.default_rng(7)
+        P, G, cones = self.program(["soc", "norms"], rng)
+        factory = _newton_matrix_factory(P, G, cones)
+        ref = ref_newton_matrix_factory(P, G, cones)
+        W1, W2 = self.scaling(rng, cones), self.scaling(rng, cones)
+        first = factory(W1)
+        second = factory(W2)
+        assert second is first
+        assert bits(second) == bits(ref(W2))
+        assert not np.array_equal(second, ref(W1))
+
+    def test_solve_peak_memory_is_a_few_newton_matrices(self):
+        # n = 400: 200 nonneg rows, a norm cap and a norm epigraph over
+        # the first 399 columns.  Above the program's own arrays the solve
+        # needs the canonical copy of its rows (2.5 n x n arrays), the two
+        # workspace buffers and one Cholesky factor.  The per-call factory
+        # also kept two dense constants, the last H and the last factor
+        # while the next H was formed, and peaked at 9.2.
+        n = 400
+        rng = np.random.default_rng(11)
+        P = np.eye(n)
+        P[-1, -1] = 0.0
+        q = -rng.normal(size=n)
+        q[-1] = 1.0
+        blocks = [ConeBlock("nonneg", rng.normal(size=(200, n)),
+                            np.full(200, 10.0))] + norm_blocks(n, rng)
+        prog = ConeProgram(n=n, P=P, q=q, blocks=blocks)
+        tracemalloc.start()
+        try:
+            sol = solve(prog)
+            peak = tracemalloc.get_traced_memory()[1] / (8 * n * n)
+        finally:
+            tracemalloc.stop()
+        assert sol.stop_reason == "optimal"
+        rows = sum(blk.G.size for blk in blocks) / (n * n)
+        assert peak <= rows + 4  # one n x n array to spare

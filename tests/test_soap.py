@@ -351,7 +351,9 @@ class TestRunSoapBall:
         assert len(rows) == 7
         for k, row in enumerate(rows):
             assert set(row) == {"k", "M_total", "v", "status", "stop_reason",
-                                "bursts", "maxEta", "wallTime"}
+                                "iterations", "bursts", "maxEta",
+                                "wallTime"}
+            assert row["iterations"] >= 1
             assert row["k"] == k
             assert row["bursts"] >= 1
             assert row["wallTime"] >= 0.0
