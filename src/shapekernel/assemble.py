@@ -458,7 +458,7 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
     termination the returned model is feasible on the *entire* grid, so its
     objective equals the full-grid discretized optimum.  Returns
     ``(model, value, points_used, statuses)``, the last the solver
-    ``(status, stop_reason, iterations)`` of every round.
+    ``(status, stop_reason, iterations, trace)`` of every round.
     """
     if constraint.size != 1:
         raise ValueError("reference solve supports scalar constraints only")
@@ -481,7 +481,8 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
                              constraint_index=constraint_index)
         model, sol = solve_problem(spec, records, settings=settings)[:2]
         value = sol.objective
-        statuses.append((sol.status, sol.stop_reason, sol.iterations))
+        statuses.append((sol.status, sol.stop_reason, sol.iterations,
+                         sol.trace))
         vals = model.apply(func, X)
         bias = model.bias[: gm.shape[1]] if gm.shape[1] else np.zeros(0)
         slack = vals + (gm[0] @ bias if gm.shape[1] else 0.0) - offset

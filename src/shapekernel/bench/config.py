@@ -29,6 +29,9 @@ EXPERIMENT_SCHEMES = {
     "econ": (),
 }
 
+#: the constraint regimes econ compares
+ECON_REGIMES = ("none", "monot", "conv", "both")
+
 
 @dataclass
 class CoveringConfig:
@@ -118,7 +121,7 @@ _DEFAULTS: dict = {
             "folds": 5,
             "lambda_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
             "train_fraction": 0.1,
-            "regimes": ["none", "monot", "conv", "both"],
+            "regimes": list(ECON_REGIMES),
         },
     },
 }
@@ -162,6 +165,9 @@ class ExperimentConfig:
         self.grid_res = int(self.grid_res)
         if self.grid_res < 2:
             raise ValueError("grid_res must be at least 2")
+        if self.experiment == "econ":
+            _check_econ_params({**_DEFAULTS["econ"]["params"],
+                                **self.params})
 
     # ---------------------------------------------------------- round-trip
     def to_json(self) -> dict:
@@ -194,6 +200,27 @@ def default_config(experiment: str) -> ExperimentConfig:
         covering=CoveringConfig(**spec.get("covering", {})),
         params=copy.deepcopy(spec.get("params", {})),
     )
+
+
+def _check_econ_params(p: dict) -> None:
+    """Reject econ params the runner would crash on or run to an empty or
+    meaningless result: an unknown or repeated regime, no regime, no rep,
+    fewer than two cross-validation folds, a training fraction outside
+    (0, 1]."""
+    regimes = list(p["regimes"])
+    unknown = [r for r in regimes if r not in ECON_REGIMES]
+    for ok, rule in (
+            (not unknown, f"unknown econ regimes {unknown}; expected some "
+             f"of {list(ECON_REGIMES)}"),
+            (regimes and len(set(regimes)) == len(regimes),
+             f"econ regimes {regimes} must name each regime at most once, "
+             "and at least one"),
+            (int(p["reps"]) >= 1, "econ reps must be at least 1"),
+            (int(p["folds"]) >= 2, "econ folds must be at least 2"),
+            (0 < float(p["train_fraction"]) <= 1,
+             "econ train_fraction must lie in (0, 1]")):
+        if not ok:
+            raise ValueError(rule)
 
 
 def _check_keys(section: str, given: dict, known) -> None:

@@ -71,6 +71,7 @@ from .data import (
     synth_robot_data,
 )
 from .results import emit_results
+from .tasks import run_tasks
 
 
 # --------------------------------------------------------------------------
@@ -88,11 +89,18 @@ def _ball_samples(center, radius: float, n: int,
     return center[None, :] + radius * v * r[:, None]
 
 
+def _outcome(sol) -> tuple:
+    """``(status, stop_reason, iterations, trace)`` of one solution."""
+    return sol.status, sol.stop_reason, sol.iterations, sol.trace
+
+
 def _record_solve(solves: list, label: str, status: str, stop_reason: str,
-                  iterations: int) -> None:
-    """Add one runner solve to the summary's ``solves`` list."""
+                  iterations: int, trace: list) -> None:
+    """Add one runner solve, with its per-iteration trace, to the
+    summary's ``solves`` list."""
     solves.append({"label": label, "status": status,
-                   "stop_reason": stop_reason, "iterations": iterations})
+                   "stop_reason": stop_reason, "iterations": iterations,
+                   "trace": trace})
 
 
 def _solve_warnings(solves: list) -> list:
@@ -209,13 +217,14 @@ def run_catenary(cfg: ExperimentConfig):
     grid = np.linspace(0.0, 1.0, cfg.grid_res).reshape(-1, 1)
     conv_header = ["scheme", "step", "elements", "v_app", "v_relax", "gap",
                    "err_vs_ref", "max_eta"]
-    conv_rows: list = []
-    timing_table: list = []
-    tables: dict = {}
-    models: dict = {}
-    scheme_summaries: dict = {}
 
-    for scheme in schemes:
+    def run_scheme(scheme):
+        """One covering scheme: its solves, its rows of the convergence and
+        timing tables, its own tables, model and summary, and its time."""
+        solves: list = []
+        conv_rows: list = []
+        timing_rows: list = []
+        tables: dict = {}
         t0 = time.perf_counter()
         if scheme in ("ball", "hyp", "disc"):
             (lo, hi), = c.region
@@ -226,8 +235,7 @@ def run_catenary(cfg: ExperimentConfig):
                                       cfg.seed)
                 model, sol = solve_problem(spec, records,
                                            settings=settings)[:2]
-                _record_solve(solves, f"{scheme} m={m}", sol.status,
-                              sol.stop_reason, sol.iterations)
+                _record_solve(solves, f"{scheme} m={m}", *_outcome(sol))
                 v_app = sol.objective
                 v_relax = None
                 if scheme != "disc":
@@ -235,16 +243,15 @@ def run_catenary(cfg: ExperimentConfig):
                     relaxed = discretize(c, [b.center for b in cover])
                     rsol = solve_problem(spec, relaxed, settings=settings)[1]
                     _record_solve(solves, f"{scheme} m={m} relaxation",
-                                  rsol.status, rsol.stop_reason,
-                                  rsol.iterations)
+                                  *_outcome(rsol))
                     v_relax = rsol.objective
                 max_eta = max(
                     (getattr(r, "eta", 0.0) for r in records), default=0.0)
                 gap = None if v_relax is None else v_app - v_relax
                 conv_rows.append([scheme, m, m, v_app, v_relax, gap,
                                   v_app - v_ref, max_eta])
-                timing_table.append([scheme, m, v_app - v_ref,
-                                     time.perf_counter() - ts])
+                timing_rows.append([scheme, m, v_app - v_ref,
+                                    time.perf_counter() - ts])
             relax_value = v_relax
             elements = m_list[-1]
             extra = {"iterations": sol.iterations, "status": sol.status}
@@ -261,14 +268,14 @@ def run_catenary(cfg: ExperimentConfig):
             for row in hist:
                 _record_solve(solves, f"{scheme} round {row['k']}",
                               row["status"], row["stop_reason"],
-                              row["iterations"])
+                              row["iterations"], row["trace"])
                 conv_rows.append([scheme, row["k"], row["M_total"], row["v"],
                                   None, None, row["v"] - v_ref,
                                   row["maxEta"]])
                 hist_rows.append([row["k"], row["M_total"], row["v"],
                                   row["bursts"], row["maxEta"]])
-                timing_table.append([scheme, row["M_total"],
-                                     row["v"] - v_ref, row["wallTime"]])
+                timing_rows.append([scheme, row["M_total"],
+                                    row["v"] - v_ref, row["wallTime"]])
             tables[f"history_{scheme}"] = (
                 ["k", "M_total", "v", "bursts", "max_eta"], hist_rows)
             v_app = hist[-1]["v"]
@@ -279,8 +286,7 @@ def run_catenary(cfg: ExperimentConfig):
                 anchors = [om.source.center for om in state.coverings[0]]
             records = discretize(c, anchors)
             rsol = solve_problem(spec, records, settings=settings)[1]
-            _record_solve(solves, f"{scheme} relaxation", rsol.status,
-                          rsol.stop_reason, rsol.iterations)
+            _record_solve(solves, f"{scheme} relaxation", *_outcome(rsol))
             relax_value = rsol.objective
             if mode == "ball":
                 records = tighten_soc(c, state.coverings[0], state.etas[0])
@@ -292,8 +298,7 @@ def run_catenary(cfg: ExperimentConfig):
         elif scheme == "none":
             spec_free = _catenary_spec(objective, constrained=False)
             model, sol = solve_problem(spec_free, [], settings=settings)[:2]
-            _record_solve(solves, scheme, sol.status, sol.stop_reason,
-                          sol.iterations)
+            _record_solve(solves, scheme, *_outcome(sol))
             v_app = sol.objective
             records = []
             relax_value = None
@@ -301,12 +306,12 @@ def run_catenary(cfg: ExperimentConfig):
             extra = {"iterations": sol.iterations, "status": sol.status}
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        timings[f"{scheme}_s"] = time.perf_counter() - t0
+        seconds = time.perf_counter() - t0
 
         check = verify_pointwise(model, c, grid_res=verify_res)
         report = compute_bounds(spec, records, v_app, v_relax=relax_value,
                                 mu_f=mu_f)
-        scheme_summaries[scheme] = {
+        scheme_summary = {
             "v_app": v_app,
             "v_relax": relax_value,
             "gap": None if relax_value is None else v_app - relax_value,
@@ -322,7 +327,24 @@ def run_catenary(cfg: ExperimentConfig):
             [[float(x), float(v)] for x, v in
              zip(grid[:, 0], model.eval_component_many(grid, 0))],
         )
+        return (solves, conv_rows, timing_rows, tables, model,
+                scheme_summary, seconds)
+
+    conv_rows: list = []
+    timing_table: list = []
+    tables: dict = {}
+    models: dict = {}
+    scheme_summaries: dict = {}
+    for scheme, (scheme_solves, scheme_conv, scheme_timing, scheme_tables,
+                 model, scheme_summary, seconds) in zip(
+            schemes, run_tasks(run_scheme, [(s,) for s in schemes])):
+        solves += scheme_solves
+        conv_rows += scheme_conv
+        timing_table += scheme_timing
+        tables.update(scheme_tables)
         models[f"model_{scheme}"] = model
+        scheme_summaries[scheme] = scheme_summary
+        timings[f"{scheme}_s"] = seconds
 
     tables["convergence"] = (conv_header, conv_rows)
     summary = {
@@ -450,8 +472,7 @@ def run_control(cfg: ExperimentConfig):
         t0 = time.perf_counter()
         model, sol = solve_problem(spec, records, settings=settings)[:2]
         timings[f"{scheme}_s"] = time.perf_counter() - t0
-        _record_solve(solves, scheme, sol.status, sol.stop_reason,
-                      sol.iterations)
+        _record_solve(solves, scheme, *_outcome(sol))
         max_violation, n_violated = violations(model, verify_res)
         scheme_summaries[scheme] = {
             "v_app": sol.objective,
@@ -629,13 +650,12 @@ def run_robotarm(cfg: ExperimentConfig):
         list(p.get("schemes", ["none", "disc", "ball", "hyp"]))
     d = 2 * segments
 
-    rows = []
     per_seed: dict = {}
     timings: dict = {}
-    models: dict = {}
-    solves: list = []
     t_all = time.perf_counter()
-    for seed in seeds:
+    contexts = []  # per seed: seed, geometry, kernel, observations, ridge
+    anchors: dict = {}  # (seed index, anchor count) -> kept, candidates
+    for k, seed in enumerate(seeds):
         data, geom = synth_robot_data(segments, n_obs, noise, seed)
         rng_cov = np.random.default_rng([seed, 1])
         ref_samples = latin_hypercube(1000, d, rng_cov)
@@ -646,8 +666,8 @@ def run_robotarm(cfg: ExperimentConfig):
             Observation(DiffFunctional.value(d, q=q), tuple(x), y[q])
             for x, y in zip(data.X, data.Y) for q in range(3)
         ]
-        seed_info = {"sigma": sigma, "lambda": lam}
-
+        per_seed.setdefault(str(seed), {"sigma": sigma, "lambda": lam})
+        contexts.append((seed, geom, kernel, obs, lam))
         for m_per_axis_pow in m_list:
             m_axis = round(m_per_axis_pow ** (1.0 / d))
             if m_axis ** d != m_per_axis_pow:
@@ -655,34 +675,48 @@ def run_robotarm(cfg: ExperimentConfig):
                     f"anchor count {m_per_axis_pow} is not a perfect "
                     f"{d}-th power"
                 )
-            kept, n_candidates = _robot_anchors(geom, m_axis, p)
-            clist = [item["constraint"] for item in kept]
-            for scheme in schemes:
-                spec = ProblemSpec(
-                    kernel=kernel, observations=obs, loss="squared",
-                    regularizer=Ridge(lam),
-                    constraints=[] if scheme == "none" else clist)
-                records = []
-                if scheme != "none":
-                    for j, item in enumerate(kept):
-                        records.extend(records_for(
-                            scheme, item["constraint"], [item["ball"]],
-                            kernel, cov, cfg.seed, constraint_index=j))
-                t0 = time.perf_counter()
-                model, sol = solve_problem(spec, records,
-                                           settings=settings)[:2]
-                elapsed = time.perf_counter() - t0
-                timings[f"seed{seed}_m{m_per_axis_pow}_{scheme}_s"] = elapsed
-                _record_solve(solves,
-                              f"seed {seed} m={m_per_axis_pow} {scheme}",
-                              sol.status, sol.stop_reason, sol.iterations)
-                l2_err, l1_cons, l1_cov, l1_cov_max = _robot_metrics(
-                    model, geom, kept, p, seed)
-                rows.append([seed, m_per_axis_pow, scheme, n_candidates,
-                             len(kept), l2_err, l1_cons, l1_cov,
-                             l1_cov_max, model.norm, sol.iterations])
-                models[f"model_{scheme}"] = model
-            per_seed.setdefault(str(seed), seed_info)
+            anchors[k, m_per_axis_pow] = _robot_anchors(geom, m_axis, p)
+
+    def fit(k, m_per_axis_pow, scheme):
+        """One scheme at one seed and anchor count: its ``results`` row, the
+        solution, the solve time, and the model if it is saved (the last
+        seed's at the last anchor count)."""
+        seed, geom, kernel, obs, lam = contexts[k]
+        kept, n_candidates = anchors[k, m_per_axis_pow]
+        spec = ProblemSpec(
+            kernel=kernel, observations=obs, loss="squared",
+            regularizer=Ridge(lam),
+            constraints=[] if scheme == "none"
+            else [item["constraint"] for item in kept])
+        records = []
+        if scheme != "none":
+            for j, item in enumerate(kept):
+                records.extend(records_for(
+                    scheme, item["constraint"], [item["ball"]],
+                    kernel, cov, cfg.seed, constraint_index=j))
+        t0 = time.perf_counter()
+        model, sol = solve_problem(spec, records, settings=settings)[:2]
+        elapsed = time.perf_counter() - t0
+        l2_err, l1_cons, l1_cov, l1_cov_max = _robot_metrics(
+            model, geom, kept, p, seed)
+        row = [seed, m_per_axis_pow, scheme, n_candidates, len(kept), l2_err,
+               l1_cons, l1_cov, l1_cov_max, model.norm, sol.iterations]
+        saved = k == len(seeds) - 1 and m_per_axis_pow == m_list[-1]
+        return row, sol, elapsed, model if saved else None
+
+    fits = [(k, m, scheme) for k in range(len(seeds)) for m in m_list
+            for scheme in schemes]
+    rows = []
+    models: dict = {}
+    solves: list = []
+    for (k, m, scheme), (row, sol, elapsed, model) in zip(
+            fits, run_tasks(fit, fits)):
+        seed = seeds[k]
+        timings[f"seed{seed}_m{m}_{scheme}_s"] = elapsed
+        _record_solve(solves, f"seed {seed} m={m} {scheme}", *_outcome(sol))
+        rows.append(row)
+        if model is not None:
+            models[f"model_{scheme}"] = model
 
     header = ["seed", "anchors", "scheme", "candidates", "kept", "l2_err",
               "l1_cons", "l1_cons_covered", "l1_cons_covered_max", "norm",
@@ -867,48 +901,77 @@ def run_econ(cfg: ExperimentConfig):
                                     [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])]
     frac = float(p.get("train_fraction", 0.1))
 
-    rows = []
-    models: dict = {}
-    bound_json = None
-    solves: list = []
     t_all = time.perf_counter()
+    splits = []  # per rep: training rows, test rows, cross-validated cap
     for rep in range(reps):
         rng = np.random.default_rng([cfg.seed, 500 + rep])
         perm = rng.permutation(n)
         n_val = n // 2
         val_idx, test_idx = perm[:n_val], perm[n_val:]
         n_train = max(2, int(round(frac * n_val)))
-        train_idx = val_idx[:n_train]
         cap = _cv_norm_cap(X[val_idx], g[val_idx], kernel, folds, grid,
                            np.random.default_rng([cfg.seed, 900 + rep]))
+        splits.append((val_idx[:n_train], test_idx, cap))
+
+    def spec_for(rep, regime):
+        train_idx, _, cap = splits[rep]
         obs = [Observation(DiffFunctional.value(2), tuple(X[i]), g[i])
                for i in train_idx]
-        for regime in regime_names:
-            spec = ProblemSpec(kernel=kernel, observations=obs,
-                               loss="squared", regularizer=NormBound(cap),
-                               constraints=regimes[regime])
-            t0 = time.perf_counter()
-            model, sol = solve_problem(spec, records_map[regime],
-                                       settings=settings)[:2]
-            timings[f"rep{rep}_{regime}_s"] = time.perf_counter() - t0
-            _record_solve(solves, f"rep {rep} {regime}", sol.status,
-                          sol.stop_reason, sol.iterations)
-            pred_tr = model.eval_component_many(X[train_idx], 0)
-            pred_te = model.eval_component_many(X[test_idx], 0)
-            mse_tr = float(((pred_tr - g[train_idx]) ** 2).mean())
-            mse_te = float(((pred_te - g[test_idx]) ** 2).mean())
-            rows.append([rep, regime, cap, mse_tr, mse_te, model.norm,
-                         sol.iterations])
+        return ProblemSpec(kernel=kernel, observations=obs, loss="squared",
+                           regularizer=NormBound(cap),
+                           constraints=regimes[regime])
+
+    last = reps - 1
+
+    def fit(rep, regime):
+        """One regime on one rep's split: its ``mse`` row, the solution,
+        the solve time, and the model if it is saved (the last rep's)."""
+        train_idx, test_idx, cap = splits[rep]
+        spec = spec_for(rep, regime)
+        t0 = time.perf_counter()
+        model, sol = solve_problem(spec, records_map[regime],
+                                   settings=settings)[:2]
+        elapsed = time.perf_counter() - t0
+        pred_tr = model.eval_component_many(X[train_idx], 0)
+        pred_te = model.eval_component_many(X[test_idx], 0)
+        mse_tr = float(((pred_tr - g[train_idx]) ** 2).mean())
+        mse_te = float(((pred_te - g[test_idx]) ** 2).mean())
+        row = [rep, regime, cap, mse_tr, mse_te, model.norm, sol.iterations]
+        return row, sol, elapsed, model if rep == last else None
+
+    def relax(rep, regime):
+        """The solution of the relaxed program: no buffers, same anchors."""
+        return solve_problem(spec_for(rep, regime),
+                             relax_records(records_map[regime]),
+                             settings=settings)[1]
+
+    # the relaxation goes first, so the calling process runs it: it is the
+    # longest solve, and the ``both`` fit, which needs more memory, runs in
+    # a worker, whose resident set holds fewer of the caller's pages
+    fits = [(fit, rep, regime) for rep in range(reps)
+            for regime in regime_names]
+    relaxed = [(relax, last, "both")] if "both" in regime_names else []
+    results = run_tasks(lambda task, *args: task(*args), relaxed + fits)
+    rsol = results[0] if relaxed else None
+
+    rows = []
+    models: dict = {}
+    bound_json = None
+    solves: list = []
+    for (_, rep, regime), (row, sol, elapsed, model) in zip(
+            fits, results[len(relaxed):]):
+        timings[f"rep{rep}_{regime}_s"] = elapsed
+        _record_solve(solves, f"rep {rep} {regime}", *_outcome(sol))
+        rows.append(row)
+        if model is not None:
             models[f"model_{regime}"] = model
-            if regime == "both" and rep == reps - 1:
-                rrecords = relax_records(records_map[regime])
-                rsol = solve_problem(spec, rrecords, settings=settings)[1]
-                _record_solve(solves, f"rep {rep} {regime} relaxation",
-                              rsol.status, rsol.stop_reason, rsol.iterations)
-                report = compute_bounds(spec, records_map[regime],
-                                        sol.objective,
-                                        v_relax=rsol.objective)
-                bound_json = report.to_json()
+        if regime == "both" and rep == last:
+            _record_solve(solves, f"rep {rep} {regime} relaxation",
+                          *_outcome(rsol))
+            report = compute_bounds(spec_for(rep, regime),
+                                    records_map[regime], sol.objective,
+                                    v_relax=rsol.objective)
+            bound_json = report.to_json()
     timings["all_reps_s"] = time.perf_counter() - t_all
 
     header = ["rep", "regime", "norm_cap", "mse_train", "mse_test", "norm",

@@ -140,7 +140,13 @@ class Solution:
     """``stop_reason`` is the status, or why a ``max_iter`` solve stopped:
     ``dual_stall``, ``non_finite`` (iterate, Newton matrix or direction),
     ``factorization`` (or a direct equality solve off its residuals) or
-    ``max_iter``; ``polished`` if the dual polish made it ``optimal``."""
+    ``max_iter``; ``polished`` if the dual polish made it ``optimal``.
+
+    ``trace`` has one entry per iteration: the relative primal and dual
+    residuals ``pres`` and ``dres``, the relative gap ``gap`` and ``mu``
+    that the stopping test read, then, as far as the iteration got, the
+    static regularization ``reg`` added to the Newton matrix before
+    factoring, the centering ``sigma`` and the ``step`` length taken."""
 
     x: np.ndarray
     y_eq: np.ndarray
@@ -153,6 +159,7 @@ class Solution:
     iterations: int
     block_slices: list[slice]
     block_kinds: list[str]
+    trace: list = field(default_factory=list)
 
     def block_slack(self, i: int) -> np.ndarray:
         return self.s[self.block_slices[i]]
@@ -472,7 +479,8 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
 
 
 def _chol_solve_factory(H: np.ndarray):
-    """Cholesky factor with escalating static regularization."""
+    """Cholesky factor with escalating static regularization.  Returns the
+    solve and the regularization it added to the diagonal."""
     n = H.shape[0]
     scale = max(float(np.trace(H)) / max(n, 1), 1.0)
     reg = 0.0
@@ -488,7 +496,7 @@ def _chol_solve_factory(H: np.ndarray):
         tmp = np.linalg.solve(L, rhs)
         return solve_triangular(L, tmp, trans="T", lower=True,
                                 check_finite=False)
-    return solve
+    return solve, reg
 
 
 # --------------------------------------------------------------------------
@@ -535,6 +543,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     best_dres = np.inf
     dual_stall = 0
     x_prev, y_prev, s_prev, z_prev = x, y, s, z
+    trace: list = []
     for it in range(st.max_iter):
         iters = it + 1
         rx = P @ x + q + G.T @ z + (A.T @ y if p else 0.0)
@@ -548,6 +557,9 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             pres = max(pres, float(np.linalg.norm(ry, np.inf)) / bnorm)
         dres = float(np.linalg.norm(rx, np.inf)) / qnorm
         relgap = cgap / max(1.0, abs(pobj))
+        mu = cgap / cones.degree
+        row = {"pres": pres, "dres": dres, "gap": relgap, "mu": mu}
+        trace.append(row)
 
         if not (np.isfinite(pobj) and np.isfinite(cgap)):
             x, y, s, z = x_prev, y_prev, s_prev, z_prev
@@ -588,7 +600,6 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             W = _Scaling(s, z, cones)
             lmbda = W.lmbda
-            mu = cgap / cones.degree
 
             hsolve = None  # free the last factor before H is formed
             H = newton_matrix(W)
@@ -596,7 +607,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                 stop = "non_finite"
                 break
             try:
-                hsolve = _chol_solve_factory(H)
+                hsolve, row["reg"] = _chol_solve_factory(H)
             except np.linalg.LinAlgError:
                 stop = "factorization"
                 break
@@ -604,7 +615,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             if p:
                 HinvAt = np.column_stack([hsolve(A[i]) for i in range(p)])
                 S = A @ HinvAt
-                s_solve = _chol_solve_factory(_sym(S))
+                s_solve = _chol_solve_factory(_sym(S))[0]
 
             def newton(bx, by, bz, d):
                 # Solve   P dx + A^T dy + G^T dz = bx
@@ -665,6 +676,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         y = y + alpha * dy
         s = s + alpha * ds
         z = z + alpha * dz
+        row.update(sigma=sigma, step=alpha)
 
     if status == "max_iter":
         # The loop ended without a certificate.  If the primal point is
@@ -692,7 +704,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         x=x, y_eq=y, z=z_orig, s=s_orig, status=status, stop_reason=stop,
         objective=prog.objective(x), residuals=residuals,
         iterations=iters, block_slices=_original_slices(prog),
-        block_kinds=[blk.kind for blk in prog.blocks],
+        block_kinds=[blk.kind for blk in prog.blocks], trace=trace,
     )
 
 

@@ -67,6 +67,10 @@ class SoapInfeasible(RuntimeError):
         super().__init__(message)
         self.state = state
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` alone, without ``state``
+        return type(self), (self.args[0], self.state)
+
 
 # --------------------------------------------------------------------------
 # Saturation detection
@@ -274,6 +278,7 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             "status": sol.status,
             "stop_reason": sol.stop_reason,
             "iterations": sol.iterations,
+            "trace": sol.trace,
             "bursts": len(saturated),
             "maxEta": float(max(widths)) if widths else 0.0,
             "wallTime": time.perf_counter() - t0,

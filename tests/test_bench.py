@@ -3,8 +3,9 @@
 Each experiment runs end to end through ``run_experiment`` (the path
 ``shapekernel run`` takes), and ``shapekernel verify`` re-checks one saved
 tightened model against the experiment's constraints on a small grid.
-Also checked: the scheme each experiment accepts, and that every name the
-benchmark tracer (``perfbench/tracer.py``) wraps still exists.
+Also checked: the scheme each experiment accepts, that every name the
+benchmark tracer (``perfbench/tracer.py``) wraps still exists, and that
+the outputs do not depend on how many CPUs run the independent fits.
 """
 
 import dataclasses
@@ -19,6 +20,8 @@ import types
 
 import pytest
 
+from shapekernel import covering
+from shapekernel.bench import tasks
 from shapekernel.bench.cli import main
 from shapekernel.bench.config import (SCHEMES, CoveringConfig,
                                       ExperimentConfig)
@@ -62,7 +65,10 @@ def tiny_run(request, tmp_path_factory):
     name = request.param
     _, model, grid = TINY[name]
     out = tmp_path_factory.mktemp(name)
-    config, summary = _run_tiny(name, out)
+    # two usable CPUs on any host, so that the runners fork their workers
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tasks, "usable_cpus", lambda: 2)
+        config, summary = _run_tiny(name, out)
     return name, config, out / f"{model}.json", grid, summary
 
 
@@ -81,8 +87,12 @@ def test_summary_records_every_solve(tiny_run):
     assert solves
     for entry in solves:
         assert set(entry) == {"label", "status", "stop_reason",
-                              "iterations"}
+                              "iterations", "trace"}
         assert entry["iterations"] >= 1
+        # a program without cone rows (robotarm's unconstrained fit) is
+        # one direct solve, with no trace
+        direct = name == "robotarm" and entry["label"].endswith(" none")
+        assert len(entry["trace"]) == (0 if direct else entry["iterations"])
     labels = [entry["label"] for entry in solves]
     assert len(set(labels)) == len(labels)
     expected = {"catenary": ["ball m=30", "ball m=30 relaxation"],
@@ -98,6 +108,34 @@ def test_summary_records_every_solve(tiny_run):
               if entry["status"] != "optimal"]
     assert [w.split(":")[0] for w in saved["warnings"]
             if w.split(":")[0] in labels] == failed
+
+
+def _outputs(out: pathlib.Path) -> dict:
+    """Every file a run wrote, by name; ``summary.json`` without what
+    depends on the clock or on the output directory."""
+    files = {path.name: path.read_bytes() for path in out.iterdir()
+             if path.name != "config.json"}
+    summary = json.loads(files.pop("summary.json"))
+    for key in ("timings", "timing_table", "out_dir", "config"):
+        summary.pop(key, None)
+    files["summary.json"] = summary
+    return files
+
+
+def test_outputs_do_not_depend_on_the_cpu_count(tiny_run, tmp_path,
+                                                monkeypatch):
+    # the module's run forked a worker (catenary runs all four schemes,
+    # econ its four regimes and the relaxation, robotarm two anchor counts
+    # by four schemes); here every fit runs in this process
+    name, _, model_path, _, _ = tiny_run
+    monkeypatch.setattr(tasks, "usable_cpus", lambda: 1)
+    # a width cached by an earlier run would spare this one its work
+    monkeypatch.setattr(covering, "_eta_cache", {})
+    _run_tiny(name, tmp_path)
+    serial = _outputs(tmp_path)
+    assert serial == _outputs(model_path.parent)
+    assert any(file.endswith(".csv") for file in serial)
+    assert any(file.startswith("model_") for file in serial)
 
 
 def test_verify_passes_on_the_saved_tightened_model(tiny_run, capsys):
@@ -216,6 +254,29 @@ def test_run_prints_warnings_and_strict_fails_on_them(tmp_path, capsys,
         [f"warning: ball: {text}", f"warning: disc: {text}"]
         if warned else [])
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"regimes": ["both", "bogus"]}, r"unknown econ regimes \['bogus'\]"),
+    ({"regimes": []}, "at least one"),
+    ({"regimes": ["both", "both"]}, "at most once"),
+    ({"reps": 0}, "reps must be at least 1"),
+    ({"folds": 1}, "folds must be at least 2"),
+    ({"folds": 0}, "folds must be at least 2"),
+    ({"train_fraction": 0.0}, r"train_fraction must lie in \(0, 1\]"),
+    ({"train_fraction": 1.5}, r"train_fraction must lie in \(0, 1\]"),
+])
+def test_econ_params_are_checked_before_running(tmp_path, params, message):
+    # an unknown regime used to end in a KeyError traceback, reps 0 in an
+    # empty table with NaN medians, folds 0 in a mid-run ValueError
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "econ", "params": params}))
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.load(config)
+    with pytest.raises(SystemExit, match="shapekernel run: .*" + message):
+        main(["run", "econ", "--config", str(config), "--out",
+              str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_top_level_config_key_is_rejected(tmp_path):

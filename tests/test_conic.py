@@ -372,6 +372,37 @@ class TestSolutionBookkeeping:
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
 
+    def test_trace_has_one_entry_per_iteration(self):
+        prog = self.make_two_block_program()
+        sol = solve(prog)
+        trace = sol.trace
+        assert len(trace) == sol.iterations > 1
+        # every iteration but the last took a step; the last one stopped
+        for row in trace[:-1]:
+            assert set(row) == {"pres", "dres", "gap", "mu", "sigma", "step",
+                                "reg"}
+            assert 0.0 < row["step"] <= 1.0
+            assert 0.0 <= row["sigma"] <= 1.0
+            assert row["reg"] == 0.0
+        last = trace[-1]
+        assert set(last) == {"pres", "dres", "gap", "mu"}
+        st = SolverSettings()
+        assert max(last["pres"], last["dres"]) <= st.feas_tol
+        assert last["gap"] <= st.gap_tol
+        assert trace[0]["pres"] > last["pres"]
+        assert trace[0]["mu"] == 1.0  # s = z = e at the start
+
+    def test_trace_reports_the_static_regularization(self):
+        # no objective on x2 and no row on it: H is singular every
+        # iteration, and the smallest regularization makes it definite
+        prog = ConeProgram(n=2, q=[1.0, 0.0], blocks=[
+            ConeBlock("nonneg", [[-1.0, 0.0]], [-1.0])])
+        sol = solve(prog)
+        assert sol.status == "optimal"
+        stepped = [row for row in sol.trace if "step" in row]
+        assert stepped and all(row["reg"] > 0.0 for row in stepped)
+        assert _chol_solve_factory(np.diag([1.0, 0.0]))[1] == 1e-12
+
     def test_objective_includes_constant(self):
         prog = ConeProgram(
             n=1, P=[[2.0]], const=7.0,
@@ -763,7 +794,8 @@ class TestBlockRuns:
         X = rng.normal(size=(n, n))
         H = X @ X.T + 1e-3 * np.eye(n)
         L = np.linalg.cholesky(H)
-        solve_h = _chol_solve_factory(H)
+        solve_h, reg = _chol_solve_factory(H)
+        assert reg == 0.0
         for b in (rng.normal(size=n), 1e150 * rng.normal(size=n)):
             assert bits(solve_h(b)) == bits(
                 np.linalg.solve(L.T, np.linalg.solve(L, b)))

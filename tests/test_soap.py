@@ -10,6 +10,7 @@ slack zone untouched.
 
 import importlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -351,9 +352,10 @@ class TestRunSoapBall:
         assert len(rows) == 7
         for k, row in enumerate(rows):
             assert set(row) == {"k", "M_total", "v", "status", "stop_reason",
-                                "iterations", "bursts", "maxEta",
+                                "iterations", "trace", "bursts", "maxEta",
                                 "wallTime"}
             assert row["iterations"] >= 1
+            assert len(row["trace"]) == row["iterations"]
             assert row["k"] == k
             assert row["bursts"] >= 1
             assert row["wallTime"] >= 0.0
@@ -461,6 +463,15 @@ class TestSoapInfeasible:
         assert state.mode == "ball"
         assert state.coverings and state.coverings[0]
         assert state.model is None
+
+    def test_pickles_with_its_state(self):
+        # a run in a worker process sends its failure back pickled
+        state = SoapState(mode="omega", iteration=3, etas=[[0.5]],
+                          stopped_reason="x")
+        err = pickle.loads(pickle.dumps(SoapInfeasible("m", state)))
+        assert isinstance(err, SoapInfeasible)
+        assert str(err) == "m"
+        assert err.state == state
 
 
 class TestWarmStart:
