@@ -46,6 +46,7 @@ from ..assemble import (
     solve_reference,
 )
 from ..atoms import DiffFunctional, SdpOperator
+from ..conic import TRACE_FIELDS
 from ..covering import InputBall, cover_box, eta_for, grid_cover, omega_cover
 from ..kernels import (
     DecomposableGaussianKernel,
@@ -95,12 +96,13 @@ def _outcome(sol) -> tuple:
 
 
 def _record_solve(solves: list, label: str, status: str, stop_reason: str,
-                  iterations: int, trace: list) -> None:
-    """Add one runner solve, with its per-iteration trace, to the
+                  iterations: int, trace: np.ndarray) -> None:
+    """Add one runner solve, with its per-iteration trace (one list per
+    ``TRACE_FIELDS`` column, kept as array views until written), to the
     summary's ``solves`` list."""
     solves.append({"label": label, "status": status,
                    "stop_reason": stop_reason, "iterations": iterations,
-                   "trace": trace})
+                   "trace": dict(zip(TRACE_FIELDS, trace.T))})
 
 
 def _solve_warnings(solves: list) -> list:

@@ -1,10 +1,10 @@
 """One task runner for the experiments' independent fits.
 
 :func:`run_tasks` computes ``[fn(*t) for t in tasks]`` with the calling
-process and one forked worker process per further usable CPU taking the
-tasks in turn.  The runners send through it the fits that do not read one
-another's results: econ's rep x regime fits, catenary's covering schemes,
-robotarm's (seed, anchor count, scheme) fits.
+process and, where BLAS is pinned to one thread, one forked worker process
+taking the tasks in turn.  The runners send through it the fits that do
+not read one another's results: econ's rep x regime fits, catenary's
+covering schemes, robotarm's (seed, anchor count, scheme) fits.
 """
 
 from __future__ import annotations
@@ -15,11 +15,15 @@ import threading
 import traceback
 from types import SimpleNamespace
 
-#: how long the caller waits for a worker message before it checks that
-#: no worker has died without reporting
-_POLL_S = 1.0
+#: the most processes one call runs at once.  Time and summed memory were
+#: measured with two processes of one BLAS thread each, and never with
+#: more: on econ's default config each further process would hold one
+#: more fit of up to 225 MB, on robotarm's one of up to 1.7 GB.
+MAX_PROCS = 2
 
-_MISSING = object()
+#: a worker is forked only when each of these says one thread
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def usable_cpus() -> int:
@@ -30,60 +34,65 @@ def usable_cpus() -> int:
         return 1
 
 
+def blas_pinned() -> bool:
+    """Whether every BLAS thread variable is set to 1, as the benchmark
+    sets them."""
+    return all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+
+
 class _WorkerTraceback(Exception):
     """The formatted traceback of a task that raised in a worker process."""
 
 
 def run_tasks(fn, tasks) -> list:
-    """``[fn(*t) for t in tasks]``, in task order, on every usable CPU.
+    """``[fn(*t) for t in tasks]``, in task order.
 
     The calling process claims the first task, forks
-    ``min(usable CPUs, len(tasks)) - 1`` workers and runs tasks itself.
-    Each process takes the next task index from one shared counter, so a
-    task's arguments are never pickled; a worker puts ``(index, result)``
-    on a queue.  With one task, one usable CPU, another thread running or
-    no ``fork`` start method there are no workers, and the caller runs
-    every task in the same loop, in order.
+    ``min(usable CPUs, len(tasks), MAX_PROCS) - 1`` workers and runs
+    tasks itself; each process takes the next task index from one shared
+    counter, so no task argument is pickled.  A worker sends all its
+    results through its own pipe once it runs out of tasks.  With one
+    task, one usable CPU, BLAS not pinned, another thread running or no
+    ``fork`` start method there are no workers: the caller runs every task
+    in the same loop, in order.
 
-    Run it with one BLAS thread per process (``OPENBLAS_NUM_THREADS=1``, as
-    the benchmark pins): the workers are the parallelism, and a worker
-    inherits the caller's thread count.  The bits of a task do not depend
-    on the number of workers or on which process ran it: each process uses
-    the same BLAS threads, every worker starts from the caller's state at
-    the fork, and no task may read what another task writes.  Memory grows
-    with the workers: each holds the fit it runs.
+    Workers are forked only with one BLAS thread per process
+    (:func:`blas_pinned`): a worker inherits the caller's thread count, and
+    an unpinned BLAS would give every process all the CPUs.  The bits of a
+    task do not depend on the number of workers or on which process ran
+    it: each process uses the same BLAS threads, every worker starts from
+    the caller's state at the fork, and no task may read what another
+    writes.  Memory adds up: each process holds the fit it runs.
 
     Two choices come from measuring the alternatives on econ.  The caller
     takes tasks too, rather than waiting on one worker per CPU: the
-    benchmark samples the host's pace in the calling process, where an idle
-    caller's samples compete with the busy workers for the CPUs; they can
-    then read a slower host than the work ran on, which shrinks the paced
-    wall time more than the raw one.  And the caller reads the queue only
-    after it runs out of tasks: a process pool's caller that unpickled
-    econ's 21 MB ``both`` model during its own solve raised the peak memory
-    by 8-10%.  The queue is drained before any worker is joined, since a
-    worker does not exit until what it put has been read.
+    benchmark samples the host's pace in the calling process, and an idle
+    caller's samples, competing with the busy workers, can read a slower
+    host than the work ran on and shrink the paced wall time.  And the
+    caller reads results only after it runs out of tasks: a process pool's
+    caller that unpickled econ's 21 MB ``both`` model during its own solve
+    raised the caller's peak memory by 7-10%, against the benchmark's
+    per-process bound of 10%.  A worker's send blocks until the caller
+    reads, so the caller reads every pipe before it joins a worker.
 
     A task that raises re-raises its exception here, with a worker's
-    traceback as its cause; no worker outlives the call, whether a task
-    raised in the caller or in a worker.
+    traceback as its cause.  No worker outlives the call.
     """
     tasks = list(tasks)
     n = len(tasks)
-    workers = min(usable_cpus(), n) - 1
+    workers = min(usable_cpus(), n, MAX_PROCS) - 1
     if workers > 0:
         import multiprocessing  # a run that forks nothing does not load it
 
         # a fork copies only the calling thread, so a lock another thread
         # holds would stay held in the worker
-        if "fork" not in multiprocessing.get_all_start_methods() or \
-                threading.active_count() > 1:
+        if not blas_pinned() or threading.active_count() > 1 or \
+                "fork" not in multiprocessing.get_all_start_methods():
             workers = 0
     if workers > 0:
         ctx = multiprocessing.get_context("fork")
         counter = ctx.Value("q", 0)
         lock = counter.get_lock()
-        messages = ctx.Queue()
     else:
         counter, lock = SimpleNamespace(value=0), contextlib.nullcontext()
 
@@ -93,70 +102,49 @@ def run_tasks(fn, tasks) -> list:
             counter.value = i + 1
         return i
 
-    def work() -> None:
+    def work(conn) -> None:
+        done = {}
         try:
             while (i := take()) < n:
-                messages.put((i, fn(*tasks[i]), None))
+                done[i] = fn(*tasks[i])
+            conn.send((done, None))  # pickles whole before it writes
         except Exception as err:
             with lock:
                 counter.value = n  # no task starts after a failure
-            messages.put((i, err, traceback.format_exc()))
-        messages.put(None)
-        messages.close()
-        messages.join_thread()
+            conn.send((err, traceback.format_exc()))
 
-    results = [_MISSING] * n
-    procs: list = []
+    results = [None] * n
+    procs, pipes = [], []
     i = take()  # claimed before the fork: the first task runs here
     try:
         for _ in range(workers):
-            proc = ctx.Process(target=work, daemon=True)
+            pipe, end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=work, args=(end,), daemon=True)
             proc.start()
+            end.close()  # the worker holds the one write end left
             procs.append(proc)
+            pipes.append(pipe)
         while i < n:
             results[i] = fn(*tasks[i])
             i = take()
-        if procs:
-            _drain(messages, procs, results)
+        for proc, pipe in zip(procs, pipes):
+            try:
+                value, trace = pipe.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError("a worker process ended without "
+                                   f"reporting (exit code {proc.exitcode})"
+                                   ) from None
+            if trace is not None:
+                raise value from _WorkerTraceback(trace)
+            for j, result in value.items():
+                results[j] = result
     except BaseException:
         for proc in procs:
             proc.terminate()
         raise
     finally:
-        for proc in procs:
+        for proc, pipe in zip(procs, pipes):
             proc.join()
-        if workers > 0:
-            messages.close()
-    lost = [i for i, value in enumerate(results) if value is _MISSING]
-    if lost:
-        # the worker's queue could not pickle the result and said so on
-        # its stderr
-        raise RuntimeError(f"the results of tasks {lost} did not reach the "
-                           "calling process")
+            pipe.close()
     return results
-
-
-def _drain(messages, procs: list, results: list) -> None:
-    """Read the workers' messages into ``results`` until every worker has
-    sent its last one; re-raise the first failure reported."""
-    from queue import Empty  # loaded with ``multiprocessing`` already
-
-    done = 0
-    while done < len(procs):
-        # a worker that has exited put all it sent before this read began
-        exited = sum(proc.exitcode is not None for proc in procs)
-        try:
-            message = messages.get(timeout=_POLL_S)
-        except Empty:
-            if exited > done:
-                codes = [proc.exitcode for proc in procs]
-                raise RuntimeError("a worker process ended without "
-                                   f"reporting (exit codes {codes})")
-            continue
-        if message is None:
-            done += 1
-            continue
-        i, value, trace = message
-        if trace is not None:
-            raise value from _WorkerTraceback(trace)
-        results[i] = value

@@ -135,6 +135,10 @@ class SolverSettings:
             raise ValueError("step_fraction must lie in (0, 1)")
 
 
+#: the columns of ``Solution.trace``
+TRACE_FIELDS = ("pres", "dres", "gap", "mu", "reg", "sigma", "step")
+
+
 @dataclass
 class Solution:
     """``stop_reason`` is the status, or why a ``max_iter`` solve stopped:
@@ -142,11 +146,12 @@ class Solution:
     ``factorization`` (or a direct equality solve off its residuals) or
     ``max_iter``; ``polished`` if the dual polish made it ``optimal``.
 
-    ``trace`` has one entry per iteration: the relative primal and dual
-    residuals ``pres`` and ``dres``, the relative gap ``gap`` and ``mu``
-    that the stopping test read, then, as far as the iteration got, the
-    static regularization ``reg`` added to the Newton matrix before
-    factoring, the centering ``sigma`` and the ``step`` length taken."""
+    ``trace`` has one row per iteration, its columns named by
+    :data:`TRACE_FIELDS`: the relative primal and dual residuals ``pres``
+    and ``dres``, the relative gap ``gap`` and ``mu`` that the stopping
+    test read, then, as far as the iteration got (NaN beyond), the static
+    regularization ``reg`` added to the Newton matrix before factoring,
+    the centering ``sigma`` and the ``step`` length taken."""
 
     x: np.ndarray
     y_eq: np.ndarray
@@ -159,7 +164,8 @@ class Solution:
     iterations: int
     block_slices: list[slice]
     block_kinds: list[str]
-    trace: list = field(default_factory=list)
+    trace: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, len(TRACE_FIELDS))))
 
     def block_slack(self, i: int) -> np.ndarray:
         return self.s[self.block_slices[i]]
@@ -543,7 +549,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     best_dres = np.inf
     dual_stall = 0
     x_prev, y_prev, s_prev, z_prev = x, y, s, z
-    trace: list = []
+    trace = np.full((st.max_iter, len(TRACE_FIELDS)), np.nan)
     for it in range(st.max_iter):
         iters = it + 1
         rx = P @ x + q + G.T @ z + (A.T @ y if p else 0.0)
@@ -558,8 +564,8 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         dres = float(np.linalg.norm(rx, np.inf)) / qnorm
         relgap = cgap / max(1.0, abs(pobj))
         mu = cgap / cones.degree
-        row = {"pres": pres, "dres": dres, "gap": relgap, "mu": mu}
-        trace.append(row)
+        row = trace[it]  # filled in TRACE_FIELDS order
+        row[:4] = pres, dres, relgap, mu
 
         if not (np.isfinite(pobj) and np.isfinite(cgap)):
             x, y, s, z = x_prev, y_prev, s_prev, z_prev
@@ -607,7 +613,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                 stop = "non_finite"
                 break
             try:
-                hsolve, row["reg"] = _chol_solve_factory(H)
+                hsolve, row[4] = _chol_solve_factory(H)
             except np.linalg.LinAlgError:
                 stop = "factorization"
                 break
@@ -676,7 +682,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         y = y + alpha * dy
         s = s + alpha * ds
         z = z + alpha * dz
-        row.update(sigma=sigma, step=alpha)
+        row[5:] = sigma, alpha
 
     if status == "max_iter":
         # The loop ended without a certificate.  If the primal point is
@@ -704,7 +710,8 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         x=x, y_eq=y, z=z_orig, s=s_orig, status=status, stop_reason=stop,
         objective=prog.objective(x), residuals=residuals,
         iterations=iters, block_slices=_original_slices(prog),
-        block_kinds=[blk.kind for blk in prog.blocks], trace=trace,
+        block_kinds=[blk.kind for blk in prog.blocks],
+        trace=trace[:iters].copy(),
     )
 
 

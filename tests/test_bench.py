@@ -65,9 +65,11 @@ def tiny_run(request, tmp_path_factory):
     name = request.param
     _, model, grid = TINY[name]
     out = tmp_path_factory.mktemp(name)
-    # two usable CPUs on any host, so that the runners fork their workers
+    # two usable CPUs and BLAS taken as pinned on any host, so that the
+    # runners fork their workers
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tasks, "usable_cpus", lambda: 2)
+        patch.setattr(tasks, "blas_pinned", lambda: True)
         config, summary = _run_tiny(name, out)
     return name, config, out / f"{model}.json", grid, summary
 
@@ -92,7 +94,10 @@ def test_summary_records_every_solve(tiny_run):
         # a program without cone rows (robotarm's unconstrained fit) is
         # one direct solve, with no trace
         direct = name == "robotarm" and entry["label"].endswith(" none")
-        assert len(entry["trace"]) == (0 if direct else entry["iterations"])
+        assert set(entry["trace"]) == {"pres", "dres", "gap", "mu", "reg",
+                                       "sigma", "step"}
+        assert {len(column) for column in entry["trace"].values()} == \
+            {0 if direct else entry["iterations"]}
     labels = [entry["label"] for entry in solves]
     assert len(set(labels)) == len(labels)
     expected = {"catenary": ["ball m=30", "ball m=30 relaxation"],

@@ -23,6 +23,7 @@ from shapekernel import (
     solve,
 )
 from shapekernel.conic import (
+    TRACE_FIELDS,
     _canonicalize,
     _centering,
     _chol_solve_factory,
@@ -375,17 +376,18 @@ class TestSolutionBookkeeping:
     def test_trace_has_one_entry_per_iteration(self):
         prog = self.make_two_block_program()
         sol = solve(prog)
-        trace = sol.trace
-        assert len(trace) == sol.iterations > 1
+        assert TRACE_FIELDS == ("pres", "dres", "gap", "mu", "reg", "sigma",
+                                "step")
+        assert sol.trace.shape == (sol.iterations, len(TRACE_FIELDS))
+        assert sol.iterations > 1
+        trace = [dict(zip(TRACE_FIELDS, row)) for row in sol.trace]
         # every iteration but the last took a step; the last one stopped
         for row in trace[:-1]:
-            assert set(row) == {"pres", "dres", "gap", "mu", "sigma", "step",
-                                "reg"}
             assert 0.0 < row["step"] <= 1.0
             assert 0.0 <= row["sigma"] <= 1.0
             assert row["reg"] == 0.0
         last = trace[-1]
-        assert set(last) == {"pres", "dres", "gap", "mu"}
+        assert np.isnan([last["reg"], last["sigma"], last["step"]]).all()
         st = SolverSettings()
         assert max(last["pres"], last["dres"]) <= st.feas_tol
         assert last["gap"] <= st.gap_tol
@@ -399,8 +401,9 @@ class TestSolutionBookkeeping:
             ConeBlock("nonneg", [[-1.0, 0.0]], [-1.0])])
         sol = solve(prog)
         assert sol.status == "optimal"
-        stepped = [row for row in sol.trace if "step" in row]
-        assert stepped and all(row["reg"] > 0.0 for row in stepped)
+        reg, step = sol.trace[:, 4], sol.trace[:, 6]
+        stepped = ~np.isnan(step)
+        assert stepped.any() and (reg[stepped] > 0.0).all()
         assert _chol_solve_factory(np.diag([1.0, 0.0]))[1] == 1e-12
 
     def test_objective_includes_constant(self):

@@ -1,8 +1,8 @@
 """The task runner behind the experiments' independent fits.
 
-``usable_cpus`` is patched to one or two CPUs, so that these tests fork the
-same number of workers on any host.  Tasks tell the calling process from a
-worker by its pid.
+``usable_cpus`` is patched to one or two CPUs and BLAS counts as pinned,
+so that these tests fork the same number of workers on any host.  Tasks
+tell the calling process from a worker by its pid.
 """
 
 import multiprocessing
@@ -24,12 +24,14 @@ CALLER = os.getpid()
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
 def cpus(request, monkeypatch):
     monkeypatch.setattr(tasks, "usable_cpus", lambda: request.param)
+    monkeypatch.setattr(tasks, "blas_pinned", lambda: True)
     return request.param
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
     monkeypatch.setattr(tasks, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(tasks, "blas_pinned", lambda: True)
 
 
 class Expired(Exception):
@@ -104,9 +106,31 @@ def test_no_fork_while_another_thread_runs(two_cpus):
     assert not thread.is_alive()
 
 
+def test_no_more_processes_than_measured(monkeypatch, deadline):
+    monkeypatch.setattr(tasks, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(tasks, "blas_pinned", lambda: True)
+    out = run_tasks(_paced, [(k,) for k in range(8)])
+    assert len({pid for _, pid in out}) == tasks.MAX_PROCS == 2
+
+
+def test_no_fork_unless_blas_is_pinned(monkeypatch):
+    monkeypatch.setattr(tasks, "usable_cpus", lambda: 2)
+    for var in tasks.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    assert tasks.blas_pinned()
+    # one variable unset, or saying more than one thread, leaves BLAS free
+    # to start a thread per CPU in every process
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert not tasks.blas_pinned()
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert not tasks.blas_pinned()
+    out = run_tasks(_paced, [(k,) for k in range(4)])
+    assert {pid for _, pid in out} == {CALLER}
+
+
 def test_results_larger_than_a_pipe_buffer_come_back(two_cpus, deadline):
-    # a worker whose result still sits in the queue's pipe cannot exit, so
-    # joining it before the queue is drained would never return
+    # a worker blocks in its send until the caller reads, so joining it
+    # before reading its pipe would never return
     def big(k):
         time.sleep(0.1)
         return os.getpid(), bytes([k]) * 300_000
@@ -130,6 +154,22 @@ def test_task_raising_in_a_worker_reraises_its_type(two_cpus, deadline):
     # the worker's traceback comes along as the cause
     assert "fail_in_worker" in str(err.value.__cause__)
     assert not multiprocessing.active_children()
+
+
+def test_no_task_starts_after_a_worker_failure(two_cpus, deadline):
+    ran = []
+
+    def fail_in_worker(k):
+        if not _in_caller():
+            raise KeyError(k)
+        ran.append(k)
+        time.sleep(0.5)
+        return k
+
+    with pytest.raises(KeyError):
+        run_tasks(fail_in_worker, [(k,) for k in range(6)])
+    # the caller finished the task it held, and took no other
+    assert ran == [0]
 
 
 def test_task_raising_in_the_caller_stops_the_workers(two_cpus, deadline):
@@ -168,18 +208,19 @@ def test_worker_that_dies_is_reported(two_cpus, deadline):
         time.sleep(0.5)
         return k
 
-    with pytest.raises(RuntimeError, match="exit codes"):
+    with pytest.raises(RuntimeError, match="without reporting"):
         run_tasks(die_in_worker, [(k,) for k in range(3)])
     assert not multiprocessing.active_children()
 
 
-def test_unpicklable_result_is_reported(two_cpus, deadline, capfd):
+def test_unpicklable_result_is_reported(two_cpus, deadline):
     def closure(k):
         time.sleep(0.2)
         return lambda: k
 
-    with pytest.raises(RuntimeError, match="did not reach"):
+    # the worker's send fails on the pickling and reports that instead
+    with pytest.raises(Exception, match="pickle") as err:
         run_tasks(closure, [(k,) for k in range(3)])
-    assert "pickle" in capfd.readouterr().err
+    assert "send" in str(err.value.__cause__)
     assert not multiprocessing.active_children()
 
