@@ -39,6 +39,8 @@ from .tighten import (
     discretize,
 )
 
+_SQRT2 = math.sqrt(2.0)
+
 
 # --------------------------------------------------------------------------
 # Problem description
@@ -176,7 +178,10 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     record with a positive buffer width needs it, and one nonnegative
     auxiliary per enclosure record.  Functional evaluations become Gram
     rows; every buffered anchor row subtracts ``eta t``; enclosure records
-    get their own SOC row over the extended coefficient vector.
+    get their own SOC row over the extended coefficient vector.  Each cone
+    row is written once, into the program's one row store and in the order
+    the solver reads it; a 2x2 record's rotated cone goes in as a plain SOC
+    block.
 
     The coefficient block of the decision vector carries the whitened
     coordinates ``u = L^T a`` (L the stabilized Cholesky factor of the atom
@@ -250,15 +255,6 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
 
     # ---------------------------------------------------------------- rows
     A_eq_rows, b_eq = [], []
-    blocks: list[ConeBlock] = []
-    nn_G, nn_h, nn_prov = [], [], []
-
-    def add_nonneg(row, rhs, prov):
-        # expression row.x - rhs >= 0  =>  s = -rhs - (-row).x
-        nn_G.append(-row)
-        nn_h.append(-rhs)
-        nn_prov.append(prov)
-
     for eq in spec.equalities:
         row = np.zeros(n)
         row[a_cols] = gram_row(eq.atom())
@@ -266,15 +262,46 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         A_eq_rows.append(row)
         b_eq.append(eq.value)
 
+    # The cone rows are counted first and then written once each into one
+    # (m, n) store, in the order the solver reads them: every nonnegative
+    # row, then the SOC blocks in record order, the norm cap, the epigraph.
+    l = sum(rec.size if isinstance(rec, AnchorRecord) else 1
+            for rec in records)
+    soc_dims = [1 + A if isinstance(rec, InclusionRecord) else 3
+                for rec in records
+                if not (isinstance(rec, AnchorRecord) and rec.size == 1)]
+    soc_dims += [1 + A] * (isinstance(reg, NormBound) + needs_t)
+    G = np.zeros((l + sum(soc_dims), n))
+    h = np.zeros(G.shape[0])
+    blocks: list[ConeBlock] = []
+    nn_prov: list = []
+    soc_row = l
+
+    def add_nonneg(row, rhs, prov):
+        # expression row.x - rhs >= 0  =>  s = -rhs - (-row).x
+        G[len(nn_prov)] = -row
+        h[len(nn_prov)] = -rhs
+        nn_prov.append(prov)
+
+    def add_soc(dim, prov):
+        """The next SOC block, whose rows its caller fills in."""
+        nonlocal soc_row
+        rows = slice(soc_row, soc_row + dim)
+        soc_row = rows.stop
+        blocks.append(ConeBlock("soc", G[rows], h[rows], provenance=prov))
+        return blocks[-1]
+
     for rec in records:
         prov = tuple(rec.provenance)
         if isinstance(rec, AnchorRecord):
             # One nonnegative row per diagonal entry (tagged with its index
-            # when P = 2); for P = 2 the rotated cone repeats both rows and
-            # adds the scaled off-diagonal one.  The cone alone implies the
-            # two rows, but without them the interior-point path can stall
-            # at the cone's apex: econ's `both` solve, whose optimum is
-            # f = 0, then ends `max_iter` on seed 4.
+            # when P = 2).  For P = 2 the record's rotated cone over both
+            # rows g0, g1 and the scaled off-diagonal row goes in as the SOC
+            # block ((g0 + g1)/sqrt2, (g0 - g1)/sqrt2, -sqrt2 off).  The
+            # cone alone implies the two rows, but without them the
+            # interior-point path can stall at the cone's apex: econ's
+            # `both` solve, whose optimum is f = 0, then ends `max_iter` on
+            # seed 4.
             tags = [()] if rec.size == 1 else [(0,), (1,)]
             for p, tag in enumerate(tags):
                 row = np.zeros(n)
@@ -286,54 +313,47 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
             if rec.size == 2:
                 off_row = np.zeros(n)
                 off_row[a_cols] = gram_row(rec.atoms[0][1])
-                Gb = np.vstack(nn_G[-2:] + [-math.sqrt(2.0) * off_row])
-                hb = np.array(nn_h[-2:] + [0.0])
-                blocks.append(ConeBlock("rsoc", Gb, hb,
-                                        provenance=("record",) + prov))
+                cone = add_soc(3, ("record",) + prov)
+                g0, g1 = len(nn_prov) - 2, len(nn_prov) - 1
+                cone.G[0] = (G[g0] + G[g1]) / _SQRT2
+                cone.G[1] = (G[g0] - G[g1]) / _SQRT2
+                cone.G[2] = -_SQRT2 * off_row
+                cone.h[0] = (h[g0] + h[g1]) / _SQRT2
+                cone.h[1] = (h[g0] - h[g1]) / _SQRT2
         elif isinstance(rec, InclusionRecord):
             pos, sign = _oriented(rec.normal)
             col = basis_index[pos.key()]
-            dim = 1 + A
-            Gb = np.zeros((dim, n))
-            hb = np.zeros(dim)
+            cone = add_soc(1 + A, ("record",) + prov)
             # s0 = gamma.b - offset - xi*rho
             bias_row = np.zeros(n)
             bias_part(bias_row, rec.gamma)
-            Gb[0] = -bias_row
-            hb[0] = -rec.offset
+            cone.G[0] = -bias_row
+            cone.h[0] = -rec.offset
             xi_idx = xi_index[prov]
-            Gb[0, xi_idx] += rec.rho
+            cone.G[0, xi_idx] += rec.rho
             xi_row = np.zeros(n)
             xi_row[xi_idx] = 1.0
             add_nonneg(xi_row, 0.0, ("xi",) + prov)
             # s1 = r0 * (u + sign*xi*L^T e_col)
-            Gb[1:, a_cols] = -rec.r0 * np.eye(A)
-            Gb[1:, xi_idx] = -rec.r0 * sign * L.T[:, col]
-            blocks.append(ConeBlock("soc", Gb, hb,
-                                    provenance=("record",) + prov))
+            cone.G[1:, a_cols] = -rec.r0 * np.eye(A)
+            cone.G[1:, xi_idx] = -rec.r0 * sign * L.T[:, col]
         else:
             raise TypeError(f"unknown record type {type(rec).__name__}")
 
     if isinstance(reg, NormBound):
-        Gb = np.zeros((1 + A, n))
-        hb = np.zeros(1 + A)
-        hb[0] = reg.lam_tilde
-        Gb[1:, a_cols] = -np.eye(A)
-        blocks.append(ConeBlock("soc", Gb, hb, provenance=("norm_bound",)))
+        cone = add_soc(1 + A, ("norm_bound",))
+        cone.h[0] = reg.lam_tilde
+        cone.G[1:, a_cols] = -np.eye(A)
 
     if needs_t:
         # the norm epigraph ||u|| <= t
-        Gb = np.zeros((1 + A, n))
-        Gb[0, t_idx] = -1.0
-        Gb[1:, a_cols] = -np.eye(A)
-        blocks.append(ConeBlock("soc", Gb, np.zeros(1 + A),
-                                provenance=("epigraph",)))
+        cone = add_soc(1 + A, ("epigraph",))
+        cone.G[0, t_idx] = -1.0
+        cone.G[1:, a_cols] = -np.eye(A)
 
-    if nn_G:
-        blocks.insert(0, ConeBlock(
-            "nonneg", np.vstack(nn_G), np.asarray(nn_h),
-            provenance=("nonneg", tuple(nn_prov)),
-        ))
+    if l:
+        blocks.insert(0, ConeBlock("nonneg", G[:l], h[:l],
+                                   provenance=("nonneg", tuple(nn_prov))))
 
     prog = ConeProgram(
         n=n,
@@ -343,6 +363,8 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         A_eq=np.vstack(A_eq_rows) if A_eq_rows else None,
         b_eq=np.asarray(b_eq) if b_eq else None,
         blocks=blocks,
+        G=G,
+        h=h,
         meta={
             "a_slice": (0, A),
             "b_slice": (A, A + B),

@@ -165,9 +165,8 @@ class ExperimentConfig:
         self.grid_res = int(self.grid_res)
         if self.grid_res < 2:
             raise ValueError("grid_res must be at least 2")
-        if self.experiment == "econ":
-            _check_econ_params({**_DEFAULTS["econ"]["params"],
-                                **self.params})
+        _check_params(self.experiment,
+                      {**_DEFAULTS[self.experiment]["params"], **self.params})
 
     # ---------------------------------------------------------- round-trip
     def to_json(self) -> dict:
@@ -202,14 +201,34 @@ def default_config(experiment: str) -> ExperimentConfig:
     )
 
 
-def _check_econ_params(p: dict) -> None:
-    """Reject econ params the runner would crash on or run to an empty or
-    meaningless result: an unknown or repeated regime, no regime, no rep,
-    fewer than two cross-validation folds, a training fraction outside
-    (0, 1]."""
-    regimes = list(p["regimes"])
-    unknown = [r for r in regimes if r not in ECON_REGIMES]
-    for ok, rule in (
+def _check_params(experiment: str, p: dict) -> None:
+    """Reject runner params the runner would crash on mid-run, or run to an
+    empty or meaningless result.  Catenary needs at least one anchor count,
+    each at least 1; control at least one wall interval; robotarm at least
+    one segment and at least one anchor count, each a perfect
+    ``2 * segments``-th power.  Econ rejects an unknown or repeated regime,
+    no regime, no rep, fewer than two cross-validation folds and a training
+    fraction outside (0, 1]."""
+    if experiment == "catenary":
+        m_list = [int(m) for m in p["m_list"]]
+        rules = [(m_list and min(m_list) >= 1,
+                  f"catenary m_list {m_list} must name at least one anchor "
+                  "count, each at least 1")]
+    elif experiment == "control":
+        rules = [(int(p["m_intervals"]) >= 1,
+                  "control m_intervals must be at least 1")]
+    elif experiment == "robotarm":
+        if int(p["segments"]) < 1:
+            raise ValueError("robotarm segments must be at least 1")
+        d = 2 * int(p["segments"])
+        m_list = [int(m) for m in p["m_list"]]
+        bad = [m for m in m_list if m < 1 or round(m ** (1.0 / d)) ** d != m]
+        rules = [(m_list and not bad, f"robotarm m_list {m_list} must name "
+                  f"at least one anchor count, each a perfect {d}-th power")]
+    else:
+        regimes = list(p["regimes"])
+        unknown = [r for r in regimes if r not in ECON_REGIMES]
+        rules = [
             (not unknown, f"unknown econ regimes {unknown}; expected some "
              f"of {list(ECON_REGIMES)}"),
             (regimes and len(set(regimes)) == len(regimes),
@@ -218,7 +237,8 @@ def _check_econ_params(p: dict) -> None:
             (int(p["reps"]) >= 1, "econ reps must be at least 1"),
             (int(p["folds"]) >= 2, "econ folds must be at least 2"),
             (0 < float(p["train_fraction"]) <= 1,
-             "econ train_fraction must lie in (0, 1]")):
+             "econ train_fraction must lie in (0, 1]")]
+    for ok, rule in rules:
         if not ok:
             raise ValueError(rule)
 

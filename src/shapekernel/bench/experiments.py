@@ -670,13 +670,8 @@ def run_robotarm(cfg: ExperimentConfig):
         ]
         per_seed.setdefault(str(seed), {"sigma": sigma, "lambda": lam})
         contexts.append((seed, geom, kernel, obs, lam))
-        for m_per_axis_pow in m_list:
+        for m_per_axis_pow in m_list:  # perfect d-th powers (config.py)
             m_axis = round(m_per_axis_pow ** (1.0 / d))
-            if m_axis ** d != m_per_axis_pow:
-                raise ValueError(
-                    f"anchor count {m_per_axis_pow} is not a perfect "
-                    f"{d}-th power"
-                )
             anchors[k, m_per_axis_pow] = _robot_anchors(geom, m_axis, p)
 
     def fit(k, m_per_axis_pow, scheme):

@@ -6,10 +6,11 @@ Solves convex quadratic cone programs
     subject to  A_eq x = b_eq
                 G x + s = h,   s in C
 
-where ``C`` is a product of nonnegative-orthant, second-order, and rotated
-second-order cones.  Rotated cones are mapped to plain second-order cones by
-the self-inverse orthogonal isometry ``(u, v, w) -> ((u+v)/sqrt2,
-(u-v)/sqrt2, w)`` before the iteration starts.
+where ``C`` is a product of nonnegative-orthant and second-order cones.
+The rows ``G``, ``h`` arrive in one store in canonical order, every
+nonnegative row first and then the second-order blocks, and the solver
+works on that store as it is: ``Solution.s`` and ``Solution.z`` come out
+in the same order.
 
 The iteration is a Mehrotra-style predictor-corrector with Nesterov-Todd
 scaling, dense linear algebra, and infeasible start: problem sizes here are a
@@ -29,7 +30,7 @@ O(n^2) per iteration instead of O(d n^2).  That matrix is kept as its
 diagonal when it has no off-diagonal nonzero (identity rows, as in econ).
 Each solve forms H in one workspace of two ``n x n`` buffers, so the matrix
 one call returns is overwritten by the next, and the other blocks' rows
-are a view of G when they come first, as ``assemble`` orders them.
+are a view of G when they come first.
 
 Block runs.  Consecutive SOC blocks of one dimension sit on contiguous
 canonical rows, so each per-block step works on a whole run at once through
@@ -52,18 +53,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-_SQRT2 = np.sqrt(2.0)
-
-
 # --------------------------------------------------------------------------
 # Program description
 # --------------------------------------------------------------------------
 
 @dataclass
 class ConeBlock:
-    """One cone-constrained row block ``h - G x in cone(kind)``."""
+    """One cone-constrained row block ``h - G x in cone(kind)``.  In a
+    :class:`ConeProgram`, ``G`` and ``h`` are views of the program's rows."""
 
-    kind: str  # 'nonneg' | 'soc' | 'rsoc'
+    kind: str  # 'nonneg' | 'soc'
     G: np.ndarray
     h: np.ndarray
     provenance: tuple = ()
@@ -71,17 +70,22 @@ class ConeBlock:
     def __post_init__(self):
         self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
         self.h = np.asarray(self.h, dtype=float).ravel()
-        if self.kind not in ("nonneg", "soc", "rsoc"):
+        if self.kind not in ("nonneg", "soc"):
             raise ValueError(f"unsupported cone kind {self.kind!r}")
         if self.G.shape[0] != self.h.size:
             raise ValueError("cone block G/h row mismatch")
-        if self.kind == "rsoc" and self.h.size < 3:
-            raise ValueError("rotated cone blocks need dimension >= 3")
 
 
 @dataclass
 class ConeProgram:
-    """Finite-dimensional conic program with provenance-tagged rows."""
+    """Finite-dimensional conic program with provenance-tagged rows.
+
+    The cone rows live in one C-contiguous ``(m, n)`` store ``G``, ``h`` in
+    the solver's order, every nonneg block before the SOC blocks, and each
+    block's ``G``, ``h`` are views of its rows there.  ``assemble`` passes
+    the store it wrote; blocks given without one are stacked into it here.
+    ``block_slices`` holds each block's rows of the store.
+    """
 
     n: int
     P: np.ndarray | None = None
@@ -91,6 +95,8 @@ class ConeProgram:
     b_eq: np.ndarray | None = None
     blocks: list[ConeBlock] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    G: np.ndarray | None = None
+    h: np.ndarray | None = None
 
     def __post_init__(self):
         self.P = np.asarray(np.zeros((self.n, self.n)) if self.P is None
@@ -108,12 +114,33 @@ class ConeProgram:
             raise ValueError("objective Hessian has wrong shape")
         if self.q.size != self.n:
             raise ValueError("objective gradient has wrong length")
+        kinds = [blk.kind for blk in self.blocks]
+        if kinds != sorted(kinds):  # "nonneg" sorts before "soc"
+            raise ValueError("nonneg blocks must come before every SOC "
+                             "block")
         for blk in self.blocks:
             if blk.G.shape[1] != self.n:
                 raise ValueError(
                     f"cone block {blk.provenance} has {blk.G.shape[1]} "
                     f"columns, expected {self.n}"
                 )
+        stacked = self.G is None
+        if stacked:  # the blocks' rows, stacked once
+            self.G = np.vstack([blk.G for blk in self.blocks]
+                               or [np.zeros((0, self.n))])
+            self.h = np.concatenate([blk.h for blk in self.blocks]
+                                    or [np.zeros(0)])
+        ends = np.cumsum([0] + [blk.h.size for blk in self.blocks]).tolist()
+        if ends[-1] != self.h.size:
+            raise ValueError("cone blocks do not cover the program's rows")
+        self.block_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        for blk, sl in zip(self.blocks, self.block_slices):
+            rows = self.G[sl], self.h[sl]
+            if not stacked and [v.__array_interface__ for v in rows] != \
+                    [blk.G.__array_interface__, blk.h.__array_interface__]:
+                raise ValueError(f"cone block {blk.provenance} is not a "
+                                 "view of the program's rows")
+            blk.G, blk.h = rows
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.P @ x + self.q @ x + self.const)
@@ -185,6 +212,13 @@ class _Cones:
         # Barrier degree: each nonneg entry and each SOC block counts one.
         self.degree = max(nonneg + len(soc_dims), 1)
         self.runs = self.runs_of(range(len(soc_dims)))
+
+    @classmethod
+    def of(cls, prog: ConeProgram) -> "_Cones":
+        """The cones of a program's rows."""
+        return cls(sum(blk.h.size for blk in prog.blocks
+                       if blk.kind == "nonneg"),
+                   [blk.h.size for blk in prog.blocks if blk.kind == "soc"])
 
     def runs_of(self, blocks) -> list[tuple[int, int, int, int]]:
         """Runs ``(row0, count, dim, block0)``: consecutive equal-dimension
@@ -315,7 +349,7 @@ class _Scaling:
         out = np.empty_like(M)
         l = self.cones.l
         if l:
-            out[:l] = M[:l] / (self.w_nn ** 2)[:, None]
+            np.divide(M[:l], (self.w_nn ** 2)[:, None], out=out[:l])
         cones = self.cones
         for r0, c, d, k0 in cones.runs if blocks is None else \
                 cones.runs_of(blocks):
@@ -362,74 +396,6 @@ def _jordan_solve(lmbda: np.ndarray, d: np.ndarray,
         ob[:, 0] = u0
         ob[:, 1:] = (db[:, 1:] - u0[:, None] * lb[:, 1:]) / lb0[:, None]
     return out
-
-
-# --------------------------------------------------------------------------
-# Canonicalization (rotated cones -> plain SOC)
-# --------------------------------------------------------------------------
-
-def _rsoc_to_soc(G: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    G2, h2 = G.copy(), h.copy()
-    G2[0] = (G[0] + G[1]) / _SQRT2
-    G2[1] = (G[0] - G[1]) / _SQRT2
-    h2[0] = (h[0] + h[1]) / _SQRT2
-    h2[1] = (h[0] - h[1]) / _SQRT2
-    return G2, h2
-
-
-def _canonicalize(prog: ConeProgram):
-    """Stack blocks as [all nonneg rows; soc blocks in order]."""
-    nn_G, nn_h, nn_rows = [], [], []
-    soc_G, soc_h, soc_dims, soc_blocks = [], [], [], []
-    for bi, blk in enumerate(prog.blocks):
-        if blk.kind == "nonneg":
-            nn_G.append(blk.G)
-            nn_h.append(blk.h)
-            nn_rows.append((bi, blk.h.size))
-        else:
-            G2, h2 = (blk.G, blk.h) if blk.kind == "soc" else \
-                _rsoc_to_soc(blk.G, blk.h)
-            soc_G.append(G2)
-            soc_h.append(h2)
-            soc_dims.append(blk.h.size)
-            soc_blocks.append(bi)
-    parts_G = nn_G + soc_G
-    parts_h = nn_h + soc_h
-    if parts_G:
-        G = np.vstack(parts_G)
-        h = np.concatenate(parts_h)
-    else:
-        G = np.zeros((0, prog.n))
-        h = np.zeros(0)
-    cones = _Cones(sum(n for _, n in nn_rows), soc_dims)
-    return G, h, cones, nn_rows, soc_blocks
-
-
-def _scatter(prog: ConeProgram, canon_vec: np.ndarray, nn_rows, soc_blocks,
-             cones: _Cones, rotate_back: bool) -> np.ndarray:
-    """Map a canonical-order m-vector back to original block order."""
-    out = np.empty(canon_vec.size)
-    slices = _original_slices(prog)
-    pos = 0
-    for bi, nrows in nn_rows:
-        out[slices[bi]] = canon_vec[pos: pos + nrows]
-        pos += nrows
-    for bi, sl in zip(soc_blocks, cones.soc_slices):
-        v = canon_vec[sl].copy()
-        if rotate_back and prog.blocks[bi].kind == "rsoc":
-            v0 = (v[0] + v[1]) / _SQRT2
-            v1 = (v[0] - v[1]) / _SQRT2
-            v[0], v[1] = v0, v1
-        out[slices[bi]] = v
-    return out
-
-
-def _original_slices(prog: ConeProgram) -> list[slice]:
-    slices, pos = [], 0
-    for blk in prog.blocks:
-        slices.append(slice(pos, pos + blk.h.size))
-        pos += blk.h.size
-    return slices
 
 
 # --------------------------------------------------------------------------
@@ -523,7 +489,8 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     P, q = prog.P, prog.q
     A, b = prog.A_eq, prog.b_eq
     p = A.shape[0]
-    G, h, cones, nn_rows, soc_blocks = _canonicalize(prog)
+    G, h = prog.G, prog.h
+    cones = _Cones.of(prog)
     m = cones.m
 
     if m == 0:
@@ -703,13 +670,11 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                     y, z = y2, z2
                     status, stop = "optimal", "polished"
 
-    z_orig = _scatter(prog, z, nn_rows, soc_blocks, cones, rotate_back=True)
-    s_orig = _scatter(prog, s, nn_rows, soc_blocks, cones, rotate_back=True)
-    residuals = _final_residuals(prog, x, y, z_orig, s_orig)
     return Solution(
-        x=x, y_eq=y, z=z_orig, s=s_orig, status=status, stop_reason=stop,
-        objective=prog.objective(x), residuals=residuals,
-        iterations=iters, block_slices=_original_slices(prog),
+        x=x, y_eq=y, z=z, s=s, status=status, stop_reason=stop,
+        objective=prog.objective(x),
+        residuals=_final_residuals(prog, x, y, z, s), iterations=iters,
+        block_slices=list(prog.block_slices),
         block_kinds=[blk.kind for blk in prog.blocks],
         trace=trace[:iters].copy(),
     )
@@ -847,17 +812,9 @@ def _solve_equality_qp(prog: ConeProgram, st: SolverSettings,
 
 
 def _final_residuals(prog: ConeProgram, x, y, z, s) -> dict:
-    rx = prog.P @ x + prog.q
+    rx = prog.P @ x + prog.q + prog.G.T @ z
     if prog.A_eq.shape[0]:
         rx = rx + prog.A_eq.T @ y
-    pos = 0
-    rz_inf = 0.0
-    for blk in prog.blocks:
-        k = blk.h.size
-        rx = rx + blk.G.T @ z[pos: pos + k]
-        rz_inf = max(rz_inf, float(np.linalg.norm(
-            blk.G @ x + s[pos: pos + k] - blk.h, np.inf)))
-        pos += k
     ry_inf = (
         float(np.linalg.norm(prog.A_eq @ x - prog.b_eq, np.inf))
         if prog.A_eq.shape[0] else 0.0
@@ -865,7 +822,7 @@ def _final_residuals(prog: ConeProgram, x, y, z, s) -> dict:
     return {
         "stationarity": float(np.linalg.norm(rx, np.inf)),
         "primal_eq": ry_inf,
-        "primal_cone": rz_inf,
+        "primal_cone": float(np.max(np.abs(prog.G @ x + s - prog.h),
+                                    initial=0.0)),
         "comp_gap": float(s @ z) if s.size else 0.0,
     }
-

@@ -31,7 +31,8 @@ from .covering import InputBall, OmegaElement
 
 _PSD_HOOK_MSG = (
     "operators larger than 2x2 need a PSD-capable external solver; "
-    "the embedded cone set stops at rotated second-order cones"
+    "the embedded cone set stops at rotated second-order cones, which "
+    "assemble writes as second-order cone blocks"
 )
 
 
@@ -103,7 +104,8 @@ class AnchorRecord:
     ``M[p,q] = <f, atoms[p][q]> + (gamma b - offset)[p] delta_{pq}``
     for P in {1, 2}.  A size-1 record is one nonnegative row; a size-2
     record is two diagonal rows plus one rotated cone
-    ``2 (M11 - eta t)(M22 - eta t) >= 2 M12^2``.  The norm is shared across
+    ``2 (M11 - eta t)(M22 - eta t) >= 2 M12^2``, which ``assemble`` writes
+    as a second-order cone block.  The norm is shared across
     all buffered records through one epigraph variable ``t >= ||f||``
     introduced at assembly time; ``eta = 0`` drops it (the discretized
     relaxation).

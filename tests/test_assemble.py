@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from shapekernel import (
     AnchorRecord,
@@ -103,7 +104,8 @@ class TestCollectAtoms:
 class TestAnchorRows:
     def test_matrix_record_keeps_its_diagonal_rows(self, kernel):
         # the rotated cone implies its two diagonal rows; they stay as
-        # nonnegative rows as well, equal to the cone's first two rows
+        # nonnegative rows as well, and the cone goes in as an SOC block:
+        # the rotation of those two rows and the scaled off-diagonal row
         val = DiffFunctional.value(1)
         der = DiffFunctional.partial(1, axis=0)
         a, b = Atom((0.3,), val), Atom((0.3,), der)
@@ -113,19 +115,71 @@ class TestAnchorRows:
         spec = ProblemSpec(kernel=kernel, regularizer=Ridge(1.0))
         basis = collect_atoms(spec, [rec])
         prog = assemble(spec, basis, [rec])
-        kinds = [blk.kind for blk in prog.blocks]
-        assert sorted(kinds) == ["nonneg", "rsoc", "soc"]  # soc: epigraph
-        nonneg = prog.blocks[kinds.index("nonneg")]
-        cone = prog.blocks[kinds.index("rsoc")]
+        assert [blk.kind for blk in prog.blocks] == ["nonneg", "soc", "soc"]
+        nonneg, cone, epigraph = prog.blocks
         assert cone.provenance == ("record", 0, 0)
+        assert epigraph.provenance == ("epigraph",)
         assert nonneg.provenance == ("nonneg", (("record", 0, 0, 0),
                                                 ("record", 0, 0, 1)))
-        np.testing.assert_array_equal(nonneg.G, cone.G[:2])
-        np.testing.assert_array_equal(nonneg.h, cone.h[:2])
         t = prog.meta["t_index"]
-        np.testing.assert_array_equal(cone.G[:2, t], [0.4, 0.4])
-        np.testing.assert_array_equal(cone.h[:2], [-0.1, -0.2])
+        np.testing.assert_array_equal(nonneg.G[:, t], [0.4, 0.4])
+        np.testing.assert_array_equal(nonneg.h, [-0.1, -0.2])
+        # the whitened evaluation row of the off-diagonal atom b
+        rows = solve_triangular(prog.meta["factor"], prog.meta["gram"],
+                                lower=True).T
+        off = np.zeros(prog.n)
+        off[:len(basis)] = rows[[x.key() for x in basis].index(b.key())]
+        s2 = math.sqrt(2.0)
+        (g0, g1), (h0, h1) = nonneg.G, nonneg.h
+        expected_G = np.array([(g0 + g1) / s2, (g0 - g1) / s2, -s2 * off])
+        expected_h = np.array([(h0 + h1) / s2, (h0 - h1) / s2, 0.0])
+        assert cone.G.tobytes() == expected_G.tobytes()
+        assert cone.h.tobytes() == expected_h.tobytes()
 
+    def test_blocks_are_views_of_one_row_store(self, kernel):
+        # P = 1 and P = 2 anchor records, enclosure records and a norm
+        # cap: every block's rows sit in the program's one store, nonneg
+        # rows first, then the SOC blocks in record order
+        val = DiffFunctional.value(1)
+        der = DiffFunctional.partial(1, axis=0)
+        slope = ShapeConstraint(region=((0.0, 1.0),),
+                                operator=SdpOperator.scalar(der),
+                                offset=(-5.0,))
+        matrix = ShapeConstraint(region=((0.2, 0.8),),
+                                 operator=SdpOperator(((val, der),
+                                                       (der, val))),
+                                 offset=(0.0, 0.0))
+        floor = ShapeConstraint(region=((0.3, 0.7),),
+                                operator=SdpOperator.scalar(val),
+                                offset=(-2.0,))
+        records = []
+        for ci, c in enumerate((slope, matrix)):
+            cover = cover_box(c.region, 0.2)
+            etas = [eta_for(kernel, c.operator, b.center, b.radius,
+                            norm=b.norm) for b in cover]
+            records += tighten_soc(c, cover, etas, constraint_index=ci)
+        records += tighten_omega(
+            floor, omega_cover(kernel, val, cover_box(floor.region, 0.2)),
+            constraint_index=2)
+        assert {rec.size for rec in records
+                if isinstance(rec, AnchorRecord)} == {1, 2}
+        assert any(isinstance(rec, InclusionRecord) for rec in records)
+        spec = ProblemSpec(kernel=kernel, regularizer=NormBound(3.0),
+                           constraints=[slope, matrix, floor])
+        prog = assemble(spec, collect_atoms(spec, records), records)
+        assert prog.G.flags.c_contiguous
+        assert prog.G.shape == (prog.h.size, prog.n)
+        kinds = [blk.kind for blk in prog.blocks]
+        assert kinds == ["nonneg"] + ["soc"] * (len(kinds) - 1)
+        assert prog.blocks[-2].provenance == ("norm_bound",)
+        row = 0
+        for blk in prog.blocks:
+            assert np.shares_memory(blk.G, prog.G)
+            assert np.shares_memory(blk.h, prog.h)
+            assert blk.G.__array_interface__ == \
+                prog.G[row: row + blk.h.size].__array_interface__
+            row += blk.h.size
+        assert row == prog.h.size
 
 
 class TestNormEpigraph:

@@ -270,16 +270,30 @@ def test_run_prints_warnings_and_strict_fails_on_them(tmp_path, capsys,
     ({"folds": 0}, "folds must be at least 2"),
     ({"train_fraction": 0.0}, r"train_fraction must lie in \(0, 1\]"),
     ({"train_fraction": 1.5}, r"train_fraction must lie in \(0, 1\]"),
+    # (experiment, params) for the other runners' params
+    (("catenary", {"m_list": [0]}), r"catenary m_list \[0\] must name"),
+    (("catenary", {"m_list": []}), r"catenary m_list \[\] must name"),
+    (("control", {"m_intervals": 0}), "m_intervals must be at least 1"),
+    (("robotarm", {"m_list": [16, 15]}),
+     r"m_list \[16, 15\] must name .* each a perfect 4-th power"),
+    (("robotarm", {"m_list": []}), r"robotarm m_list \[\] must name"),
+    (("robotarm", {"segments": 0}), "segments must be at least 1"),
 ])
 def test_econ_params_are_checked_before_running(tmp_path, params, message):
     # an unknown regime used to end in a KeyError traceback, reps 0 in an
-    # empty table with NaN medians, folds 0 in a mid-run ValueError
+    # empty table with NaN medians, folds 0 in a mid-run ValueError; a
+    # catenary anchor count or control interval count of 0 in a mid-run
+    # ZeroDivisionError, a robotarm anchor count that is no perfect power
+    # in a ValueError after data generation and cross-validation
+    experiment, params = params if isinstance(params, tuple) else \
+        ("econ", params)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"experiment": "econ", "params": params}))
+    config.write_text(json.dumps({"experiment": experiment,
+                                  "params": params}))
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.load(config)
     with pytest.raises(SystemExit, match="shapekernel run: .*" + message):
-        main(["run", "econ", "--config", str(config), "--out",
+        main(["run", experiment, "--config", str(config), "--out",
               str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 

@@ -24,9 +24,9 @@ from shapekernel import (
 )
 from shapekernel.conic import (
     TRACE_FIELDS,
-    _canonicalize,
     _centering,
     _chol_solve_factory,
+    _Cones,
     _jordan_product,
     _jordan_solve,
     _max_step,
@@ -73,14 +73,17 @@ class TestClosedForms:
         assert_kkt_clean(prog, sol)
 
     def test_rotated_cone_geometric_mean(self):
-        # min u + v  s.t.  2 u v >= 9, u, v >= 0   ->  u = v = 3/sqrt(2).
+        # min u + v  s.t.  2 u v >= 9, u, v >= 0   ->  u = v = 3/sqrt(2),
+        # the rotated cone written as ((u+v)/s2, (u-v)/s2, 3) in SOC
+        s2 = math.sqrt(2.0)
         prog = ConeProgram(
             n=2,
             q=[1.0, 1.0],
             blocks=[
                 ConeBlock(
-                    "rsoc",
-                    [[-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]],
+                    "soc",
+                    [[-1.0 / s2, -1.0 / s2], [-1.0 / s2, 1.0 / s2],
+                     [0.0, 0.0]],
                     [0.0, 0.0, 3.0],
                 )
             ],
@@ -197,56 +200,62 @@ class TestAgainstScipyOracles:
             assert_kkt_clean(prog, sol, tol=1e-6)
 
 
+def rotation(d):
+    """The self-inverse orthogonal map ``(u, v, w) -> ((u+v)/s2, (u-v)/s2,
+    w)`` on R^d: it takes the rotated cone ``2 u v >= ||w||^2, u, v >= 0``
+    onto the second-order cone, as ``assemble`` writes a 2x2 record."""
+    T = np.eye(d)
+    T[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    return T
+
+
 class TestRotatedConeReduction:
     def test_rsoc_matches_manual_soc_transcription(self):
+        # h - G x in the rotated cone, solved as the SOC program T G, T h,
+        # against SLSQP on the rotated cone's own inequalities
         rng = np.random.default_rng(44)
         n = 3
         M = rng.normal(size=(n, n))
         P = M @ M.T + 0.2 * np.eye(n)
         q = rng.normal(size=n)
         Gr = rng.normal(size=(4, n)) * 0.2
-        hr = np.array([1.0, 1.2, 0.1, -0.05]) + Gr @ np.zeros(n)
+        hr = np.array([1.0, 1.2, 0.1, -0.05])
+        T = rotation(4)
+        sol = solve(ConeProgram(
+            n=n, P=P, q=q, blocks=[ConeBlock("soc", T @ Gr, T @ hr)]))
+        assert sol.status == "optimal"
 
-        rot = ConeProgram(
-            n=n, P=P, q=q, blocks=[ConeBlock("rsoc", Gr, hr)]
-        )
-        sol_r = solve(rot)
-        assert sol_r.status == "optimal"
+        def slack(x):
+            u, v, *w = hr - Gr @ x
+            return [2.0 * u * v - float(np.dot(w, w)), u, v]
 
-        # (u, v, w) in rotated cone  <=>  ((u+v)/s2, (u-v)/s2, w) in SOC
-        # with s2 = sqrt(2); the map is orthonormal on the first two rows.
-        s2 = math.sqrt(2.0)
-        T = np.eye(4)
-        T[0, 0] = T[0, 1] = T[1, 0] = 1.0 / s2
-        T[1, 1] = -1.0 / s2
-        plain = ConeProgram(
-            n=n, P=P, q=q, blocks=[ConeBlock("soc", T @ Gr, T @ hr)]
-        )
-        sol_p = solve(plain)
-        assert sol_p.status == "optimal"
-        assert sol_r.objective == pytest.approx(sol_p.objective, rel=1e-8)
-        np.testing.assert_allclose(sol_r.x, sol_p.x, atol=1e-6)
+        ref = optimize.minimize(
+            lambda x: 0.5 * x @ P @ x + q @ x, x0=np.zeros(n),
+            constraints=[{"type": "ineq", "fun": slack}], method="SLSQP",
+            options={"ftol": 1e-12, "maxiter": 500})
+        assert ref.success
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-8)
+        np.testing.assert_allclose(sol.x, ref.x, atol=1e-5)
 
     def test_rsoc_slack_satisfies_defining_inequality(self):
+        # the SOC slack mapped back through the self-inverse rotation lies
+        # in the rotated cone of the geometric-mean program
+        T = rotation(3)
         prog = ConeProgram(
             n=2,
             q=[1.0, 1.0],
             blocks=[
                 ConeBlock(
-                    "rsoc",
-                    [[-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]],
-                    [0.0, 0.0, 3.0],
+                    "soc",
+                    T @ [[-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]],
+                    T @ [0.0, 0.0, 3.0],
                 )
             ],
         )
         sol = solve(prog)
-        u, v, *w = sol.block_slack(0)
+        u, v, *w = T @ sol.block_slack(0)
         assert u >= -1e-9 and v >= -1e-9
         assert 2 * u * v >= np.linalg.norm(w) ** 2 - 1e-6
-
-    def test_too_small_rsoc_block_rejected(self):
-        with pytest.raises(ValueError, match="dimension >= 3"):
-            ConeBlock("rsoc", [[-1.0], [0.0]], [0.0, 0.0])
 
 
 class TestStatuses:
@@ -330,6 +339,28 @@ class TestStatuses:
     def test_invalid_cone_kind_rejected(self):
         with pytest.raises(ValueError, match="unsupported cone kind"):
             ConeBlock("psd", [[1.0]], [0.0])
+        # rotated cones are written as SOC blocks by assemble
+        with pytest.raises(ValueError, match="unsupported cone kind 'rsoc'"):
+            ConeBlock("rsoc", [[-1.0], [0.0], [0.0]], [0.0, 0.0, 1.0])
+
+    def test_program_rows_are_one_store(self):
+        def blocks():
+            return [ConeBlock("nonneg", [[-1.0, 0.0]], [0.0]),
+                    ConeBlock("soc", np.ones((3, 2)), [2.0, 0.0, 0.0])]
+        # blocks given alone are stacked once, and become views
+        prog = ConeProgram(n=2, blocks=blocks())
+        np.testing.assert_array_equal(prog.h, [0.0, 2.0, 0.0, 0.0])
+        for blk, rows in zip(prog.blocks, (slice(0, 1), slice(1, 4))):
+            assert np.shares_memory(blk.G, prog.G)
+            assert np.array_equal(blk.G, prog.G[rows])
+        with pytest.raises(ValueError, match="nonneg blocks must come "
+                           "before every SOC block"):
+            ConeProgram(n=2, blocks=blocks()[::-1])
+        # a store given with blocks that are not its rows
+        with pytest.raises(ValueError, match="not a view"):
+            ConeProgram(n=2, blocks=blocks(), G=prog.G.copy(), h=prog.h)
+        with pytest.raises(ValueError, match="do not cover"):
+            ConeProgram(n=2, blocks=prog.blocks[:1], G=prog.G, h=prog.h)
 
 
 class TestSolutionBookkeeping:
@@ -439,17 +470,15 @@ class TestNewtonMatrix:
 
     @staticmethod
     def newton_matrices(n, soc_dims, seed=3):
-        # dense random rows: a nonneg block, SOC blocks of the given
-        # dimensions and one rotated cone, at a random interior (s, z)
+        # dense random rows: a nonneg block and SOC blocks of the given
+        # dimensions and of dimension 3, at a random interior (s, z)
         rng = np.random.default_rng(seed)
         M = rng.normal(size=(n, n))
         blocks = [ConeBlock("nonneg", rng.normal(size=(4, n)), np.zeros(4))]
         blocks += [ConeBlock("soc", rng.normal(size=(d, n)), np.zeros(d))
-                   for d in soc_dims]
-        blocks.append(ConeBlock("rsoc", rng.normal(size=(3, n)),
-                                np.zeros(3)))
+                   for d in [*soc_dims, 3]]
         prog = ConeProgram(n=n, P=M @ M.T, blocks=blocks)
-        G, _, cones, _, _ = _canonicalize(prog)
+        G, cones = prog.G, _Cones.of(prog)
 
         def interior():
             v = rng.normal(size=cones.m)
@@ -624,18 +653,15 @@ class TestBlockRuns:
     @classmethod
     def cones(cls):
         # SOC dimensions 3, 3, 3 (a run), 5 (a singleton), 40, 3, 40, 40
-        # and a rotated cone, canonical dimension 3, at the end
+        # and 3 at the end
         rng = np.random.default_rng(0)
-        dims = [3, 3, 3, 5, 40, 3, 40, 40]
+        dims = [3, 3, 3, 5, 40, 3, 40, 40, 3]
         blocks = [ConeBlock("nonneg", rng.normal(size=(4, cls.N)),
                             np.zeros(4))]
         blocks += [ConeBlock("soc", rng.normal(size=(d, cls.N)), np.zeros(d))
                    for d in dims]
-        blocks.append(ConeBlock("rsoc", rng.normal(size=(3, cls.N)),
-                                np.zeros(3)))
-        G, _, cones, _, _ = _canonicalize(
-            ConeProgram(n=cls.N, blocks=blocks))
-        return G, cones
+        prog = ConeProgram(n=cls.N, blocks=blocks)
+        return prog.G, _Cones.of(prog)
 
     @staticmethod
     def interior(rng, cones):
@@ -862,18 +888,16 @@ class TestNewtonWorkspace:
         n = cls.N
         blocks = [ConeBlock("nonneg", rng.normal(size=(6, n)), np.zeros(6))]
         for name in layout:
-            if name == "soc":
-                blocks.append(ConeBlock("soc", rng.normal(size=(3, n)),
-                                        np.zeros(3)))
-            elif name == "rsoc":
-                blocks.append(ConeBlock("rsoc", rng.normal(size=(4, n)),
-                                        np.zeros(4)))
+            if name in ("soc", "soc4"):
+                d = 3 if name == "soc" else 4
+                blocks.append(ConeBlock("soc", rng.normal(size=(d, n)),
+                                        np.zeros(d)))
             else:
                 blocks += norm_blocks(n, rng, dense_row0=name == "dense")
         M = rng.normal(size=(n, n))
         P = M @ M.T if psd_P else np.zeros((n, n))
-        G, _, cones, _, _ = _canonicalize(ConeProgram(n=n, blocks=blocks))
-        return P, G, cones
+        prog = ConeProgram(n=n, blocks=blocks)
+        return P, prog.G, _Cones.of(prog)
 
     @staticmethod
     def scaling(rng, cones):
@@ -887,12 +911,12 @@ class TestNewtonWorkspace:
                                 for c in factory.__closure__)))["Gn"]
 
     @pytest.mark.parametrize("layout, psd_P, prefix", [
-        (["soc", "rsoc", "soc"], False, True),    # no wide block
-        (["soc", "rsoc", "soc"], True, True),
+        (["soc", "soc4", "soc"], False, True),    # no wide block
+        (["soc", "soc4", "soc"], True, True),
         (["soc", "norms"], True, True),           # diagonal constants
         (["soc", "norms"], False, True),
-        (["rsoc", "dense"], True, True),          # dense leading row
-        (["norms", "soc", "rsoc"], True, False),  # wide blocks not last
+        (["soc4", "dense"], True, True),          # dense leading row
+        (["norms", "soc", "soc4"], True, False),  # wide blocks not last
         (["dense", "soc"], False, False),
     ])
     def test_matches_the_per_call_factory(self, layout, psd_P, prefix):
@@ -919,27 +943,32 @@ class TestNewtonWorkspace:
         assert not np.array_equal(second, ref(W1))
 
     def test_solve_peak_memory_is_a_few_newton_matrices(self):
-        # n = 400: 200 nonneg rows, a norm cap and a norm epigraph over
-        # the first 399 columns.  Above the program's own arrays the solve
-        # needs the canonical copy of its rows (2.5 n x n arrays), the two
-        # workspace buffers and one Cholesky factor.  The per-call factory
-        # also kept two dense constants, the last H and the last factor
-        # while the next H was formed, and peaked at 9.2.
-        n = 400
+        # n = 50 and 20,000 rows: 10,000 nonneg rows and 2,500 SOC blocks
+        # of dimension 4.  Above the program's own arrays the solve needs
+        # one rows-sized array, W^-2 G for the Newton product, plus
+        # vectors over the rows (1/n of the rows each) and a few n x n
+        # arrays: 12.1 MB against 8 MB of rows.  A copy of the rows made
+        # for the solve is a second rows-sized array and fails the bound;
+        # with the stacked canonical G of old, and a temporary over the
+        # nonneg rows in W^-2 G, the peak was 23.3 MB.
+        n, l, c, d = 50, 10_000, 2_500, 4
         rng = np.random.default_rng(11)
-        P = np.eye(n)
-        P[-1, -1] = 0.0
-        q = -rng.normal(size=n)
-        q[-1] = 1.0
-        blocks = [ConeBlock("nonneg", rng.normal(size=(200, n)),
-                            np.full(200, 10.0))] + norm_blocks(n, rng)
-        prog = ConeProgram(n=n, P=P, q=q, blocks=blocks)
+        soc_G = rng.normal(size=(c, d, n)) / np.sqrt(n)
+        soc_h = np.zeros((c, d))
+        soc_h[:, 0] = 10.0
+        blocks = [ConeBlock("nonneg", rng.normal(size=(l, n)) / np.sqrt(n),
+                            np.ones(l))]
+        blocks += [ConeBlock("soc", Gb, hb) for Gb, hb in zip(soc_G, soc_h)]
+        prog = ConeProgram(n=n, P=np.eye(n), q=-rng.normal(size=n),
+                           blocks=blocks)
+        del blocks, soc_G, soc_h
         tracemalloc.start()
         try:
             sol = solve(prog)
-            peak = tracemalloc.get_traced_memory()[1] / (8 * n * n)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert sol.stop_reason == "optimal"
-        rows = sum(blk.G.size for blk in blocks) / (n * n)
-        assert peak <= rows + 4  # one n x n array to spare
+        m = prog.G.shape[0]
+        assert m == l + c * d
+        assert peak <= 8 * (prog.G.size + 40 * m + 6 * n * n)

@@ -229,12 +229,17 @@ class TestSlackVsSolver:
         model, sol, prog = solve_problem(spec, recs)
         t_val = model.aux["t"]
         corr = recs[0].eta and (t_val - model.norm)
+        s2 = math.sqrt(2.0)
         for rec in recs:
             bi, blk = block_for(prog, rec)
+            assert blk.kind == "soc"
+            # the rotated cone's slack (u, v, w), back through the
+            # self-inverse rotation assemble wrote the SOC block with
             s = sol.block_slack(bi)
+            u, v, w = (s[0] + s[1]) / s2, (s[0] - s[1]) / s2, s[2]
             M = np.array([
-                [s[0] + rec.eta * corr, s[2] / math.sqrt(2.0)],
-                [s[2] / math.sqrt(2.0), s[1] + rec.eta * corr],
+                [u + rec.eta * corr, w / s2],
+                [w / s2, v + rec.eta * corr],
             ])
             got = record_slack(model, rec)
             assert got == pytest.approx(float(np.linalg.eigvalsh(M)[0]),
