@@ -14,7 +14,7 @@ run's warnings (a solve that did not end ``optimal``, a missing data file)
 to stderr; with ``--strict`` it then exits 1 if there was any.
 ``verify`` reloads a saved model and re-checks the experiment's
 constraints on a dense grid, exiting nonzero if any violation exceeds the
-tolerance.
+tolerance; its report gives each constraint's grid resolution.
 """
 
 from __future__ import annotations
@@ -60,8 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--model", required=True, help="model JSON file")
     ver_p.add_argument("--config", required=True, help="config JSON file "
                        "naming the experiment")
-    ver_p.add_argument("--grid-res", type=int, dest="grid_res", default=400,
-                       help="points per axis for the check grid")
+    ver_p.add_argument("--grid-res", type=int, dest="grid_res",
+                       help="points per axis for the check grid (default: "
+                       "400, or at most 400^2 points in all beyond 2-D)")
     ver_p.add_argument("--tol", type=float, default=1e-6,
                        help="largest acceptable constraint violation")
     return parser
@@ -108,6 +109,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.grid_res is not None and args.grid_res < 2:
+        raise SystemExit("shapekernel verify: --grid-res must be at least 2")
+    if not args.tol >= 0:
+        raise SystemExit("shapekernel verify: --tol must be at least 0")
     try:
         cfg = ExperimentConfig.load(args.config)
         with open(args.model, "r", encoding="utf-8") as fh:
@@ -115,12 +120,15 @@ def _cmd_verify(args) -> int:
     except (OSError, ValueError) as err:
         raise SystemExit(f"shapekernel verify: {err}") from None
     report = {"experiment": cfg.experiment, "model": args.model,
-              "grid_res": args.grid_res, "tol": args.tol,
-              "constraints": []}
+              "tol": args.tol, "constraints": []}
     worst = 0.0
     for label, constraint in constraints_for(cfg):
-        check = verify_pointwise(model, constraint, grid_res=args.grid_res)
-        entry = {"label": label,
+        dim = len(constraint.region)
+        # 400 per axis, at most 400^2 points: 54 per axis in 3-D, 20 in 4-D
+        res = args.grid_res or max((r for r in range(2, 401)
+                                    if r ** dim <= 400 ** 2), default=2)
+        check = verify_pointwise(model, constraint, grid_res=res)
+        entry = {"label": label, "grid_res": res,
                  "max_violation": check["maxViolation"],
                  "worst_point": list(check["worstPoint"])}
         if check.get("minEig") is not None:

@@ -5,39 +5,20 @@ process and, where BLAS is pinned to one thread, one forked worker process
 taking the tasks in turn.  The runners send through it the fits that do
 not read one another's results: econ's rep x regime fits, catenary's
 covering schemes, robotarm's (seed, anchor count, scheme) fits.
+
+A run has one budget of two CPUs (:mod:`shapekernel.cpus`).  A call that
+forks spends it on processes for several tasks; otherwise a task's solves
+may spend it on a helper thread for their tall Newton products.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 import traceback
 from types import SimpleNamespace
 
-#: the most processes one call runs at once.  Time and summed memory were
-#: measured with two processes of one BLAS thread each, and never with
-#: more: on econ's default config each further process would hold one
-#: more fit of up to 225 MB, on robotarm's one of up to 1.7 GB.
-MAX_PROCS = 2
-
-#: a worker is forked only when each of these says one thread
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS")
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return 1
-
-
-def blas_pinned() -> bool:
-    """Whether every BLAS thread variable is set to 1, as the benchmark
-    sets them."""
-    return all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+from .. import cpus
 
 
 class _WorkerTraceback(Exception):
@@ -48,7 +29,7 @@ def run_tasks(fn, tasks) -> list:
     """``[fn(*t) for t in tasks]``, in task order.
 
     The calling process claims the first task, forks
-    ``min(usable CPUs, len(tasks), MAX_PROCS) - 1`` workers and runs
+    ``min(usable CPUs, len(tasks), cpus.MAX_PROCS) - 1`` workers and runs
     tasks itself; each process takes the next task index from one shared
     counter, so no task argument is pickled.  A worker sends all its
     results through its own pipe once it runs out of tasks.  With one
@@ -57,12 +38,14 @@ def run_tasks(fn, tasks) -> list:
     in the same loop, in order.
 
     Workers are forked only with one BLAS thread per process
-    (:func:`blas_pinned`): a worker inherits the caller's thread count, and
-    an unpinned BLAS would give every process all the CPUs.  The bits of a
-    task do not depend on the number of workers or on which process ran
-    it: each process uses the same BLAS threads, every worker starts from
-    the caller's state at the fork, and no task may read what another
-    writes.  Memory adds up: each process holds the fit it runs.
+    (:func:`cpus.blas_pinned`): a worker inherits the caller's thread
+    count, and an unpinned BLAS would give every process all the CPUs.
+    The bits of a task do not depend on the number of workers or on which
+    process ran it: each process uses the same BLAS threads, every worker
+    starts from the caller's state at the fork, and no task may read what
+    another writes.  Memory adds up: each process holds the fit it runs.
+    While the call has workers, ``cpus.side_by_side`` keeps the caller's
+    and the workers' solves from starting helper threads.
 
     Two choices come from measuring the alternatives on econ.  The caller
     takes tasks too, rather than waiting on one worker per CPU: the
@@ -80,13 +63,13 @@ def run_tasks(fn, tasks) -> list:
     """
     tasks = list(tasks)
     n = len(tasks)
-    workers = min(usable_cpus(), n, MAX_PROCS) - 1
+    workers = min(cpus.usable_cpus(), n, cpus.MAX_PROCS) - 1
     if workers > 0:
         import multiprocessing  # a run that forks nothing does not load it
 
         # a fork copies only the calling thread, so a lock another thread
         # holds would stay held in the worker
-        if not blas_pinned() or threading.active_count() > 1 or \
+        if not cpus.blas_pinned() or threading.active_count() > 1 or \
                 "fork" not in multiprocessing.get_all_start_methods():
             workers = 0
     if workers > 0:
@@ -116,6 +99,8 @@ def run_tasks(fn, tasks) -> list:
     results = [None] * n
     procs, pipes = [], []
     i = take()  # claimed before the fork: the first task runs here
+    outer = cpus.side_by_side
+    cpus.side_by_side = outer or workers > 0  # the workers inherit it
     try:
         for _ in range(workers):
             pipe, end = ctx.Pipe(duplex=False)
@@ -144,6 +129,7 @@ def run_tasks(fn, tasks) -> list:
             proc.terminate()
         raise
     finally:
+        cpus.side_by_side = outer
         for proc, pipe in zip(procs, pipes):
             proc.join()
             pipe.close()

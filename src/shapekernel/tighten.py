@@ -230,23 +230,22 @@ def tighten_omega(c: ShapeConstraint, omegas: list[OmegaElement],
 # Verification
 # --------------------------------------------------------------------------
 
-def _region_grid(region, grid_res: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, max(int(grid_res), 2))
-            for lo, hi in region]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return grid.reshape(-1, len(region))
+#: grid points :func:`verify_pointwise` evaluates at once
+VERIFY_CHUNK = 1 << 16
 
 
 def verify_pointwise(model: Model, c: ShapeConstraint, grid_res: int) -> dict:
     """Evaluate the constraint slack on a dense grid of the region.
 
     Returns the most negative slack (scalar constraints) or most negative
-    eigenvalue (matrix constraints), where it occurs, and the clamped
-    violation ``max(0, -min_slack)``.
+    eigenvalue (matrix constraints), where it occurs (its first point in C
+    order), and the clamped violation ``max(0, -min_slack)``.  The grid is
+    checked :data:`VERIFY_CHUNK` points at a time, each point on its own.
     """
     if grid_res < 2:
         raise ValueError("grid resolution must be at least 2 per axis")
-    X = _region_grid(c.region, grid_res)
+    shape = (int(grid_res),) * len(c.region)
+    axes = [np.linspace(lo, hi, shape[0]) for lo, hi in c.region]
     P = c.size
     gm = c.gamma()
     B = c.bias_dim
@@ -254,17 +253,24 @@ def verify_pointwise(model: Model, c: ShapeConstraint, grid_res: int) -> dict:
     if B and model.bias.size:
         bias = np.asarray(model.bias, dtype=float)[:B]
     affine = gm @ bias - np.asarray(c.offset)
-    S = np.empty((X.shape[0], P, P))
-    for i in range(P):
-        for j in range(i, P):
-            func = c.operator.entries[i][j]
-            S[:, i, j] = S[:, j, i] = model.apply(func, X)
-        S[:, i, i] += affine[i]
-    lams = S[:, 0, 0] if P == 1 else np.linalg.eigvalsh(S)[:, 0]
-    idx = int(np.argmin(lams))
-    min_eig = float(lams[idx])
+    lowest = []  # (min, its point) of each chunk
+    total = shape[0] ** len(shape)
+    for start in range(0, total, VERIFY_CHUNK):
+        index = np.unravel_index(
+            np.arange(start, min(start + VERIFY_CHUNK, total)), shape)
+        X = np.column_stack([ax[i] for ax, i in zip(axes, index)])
+        S = np.empty((X.shape[0], P, P))
+        for i in range(P):
+            for j in range(i, P):
+                func = c.operator.entries[i][j]
+                S[:, i, j] = S[:, j, i] = model.apply(func, X)
+            S[:, i, i] += affine[i]
+        lams = S[:, 0, 0] if P == 1 else np.linalg.eigvalsh(S)[:, 0]
+        idx = int(np.argmin(lams))
+        lowest.append((lams[idx], X[idx]))
+    min_eig, point = lowest[int(np.argmin([lam for lam, _ in lowest]))]
     return {
-        "maxViolation": max(0.0, -min_eig),
-        "worstPoint": tuple(float(v) for v in X[idx]),
+        "maxViolation": max(0.0, -float(min_eig)),
+        "worstPoint": tuple(float(v) for v in point),
         "minEig": float(min_eig),
     }

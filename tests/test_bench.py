@@ -20,12 +20,12 @@ import types
 
 import pytest
 
-from shapekernel import covering
-from shapekernel.bench import tasks
+from shapekernel import covering, cpus
+from shapekernel.bench import cli
 from shapekernel.bench.cli import main
 from shapekernel.bench.config import (SCHEMES, CoveringConfig,
                                       ExperimentConfig)
-from shapekernel.bench.experiments import run_experiment
+from shapekernel.bench.experiments import constraints_for, run_experiment
 
 #: experiment -> (config overlay, saved tightened model, verify grid per axis)
 TINY = {
@@ -68,8 +68,8 @@ def tiny_run(request, tmp_path_factory):
     # two usable CPUs and BLAS taken as pinned on any host, so that the
     # runners fork their workers
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tasks, "usable_cpus", lambda: 2)
-        patch.setattr(tasks, "blas_pinned", lambda: True)
+        patch.setattr(cpus, "usable_cpus", lambda: 2)
+        patch.setattr(cpus, "blas_pinned", lambda: True)
         config, summary = _run_tiny(name, out)
     return name, config, out / f"{model}.json", grid, summary
 
@@ -133,7 +133,7 @@ def test_outputs_do_not_depend_on_the_cpu_count(tiny_run, tmp_path,
     # econ its four regimes and the relaxation, robotarm two anchor counts
     # by four schemes); here every fit runs in this process
     name, _, model_path, _, _ = tiny_run
-    monkeypatch.setattr(tasks, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
     # a width cached by an earlier run would spare this one its work
     monkeypatch.setattr(covering, "_eta_cache", {})
     _run_tiny(name, tmp_path)
@@ -153,6 +153,36 @@ def test_verify_passes_on_the_saved_tightened_model(tiny_run, capsys):
     if name == "robotarm":
         assert len(report["constraints"]) == \
             summary["medians"]["m16_ball"]["kept"]
+
+
+def test_verify_default_grid_scales_with_the_dimension(tiny_run, capsys,
+                                                       monkeypatch):
+    # 400 points per axis up to 2-D; robotarm's 4-D joint region gets 20,
+    # 160,000 points checked in chunks.  One constraint keeps it short.
+    name, config, model_path, _, _ = tiny_run
+    first = constraints_for(ExperimentConfig.load(config))[0][1]
+    monkeypatch.setattr(cli, "constraints_for",
+                        lambda cfg: constraints_for(cfg)[:1])
+    code = main(["verify", "--model", str(model_path), "--config",
+                 str(config)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0, report["max_violation"]
+    dim = len(first.region)
+    assert (dim, report["constraints"][0]["grid_res"]) == \
+        {"robotarm": (4, 20), "econ": (2, 400)}.get(name, (1, 400))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-res", "1", "--grid-res must be at least 2"),
+    ("--grid-res", "-3", "--grid-res must be at least 2"),
+    ("--tol", "-0.5", "--tol must be at least 0"),
+    ("--tol", "nan", "--tol must be at least 0"),
+])
+def test_verify_rejects_bad_settings(tmp_path, flag, value, message):
+    # checked before the files are read: these paths do not exist
+    with pytest.raises(SystemExit, match="shapekernel verify: " + message):
+        main(["verify", "--model", str(tmp_path / "m.json"), "--config",
+              str(tmp_path / "c.json"), flag, value])
 
 
 #: (experiment, scheme) pairs the runner cannot honour

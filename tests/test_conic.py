@@ -6,9 +6,13 @@ with an explicit norm constraint.  The helpers that work on runs of
 equal-dimension cone blocks are checked bit for bit against per-block
 reference copies kept at the end of this file, and so is the Newton matrix
 built in its per-solve workspace, against a copy of the per-call factory.
+A tall program's Newton matrix is built in two column halves, and has the
+same bits whether a helper thread builds the second half or not.
 """
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,6 +26,7 @@ from shapekernel import (
     Solution,
     solve,
 )
+from shapekernel import cpus
 from shapekernel.conic import (
     TRACE_FIELDS,
     _centering,
@@ -972,3 +977,104 @@ class TestNewtonWorkspace:
         m = prog.G.shape[0]
         assert m == l + c * d
         assert peak <= 8 * (prog.G.size + 40 * m + 6 * n * n)
+
+
+# --------------------------------------------------------------------------
+# Tall programs: the Newton product in two column halves
+# --------------------------------------------------------------------------
+
+def tall_program(n, soc_dims, nonneg, rng, wide=False):
+    """Dense random rows: ``nonneg`` nonneg rows, SOC blocks of
+    ``soc_dims``, and with ``wide`` a norm cap and epigraph (d = n)."""
+    blocks = [ConeBlock("nonneg", rng.normal(size=(nonneg, n)),
+                        np.ones(nonneg))]
+    blocks += [ConeBlock("soc", rng.normal(size=(d, n)), np.zeros(d))
+               for d in soc_dims]
+    if wide:
+        blocks += norm_blocks(n, rng, dense_row0=True)
+    M = rng.normal(size=(n, n))
+    prog = ConeProgram(n=n, P=M @ M.T, blocks=blocks)
+    return prog.P, prog.G, _Cones.of(prog)
+
+
+class TestNewtonHalves:
+    """A program with n >= 64 and at least 8 n narrow rows forms
+    G^T W^-2 G in two column halves, split at a multiple of 8; the second
+    runs on a helper thread when a CPU is spare."""
+
+    @staticmethod
+    def build(monkeypatch, spare, P, G, cones, W):
+        """H, and (columns, thread) of each product it was built from."""
+        calls = []
+        apply = _Scaling.apply_w2inv_mat
+
+        def spy(self, M, blocks=None):
+            calls.append((M.shape[1], threading.get_ident()))
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.02)  # time for the helper to start
+            return apply(self, M, blocks)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Scaling, "apply_w2inv_mat", spy)
+            patch.setattr(cpus, "spare_cpu", lambda: spare)
+            H = _newton_matrix_factory(P, G, cones)(W).copy()
+        return H, calls
+
+    @pytest.mark.parametrize("n, soc_dims, nonneg, wide", [
+        # shaped like catenary's SOAP rounds: enclosure cones of about
+        # n / 2 rows, 8.5 n rows in them
+        (64, [32] * 17, 64, False),
+        (100, [50] * 17, 60, False),
+        (136, [68] * 17, 136, True),
+        (192, [98] * 16 + [97], 192, False),
+        # shaped like robotarm's enclosure program: many small blocks, in
+        # several runs
+        (72, [4] * 60 + [3] * 50 + [5] * 40, 90, False),
+        (96, [6] * 130, 40, True),
+    ])
+    def test_helper_keeps_the_bits(self, monkeypatch, n, soc_dims, nonneg,
+                                   wide):
+        rng = np.random.default_rng(n + len(soc_dims))
+        P, G, cones = tall_program(n, soc_dims, nonneg, rng, wide)
+        W = TestNewtonWorkspace.scaling(rng, cones)
+        alone, calls = self.build(monkeypatch, False, P, G, cones, W)
+        mid = n // 2 // 8 * 8
+        main = threading.get_ident()
+        assert calls == [(mid, main), (n - mid, main)]
+        helped, calls = self.build(monkeypatch, True, P, G, cones, W)
+        assert sorted(c for c, _ in calls) == sorted([mid, n - mid])
+        assert {t for c, t in calls if c == n - mid} != {main}
+        assert bits(helped) == bits(alone)
+        ref = ref_newton_matrix_factory(P, G, cones)(W)
+        assert np.max(np.abs(helped - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, soc_dims, nonneg", [
+        (63, [40] * 20, 300),   # narrow enough in columns
+        (64, [32] * 14, 63),    # one row short of 8 n
+        (100, [50] * 5, 90),    # econ's 3.4 rows per column at most
+    ])
+    def test_other_programs_take_one_product(self, monkeypatch, n,
+                                             soc_dims, nonneg):
+        rng = np.random.default_rng(n)
+        P, G, cones = tall_program(n, soc_dims, nonneg, rng)
+        W = TestNewtonWorkspace.scaling(rng, cones)
+        H, calls = self.build(monkeypatch, True, P, G, cones, W)
+        assert calls == [(n, threading.get_ident())]
+        assert bits(H) == bits(ref_newton_matrix_factory(P, G, cones)(W))
+
+    def test_helper_keeps_the_callers_errstate(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        P, G, cones = tall_program(64, [32] * 16, 8, rng)
+        W = TestNewtonWorkspace.scaling(rng, cones)
+        seen = []
+        apply = _Scaling.apply_w2inv_mat
+
+        def spy(self, M, blocks=None):
+            seen.append(np.geterr()["over"])
+            return apply(self, M, blocks)
+
+        monkeypatch.setattr(_Scaling, "apply_w2inv_mat", spy)
+        monkeypatch.setattr(cpus, "spare_cpu", lambda: True)
+        with np.errstate(over="raise"):
+            _newton_matrix_factory(P, G, cones)(W)
+        assert seen == ["raise", "raise"]

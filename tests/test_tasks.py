@@ -1,8 +1,10 @@
-"""The task runner behind the experiments' independent fits.
+"""The task runner behind the experiments' independent fits, and the
+helper thread of tall Newton products that shares its CPU budget.
 
-``usable_cpus`` is patched to one or two CPUs and BLAS counts as pinned,
-so that these tests fork the same number of workers on any host.  Tasks
-tell the calling process from a worker by its pid.
+``usable_cpus`` of :mod:`shapekernel.cpus` is patched to one or two CPUs
+and BLAS counts as pinned, so that these tests fork the same number of
+workers, and start the same helpers, on any host.  Tasks tell the calling
+process from a worker by its pid.
 """
 
 import multiprocessing
@@ -12,10 +14,13 @@ import threading
 import time
 from multiprocessing.context import ForkProcess
 
+import numpy as np
 import pytest
 
-from shapekernel.bench import tasks
+from shapekernel import conic
+from shapekernel import cpus as budget
 from shapekernel.bench.tasks import run_tasks
+from shapekernel.conic import ConeBlock, ConeProgram
 from shapekernel.soap import SoapInfeasible, SoapState
 
 CALLER = os.getpid()
@@ -23,15 +28,15 @@ CALLER = os.getpid()
 
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
 def cpus(request, monkeypatch):
-    monkeypatch.setattr(tasks, "usable_cpus", lambda: request.param)
-    monkeypatch.setattr(tasks, "blas_pinned", lambda: True)
+    monkeypatch.setattr(budget, "usable_cpus", lambda: request.param)
+    monkeypatch.setattr(budget, "blas_pinned", lambda: True)
     return request.param
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(tasks, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(tasks, "blas_pinned", lambda: True)
+    monkeypatch.setattr(budget, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(budget, "blas_pinned", lambda: True)
 
 
 class Expired(Exception):
@@ -107,23 +112,23 @@ def test_no_fork_while_another_thread_runs(two_cpus):
 
 
 def test_no_more_processes_than_measured(monkeypatch, deadline):
-    monkeypatch.setattr(tasks, "usable_cpus", lambda: 8)
-    monkeypatch.setattr(tasks, "blas_pinned", lambda: True)
+    monkeypatch.setattr(budget, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(budget, "blas_pinned", lambda: True)
     out = run_tasks(_paced, [(k,) for k in range(8)])
-    assert len({pid for _, pid in out}) == tasks.MAX_PROCS == 2
+    assert len({pid for _, pid in out}) == budget.MAX_PROCS == 2
 
 
 def test_no_fork_unless_blas_is_pinned(monkeypatch):
-    monkeypatch.setattr(tasks, "usable_cpus", lambda: 2)
-    for var in tasks.BLAS_THREAD_VARS:
+    monkeypatch.setattr(budget, "usable_cpus", lambda: 2)
+    for var in budget.BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "1")
-    assert tasks.blas_pinned()
+    assert budget.blas_pinned()
     # one variable unset, or saying more than one thread, leaves BLAS free
     # to start a thread per CPU in every process
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert not tasks.blas_pinned()
+    assert not budget.blas_pinned()
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert not tasks.blas_pinned()
+    assert not budget.blas_pinned()
     out = run_tasks(_paced, [(k,) for k in range(4)])
     assert {pid for _, pid in out} == {CALLER}
 
@@ -224,3 +229,80 @@ def test_unpicklable_result_is_reported(two_cpus, deadline):
     assert "send" in str(err.value.__cause__)
     assert not multiprocessing.active_children()
 
+
+
+# --------------------------------------------------------------------------
+# The helper thread of tall Newton products
+# --------------------------------------------------------------------------
+
+def _tall_program(seed=0):
+    """n = 64 with 8 n + 8 rows: its Newton products are split in two."""
+    n, l = 64, 8 * 64 + 8
+    rng = np.random.default_rng(seed)
+    rows = conic.ConeBlock("nonneg", rng.normal(size=(l, n)) / np.sqrt(n),
+                           np.ones(l))
+    return conic.ConeProgram(n=n, P=np.eye(n), q=rng.normal(size=n),
+                             blocks=[rows])
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """The threads each Newton product in this process ran on."""
+    seen = []
+    apply = conic._Scaling.apply_w2inv_mat
+
+    def spy(self, M, blocks=None):
+        if M.shape[1] > 1:  # a Newton product, not a Newton step's vector
+            seen.append(threading.get_ident())
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.005)  # time for a helper to start
+        return apply(self, M, blocks)
+
+    monkeypatch.setattr(conic._Scaling, "apply_w2inv_mat", spy)
+    return seen
+
+
+def test_helper_threads_end_with_their_solve(two_cpus, threads, deadline):
+    before = threading.active_count()
+    sol = conic.solve(_tall_program())
+    assert sol.status == "optimal"
+    assert set(threads) - {threading.get_ident()}  # a helper ran
+    assert threading.active_count() == before
+    # so run_tasks still forks after it
+    out = run_tasks(_paced, [(k,) for k in range(4)])
+    assert len({pid for _, pid in out}) == 2
+
+
+def _solve_tall(k, threads):
+    time.sleep(0.2)
+    threads.clear()
+    sol = conic.solve(_tall_program(k))
+    return (os.getpid(), sol.status, budget.side_by_side,
+            set(threads) == {threading.get_ident()})
+
+
+def test_no_helper_while_tasks_run_side_by_side(two_cpus, threads,
+                                                deadline):
+    out = run_tasks(_solve_tall, [(k, threads) for k in range(4)])
+    assert len({pid for pid, *_ in out}) == 2
+    # in the caller and in the worker, every product ran on the task's
+    # own thread
+    assert [result[1:] for result in out] == [("optimal", True, True)] * 4
+    assert not budget.side_by_side
+    # a run that forks nothing leaves the CPU to the helper
+    assert _solve_tall(0, threads) == (CALLER, "optimal", False, False)
+
+
+def test_helper_failure_reaches_the_caller(two_cpus, monkeypatch):
+    apply = conic._Scaling.apply_w2inv_mat
+
+    def fail_off_main(self, M, blocks=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise ZeroDivisionError("in the helper")
+        return apply(self, M, blocks)
+
+    monkeypatch.setattr(conic._Scaling, "apply_w2inv_mat", fail_off_main)
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="in the helper"):
+        conic.solve(_tall_program())
+    assert threading.active_count() == before

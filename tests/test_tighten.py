@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from shapekernel import tighten
 from shapekernel import (
     AnchorRecord,
     Atom,
@@ -337,6 +338,29 @@ class TestVerifyPointwise:
                 for a, b in zip(v, d)]
         assert report["minEig"] == min(loop)
         assert report["worstPoint"] == (xs[int(np.argmin(loop))],)
+
+    @pytest.mark.parametrize("chunk", [64, 899, 900])
+    def test_chunks_keep_the_one_shot_result(self, monkeypatch, chunk):
+        # a 2x2 constraint on a 30 x 30 grid of a 2-D box, checked at once
+        # and in chunks (the last one partial, or exactly the whole grid)
+        rng = np.random.default_rng(4)
+        val = DiffFunctional.value(2)
+        dx = DiffFunctional.partial(2, axis=0)
+        dy = DiffFunctional.partial(2, axis=1)
+        c = ShapeConstraint(region=((0.0, 1.0), (-1.0, 2.0)),
+                            operator=SdpOperator(((val, dx), (dx, dy))),
+                            offset=(0.1, -0.2))
+        kernel = GaussianKernel([0.7, 0.4])
+        atoms = tuple(Atom(tuple(x), val) for x in rng.uniform(
+            (0.0, -1.0), (1.0, 2.0), size=(6, 2)))
+        for model in (Model(kernel, atoms, rng.normal(size=6)),
+                      Model(kernel, (), np.zeros(0))):  # a tie everywhere
+            one_shot = verify_pointwise(model, c, grid_res=30)
+            with monkeypatch.context() as patch:
+                patch.setattr(tighten, "VERIFY_CHUNK", chunk)
+                chunked = verify_pointwise(model, c, grid_res=30)
+            assert repr(chunked) == repr(one_shot)
+        assert one_shot["worstPoint"] == (0.0, -1.0)
 
     def test_small_grid_rejected(self, kernel):
         model = Model(kernel, (), np.zeros(0))
