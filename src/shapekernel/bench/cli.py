@@ -128,12 +128,11 @@ def _cmd_verify(args) -> int:
         res = args.grid_res or max((r for r in range(2, 401)
                                     if r ** dim <= 400 ** 2), default=2)
         check = verify_pointwise(model, constraint, grid_res=res)
-        entry = {"label": label, "grid_res": res,
-                 "max_violation": check["maxViolation"],
-                 "worst_point": list(check["worstPoint"])}
-        if check.get("minEig") is not None:
-            entry["min_eigenvalue"] = check["minEig"]
-        report["constraints"].append(entry)
+        report["constraints"].append({
+            "label": label, "grid_res": res,
+            "max_violation": check["maxViolation"],
+            "min_eigenvalue": check["minEig"],
+            "worst_point": list(check["worstPoint"])})
         worst = max(worst, check["maxViolation"])
     report["max_violation"] = worst
     report["passed"] = bool(worst <= args.tol)

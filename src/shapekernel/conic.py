@@ -30,14 +30,11 @@ O(n^2) per iteration instead of O(d n^2).  That matrix is kept as its
 diagonal when it has no off-diagonal nonzero (identity rows, as in econ).
 Each solve forms H in one workspace of two ``n x n`` buffers, so the matrix
 one call returns is overwritten by the next, and the other blocks' rows
-are a view of G when they come first.  A tall program (n >= 64, at least
-8 n narrow rows) forms that product in two column halves split at a
-multiple of 8 near the middle; where :func:`cpus.spare_cpu` allows, a
-helper thread forms the second while the caller forms the first.  The split
-depends only on the shape, so the bits do not depend on the CPU count.
-That OpenBLAS sums each entry of H in the same order within a half as in
-the whole product is measured, not assumed: it held for every solve of
-catenary's default and ``soap-hyp`` runs, not for all tall shapes.
+are a view of G when they come first.  Where :func:`cpus.spare_cpu`
+allows, a tall program (n >= 64, at least 8 n narrow rows) forms that
+product in two column halves, the second on a helper thread.  Only shapes
+measured to keep the one product's bits are split: with OpenBLAS 0.3.31,
+n <= 192 or n a multiple of 8.
 
 Block runs.  Consecutive SOC blocks of one dimension sit on contiguous
 canonical rows, so each per-block step works on a whole run at once through
@@ -442,24 +439,23 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
         terms.append((k, Gb, C))
     H, T = np.empty((n, n)), np.empty((n, n))
     T_diag = T.reshape(-1)[:: n + 1]  # a view of T's diagonal
+    # tall, and two halves measured to keep the one product's bits
+    split = n >= 64 and Gn.shape[0] >= 8 * n and (n <= 192 or n % 8 == 0)
     mid = n // 2 // 8 * 8
-    halves = [slice(0, mid), slice(mid, n)] \
-        if n >= 64 and Gn.shape[0] >= 8 * n else [slice(0, n)]
 
     def newton_matrix(W: _Scaling) -> np.ndarray:
         def product(cols: slice) -> None:  # H[:, cols] = Gn^T W^-2 Gn[:, cols]
             np.matmul(Gn.T, W.apply_w2inv_mat(Gn[:, cols], narrow),
                       out=H[:, cols])
-        if len(halves) == 2 and cpus.spare_cpu():
+        if split and cpus.spare_cpu():
             with ThreadPoolExecutor(1) as helper:  # joined at the exit
                 # in a copy of this context, which holds np.errstate
                 second = helper.submit(contextvars.copy_context().run,
-                                       product, halves[1])
-                product(halves[0])
+                                       product, slice(mid, n))
+                product(slice(0, mid))
                 second.result()
         else:
-            for cols in halves:
-                product(cols)
+            product(slice(0, n))
         np.add(H, P, out=H)
         for k, Gb, C in terms:
             eta, wbar = W.eta[k], W.wbar[cones.soc_slices[k]]

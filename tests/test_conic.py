@@ -6,11 +6,16 @@ with an explicit norm constraint.  The helpers that work on runs of
 equal-dimension cone blocks are checked bit for bit against per-block
 reference copies kept at the end of this file, and so is the Newton matrix
 built in its per-solve workspace, against a copy of the per-call factory.
-A tall program's Newton matrix is built in two column halves, and has the
-same bits whether a helper thread builds the second half or not.
+A tall program's Newton matrix, built in two column halves when a helper
+thread can form the second, has the bits of the one product, with BLAS
+pinned to one thread as it is whenever the helper runs.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -997,10 +1002,42 @@ def tall_program(n, soc_dims, nonneg, rng, wide=False):
     return prog.P, prog.G, _Cones.of(prog)
 
 
+#: tall programs whose Newton products are split: (n, SOC block dimensions,
+#: nonneg rows, with a norm cap and epigraph)
+TALL = [
+    # shaped like catenary's SOAP rounds: enclosure cones of about n / 2
+    # rows, 8.5 n rows in them
+    (64, [32] * 17, 64, False),
+    (100, [50] * 17, 60, False),
+    (136, [68] * 17, 136, True),
+    (192, [98] * 16 + [97], 192, False),
+    (200, [100] * 17, 200, False),  # over 192 columns: a multiple of 8
+    # shaped like robotarm's enclosure program: many small blocks, in
+    # several runs
+    (72, [4] * 60 + [3] * 50 + [5] * 40, 90, False),
+    (96, [6] * 130, 40, True),
+]
+
+
+def halves_keep_the_bits():
+    """Print, per :data:`TALL` program, whether the Newton matrix built
+    with the helper has the bits of the one product."""
+    for n, soc_dims, nonneg, wide in TALL:
+        rng = np.random.default_rng(n + len(soc_dims))
+        P, G, cones = tall_program(n, soc_dims, nonneg, rng, wide)
+        W = TestNewtonWorkspace.scaling(rng, cones)
+        H = {}
+        for spare in (False, True):
+            cpus.spare_cpu = lambda: spare
+            H[spare] = bits(_newton_matrix_factory(P, G, cones)(W))
+        print(H[True] == H[False])
+
+
 class TestNewtonHalves:
     """A program with n >= 64 and at least 8 n narrow rows forms
-    G^T W^-2 G in two column halves, split at a multiple of 8; the second
-    runs on a helper thread when a CPU is spare."""
+    G^T W^-2 G in two column halves, split at a multiple of 8, when a CPU
+    is spare for a helper thread to form the second and n <= 192 or n is a
+    multiple of 8; otherwise in one."""
 
     @staticmethod
     def build(monkeypatch, spare, P, G, cones, W):
@@ -1020,38 +1057,40 @@ class TestNewtonHalves:
             H = _newton_matrix_factory(P, G, cones)(W).copy()
         return H, calls
 
-    @pytest.mark.parametrize("n, soc_dims, nonneg, wide", [
-        # shaped like catenary's SOAP rounds: enclosure cones of about
-        # n / 2 rows, 8.5 n rows in them
-        (64, [32] * 17, 64, False),
-        (100, [50] * 17, 60, False),
-        (136, [68] * 17, 136, True),
-        (192, [98] * 16 + [97], 192, False),
-        # shaped like robotarm's enclosure program: many small blocks, in
-        # several runs
-        (72, [4] * 60 + [3] * 50 + [5] * 40, 90, False),
-        (96, [6] * 130, 40, True),
-    ])
-    def test_helper_keeps_the_bits(self, monkeypatch, n, soc_dims, nonneg,
-                                   wide):
+    @pytest.mark.parametrize("n, soc_dims, nonneg, wide", TALL)
+    def test_helper_forms_the_second_half(self, monkeypatch, n, soc_dims,
+                                          nonneg, wide):
         rng = np.random.default_rng(n + len(soc_dims))
         P, G, cones = tall_program(n, soc_dims, nonneg, rng, wide)
         W = TestNewtonWorkspace.scaling(rng, cones)
-        alone, calls = self.build(monkeypatch, False, P, G, cones, W)
-        mid = n // 2 // 8 * 8
+        _, calls = self.build(monkeypatch, False, P, G, cones, W)
         main = threading.get_ident()
-        assert calls == [(mid, main), (n - mid, main)]
+        assert calls == [(n, main)]
         helped, calls = self.build(monkeypatch, True, P, G, cones, W)
+        mid = n // 2 // 8 * 8
         assert sorted(c for c, _ in calls) == sorted([mid, n - mid])
         assert {t for c, t in calls if c == n - mid} != {main}
-        assert bits(helped) == bits(alone)
         ref = ref_newton_matrix_factory(P, G, cones)(W)
         assert np.max(np.abs(helped - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_halves_keep_the_bits_with_blas_pinned(self):
+        # the helper runs only with BLAS pinned to one thread; a product on
+        # more threads shares its columns out its own way
+        here = pathlib.Path(__file__).parent
+        src = pathlib.Path(cpus.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, [
+            src, here])), **dict.fromkeys(cpus.BLAS_THREAD_VARS, "1")}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import test_conic; test_conic.halves_keep_the_bits()"],
+            check=True, capture_output=True, text=True, env=env)
+        assert out.stdout.split() == ["True"] * len(TALL)
 
     @pytest.mark.parametrize("n, soc_dims, nonneg", [
         (63, [40] * 20, 300),   # narrow enough in columns
         (64, [32] * 14, 63),    # one row short of 8 n
         (100, [50] * 5, 90),    # econ's 3.4 rows per column at most
+        (196, [98] * 17, 196),  # tall, but halves would move bits
     ])
     def test_other_programs_take_one_product(self, monkeypatch, n,
                                              soc_dims, nonneg):

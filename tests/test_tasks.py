@@ -236,7 +236,8 @@ def test_unpicklable_result_is_reported(two_cpus, deadline):
 # --------------------------------------------------------------------------
 
 def _tall_program(seed=0):
-    """n = 64 with 8 n + 8 rows: its Newton products are split in two."""
+    """n = 64 with 8 n + 8 rows: a helper can form half of each Newton
+    product."""
     n, l = 64, 8 * 64 + 8
     rng = np.random.default_rng(seed)
     rows = conic.ConeBlock("nonneg", rng.normal(size=(l, n)) / np.sqrt(n),
