@@ -47,12 +47,18 @@ squared by libm ``pow`` (``np.float_power``), as the numpy scalar was, not
 as ``x * x``.  The Cholesky back half is a triangular solve, bit-equal to
 an LU solve with ``L^T``; the forward half stays an LU solve, since a
 triangular one changes its bits.  Both holdovers can go once SOAP's stop
-no longer depends on rounding.
+no longer depends on rounding.  L gets one LU per Newton matrix, through
+numpy's own LAPACK: ``dgetrf`` once, then ``dgetrs`` per right-hand side
+are the ``dgesv`` that ``np.linalg.solve`` runs, so each solve keeps its
+bits.  scipy's ``lu_factor`` would not: scipy loads another OpenBLAS build.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -474,7 +480,8 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
 
 def _chol_solve_factory(H: np.ndarray):
     """Cholesky factor with escalating static regularization.  Returns the
-    solve and the regularization it added to the diagonal."""
+    solve and the regularization it added to the diagonal.  The forward half
+    reuses one LU of L (``np.linalg.solve`` without numpy's LAPACK)."""
     n = H.shape[0]
     scale = max(float(np.trace(H)) / max(n, 1), 1.0)
     reg = 0.0
@@ -486,11 +493,53 @@ def _chol_solve_factory(H: np.ndarray):
             reg = max(reg * 100.0, 1e-12 * scale)
             if reg > 1e-4 * scale:
                 raise
+    lapack = _lapack()
+    if lapack is not None:
+        getrf, getrs = lapack
+        LU, ipiv = np.array(L, order="F"), np.empty(n, dtype=np.int64)
+        N, info = ctypes.c_int64(n), ctypes.c_int64()
+        getrf(N, N, LU, N, ipiv, info)
+        _lapack_info(info)
     def solve(rhs: np.ndarray) -> np.ndarray:
-        tmp = np.linalg.solve(L, rhs)
+        if lapack is not None:
+            tmp = np.array(rhs, dtype=float)
+            getrs(b"N", N, ctypes.c_int64(1), LU, N, ipiv, tmp, N, info, 1)
+            _lapack_info(info)
+        else:
+            tmp = np.linalg.solve(L, rhs)
         return solve_triangular(L, tmp, trans="T", lower=True,
                                 check_finite=False)
     return solve, reg
+
+
+@functools.cache
+def _lapack():
+    """numpy's own ILP64 ``dgetrf`` and ``dgetrs``, which ``np.linalg.solve``
+    runs as ``dgesv``; bound on first use, None on a numpy without them."""
+    import glob  # loaded with the binding, not at import
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]),
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:  # the loaded library: same handle, same thread pool
+        lib = ctypes.CDLL(libs[0])
+        getrf, getrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    i8, f8 = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(
+        np.float64, flags="F_CONTIGUOUS")
+    ipiv = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    getrf.argtypes = [i8, i8, f8, i8, ipiv, i8]
+    getrs.argtypes = [ctypes.c_char_p, i8, i8, f8, i8, ipiv, f8, i8, i8,
+                      ctypes.c_size_t]  # the length of ``trans``
+    getrf.restype = getrs.restype = None
+    return getrf, getrs
+
+
+def _lapack_info(info: ctypes.c_int64) -> None:
+    if info.value < 0:
+        raise ValueError(f"LAPACK argument {-info.value} is invalid")
+    if info.value > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
 
 
 # --------------------------------------------------------------------------

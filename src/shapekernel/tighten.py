@@ -239,8 +239,10 @@ def verify_pointwise(model: Model, c: ShapeConstraint, grid_res: int) -> dict:
 
     Returns the most negative slack (scalar constraints) or most negative
     eigenvalue (matrix constraints), where it occurs (its first point in C
-    order), and the clamped violation ``max(0, -min_slack)``.  The grid is
-    checked :data:`VERIFY_CHUNK` points at a time, each point on its own.
+    order), and the clamped violation ``max(0, -min_slack)``.  A point whose
+    slack is not finite counts as slack NaN, the minimum, and makes the
+    violation infinite.  The grid is checked :data:`VERIFY_CHUNK` points at
+    a time, each point on its own.
     """
     if grid_res < 2:
         raise ValueError("grid resolution must be at least 2 per axis")
@@ -265,12 +267,16 @@ def verify_pointwise(model: Model, c: ShapeConstraint, grid_res: int) -> dict:
                 func = c.operator.entries[i][j]
                 S[:, i, j] = S[:, j, i] = model.apply(func, X)
             S[:, i, i] += affine[i]
+        bad = ~np.isfinite(S).all(axis=(1, 2))
+        S[bad] = 0.0  # LAPACK may give a NaN matrix finite eigenvalues
         lams = S[:, 0, 0] if P == 1 else np.linalg.eigvalsh(S)[:, 0]
+        lams[bad] = np.nan
         idx = int(np.argmin(lams))
         lowest.append((lams[idx], X[idx]))
     min_eig, point = lowest[int(np.argmin([lam for lam, _ in lowest]))]
     return {
-        "maxViolation": max(0.0, -float(min_eig)),
+        "maxViolation": max(0.0, -float(min_eig)) if np.isfinite(min_eig)
+        else np.inf,
         "worstPoint": tuple(float(v) for v in point),
         "minEig": float(min_eig),
     }

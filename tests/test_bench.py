@@ -155,6 +155,22 @@ def test_verify_passes_on_the_saved_tightened_model(tiny_run, capsys):
             summary["medians"]["m16_ball"]["kept"]
 
 
+def test_verify_fails_a_model_with_a_nan_coefficient(tiny_run, tmp_path,
+                                                     capsys):
+    name, config, model_path, grid, _ = tiny_run
+    data = json.loads(model_path.read_text())
+    data["coeffs"][-1] = float("nan")
+    broken = tmp_path / "model_nan.json"
+    broken.write_text(json.dumps(data))
+    code = main(["verify", "--model", str(broken), "--config", str(config),
+                 "--grid-res", str(grid)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and not report["passed"]
+    assert report["max_violation"] == float("inf")
+    assert all(c["max_violation"] == float("inf")
+               for c in report["constraints"])
+
+
 def test_verify_default_grid_scales_with_the_dimension(tiny_run, capsys,
                                                        monkeypatch):
     # 400 points per axis up to 2-D; robotarm's 4-D joint region gets 20,

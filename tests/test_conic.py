@@ -8,9 +8,12 @@ reference copies kept at the end of this file, and so is the Newton matrix
 built in its per-solve workspace, against a copy of the per-call factory.
 A tall program's Newton matrix, built in two column halves when a helper
 thread can form the second, has the bits of the one product, with BLAS
-pinned to one thread as it is whenever the helper runs.
+pinned to one thread as it is whenever the helper runs.  The Newton solves
+that reuse one LU of the Cholesky factor have the bits of a fresh
+``np.linalg.solve`` each, pinned and not.
 """
 
+import ctypes
 import math
 import os
 import pathlib
@@ -23,6 +26,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.linalg import solve_triangular
 
 from shapekernel import (
     ConeBlock,
@@ -31,7 +35,7 @@ from shapekernel import (
     Solution,
     solve,
 )
-from shapekernel import cpus
+from shapekernel import conic, cpus
 from shapekernel.conic import (
     TRACE_FIELDS,
     _centering,
@@ -1117,3 +1121,126 @@ class TestNewtonHalves:
         with np.errstate(over="raise"):
             _newton_matrix_factory(P, G, cones)(W)
         assert seen == ["raise", "raise"]
+
+
+# --------------------------------------------------------------------------
+# One LU of the Cholesky factor per Newton matrix
+# --------------------------------------------------------------------------
+
+def lu_cases():
+    """(H, right-hand sides) for the one-factor tests: random Newton
+    matrices, well scaled and with columns scaled over six decades (there
+    scipy's own OpenBLAS gives the LU other bits), right-hand sides at
+    scales 1, 1e150 and 1e-300, and one with an inf entry."""
+    for n in (1, 2, 7, 60, 301):
+        for decades in (0, 6):
+            rng = np.random.default_rng(n + decades)
+            X = rng.normal(size=(n, n)) * np.logspace(0, decades, n)
+            H = X @ X.T + 1e-3 * np.max(np.abs(X)) ** 2 * np.eye(n)
+            rhs = [scale * rng.normal(size=n)
+                   for scale in (1.0, 1e150, 1e-300)]
+            rhs.append(rng.normal(size=n))
+            rhs[-1][n // 2] = np.inf
+            yield H, rhs
+
+
+def two_lu_solves(L, b):
+    """The solve with its forward half as one ``np.linalg.solve`` on L."""
+    return solve_triangular(L, np.linalg.solve(L, b), trans="T",
+                            lower=True, check_finite=False)
+
+
+def one_lu_keeps_the_bits():
+    """Print, per :func:`lu_cases` right-hand side, whether the solve that
+    reuses one LU of L has the bits of a fresh ``np.linalg.solve``."""
+    for H, rhs in lu_cases():
+        solve_h, _ = _chol_solve_factory(H)
+        L = np.linalg.cholesky(H)
+        print(*(bits(solve_h(b)) == bits(two_lu_solves(L, b)) for b in rhs))
+
+
+def scipy_openblas_ilp64() -> bool:
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (KeyError, TypeError):
+        return False
+    return lapack.get("name") == "scipy-openblas" and \
+        "USE64BITINT" in lapack.get("openblas configuration", "")
+
+
+class TestOneLu:
+    """Each Newton matrix's Cholesky factor L gets one LU, through numpy's
+    own LAPACK; every solve with it keeps the bits of the
+    ``np.linalg.solve(L, rhs)`` it replaced."""
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_solve_is_a_fresh_numpy_solve(self, case):
+        H, rhs = list(lu_cases())[case]
+        solve_h, _ = _chol_solve_factory(H)
+        L = np.linalg.cholesky(H)
+        for b in rhs:
+            assert bits(solve_h(b)) == bits(two_lu_solves(L, b))
+
+    def test_solve_keeps_the_bits_with_blas_pinned(self):
+        here = pathlib.Path(__file__).parent
+        src = pathlib.Path(cpus.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, [
+            src, here])), **dict.fromkeys(cpus.BLAS_THREAD_VARS, "1")}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import test_conic; test_conic.one_lu_keeps_the_bits()"],
+            check=True, capture_output=True, text=True, env=env)
+        assert out.stdout.split() == ["True"] * 40
+
+    @pytest.mark.skipif(not scipy_openblas_ilp64(),
+                        reason="numpy is not built on ILP64 scipy-openblas")
+    def test_binding_is_live(self):
+        assert conic._lapack() is not None
+
+    def test_fallback_gives_the_same_bytes(self, monkeypatch):
+        cases = list(lu_cases())
+        live = [bits(_chol_solve_factory(H)[0](b))
+                for H, rhs in cases for b in rhs]
+
+        def fail(*args, **kwargs):
+            raise OSError("no library")
+
+        monkeypatch.setattr(ctypes, "CDLL", fail)
+        assert conic._lapack.__wrapped__() is None  # the binder, uncached
+        monkeypatch.setattr(conic, "_lapack", conic._lapack.__wrapped__)
+        fallback = [bits(_chol_solve_factory(H)[0](b))
+                    for H, rhs in cases for b in rhs]
+        assert fallback == live
+
+    @pytest.mark.skipif(conic._lapack() is None,
+                        reason="numpy's LAPACK is not bound")
+    def test_one_factorization_per_newton_matrix(self, monkeypatch):
+        getrf, getrs = conic._lapack()
+        sizes, built = [], []
+
+        def counting_getrf(m, n, *args):
+            sizes.append(m.value)
+            return getrf(m, n, *args)
+
+        def counting_factory(P, G, cones):
+            newton_matrix = _newton_matrix_factory(P, G, cones)
+
+            def count(W):
+                built.append(1)
+                return newton_matrix(W)
+            return count
+
+        monkeypatch.setattr(conic, "_lapack", lambda: (counting_getrf, getrs))
+        monkeypatch.setattr(conic, "_newton_matrix_factory",
+                            counting_factory)
+        # min ||x - c||^2 / 2  s.t.  x >= 0, sum x = 1, x0 - x1 = 0
+        n = 6
+        c = np.linspace(-0.5, 1.0, n)
+        A = np.zeros((2, n))
+        A[0], A[1, :2] = 1.0, (1.0, -1.0)
+        prog = ConeProgram(n=n, P=np.eye(n), q=-c, A_eq=A, b_eq=[1.0, 0.0],
+                           blocks=[ConeBlock("nonneg", -np.eye(n),
+                                             np.zeros(n))])
+        sol = solve(prog)
+        assert sol.status == "optimal"
+        assert built and sizes == [n, 2] * len(built)

@@ -19,7 +19,7 @@ from shapekernel import (
     LTIControlKernel,
     kernel_from_config,
 )
-from shapekernel.kernels import _gramian_van_loan
+from shapekernel.kernels import Kernel, _gramian_van_loan
 
 
 def fd_mixed_partial(f, x, y, r1, r2, h=5e-3):
@@ -322,6 +322,22 @@ class TestPartialBlock:
         X2 = rng.uniform(-1, 1, size=(4, 2))
         assert np.array_equal(lap.partial_block((0, 0), (0, 0), 0, 0, X1, X2),
                               self.loop(lap, (0, 0), (0, 0), 0, 0, X1, X2))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_laplacian_block_has_the_loops_bytes(self, dim):
+        # the closed form against the base class's per-pair loop, with
+        # coincident points and points at scales far apart
+        rng = np.random.default_rng(dim)
+        lap = LaplacianKernel(1.3, dim=dim)
+        X1 = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-4, 3, (40, 1))
+        X2 = np.vstack([rng.normal(size=(30, dim)), X1[::4]])
+        zero = (0,) * dim
+        block = lap.partial_block(zero, zero, 0, 0, X1, X2)
+        loop = Kernel.partial_block(lap, zero, zero, 0, 0, X1, X2)
+        assert block.tobytes() == loop.tobytes()
+        assert np.count_nonzero(block == 1.0) >= 10
+        with pytest.raises(ValueError, match="not differentiable"):
+            lap.partial_block((1,) + zero[1:], zero, 0, 0, X1, X2)
 
 
 def _van_loan(k, s, t):

@@ -362,6 +362,18 @@ class TestVerifyPointwise:
             assert repr(chunked) == repr(one_shot)
         assert one_shot["worstPoint"] == (0.0, -1.0)
 
+    @pytest.mark.parametrize("matrix", [False, True])
+    def test_nan_coefficient_is_an_infinite_violation(self, kernel, matrix):
+        # a NaN slack is the first argmin, and max(0.0, -nan) reads 0.0
+        model = Model(kernel, (Atom((0.2,), DiffFunctional.value(1)),
+                               Atom((0.7,), DiffFunctional.value(1))),
+                      np.array([1.0, np.nan]))
+        c = matrix_constraint() if matrix else scalar_constraint(offset=-5.0)
+        report = verify_pointwise(model, c, grid_res=11)
+        assert report["maxViolation"] == math.inf
+        assert math.isnan(report["minEig"])
+        assert report["worstPoint"] == (0.0,)
+
     def test_small_grid_rejected(self, kernel):
         model = Model(kernel, (), np.zeros(0))
         with pytest.raises(ValueError, match="at least 2"):
