@@ -60,7 +60,6 @@ from .covering import (
     fill_distance,
     grid_cover,
     omega_cover,
-    refine_radius,
 )
 from .kernels import (
     DecomposableGaussianKernel,

@@ -14,7 +14,8 @@ run's warnings (a solve that did not end ``optimal``, a missing data file)
 to stderr; with ``--strict`` it then exits 1 if there was any.
 ``verify`` reloads a saved model and re-checks the experiment's
 constraints on a dense grid, exiting nonzero if any violation exceeds the
-tolerance; its report gives each constraint's grid resolution.
+tolerance; its JSON report gives each constraint's grid resolution, and
+``null`` for a check that is not finite.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from ..atoms import Model
 from ..tighten import verify_pointwise
 from .config import EXPERIMENTS, SCHEMES, ExperimentConfig, default_config
 from .experiments import constraints_for, run_experiment
+from .results import clean_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,7 +138,8 @@ def _cmd_verify(args) -> int:
         worst = max(worst, check["maxViolation"])
     report["max_violation"] = worst
     report["passed"] = bool(worst <= args.tol)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(clean_json(report), indent=2, sort_keys=True,
+                     allow_nan=False))
     return 0 if report["passed"] else 1
 
 

@@ -204,16 +204,19 @@ def default_config(experiment: str) -> ExperimentConfig:
 def _check_params(experiment: str, p: dict) -> None:
     """Reject runner params the runner would crash on mid-run, or run to an
     empty or meaningless result.  Catenary needs at least one anchor count,
-    each at least 1; control at least one wall interval; robotarm at least
-    one segment and at least one anchor count, each a perfect
-    ``2 * segments``-th power.  Econ rejects an unknown or repeated regime,
-    no regime, no rep, fewer than two cross-validation folds and a training
-    fraction outside (0, 1]."""
+    each at least 1, and a positive saturation tolerance ``tol_sat``;
+    control at least one wall interval; both a ``verify_res`` of at least 2
+    grid points.  Robotarm needs at least one segment and at least one
+    anchor count, each a perfect ``2 * segments``-th power.  Econ rejects
+    an unknown or repeated regime, no regime, no rep, fewer than two
+    cross-validation folds and a training fraction outside (0, 1]."""
     if experiment == "catenary":
         m_list = [int(m) for m in p["m_list"]]
         rules = [(m_list and min(m_list) >= 1,
                   f"catenary m_list {m_list} must name at least one anchor "
-                  "count, each at least 1")]
+                  "count, each at least 1"),
+                 (float(p["tol_sat"]) > 0, "catenary tol_sat must be "
+                  "positive")]
     elif experiment == "control":
         rules = [(int(p["m_intervals"]) >= 1,
                   "control m_intervals must be at least 1")]
@@ -238,6 +241,9 @@ def _check_params(experiment: str, p: dict) -> None:
             (int(p["folds"]) >= 2, "econ folds must be at least 2"),
             (0 < float(p["train_fraction"]) <= 1,
              "econ train_fraction must lie in (0, 1]")]
+    if experiment in ("catenary", "control"):
+        rules.append((int(p["verify_res"]) >= 2, f"{experiment} verify_res "
+                      "must be at least 2"))
     for ok, rule in rules:
         if not ok:
             raise ValueError(rule)

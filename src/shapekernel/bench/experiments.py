@@ -18,7 +18,8 @@ Each runner returns ``(summary, tables, models)``; :func:`run_experiment`
 looks the runner up in a fixed table by experiment name, stamps timings,
 and writes artifacts, and :func:`constraints_for` gives the constraints a
 saved model is re-checked against.  The covering schemes ``disc``, ``ball``
-and ``hyp`` build their rows through one function, :func:`records_for`;
+and ``hyp`` build their rows through one function, :func:`records_for`
+(``ball`` and ``hyp`` through the adaptive scheme's own pair of functions);
 every solve goes through :func:`~shapekernel.assemble.solve_problem`.  All
 randomness derives from the config seed, so numeric outputs are
 reproducible bit-for-bit; wall-clock timings live only in the summary.
@@ -47,18 +48,17 @@ from ..assemble import (
 )
 from ..atoms import DiffFunctional, SdpOperator
 from ..conic import TRACE_FIELDS
-from ..covering import InputBall, cover_box, eta_for, grid_cover, omega_cover
+from ..covering import InputBall, cover_box, eta_for, grid_cover
 from ..kernels import (
     DecomposableGaussianKernel,
     GaussianKernel,
     LaplacianKernel,
     LTIControlKernel,
 )
-from ..soap import run_soap
+from ..soap import run_soap, scheme_rows, scheme_widths
 from ..tighten import (
     ShapeConstraint,
     discretize,
-    tighten_omega,
     tighten_soc,
     verify_pointwise,
 )
@@ -73,6 +73,11 @@ from .data import (
 )
 from .results import emit_results
 from .tasks import run_tasks
+
+# ``omega_cover`` and ``tighten_omega`` stay bound only because the
+# benchmark tracer (perfbench/tracer.py) looks them up here.
+from ..covering import omega_cover  # noqa: F401
+from ..tighten import tighten_omega  # noqa: F401
 
 
 # --------------------------------------------------------------------------
@@ -118,24 +123,17 @@ def records_for(scheme: str, c: ShapeConstraint, balls: list, kernel, cov,
     """Rows of one constraint over a ball covering, by covering scheme.
 
     ``disc`` enforces the constraint at the ball centers only (a
-    relaxation); ``ball`` buffers each center by the ball's width from
-    :func:`eta_for`; ``hyp`` uses the halfspace enclosures of
-    :func:`omega_cover`.  ``cov`` supplies the sampling sizes and the
-    safety margin, ``seed`` the sampling seed.
+    relaxation); ``ball`` and ``hyp`` rows come from the balls'
+    :func:`~shapekernel.soap.scheme_widths`, as in the adaptive scheme.
+    ``cov`` supplies the sampling sizes and the safety margin, ``seed`` the
+    sampling seed.
     """
     if scheme == "disc":
         return discretize(c, [b.center for b in balls],
                           constraint_index=constraint_index)
-    if scheme == "ball":
-        etas = [eta_for(kernel, c.operator, b.center, b.radius, norm=b.norm,
-                        n_x=cov.n_x, n_u=cov.n_u, seed=seed,
-                        safety=cov.eta_safety) for b in balls]
-        return tighten_soc(c, balls, etas, constraint_index=constraint_index)
-    if scheme == "hyp":
-        omegas = omega_cover(kernel, c.operator.entries[0][0], balls,
-                             n_x=cov.n_x, seed=seed, safety=cov.eta_safety)
-        return tighten_omega(c, omegas, constraint_index=constraint_index)
-    raise ValueError(f"scheme {scheme!r} not available for this experiment")
+    widths = scheme_widths(scheme, kernel, c, balls, cov.n_x, cov.n_u, seed,
+                           cov.eta_safety)
+    return scheme_rows(scheme, c, balls, widths, constraint_index)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -258,11 +256,11 @@ def run_catenary(cfg: ExperimentConfig):
             elements = m_list[-1]
             extra = {"iterations": sol.iterations, "status": sol.status}
         elif scheme in ("soap-ball", "soap-hyp"):
-            mode = "ball" if scheme == "soap-ball" else "omega"
             model, state = run_soap(
-                spec, mode=mode, gamma=cov.gamma, k_max=cov.k_max,
-                delta0=cov.delta0, tol_sat=float(p.get("tol_sat", 1e-8)),
-                settings=settings, n_x=cov.n_x, n_u=cov.n_u, seed=cfg.seed,
+                spec, mode=scheme[len("soap-"):], gamma=cov.gamma,
+                k_max=cov.k_max, delta0=cov.delta0,
+                tol_sat=float(p.get("tol_sat", 1e-8)), settings=settings,
+                n_x=cov.n_x, n_u=cov.n_u, seed=cfg.seed,
                 safety=cov.eta_safety,
                 max_elements=int(p.get("max_elements", 4000)))
             hist = state.history
@@ -282,18 +280,12 @@ def run_catenary(cfg: ExperimentConfig):
                 ["k", "M_total", "v", "bursts", "max_eta"], hist_rows)
             v_app = hist[-1]["v"]
             # relaxation at the final anchors
-            if mode == "ball":
-                anchors = [b.center for b in state.coverings[0]]
-            else:
-                anchors = [om.source.center for om in state.coverings[0]]
-            records = discretize(c, anchors)
+            balls = state.coverings[0]
+            records = discretize(c, [b.center for b in balls])
             rsol = solve_problem(spec, records, settings=settings)[1]
             _record_solve(solves, f"{scheme} relaxation", *_outcome(rsol))
             relax_value = rsol.objective
-            if mode == "ball":
-                records = tighten_soc(c, state.coverings[0], state.etas[0])
-            else:
-                records = tighten_omega(c, state.coverings[0])
+            records = scheme_rows(state.mode, c, balls, state.widths[0])
             elements = state.total_elements()
             extra = {"iterations": state.iteration,
                      "stop": state.stopped_reason}

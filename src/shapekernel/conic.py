@@ -203,13 +203,8 @@ class Solution:
     objective: float
     residuals: dict
     iterations: int
-    block_slices: list[slice]
-    block_kinds: list[str]
     trace: np.ndarray = field(
         default_factory=lambda: np.zeros((0, len(TRACE_FIELDS))))
-
-    def block_slack(self, i: int) -> np.ndarray:
-        return self.s[self.block_slices[i]]
 
 
 # --------------------------------------------------------------------------
@@ -745,8 +740,6 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         x=x, y_eq=y, z=z, s=s, status=status, stop_reason=stop,
         objective=prog.objective(x),
         residuals=_final_residuals(prog, x, y, z, s), iterations=iters,
-        block_slices=list(prog.block_slices),
-        block_kinds=[blk.kind for blk in prog.blocks],
         trace=trace[:iters].copy(),
     )
 
@@ -878,7 +871,6 @@ def _solve_equality_qp(prog: ConeProgram, st: SolverSettings,
         status="optimal" if ok else "max_iter",
         stop_reason="optimal" if ok else "factorization",
         objective=prog.objective(x), residuals=residuals, iterations=1,
-        block_slices=[], block_kinds=[],
     )
 
 

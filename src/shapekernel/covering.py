@@ -17,13 +17,14 @@ Buffer widths come either from the closed-form profile of radial kernels or
 from sampling; sampling *under*-estimates the true supremum, so an optional
 inflation factor is exposed.  Deterministic probe points (ball center, axis
 extremes, corners) are always added to the sample so that radial cases are
-recovered exactly.
+recovered exactly.  Refining a covering where its rows bind is the adaptive
+scheme's job (:mod:`shapekernel.soap`), through the same widths.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,13 +305,13 @@ class OmegaElement:
     ``balls`` holds ``(center, radius)`` pairs where ``center`` is an Atom
     or ``None`` for the origin; ``halfspaces`` holds ``(normal, offset)``
     pairs describing ``{g : <g, normal> <= offset}``.  ``diameter_bound``
-    caches an upper bound on the element's diameter, used by refinement.
+    caches an upper bound on the element's diameter, the width the
+    adaptive scheme contracts.
     """
 
     balls: tuple
     halfspaces: tuple
     diameter_bound: float
-    source: InputBall | None = None
 
     def __post_init__(self):
         if not self.balls and not self.halfspaces:
@@ -358,7 +359,6 @@ def omega_cover(kernel: Kernel, functional: DiffFunctional,
             halfspaces=((Atom(ball.center, functional.scaled(-1.0)),
                          -float(rho)),),
             diameter_bound=2.0 * float(np.sqrt(gap)),
-            source=ball,
         ))
     return out
 
@@ -379,36 +379,3 @@ def _min_correlation(kernel: Kernel, functional: DiffFunctional,
                      [Atom(tuple(base + off), functional) for off in offsets],
                      kernel)
     return float(np.min(row))
-
-
-# --------------------------------------------------------------------------
-# Refinement
-# --------------------------------------------------------------------------
-
-def refine_radius(kernel: Kernel, op: SdpOperator, z, eta_target: float,
-                  delta_hi: float, norm: str = "max", n_x: int = 50,
-                  n_u: int = 20, seed=0, safety: float = 0.0) -> float:
-    """Largest radius whose buffer stays at or below ``eta_target``.
-
-    Bisects on the radius (the buffer is monotone in it) to tolerance
-    ``1e-6 * delta_hi``; returns ``delta_hi`` when even the full radius
-    satisfies the target.
-    """
-    if eta_target <= 0:
-        raise ValueError("eta_target must be positive")
-    if delta_hi <= 0:
-        raise ValueError("delta_hi must be positive")
-    def f(delta):
-        return eta_for(kernel, op, z, delta, norm=norm, n_x=n_x, n_u=n_u,
-                       seed=seed, safety=safety)
-    if f(delta_hi) <= eta_target:
-        return float(delta_hi)
-    lo, hi = 0.0, float(delta_hi)
-    tol = 1e-6 * float(delta_hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= eta_target:
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -8,9 +8,10 @@ replaces each with a sub-covering at a geometrically contracted scale.
 Elements that never saturate are left untouched, so refinement concentrates
 where the solution touches the constraint.
 
-Two element flavors are supported: input-space balls with buffer widths
-(``ball`` mode) and feature-space ball/halfspace enclosures (``omega``
-mode).  Both contract by at least the factor ``gamma`` per burst.
+Every element is an input ball with a width in one of the covering schemes
+``ball`` (a buffer) or ``hyp`` (a feature-space enclosure);
+:func:`scheme_widths` and :func:`scheme_rows` are the only code that tells
+them apart.  One bisection contracts a burst ball's width by ``gamma``.
 """
 
 from __future__ import annotations
@@ -33,25 +34,19 @@ from .assemble import (  # noqa: F401
 )
 from .atoms import apply_functional
 from .conic import SolverSettings, solve as conic_solve  # noqa: F401
-from .covering import (
-    InputBall,
-    OmegaElement,
-    cover_box,
-    eta_for,
-    omega_cover,
-    refine_radius,
-)
+from .covering import InputBall, cover_box, eta_for, omega_cover
 from .tighten import AnchorRecord, InclusionRecord, tighten_omega, tighten_soc
 
 
 @dataclass
 class SoapState:
-    """Loop bookkeeping: current coverings, model, and history rows."""
+    """Loop bookkeeping: each constraint's input balls (``coverings``) and
+    their :func:`scheme_widths` in scheme ``mode``, model, history rows."""
 
     mode: str
     iteration: int = 0
     coverings: list = field(default_factory=list)  # per constraint
-    etas: list = field(default_factory=list)  # ball mode: per element
+    widths: list = field(default_factory=list)  # per constraint, per ball
     model: object | None = None
     history: list = field(default_factory=list)
     stopped_reason: str = ""
@@ -132,58 +127,62 @@ def detect_saturated(model, records: list, tol_sat: float = 1e-8
 
 
 # --------------------------------------------------------------------------
-# Refinement helpers
+# Covering schemes
 # --------------------------------------------------------------------------
 
-def _clip_box(region, center, radius) -> list:
-    return [
-        (max(lo, c - radius), min(hi, c + radius))
-        for (lo, hi), c in zip(region, center)
-    ]
+def scheme_widths(scheme: str, kernel, c, balls: list, n_x: int, n_u: int,
+                  seed, safety: float) -> list:
+    """One width per input ball of constraint ``c``: its buffer from
+    :func:`eta_for` (``ball``) or its halfspace enclosure from
+    :func:`omega_cover` (``hyp``, scalar constraints only)."""
+    if scheme == "ball":
+        return [eta_for(kernel, c.operator, b.center, b.radius, norm=b.norm,
+                        n_x=n_x, n_u=n_u, seed=seed, safety=safety)
+                for b in balls]
+    if scheme == "hyp":
+        if c.size != 1:
+            raise ValueError("the hyp scheme needs scalar constraints")
+        return omega_cover(kernel, c.operator.entries[0][0], balls,
+                           n_x=n_x, seed=seed, safety=safety)
+    raise ValueError(f"unknown covering scheme {scheme!r}")
 
 
-def _burst_ball(kernel, op, constraint, ball: InputBall, eta_old: float,
-                gamma: float, eta_kwargs: dict) -> list[InputBall]:
-    """Sub-cover a burst ball at the gamma-contracted buffer target."""
-    target = gamma * eta_old
-    refined = refine_radius(kernel, op, ball.center, target, ball.radius,
-                            norm=ball.norm, **eta_kwargs)
-    delta_new = min(refined, gamma * ball.radius)
-    delta_new = max(delta_new, 1e-12)
-    sub_box = _clip_box(constraint.region, ball.center, ball.radius)
-    return cover_box(sub_box, delta_new, norm=ball.norm)
+def scheme_rows(scheme: str, c, balls: list, widths: list,
+                constraint_index: int = 0) -> list:
+    """The rows of constraint ``c`` over its balls and their
+    :func:`scheme_widths`."""
+    if scheme == "ball":
+        return tighten_soc(c, balls, widths,
+                           constraint_index=constraint_index)
+    return tighten_omega(c, widths, constraint_index=constraint_index)
 
 
-def _omega_diameter(kernel, functional, ball: InputBall, n_x, seed,
-                    safety) -> float:
-    elems = omega_cover(kernel, functional, [ball], n_x=n_x, seed=seed,
-                        safety=safety)
-    return elems[0].diameter_bound
+def _size(width) -> float:
+    """A width as one number: the buffer, or the enclosure's diameter."""
+    return getattr(width, "diameter_bound", width)
 
 
-def _burst_omega(kernel, functional, constraint, elem: OmegaElement,
-                 gamma: float, n_x: int, seed, safety: float
-                 ) -> list[InputBall]:
-    """Sub-cover a burst enclosure at the gamma-contracted diameter."""
-    ball = elem.source
-    target = gamma * elem.diameter_bound
+def _burst(scheme: str, kernel, c, ball: InputBall, width, gamma: float,
+           n_x: int, n_u: int, seed, safety: float) -> list[InputBall]:
+    """Sub-cover a burst ball of ``c`` (clipped to its region) at the
+    largest radius, bisected to 1e-6 of the ball's, whose width is at most
+    ``gamma`` times ``width`` (half the ball's radius if none is found),
+    and at most ``gamma`` times the ball's radius."""
+    target = gamma * _size(width)
     lo, hi = 0.0, float(ball.radius)
     tol = 1e-6 * ball.radius
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mid <= 0:
-            break
-        if _omega_diameter(kernel, functional,
-                           InputBall(ball.center, mid, ball.norm),
-                           n_x, seed, safety) <= target:
+        probe = InputBall(ball.center, mid, ball.norm)
+        if _size(scheme_widths(scheme, kernel, c, [probe], n_x, n_u, seed,
+                               safety)[0]) <= target:
             lo = mid
         else:
             hi = mid
-    delta_new = min(lo if lo > 0 else 0.5 * ball.radius,
-                    gamma * ball.radius)
-    delta_new = max(delta_new, 1e-12)
-    sub_box = _clip_box(constraint.region, ball.center, ball.radius)
-    return cover_box(sub_box, delta_new, norm=ball.norm)
+    delta = min(lo if lo > 0 else 0.5 * ball.radius, gamma * ball.radius)
+    sub_box = [(max(a, x - ball.radius), min(b, x + ball.radius))
+               for (a, b), x in zip(c.region, ball.center)]
+    return cover_box(sub_box, max(delta, 1e-12), norm=ball.norm)
 
 
 # --------------------------------------------------------------------------
@@ -197,55 +196,40 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
              max_elements: int = 4000):
     """Adaptive refinement loop.  Returns ``(model, state)``.
 
-    Starts from a uniform covering of every constraint region at radius
-    ``delta0``, then alternates solve / burst until no element saturates,
-    ``k_max`` bursts have happened, or the element budget ``max_elements``
-    is hit (recorded in ``state.stopped_reason``).
+    ``mode`` is the covering scheme, ``ball`` or ``hyp`` (see
+    :func:`scheme_widths`).  Starts from a uniform covering of every
+    constraint region at radius ``delta0``, then alternates solve / burst
+    until no element saturates, ``k_max`` bursts have happened, or the
+    element budget ``max_elements`` is hit (recorded in
+    ``state.stopped_reason``).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly between 0 and 1")
     if delta0 <= 0:
         raise ValueError("initial radius must be positive")
-    if mode not in ("ball", "omega"):
+    if not tol_sat > 0:
+        raise ValueError("saturation tolerance must be positive")
+    if mode not in ("ball", "hyp"):
         raise ValueError(f"unknown soap mode {mode!r}")
 
-    kernel = spec.kernel
     state = SoapState(mode=mode)
-    eta_kwargs = dict(n_x=n_x, n_u=n_u, seed=seed, safety=safety)
+    sampling = (n_x, n_u, seed, safety)
 
     # Initial uniform coverings (one list per constraint).
     for c in spec.constraints:
         balls = cover_box(c.region, delta0, norm="max")
-        if mode == "ball":
-            ops = c.operator
-            etas = [eta_for(kernel, ops, b.center, b.radius, norm=b.norm,
-                            **eta_kwargs) for b in balls]
-            state.coverings.append(balls)
-            state.etas.append(etas)
-        else:
-            if c.size != 1:
-                raise ValueError("omega mode needs scalar constraints")
-            elems = omega_cover(kernel, c.operator.entries[0][0], balls,
-                                n_x=n_x, seed=seed, safety=safety)
-            state.coverings.append(elems)
-            state.etas.append([])
+        state.coverings.append(balls)
+        state.widths.append(scheme_widths(mode, spec.kernel, c, balls,
+                                          *sampling))
 
     model = None
     for k in range(k_max + 1):
         t0 = time.perf_counter()
         state.iteration = k
-        records = []
-        rec_elem: list[tuple[int, int]] = []  # record idx -> (ci, ei)
+        records = []  # provenance (ci, ei): constraint, element
         for ci, c in enumerate(spec.constraints):
-            if mode == "ball":
-                recs = tighten_soc(c, state.coverings[ci],
-                                   state.etas[ci], constraint_index=ci)
-            else:
-                recs = tighten_omega(c, state.coverings[ci],
-                                     constraint_index=ci)
-            for ei in range(len(recs)):
-                rec_elem.append((ci, ei))
-            records.extend(recs)
+            records += scheme_rows(mode, c, state.coverings[ci],
+                                   state.widths[ci], constraint_index=ci)
 
         try:
             # Warm start from the previous iterate (None in round 0).  The
@@ -264,13 +248,7 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             ) from err
 
         saturated = detect_saturated(model, records, tol_sat)
-        widths = []
-        for ci in range(len(spec.constraints)):
-            if mode == "ball":
-                widths.extend(state.etas[ci])
-            else:
-                widths.extend(e.diameter_bound
-                              for e in state.coverings[ci])
+        sizes = [_size(w) for widths in state.widths for w in widths]
         state.history.append({
             "k": k,
             "M_total": state.total_elements(),
@@ -280,7 +258,7 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             "iterations": sol.iterations,
             "trace": sol.trace,
             "bursts": len(saturated),
-            "maxEta": float(max(widths)) if widths else 0.0,
+            "maxEta": float(max(sizes)) if sizes else 0.0,
             "wallTime": time.perf_counter() - t0,
         })
         state.model = model
@@ -298,40 +276,21 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
         # Burst: group saturated records per constraint, replace elements.
         per_ci: dict[int, set] = {}
         for ridx in saturated:
-            ci, ei = rec_elem[ridx]
+            ci, ei = records[ridx].provenance
             per_ci.setdefault(ci, set()).add(ei)
         for ci, burst_set in per_ci.items():
             c = spec.constraints[ci]
-            keep, keep_etas = [], []
-            new_elems = []
-            if mode == "ball":
-                for ei, (ball, eta) in enumerate(
-                        zip(state.coverings[ci], state.etas[ci])):
-                    if ei in burst_set:
-                        new_elems.extend(_burst_ball(
-                            kernel, c.operator, c, ball, eta, gamma,
-                            eta_kwargs))
-                    else:
-                        keep.append(ball)
-                        keep_etas.append(eta)
-                new_etas = [
-                    eta_for(kernel, c.operator, b.center, b.radius,
-                            norm=b.norm, **eta_kwargs)
-                    for b in new_elems
-                ]
-                state.coverings[ci] = keep + new_elems
-                state.etas[ci] = keep_etas + new_etas
-            else:
-                func = c.operator.entries[0][0]
-                for ei, elem in enumerate(state.coverings[ci]):
-                    if ei in burst_set:
-                        balls = _burst_omega(kernel, func, c, elem, gamma,
-                                             n_x, seed, safety)
-                        new_elems.extend(omega_cover(
-                            kernel, func, balls, n_x=n_x, seed=seed,
-                            safety=safety))
-                    else:
-                        keep.append(elem)
-                state.coverings[ci] = keep + new_elems
+            keep, keep_widths, new_balls = [], [], []
+            for ei, (ball, width) in enumerate(
+                    zip(state.coverings[ci], state.widths[ci])):
+                if ei in burst_set:
+                    new_balls.extend(_burst(mode, spec.kernel, c, ball,
+                                            width, gamma, *sampling))
+                else:
+                    keep.append(ball)
+                    keep_widths.append(width)
+            state.coverings[ci] = keep + new_balls
+            state.widths[ci] = keep_widths + scheme_widths(
+                mode, spec.kernel, c, new_balls, *sampling)
 
     return model, state

@@ -4,10 +4,12 @@ Each experiment runs end to end through ``run_experiment`` (the path
 ``shapekernel run`` takes), and ``shapekernel verify`` re-checks one saved
 tightened model against the experiment's constraints on a small grid.
 Also checked: the scheme each experiment accepts, that every name the
-benchmark tracer (``perfbench/tracer.py``) wraps still exists, and that
-the outputs do not depend on how many CPUs run the independent fits.
+benchmark tracer (``perfbench/tracer.py``) wraps still exists, that no
+module imports a name it never uses but for the tracer, and that the
+outputs do not depend on how many CPUs run the independent fits.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -164,10 +166,16 @@ def test_verify_fails_a_model_with_a_nan_coefficient(tiny_run, tmp_path,
     broken.write_text(json.dumps(data))
     code = main(["verify", "--model", str(broken), "--config", str(config),
                  "--grid-res", str(grid)])
-    report = json.loads(capsys.readouterr().out)
+
+    def non_standard(token):
+        raise ValueError(f"{token} is not JSON")
+
+    # strict JSON: the infinite violation and NaN eigenvalue are null
+    report = json.loads(capsys.readouterr().out,
+                        parse_constant=non_standard)
     assert code == 1 and not report["passed"]
-    assert report["max_violation"] == float("inf")
-    assert all(c["max_violation"] == float("inf")
+    assert report["max_violation"] is None
+    assert all(c["max_violation"] is None and c["min_eigenvalue"] is None
                for c in report["constraints"])
 
 
@@ -324,13 +332,22 @@ def test_run_prints_warnings_and_strict_fails_on_them(tmp_path, capsys,
      r"m_list \[16, 15\] must name .* each a perfect 4-th power"),
     (("robotarm", {"m_list": []}), r"robotarm m_list \[\] must name"),
     (("robotarm", {"segments": 0}), "segments must be at least 1"),
+    (("catenary", {"verify_res": 1}),
+     "catenary verify_res must be at least 2"),
+    (("control", {"verify_res": 0}), "control verify_res must be at least 2"),
+    (("control", {"verify_res": 1}), "control verify_res must be at least 2"),
+    (("catenary", {"tol_sat": -1}), "catenary tol_sat must be positive"),
+    (("catenary", {"tol_sat": 0}), "catenary tol_sat must be positive"),
 ])
 def test_econ_params_are_checked_before_running(tmp_path, params, message):
     # an unknown regime used to end in a KeyError traceback, reps 0 in an
     # empty table with NaN medians, folds 0 in a mid-run ValueError; a
     # catenary anchor count or control interval count of 0 in a mid-run
     # ZeroDivisionError, a robotarm anchor count that is no perfect power
-    # in a ValueError after data generation and cross-validation
+    # in a ValueError after data generation and cross-validation; a
+    # verify_res of 0 or 1 in a ValueError after the solves, or a
+    # violation read at one point, and a tol_sat of -1 in a SOAP run that
+    # stopped at "no saturation" in round 0
     experiment, params = params if isinstance(params, tuple) else \
         ("econ", params)
     config = tmp_path / "config.json"
@@ -392,6 +409,35 @@ def test_every_traced_name_resolves():
     assert not missing
     model = importlib.import_module("shapekernel.atoms").Model
     assert callable(model.eval_component_many)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name bound only for the benchmark tracer is in its tables
+    tracer = _load_tracer()
+    traced = {entry[:2] for entry in tracer.TRACED} | set(tracer.SOLVE_SITES)
+    package = pathlib.Path(covering.__file__).parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = ".".join(
+            ("shapekernel", *path.relative_to(package).with_suffix("").parts))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}  # bound name -> line
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.split(".")[0],
+                                 node.lineno) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno)
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{module}:{line} {name}"
+                   for name, line in imported.items()
+                   if name not in used and (module, name) not in traced]
+    assert not unused
 
 
 def test_non_optimal_status_becomes_a_warning(tmp_path, monkeypatch):

@@ -267,7 +267,7 @@ class TestRotatedConeReduction:
             ],
         )
         sol = solve(prog)
-        u, v, *w = T @ sol.block_slack(0)
+        u, v, *w = T @ sol.s[prog.block_slices[0]]
         assert u >= -1e-9 and v >= -1e-9
         assert 2 * u * v >= np.linalg.norm(w) ** 2 - 1e-6
 
@@ -396,18 +396,18 @@ class TestSolutionBookkeeping:
         prog = self.make_two_block_program()
         sol = solve(prog)
         assert sol.status == "optimal"
-        for i, blk in enumerate(prog.blocks):
+        for sl, blk in zip(prog.block_slices, prog.blocks):
             np.testing.assert_allclose(
-                sol.block_slack(i), blk.h - blk.G @ sol.x, atol=1e-8
+                sol.s[sl], blk.h - blk.G @ sol.x, atol=1e-8
             )
-        assert sol.block_kinds == ["nonneg", "soc"]
+        assert [blk.kind for blk in prog.blocks] == ["nonneg", "soc"]
 
     def test_duals_lie_in_dual_cone_and_complementarity(self):
         prog = self.make_two_block_program()
         sol = solve(prog)
-        z_nn = sol.z[sol.block_slices[0]]
+        z_nn = sol.z[prog.block_slices[0]]
         assert (z_nn >= -1e-9).all()
-        z_soc = sol.z[sol.block_slices[1]]
+        z_soc = sol.z[prog.block_slices[1]]
         assert z_soc[0] >= np.linalg.norm(z_soc[1:]) - 1e-8
         assert abs(sol.s @ sol.z) <= 1e-6
 

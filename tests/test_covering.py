@@ -27,7 +27,6 @@ from shapekernel import (
     fill_distance,
     grid_cover,
     omega_cover,
-    refine_radius,
 )
 from shapekernel import covering
 
@@ -351,30 +350,3 @@ class TestOmegaCover:
         with pytest.raises(ValueError, match="nonzero"):
             OmegaElement(balls=(), halfspaces=((zero, 1.0),),
                          diameter_bound=1.0)
-
-
-class TestRefineRadius:
-    def test_matches_analytic_inverse(self):
-        # For the unit Gaussian, eta(d) = sqrt(2 - 2 exp(-d^2/2)) inverts to
-        # d = sqrt(-2 log(1 - eta^2/2)).
-        k = GaussianKernel([1.0])
-        op = SdpOperator.scalar(DiffFunctional.value(1))
-        target = 0.3
-        want = math.sqrt(-2 * math.log(1 - target**2 / 2))
-        got = refine_radius(k, op, [0.0], target, delta_hi=1.0)
-        assert got == pytest.approx(want, abs=2e-6)
-        assert eta_for(k, op, [0.0], got) <= target + 1e-9
-
-    def test_clamps_at_upper_bound(self):
-        k = GaussianKernel([1.0])
-        op = SdpOperator.scalar(DiffFunctional.value(1))
-        assert refine_radius(k, op, [0.0], 10.0, delta_hi=0.5) == 0.5
-
-    def test_invalid_inputs_rejected(self):
-        k = GaussianKernel([1.0])
-        op = SdpOperator.scalar(DiffFunctional.value(1))
-        with pytest.raises(ValueError, match="eta_target"):
-            refine_radius(k, op, [0.0], 0.0, delta_hi=1.0)
-        with pytest.raises(ValueError, match="delta_hi"):
-            refine_radius(k, op, [0.0], 0.1, delta_hi=0.0)
-

@@ -23,6 +23,7 @@ from shapekernel import (
     GaussianKernel,
     InclusionRecord,
     InputBall,
+    LaplacianKernel,
     Model,
     NormMin,
     Observation,
@@ -45,7 +46,7 @@ from shapekernel import (
     tighten_soc,
     verify_pointwise,
 )
-from shapekernel.soap import _burst_ball
+from shapekernel.soap import _burst
 
 VAL = DiffFunctional.value(1)
 
@@ -208,7 +209,7 @@ class TestSlackVsSolver:
             if not isinstance(rec, InclusionRecord):
                 continue
             bi, blk = block_for(prog, rec)
-            s = sol.block_slack(bi)
+            s = sol.s[prog.block_slices[bi]]
             margin = float(s[0] - np.linalg.norm(s[1:]))
             got = record_slack(model, rec)
             assert got == pytest.approx(margin, abs=1e-6)
@@ -235,7 +236,7 @@ class TestSlackVsSolver:
             assert blk.kind == "soc"
             # the rotated cone's slack (u, v, w), back through the
             # self-inverse rotation assemble wrote the SOC block with
-            s = sol.block_slack(bi)
+            s = sol.s[prog.block_slices[bi]]
             u, v, w = (s[0] + s[1]) / s2, (s[0] - s[1]) / s2, s[2]
             M = np.array([
                 [u + rec.eta * corr, w / s2],
@@ -284,7 +285,7 @@ class TestBurstBall:
         eta_old = eta_for(kern, op, ball.center, ball.radius, norm=ball.norm,
                           **kwargs)
         gamma = 0.6
-        children = _burst_ball(kern, op, c, ball, eta_old, gamma, kwargs)
+        children = _burst("ball", kern, c, ball, eta_old, gamma, **kwargs)
         assert children
         for child in children:
             assert child.radius <= gamma * ball.radius + 1e-12
@@ -304,10 +305,138 @@ class TestBurstBall:
         kwargs = dict(n_x=50, n_u=20, seed=0, safety=0.0)
         eta_old = eta_for(kern, op, ball.center, ball.radius, norm=ball.norm,
                           **kwargs)
-        children = _burst_ball(kern, op, c, ball, eta_old, 0.6, kwargs)
+        children = _burst("ball", kern, c, ball, eta_old, 0.6, **kwargs)
         for child in children:
             assert child.center[0] - child.radius >= 0.2 - 1e-12
             assert child.center[0] + child.radius <= 0.27 + 1e-12
+
+
+def ref_clip_box(region, center, radius):
+    return [
+        (max(lo, c - radius), min(hi, c + radius))
+        for (lo, hi), c in zip(region, center)
+    ]
+
+
+def ref_refine_radius(kernel, op, z, eta_target, delta_hi, norm="max",
+                      n_x=50, n_u=20, seed=0, safety=0.0):
+    """The ball scheme's former radius search, kept as the reference."""
+    def f(delta):
+        return eta_for(kernel, op, z, delta, norm=norm, n_x=n_x, n_u=n_u,
+                       seed=seed, safety=safety)
+    if f(delta_hi) <= eta_target:
+        return float(delta_hi)
+    lo, hi = 0.0, float(delta_hi)
+    tol = 1e-6 * float(delta_hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= eta_target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ref_burst_ball(kernel, op, constraint, ball, eta_old, gamma,
+                   eta_kwargs):
+    """The ball scheme's former burst, kept as the reference."""
+    refined = ref_refine_radius(kernel, op, ball.center, gamma * eta_old,
+                                ball.radius, norm=ball.norm, **eta_kwargs)
+    delta_new = max(min(refined, gamma * ball.radius), 1e-12)
+    sub_box = ref_clip_box(constraint.region, ball.center, ball.radius)
+    return cover_box(sub_box, delta_new, norm=ball.norm)
+
+
+def ref_burst_omega(kernel, functional, constraint, ball, elem, gamma, n_x,
+                    seed, safety):
+    """The hyp scheme's former burst (which read ``ball`` from the
+    element), kept as the reference."""
+    target = gamma * elem.diameter_bound
+    lo, hi = 0.0, float(ball.radius)
+    tol = 1e-6 * ball.radius
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        (probe,) = omega_cover(kernel, functional,
+                               [InputBall(ball.center, mid, ball.norm)],
+                               n_x=n_x, seed=seed, safety=safety)
+        if probe.diameter_bound <= target:
+            lo = mid
+        else:
+            hi = mid
+    delta_new = min(lo if lo > 0 else 0.5 * ball.radius,
+                    gamma * ball.radius)
+    delta_new = max(delta_new, 1e-12)
+    sub_box = ref_clip_box(constraint.region, ball.center, ball.radius)
+    return cover_box(sub_box, delta_new, norm=ball.norm)
+
+
+#: catenary's floor (closed-form widths of the Laplacian kernel) and a
+#: Gaussian first-derivative floor (sampled widths)
+BURST_CASES = {
+    "laplacian-value": (LaplacianKernel(5.0, dim=1), VAL),
+    "gaussian-derivative": (GaussianKernel([0.5]),
+                            DiffFunctional.partial(1, axis=0)),
+}
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """(box, radius) of every ``cover_box`` call of ``_burst`` and of the
+    reference bursts above, in call order."""
+    calls = []
+
+    def spy(box, delta_max, norm="max", cover=cover_box):
+        calls.append((box, delta_max))
+        return cover(box, delta_max, norm=norm)
+
+    monkeypatch.setattr(importlib.import_module("shapekernel.soap"),
+                        "cover_box", spy)
+    monkeypatch.setitem(globals(), "cover_box", spy)
+    return calls
+
+
+class TestBurst:
+    @pytest.mark.parametrize("case", sorted(BURST_CASES))
+    @pytest.mark.parametrize("center", [0.5, 0.22])
+    @pytest.mark.parametrize("safety", [0.0, 0.05])
+    def test_matches_the_former_bursts(self, case, center, safety, cuts):
+        # the same children, cut at the same radius, bit for bit
+        kern, func = BURST_CASES[case]
+        op = SdpOperator.scalar(func)
+        c = ShapeConstraint(((0.2, 0.8),), op, (0.5,))
+        ball = InputBall((center,), 0.01, "max")
+        kwargs = dict(n_x=50, n_u=20, seed=3, safety=safety)
+        eta = eta_for(kern, op, ball.center, ball.radius, norm=ball.norm,
+                      **kwargs)
+        ball_children = _burst("ball", kern, c, ball, eta, 0.8, **kwargs)
+        assert ball_children == ref_burst_ball(kern, op, c, ball, eta, 0.8,
+                                               kwargs)
+        (elem,) = omega_cover(kern, func, [ball], n_x=50, seed=3,
+                              safety=safety)
+        hyp_children = _burst("hyp", kern, c, ball, elem, 0.8, **kwargs)
+        assert hyp_children == ref_burst_omega(kern, func, c, ball, elem,
+                                               0.8, n_x=50, seed=3,
+                                               safety=safety)
+        assert len(ball_children) > 1 and len(hyp_children) > 1
+        assert len(cuts) == 4
+        assert cuts[0] == cuts[1] and cuts[2] == cuts[3]
+
+    def test_matches_analytic_inverse(self, cuts):
+        # For the unit Gaussian, eta(d) = sqrt(2 - 2 exp(-d^2/2)) inverts to
+        # d = sqrt(-2 log(1 - eta^2/2)); the target is gamma * width.
+        k = GaussianKernel([1.0])
+        op = SdpOperator.scalar(VAL)
+        c = ShapeConstraint(((-1.0, 1.0),), op, (0.0,))
+        ball = InputBall((0.0,), 1.0, "max")
+        for gamma in (0.5, 0.25):
+            target = 0.3
+            _burst("ball", k, c, ball, target / gamma, gamma, n_x=50,
+                   n_u=20, seed=0, safety=0.0)
+            want = math.sqrt(-2 * math.log(1 - target**2 / 2))
+            _, got = cuts.pop()
+            assert got == pytest.approx(min(want, gamma * ball.radius),
+                                        abs=2e-6)
+            assert eta_for(k, op, [0.0], got) <= target + 1e-9
 
 
 class TestRunSoapValidation:
@@ -320,9 +449,16 @@ class TestRunSoapValidation:
         with pytest.raises(ValueError, match="initial radius"):
             run_soap(step_spec(), delta0=0.0)
 
+    def test_positive_saturation_tolerance(self):
+        # a negative tolerance used to stop at "no saturation" in round 0
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="saturation tolerance"):
+                run_soap(step_spec(), tol_sat=bad)
+
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown soap mode"):
-            run_soap(step_spec(), mode="fancy")
+        for bad in ("fancy", "omega"):
+            with pytest.raises(ValueError, match="unknown soap mode"):
+                run_soap(step_spec(), mode=bad)
 
     def test_omega_mode_rejects_matrix_constraints(self):
         der = DiffFunctional.partial(1, axis=0)
@@ -333,7 +469,7 @@ class TestRunSoapValidation:
                            loss="squared", regularizer=Ridge(0.05),
                            constraints=[c])
         with pytest.raises(ValueError, match="scalar constraints"):
-            run_soap(spec, mode="omega")
+            run_soap(spec, mode="hyp")
 
 
 @pytest.fixture(scope="module")
@@ -419,24 +555,25 @@ class TestRunSoapBall:
 class TestRunSoapOmega:
     def test_refines_and_stays_feasible(self):
         spec = step_spec()
-        model, state = run_soap(spec, mode="omega", gamma=0.7, k_max=3,
+        model, state = run_soap(spec, mode="hyp", gamma=0.7, k_max=3,
                                 delta0=0.05, tol_sat=1e-6, seed=0)
         rows = state.history
         assert state.stopped_reason == "k_max reached"
         assert rows[0]["M_total"] == 6
         assert rows[-1]["M_total"] > rows[0]["M_total"]
         assert rows[-1]["v"] < rows[0]["v"]
-        for elem in state.coverings[0]:
+        assert len(state.widths[0]) == len(state.coverings[0])
+        for ball, elem in zip(state.coverings[0], state.widths[0]):
             assert isinstance(elem, OmegaElement)
             assert len(elem.balls) == 1
             assert len(elem.halfspaces) == 1
-            assert elem.source is not None
+            assert elem.halfspaces[0][0].x == ball.center
         report = verify_pointwise(model, spec.constraints[0], grid_res=400)
         assert report["maxViolation"] <= 1e-8
 
     def test_diameter_bound_shrinks_on_burst_elements(self):
         spec = step_spec()
-        _, state = run_soap(spec, mode="omega", gamma=0.7, k_max=3,
+        _, state = run_soap(spec, mode="hyp", gamma=0.7, k_max=3,
                             delta0=0.05, tol_sat=1e-6, seed=0)
         rows = state.history
         for prev, nxt in zip(rows, rows[1:]):
@@ -471,7 +608,7 @@ class TestSoapInfeasible:
 
     def test_pickles_with_its_state(self):
         # a run in a worker process sends its failure back pickled
-        state = SoapState(mode="omega", iteration=3, etas=[[0.5]],
+        state = SoapState(mode="hyp", iteration=3, widths=[[0.5]],
                           stopped_reason="x")
         err = pickle.loads(pickle.dumps(SoapInfeasible("m", state)))
         assert isinstance(err, SoapInfeasible)

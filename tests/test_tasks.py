@@ -197,11 +197,11 @@ def test_soap_failure_in_a_worker_keeps_its_state(two_cpus, deadline):
             time.sleep(0.5)
             return k
         raise SoapInfeasible(f"iterate {k} became infeasible",
-                             SoapState(mode="omega", iteration=k))
+                             SoapState(mode="hyp", iteration=k))
 
     with pytest.raises(SoapInfeasible) as err:
         run_tasks(fail, [(k,) for k in range(3)])
-    assert err.value.state.mode == "omega"
+    assert err.value.state.mode == "hyp"
     assert str(err.value) == f"iterate {err.value.state.iteration} " \
         "became infeasible"
 
