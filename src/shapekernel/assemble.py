@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .atoms import (
     Atom,
@@ -29,7 +28,8 @@ from .atoms import (
     gram,
     lead_sign,
 )
-from .conic import ConeBlock, ConeProgram, SolverSettings, Solution, solve
+from .conic import (ConeBlock, ConeProgram, SolverSettings, Solution, solve,
+                    solve_triangular)
 from .covering import fill_distance
 from .kernels import Kernel
 from .tighten import (
@@ -200,7 +200,7 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     G_mat, L, _ = gram(basis, kernel)
     basis_index = {atom.key(): i for i, atom in enumerate(basis)}
     # Row i: exact whitened evaluation row of basis atom i.
-    W_rows = solve_triangular(L, G_mat, lower=True).T if A else G_mat
+    W_rows = solve_triangular(L, G_mat).T if A else G_mat
 
     a_cols, b_cols = slice(0, A), slice(A, A + B)
     needs_t = isinstance(spec.regularizer, NormMin) or any(
@@ -394,8 +394,7 @@ def recover_model(prog: ConeProgram, sol: Solution, basis: list[Atom],
     u = sol.x[a_lo:a_hi]
     if a_hi > a_lo:
         # The program works in whitened coordinates u = L^T a.
-        coeffs = solve_triangular(prog.meta["factor"], u, lower=True,
-                                  trans="T")
+        coeffs = solve_triangular(prog.meta["factor"], u, trans=True)
     else:
         coeffs = u.copy()
     bias = sol.x[b_lo:b_hi].copy()

@@ -11,6 +11,7 @@ basis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -308,6 +309,11 @@ class Model:
             G, L, _ = gram(self.basis, self.kernel)
             object.__setattr__(self, "gram_matrix", G)
             object.__setattr__(self, "factor", L)
+
+    @functools.cached_property
+    def basis_index(self) -> dict:
+        """Each basis atom's position, by :meth:`Atom.key`; built once."""
+        return {atom.key(): i for i, atom in enumerate(self.basis)}
 
     @property
     def norm(self) -> float:

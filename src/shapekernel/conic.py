@@ -51,6 +51,15 @@ no longer depends on rounding.  L gets one LU per Newton matrix, through
 numpy's own LAPACK: ``dgetrf`` once, then ``dgetrs`` per right-hand side
 are the ``dgesv`` that ``np.linalg.solve`` runs, so each solve keeps its
 bits.  scipy's ``lu_factor`` would not: scipy loads another OpenBLAS build.
+
+Triangular solves (the back half here, the whitening and the coefficient
+recovery in ``assemble``) run numpy's own ``dtrtrs``, bound next to
+``dgetrf``, through :func:`solve_triangular`, so no run imports scipy.
+It hands LAPACK the factor in the layout scipy's ``solve_triangular``
+does: an F-ordered factor as it is, a C-ordered ``L`` as ``L^T`` with
+``uplo`` and ``trans`` flipped.  The bits follow the layout (the other
+layout changes them), and on the same layout numpy's ``dtrtrs`` gives
+scipy's bits, at one BLAS thread and more; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -63,7 +72,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import cpus
 
@@ -476,7 +484,8 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
 def _chol_solve_factory(H: np.ndarray):
     """Cholesky factor with escalating static regularization.  Returns the
     solve and the regularization it added to the diagonal.  The forward half
-    reuses one LU of L (``np.linalg.solve`` without numpy's LAPACK)."""
+    reuses one LU of L (``np.linalg.solve`` without numpy's LAPACK); the
+    back half is :func:`solve_triangular`."""
     n = H.shape[0]
     scale = max(float(np.trace(H)) / max(n, 1), 1.0)
     reg = 0.0
@@ -490,7 +499,7 @@ def _chol_solve_factory(H: np.ndarray):
                 raise
     lapack = _lapack()
     if lapack is not None:
-        getrf, getrs = lapack
+        getrf, getrs, _ = lapack
         LU, ipiv = np.array(L, order="F"), np.empty(n, dtype=np.int64)
         N, info = ctypes.c_int64(n), ctypes.c_int64()
         getrf(N, N, LU, N, ipiv, info)
@@ -502,15 +511,45 @@ def _chol_solve_factory(H: np.ndarray):
             _lapack_info(info)
         else:
             tmp = np.linalg.solve(L, rhs)
-        return solve_triangular(L, tmp, trans="T", lower=True,
+        return solve_triangular(L, tmp, lower=True, trans=True,
                                 check_finite=False)
     return solve, reg
 
 
+def solve_triangular(L: np.ndarray, b: np.ndarray, lower: bool = True,
+                     trans: bool = False, check_finite: bool = True
+                     ) -> np.ndarray:
+    """``L x = b`` (``L^T x = b`` with ``trans``) for triangular ``L`` and a
+    1-D or 2-D ``b``: scipy's ``solve_triangular`` with the same bits,
+    through numpy's own ``dtrtrs``.  Like scipy, it passes a factor that is
+    not F-ordered as its transpose with ``uplo`` and ``trans`` flipped.
+    Without the binding it is scipy's, imported here."""
+    lapack = _lapack()
+    if lapack is None:
+        from scipy.linalg import solve_triangular as scipy_solve_triangular
+        return scipy_solve_triangular(L, b, lower=lower, trans=int(trans),
+                                      check_finite=check_finite)
+    trtrs = lapack[2]
+    L = np.asarray(L, dtype=float)
+    if check_finite:  # scipy's error for a non-finite input
+        L, b = np.asarray_chkfinite(L), np.asarray_chkfinite(b)
+    if not L.flags.f_contiguous:
+        L, lower, trans = L.T, not lower, not trans
+    x = np.array(b, dtype=float, order="F")
+    n, info = L.shape[0], ctypes.c_int64()
+    N, ld = ctypes.c_int64(n), ctypes.c_int64(max(n, 1))
+    nrhs = ctypes.c_int64(x.shape[1] if x.ndim == 2 else 1)
+    trtrs(b"L" if lower else b"U", b"T" if trans else b"N", b"N", N, nrhs,
+          np.asfortranarray(L), ld, x, ld, info, 1, 1, 1)
+    _lapack_info(info)
+    return x
+
+
 @functools.cache
 def _lapack():
-    """numpy's own ILP64 ``dgetrf`` and ``dgetrs``, which ``np.linalg.solve``
-    runs as ``dgesv``; bound on first use, None on a numpy without them."""
+    """numpy's own ILP64 ``dgetrf``, ``dgetrs`` and ``dtrtrs``: the first
+    two are the ``dgesv`` that ``np.linalg.solve`` runs.  Bound on first
+    use; None on a numpy without them."""
     import glob  # loaded with the binding, not at import
 
     libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]),
@@ -518,16 +557,19 @@ def _lapack():
     try:  # the loaded library: same handle, same thread pool
         lib = ctypes.CDLL(libs[0])
         getrf, getrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
+        trtrs = lib.scipy_dtrtrs_64_
     except (IndexError, OSError, AttributeError):
         return None
     i8, f8 = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(
         np.float64, flags="F_CONTIGUOUS")
     ipiv = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    char, size = ctypes.c_char_p, ctypes.c_size_t  # a flag, its length
     getrf.argtypes = [i8, i8, f8, i8, ipiv, i8]
-    getrs.argtypes = [ctypes.c_char_p, i8, i8, f8, i8, ipiv, f8, i8, i8,
-                      ctypes.c_size_t]  # the length of ``trans``
-    getrf.restype = getrs.restype = None
-    return getrf, getrs
+    getrs.argtypes = [char, i8, i8, f8, i8, ipiv, f8, i8, i8, size]
+    trtrs.argtypes = [char, char, char, i8, i8, f8, i8, f8, i8, i8,
+                      size, size, size]
+    getrf.restype = getrs.restype = trtrs.restype = None
+    return getrf, getrs, trtrs
 
 
 def _lapack_info(info: ctypes.c_int64) -> None:
@@ -805,13 +847,16 @@ def _dual_polish(P, q, A, G, h, x, s, cones, feas_tol, qnorm):
     if not cols:
         ok = float(np.linalg.norm(grad, np.inf)) <= feas_tol * qnorm
         return (y, z) if ok else None
-    # Imported here: scipy.optimize takes about 0.3 s to load, and only
-    # solves that end without a certificate get this far.
-    from scipy.optimize import lsq_linear
-
     C = np.column_stack(cols)
-    res = lsq_linear(C, -grad, bounds=(np.asarray(lower), np.inf))
-    w = res.x
+    lb = np.asarray(lower)
+    # lsq_linear's own first step for a dense C, which it returns as it is
+    # when the point meets the bounds.  Only otherwise is scipy.optimize
+    # (about 0.3 s to load) imported, for lsq_linear's bounded iteration.
+    w = np.linalg.lstsq(C, -grad, rcond=-1)[0]
+    if not np.all(w >= lb):
+        from scipy.optimize import lsq_linear
+
+        w = lsq_linear(C, -grad, bounds=(lb, np.inf)).x
     if float(np.linalg.norm(grad + C @ w, np.inf)) > feas_tol * qnorm:
         return None
     k = 0

@@ -13,7 +13,7 @@ Shipped variants:
 * :class:`LTIControlKernel` — the controllability-Gramian kernel of a linear
   time-invariant system, in closed form through the eigendecomposition of
   ``A``; a defective ``A`` falls back to Van Loan's augmented-matrix
-  exponential.
+  exponential, and only then is scipy's ``expm`` loaded.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 
 MultiIndex = tuple[int, ...]
@@ -395,6 +394,8 @@ def _gramian_van_loan(A: np.ndarray, BBt: np.ndarray, m: float) -> np.ndarray:
     Uses the augmented block exponential: with
     ``F = expm(m * [[-A, BB^T], [0, A^T]])`` one has ``W(m) = F22^T @ F12``.
     """
+    from scipy.linalg import expm  # only a defective A comes here
+
     q = A.shape[0]
     C = np.zeros((2 * q, 2 * q))
     C[:q, :q] = -A
@@ -419,7 +420,8 @@ class LTIControlKernel(Kernel):
     eigenvalues, keeping the real part), so ``eval``, ``partial_block`` and
     ``partial_pairs`` share one body.  A defective (or nearly defective)
     ``A`` has no usable eigenbasis; then every entry comes from the Van Loan
-    (1978) Gramian and ``expm``, one time pair at a time.
+    (1978) Gramian and ``expm``, one time pair at a time; scipy, which
+    holds ``expm``, is imported only on that path.
     """
 
     def __init__(self, A, B):
@@ -479,6 +481,8 @@ class LTIControlKernel(Kernel):
         m = min(s, t)
         if m == 0.0:
             return np.zeros((self.out_dim, self.out_dim))
+        from scipy.linalg import expm  # as in _gramian_van_loan
+
         W = _gramian_van_loan(self.A, self.BBt, m)
         return expm(self.A * (s - m)) @ W @ expm(self.A * (t - m)).T
 

@@ -102,9 +102,8 @@ def record_slack(model, rec) -> float:
     if isinstance(rec, InclusionRecord):
         xi = float(model.aux.get("xi", {}).get(tuple(rec.provenance), 0.0))
         pos, sign = _oriented(rec.normal)
-        index = {atom.key(): i for i, atom in enumerate(model.basis)}
         w = np.asarray(model.coeffs, dtype=float).copy()
-        w[index[pos.key()]] += sign * xi
+        w[model.basis_index[pos.key()]] += sign * xi
         nrm = float(np.linalg.norm(model.factor.T @ w))
         return gval(rec.gamma) - rec.offset - xi * rec.rho - rec.r0 * nrm
     raise TypeError(f"unknown record type {type(rec).__name__}")

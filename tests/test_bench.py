@@ -411,18 +411,29 @@ def test_every_traced_name_resolves():
     assert callable(model.eval_component_many)
 
 
+def _modules():
+    """(dotted name, parsed tree) of every module under ``src/`` but the
+    package ``__init__`` files."""
+    package = pathlib.Path(covering.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        if path.name != "__init__.py":
+            parts = path.relative_to(package).with_suffix("").parts
+            yield ".".join(("shapekernel", *parts)), \
+                ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _test_modules():
+    """(name, parsed tree) of every test module."""
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # a name bound only for the benchmark tracer is in its tables
     tracer = _load_tracer()
     traced = {entry[:2] for entry in tracer.TRACED} | set(tracer.SOLVE_SITES)
-    package = pathlib.Path(covering.__file__).parent
     unused = []
-    for path in sorted(package.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        module = ".".join(
-            ("shapekernel", *path.relative_to(package).with_suffix("").parts))
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in [*_modules(), *_test_modules()]:
         imported = {}  # bound name -> line
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -438,6 +449,33 @@ def test_no_module_imports_a_name_it_never_uses():
                    for name, line in imported.items()
                    if name not in used and (module, name) not in traced]
     assert not unused
+
+
+def _at_load(node):
+    """The nodes under ``node`` that run when its module is imported: all
+    but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _at_load(child)
+
+
+def test_no_module_imports_scipy_at_load():
+    # scipy.linalg takes about 0.2 s to load and scipy.optimize 0.3 s; a
+    # module imports them only inside the function that needs them
+    def scipy_names(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            return [node.module]
+        return []
+
+    loaded = [f"{module}:{node.lineno}" for module, tree in _modules()
+              for node in _at_load(tree)
+              if any(name.split(".")[0] == "scipy"
+                     for name in scipy_names(node))]
+    assert not loaded
 
 
 def test_non_optimal_status_becomes_a_warning(tmp_path, monkeypatch):
@@ -479,16 +517,30 @@ def test_submodule_import_binds_the_module():
     assert isinstance(m, types.ModuleType)
 
 
-def test_experiment_import_leaves_scipy_optimize_unloaded():
-    # the dual polish imports it on first use; most runs never polish
+def test_experiments_load_no_scipy(tmp_path):
+    # neither the import nor a run whose solves reach the dual polish
+    # loads scipy: the triangular solves bind numpy's own LAPACK, and the
+    # polish imports scipy.optimize only when its least-squares point
+    # leaves the bounds.  BLAS is left unpinned, so no worker is forked and
+    # every solve runs in the process that is checked.
     src = pathlib.Path(importlib.import_module("shapekernel").__file__)
-    code = ("import sys, shapekernel.bench.experiments; "
-            "print('scipy.optimize' in sys.modules)")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "catenary",
+                                  "out_dir": str(tmp_path),
+                                  **TINY["catenary"][0], "scheme": "ball"}))
+    code = ("import sys, shapekernel.bench.experiments as e; "
+            "from shapekernel.bench.config import ExperimentConfig; "
+            "print('scipy' in sys.modules); "
+            f"e.run_experiment(ExperimentConfig.load({str(config)!r})); "
+            "print('scipy' in sys.modules)")
+    env = {key: value for key, value in os.environ.items()
+           if key not in cpus.BLAS_THREAD_VARS}
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
-                         env={**os.environ,
-                              "PYTHONPATH": str(src.parents[1])})
-    assert out.stdout.strip() == "False"
+                         env={**env, "PYTHONPATH": str(src.parents[1])})
+    assert out.stdout.split() == ["False", "False"]
+    solves = json.loads((tmp_path / "summary.json").read_text())["solves"]
+    assert "polished" in {entry["stop_reason"] for entry in solves}
 
 
 def test_control_never_evaluates_the_kernel_pair_by_pair(tmp_path,

@@ -10,7 +10,9 @@ A tall program's Newton matrix, built in two column halves when a helper
 thread can form the second, has the bits of the one product, with BLAS
 pinned to one thread as it is whenever the helper runs.  The Newton solves
 that reuse one LU of the Cholesky factor have the bits of a fresh
-``np.linalg.solve`` each, pinned and not.
+``np.linalg.solve`` each, pinned and not; the triangular solves through
+numpy's own ``dtrtrs`` have the bits of scipy's ``solve_triangular``, and
+the dual polish's unbounded least-squares step those of ``lsq_linear``.
 """
 
 import ctypes
@@ -32,7 +34,6 @@ from shapekernel import (
     ConeBlock,
     ConeProgram,
     SolverSettings,
-    Solution,
     solve,
 )
 from shapekernel import conic, cpus
@@ -41,6 +42,7 @@ from shapekernel.conic import (
     _centering,
     _chol_solve_factory,
     _Cones,
+    _dual_polish,
     _jordan_product,
     _jordan_solve,
     _max_step,
@@ -1205,17 +1207,26 @@ class TestOneLu:
         def fail(*args, **kwargs):
             raise OSError("no library")
 
+        def back_halves():  # conic.solve_triangular alone, both ways
+            return [bits(conic.solve_triangular(
+                        np.linalg.cholesky(H), b, trans=trans,
+                        check_finite=False))
+                    for H, rhs in cases for b in rhs
+                    for trans in (False, True)]
+        live_back = back_halves()
+
         monkeypatch.setattr(ctypes, "CDLL", fail)
         assert conic._lapack.__wrapped__() is None  # the binder, uncached
         monkeypatch.setattr(conic, "_lapack", conic._lapack.__wrapped__)
         fallback = [bits(_chol_solve_factory(H)[0](b))
                     for H, rhs in cases for b in rhs]
         assert fallback == live
+        assert back_halves() == live_back
 
     @pytest.mark.skipif(conic._lapack() is None,
                         reason="numpy's LAPACK is not bound")
     def test_one_factorization_per_newton_matrix(self, monkeypatch):
-        getrf, getrs = conic._lapack()
+        getrf, getrs, trtrs = conic._lapack()
         sizes, built = [], []
 
         def counting_getrf(m, n, *args):
@@ -1230,7 +1241,8 @@ class TestOneLu:
                 return newton_matrix(W)
             return count
 
-        monkeypatch.setattr(conic, "_lapack", lambda: (counting_getrf, getrs))
+        monkeypatch.setattr(conic, "_lapack",
+                            lambda: (counting_getrf, getrs, trtrs))
         monkeypatch.setattr(conic, "_newton_matrix_factory",
                             counting_factory)
         # min ||x - c||^2 / 2  s.t.  x >= 0, sum x = 1, x0 - x1 = 0
@@ -1244,3 +1256,134 @@ class TestOneLu:
         sol = solve(prog)
         assert sol.status == "optimal"
         assert built and sizes == [n, 2] * len(built)
+
+
+# --------------------------------------------------------------------------
+# Triangular solves through numpy's own dtrtrs
+# --------------------------------------------------------------------------
+
+def triangular_factors(L):
+    """(factor, lower) for a lower factor L: it and its transpose, each in
+    C and in F order."""
+    for T, lower in ((L, True), (L.T, False)):
+        yield np.ascontiguousarray(T), lower
+        yield np.asfortranarray(T), lower
+
+
+@pytest.mark.skipif(conic._lapack() is None,
+                    reason="numpy's LAPACK is not bound")
+class TestTriangularSolve:
+    """``conic.solve_triangular`` has the bits, shape and order of scipy's
+    ``solve_triangular``: the same ``dtrtrs`` on the same layout."""
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_bytes_of_scipy(self, case):
+        H, rhs = list(lu_cases())[case]
+        L = np.linalg.cholesky(H)
+        n = L.shape[0]
+        rng = np.random.default_rng(n)
+        wide = rng.normal(size=(n, 7)) * np.logspace(0, 6, 7)
+        for b in [*rhs, wide, np.asfortranarray(wide)]:
+            for T, lower in triangular_factors(L):
+                for trans in (False, True):
+                    ours = conic.solve_triangular(T, b, lower=lower,
+                                                  trans=trans,
+                                                  check_finite=False)
+                    theirs = solve_triangular(T, b, lower=lower,
+                                              trans=int(trans),
+                                              check_finite=False)
+                    assert bits(ours) == bits(theirs)
+                    assert ours.shape == theirs.shape == b.shape
+                    assert ours.flags.f_contiguous == \
+                        theirs.flags.f_contiguous
+
+    def test_leaves_its_inputs_alone(self):
+        H, rhs = list(lu_cases())[6]
+        L = np.linalg.cholesky(H)
+        b = rhs[0]
+        L0, b0 = L.copy(), b.copy()
+        conic.solve_triangular(L, b, trans=True)
+        assert bits(L) == bits(L0) and bits(b) == bits(b0)
+
+    def test_checks_finite_input_as_scipy_does(self):
+        L = np.tril(np.ones((3, 3)))
+        b = np.array([1.0, np.inf, 0.0])
+        with pytest.raises(ValueError):
+            solve_triangular(L, b, lower=True)
+        with pytest.raises(ValueError):
+            conic.solve_triangular(L, b)
+
+    def test_singular_factor_raises(self):
+        L = np.tril(np.ones((3, 3)))
+        L[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            conic.solve_triangular(L, np.ones(3))
+
+
+# --------------------------------------------------------------------------
+# The dual polish: lsq_linear's first step, inline
+# --------------------------------------------------------------------------
+
+def polish_case(negative: bool):
+    """``_dual_polish`` arguments and its least-squares system ``(C, rhs,
+    lb)``.  Rows 0-3 of six nonnegative rows are active, with two equality
+    rows.  The multipliers behind the gradient are positive, or, with
+    ``negative``, one is negative, so the unbounded least-squares point
+    leaves the bounds."""
+    rng = np.random.default_rng(7)
+    n, l, p = 5, 6, 2
+    G = rng.normal(size=(l, n))
+    A = rng.normal(size=(p, n))
+    s = np.r_[np.zeros(4), np.ones(2)]
+    w_true = np.r_[rng.uniform(0.5, 2.0, size=4), rng.normal(size=p)]
+    if negative:
+        w_true[1] = -1.0
+    C = np.column_stack([*G[:4], *A])
+    q = -C @ w_true + 1e-3 * rng.normal(size=n)  # inconsistent: a residual
+    prog = ConeProgram(n=n, P=np.zeros((n, n)), q=q, A_eq=A, b_eq=np.zeros(p),
+                       blocks=[ConeBlock("nonneg", G, np.zeros(l))])
+    args = (prog.P, prog.q, prog.A_eq, prog.G, prog.h, np.zeros(n), s,
+            _Cones.of(prog), np.inf, 1.0)
+    return args, (C, -q, np.r_[np.zeros(4), -np.inf, -np.inf])
+
+
+def polish_from(w):
+    """``(y, z)`` as ``_dual_polish`` builds them from the weights ``w``."""
+    z = np.zeros(6)
+    z[:4] = np.maximum(w[:4], 0.0)
+    return w[4:], z
+
+
+class TestDualPolish:
+
+    def test_point_within_bounds_is_lsq_linears(self, monkeypatch):
+        args, (C, rhs, lb) = polish_case(negative=False)
+        res = optimize.lsq_linear(C, rhs, bounds=(lb, np.inf))
+        assert res.nit == 0  # lsq_linear returned its first step
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the bounded iteration ran")
+
+        monkeypatch.setattr(optimize, "lsq_linear", unreached)
+        y, z = _dual_polish(*args)
+        assert (res.x[:4] > 0).all()
+        y_ref, z_ref = polish_from(res.x)
+        assert bits(y) == bits(y_ref) and bits(z) == bits(z_ref)
+
+    def test_point_out_of_bounds_falls_back_to_lsq_linear(self,
+                                                          monkeypatch):
+        args, (C, rhs, lb) = polish_case(negative=True)
+        res = optimize.lsq_linear(C, rhs, bounds=(lb, np.inf))
+        assert res.nit > 0  # the bounded iteration ran
+        calls = []
+        lsq_linear = optimize.lsq_linear
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lsq_linear(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "lsq_linear", counting)
+        y, z = _dual_polish(*args)
+        assert calls == [1]
+        y_ref, z_ref = polish_from(res.x)
+        assert bits(y) == bits(y_ref) and bits(z) == bits(z_ref)

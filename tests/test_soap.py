@@ -275,6 +275,29 @@ class TestDetectSaturated:
         assert detect_saturated(model, recs, tol_sat=1e-6) == []
 
 
+    def test_builds_one_basis_index_per_model(self, monkeypatch):
+        # each enclosure record's slack looks its atom up in the model's
+        # one index, not in one rebuilt over the whole basis
+        spec = step_spec()
+        c = spec.constraints[0]
+        balls = cover_box(c.region, 0.01, norm="max")
+        elems = omega_cover(spec.kernel, VAL, balls, n_x=50, seed=0)
+        recs = tighten_omega(c, elems, constraint_index=0)
+        enclosures = sum(isinstance(r, InclusionRecord) for r in recs)
+        model, _, _ = solve_problem(spec, recs)
+        assert enclosures >= 25 and len(model.basis) >= 25
+        calls = []
+        key = Atom.key
+
+        def counting(self):
+            calls.append(1)
+            return key(self)
+
+        monkeypatch.setattr(Atom, "key", counting)
+        detect_saturated(model, recs, tol_sat=1e-6)
+        assert len(calls) <= len(model.basis) + len(recs)
+
+
 class TestBurstBall:
     def test_children_contract_and_cover_the_clipped_box(self):
         kern = GaussianKernel([0.5])

@@ -20,7 +20,6 @@ import pytest
 from shapekernel import conic
 from shapekernel import cpus as budget
 from shapekernel.bench.tasks import run_tasks
-from shapekernel.conic import ConeBlock, ConeProgram
 from shapekernel.soap import SoapInfeasible, SoapState
 
 CALLER = os.getpid()
