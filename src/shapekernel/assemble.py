@@ -199,8 +199,10 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     B = spec.bias_dim
     G_mat, L, _ = gram(basis, kernel)
     basis_index = {atom.key(): i for i, atom in enumerate(basis)}
-    # Row i: exact whitened evaluation row of basis atom i.
+    # Row i: exact whitened evaluation row of basis atom i.  The Gram is
+    # not held past them: the program and the model keep only L.
     W_rows = solve_triangular(L, G_mat).T if A else G_mat
+    del G_mat
 
     a_cols, b_cols = slice(0, A), slice(A, A + B)
     needs_t = isinstance(spec.regularizer, NormMin) or any(
@@ -370,7 +372,6 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
             "b_slice": (A, A + B),
             "t_index": t_idx,
             "xi_indices": xi_index,
-            "gram": G_mat,
             "factor": L,
         },
     )
@@ -407,7 +408,6 @@ def recover_model(prog: ConeProgram, sol: Solution, basis: list[Atom],
         basis=tuple(basis),
         coeffs=coeffs,
         bias=bias,
-        gram_matrix=prog.meta.get("gram"),
         factor=prog.meta.get("factor"),
         aux=aux,
     )
@@ -427,8 +427,10 @@ def solve_problem(spec: ProblemSpec, records: list,
     Raises on infeasible/unbounded status so callers never mistake a
     certificate of infeasibility for a model.  A caller that does not read
     the program should drop it (``solve_problem(...)[:2]``): it holds the
-    program's rows and Gram, which would otherwise stay alive through the
-    caller's next solve.
+    program's rows, which would otherwise stay alive through the caller's
+    next solve.  The program and the model share the Gram's factor L in
+    ``meta["factor"]``; the Gram itself is dropped once L exists.  The
+    solver's workspace lives only as long as the solve.
     """
     basis = collect_atoms(spec, records)
     prog = assemble(spec, basis, records)

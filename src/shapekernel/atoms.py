@@ -282,13 +282,16 @@ def gram(basis: Sequence[Atom], kernel: Kernel
 
 @dataclass(frozen=True)
 class Model:
-    """A solved estimator: atom basis, coefficients, bias, and cached norm."""
+    """A solved estimator: atom basis, coefficients, bias, and the factor L
+    of the basis Gram (``L L^T = G + jitter I``, :func:`gram`) that the
+    norm reads.  ``recover_model`` passes the program's factor; without
+    one, the factor is computed here.  The Gram itself is not kept: no
+    reader needs it, and it would double what a worker sends its caller."""
 
     kernel: Kernel
     basis: tuple[Atom, ...]
     coeffs: np.ndarray
     bias: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    gram_matrix: np.ndarray | None = None
     factor: np.ndarray | None = None
     aux: dict = field(default_factory=dict)
 
@@ -305,10 +308,9 @@ class Model:
                 f"basis size {len(self.basis)} != coefficient count "
                 f"{self.coeffs.size}"
             )
-        if self.gram_matrix is None and self.basis:
-            G, L, _ = gram(self.basis, self.kernel)
-            object.__setattr__(self, "gram_matrix", G)
-            object.__setattr__(self, "factor", L)
+        if self.factor is None and self.basis:
+            object.__setattr__(self, "factor",
+                               gram(self.basis, self.kernel)[1])
 
     @functools.cached_property
     def basis_index(self) -> dict:

@@ -53,10 +53,12 @@ def run_tasks(fn, tasks) -> list:
     caller's samples, competing with the busy workers, can read a slower
     host than the work ran on and shrink the paced wall time.  And the
     caller reads results only after it runs out of tasks: a process pool's
-    caller that unpickled econ's 21 MB ``both`` model during its own solve
-    raised the caller's peak memory by 7-10%, against the benchmark's
-    per-process bound of 10%.  A worker's send blocks until the caller
-    reads, so the caller reads every pipe before it joins a worker.
+    caller that unpickled econ's ``both`` model during its own solve raised
+    the caller's peak memory by 7-10%, against the benchmark's per-process
+    bound of 10%.  That model pickled to 21 MB then; it is 10 MB since a
+    model holds the Gram's factor and not the Gram.  A worker's send blocks
+    until the caller reads, so the caller reads every pipe before it joins
+    a worker.
 
     A task that raises re-raises its exception here, with a worker's
     traceback as its cause.  No worker outlives the call.

@@ -28,11 +28,20 @@ vector) adds ``(2 v v^T - G_b^T J G_b) / eta^2`` with ``v = G_b^T wt``, a
 rank-one update of an ``n x n`` matrix formed once per solve, so it costs
 O(n^2) per iteration instead of O(d n^2).  That matrix is kept as its
 diagonal when it has no off-diagonal nonzero (identity rows, as in econ).
-Each solve forms H in one workspace of two ``n x n`` buffers, so the matrix
-one call returns is overwritten by the next, and the other blocks' rows
-are a view of G when they come first.  Where :func:`cpus.spare_cpu`
-allows, a tall program (n >= 64, at least 8 n narrow rows) forms that
-product in two column halves, the second on a helper thread.  Only shapes
+The other blocks' rows are a view of G when they come first.
+
+Workspace.  Each solve allocates one workspace, as ECOS allocates its
+memory at setup: an ``n x n`` buffer and one flat buffer of max(n^2,
+narrow rows x n) doubles.  The product writes ``W^{-2} G_n`` into the
+flat buffer and ``G_n^T W^{-2} G_n`` into the ``n x n`` one; the
+symmetrized H then takes the flat buffer.  H is factored in place: numpy's
+own ``dpotrf`` factors a copy of it in the ``n x n`` buffer, L replaces H,
+and L's LU takes the ``n x n`` buffer.  So no iteration allocates an
+``n x n`` array, each iteration overwrites the last one's matrix and
+factor, and the solve drops the workspace before the dual polish builds
+its own matrices.  Where :func:`cpus.spare_cpu` allows, a tall program
+(n >= 64, at least 8 n narrow rows) forms the product in two column
+halves, the second on a helper thread.  Only shapes
 measured to keep the one product's bits are split: with OpenBLAS 0.3.31,
 n <= 192 or n a multiple of 8.
 
@@ -51,6 +60,8 @@ no longer depends on rounding.  L gets one LU per Newton matrix, through
 numpy's own LAPACK: ``dgetrf`` once, then ``dgetrs`` per right-hand side
 are the ``dgesv`` that ``np.linalg.solve`` runs, so each solve keeps its
 bits.  scipy's ``lu_factor`` would not: scipy loads another OpenBLAS build.
+Likewise ``dpotrf`` ('L') on a copy of H is the factor that
+``np.linalg.cholesky`` computes, to the bit, with its +0.0 upper triangle.
 
 Triangular solves (the back half here, the whitening and the coefficient
 recovery in ``assemble``) run numpy's own ``dtrtrs``, bound next to
@@ -64,6 +75,7 @@ scipy's bits, at one BLAS thread and more; the tests compare the two.
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import ctypes
 import functools
@@ -357,13 +369,16 @@ class _Scaling:
         """W^{-1} u (= W^{-T} u; W is symmetric)."""
         return self._apply(u, -1.0)
 
-    def apply_w2inv_mat(self, M: np.ndarray, blocks=None) -> np.ndarray:
+    def apply_w2inv_mat(self, M: np.ndarray, blocks=None,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """(W^T W)^{-1} M for a matrix M, blockwise closed form.
 
         With ``blocks`` (SOC block indices), M holds the nonneg rows and
-        then only the rows of those blocks, in that order.
+        then only the rows of those blocks, in that order.  The result is
+        written to ``out`` (M's shape, C-ordered), a new array if None:
+        the Newton product passes a slice of its workspace.
         """
-        out = np.empty_like(M)
+        out = np.empty_like(M) if out is None else out
         l = self.cones.l
         if l:
             np.divide(M[:l], (self.w_nn ** 2)[:, None], out=out[:l])
@@ -420,7 +435,9 @@ def _jordan_solve(lmbda: np.ndarray, d: np.ndarray,
 # --------------------------------------------------------------------------
 
 def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
-    """``W -> H = P + G^T W^{-2} G`` with wide SOC blocks as rank-one terms.
+    """``(newton_matrix, work)``: ``newton_matrix(W)`` returns ``H = P +
+    G^T W^{-2} G`` with wide SOC blocks as rank-one terms, and ``work`` is
+    the n x n buffer it formed H in, dead once it returns.
 
     A SOC block of dimension d >= n is wide: its n x n matrix
     ``C_b = G_b^T J G_b`` (J = diag(1, -1, ..., -1)) is no larger than its
@@ -428,9 +445,16 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
     per-iteration product.  Each call then adds the block's exact term
     ``(2 v v^T - C_b) / eta_b^2`` with ``v = G_b^T J wbar_b``; a ``C_b``
     with no off-diagonal nonzero is kept as its diagonal (``x - 0`` is
-    exact).  H is formed in two n x n buffers allocated here, so each call
-    overwrites the matrix the last one returned.  The narrow rows are a
-    view of G when they come first, as in every program ``assemble`` builds.
+    exact).  The narrow rows are a view of G when they come first, as in
+    every program ``assemble`` builds.
+
+    The workspace is allocated here, once per solve: ``work`` and one flat
+    buffer of max(n^2, narrow rows x n) doubles.  The flat buffer holds
+    ``W^{-2} G_n`` during the product (each column half in its own part)
+    and then the symmetrized H that a call returns, so each call
+    overwrites the matrix the last one returned.
+    :func:`_chol_solve_factory` factors that matrix in place, with
+    ``work`` for its scratch.
     """
     n = G.shape[1]
     wide = [k for k, d in enumerate(cones.soc_dims) if d >= n]
@@ -446,25 +470,30 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
         if np.count_nonzero(C) == np.count_nonzero(np.diagonal(C)):
             C = np.diagonal(C).copy()
         terms.append((k, Gb, C))
-    H, T = np.empty((n, n)), np.empty((n, n))
+    r = rows.size
+    H, flat = np.empty((n, n)), np.empty(max(n * n, r * n))
+    T = flat[: n * n].reshape(n, n)
     T_diag = T.reshape(-1)[:: n + 1]  # a view of T's diagonal
     # tall, and two halves measured to keep the one product's bits
-    split = n >= 64 and Gn.shape[0] >= 8 * n and (n <= 192 or n % 8 == 0)
+    split = n >= 64 and r >= 8 * n and (n <= 192 or n % 8 == 0)
     mid = n // 2 // 8 * 8
 
     def newton_matrix(W: _Scaling) -> np.ndarray:
-        def product(cols: slice) -> None:  # H[:, cols] = Gn^T W^-2 Gn[:, cols]
-            np.matmul(Gn.T, W.apply_w2inv_mat(Gn[:, cols], narrow),
-                      out=H[:, cols])
+        def product(a: int, b: int) -> None:
+            """H[:, a:b] = Gn^T W^-2 Gn[:, a:b], with W^-2 Gn[:, a:b] in
+            its own part of the flat buffer."""
+            w2g = flat[r * a: r * b].reshape(r, b - a)
+            W.apply_w2inv_mat(Gn[:, a:b], narrow, out=w2g)
+            np.matmul(Gn.T, w2g, out=H[:, a:b])
         if split and cpus.spare_cpu():
             with ThreadPoolExecutor(1) as helper:  # joined at the exit
                 # in a copy of this context, which holds np.errstate
                 second = helper.submit(contextvars.copy_context().run,
-                                       product, slice(mid, n))
-                product(slice(0, mid))
+                                       product, mid, n)
+                product(0, mid)
                 second.result()
         else:
-            product(slice(0, n))
+            product(0, n)
         np.add(H, P, out=H)
         for k, Gb, C in terms:
             eta, wbar = W.eta[k], W.wbar[cones.soc_slices[k]]
@@ -478,40 +507,71 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
         np.add(H, H.T, out=T)  # _sym(H), in T
         np.multiply(T, 0.5, out=T)
         return T
-    return newton_matrix
+    return newton_matrix, H
 
 
-def _chol_solve_factory(H: np.ndarray):
-    """Cholesky factor with escalating static regularization.  Returns the
-    solve and the regularization it added to the diagonal.  The forward half
-    reuses one LU of L (``np.linalg.solve`` without numpy's LAPACK); the
-    back half is :func:`solve_triangular`."""
+def _chol_solve_factory(H: np.ndarray, work: np.ndarray):
+    """Cholesky factor of the symmetric H with escalating static
+    regularization, in place.  Returns the solve and the regularization it
+    added to the diagonal.
+
+    Each attempt factors a copy of H, ``H + reg I`` bit for bit, in
+    ``work`` (n x n, C-ordered) with numpy's own ``dpotrf`` ('L'), as
+    ``np.linalg.cholesky`` does.  Then H is overwritten with L, C-ordered
+    with a +0.0 strict upper triangle, as ``np.linalg.cholesky`` returns
+    it, and ``work`` with L's one LU (``dgetrf``).  So a call allocates no
+    n x n array.  The forward half reuses that LU (``np.linalg.solve``
+    without numpy's LAPACK, after ``np.linalg.cholesky``); the back half is
+    :func:`solve_triangular`.
+    """
     n = H.shape[0]
+    if H.shape != (n, n) or work.shape != (n, n):
+        raise ValueError("the factor's matrix and workspace must be n x n")
     scale = max(float(np.trace(H)) / max(n, 1), 1.0)
+    lapack = _lapack()
+    N, info = ctypes.c_int64(n), ctypes.c_int64()
+    F = work.T  # work in Fortran order, as LAPACK reads it
     reg = 0.0
     while True:
-        try:
-            L = np.linalg.cholesky(H + reg * np.eye(n) if reg else H)
-            break
-        except np.linalg.LinAlgError:
-            reg = max(reg * 100.0, 1e-12 * scale)
-            if reg > 1e-4 * scale:
-                raise
-    lapack = _lapack()
+        if lapack is None:
+            try:
+                H[...] = np.linalg.cholesky(H + reg * np.eye(n) if reg
+                                            else H)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            if reg:  # H + reg * np.eye(n): an off-diagonal -0.0 gains 0.0
+                np.add(H, 0.0, out=work)
+                diag = np.arange(n)
+                work[diag, diag] += reg
+            else:
+                np.copyto(work, H)
+            lapack.potrf(b"L", N, F, N, info, 1)
+            if info.value == 0:
+                break
+            if info.value < 0:
+                _lapack_info(info)
+        reg = max(reg * 100.0, 1e-12 * scale)
+        if reg > 1e-4 * scale:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
     if lapack is not None:
-        getrf, getrs, _ = lapack
-        LU, ipiv = np.array(L, order="F"), np.empty(n, dtype=np.int64)
-        N, info = ctypes.c_int64(n), ctypes.c_int64()
-        getrf(N, N, LU, N, ipiv, info)
+        for i in range(1, n):  # F's strict upper triangle
+            work[i, :i] = 0.0
+        np.copyto(H, F)
+        ipiv = np.empty(n, dtype=np.int64)
+        lapack.getrf(N, N, F, N, ipiv, info)
         _lapack_info(info)
+
     def solve(rhs: np.ndarray) -> np.ndarray:
         if lapack is not None:
             tmp = np.array(rhs, dtype=float)
-            getrs(b"N", N, ctypes.c_int64(1), LU, N, ipiv, tmp, N, info, 1)
+            lapack.getrs(b"N", N, ctypes.c_int64(1), F, N, ipiv, tmp, N,
+                         info, 1)
             _lapack_info(info)
         else:
-            tmp = np.linalg.solve(L, rhs)
-        return solve_triangular(L, tmp, lower=True, trans=True,
+            tmp = np.linalg.solve(H, rhs)
+        return solve_triangular(H, tmp, lower=True, trans=True,
                                 check_finite=False)
     return solve, reg
 
@@ -529,7 +589,6 @@ def solve_triangular(L: np.ndarray, b: np.ndarray, lower: bool = True,
         from scipy.linalg import solve_triangular as scipy_solve_triangular
         return scipy_solve_triangular(L, b, lower=lower, trans=int(trans),
                                       check_finite=check_finite)
-    trtrs = lapack[2]
     L = np.asarray(L, dtype=float)
     if check_finite:  # scipy's error for a non-finite input
         L, b = np.asarray_chkfinite(L), np.asarray_chkfinite(b)
@@ -539,37 +598,44 @@ def solve_triangular(L: np.ndarray, b: np.ndarray, lower: bool = True,
     n, info = L.shape[0], ctypes.c_int64()
     N, ld = ctypes.c_int64(n), ctypes.c_int64(max(n, 1))
     nrhs = ctypes.c_int64(x.shape[1] if x.ndim == 2 else 1)
-    trtrs(b"L" if lower else b"U", b"T" if trans else b"N", b"N", N, nrhs,
-          np.asfortranarray(L), ld, x, ld, info, 1, 1, 1)
+    lapack.trtrs(b"L" if lower else b"U", b"T" if trans else b"N", b"N", N,
+                 nrhs, np.asfortranarray(L), ld, x, ld, info, 1, 1, 1)
     _lapack_info(info)
     return x
 
 
+#: numpy's own LAPACK routines, as :func:`_lapack` binds them
+_Lapack = collections.namedtuple("Lapack", "getrf getrs trtrs potrf")
+
+
 @functools.cache
-def _lapack():
-    """numpy's own ILP64 ``dgetrf``, ``dgetrs`` and ``dtrtrs``: the first
-    two are the ``dgesv`` that ``np.linalg.solve`` runs.  Bound on first
-    use; None on a numpy without them."""
+def _lapack() -> _Lapack | None:
+    """numpy's own ILP64 ``dgetrf``, ``dgetrs``, ``dtrtrs`` and ``dpotrf``:
+    the first two are the ``dgesv`` that ``np.linalg.solve`` runs, the last
+    is what ``np.linalg.cholesky`` runs.  Bound on first use; None on a
+    numpy without them."""
     import glob  # loaded with the binding, not at import
 
     libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]),
                                   "numpy.libs", "libscipy_openblas64_*.so"))
     try:  # the loaded library: same handle, same thread pool
         lib = ctypes.CDLL(libs[0])
-        getrf, getrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
-        trtrs = lib.scipy_dtrtrs_64_
+        lapack = _Lapack(lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_,
+                        lib.scipy_dtrtrs_64_, lib.scipy_dpotrf_64_)
     except (IndexError, OSError, AttributeError):
         return None
     i8, f8 = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(
         np.float64, flags="F_CONTIGUOUS")
     ipiv = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     char, size = ctypes.c_char_p, ctypes.c_size_t  # a flag, its length
-    getrf.argtypes = [i8, i8, f8, i8, ipiv, i8]
-    getrs.argtypes = [char, i8, i8, f8, i8, ipiv, f8, i8, i8, size]
-    trtrs.argtypes = [char, char, char, i8, i8, f8, i8, f8, i8, i8,
-                      size, size, size]
-    getrf.restype = getrs.restype = trtrs.restype = None
-    return getrf, getrs, trtrs
+    lapack.getrf.argtypes = [i8, i8, f8, i8, ipiv, i8]
+    lapack.getrs.argtypes = [char, i8, i8, f8, i8, ipiv, f8, i8, i8, size]
+    lapack.trtrs.argtypes = [char, char, char, i8, i8, f8, i8, f8, i8, i8,
+                             size, size, size]
+    lapack.potrf.argtypes = [char, i8, f8, i8, i8, size]
+    for routine in lapack:
+        routine.restype = None
+    return lapack
 
 
 def _lapack_info(info: ctypes.c_int64) -> None:
@@ -604,7 +670,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     if m == 0:
         return _solve_equality_qp(prog, st, A, b)
 
-    newton_matrix = _newton_matrix_factory(P, G, cones)
+    newton_matrix, work = _newton_matrix_factory(P, G, cones)
     # Infeasible start: x from the warm start (or zero), multipliers at the
     # cone identity.  The iteration drives the residuals to zero itself.
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -649,7 +715,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         if pres <= st.feas_tol and dres <= st.feas_tol and relgap <= st.gap_tol:
             status = stop = "optimal"
             break
-        if _infeasibility_certificate(A, b, G, h, y, z, st.feas_tol):
+        if _infeasibility_certificate(A, b, G, h, y, z, cones, st.feas_tol):
             status = stop = "infeasible"
             break
         if (
@@ -682,13 +748,12 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             W = _Scaling(s, z, cones)
             lmbda = W.lmbda
 
-            hsolve = None  # free the last factor before H is formed
             H = newton_matrix(W)
             if not np.all(np.isfinite(H)):
                 stop = "non_finite"
                 break
             try:
-                hsolve, row[4] = _chol_solve_factory(H)
+                hsolve, row[4] = _chol_solve_factory(H, work)
             except np.linalg.LinAlgError:
                 stop = "factorization"
                 break
@@ -696,7 +761,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             if p:
                 HinvAt = np.column_stack([hsolve(A[i]) for i in range(p)])
                 S = A @ HinvAt
-                s_solve = _chol_solve_factory(_sym(S))[0]
+                s_solve = _chol_solve_factory(_sym(S), np.empty((p, p)))[0]
 
             def newton(bx, by, bz, d):
                 # Solve   P dx + A^T dy + G^T dz = bx
@@ -716,9 +781,10 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                 else:
                     dy = np.zeros(0)
                     dx = hsolve(rx_mod)
+                Gdx = G @ dx
                 dz = W.apply_w2inv_mat(
-                    (G @ dx + wg_minus_bz).reshape(-1, 1)).ravel()
-                ds = bz - G @ dx
+                    (Gdx + wg_minus_bz).reshape(-1, 1)).ravel()
+                ds = bz - Gdx
                 return dx, dy, dz, ds
 
             # --- affine (predictor) direction
@@ -749,8 +815,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             break
         for _ in range(10):
             s_new, z_new = s + alpha * ds, z + alpha * dz
-            if _strictly_interior(s_new, cones) and \
-                    _strictly_interior(z_new, cones):
+            if _in_cone(s_new, cones) and _in_cone(z_new, cones):
                 break
             alpha *= 0.8
         x = x + alpha * dx
@@ -759,6 +824,8 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         z = z + alpha * dz
         row[5:] = sigma, alpha
 
+    # the polish below builds its own matrices: drop the workspace first
+    newton_matrix = work = H = hsolve = None
     if status == "max_iter":
         # The loop ended without a certificate.  If the primal point is
         # feasible, try to reconstruct exact multipliers from its active
@@ -790,12 +857,16 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _strictly_interior(v: np.ndarray, cones: _Cones) -> bool:
-    if cones.l and np.min(v[: cones.l]) <= 0:
+def _in_cone(v: np.ndarray, cones: _Cones, strict: bool = True) -> bool:
+    """v in the cone's interior, or with ``strict=False`` in the closed
+    cone (every nonneg entry >= 0, ``v0 >= ||v1||`` on every SOC block)."""
+    outside = np.less_equal if strict else np.less
+    if cones.l and outside(np.min(v[: cones.l]), 0):
         return False
     for r0, c, d, _ in cones.runs:
         vb = _run(v, r0, c, d)
-        if (vb[:, 0] - np.sqrt(np.vecdot(vb[:, 1:], vb[:, 1:])) <= 0).any():
+        if outside(vb[:, 0] - np.sqrt(np.vecdot(vb[:, 1:], vb[:, 1:])),
+                   0).any():
             return False
     return True
 
@@ -871,12 +942,13 @@ def _dual_polish(P, q, A, G, h, x, s, cones, feas_tol, qnorm):
     return y, z
 
 
-def _infeasibility_certificate(A, b, G, h, y, z, tol) -> bool:
-    """Approximate Farkas certificate: G^T z + A^T y ~ 0, h^T z + b^T y < 0."""
+def _infeasibility_certificate(A, b, G, h, y, z, cones, tol) -> bool:
+    """Approximate Farkas certificate: z in the dual cone (the cone itself),
+    G^T z + A^T y ~ 0 and h^T z + b^T y < 0, at a scale of at least 1e6."""
     scale = float(np.linalg.norm(z, np.inf))
     if A.shape[0]:
         scale = max(scale, float(np.linalg.norm(y, np.inf)))
-    if scale < 1e6:
+    if scale < 1e6 or not _in_cone(z, cones, strict=False):
         return False
     resid = G.T @ z + (A.T @ y if A.shape[0] else 0.0)
     val = float(h @ z + (b @ y if A.shape[0] else 0.0))

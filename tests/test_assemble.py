@@ -34,6 +34,7 @@ from shapekernel import (
     discretize,
     eta_for,
     fill_distance,
+    gram,
     omega_cover,
     relax_records,
     solve_problem,
@@ -125,8 +126,8 @@ class TestAnchorRows:
         np.testing.assert_array_equal(nonneg.G[:, t], [0.4, 0.4])
         np.testing.assert_array_equal(nonneg.h, [-0.1, -0.2])
         # the whitened evaluation row of the off-diagonal atom b
-        rows = solve_triangular(prog.meta["factor"], prog.meta["gram"],
-                                lower=True).T
+        rows = solve_triangular(prog.meta["factor"],
+                                gram(basis, kernel)[0], lower=True).T
         off = np.zeros(prog.n)
         off[:len(basis)] = rows[[x.key() for x in basis].index(b.key())]
         s2 = math.sqrt(2.0)

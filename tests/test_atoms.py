@@ -270,7 +270,8 @@ class TestModel:
     def test_norm_matches_quadratic_form(self, kernel, basis):
         model = self.make_model(kernel, basis)
         a = model.coeffs
-        direct = math.sqrt(a @ model.gram_matrix @ a)
+        G, _, _ = gram(basis, kernel)
+        direct = math.sqrt(a @ G @ a)
         assert model.norm == pytest.approx(direct, rel=1e-7)
 
     def test_eval_matches_manual_expansion(self, kernel, basis):

@@ -5,8 +5,10 @@ Each experiment runs end to end through ``run_experiment`` (the path
 tightened model against the experiment's constraints on a small grid.
 Also checked: the scheme each experiment accepts, that every name the
 benchmark tracer (``perfbench/tracer.py``) wraps still exists, that no
-module imports a name it never uses but for the tracer, and that the
-outputs do not depend on how many CPUs run the independent fits.
+module imports a name it never uses but for the tracer, that the
+outputs do not depend on how many CPUs run the independent fits, and that
+``tools/solve_digest.py`` records each process's peak memory and leaves
+it out of its comparison.
 """
 
 import ast
@@ -22,7 +24,7 @@ import types
 
 import pytest
 
-from shapekernel import covering, cpus
+from shapekernel import ConeBlock, ConeProgram, conic, covering, cpus
 from shapekernel.bench import cli
 from shapekernel.bench.cli import main
 from shapekernel.bench.config import (SCHEMES, CoveringConfig,
@@ -392,17 +394,38 @@ def test_verify_reports_config_and_file_errors(tmp_path):
             main(["verify", *(x for kv in paths.items() for x in kv)])
 
 
-def _load_tracer():
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
-        / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _load_tool(directory: str, name: str):
+    path = pathlib.Path(__file__).resolve().parents[1] / directory \
+        / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{directory}_{name}",
+                                                  path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_solve_digest_records_each_process_peak(tmp_path, capsys):
+    # every solve line ends with the process's ru_maxrss, which --compare
+    # ignores as it ignores times
+    digest = _load_tool("tools", "solve_digest")
+    prog = ConeProgram(n=1, P=[[2.0]],
+                       blocks=[ConeBlock("nonneg", [[-1.0]], [-1.0])])
+    sides = [tmp_path / "a", tmp_path / "b"]
+    for side in sides:
+        side.mkdir()
+        (side / "files.txt").write_text("")
+        digest._wrap(conic.solve, str(side))(prog)
+    [path] = sides[1].glob("solves-*.txt")
+    line = path.read_text()
+    assert " rss_kb=" in line.rsplit(" t=", 1)[1]
+    path.write_text(line.rsplit(" rss_kb=", 1)[0] + " rss_kb=1\n")
+    assert digest.compare(*map(str, sides)) == 0
+    assert "identical: 1 solves" in capsys.readouterr().out
+    assert digest._peaks(str(sides[1])) == {os.getpid(): (1, 1)}
+
+
 def test_every_traced_name_resolves():
-    tracer = _load_tracer()
+    tracer = _load_tool("perfbench", "tracer")
     sites = [entry[:2] for entry in tracer.TRACED] + list(tracer.SOLVE_SITES)
     missing = [(mod, attr) for mod, attr in sites
                if not hasattr(importlib.import_module(mod), attr)]
@@ -430,7 +453,7 @@ def _test_modules():
 
 def test_no_module_imports_a_name_it_never_uses():
     # a name bound only for the benchmark tracer is in its tables
-    tracer = _load_tracer()
+    tracer = _load_tool("perfbench", "tracer")
     traced = {entry[:2] for entry in tracer.TRACED} | set(tracer.SOLVE_SITES)
     unused = []
     for module, tree in [*_modules(), *_test_modules()]:

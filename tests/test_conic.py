@@ -8,11 +8,14 @@ reference copies kept at the end of this file, and so is the Newton matrix
 built in its per-solve workspace, against a copy of the per-call factory.
 A tall program's Newton matrix, built in two column halves when a helper
 thread can form the second, has the bits of the one product, with BLAS
-pinned to one thread as it is whenever the helper runs.  The Newton solves
-that reuse one LU of the Cholesky factor have the bits of a fresh
-``np.linalg.solve`` each, pinned and not; the triangular solves through
-numpy's own ``dtrtrs`` have the bits of scipy's ``solve_triangular``, and
-the dual polish's unbounded least-squares step those of ``lsq_linear``.
+pinned to one thread as it is whenever the helper runs.  The Cholesky
+factor made in place through numpy's own ``dpotrf`` has the bits of
+``np.linalg.cholesky``'s, and a solve holds no more than its workspace
+above the program.  The Newton solves that reuse one LU of the Cholesky
+factor have the bits of a fresh ``np.linalg.solve`` each, pinned and not;
+the triangular solves through numpy's own ``dtrtrs`` have the bits of
+scipy's ``solve_triangular``, and the dual polish's unbounded least-squares
+step those of ``lsq_linear``.
 """
 
 import ctypes
@@ -43,12 +46,13 @@ from shapekernel.conic import (
     _chol_solve_factory,
     _Cones,
     _dual_polish,
+    _in_cone,
+    _infeasibility_certificate,
     _jordan_product,
     _jordan_solve,
     _max_step,
     _newton_matrix_factory,
     _Scaling,
-    _strictly_interior,
     _sym,
 )
 
@@ -58,6 +62,12 @@ def assert_kkt_clean(prog, sol, tol=1e-7):
     assert res["stationarity"] <= tol, res
     assert res["primal_eq"] <= tol, res
     assert res["primal_cone"] <= tol, res
+
+
+def chol_solve(H):
+    """``_chol_solve_factory`` on a copy of H, which it overwrites, with a
+    workspace of its own."""
+    return _chol_solve_factory(H.copy(), np.empty_like(H))
 
 
 class TestClosedForms:
@@ -295,6 +305,26 @@ class TestStatuses:
         sol = solve(prog)
         assert sol.status == "unbounded"
 
+    def test_certificate_needs_z_in_the_dual_cone(self):
+        # three nonneg rows (x >= 1, x <= 0, 0 <= 1) and a SOC block on
+        # zero rows: a large z with G^T z = 0 and h^T z < 0 is a Farkas
+        # ray only when it lies in the cone
+        G = np.array([[-1.0], [1.0], [0.0], [0.0], [0.0], [0.0]])
+        h = np.array([-1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        cones, A, b, y = _Cones(3, [3]), np.zeros((0, 1)), np.zeros(0), []
+
+        def certified(z):
+            assert np.linalg.norm(z, np.inf) >= 1e6
+            assert G.T @ z == 0.0 and h @ z < 0.0
+            return _infeasibility_certificate(A, b, G, h, y, z, cones, 1e-8)
+
+        ray = np.array([1e7, 1e7, 0.0, 1.0, 1.0, 0.0])  # on the SOC edge
+        assert certified(ray)
+        ray[2] = -1e6  # one negative nonneg entry
+        assert not certified(ray)
+        ray[2], ray[4] = 0.0, 1.5  # z0 < ||z1|| on the SOC block
+        assert not certified(ray)
+
     def test_max_iter_reported(self):
         prog = ConeProgram(
             n=1,
@@ -451,7 +481,7 @@ class TestSolutionBookkeeping:
         reg, step = sol.trace[:, 4], sol.trace[:, 6]
         stepped = ~np.isnan(step)
         assert stepped.any() and (reg[stepped] > 0.0).all()
-        assert _chol_solve_factory(np.diag([1.0, 0.0]))[1] == 1e-12
+        assert chol_solve(np.diag([1.0, 0.0]))[1] == 1e-12
 
     def test_objective_includes_constant(self):
         prog = ConeProgram(
@@ -506,7 +536,7 @@ class TestNewtonMatrix:
 
         W = _Scaling(interior(), interior(), cones)
         expected = _sym(prog.P + G.T @ W.apply_w2inv_mat(G))
-        return _newton_matrix_factory(prog.P, G, cones)(W), expected
+        return _newton_matrix_factory(prog.P, G, cones)[0](W), expected
 
     def test_wide_blocks_match_the_full_product(self):
         # blocks of dimension 9 and 7 are wide (d >= n = 7), 3 is not
@@ -827,7 +857,7 @@ class TestBlockRuns:
             v[sl.start] = np.linalg.norm(v[sl][1:])  # one block on the edge
             vectors.append(v)
         with np.errstate(all="ignore"):
-            got = [_strictly_interior(v, cones) for v in vectors]
+            got = [_in_cone(v, cones) for v in vectors]
             assert got == [ref_strictly_interior(v, cones) for v in vectors]
         assert any(got) and not all(got)
 
@@ -839,7 +869,7 @@ class TestBlockRuns:
         X = rng.normal(size=(n, n))
         H = X @ X.T + 1e-3 * np.eye(n)
         L = np.linalg.cholesky(H)
-        solve_h, reg = _chol_solve_factory(H)
+        solve_h, reg = chol_solve(H)
         assert reg == 0.0
         for b in (rng.normal(size=n), 1e150 * rng.normal(size=n)):
             assert bits(solve_h(b)) == bits(
@@ -938,7 +968,7 @@ class TestNewtonWorkspace:
     def test_matches_the_per_call_factory(self, layout, psd_P, prefix):
         rng = np.random.default_rng(len(layout) + 10 * psd_P)
         P, G, cones = self.program(layout, rng, psd_P)
-        factory = _newton_matrix_factory(P, G, cones)
+        factory, _ = _newton_matrix_factory(P, G, cones)
         ref = ref_newton_matrix_factory(P, G, cones)
         # the narrow rows are a view of G exactly when they come first
         assert np.shares_memory(self.narrow_rows(factory), G) == prefix
@@ -949,7 +979,7 @@ class TestNewtonWorkspace:
     def test_next_call_overwrites_the_returned_matrix(self):
         rng = np.random.default_rng(7)
         P, G, cones = self.program(["soc", "norms"], rng)
-        factory = _newton_matrix_factory(P, G, cones)
+        factory, _ = _newton_matrix_factory(P, G, cones)
         ref = ref_newton_matrix_factory(P, G, cones)
         W1, W2 = self.scaling(rng, cones), self.scaling(rng, cones)
         first = factory(W1)
@@ -988,6 +1018,61 @@ class TestNewtonWorkspace:
         m = prog.G.shape[0]
         assert m == l + c * d
         assert peak <= 8 * (prog.G.size + 40 * m + 6 * n * n)
+
+    @staticmethod
+    def square_program():
+        """n = 300 and 450 narrow rows: 300 nonneg rows and 3 SOC blocks
+        of dimension 50."""
+        n, l, c, d = 300, 300, 3, 50
+        rng = np.random.default_rng(12)
+        soc_h = np.zeros((c, d))
+        soc_h[:, 0] = 10.0
+        blocks = [ConeBlock("nonneg", rng.normal(size=(l, n)) / np.sqrt(n),
+                            np.ones(l))]
+        blocks += [ConeBlock("soc", rng.normal(size=(d, n)) / np.sqrt(n),
+                             hb) for hb in soc_h]
+        return ConeProgram(n=n, P=np.eye(n), q=-rng.normal(size=n),
+                           blocks=blocks)
+
+    def test_solve_holds_one_workspace(self):
+        # n = 300 and 450 narrow rows: 300 nonneg rows and 3 SOC blocks of
+        # dimension 50.  Above the program's own arrays the solve holds H,
+        # one buffer of max(n^2, rows x n) doubles for W^-2 G_n and then
+        # the symmetrized H, which is factored in place, and vectors over
+        # the rows and columns, with the first LAPACK binding's objects:
+        # 2.07 MB against a bound of 2.18 MB.  A fresh W^-2 G_n, factor or
+        # LU per iteration, or a second n x n buffer, fails the bound; with
+        # two n x n buffers and those per iteration the peak was 3.10 MB.
+        prog = self.square_program()
+        n, m = prog.n, prog.G.shape[0]
+        tracemalloc.start()
+        try:
+            sol = solve(prog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.stop_reason == "optimal"
+        assert peak <= 8 * (n * n + max(n * n, m * n) + 64 * (m + n))
+
+    def test_polish_runs_without_the_workspace(self, monkeypatch):
+        # the dual polish builds matrices of its own, up to n x rows: the
+        # workspace is freed before it runs.  A gap tolerance no iterate
+        # meets sends the solve to the polish.
+        prog = self.square_program()
+        n, m = prog.n, prog.G.shape[0]
+        held = []
+
+        def polish(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(conic, "_dual_polish", polish)
+        tracemalloc.start()
+        try:
+            sol = solve(prog, SolverSettings(max_iter=12, gap_tol=1e-300))
+        finally:
+            tracemalloc.stop()
+        assert sol.stop_reason == "max_iter" and len(held) == 1
+        assert held[0] <= 8 * 64 * (m + n) < 8 * n * n
 
 
 # --------------------------------------------------------------------------
@@ -1035,7 +1120,7 @@ def halves_keep_the_bits():
         H = {}
         for spare in (False, True):
             cpus.spare_cpu = lambda: spare
-            H[spare] = bits(_newton_matrix_factory(P, G, cones)(W))
+            H[spare] = bits(_newton_matrix_factory(P, G, cones)[0](W))
         print(H[True] == H[False])
 
 
@@ -1051,16 +1136,18 @@ class TestNewtonHalves:
         calls = []
         apply = _Scaling.apply_w2inv_mat
 
-        def spy(self, M, blocks=None):
+        def spy(self, M, blocks=None, out=None):
+            # each half writes W^-2 G_n into the one flat buffer
+            assert out is not None and out.base is not None
             calls.append((M.shape[1], threading.get_ident()))
             if threading.current_thread() is threading.main_thread():
                 time.sleep(0.02)  # time for the helper to start
-            return apply(self, M, blocks)
+            return apply(self, M, blocks, out=out)
 
         with monkeypatch.context() as patch:
             patch.setattr(_Scaling, "apply_w2inv_mat", spy)
             patch.setattr(cpus, "spare_cpu", lambda: spare)
-            H = _newton_matrix_factory(P, G, cones)(W).copy()
+            H = _newton_matrix_factory(P, G, cones)[0](W).copy()
         return H, calls
 
     @pytest.mark.parametrize("n, soc_dims, nonneg, wide", TALL)
@@ -1114,14 +1201,14 @@ class TestNewtonHalves:
         seen = []
         apply = _Scaling.apply_w2inv_mat
 
-        def spy(self, M, blocks=None):
+        def spy(self, M, blocks=None, out=None):
             seen.append(np.geterr()["over"])
-            return apply(self, M, blocks)
+            return apply(self, M, blocks, out=out)
 
         monkeypatch.setattr(_Scaling, "apply_w2inv_mat", spy)
         monkeypatch.setattr(cpus, "spare_cpu", lambda: True)
         with np.errstate(over="raise"):
-            _newton_matrix_factory(P, G, cones)(W)
+            _newton_matrix_factory(P, G, cones)[0](W)
         assert seen == ["raise", "raise"]
 
 
@@ -1146,6 +1233,26 @@ def lu_cases():
             yield H, rhs
 
 
+def retry_case():
+    """(H, right-hand sides): a singular PSD Gram X X^T of two decoupled
+    blocks (rank 40 of 60), its zero off-diagonal blocks -0.0, pulled below
+    zero along the first block's null space by 3e-9 of its mean diagonal,
+    as rounding can leave a singular Newton matrix.  It factors at the
+    third regularization, 1e-8 of that scale, and ``H + reg I`` turns each
+    -0.0 into +0.0, which moves signs of zero in L."""
+    n = 60
+    rng = np.random.default_rng(0)
+    X = np.zeros((n, 40))
+    X[:30, :20] = rng.normal(size=(30, 20))
+    X[30:, 20:] = rng.normal(size=(30, 20))
+    u = np.zeros(n)
+    u[:30] = np.linalg.svd(X[:30, :20])[0][:, -1]  # X^T u = 0
+    H = X @ X.T
+    H -= 3e-9 * np.trace(H) / n * np.outer(u, u)
+    H[:30, 30:] = H[30:, :30] = -0.0
+    return _sym(H), [rng.normal(size=n), 1e150 * rng.normal(size=n)]
+
+
 def two_lu_solves(L, b):
     """The solve with its forward half as one ``np.linalg.solve`` on L."""
     return solve_triangular(L, np.linalg.solve(L, b), trans="T",
@@ -1156,7 +1263,7 @@ def one_lu_keeps_the_bits():
     """Print, per :func:`lu_cases` right-hand side, whether the solve that
     reuses one LU of L has the bits of a fresh ``np.linalg.solve``."""
     for H, rhs in lu_cases():
-        solve_h, _ = _chol_solve_factory(H)
+        solve_h, _ = chol_solve(H)
         L = np.linalg.cholesky(H)
         print(*(bits(solve_h(b)) == bits(two_lu_solves(L, b)) for b in rhs))
 
@@ -1178,8 +1285,25 @@ class TestOneLu:
     @pytest.mark.parametrize("case", range(10))
     def test_solve_is_a_fresh_numpy_solve(self, case):
         H, rhs = list(lu_cases())[case]
-        solve_h, _ = _chol_solve_factory(H)
+        solve_h, _ = chol_solve(H)
         L = np.linalg.cholesky(H)
+        for b in rhs:
+            assert bits(solve_h(b)) == bits(two_lu_solves(L, b))
+
+    @pytest.mark.parametrize("case", range(11))
+    def test_factor_in_place_keeps_the_bytes(self, case):
+        # H ends holding the bytes of np.linalg.cholesky's L, with the
+        # regularization it took, and the solves those of the two LU
+        # solves with that L; the workspace's old content is not read
+        H, rhs = [*lu_cases(), retry_case()][case]
+        n = H.shape[0]
+        factor, work = H.copy(), np.full_like(H, np.nan)
+        solve_h, reg = _chol_solve_factory(factor, work)
+        L = np.linalg.cholesky(H + reg * np.eye(n) if reg else H)
+        assert bits(factor) == bits(L) and factor.flags.c_contiguous
+        assert (reg > 0) == (case == 10)
+        if reg:
+            assert reg == pytest.approx(1e-8 * np.trace(H) / n, rel=1e-9)
         for b in rhs:
             assert bits(solve_h(b)) == bits(two_lu_solves(L, b))
 
@@ -1201,7 +1325,7 @@ class TestOneLu:
 
     def test_fallback_gives_the_same_bytes(self, monkeypatch):
         cases = list(lu_cases())
-        live = [bits(_chol_solve_factory(H)[0](b))
+        live = [bits(chol_solve(H)[0](b))
                 for H, rhs in cases for b in rhs]
 
         def fail(*args, **kwargs):
@@ -1218,7 +1342,7 @@ class TestOneLu:
         monkeypatch.setattr(ctypes, "CDLL", fail)
         assert conic._lapack.__wrapped__() is None  # the binder, uncached
         monkeypatch.setattr(conic, "_lapack", conic._lapack.__wrapped__)
-        fallback = [bits(_chol_solve_factory(H)[0](b))
+        fallback = [bits(chol_solve(H)[0](b))
                     for H, rhs in cases for b in rhs]
         assert fallback == live
         assert back_halves() == live_back
@@ -1226,25 +1350,33 @@ class TestOneLu:
     @pytest.mark.skipif(conic._lapack() is None,
                         reason="numpy's LAPACK is not bound")
     def test_one_factorization_per_newton_matrix(self, monkeypatch):
-        getrf, getrs, trtrs = conic._lapack()
-        sizes, built = [], []
+        lapack = conic._lapack()
+        factored, built = {"potrf": [], "getrf": []}, []
 
-        def counting_getrf(m, n, *args):
-            sizes.append(m.value)
-            return getrf(m, n, *args)
+        def counting(name, *size_at):
+            routine = getattr(lapack, name)
+
+            def count(*args):
+                factored[name].append(args[size_at[0]].value)
+                return routine(*args)
+            return count
 
         def counting_factory(P, G, cones):
-            newton_matrix = _newton_matrix_factory(P, G, cones)
+            newton_matrix, work = _newton_matrix_factory(P, G, cones)
 
             def count(W):
                 built.append(1)
                 return newton_matrix(W)
-            return count
+            return count, work
 
-        monkeypatch.setattr(conic, "_lapack",
-                            lambda: (counting_getrf, getrs, trtrs))
+        def no_cholesky(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky ran")
+
+        monkeypatch.setattr(conic, "_lapack", lambda: lapack._replace(
+            potrf=counting("potrf", 1), getrf=counting("getrf", 0)))
         monkeypatch.setattr(conic, "_newton_matrix_factory",
                             counting_factory)
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
         # min ||x - c||^2 / 2  s.t.  x >= 0, sum x = 1, x0 - x1 = 0
         n = 6
         c = np.linspace(-0.5, 1.0, n)
@@ -1255,7 +1387,11 @@ class TestOneLu:
                                              np.zeros(n))])
         sol = solve(prog)
         assert sol.status == "optimal"
-        assert built and sizes == [n, 2] * len(built)
+        # the Newton matrix and the equality Schur complement: one
+        # Cholesky factor and one LU of it each
+        assert built
+        assert factored == {"potrf": [n, 2] * len(built),
+                            "getrf": [n, 2] * len(built)}
 
 
 # --------------------------------------------------------------------------

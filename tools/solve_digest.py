@@ -20,13 +20,16 @@ pins it, so ``run_tasks`` forks its worker.
 Every ``conic.solve`` call, in this process and in forked workers, appends
 one line to ``DIR/solves-<pid>.txt`` when it returns: status, stop reason,
 iteration count, objective as ``float.hex``, the sha256 of x, y, z and s,
-and its time in seconds.  After the run, ``DIR/files.txt`` lists the
-sha256 of every CSV, every ``model_*.json`` and ``summary.json`` without
-its timings, configuration and output directory.
+its time in seconds and the process's peak resident memory so far
+(``ru_maxrss``, in kB).  After the run, ``DIR/files.txt`` lists the sha256
+of every CSV, every ``model_*.json`` and ``summary.json`` without its
+timings, configuration and output directory, and the run prints each
+process's peak at its last solve: the caller's and each forked worker's,
+where the benchmark's ``peak_rss_mb`` reports only the largest.
 
 ``--compare`` reads two digests and compares their solve lines as sorted
-multisets, times ignored, and their file hashes.  It prints what differs
-and exits 1 if anything does.
+multisets, times and memory ignored, and their file hashes.  It prints
+what differs and exits 1 if anything does.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import glob
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 
@@ -72,8 +76,10 @@ def _wrap(solve, out: str):
             raise
         finally:
             path = os.path.join(out, f"solves-{os.getpid()}.txt")
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             with open(path, "a", encoding="utf-8") as fh:
-                fh.write(f"{line} t={time.perf_counter() - t0:.6f}\n")
+                fh.write(f"{line} t={time.perf_counter() - t0:.6f} "
+                         f"rss_kb={rss}\n")
     return digest_solve
 
 
@@ -142,6 +148,9 @@ def run(args) -> int:
         fh.writelines(f"{line}\n" for line in _file_hashes(overlay["out_dir"]))
     solves = sum(_read_solves(out).values())
     print(f"{solves} solves digested in {out}")
+    for pid, (count, rss) in sorted(_peaks(out).items()):
+        who = "caller" if pid == os.getpid() else "worker"
+        print(f"{who} {pid}: {count} solves, peak RSS {rss / 1024:.1f} MB")
     return 0
 
 
@@ -151,6 +160,17 @@ def _read_solves(out: str) -> collections.Counter:
         with open(path, encoding="utf-8") as fh:
             lines.update(line.rsplit(" t=", 1)[0] for line in fh)
     return lines
+
+
+def _peaks(out: str) -> dict:
+    """``{pid: (solves, ru_maxrss in kB at the last one)}``."""
+    peaks = {}
+    for path in glob.glob(os.path.join(out, "solves-*.txt")):
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        pid = int(os.path.basename(path)[len("solves-"):-len(".txt")])
+        peaks[pid] = (len(lines), int(lines[-1].rsplit(" rss_kb=", 1)[1]))
+    return peaks
 
 
 def _read_files(out: str) -> dict:
