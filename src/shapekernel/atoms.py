@@ -336,28 +336,24 @@ class Model:
     def apply(self, functional: DiffFunctional, X) -> np.ndarray:
         """``functional(f)(x)`` at every row of ``X``: the grid evaluator.
 
-        Basis atom ``j`` contributes ``a_j * sum_{f, a} beta_f beta_a *
-        eval_partial_many(r_f, r_a, q_f, q_a, X, x_j)``: the term sum is
-        formed first and then scaled by the coefficient; atoms with a zero
-        coefficient are skipped.  Verification grids, component outputs and
-        the experiments' tables all go through here.  The one-point form,
-        :func:`apply_functional`, uses the scalar kernel partials instead;
-        it stays separate because the refinement loop's saturation test
-        depends on last-bit rounding, where a kernel's scalar and vector
-        paths may differ (the Laplacian kernel's ``math.exp``).
+        The nonzero-coefficient atoms, in basis order, go to the kernel's
+        :meth:`~shapekernel.kernels.Kernel.apply_expansion` in one call.
+        Its default forms one ``eval_partial_many`` per atom and term pair,
+        which every kernel but the control kernel keeps, bit for bit; the
+        control kernel sums its semiseparable closed form in one sweep over
+        the atoms sorted by time (to rounding), unless its ``A`` is
+        defective.  Verification grids, component outputs
+        and the experiments' tables all go through here.  The one-point
+        form, :func:`apply_functional`, uses the scalar kernel partials
+        instead; it stays separate because the refinement loop's
+        saturation test depends on last-bit rounding, where a kernel's
+        scalar and vector paths may differ (the Laplacian kernel's
+        ``math.exp``).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros(X.shape[0])
-        for a_j, atom in zip(self.coeffs, self.basis):
-            if a_j == 0.0:
-                continue
-            acc = np.zeros(X.shape[0])
-            for qf, rf, bf in functional.terms:
-                for qa, ra, ba in atom.functional.terms:
-                    acc += bf * ba * self.kernel.eval_partial_many(
-                        rf, ra, qf, qa, X, atom.x)
-            out += a_j * acc
-        return out
+        keep = [j for j, a_j in enumerate(self.coeffs) if a_j != 0.0]
+        return self.kernel.apply_expansion(
+            functional, X, self.coeffs[keep], [self.basis[j] for j in keep])
 
     def eval_component_many(self, X, q: int = 0) -> np.ndarray:
         """Output component ``q`` at every row of ``X``."""

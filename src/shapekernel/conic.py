@@ -60,6 +60,8 @@ no longer depends on rounding.  L gets one LU per Newton matrix, through
 numpy's own LAPACK: ``dgetrf`` once, then ``dgetrs`` per right-hand side
 are the ``dgesv`` that ``np.linalg.solve`` runs, so each solve keeps its
 bits.  scipy's ``lu_factor`` would not: scipy loads another OpenBLAS build.
+Where ``dgetrf`` would swap no row, L's LU is L with its columns scaled,
+written in O(n^2) with ``dgetrf``'s bits (:func:`_lu_without_pivots`).
 Likewise ``dpotrf`` ('L') on a copy of H is the factor that
 ``np.linalg.cholesky`` computes, to the bit, with its +0.0 upper triangle.
 
@@ -519,10 +521,11 @@ def _chol_solve_factory(H: np.ndarray, work: np.ndarray):
     ``work`` (n x n, C-ordered) with numpy's own ``dpotrf`` ('L'), as
     ``np.linalg.cholesky`` does.  Then H is overwritten with L, C-ordered
     with a +0.0 strict upper triangle, as ``np.linalg.cholesky`` returns
-    it, and ``work`` with L's one LU (``dgetrf``).  So a call allocates no
-    n x n array.  The forward half reuses that LU (``np.linalg.solve``
-    without numpy's LAPACK, after ``np.linalg.cholesky``); the back half is
-    :func:`solve_triangular`.
+    it, and ``work`` with L's one LU (``dgetrf``, or its bits built by
+    :func:`_lu_without_pivots` where it would not pivot).  So a call
+    allocates no n x n array.  The forward half reuses that LU
+    (``np.linalg.solve`` without numpy's LAPACK, after
+    ``np.linalg.cholesky``); the back half is :func:`solve_triangular`.
     """
     n = H.shape[0]
     if H.shape != (n, n) or work.shape != (n, n):
@@ -559,9 +562,11 @@ def _chol_solve_factory(H: np.ndarray, work: np.ndarray):
         for i in range(1, n):  # F's strict upper triangle
             work[i, :i] = 0.0
         np.copyto(H, F)
-        ipiv = np.empty(n, dtype=np.int64)
-        lapack.getrf(N, N, F, N, ipiv, info)
-        _lapack_info(info)
+        ipiv = _lu_without_pivots(work)
+        if ipiv is None:
+            ipiv = np.empty(n, dtype=np.int64)
+            lapack.getrf(N, N, F, N, ipiv, info)
+            _lapack_info(info)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         if lapack is not None:
@@ -574,6 +579,34 @@ def _chol_solve_factory(H: np.ndarray, work: np.ndarray):
         return solve_triangular(H, tmp, lower=True, trans=True,
                                 check_finite=False)
     return solve, reg
+
+
+def _lu_without_pivots(work: np.ndarray):
+    """``dgetrf``'s LU of the lower triangular ``L = work.T`` where it would
+    swap no row, written over ``work``; its pivots, or None (``work``
+    untouched) where it might swap.
+
+    In column j, ``dgetrf`` keeps the first entry of largest modulus on or
+    below the diagonal, subtracts the earlier columns times the zeros
+    above L's diagonal, which leaves the column's bits, and scales the
+    entries below the pivot by ``1.0 / pivot`` (``dscal``, for a pivot of at
+    least ``tiny``).  So when each diagonal entry is at least ``tiny`` and
+    larger than every modulus below it, its LU is L with each column below
+    the diagonal times ``1.0 / L_jj``: O(n^2) in place of O(n^3), with no
+    n x n temporary.
+    """
+    n = work.shape[0]
+    diag = work.reshape(-1)[:: n + 1]  # a view; row j of work is column j
+    pivots = diag.copy()
+    diag[...] = 0.0
+    below = (work.max(axis=1), -work.min(axis=1))
+    diag[...] = pivots
+    if not (np.all(pivots >= np.finfo(float).tiny)
+            and np.all(pivots > below[0]) and np.all(pivots > below[1])):
+        return None
+    np.multiply(work, (1.0 / pivots)[:, None], out=work)
+    diag[...] = pivots
+    return np.arange(1, n + 1, dtype=np.int64)
 
 
 def solve_triangular(L: np.ndarray, b: np.ndarray, lower: bool = True,

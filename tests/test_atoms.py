@@ -342,3 +342,164 @@ class TestModel:
         np.testing.assert_allclose(clone.eval(x), model.eval(x), rtol=1e-12)
         assert clone.norm == pytest.approx(model.norm, rel=1e-10)
 
+
+
+# --------------------------------------------------------------------------
+# Model.apply through the kernel's apply_expansion
+# --------------------------------------------------------------------------
+
+def loop_apply(model, functional, X):
+    """The per-atom loop that ``Model.apply`` ran before it handed its
+    atoms to the kernel: one ``eval_partial_many`` per atom and term
+    pair."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.zeros(X.shape[0])
+    for a_j, atom in zip(model.coeffs, model.basis):
+        if a_j == 0.0:
+            continue
+        acc = np.zeros(X.shape[0])
+        for qf, rf, bf in functional.terms:
+            for qa, ra, ba in atom.functional.terms:
+                acc += bf * ba * model.kernel.eval_partial_many(
+                    rf, ra, qf, qa, X, atom.x)
+        out += a_j * acc
+    return out
+
+
+def lti_model(A, B, horizon, rng, count=40):
+    """A control-kernel model: atoms at random times in [0, horizon] (one
+    at 0, two sharing a time) on either state, with weights of both signs,
+    one two-term atom, and every fifth coefficient zero."""
+    k = LTIControlKernel(A, B)
+    Q = k.out_dim
+    times = rng.uniform(0.0, horizon, count)
+    times[0], times[2] = 0.0, times[1]
+    basis = [Atom((t,), DiffFunctional.value(1, q=int(rng.integers(Q)),
+                                             beta=float(rng.choice([-1, 1]))))
+             for t in times]
+    basis[3] = Atom((times[3],), DiffFunctional(
+        ((0, (0,), 0.7), (Q - 1, (0,), -1.3))))
+    coeffs = rng.normal(size=count)
+    coeffs[::5] = 0.0
+    return Model(k, basis, coeffs)
+
+
+def sweep_points(model, horizon):
+    """Times before, between, on and after the atoms' times."""
+    atom_times = [atom.x[0] for atom in model.basis]
+    return np.concatenate([np.linspace(0.0, 1.2 * horizon, 301),
+                           atom_times, [1e-9 * horizon]]).reshape(-1, 1)
+
+
+#: (A, B, horizon) of the sweep cases, named by A's eigenvalues
+LTI_CASES = {
+    "shipped-zero-eig": ([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], 1.0),
+    "distinct-real": ([[-0.5, 1.0], [0.3, -2.0]], [[0.0], [1.0]], 2.0),
+    "complex-pair": ([[0.0, 1.0], [-4.0, -0.4]], [[0.0], [1.0]], 3.0),
+    "pure-oscillator": ([[0.0, 1.0], [-4.0, 0.0]], [[0.0], [1.0]], 3.0),
+    "unstable": ([[0.3, 1.0], [0.0, 0.1]], [[1.0], [1.0]], 4.0),
+    # |Re lam| T = 50, and 800, where e^{|lam| t} from one base overflows
+    "stiff": ([[-50.0, 1.0], [0.0, -0.5]], [[1.0], [1.0]], 1.0),
+    "very-stiff": ([[-400.0, 1.0], [0.0, -0.5]], [[1.0], [1.0]], 2.0),
+    "3x3-zero-and-pair": ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                           [0.0, -2.0, -0.5]], [[0.0], [0.0], [1.0]], 2.0),
+    "3x3-stiff-pair": ([[-25.0, 0.0, 1.0], [0.0, -0.2, 3.0],
+                        [0.0, -3.0, -0.2]], [[1.0], [0.5], [1.0]], 2.0),
+}
+
+
+class TestModelApply:
+    """``Model.apply`` hands its nonzero-coefficient atoms to the kernel's
+    ``apply_expansion``: the per-atom loop by default, a sorted-time sweep
+    for the control kernel."""
+
+    @pytest.mark.parametrize("case", list(LTI_CASES))
+    def test_lti_sweep_matches_the_per_atom_closed_form(self, case):
+        A, B, horizon = LTI_CASES[case]
+        model = lti_model(A, B, horizon, np.random.default_rng(len(case)))
+        assert model.kernel._eig is not None
+        X = sweep_points(model, horizon)
+        for q in range(model.kernel.out_dim):
+            for beta in (1.0, -1.0):
+                D = DiffFunctional.value(1, q=q, beta=beta)
+                want = loop_apply(model, D, X)
+                got = model.apply(D, X)
+                assert np.max(np.abs(got - want)) <= \
+                    1e-12 * np.max(np.abs(want))
+        # the sweep itself also takes zero coefficients, which add nothing
+        # (they may only move the block bases, so compare to rounding)
+        kernel, D = model.kernel, DiffFunctional.value(1)
+        want = model.apply(D, X)
+        got = kernel.apply_expansion(D, X, model.coeffs, model.basis)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_lti_sweep_of_no_atoms_is_zero(self):
+        k = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
+        model = Model(k, (Atom((0.5,), DiffFunctional.value(1)),), [0.0])
+        assert np.array_equal(model.apply(DiffFunctional.value(1),
+                                          [[0.1], [0.9]]), [0.0, 0.0])
+
+    def test_lti_sweep_rejects_derivatives_and_negative_times(self):
+        model = lti_model([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], 1.0,
+                          np.random.default_rng(1))
+        with pytest.raises(ValueError, match="not differentiable"):
+            model.apply(DiffFunctional.partial(1, axis=0), [[0.5]])
+        with pytest.raises(ValueError, match="out of range"):
+            model.apply(DiffFunctional.value(1, q=2), [[0.5]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            model.apply(DiffFunctional.value(1), [[-0.5]])
+
+    def test_lti_evaluation_is_one_sweep(self, monkeypatch):
+        # the per-atom path runs the closed form once per atom; the sweep
+        # never calls it
+        model = lti_model([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], 1.0,
+                          np.random.default_rng(2))
+        calls = []
+        closed_form = LTIControlKernel._closed_form
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return closed_form(self, *args, **kwargs)
+
+        monkeypatch.setattr(LTIControlKernel, "_closed_form", counted)
+        X = np.linspace(0.0, 1.0, 2000).reshape(-1, 1)
+        for q in (0, 1):
+            model.eval_component_many(X, q)
+        assert len(calls) <= 2
+
+    def test_defective_a_keeps_the_loops_bytes(self):
+        model = lti_model([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 1.0,
+                          np.random.default_rng(3), count=8)
+        assert model.kernel._eig is None
+        X = sweep_points(model, 1.0)[::10]
+        for q in (0, 1):
+            D = DiffFunctional.value(1, q=q)
+            assert model.apply(D, X).tobytes() == \
+                loop_apply(model, D, X).tobytes()
+
+    @pytest.mark.parametrize("kernel, functionals", [
+        (GaussianKernel([0.8, 1.1]),
+         [DiffFunctional.value(2),
+          DiffFunctional(((0, (1, 0), 0.5), (0, (0, 2), -1.5)))]),
+        (DecomposableGaussianKernel([0.7, 1.3], [[2.0, 0.5], [0.5, 1.0]]),
+         [DiffFunctional.value(2, q=1),
+          DiffFunctional(((0, (0, 1), 1.0), (1, (1, 1), -0.3)))]),
+        (LaplacianKernel(rate=2.0, dim=2), [DiffFunctional.value(2)]),
+    ], ids=["gaussian", "decomposable", "laplacian"])
+    def test_other_kernels_keep_the_loops_bytes(self, kernel, functionals):
+        rng = np.random.default_rng(11)
+        smooth = kernel.smoothness > 0
+        basis = []
+        for i in range(12):
+            x = tuple(rng.uniform(-1, 1, size=2))
+            q = i % kernel.out_dim
+            D = DiffFunctional.partial(2, axis=i % 2, q=q) \
+                if smooth and i % 3 == 1 else DiffFunctional.value(2, q=q)
+            basis.append(Atom(x, D))
+        coeffs = rng.normal(size=len(basis))
+        coeffs[4] = 0.0
+        model = Model(kernel, basis, coeffs)
+        X = rng.uniform(-1.2, 1.2, size=(50, 2))
+        for D in functionals:
+            assert model.apply(D, X).tobytes() == \
+                loop_apply(model, D, X).tobytes()

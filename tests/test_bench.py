@@ -8,7 +8,7 @@ benchmark tracer (``perfbench/tracer.py``) wraps still exists, that no
 module imports a name it never uses but for the tracer, that the
 outputs do not depend on how many CPUs run the independent fits, and that
 ``tools/solve_digest.py`` records each process's peak memory and leaves
-it out of its comparison.
+it out of its comparison, and compares output files within ``--rtol``.
 """
 
 import ast
@@ -422,6 +422,55 @@ def test_solve_digest_records_each_process_peak(tmp_path, capsys):
     assert digest.compare(*map(str, sides)) == 0
     assert "identical: 1 solves" in capsys.readouterr().out
     assert digest._peaks(str(sides[1])) == {os.getpid(): (1, 1)}
+
+
+def test_solve_digest_compares_files_within_a_tolerance(tmp_path, capsys):
+    # with --rtol, solve lines stay byte-compared and a file whose hash
+    # differs is compared value by value: numbers within the tolerance,
+    # text exactly
+    digest = _load_tool("tools", "solve_digest")
+    prog = ConeProgram(n=1, P=[[2.0]],
+                       blocks=[ConeBlock("nonneg", [[-1.0]], [-1.0])])
+    a, b = tmp_path / "a", tmp_path / "b"
+
+    def write(side, z=0.3, label="ball", violation=0.25):
+        run = side / "run"
+        run.mkdir(parents=True, exist_ok=True)
+        (run / "trajectory.csv").write_text(
+            f"t,z_{label}\n0.0,0.0\n0.5,{z!r}\n")
+        (run / "summary.json").write_text(json.dumps(
+            {"schemes": {label: {"max_violation": violation,
+                                 "violated_points": 3}},
+             "timings": {"total_s": z}}))
+        (side / "files.txt").write_text(
+            "".join(f"{line}\n" for line in digest._file_hashes(str(run))))
+
+    def compare(rtol=1e-12):
+        code = digest.main(["--compare", str(a), str(b), "--rtol",
+                            str(rtol)])
+        return code, capsys.readouterr().out
+
+    for side in (a, b):
+        write(side)
+        digest._wrap(conic.solve, str(side))(prog)
+    assert compare() == (0, "identical: 1 solves, 2 files\n")
+    write(b, z=0.3 * (1 + 1e-15), violation=0.25 * (1 - 1e-15))
+    code, out = compare()
+    assert code == 0 and "2 within rtol 1e-12" in out
+    assert "trajectory.csv: largest relative difference 1.11e-15" in out
+    assert digest.compare(str(a), str(b)) == 1  # bytes by default
+    write(b, z=0.3 * (1 + 1e-9))
+    code, out = compare()
+    assert code == 1 and "trajectory.csv: largest relative difference 1e-09" \
+        in out
+    write(b, label="disc")  # a text cell and a key
+    code, out = compare(rtol=1.0)
+    assert code == 1 and out.count("largest relative difference inf") == 2
+    write(b)
+    [path] = b.glob("solves-*.txt")
+    path.write_text(path.read_text().replace("iters=", "iters=1"))
+    code, out = compare(rtol=1.0)
+    assert code == 1 and "solve only in" in out
 
 
 def test_every_traced_name_resolves():

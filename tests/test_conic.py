@@ -1268,6 +1268,16 @@ def one_lu_keeps_the_bits():
         print(*(bits(solve_h(b)) == bits(two_lu_solves(L, b)) for b in rhs))
 
 
+def lapack_lu(L, lapack=None):
+    """``dgetrf``'s LU of L, F-ordered, and its pivots."""
+    n = ctypes.c_int64(L.shape[0])
+    F, ipiv = np.asfortranarray(L, dtype=float), np.empty(n.value, np.int64)
+    info = ctypes.c_int64()
+    (lapack or conic._lapack()).getrf(n, n, F, n, ipiv, info)
+    assert info.value == 0
+    return F, ipiv
+
+
 def scipy_openblas_ilp64() -> bool:
     try:
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
@@ -1349,16 +1359,51 @@ class TestOneLu:
 
     @pytest.mark.skipif(conic._lapack() is None,
                         reason="numpy's LAPACK is not bound")
+    def test_lu_without_pivots_has_the_bytes_of_dgetrf(self):
+        # Cholesky factors of lu_cases() and of random matrices with rows
+        # or columns scaled over four decades: where dgetrf swaps no row,
+        # the O(n^2) LU has its bytes and pivots; elsewhere the workspace
+        # is left as it was, for dgetrf
+        factors = [np.linalg.cholesky(H) for H, _ in lu_cases()]
+        rng = np.random.default_rng(7)
+        for n in (3, 50, 200):
+            for scale in (np.logspace(0, 4, n)[:, None],
+                          np.logspace(0, 4, n)):
+                X = rng.normal(size=(n, n)) * scale
+                factors.append(np.linalg.cholesky(X @ X.T + n * np.eye(n)))
+        outcomes = []
+        for L in factors:
+            F, ipiv = lapack_lu(L)
+            swaps = bool(np.any(ipiv != np.arange(1, len(ipiv) + 1)))
+            work = np.ascontiguousarray(L.T)
+            pivots = conic._lu_without_pivots(work)
+            outcomes.append((pivots is None, swaps))
+            if pivots is None:
+                assert bits(work.T) == bits(L)
+            else:
+                assert bits(work.T) == bits(F)
+                assert np.array_equal(pivots, ipiv)
+        # the LU is built exactly where dgetrf swaps nothing, and both occur
+        assert sorted(set(outcomes)) == [(False, False), (True, True)]
+
+    @pytest.mark.skipif(conic._lapack() is None,
+                        reason="numpy's LAPACK is not bound")
     def test_one_factorization_per_newton_matrix(self, monkeypatch):
         lapack = conic._lapack()
         factored, built = {"potrf": [], "getrf": []}, []
+        swapping = []  # sizes of the factors on which dgetrf swaps rows
 
         def counting(name, *size_at):
             routine = getattr(lapack, name)
 
             def count(*args):
                 factored[name].append(args[size_at[0]].value)
-                return routine(*args)
+                routine(*args)
+                if name == "potrf" and args[4].value == 0:
+                    L = np.tril(args[2])
+                    ipiv = lapack_lu(L, lapack)[1]
+                    if np.any(ipiv != np.arange(1, len(L) + 1)):
+                        swapping.append(len(L))
             return count
 
         def counting_factory(P, G, cones):
@@ -1388,10 +1433,10 @@ class TestOneLu:
         sol = solve(prog)
         assert sol.status == "optimal"
         # the Newton matrix and the equality Schur complement: one
-        # Cholesky factor and one LU of it each
+        # Cholesky factor each, and dgetrf only on a factor it pivots
         assert built
         assert factored == {"potrf": [n, 2] * len(built),
-                            "getrf": [n, 2] * len(built)}
+                            "getrf": swapping}
 
 
 # --------------------------------------------------------------------------

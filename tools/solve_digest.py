@@ -29,16 +29,23 @@ where the benchmark's ``peak_rss_mb`` reports only the largest.
 
 ``--compare`` reads two digests and compares their solve lines as sorted
 multisets, times and memory ignored, and their file hashes.  It prints
-what differs and exits 1 if anything does.
+what differs and exits 1 if anything does.  With ``--rtol R`` the solve
+lines are still compared byte for byte, but a file whose hash differs is
+read back from each side's ``run`` directory and compared value by value:
+numeric CSV cells and JSON numbers match when ``|a - b| <= R * max(|a|,
+|b|)``, and text cells, JSON keys, strings and booleans must be equal.
+The largest relative difference of each file is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import csv
 import glob
 import hashlib
 import json
+import math
 import os
 import resource
 import sys
@@ -179,21 +186,73 @@ def _read_files(out: str) -> dict:
                 (line.rstrip("\n").split("  ", 1) for line in fh)}
 
 
-def compare(a: str, b: str) -> int:
+def _load(path: str):
+    """A run's output as values: CSV rows of cells, or the JSON document
+    (``summary.json`` without the keys its hash leaves out)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.endswith(".csv"):
+            return list(csv.reader(fh))
+        data = json.load(fh)
+    if os.path.basename(path) == "summary.json":
+        for key in SUMMARY_VOLATILE:
+            data.pop(key, None)
+    return data
+
+
+def _number(value):
+    """``value`` as a float if it is a JSON number or a numeric CSV cell,
+    else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _rel_diff(a, b) -> float:
+    """The largest relative difference of two loaded outputs, or inf where
+    their structure, a text value or a key differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return math.inf
+        return max((_rel_diff(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.inf
+        return max(map(_rel_diff, a, b), default=0.0)
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return 0.0 if a == b and type(a) is type(b) else math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(a: str, b: str, rtol: float | None = None) -> int:
     solves = {side: _read_solves(side) for side in (a, b)}
     files = {side: _read_files(side) for side in (a, b)}
-    differ = False
+    differ, close = False, []
     for side, other in ((a, b), (b, a)):
         for line, count in sorted((solves[side] - solves[other]).items()):
             differ = True
             print(f"solve only in {side} (x{count}): {line}")
     for name in sorted(set(files[a]) | set(files[b])):
-        if files[a].get(name) != files[b].get(name):
+        if files[a].get(name) == files[b].get(name):
+            continue
+        if rtol is None or name not in files[a] or name not in files[b]:
             differ = True
             print(f"file differs: {name}")
+            continue
+        rel = _rel_diff(*(_load(os.path.join(side, "run", name))
+                          for side in (a, b)))
+        close.append(name)
+        differ = differ or not rel <= rtol
+        print(f"file {name}: largest relative difference {rel:.3g}")
     if not differ:
         print(f"identical: {sum(solves[a].values())} solves, "
-              f"{len(files[a])} files")
+              f"{len(files[a]) - len(close)} files"
+              + (f"; {len(close)} within rtol {rtol:g}" if close else ""))
     return 1 if differ else 0
 
 
@@ -204,11 +263,16 @@ def main(argv=None) -> int:
     source.add_argument("--config", help="experiment config JSON file")
     source.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two digest directories")
+    parser.add_argument("--rtol", type=float,
+                        help="with --compare: compare differing files "
+                        "value by value within this relative tolerance")
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--out", help="digest directory to write")
     args = parser.parse_args(argv)
+    if args.rtol is not None and not (args.compare and args.rtol >= 0):
+        parser.error("--rtol needs --compare and a value of at least 0")
     if args.compare:
-        return compare(*args.compare)
+        return compare(*args.compare, rtol=args.rtol)
     if args.out is None or (args.workload and args.seed is None):
         parser.error("a run needs --out, and a workload also --seed")
     return run(args)
