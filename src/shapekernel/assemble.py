@@ -28,8 +28,8 @@ from .atoms import (
     gram,
     lead_sign,
 )
-from .conic import (ConeBlock, ConeProgram, SolverSettings, Solution, solve,
-                    solve_triangular)
+from .conic import (ConeBlock, ConeProgram, SolverSettings, Solution,
+                    UnitRows, solve, solve_triangular, store_rows)
 from .covering import fill_distance
 from .kernels import Kernel
 from .tighten import (
@@ -181,17 +181,20 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     get their own SOC row over the extended coefficient vector.  Each cone
     row is written once, into the program's one row store and in the order
     the solver reads it; a 2x2 record's rotated cone goes in as a plain SOC
-    block.
+    block.  The norm cap and the epigraph come last, as
+    :class:`~shapekernel.conic.UnitRows`: when they are wide (no bias and
+    no enclosure auxiliary, as in econ) the store holds no ``-I`` block and
+    ends within 8 rows of the rows before them.
 
     The coefficient block of the decision vector carries the whitened
     coordinates ``u = L^T a`` (L the stabilized Cholesky factor of the atom
     Gram) rather than the raw expansion coefficients.  Evaluation rows
     ``r . a`` become ``(L^{-1} r) . u`` — computed for the whole basis in
     one triangular solve — and every norm expression ``||L^T a||`` becomes
-    ``||u||``, an identity block.  This keeps the program well conditioned
-    even when the Gram is numerically singular (smooth kernels at tight
-    anchor spacing), which otherwise stalls the interior-point iteration;
-    :func:`recover_model` maps ``u`` back with a single triangular
+    ``||u||``, rows of ``-1`` on u's columns.  This keeps the program well
+    conditioned even when the Gram is numerically singular (smooth kernels
+    at tight anchor spacing), which otherwise stalls the interior-point
+    iteration; :func:`recover_model` maps ``u`` back with a single triangular
     back-solve.
     """
     kernel = spec.kernel
@@ -264,17 +267,30 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         A_eq_rows.append(row)
         b_eq.append(eq.value)
 
-    # The cone rows are counted first and then written once each into one
-    # (m, n) store, in the order the solver reads them: every nonnegative
-    # row, then the SOC blocks in record order, the norm cap, the epigraph.
+    # The cone rows are counted first and then written once each, in the
+    # order the solver reads them: every nonnegative row, then the SOC
+    # blocks in record order, the norm cap, the epigraph.  The last two are
+    # unit rows over u (and the epigraph's head on t), which ConeProgram
+    # writes into the dense store, or keeps as triples when they are wide;
+    # conic.store_rows sizes the store either way.
     l = sum(rec.size if isinstance(rec, AnchorRecord) else 1
             for rec in records)
     soc_dims = [1 + A if isinstance(rec, InclusionRecord) else 3
                 for rec in records
                 if not (isinstance(rec, AnchorRecord) and rec.size == 1)]
-    soc_dims += [1 + A] * (isinstance(reg, NormBound) + needs_t)
-    G = np.zeros((l + sum(soc_dims), n))
-    h = np.zeros(G.shape[0])
+    norms = []  # (unit rows, h of the head row, provenance)
+    if isinstance(reg, NormBound):  # ||u|| <= lam_tilde
+        norms.append((UnitRows((1 + A, n), np.arange(1, 1 + A),
+                               np.arange(A), -1.0),
+                      reg.lam_tilde, ("norm_bound",)))
+    if needs_t:  # the norm epigraph ||u|| <= t
+        norms.append((UnitRows((1 + A, n), np.arange(1 + A),
+                               np.r_[t_idx, np.arange(A)], -1.0),
+                      0.0, ("epigraph",)))
+    dims = [l] + soc_dims + [1 + A] * len(norms)
+    unit = [False] * (1 + len(soc_dims)) + [True] * len(norms)
+    G = np.zeros((store_rows(n, dims, unit), n))
+    h = np.zeros(sum(dims))
     blocks: list[ConeBlock] = []
     nn_prov: list = []
     soc_row = l
@@ -285,12 +301,14 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         h[len(nn_prov)] = -rhs
         nn_prov.append(prov)
 
-    def add_soc(dim, prov):
-        """The next SOC block, whose rows its caller fills in."""
+    def add_soc(dim, prov, units=None):
+        """The next SOC block: rows of the store that its caller fills in,
+        or ``units``."""
         nonlocal soc_row
         rows = slice(soc_row, soc_row + dim)
         soc_row = rows.stop
-        blocks.append(ConeBlock("soc", G[rows], h[rows], provenance=prov))
+        blocks.append(ConeBlock("soc", G[rows] if units is None else units,
+                                h[rows], provenance=prov))
         return blocks[-1]
 
     for rec in records:
@@ -342,16 +360,9 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         else:
             raise TypeError(f"unknown record type {type(rec).__name__}")
 
-    if isinstance(reg, NormBound):
-        cone = add_soc(1 + A, ("norm_bound",))
-        cone.h[0] = reg.lam_tilde
-        cone.G[1:, a_cols] = -np.eye(A)
-
-    if needs_t:
-        # the norm epigraph ||u|| <= t
-        cone = add_soc(1 + A, ("epigraph",))
-        cone.G[0, t_idx] = -1.0
-        cone.G[1:, a_cols] = -np.eye(A)
+    for units, head, prov in norms:
+        h[soc_row] = head
+        add_soc(1 + A, prov, units)
 
     if l:
         blocks.insert(0, ConeBlock("nonneg", G[:l], h[:l],
@@ -428,7 +439,9 @@ def solve_problem(spec: ProblemSpec, records: list,
     certificate of infeasibility for a model.  A caller that does not read
     the program should drop it (``solve_problem(...)[:2]``): it holds the
     program's rows, which would otherwise stay alive through the caller's
-    next solve.  The program and the model share the Gram's factor L in
+    next solve.  Those rows are the dense store and, for a wide norm cap
+    or epigraph, their unit-row triples, O(n) where the dense rows were
+    O(n^2).  The program and the model share the Gram's factor L in
     ``meta["factor"]``; the Gram itself is dropped once L exists.  The
     solver's workspace lives only as long as the solve.
     """
@@ -481,7 +494,7 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
     termination the returned model is feasible on the *entire* grid, so its
     objective equals the full-grid discretized optimum.  Returns
     ``(model, value, points_used, statuses)``, the last the solver
-    ``(status, stop_reason, iterations, trace)`` of every round.
+    ``(status, stop_reason, iterations, trace, objective)`` of every round.
     """
     if constraint.size != 1:
         raise ValueError("reference solve supports scalar constraints only")
@@ -505,7 +518,7 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
         model, sol = solve_problem(spec, records, settings=settings)[:2]
         value = sol.objective
         statuses.append((sol.status, sol.stop_reason, sol.iterations,
-                         sol.trace))
+                         sol.trace, sol.objective))
         vals = model.apply(func, X)
         bias = model.bias[: gm.shape[1]] if gm.shape[1] else np.zeros(0)
         slack = vals + (gm[0] @ bias if gm.shape[1] else 0.0) - offset

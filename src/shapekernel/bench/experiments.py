@@ -96,17 +96,21 @@ def _ball_samples(center, radius: float, n: int,
 
 
 def _outcome(sol) -> tuple:
-    """``(status, stop_reason, iterations, trace)`` of one solution."""
-    return sol.status, sol.stop_reason, sol.iterations, sol.trace
+    """``(status, stop_reason, iterations, trace, objective)`` of one
+    solution."""
+    return (sol.status, sol.stop_reason, sol.iterations, sol.trace,
+            sol.objective)
 
 
 def _record_solve(solves: list, label: str, status: str, stop_reason: str,
-                  iterations: int, trace: np.ndarray) -> None:
-    """Add one runner solve, with its per-iteration trace (one list per
-    ``TRACE_FIELDS`` column, kept as array views until written), to the
-    summary's ``solves`` list."""
+                  iterations: int, trace: np.ndarray,
+                  objective: float) -> None:
+    """Add one runner solve, with its objective and its per-iteration trace
+    (one list per ``TRACE_FIELDS`` column, kept as array views until
+    written), to the summary's ``solves`` list."""
     solves.append({"label": label, "status": status,
                    "stop_reason": stop_reason, "iterations": iterations,
+                   "objective": float(objective),
                    "trace": dict(zip(TRACE_FIELDS, trace.T))})
 
 
@@ -268,7 +272,7 @@ def run_catenary(cfg: ExperimentConfig):
             for row in hist:
                 _record_solve(solves, f"{scheme} round {row['k']}",
                               row["status"], row["stop_reason"],
-                              row["iterations"], row["trace"])
+                              row["iterations"], row["trace"], row["v"])
                 conv_rows.append([scheme, row["k"], row["M_total"], row["v"],
                                   None, None, row["v"] - v_ref,
                                   row["maxEta"]])

@@ -7,10 +7,19 @@ Solves convex quadratic cone programs
                 G x + s = h,   s in C
 
 where ``C`` is a product of nonnegative-orthant and second-order cones.
-The rows ``G``, ``h`` arrive in one store in canonical order, every
-nonnegative row first and then the second-order blocks, and the solver
-works on that store as it is: ``Solution.s`` and ``Solution.z`` come out
-in the same order.
+The rows ``G``, ``h`` arrive in canonical order, every nonnegative row
+first and then the second-order blocks, and the solver works on them as
+they are: ``Solution.s`` and ``Solution.z`` come out in the same order.
+They sit in one dense store, except trailing wide blocks whose rows are
+each zero or one +-1 (a norm cap or norm epigraph over the coefficients):
+those are held as :class:`UnitRows` triples, the way ECOS keeps its cone
+rows sparse, and the store ends within 8 rows of them.  One pair of
+products (``ConeProgram.rows``) serves the iteration, the Newton
+directions, the certificates, the polish and the final residuals; it has
+the bits of the dense products, because each unit row's term is exact and
+is added in row order after the store's ``dgemv``, as that ``dgemv``
+accumulates it (with BLAS on one thread; on more, OpenBLAS splits ``G x``
+by its row count).
 
 The iteration is a Mehrotra-style predictor-corrector with Nesterov-Todd
 scaling, dense linear algebra, and infeasible start: problem sizes here are a
@@ -27,8 +36,11 @@ through one dense product over their rows, except wide ones: a block with
 vector) adds ``(2 v v^T - G_b^T J G_b) / eta^2`` with ``v = G_b^T wt``, a
 rank-one update of an ``n x n`` matrix formed once per solve, so it costs
 O(n^2) per iteration instead of O(d n^2).  That matrix is kept as its
-diagonal when it has no off-diagonal nonzero (identity rows, as in econ).
-The other blocks' rows are a view of G when they come first.
+diagonal when it has no off-diagonal nonzero.  For a block of unit rows
+(econ's) the diagonal and ``v`` are read off the triples, in O(n) and
+with the dense products' bits, so no ``n^3`` product runs per solve and no
+``n^2`` one per iteration.  The other blocks' rows are a view of the store
+when they come first.
 
 Workspace.  Each solve allocates one workspace, as ECOS allocates its
 memory at setup: an ``n x n`` buffer and one flat buffer of max(n^2,
@@ -93,18 +105,59 @@ from . import cpus
 # Program description
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class UnitRows:
+    """The rows of a SOC block whose every row is zero or one +-1 in a
+    column no other row of the block uses: ``(row, column, sign)`` triples
+    in row order for a block of ``shape = (d, n)``, ``signs`` one per
+    triple or one for all.  Norm cones over coefficients are such blocks
+    (``-I``, and the epigraph's head ``-1`` on ``t``), held without their
+    zeros."""
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+
+    def __post_init__(self):
+        d, n = self.shape
+        rows, cols = (np.asarray(v, dtype=np.int64).ravel()
+                      for v in (self.rows, self.cols))
+        signs = np.broadcast_to(np.asarray(self.signs, dtype=float),
+                                rows.shape)  # one per triple, or for all
+        if not (rows.size == cols.size
+                and np.all(np.diff(rows) > 0)
+                and np.all((rows >= 0) & (rows < d))
+                and np.all((cols >= 0) & (cols < n))
+                and np.bincount(cols, minlength=1).max() <= 1
+                and np.all(np.abs(signs) == 1.0)):
+            raise ValueError("unit rows need increasing rows, distinct "
+                             "columns and signs +-1 within the shape")
+        for name, v in (("rows", rows), ("cols", cols),
+                        ("signs", signs.copy())):
+            object.__setattr__(self, name, v)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.signs
+        return out
+
+
 @dataclass
 class ConeBlock:
     """One cone-constrained row block ``h - G x in cone(kind)``.  In a
-    :class:`ConeProgram`, ``G`` and ``h`` are views of the program's rows."""
+    :class:`ConeProgram`, ``G`` and ``h`` are views of the program's rows,
+    except that a trailing wide SOC block given as :class:`UnitRows` keeps
+    its triples."""
 
     kind: str  # 'nonneg' | 'soc'
-    G: np.ndarray
+    G: np.ndarray | UnitRows
     h: np.ndarray
     provenance: tuple = ()
 
     def __post_init__(self):
-        self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
+        if not isinstance(self.G, UnitRows):
+            self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
         self.h = np.asarray(self.h, dtype=float).ravel()
         if self.kind not in ("nonneg", "soc"):
             raise ValueError(f"unsupported cone kind {self.kind!r}")
@@ -112,15 +165,48 @@ class ConeBlock:
             raise ValueError("cone block G/h row mismatch")
 
 
+def _wide(d: int, n: int) -> bool:
+    """Whether a SOC block of ``d`` rows over ``n`` columns is wide: its
+    Newton term is a rank-one update of a fixed matrix, and given as
+    :class:`UnitRows` after every other block it stays triples."""
+    return d >= n
+
+
+def _first_held(n: int, dims: list, unit: list) -> int:
+    """Index of the first block held as triples: the trailing run of wide
+    blocks given as :class:`UnitRows` (``unit``), of ``dims`` rows each."""
+    k = len(dims)
+    while k and unit[k - 1] and _wide(dims[k - 1], n):
+        k -= 1
+    return k
+
+
+def store_rows(n: int, dims: list, unit: list) -> int:
+    """Rows of the dense store of a program over ``n`` columns whose blocks
+    have ``dims`` rows, ``unit`` flagging those given as :class:`UnitRows`.
+    It ends at the next multiple of 8 at or after the first row held as
+    triples (every row when none is): OpenBLAS's ``dgemv`` takes rows in
+    groups, so a store ending anywhere else can change the bits of ``G x``
+    on its last narrow rows."""
+    first = sum(dims[:_first_held(n, dims, unit)])
+    return min(sum(dims), -(-first // 8) * 8)
+
+
 @dataclass
 class ConeProgram:
     """Finite-dimensional conic program with provenance-tagged rows.
 
-    The cone rows live in one C-contiguous ``(m, n)`` store ``G``, ``h`` in
-    the solver's order, every nonneg block before the SOC blocks, and each
-    block's ``G``, ``h`` are views of its rows there.  ``assemble`` passes
-    the store it wrote; blocks given without one are stacked into it here.
-    ``block_slices`` holds each block's rows of the store.
+    The cone rows live in the solver's order, every nonneg block before
+    the SOC blocks.  Their dense store ``G`` is C-contiguous with ``n``
+    columns and each dense block's ``G``, ``h`` are views of its rows
+    there; ``h`` holds every row.  SOC blocks may be given as
+    :class:`UnitRows`.  Those in the trailing run of wide ones (``d >= n``)
+    stay triples: the store ends at :func:`store_rows`, the unit rows that
+    fall inside it are written here, and ``rows`` applies the rest.  Any
+    other unit-row block is written into the store here and becomes a view
+    of it.  ``assemble`` passes the store it wrote (zero on unit-row
+    blocks' rows); blocks given without one are stacked into it here.
+    ``block_slices`` holds each block's rows.
     """
 
     n: int
@@ -160,26 +246,91 @@ class ConeProgram:
                     f"cone block {blk.provenance} has {blk.G.shape[1]} "
                     f"columns, expected {self.n}"
                 )
+        unit = [isinstance(blk.G, UnitRows) for blk in self.blocks]
+        if any(u and blk.kind != "soc" for u, blk in zip(unit, self.blocks)):
+            raise ValueError("unit rows are for SOC blocks only")
+        dims = [blk.h.size for blk in self.blocks]
+        ends = np.cumsum([0] + dims).tolist()
+        held = _first_held(self.n, dims, unit)
+        R = store_rows(self.n, dims, unit)
         stacked = self.G is None
         if stacked:  # the blocks' rows, stacked once
-            self.G = np.vstack([blk.G for blk in self.blocks]
-                               or [np.zeros((0, self.n))])
+            self.G = np.zeros((R, self.n))
             self.h = np.concatenate([blk.h for blk in self.blocks]
                                     or [np.zeros(0)])
-        ends = np.cumsum([0] + [blk.h.size for blk in self.blocks]).tolist()
-        if ends[-1] != self.h.size:
+        if ends[-1] != self.h.size or self.G.shape[0] != R:
             raise ValueError("cone blocks do not cover the program's rows")
         self.block_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
-        for blk, sl in zip(self.blocks, self.block_slices):
+        units = []
+        for j, (blk, sl) in enumerate(zip(self.blocks, self.block_slices)):
+            if unit[j]:
+                u = blk.G
+                inside = u.rows < R - sl.start
+                self.G[sl.start + u.rows[inside], u.cols[inside]] = \
+                    u.signs[inside]
+                if j >= held:
+                    units.append((sl.start, u))
+                    blk.h = self.h[sl]
+                    continue
+            elif stacked:
+                self.G[sl] = blk.G
             rows = self.G[sl], self.h[sl]
-            if not stacked and [v.__array_interface__ for v in rows] != \
-                    [blk.G.__array_interface__, blk.h.__array_interface__]:
+            if not (stacked or unit[j]) and [
+                    v.__array_interface__ for v in rows] != [
+                    blk.G.__array_interface__, blk.h.__array_interface__]:
                 raise ValueError(f"cone block {blk.provenance} is not a "
                                  "view of the program's rows")
             blk.G, blk.h = rows
+        self.rows = _Rows(self.G, units, ends[-1])
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.P @ x + self.q @ x + self.const)
+
+
+class _Rows:
+    """``G`` as the solver reads it: the dense store ``G`` (its first rows),
+    then the unit rows ``units`` (``(row0, UnitRows)`` per block) past it.
+
+    ``dot`` and ``tdot`` keep the bits of the dense ``G @ x`` and
+    ``G.T @ z`` over every row: the store's product first, then each unit
+    row's exact ``0.0 + sign * v``, one block at a time in row order, as
+    the ``dgemv`` of the dense rows accumulates them from +0.0.
+    """
+
+    def __init__(self, G: np.ndarray, units=(), m: int | None = None):
+        self.G, self.units = G, list(units)
+        self.m = G.shape[0] if m is None else m
+        self.tail = []  # per unit block, its triples past the store
+        for r0, u in self.units:
+            past = r0 + u.rows >= G.shape[0]
+            self.tail.append((r0 + u.rows[past], u.cols[past],
+                              u.signs[past]))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """``G x``."""
+        if self.G.shape[0] == self.m:
+            return self.G @ x
+        out = np.zeros(self.m)
+        out[: self.G.shape[0]] = self.G @ x
+        for rows, cols, signs in self.tail:
+            out[rows] = 0.0 + signs * x[cols]
+        return out
+
+    def tdot(self, z: np.ndarray) -> np.ndarray:
+        """``G^T z``."""
+        out = self.G.T @ z[: self.G.shape[0]]
+        for rows, cols, signs in self.tail:
+            out[cols] += signs * z[rows]
+        return out
+
+    def block_tdot(self, sl: slice, v: np.ndarray) -> np.ndarray:
+        """``G[sl]^T v`` for the block on rows ``sl``."""
+        for r0, u in self.units:
+            if r0 == sl.start:
+                out = np.zeros(self.G.shape[1])
+                out[u.cols] += u.signs * v[u.rows]
+                return out
+        return self.G[sl].T @ v
 
 
 @dataclass
@@ -436,7 +587,7 @@ def _jordan_solve(lmbda: np.ndarray, d: np.ndarray,
 # Newton system
 # --------------------------------------------------------------------------
 
-def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
+def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
     """``(newton_matrix, work)``: ``newton_matrix(W)`` returns ``H = P +
     G^T W^{-2} G`` with wide SOC blocks as rank-one terms, and ``work`` is
     the n x n buffer it formed H in, dead once it returns.
@@ -447,8 +598,11 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
     per-iteration product.  Each call then adds the block's exact term
     ``(2 v v^T - C_b) / eta_b^2`` with ``v = G_b^T J wbar_b``; a ``C_b``
     with no off-diagonal nonzero is kept as its diagonal (``x - 0`` is
-    exact).  The narrow rows are a view of G when they come first, as in
-    every program ``assemble`` builds.
+    exact).  A block of unit rows has such a ``C_b``, read off its triples
+    (the head's square, less 1 on each other row's column), and its ``v``
+    costs O(n): the bits of the dense products, whose sums are exact.  The
+    narrow rows are a view of the store when they come first, as in every
+    program ``assemble`` builds.
 
     The workspace is allocated here, once per solve: ``work`` and one flat
     buffer of max(n^2, narrow rows x n) doubles.  The flat buffer holds
@@ -458,20 +612,32 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
     :func:`_chol_solve_factory` factors that matrix in place, with
     ``work`` for its scratch.
     """
+    units = dict(G.units)
+    G = G.G
     n = G.shape[1]
-    wide = [k for k, d in enumerate(cones.soc_dims) if d >= n]
+    wide = [k for k, d in enumerate(cones.soc_dims) if _wide(d, n)]
     narrow = [k for k in range(len(cones.soc_dims)) if k not in wide]
     rows = np.concatenate([np.arange(cones.l)] + [
         np.arange(cones.soc_slices[k].start, cones.soc_slices[k].stop)
         for k in narrow])
     Gn = G[rows] if (rows != np.arange(rows.size)).any() else G[: rows.size]
-    terms = []
+    terms = []  # (k, v(wbar) of the block, C_b or its diagonal)
     for k in wide:
-        Gb = G[cones.soc_slices[k]]
-        C = np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]
-        if np.count_nonzero(C) == np.count_nonzero(np.diagonal(C)):
-            C = np.diagonal(C).copy()
-        terms.append((k, Gb, C))
+        u = units.get(cones.soc_slices[k].start)
+        if u is None:
+            Gb = G[cones.soc_slices[k]]
+            C = np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]
+            if np.count_nonzero(C) == np.count_nonzero(np.diagonal(C)):
+                C = np.diagonal(C).copy()
+            terms.append((k, functools.partial(_dense_v, Gb), C))
+            continue
+        head, body = np.zeros(n), u.rows > 0
+        if u.rows.size and u.rows[0] == 0:
+            head[u.cols[0]] = u.signs[0]
+        C = head * head
+        C[u.cols[body]] -= 1.0
+        terms.append((k, functools.partial(
+            _unit_v, head, u.rows[body], u.cols[body], u.signs[body]), C))
     r = rows.size
     H, flat = np.empty((n, n)), np.empty(max(n * n, r * n))
     T = flat[: n * n].reshape(n, n)
@@ -497,9 +663,8 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
         else:
             product(0, n)
         np.add(H, P, out=H)
-        for k, Gb, C in terms:
-            eta, wbar = W.eta[k], W.wbar[cones.soc_slices[k]]
-            v = Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:]
+        for k, v_of, C in terms:
+            eta, v = W.eta[k], v_of(W.wbar[cones.soc_slices[k]])
             np.outer(v, v, out=T)
             np.multiply(T, 2.0, out=T)
             T_C = T_diag if C.ndim == 1 else T
@@ -510,6 +675,19 @@ def _newton_matrix_factory(P: np.ndarray, G: np.ndarray, cones: _Cones):
         np.multiply(T, 0.5, out=T)
         return T
     return newton_matrix, H
+
+
+def _dense_v(Gb: np.ndarray, wbar: np.ndarray) -> np.ndarray:
+    """``G_b^T J wbar`` for a wide block's dense rows."""
+    return Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:]
+
+
+def _unit_v(head, rows, cols, signs, wbar: np.ndarray) -> np.ndarray:
+    """``G_b^T J wbar`` for a block of unit rows: its head row ``head``
+    and the triples of its other rows."""
+    tail = np.zeros(head.size)
+    tail[cols] += signs * wbar[rows]
+    return head * wbar[0] - tail
 
 
 def _chol_solve_factory(H: np.ndarray, work: np.ndarray):
@@ -696,7 +874,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     P, q = prog.P, prog.q
     A, b = prog.A_eq, prog.b_eq
     p = A.shape[0]
-    G, h = prog.G, prog.h
+    G, h = prog.rows, prog.h
     cones = _Cones.of(prog)
     m = cones.m
 
@@ -726,9 +904,9 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     trace = np.full((st.max_iter, len(TRACE_FIELDS)), np.nan)
     for it in range(st.max_iter):
         iters = it + 1
-        rx = P @ x + q + G.T @ z + (A.T @ y if p else 0.0)
+        rx = P @ x + q + G.tdot(z) + (A.T @ y if p else 0.0)
         ry = A @ x - b if p else np.zeros(0)
-        rz = G @ x + s - h
+        rz = G.dot(x) + s - h
         cgap = float(s @ z)
         pobj = prog.objective(x)
 
@@ -805,8 +983,8 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                 # leaving the symmetric reduced system in (dx, dy).
                 g = _jordan_solve(lmbda, d, cones)
                 wg_minus_bz = W.apply(g) - bz
-                rx_mod = bx - G.T @ W.apply_w2inv_mat(
-                    wg_minus_bz.reshape(-1, 1)).ravel()
+                rx_mod = bx - G.tdot(W.apply_w2inv_mat(
+                    wg_minus_bz.reshape(-1, 1)).ravel())
                 if p:
                     t = hsolve(rx_mod)
                     dy = s_solve(A @ t - by)
@@ -814,7 +992,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                 else:
                     dy = np.zeros(0)
                     dx = hsolve(rx_mod)
-                Gdx = G @ dx
+                Gdx = G.dot(dx)
                 dz = W.apply_w2inv_mat(
                     (Gdx + wg_minus_bz).reshape(-1, 1)).ravel()
                 ds = bz - Gdx
@@ -864,7 +1042,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         # feasible, try to reconstruct exact multipliers from its active
         # set; degenerate programs often converge in x long before the
         # dual iterate settles.
-        rz = G @ x + s - h
+        rz = G.dot(x) + s - h
         pres = float(np.linalg.norm(rz, np.inf)) / hnorm
         if p:
             pres = max(pres, float(np.linalg.norm(A @ x - b, np.inf)) / bnorm)
@@ -904,7 +1082,7 @@ def _in_cone(v: np.ndarray, cones: _Cones, strict: bool = True) -> bool:
     return True
 
 
-def _dual_polish(P, q, A, G, h, x, s, cones, feas_tol, qnorm):
+def _dual_polish(P, q, A, G: _Rows, h, x, s, cones, feas_tol, qnorm):
     """Rebuild multipliers from the active set at a converged primal point.
 
     Nearly parallel covering rows and interval-valued enclosure auxiliaries
@@ -925,7 +1103,7 @@ def _dual_polish(P, q, A, G, h, x, s, cones, feas_tol, qnorm):
     ray_blocks: list[tuple[slice, np.ndarray]] = []
     if l:
         for i in np.where(s[:l] <= act * (1.0 + np.abs(h[:l])))[0]:
-            cols.append(G[i])
+            cols.append(G.G[i])
             lower.append(0.0)
             nn_idx.append(int(i))
     for sl in cones.soc_slices:
@@ -938,7 +1116,7 @@ def _dual_polish(P, q, A, G, h, x, s, cones, feas_tol, qnorm):
         ray = np.empty(sb.size)
         ray[0] = 1.0
         ray[1:] = -sb[1:] / tail
-        cols.append(G[sl].T @ ray)
+        cols.append(G.block_tdot(sl, ray))
         lower.append(0.0)
         ray_blocks.append((sl, ray))
     p = A.shape[0]
@@ -983,7 +1161,7 @@ def _infeasibility_certificate(A, b, G, h, y, z, cones, tol) -> bool:
         scale = max(scale, float(np.linalg.norm(y, np.inf)))
     if scale < 1e6 or not _in_cone(z, cones, strict=False):
         return False
-    resid = G.T @ z + (A.T @ y if A.shape[0] else 0.0)
+    resid = G.tdot(z) + (A.T @ y if A.shape[0] else 0.0)
     val = float(h @ z + (b @ y if A.shape[0] else 0.0))
     return (
         float(np.linalg.norm(resid, np.inf)) <= tol * scale
@@ -1025,7 +1203,7 @@ def _solve_equality_qp(prog: ConeProgram, st: SolverSettings,
 
 
 def _final_residuals(prog: ConeProgram, x, y, z, s) -> dict:
-    rx = prog.P @ x + prog.q + prog.G.T @ z
+    rx = prog.P @ x + prog.q + prog.rows.tdot(z)
     if prog.A_eq.shape[0]:
         rx = rx + prog.A_eq.T @ y
     ry_inf = (
@@ -1035,7 +1213,7 @@ def _final_residuals(prog: ConeProgram, x, y, z, s) -> dict:
     return {
         "stationarity": float(np.linalg.norm(rx, np.inf)),
         "primal_eq": ry_inf,
-        "primal_cone": float(np.max(np.abs(prog.G @ x + s - prog.h),
+        "primal_cone": float(np.max(np.abs(prog.rows.dot(x) + s - prog.h),
                                     initial=0.0)),
         "comp_gap": float(s @ z) if s.size else 0.0,
     }

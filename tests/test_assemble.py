@@ -7,6 +7,7 @@ grids.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -611,3 +612,63 @@ class TestSpecValidation:
             Ridge(0.0)
         with pytest.raises(ValueError, match="positive"):
             NormBound(-1.0)
+
+
+class TestWideNorms:
+    """Econ's norm cap and epigraph are wide (1 + A >= n) and go in as unit
+    rows, so the dense store ends within 8 rows of the rows before them."""
+
+    @staticmethod
+    def econ_shaped(kernel, anchors=90):
+        # squared loss, a norm cap, buffered slope rows and no bias or
+        # enclosure, so n = A + 1 (the epigraph's t)
+        xs = np.linspace(0.0, 1.0, 30)
+        slope = ShapeConstraint(region=((0.0, 1.0),),
+                                operator=SdpOperator.scalar(
+                                    DiffFunctional.partial(1, axis=0)),
+                                offset=(-5.0,))
+        cover = cover_box(slope.region, 0.5 / anchors)
+        records = tighten_soc(slope, cover, [
+            eta_for(kernel, slope.operator, b.center, b.radius, norm=b.norm)
+            for b in cover])
+        spec = ProblemSpec(kernel=kernel, observations=value_obs(
+            xs, np.sin(3 * xs)), loss="squared", regularizer=NormBound(3.0),
+            constraints=[slope])
+        return spec, collect_atoms(spec, records), records
+
+    def test_store_ends_near_the_narrow_rows(self, kernel, monkeypatch):
+        import shapekernel.assemble as am
+
+        spec, basis, records = self.econ_shaped(kernel)
+        assemble(spec, basis, records)  # first calls load their code
+        phase = {}
+        store_rows, block = am.store_rows, am.ConeBlock
+
+        def at_store(*args):  # the store is allocated next
+            tracemalloc.reset_peak()
+            phase["start"] = tracemalloc.get_traced_memory()[0]
+            return store_rows(*args)
+
+        def at_block(*args, **kwargs):  # the last one: the rows are done
+            phase["peak"] = tracemalloc.get_traced_memory()[1]
+            return block(*args, **kwargs)
+
+        monkeypatch.setattr(am, "store_rows", at_store)
+        monkeypatch.setattr(am, "ConeBlock", at_block)
+        tracemalloc.start()
+        prog = assemble(spec, basis, records)
+        tracemalloc.stop()
+        A, n = len(basis), prog.n
+        assert n == A + 1
+        assert [blk.provenance for blk in prog.blocks[-2:]] == [
+            ("norm_bound",), ("epigraph",)]
+        narrow = prog.block_slices[-2].start
+        assert prog.G.shape == (narrow + 6, n) and narrow % 8 == 2
+        assert prog.h.size == narrow + 2 * (1 + A)
+        np.testing.assert_array_equal(
+            prog.blocks[-1].G.toarray()[:, :A], np.r_[np.zeros((1, A)),
+                                                      -np.eye(A)])
+        # writing the rows takes the store and a few rows: an A x A
+        # identity would add 8 A^2 bytes
+        rows = phase["peak"] - phase["start"]
+        assert rows <= prog.G.nbytes + prog.h.nbytes + 2 * A * A

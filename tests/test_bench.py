@@ -7,8 +7,11 @@ Also checked: the scheme each experiment accepts, that every name the
 benchmark tracer (``perfbench/tracer.py``) wraps still exists, that no
 module imports a name it never uses but for the tracer, that the
 outputs do not depend on how many CPUs run the independent fits, and that
-``tools/solve_digest.py`` records each process's peak memory and leaves
-it out of its comparison, and compares output files within ``--rtol``.
+``tools/solve_digest.py`` records each process's peak memory, leaves it
+out of its comparison and prints the two sides' peaks by role, and under
+``--rtol`` matches solves by label, compares output files within the
+tolerance (CSV cells against their column's scale) and reports iteration
+counts without judging them.
 """
 
 import ast
@@ -16,6 +19,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -93,8 +97,9 @@ def test_summary_records_every_solve(tiny_run):
     assert solves
     for entry in solves:
         assert set(entry) == {"label", "status", "stop_reason",
-                              "iterations", "trace"}
+                              "iterations", "objective", "trace"}
         assert entry["iterations"] >= 1
+        assert isinstance(entry["objective"], float)
         # a program without cone rows (robotarm's unconstrained fit) is
         # one direct solve, with no trace
         direct = name == "robotarm" and entry["label"].endswith(" none")
@@ -425,9 +430,9 @@ def test_solve_digest_records_each_process_peak(tmp_path, capsys):
 
 
 def test_solve_digest_compares_files_within_a_tolerance(tmp_path, capsys):
-    # with --rtol, solve lines stay byte-compared and a file whose hash
-    # differs is compared value by value: numbers within the tolerance,
-    # text exactly
+    # with --rtol, a file whose hash differs is compared value by value:
+    # numbers within the tolerance, text exactly; solves are judged by
+    # label from the summaries, so a solve line alone does not decide
     digest = _load_tool("tools", "solve_digest")
     prog = ConeProgram(n=1, P=[[2.0]],
                        blocks=[ConeBlock("nonneg", [[-1.0]], [-1.0])])
@@ -469,8 +474,107 @@ def test_solve_digest_compares_files_within_a_tolerance(tmp_path, capsys):
     write(b)
     [path] = b.glob("solves-*.txt")
     path.write_text(path.read_text().replace("iters=", "iters=1"))
-    code, out = compare(rtol=1.0)
-    assert code == 1 and "solve only in" in out
+    assert compare(rtol=1.0)[0] == 0
+    assert digest.compare(str(a), str(b)) == 1
+    assert "solve only in" in capsys.readouterr().out
+
+
+def digest_side(side, objective=1.0314, status="optimal", elements=106,
+                iterations=30, peaks=()):
+    """A digest directory whose summary holds one econ-like solve and one
+    SOAP scheme, with ``peaks`` lines ``(role, pid, kB)``."""
+    run = side / "run"
+    run.mkdir(parents=True, exist_ok=True)
+    (run / "summary.json").write_text(json.dumps({
+        "solves": [{"label": "rep 0 both", "status": status,
+                    "stop_reason": status, "iterations": iterations,
+                    "objective": objective, "trace": {"pres": [1e-9]}}],
+        "schemes": {"soap-ball": {"elements": elements,
+                                  "stop": "no saturation",
+                                  "iterations": 11}}}))
+    (side / "files.txt").write_text("".join(
+        f"{line}\n" for line in _load_tool("tools", "solve_digest")
+        ._file_hashes(str(run))))
+    (side / "peaks.txt").write_text(
+        "".join(f"{role} {pid} {kb}\n" for role, pid, kb in peaks))
+
+
+def test_solve_digest_judges_solves_by_label(tmp_path, capsys):
+    # the tolerance mode accepts an objective moved by rounding (3.3e-16,
+    # as iterative refinement moved econ's) and reports a changed iteration
+    # count; it rejects a changed status, a changed SOAP element count and
+    # a 1e-6 objective shift
+    digest = _load_tool("tools", "solve_digest")
+    a, b = tmp_path / "a", tmp_path / "b"
+    digest_side(a)
+
+    def compare(**change):
+        digest_side(b, **change)
+        code = digest.main(["--compare", str(a), str(b), "--rtol", "1e-8"])
+        return code, capsys.readouterr().out
+
+    code, out = compare(objective=1.0314 * (1 + 3.3e-16), iterations=27)
+    assert code == 0, out
+    assert "solve 'rep 0 both': iterations 30 -> 27" in out
+    assert "within rtol 1e-08" in out
+    code, out = compare(status="max_iter")
+    assert code == 1 and "status optimal -> max_iter" in out
+    code, out = compare(elements=112)
+    assert code == 1
+    assert "SOAP soap-ball: 106 elements, stop 'no saturation' -> 112 " \
+        "elements" in out
+    code, out = compare(objective=1.0314 * (1 + 1e-6))
+    assert code == 1 and "objective relative difference 1e-06" in out
+    assert digest.compare(str(a), str(b)) == 1  # bytes by default
+
+
+def test_solve_digest_scales_csv_cells_by_their_column(tmp_path, capsys):
+    # a trajectory cell near zero that moves by 1e-18 in a column whose
+    # largest value is 1 passes at 1e-13; the per-cell rule alone fails it
+    digest = _load_tool("tools", "solve_digest")
+    a, b = tmp_path / "a", tmp_path / "b"
+    near = 8.4e-12
+    for side, z in ((a, near), (b, near + 1e-18)):
+        digest_side(side)
+        (side / "run" / "trajectory.csv").write_text(
+            f"t,z,iterations\n0.0,{z!r},30\n0.5,1.0,31\n")
+        (side / "files.txt").write_text("".join(
+            f"{line}\n" for line in digest._file_hashes(str(side / "run"))))
+    assert digest._diff(repr(near), repr(near + 1e-18)) > 1e-13
+    assert digest.main(["--compare", str(a), str(b), "--rtol",
+                        "1e-13"]) == 0
+    out = capsys.readouterr().out
+    assert "trajectory.csv: largest relative difference 1e-18" in out
+    # a column headed "iterations" is reported with the solves, not judged
+    rows = [["t", "iterations"], ["0.0", "30"]]
+    assert digest._csv_diff(rows, [rows[0], ["0.0", "27"]]) == 0.0
+    assert digest._csv_diff(rows, [rows[0], ["0.1", "30"]]) == 1.0
+    # a column of zeros and non-finite cells has no scale: a cell changed
+    # there differs at any tolerance
+    rows = [["t", "z"], ["0.0", "nan"], ["0.5", "inf"]]
+    for changed in (["0.0", "0.0"], ["0.5", "-inf"]):
+        other = [changed if row[0] == changed[0] else row for row in rows]
+        assert digest._csv_diff(rows, other) == math.inf
+    for side, z in ((a, "nan"), (b, "0.0")):
+        (side / "run" / "trajectory.csv").write_text(f"t,z\n0.0,{z}\n")
+        (side / "files.txt").write_text("".join(
+            f"{line}\n" for line in digest._file_hashes(str(side / "run"))))
+    assert digest.main(["--compare", str(a), str(b), "--rtol",
+                        "1e-13"]) == 1
+
+
+def test_solve_digest_compares_peaks_by_role(tmp_path, capsys):
+    # each side's caller and workers, side by side, workers in pid order
+    digest = _load_tool("tools", "solve_digest")
+    a, b = tmp_path / "a", tmp_path / "b"
+    digest_side(a, peaks=[("caller", 10, 131481), ("worker", 12, 135885),
+                          ("worker", 11, 102400)])
+    digest_side(b, peaks=[("caller", 20, 121549), ("worker", 21, 116326)])
+    assert digest.compare(str(a), str(b)) == 0
+    out = capsys.readouterr().out
+    assert "peak RSS caller: 128.4 MB -> 118.7 MB" in out
+    assert "peak RSS worker 1: 100.0 MB -> 113.6 MB" in out
+    assert "peak RSS worker 2: 132.7 MB -> -" in out
 
 
 def test_every_traced_name_resolves():

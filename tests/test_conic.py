@@ -15,7 +15,9 @@ above the program.  The Newton solves that reuse one LU of the Cholesky
 factor have the bits of a fresh ``np.linalg.solve`` each, pinned and not;
 the triangular solves through numpy's own ``dtrtrs`` have the bits of
 scipy's ``solve_triangular``, and the dual polish's unbounded least-squares
-step those of ``lsq_linear``.
+step those of ``lsq_linear``.  Wide norm cones held as unit rows give the
+dense rows' products, wide-block terms, Newton matrix and polish, bit for
+bit.
 """
 
 import ctypes
@@ -52,8 +54,10 @@ from shapekernel.conic import (
     _jordan_solve,
     _max_step,
     _newton_matrix_factory,
+    _Rows,
     _Scaling,
     _sym,
+    UnitRows,
 )
 
 
@@ -316,7 +320,8 @@ class TestStatuses:
         def certified(z):
             assert np.linalg.norm(z, np.inf) >= 1e6
             assert G.T @ z == 0.0 and h @ z < 0.0
-            return _infeasibility_certificate(A, b, G, h, y, z, cones, 1e-8)
+            return _infeasibility_certificate(A, b, _Rows(G), h, y, z, cones,
+                                              1e-8)
 
         ray = np.array([1e7, 1e7, 0.0, 1.0, 1.0, 0.0])  # on the SOC edge
         assert certified(ray)
@@ -536,7 +541,8 @@ class TestNewtonMatrix:
 
         W = _Scaling(interior(), interior(), cones)
         expected = _sym(prog.P + G.T @ W.apply_w2inv_mat(G))
-        return _newton_matrix_factory(prog.P, G, cones)[0](W), expected
+        return _newton_matrix_factory(prog.P, prog.rows, cones)[0](W), \
+            expected
 
     def test_wide_blocks_match_the_full_product(self):
         # blocks of dimension 9 and 7 are wide (d >= n = 7), 3 is not
@@ -968,7 +974,7 @@ class TestNewtonWorkspace:
     def test_matches_the_per_call_factory(self, layout, psd_P, prefix):
         rng = np.random.default_rng(len(layout) + 10 * psd_P)
         P, G, cones = self.program(layout, rng, psd_P)
-        factory, _ = _newton_matrix_factory(P, G, cones)
+        factory, _ = _newton_matrix_factory(P, _Rows(G), cones)
         ref = ref_newton_matrix_factory(P, G, cones)
         # the narrow rows are a view of G exactly when they come first
         assert np.shares_memory(self.narrow_rows(factory), G) == prefix
@@ -979,7 +985,7 @@ class TestNewtonWorkspace:
     def test_next_call_overwrites_the_returned_matrix(self):
         rng = np.random.default_rng(7)
         P, G, cones = self.program(["soc", "norms"], rng)
-        factory, _ = _newton_matrix_factory(P, G, cones)
+        factory, _ = _newton_matrix_factory(P, _Rows(G), cones)
         ref = ref_newton_matrix_factory(P, G, cones)
         W1, W2 = self.scaling(rng, cones), self.scaling(rng, cones)
         first = factory(W1)
@@ -1120,7 +1126,8 @@ def halves_keep_the_bits():
         H = {}
         for spare in (False, True):
             cpus.spare_cpu = lambda: spare
-            H[spare] = bits(_newton_matrix_factory(P, G, cones)[0](W))
+            H[spare] = bits(
+                _newton_matrix_factory(P, _Rows(G), cones)[0](W))
         print(H[True] == H[False])
 
 
@@ -1147,7 +1154,7 @@ class TestNewtonHalves:
         with monkeypatch.context() as patch:
             patch.setattr(_Scaling, "apply_w2inv_mat", spy)
             patch.setattr(cpus, "spare_cpu", lambda: spare)
-            H = _newton_matrix_factory(P, G, cones)[0](W).copy()
+            H = _newton_matrix_factory(P, _Rows(G), cones)[0](W).copy()
         return H, calls
 
     @pytest.mark.parametrize("n, soc_dims, nonneg, wide", TALL)
@@ -1208,7 +1215,7 @@ class TestNewtonHalves:
         monkeypatch.setattr(_Scaling, "apply_w2inv_mat", spy)
         monkeypatch.setattr(cpus, "spare_cpu", lambda: True)
         with np.errstate(over="raise"):
-            _newton_matrix_factory(P, G, cones)[0](W)
+            _newton_matrix_factory(P, _Rows(G), cones)[0](W)
         assert seen == ["raise", "raise"]
 
 
@@ -1523,7 +1530,7 @@ def polish_case(negative: bool):
     q = -C @ w_true + 1e-3 * rng.normal(size=n)  # inconsistent: a residual
     prog = ConeProgram(n=n, P=np.zeros((n, n)), q=q, A_eq=A, b_eq=np.zeros(p),
                        blocks=[ConeBlock("nonneg", G, np.zeros(l))])
-    args = (prog.P, prog.q, prog.A_eq, prog.G, prog.h, np.zeros(n), s,
+    args = (prog.P, prog.q, prog.A_eq, prog.rows, prog.h, np.zeros(n), s,
             _Cones.of(prog), np.inf, 1.0)
     return args, (C, -q, np.r_[np.zeros(4), -np.inf, -np.inf])
 
@@ -1568,3 +1575,195 @@ class TestDualPolish:
         assert calls == [1]
         y_ref, z_ref = polish_from(res.x)
         assert bits(y) == bits(y_ref) and bits(z) == bits(z_ref)
+
+
+# --------------------------------------------------------------------------
+# Wide norm cones as unit rows
+# --------------------------------------------------------------------------
+
+def unit_blocks(n, layout):
+    """The norm cap and the norm epigraph over the first n - 1 columns as
+    :class:`UnitRows`, in ``layout`` order (``"cap"``, ``"epi"``), with
+    their ``h``; the last column is t."""
+    units = {"cap": UnitRows((n, n), np.arange(1, n), np.arange(n - 1), -1.0),
+             "epi": UnitRows((n, n), np.arange(n),
+                             np.r_[n - 1, np.arange(n - 1)], -1.0)}
+    return [ConeBlock("soc", units[name], np.r_[2.0 * (name == "cap"),
+                                                np.zeros(n - 1)], (name,))
+            for name in layout]
+
+
+#: (n, narrow rows, wide blocks): econ's cap then epigraph (the store
+#: ends 6 rows past the narrow ones), catenary's reference solve with the
+#: epigraph's head and 5 unit rows in the store's last group of 8, and a
+#: wide start already on a multiple of 8
+UNIT_LAYOUTS = [(1154, 3394, ("cap", "epi")), (70, 66, ("epi",)),
+                (50, 64, ("cap", "epi"))]
+
+
+def unit_program(n, narrow, layout, rng):
+    """A program of ``narrow`` dense rows at scales 1e-6 to 1e6 (nonneg
+    rows and SOC blocks of 3) and then wide unit blocks, and the same rows
+    dense."""
+    l = narrow % 3 + 3
+    G = rng.normal(size=(narrow, n)) * 10.0 ** rng.uniform(-6, 6,
+                                                          (narrow, 1))
+    blocks = [ConeBlock("nonneg", G[:l], np.zeros(l))]
+    blocks += [ConeBlock("soc", G[r: r + 3], np.zeros(3))
+               for r in range(l, narrow, 3)]
+    blocks += unit_blocks(n, layout)
+    prog = ConeProgram(n=n, blocks=blocks)
+    dense = np.vstack([G] + [blk.G.toarray() for blk in blocks
+                             if isinstance(blk.G, UnitRows)])
+    return prog, dense
+
+
+def spread(rng, size):
+    """Random entries at scales 1e-6 to 1e6, with a +0.0 and a -0.0."""
+    v = rng.normal(size=size) * 10.0 ** rng.uniform(-6, 6, size)
+    v[rng.integers(size, size=2)] = 0.0, -0.0
+    return v
+
+
+def unit_products_keep_the_bits():
+    """Print, per :data:`UNIT_LAYOUTS` layout and random vector, whether
+    ``rows.dot`` and ``rows.tdot`` have the bits of the dense products."""
+    for n, narrow, layout in UNIT_LAYOUTS:
+        rng = np.random.default_rng(n)
+        prog, dense = unit_program(n, narrow, layout, rng)
+        for _ in range(4):
+            x, z = spread(rng, n), spread(rng, dense.shape[0])
+            print(bits(prog.rows.dot(x)) == bits(dense @ x)
+                  and bits(prog.rows.tdot(z)) == bits(dense.T @ z))
+
+
+class TestUnitRows:
+
+    def test_products_have_the_dense_bits_with_blas_pinned(self):
+        # on more threads OpenBLAS shares the rows of G x out by their
+        # count, so the store's product moves bits there
+        here = pathlib.Path(__file__).parent
+        src = pathlib.Path(cpus.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, [
+            src, here])), **dict.fromkeys(cpus.BLAS_THREAD_VARS, "1")}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import test_conic; test_conic.unit_products_keep_the_bits()"],
+            check=True, capture_output=True, text=True, env=env)
+        assert out.stdout.split() == ["True"] * (4 * len(UNIT_LAYOUTS))
+
+    @pytest.mark.parametrize("n, narrow, layout", UNIT_LAYOUTS)
+    def test_store_ends_at_the_next_multiple_of_8(self, n, narrow, layout):
+        prog, dense = unit_program(n, narrow, layout,
+                                   np.random.default_rng(1))
+        rows = prog.G.shape[0]
+        assert rows % 8 == 0 and 0 <= rows - narrow <= 7
+        assert np.array_equal(prog.G, dense[:rows])
+        assert prog.rows.m == prog.h.size == dense.shape[0]
+        # the polish's column of each block, and the blocks' own rows
+        for sl, blk in zip(prog.block_slices, prog.blocks):
+            v = spread(np.random.default_rng(2), sl.stop - sl.start)
+            assert bits(prog.rows.block_tdot(sl, v)) == bits(dense[sl].T @ v)
+            if isinstance(blk.G, UnitRows):
+                assert np.array_equal(blk.G.toarray(), dense[sl])
+
+    def test_wide_terms_keep_their_bytes(self):
+        # C_b and v_b of a unit block against the dense products they
+        # replace, and the whole Newton matrix against the dense factory
+        n = 40
+        rng = np.random.default_rng(4)
+        M = rng.normal(size=(n, n))
+        P = M @ M.T
+        narrow = [ConeBlock("nonneg", rng.normal(size=(6, n)), np.zeros(6)),
+                  ConeBlock("soc", rng.normal(size=(3, n)), np.zeros(3))]
+        prog = ConeProgram(n=n, P=P, blocks=narrow + unit_blocks(
+            n, ("cap", "epi")))
+        dense = ConeProgram(n=n, P=P, blocks=narrow + norm_blocks(n, rng))
+        cones = _Cones.of(prog)
+        factory, _ = _newton_matrix_factory(P, prog.rows, cones)
+        cells = dict(zip(factory.__code__.co_freevars,
+                         (c.cell_contents for c in factory.__closure__)))
+        for k, v_of, C in cells["terms"]:
+            Gb = dense.G[cones.soc_slices[k]]
+            C_ref = np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]
+            assert bits(C) == bits(np.diagonal(C_ref).copy())
+            for _ in range(3):
+                wbar = spread(rng, n)
+                assert bits(v_of(wbar)) == bits(
+                    Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:])
+        ref = ref_newton_matrix_factory(P, dense.G, cones)
+        for _ in range(2):
+            W = TestNewtonWorkspace.scaling(rng, cones)
+            assert bits(factory(W)) == bits(ref(W))
+
+    def test_solve_matches_the_dense_program(self):
+        # a small econ-like fit: every output equal, bit for bit
+        n = 12
+        rng = np.random.default_rng(6)
+        J = rng.normal(size=(20, n))
+        P, q = J.T @ J, -J.T @ rng.normal(size=20)
+        G = -np.abs(rng.normal(size=(9, n)))
+        nonneg = lambda: ConeBlock("nonneg", G, -np.ones(9))  # noqa: E731
+        cap, epi = norm_blocks(n, rng)
+        sols = [solve(ConeProgram(n=n, P=P, q=q, blocks=[nonneg(), *wide]))
+                for wide in ((cap, epi), unit_blocks(n, ("cap", "epi")))]
+        assert sols[0].status == "optimal"
+        for name in ("x", "y_eq", "z", "s", "trace"):
+            assert bits(getattr(sols[0], name)) == bits(getattr(sols[1],
+                                                                name))
+        assert sols[0].residuals == sols[1].residuals
+
+    def test_polish_matches_the_dense_rows(self):
+        # every row and block active, the gradient in their span with
+        # positive weights: the polish's unit-block columns come from the
+        # triples, with the dense rows' bytes
+        n = 30
+        rng = np.random.default_rng(8)
+        prog, dense = unit_program(n, 12, ("cap", "epi"), rng)
+        cones = _Cones.of(prog)
+        s, cols = np.zeros(prog.h.size), list(dense[: cones.l])
+        for sl in cones.soc_slices:
+            tail = rng.normal(size=sl.stop - sl.start - 1)
+            s[sl] = np.r_[np.linalg.norm(tail), tail]
+            cols.append(dense[sl].T @ np.r_[1.0, -tail / s[sl][0]])
+        q = -np.column_stack(cols) @ rng.uniform(0.5, 2.0, len(cols))
+        args = np.zeros((n, n)), q, np.zeros((0, n))
+        rest = prog.h, np.zeros(n), s, cones, 1e-6, 1.0
+        got = _dual_polish(*args, prog.rows, *rest)
+        ref = _dual_polish(*args, _Rows(dense), *rest)
+        assert got is not None
+        assert bits(got[0]) == bits(ref[0]) and bits(got[1]) == bits(ref[1])
+
+    def test_only_the_trailing_wide_run_stays_triples(self):
+        # a unit block that is narrow, or followed by a dense block, is
+        # written into the store and becomes a view of it
+        n = 4
+        dense = ConeBlock("soc", np.ones((3, n)), np.zeros(3))
+        short = lambda: ConeBlock(  # noqa: E731
+            "soc", UnitRows((3, n), [1, 2], [0, 1], -1.0), np.zeros(3))
+        for blocks in ([*unit_blocks(n, ("cap",)), dense], [short()],
+                       [short(), *unit_blocks(n, ("epi",))]):
+            ref = np.vstack([blk.G.toarray() if isinstance(blk.G, UnitRows)
+                             else blk.G for blk in blocks])
+            last = isinstance(blocks[-1].G, UnitRows) and \
+                blocks[-1].h.size >= n
+            prog = ConeProgram(n=n, blocks=blocks)
+            held = [isinstance(blk.G, UnitRows) for blk in prog.blocks]
+            assert held == [False] * (len(blocks) - 1) + [last]
+            assert np.array_equal(prog.G, ref[: prog.G.shape[0]])
+            for blk, sl, h in zip(prog.blocks, prog.block_slices, held):
+                if not h:
+                    assert np.shares_memory(blk.G, prog.G)
+                    assert np.array_equal(blk.G, ref[sl])
+
+    def test_unit_rows_are_soc_rows(self):
+        n = 4
+        unit = UnitRows((n, n), np.arange(n), np.arange(n), 1.0)
+        with pytest.raises(ValueError, match="SOC blocks only"):
+            ConeProgram(n=n, blocks=[ConeBlock("nonneg", unit, np.zeros(n))])
+        for rows, cols, signs in (([1, 1], [0, 1], -1.0),   # one row twice
+                                  ([0, 1], [2, 2], -1.0),   # one column
+                                  ([0, 1], [0, 1], 2.0),    # not +-1
+                                  ([0, 4], [0, 1], 1.0)):   # past the rows
+            with pytest.raises(ValueError, match="unit rows need"):
+                UnitRows((4, n), rows, cols, signs)

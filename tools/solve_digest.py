@@ -24,17 +24,28 @@ its time in seconds and the process's peak resident memory so far
 (``ru_maxrss``, in kB).  After the run, ``DIR/files.txt`` lists the sha256
 of every CSV, every ``model_*.json`` and ``summary.json`` without its
 timings, configuration and output directory, and the run prints each
-process's peak at its last solve: the caller's and each forked worker's,
-where the benchmark's ``peak_rss_mb`` reports only the largest.
+process's peak at its last solve, and writes it to ``DIR/peaks.txt``: the
+caller's and each forked worker's, where the benchmark's ``peak_rss_mb``
+reports only the largest.
 
-``--compare`` reads two digests and compares their solve lines as sorted
-multisets, times and memory ignored, and their file hashes.  It prints
-what differs and exits 1 if anything does.  With ``--rtol R`` the solve
-lines are still compared byte for byte, but a file whose hash differs is
-read back from each side's ``run`` directory and compared value by value:
-numeric CSV cells and JSON numbers match when ``|a - b| <= R * max(|a|,
-|b|)``, and text cells, JSON keys, strings and booleans must be equal.
-The largest relative difference of each file is printed.
+``--compare`` reads two digests and, by default, compares their solve
+lines as sorted multisets, times and memory ignored, and their file
+hashes.  It prints what differs and exits 1 if anything does.  It also
+prints each side's peaks next to each other, caller against caller and
+worker against worker (in fork order), from ``DIR/peaks.txt``.
+
+With ``--rtol R`` it judges a change that moves bits.  Solves are matched
+by their runner label in each side's ``summary.json``: their status and
+stop reason must be equal and their objectives within ``|a - b| <= R *
+max(|a|, |b|)``, and iteration-count changes are printed, not judged.  A
+SOAP scheme (one whose summary has a ``stop``) must keep its element
+count and stop.  A file whose hash differs is read back from each side's
+``run`` directory and compared value by value, the summary without its
+solves and without iteration counts: JSON numbers within the same
+relative rule, CSV cells within ``R`` times the largest ``|value|`` of
+their column on either side (which a cell within the relative rule always
+is), and text cells, JSON keys, strings and booleans exactly.  The
+largest such difference of each file is printed.
 """
 
 from __future__ import annotations
@@ -56,6 +67,10 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS")
 #: summary keys that hold times or paths, left out of its hash
 SUMMARY_VOLATILE = ("timings", "timing_table", "out_dir", "config")
+#: keys and CSV columns that ``--rtol`` reports but does not judge
+REPORTED = ("iterations",)
+#: what a SOAP scheme's summary must keep under ``--rtol``
+SOAP = ("elements", "stop")
 
 
 def _sha(array) -> str:
@@ -155,9 +170,12 @@ def run(args) -> int:
         fh.writelines(f"{line}\n" for line in _file_hashes(overlay["out_dir"]))
     solves = sum(_read_solves(out).values())
     print(f"{solves} solves digested in {out}")
-    for pid, (count, rss) in sorted(_peaks(out).items()):
-        who = "caller" if pid == os.getpid() else "worker"
-        print(f"{who} {pid}: {count} solves, peak RSS {rss / 1024:.1f} MB")
+    with open(os.path.join(out, "peaks.txt"), "w", encoding="utf-8") as fh:
+        for pid, (count, rss) in sorted(_peaks(out).items()):
+            who = "caller" if pid == os.getpid() else "worker"
+            fh.write(f"{who} {pid} {rss}\n")
+            print(f"{who} {pid}: {count} solves, peak RSS {rss / 1024:.1f} "
+                  "MB")
     return 0
 
 
@@ -188,13 +206,14 @@ def _read_files(out: str) -> dict:
 
 def _load(path: str):
     """A run's output as values: CSV rows of cells, or the JSON document
-    (``summary.json`` without the keys its hash leaves out)."""
+    (``summary.json`` without the keys its hash leaves out, and without
+    its solves, which ``--rtol`` judges by label)."""
     with open(path, encoding="utf-8", newline="") as fh:
         if path.endswith(".csv"):
             return list(csv.reader(fh))
         data = json.load(fh)
     if os.path.basename(path) == "summary.json":
-        for key in SUMMARY_VOLATILE:
+        for key in (*SUMMARY_VOLATILE, "solves"):
             data.pop(key, None)
     return data
 
@@ -210,33 +229,123 @@ def _number(value):
         return None
 
 
-def _rel_diff(a, b) -> float:
-    """The largest relative difference of two loaded outputs, or inf where
-    their structure, a text value or a key differs."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            return math.inf
-        return max((_rel_diff(a[k], b[k]) for k in a), default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            return math.inf
-        return max(map(_rel_diff, a, b), default=0.0)
+def _diff(a, b, scale=None) -> float:
+    """``|a - b|`` over ``scale`` (default: the larger of the two) for two
+    numbers, 0.0 for equal values, inf where a text value differs."""
     x, y = _number(a), _number(b)
     if x is None or y is None:
         return 0.0 if a == b and type(a) is type(b) else math.inf
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
-    return abs(x - y) / max(abs(x), abs(y))
+    scale = max(abs(x), abs(y)) if scale is None else scale
+    if not (math.isfinite(x) and math.isfinite(y) and scale):
+        return math.inf
+    return abs(x - y) / scale
+
+
+def _rel_diff(a, b) -> float:
+    """The largest relative difference of two loaded JSON documents, or
+    inf where their structure, a text value or a key differs.  Iteration
+    counts are left out: they are reported with the solves."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return math.inf
+        return max((_rel_diff(a[k], b[k]) for k in a
+                    if k not in REPORTED), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.inf
+        return max(map(_rel_diff, a, b), default=0.0)
+    return _diff(a, b)
+
+
+def _csv_diff(a: list, b: list) -> float:
+    """The largest difference of two CSV tables' cells, each over the
+    largest ``|value|`` in its column on either side, or inf where their
+    shape or a text cell differs.  Columns named in ``REPORTED`` are left
+    out."""
+    if [len(row) for row in a] != [len(row) for row in b]:
+        return math.inf
+    scale = collections.defaultdict(float)
+    for row in a + b:
+        for j, cell in enumerate(row):
+            x = _number(cell)
+            if x is not None and math.isfinite(x):
+                scale[j] = max(scale[j], abs(x))
+    skip = {j for j, name in enumerate(a[0] if a else [])
+            if name in REPORTED}
+    return max((_diff(x, y, scale[j]) for ra, rb in zip(a, b)
+                for j, (x, y) in enumerate(zip(ra, rb)) if j not in skip),
+               default=0.0)
+
+
+def _summary(side: str) -> dict:
+    with open(os.path.join(side, "run", "summary.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _compare_solves(a: str, b: str, rtol: float) -> bool:
+    """Match the two sides' solves by label and their SOAP schemes by
+    name; print what differs.  True if anything fails the tolerance."""
+    (sa, sb), differ = (_summary(a), _summary(b)), False
+    solves = [collections.defaultdict(list) for _ in (a, b)]
+    for summary, by_label in zip((sa, sb), solves):
+        for solve in summary.get("solves", []):
+            by_label[solve["label"]].append(solve)
+    for label in sorted(set(solves[0]) | set(solves[1])):
+        counts = [len(by_label[label]) for by_label in solves]
+        if counts[0] != counts[1]:
+            differ = True
+            print(f"solve {label!r}: {counts[0]} -> {counts[1]} solves")
+        for x, y in zip(*(by_label[label] for by_label in solves)):
+            changed = [k for k in ("status", "stop_reason") if x[k] != y[k]]
+            rel = _diff(x["objective"], y["objective"])
+            if changed or not rel <= rtol:
+                differ = True
+                print(f"solve {label!r}: " + ", ".join(
+                    [f"{k} {x[k]} -> {y[k]}" for k in changed]
+                    + [f"objective relative difference {rel:.3g}"]))
+            if x["iterations"] != y["iterations"]:
+                print(f"solve {label!r}: iterations {x['iterations']} -> "
+                      f"{y['iterations']}")
+    for name, scheme in sorted(sa.get("schemes", {}).items()):
+        other = sb.get("schemes", {}).get(name, {})
+        if "stop" in scheme and [scheme.get(k) for k in SOAP] != \
+                [other.get(k) for k in SOAP]:
+            differ = True
+            print(f"SOAP {name}: " + " -> ".join(
+                f"{s.get('elements')} elements, stop {s.get('stop')!r}"
+                for s in (scheme, other)))
+    return differ
+
+
+def _roles(out: str) -> dict:
+    """``{role: peak MB}`` from a digest's ``peaks.txt`` (empty without
+    one): ``caller``, then ``worker 1``, ``worker 2`` ... in pid order."""
+    path = os.path.join(out, "peaks.txt")
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split() for line in fh]
+    workers = sorted(int(pid) for role, pid, _ in rows if role == "worker")
+    return {role if role == "caller" else
+            f"worker {workers.index(int(pid)) + 1}": int(kb) / 1024
+            for role, pid, kb in rows}
 
 
 def compare(a: str, b: str, rtol: float | None = None) -> int:
     solves = {side: _read_solves(side) for side in (a, b)}
     files = {side: _read_files(side) for side in (a, b)}
     differ, close = False, []
-    for side, other in ((a, b), (b, a)):
-        for line, count in sorted((solves[side] - solves[other]).items()):
-            differ = True
-            print(f"solve only in {side} (x{count}): {line}")
+    if rtol is None:
+        for side, other in ((a, b), (b, a)):
+            for line, count in sorted((solves[side] - solves[other])
+                                      .items()):
+                differ = True
+                print(f"solve only in {side} (x{count}): {line}")
+    else:
+        differ = _compare_solves(a, b, rtol)
     for name in sorted(set(files[a]) | set(files[b])):
         if files[a].get(name) == files[b].get(name):
             continue
@@ -244,11 +353,15 @@ def compare(a: str, b: str, rtol: float | None = None) -> int:
             differ = True
             print(f"file differs: {name}")
             continue
-        rel = _rel_diff(*(_load(os.path.join(side, "run", name))
-                          for side in (a, b)))
+        loaded = [_load(os.path.join(side, "run", name)) for side in (a, b)]
+        rel = (_csv_diff if name.endswith(".csv") else _rel_diff)(*loaded)
         close.append(name)
         differ = differ or not rel <= rtol
         print(f"file {name}: largest relative difference {rel:.3g}")
+    peaks = [_roles(side) for side in (a, b)]
+    for role in sorted(set(peaks[0]) | set(peaks[1])):
+        print(f"peak RSS {role}: " + " -> ".join(
+            f"{p[role]:.1f} MB" if role in p else "-" for p in peaks))
     if not differ:
         print(f"identical: {sum(solves[a].values())} solves, "
               f"{len(files[a]) - len(close)} files"
@@ -264,8 +377,9 @@ def main(argv=None) -> int:
     source.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two digest directories")
     parser.add_argument("--rtol", type=float,
-                        help="with --compare: compare differing files "
-                        "value by value within this relative tolerance")
+                        help="with --compare: match solves by label and "
+                        "compare differing files value by value within "
+                        "this relative tolerance")
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--out", help="digest directory to write")
     args = parser.parse_args(argv)
