@@ -42,18 +42,32 @@ with the dense products' bits, so no ``n^3`` product runs per solve and no
 ``n^2`` one per iteration.  The other blocks' rows are a view of the store
 when they come first.
 
+The narrow rows ``G_n`` enter through one of two products, chosen once per
+solve from the program's shape.  A large, short program (n > 192 and
+fewer than 8 n narrow rows: econ's fits) forms ``M^T M`` with ``M =
+W^{-1} G_n``, as CVXOPT's cone QP solver forms ``(W^{-T} G)^T (W^{-T}
+G)``: numpy runs it as ``dsyrk``, half the flops of a general product,
+and the result is exactly symmetric.  Its Cholesky factor is then used by
+two triangular solves.  Every other program forms ``G_n^T (W^{-2} G_n)``
+as one general product and solves through an LU of the factor (see
+below), which keeps their bits: SOAP's stop on the tall enclosure
+programs and control's fragile ``ball`` solve on the small ones turn on
+last bits, and up to n = 192 the shorter product would save at most
+1.3 ms per iteration (n = 192 with 1,535 narrow rows, one BLAS thread).
+
 Workspace.  Each solve allocates one workspace, as ECOS allocates its
 memory at setup: an ``n x n`` buffer and one flat buffer of max(n^2,
-narrow rows x n) doubles.  The product writes ``W^{-2} G_n`` into the
-flat buffer and ``G_n^T W^{-2} G_n`` into the ``n x n`` one; the
+narrow rows x n) doubles.  The product writes ``W^{-2} G_n`` (or ``W^{-1}
+G_n``) into the flat buffer and the product into the ``n x n`` one; the
 symmetrized H then takes the flat buffer.  H is factored in place: numpy's
-own ``dpotrf`` factors a copy of it in the ``n x n`` buffer, L replaces H,
-and L's LU takes the ``n x n`` buffer.  So no iteration allocates an
-``n x n`` array, each iteration overwrites the last one's matrix and
-factor, and the solve drops the workspace before the dual polish builds
-its own matrices.  Where :func:`cpus.spare_cpu` allows, a tall program
-(n >= 64, at least 8 n narrow rows) forms the product in two column
-halves, the second on a helper thread.  Only shapes
+own ``dpotrf`` factors a copy of it in the ``n x n`` buffer.  On the LU
+path L replaces H and L's LU takes the ``n x n`` buffer; on the
+triangular path the solves read the factor where ``dpotrf`` left it.  So
+no iteration allocates an ``n x n`` array, each iteration overwrites the
+last one's matrix and factor, and the solve drops the workspace before
+the dual polish builds its own matrices.  Where :func:`cpus.spare_cpu`
+allows, a tall program (n >= 64, at least 8 n narrow rows) forms the
+product in two column halves, the second on a helper thread.  Only shapes
 measured to keep the one product's bits are split: with OpenBLAS 0.3.31,
 n <= 192 or n a multiple of 8.
 
@@ -65,20 +79,26 @@ SOAP's saturation test reads slacks at the solver's own tolerance, so its
 stop turns on last bits: reductions are ``np.vecdot`` or stacked ``@``,
 Python's ``min``/``max`` NaN rules are kept, and a block's leading entry is
 squared by libm ``pow`` (``np.float_power``), as the numpy scalar was, not
-as ``x * x``.  The Cholesky back half is a triangular solve, bit-equal to
-an LU solve with ``L^T``; the forward half stays an LU solve, since a
-triangular one changes its bits.  Both holdovers can go once SOAP's stop
-no longer depends on rounding.  L gets one LU per Newton matrix, through
-numpy's own LAPACK: ``dgetrf`` once, then ``dgetrs`` per right-hand side
-are the ``dgesv`` that ``np.linalg.solve`` runs, so each solve keeps its
-bits.  scipy's ``lu_factor`` would not: scipy loads another OpenBLAS build.
+as ``x * x``.  On the tall and small programs the Cholesky back half is a
+triangular solve, bit-equal to an LU solve with ``L^T``; the forward half
+stays an LU solve, since a triangular one changes its bits.  Taken on
+every program, ``dsyrk`` alone took catenary-soap from "no saturation"
+after 9 SOAP rounds to all 30 (5.5 s to 163 s, BLAS on one thread, on a
+2-vCPU VM), and ``dsyrk`` with the triangular solves changed the stop or
+iteration count of control's ``ball`` solve on 5 of seeds 0-29.  Both
+holdovers can go once SOAP's stop no longer depends on rounding.  L gets
+one LU per Newton matrix, through numpy's own LAPACK: ``dgetrf`` once,
+then ``dgetrs`` per right-hand side are the ``dgesv`` that
+``np.linalg.solve`` runs, so each solve keeps its bits.  scipy's
+``lu_factor`` would not: scipy loads another OpenBLAS build.
 Where ``dgetrf`` would swap no row, L's LU is L with its columns scaled,
 written in O(n^2) with ``dgetrf``'s bits (:func:`_lu_without_pivots`).
 Likewise ``dpotrf`` ('L') on a copy of H is the factor that
 ``np.linalg.cholesky`` computes, to the bit, with its +0.0 upper triangle.
 
-Triangular solves (the back half here, the whitening and the coefficient
-recovery in ``assemble``) run numpy's own ``dtrtrs``, bound next to
+Triangular solves (the Newton solves' back half, both halves on the
+large, short programs, the whitening and the coefficient recovery in
+``assemble``) run numpy's own ``dtrtrs``, bound next to
 ``dgetrf``, through :func:`solve_triangular`, so no run imports scipy.
 It hands LAPACK the factor in the layout scipy's ``solve_triangular``
 does: an F-ordered factor as it is, a C-ordered ``L`` as ``L^T`` with
@@ -498,19 +518,30 @@ class _Scaling:
     def _apply_run(eta, wbar, u, out, sign: float) -> None:
         """``out = W u`` (sign 1) or ``W^{-1} u`` (sign -1) on a run, with
         W = eta * [[w0, w1^T], [w1, I + w1 w1^T / (1 + w0)]] and
-        W^{-1} = (1/eta) * J W_bar J."""
-        dot = np.vecdot(wbar[:, 1:], u[:, 1:])
+        W^{-1} = (1/eta) * J W_bar J.  ``u`` holds one vector per block,
+        ``(count, dim)``, or columns, ``(count, dim, k)``; no temporary is
+        larger than (count x k)."""
+        if u.ndim == 3:  # each block's scalars broadcast over the columns
+            wbar, eta = wbar[:, :, None], eta[:, None]
+            dot = np.matmul(wbar[:, None, 1:, 0], u[:, 1:])[:, 0]
+        else:
+            dot = np.vecdot(wbar[:, 1:], u[:, 1:])
         out[:, 0] = wbar[:, 0] * u[:, 0] + sign * dot
         coef = sign * u[:, 0] + dot / (1.0 + wbar[:, 0])
-        out[:, 1:] = u[:, 1:] + coef[:, None] * wbar[:, 1:]
+        np.multiply(coef[:, None], wbar[:, 1:], out=out[:, 1:])
+        out[:, 1:] += u[:, 1:]
         (np.multiply if sign > 0 else np.divide)(out, eta[:, None], out=out)
 
-    def _apply(self, u: np.ndarray, sign: float) -> np.ndarray:
-        out = np.empty_like(u)
-        l = self.cones.l
-        out[:l] = self.w_nn * u[:l] if sign > 0 else u[:l] / self.w_nn
-        for r0, c, d, k0 in self.cones.runs:
-            self._apply_run(self.eta[k0: k0 + c], _run(self.wbar, r0, c, d),
+    def _apply(self, u: np.ndarray, sign: float, blocks=None,
+               out: np.ndarray | None = None) -> np.ndarray:
+        cones, l = self.cones, self.cones.l
+        out = np.empty_like(u) if out is None else out
+        w = self.w_nn.reshape(l, *[1] * (u.ndim - 1))
+        (np.multiply if sign > 0 else np.divide)(u[:l], w, out=out[:l])
+        for r0, c, d, k0 in cones.runs if blocks is None else \
+                cones.runs_of(blocks):
+            self._apply_run(self.eta[k0: k0 + c],
+                            _run(self.wbar, cones.soc_slices[k0].start, c, d),
                             _run(u, r0, c, d), _run(out, r0, c, d), sign)
         return out
 
@@ -518,9 +549,18 @@ class _Scaling:
         """W u."""
         return self._apply(u, 1.0)
 
-    def apply_inv(self, u: np.ndarray) -> np.ndarray:
-        """W^{-1} u (= W^{-T} u; W is symmetric)."""
-        return self._apply(u, -1.0)
+    def apply_inv(self, u: np.ndarray, blocks=None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """W^{-1} u (= W^{-T} u; W is symmetric) for a vector u, or column
+        by column for a matrix: nonneg rows divided by ``w_nn``, each SOC
+        run by ``(1/eta) J W_bar J``.  So ``(W^{-1} G)^T (W^{-1} G) = G^T
+        W^{-2} G``.
+
+        ``blocks`` and ``out`` are as in :meth:`apply_w2inv_mat`.  No
+        temporary is larger than (SOC blocks x columns), so the large,
+        short Newton product writes into its workspace and nothing else.
+        """
+        return self._apply(u, -1.0, blocks, out)
 
     def apply_w2inv_mat(self, M: np.ndarray, blocks=None,
                         out: np.ndarray | None = None) -> np.ndarray:
@@ -588,9 +628,11 @@ def _jordan_solve(lmbda: np.ndarray, d: np.ndarray,
 # --------------------------------------------------------------------------
 
 def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
-    """``(newton_matrix, work)``: ``newton_matrix(W)`` returns ``H = P +
-    G^T W^{-2} G`` with wide SOC blocks as rank-one terms, and ``work`` is
-    the n x n buffer it formed H in, dead once it returns.
+    """``(newton_matrix, factor)``: ``newton_matrix(W)`` returns ``H = P +
+    G^T W^{-2} G`` with wide SOC blocks as rank-one terms, and
+    ``factor(H)`` is :func:`_chol_solve_factory` on it, with the n x n
+    buffer H was formed in (dead once ``newton_matrix`` returns) for its
+    scratch and the solve that suits the program's shape.
 
     A SOC block of dimension d >= n is wide: its n x n matrix
     ``C_b = G_b^T J G_b`` (J = diag(1, -1, ..., -1)) is no larger than its
@@ -604,13 +646,20 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
     narrow rows are a view of the store when they come first, as in every
     program ``assemble`` builds.
 
-    The workspace is allocated here, once per solve: ``work`` and one flat
-    buffer of max(n^2, narrow rows x n) doubles.  The flat buffer holds
-    ``W^{-2} G_n`` during the product (each column half in its own part)
-    and then the symmetrized H that a call returns, so each call
-    overwrites the matrix the last one returned.
-    :func:`_chol_solve_factory` factors that matrix in place, with
-    ``work`` for its scratch.
+    The narrow rows' product is decided here, once per solve, by
+    :func:`_large_and_short`.  A large, short program forms ``M^T M`` with
+    ``M = W^{-1} G_n`` (:meth:`_Scaling.apply_inv`), which numpy runs
+    as ``dsyrk``, and its factor solves by two triangular solves.  Any
+    other program forms ``G_n^T (W^{-2} G_n)`` by one general product (or
+    two column halves, see the module docstring) and solves through an LU
+    of the factor, with the bits it always had.
+
+    The workspace is allocated here, once per solve: the n x n buffer and
+    one flat buffer of max(n^2, narrow rows x n) doubles.  The flat buffer
+    holds ``W^{-2} G_n`` or ``W^{-1} G_n`` during the product (each column
+    half in its own part) and then the symmetrized H that a call returns,
+    so each call overwrites the matrix the last one returned.  ``factor``
+    factors that matrix in place, in the n x n buffer.
     """
     units = dict(G.units)
     G = G.G
@@ -642,6 +691,7 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
     H, flat = np.empty((n, n)), np.empty(max(n * n, r * n))
     T = flat[: n * n].reshape(n, n)
     T_diag = T.reshape(-1)[:: n + 1]  # a view of T's diagonal
+    short = _large_and_short(n, r)
     # tall, and two halves measured to keep the one product's bits
     split = n >= 64 and r >= 8 * n and (n <= 192 or n % 8 == 0)
     mid = n // 2 // 8 * 8
@@ -653,7 +703,10 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
             w2g = flat[r * a: r * b].reshape(r, b - a)
             W.apply_w2inv_mat(Gn[:, a:b], narrow, out=w2g)
             np.matmul(Gn.T, w2g, out=H[:, a:b])
-        if split and cpus.spare_cpu():
+        if short:  # M^T M with M = W^-1 Gn: dsyrk, exactly symmetric
+            M = W.apply_inv(Gn, narrow, out=flat[: r * n].reshape(r, n))
+            np.matmul(M.T, M, out=H)
+        elif split and cpus.spare_cpu():
             with ThreadPoolExecutor(1) as helper:  # joined at the exit
                 # in a copy of this context, which holds np.errstate
                 second = helper.submit(contextvars.copy_context().run,
@@ -674,7 +727,18 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
         np.add(H, H.T, out=T)  # _sym(H), in T
         np.multiply(T, 0.5, out=T)
         return T
-    return newton_matrix, H
+    return newton_matrix, functools.partial(_chol_solve_factory, work=H,
+                                            triangular=short)
+
+
+def _large_and_short(n: int, r: int) -> bool:
+    """Whether a program over ``n`` columns with ``r`` narrow rows forms
+    its Newton product by ``dsyrk`` and solves by two triangular solves
+    (econ's fits).  Tall programs (``r >= 8 n``: SOAP rounds, robotarm's
+    enclosure program) and small ones (``n <= 192``) keep the gemm and the
+    LU forward solve, whose bits SOAP's stop and control's fragile solves
+    turn on."""
+    return n > 192 and r < 8 * n
 
 
 def _dense_v(Gb: np.ndarray, wbar: np.ndarray) -> np.ndarray:
@@ -690,20 +754,24 @@ def _unit_v(head, rows, cols, signs, wbar: np.ndarray) -> np.ndarray:
     return head * wbar[0] - tail
 
 
-def _chol_solve_factory(H: np.ndarray, work: np.ndarray):
+def _chol_solve_factory(H: np.ndarray, work: np.ndarray,
+                        triangular: bool = False):
     """Cholesky factor of the symmetric H with escalating static
     regularization, in place.  Returns the solve and the regularization it
     added to the diagonal.
 
     Each attempt factors a copy of H, ``H + reg I`` bit for bit, in
     ``work`` (n x n, C-ordered) with numpy's own ``dpotrf`` ('L'), as
-    ``np.linalg.cholesky`` does.  Then H is overwritten with L, C-ordered
-    with a +0.0 strict upper triangle, as ``np.linalg.cholesky`` returns
-    it, and ``work`` with L's one LU (``dgetrf``, or its bits built by
-    :func:`_lu_without_pivots` where it would not pivot).  So a call
-    allocates no n x n array.  The forward half reuses that LU
+    ``np.linalg.cholesky`` does.  With ``triangular`` that F-ordered
+    factor is the solve's: two :func:`solve_triangular` calls, L then
+    L^T, which read only its lower triangle, so H keeps its matrix.
+    Otherwise H is overwritten with L, C-ordered with a +0.0 strict upper
+    triangle, as ``np.linalg.cholesky`` returns it, and ``work`` with L's
+    one LU (``dgetrf``, or its bits built by :func:`_lu_without_pivots`
+    where it would not pivot); the forward half reuses that LU
     (``np.linalg.solve`` without numpy's LAPACK, after
-    ``np.linalg.cholesky``); the back half is :func:`solve_triangular`.
+    ``np.linalg.cholesky``), and the back half is :func:`solve_triangular`.
+    Either way a call allocates no n x n array.
     """
     n = H.shape[0]
     if H.shape != (n, n) or work.shape != (n, n):
@@ -736,6 +804,14 @@ def _chol_solve_factory(H: np.ndarray, work: np.ndarray):
         reg = max(reg * 100.0, 1e-12 * scale)
         if reg > 1e-4 * scale:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
+    if triangular:
+        L = H if lapack is None else F
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            return solve_triangular(
+                L, solve_triangular(L, rhs, lower=True, check_finite=False),
+                lower=True, trans=True, check_finite=False)
+        return solve, reg
     if lapack is not None:
         for i in range(1, n):  # F's strict upper triangle
             work[i, :i] = 0.0
@@ -881,7 +957,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     if m == 0:
         return _solve_equality_qp(prog, st, A, b)
 
-    newton_matrix, work = _newton_matrix_factory(P, G, cones)
+    newton_matrix, factor = _newton_matrix_factory(P, G, cones)
     # Infeasible start: x from the warm start (or zero), multipliers at the
     # cone identity.  The iteration drives the residuals to zero itself.
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -964,7 +1040,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                 stop = "non_finite"
                 break
             try:
-                hsolve, row[4] = _chol_solve_factory(H, work)
+                hsolve, row[4] = factor(H)
             except np.linalg.LinAlgError:
                 stop = "factorization"
                 break
@@ -1036,7 +1112,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
         row[5:] = sigma, alpha
 
     # the polish below builds its own matrices: drop the workspace first
-    newton_matrix = work = H = hsolve = None
+    newton_matrix = factor = H = hsolve = None
     if status == "max_iter":
         # The loop ended without a certificate.  If the primal point is
         # feasible, try to reconstruct exact multipliers from its active

@@ -8,7 +8,11 @@ reference copies kept at the end of this file, and so is the Newton matrix
 built in its per-solve workspace, against a copy of the per-call factory.
 A tall program's Newton matrix, built in two column halves when a helper
 thread can form the second, has the bits of the one product, with BLAS
-pinned to one thread as it is whenever the helper runs.  The Cholesky
+pinned to one thread as it is whenever the helper runs.  A large, short
+program's Newton matrix, ``M^T M`` with ``M = W^-1 G_n``, is exactly
+symmetric and within rounding of the general product, and its solves run
+no LU; which programs take that path is checked on the benchmark's shapes.
+The Cholesky
 factor made in place through numpy's own ``dpotrf`` has the bits of
 ``np.linalg.cholesky``'s, and a solve holds no more than its workspace
 above the program.  The Newton solves that reuse one LU of the Cholesky
@@ -1220,6 +1224,132 @@ class TestNewtonHalves:
 
 
 # --------------------------------------------------------------------------
+# Large short programs: dsyrk on W^-1 G_n and two triangular solves
+# --------------------------------------------------------------------------
+
+def short_program(rng, n=200, wide=True):
+    """n > 192 and fewer than 8 n narrow rows: 150 nonneg rows and SOC
+    runs of dimensions 3 and 4, with a norm cap and epigraph (d = n)."""
+    return tall_program(n, [3] * 40 + [4] * 10 + [3] * 5, 150, rng, wide)
+
+
+class TestLargeShort:
+    """A program with n > 192 and fewer than 8 n narrow rows forms its
+    Newton product as ``M^T M`` with ``M = W^-1 G_n`` (``dsyrk``) and solves
+    with two triangular solves on the ``dpotrf`` factor, with no LU."""
+
+    @staticmethod
+    def cones_and_scaling(rng):
+        # runs of dimensions 3 and 4 with a wide block (40 >= N) between
+        _, cones = TestBlockRuns.cones()
+        return cones, TestNewtonWorkspace.scaling(rng, cones)
+
+    def test_matrix_is_inverted_column_by_column(self):
+        rng = np.random.default_rng(21)
+        cones, W = self.cones_and_scaling(rng)
+        M = rng.normal(size=(cones.m, 9)) * np.logspace(-3, 3, 9)
+        got = W.apply_inv(M)
+        ref = np.column_stack([W.apply_inv(col) for col in M.T])
+        assert got.shape == M.shape and got.flags.c_contiguous
+        np.testing.assert_allclose(got, ref, rtol=1e-15,
+                                   atol=1e-15 * np.max(np.abs(ref)))
+
+    def test_twice_is_the_inverse_square(self):
+        # on the nonneg rows and the narrow blocks only (the wide ones
+        # left out, as the Newton product passes them), written to out
+        rng = np.random.default_rng(22)
+        for dims in ([3, 3, 3, 4, 4, 40, 3], [3, 3, 40, 4]):
+            cones = _Cones(5, dims)
+            W = TestNewtonWorkspace.scaling(rng, cones)
+            blocks = [k for k, d in enumerate(dims) if d < 40]
+            rows = 5 + sum(dims[k] for k in blocks)
+            M = rng.normal(size=(rows, 11))
+            out = np.empty_like(M)
+            once = W.apply_inv(M, blocks, out=out)
+            assert once is out
+            twice = W.apply_inv(once, blocks)
+            ref = W.apply_w2inv_mat(M, blocks)
+            assert np.max(np.abs(twice - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_newton_matrix_is_symmetric_and_the_product(self):
+        rng = np.random.default_rng(23)
+        P, G, cones = short_program(rng)
+        factory, _ = _newton_matrix_factory(P, _Rows(G), cones)
+        ref = ref_newton_matrix_factory(P, G, cones)
+        for _ in range(2):
+            W = TestNewtonWorkspace.scaling(rng, cones)
+            H, expected = factory(W), ref(W)
+            assert bits(H) == bits(H.T)
+            assert np.max(np.abs(H - expected)) <= \
+                1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.skipif(conic._lapack() is None,
+                        reason="numpy's LAPACK is not bound")
+    def test_solves_run_no_lu(self, monkeypatch):
+        lapack = conic._lapack()
+        ran = []
+
+        def no_lu(*args):
+            raise AssertionError("an LU of the factor ran")
+
+        def counting_trtrs(*args):
+            ran.append(args[3].value)
+            return lapack.trtrs(*args)
+
+        monkeypatch.setattr(conic, "_lapack", lambda: lapack._replace(
+            getrf=no_lu, getrs=no_lu, trtrs=counting_trtrs))
+        monkeypatch.setattr(conic, "_lu_without_pivots", no_lu)
+        # the Newton matrix's solves against numpy's
+        rng = np.random.default_rng(24)
+        P, G, cones = short_program(rng)
+        newton_matrix, factor = _newton_matrix_factory(P, _Rows(G), cones)
+        H = newton_matrix(TestNewtonWorkspace.scaling(rng, cones))
+        H0 = H.copy()
+        solve_h, reg = factor(H)
+        assert reg == 0.0
+        for b in (rng.normal(size=H.shape[0]), 1e150 * rng.normal(
+                size=H.shape[0])):
+            x = np.linalg.solve(H0, b)
+            assert np.max(np.abs(solve_h(b) - x)) <= \
+                1e-12 * np.max(np.abs(x))
+        assert ran == [H.shape[0]] * 4
+        # and a whole solve of the workspace test's program (n = 300, 450
+        # narrow rows)
+        prog = TestNewtonWorkspace.square_program()
+        ran.clear()
+        sol = solve(prog)
+        assert sol.stop_reason == "optimal"
+        assert ran and set(ran) == {prog.n}
+
+    # (n, narrow rows, large and short): econ's relaxation and its `monot`
+    # fit; control's fit, catenary-soap's largest round and robotarm's
+    # m = 81 `hyp` fit keep the gemm and the LU; then the gate's edges
+    SHAPES = [(1153, 1575, True), (479, 450, True), (51, 50, False),
+              (192, 9404, False), (660, 105_840, False),
+              (192, 1535, False), (193, 1543, True), (193, 1544, False)]
+
+    @pytest.mark.parametrize("n, r, short", SHAPES)
+    def test_selection_by_shape(self, monkeypatch, n, r, short):
+        assert conic._large_and_short(n, r) == short
+        if r * n > 2 * 10 ** 7:  # robotarm's rows: 560 MB
+            return
+        calls = []
+        for name in ("apply_inv", "apply_w2inv_mat"):
+            def spy(self, M, blocks=None, out=None, name=name,
+                    apply=getattr(_Scaling, name)):
+                calls.append(name)
+                return apply(self, M, blocks, out=out)
+            monkeypatch.setattr(_Scaling, name, spy)
+        monkeypatch.setattr(cpus, "spare_cpu", lambda: False)
+        cones = _Cones(r, [])
+        newton_matrix, factor = _newton_matrix_factory(
+            np.zeros((n, n)), _Rows(np.zeros((r, n))), cones)
+        assert factor.keywords["triangular"] == short
+        newton_matrix(_Scaling(np.ones(r), np.ones(r), cones))
+        assert calls == ["apply_inv" if short else "apply_w2inv_mat"]
+
+
+# --------------------------------------------------------------------------
 # One LU of the Cholesky factor per Newton matrix
 # --------------------------------------------------------------------------
 
@@ -1414,12 +1544,12 @@ class TestOneLu:
             return count
 
         def counting_factory(P, G, cones):
-            newton_matrix, work = _newton_matrix_factory(P, G, cones)
+            newton_matrix, factor = _newton_matrix_factory(P, G, cones)
 
             def count(W):
                 built.append(1)
                 return newton_matrix(W)
-            return count, work
+            return count, factor
 
         def no_cholesky(*args, **kwargs):
             raise AssertionError("np.linalg.cholesky ran")
