@@ -186,32 +186,43 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     no enclosure auxiliary, as in econ) the store holds no ``-I`` block and
     ends within 8 rows of the rows before them.
 
-    The coefficient block of the decision vector carries the whitened
-    coordinates ``u = L^T a`` (L the stabilized Cholesky factor of the atom
-    Gram) rather than the raw expansion coefficients.  Evaluation rows
-    ``r . a`` become ``(L^{-1} r) . u`` — computed for the whole basis in
-    one triangular solve — and every norm expression ``||L^T a||`` becomes
-    ``||u||``, rows of ``-1`` on u's columns.  This keeps the program well
-    conditioned even when the Gram is numerically singular (smooth kernels
-    at tight anchor spacing), which otherwise stalls the interior-point
-    iteration; :func:`recover_model` maps ``u`` back with a single triangular
-    back-solve.
+    The coefficient block of the decision vector carries whitened
+    coordinates over span S, the pivot set of the basis Gram
+    (:func:`~shapekernel.atoms.gram`, every enclosure normal included):
+    ``u = L^T a_S`` with ``L L^T = G[S, S] + jitter I``, r = |S| columns
+    instead of one per atom.  Evaluation rows ``G[i, S] . a_S`` become
+    ``W[i] . u`` with ``W = (L^{-1} G[S, :])^T``, computed for the whole
+    basis in one triangular solve, and every norm expression becomes
+    ``||u||``, rows of ``-1`` on u's columns.  Every row is exact on span
+    S and ``||f||^2 = a_S^T G[S, S] a_S <= ||u||^2``, so a tightened
+    model stays feasible on the whole region; only optimality is
+    restricted to span S, and the residual diagonal the pivoting left
+    (at most :data:`~shapekernel.atoms.PIVOT_CUT` of the largest) bounds
+    that loss.  Econ's Grams are numerically low-rank, and its programs
+    shrink from 1,154 columns to about 88; a full-rank basis keeps every
+    atom, and its program has the bits of the full factor's.  Whitening
+    keeps the program well conditioned where the Gram is near-singular
+    (smooth kernels at tight anchor spacing), which otherwise stalls the
+    interior-point iteration; :func:`recover_model` maps ``u`` back with a
+    single triangular back-solve.
     """
     kernel = spec.kernel
-    A = len(basis)
     B = spec.bias_dim
-    G_mat, L, _ = gram(basis, kernel)
     basis_index = {atom.key(): i for i, atom in enumerate(basis)}
-    # Row i: exact whitened evaluation row of basis atom i.  The Gram is
-    # not held past them: the program and the model keep only L.
-    W_rows = solve_triangular(L, G_mat).T if A else G_mat
+    normals = [basis_index[_oriented(rec.normal)[0].key()]
+               for rec in records if isinstance(rec, InclusionRecord)]
+    G_mat, L, _, S = gram(basis, kernel, first=normals)
+    r = S.size  # u's columns
+    # Row i: exact whitened evaluation row of basis atom i on span S.  The
+    # Gram is not held past them: the program and the model keep only L.
+    W_rows = solve_triangular(L, G_mat[S]).T
     del G_mat
 
-    a_cols, b_cols = slice(0, A), slice(A, A + B)
+    a_cols, b_cols = slice(0, r), slice(r, r + B)
     needs_t = isinstance(spec.regularizer, NormMin) or any(
         isinstance(rec, AnchorRecord) and rec.eta > 0 for rec in records)
-    t_idx = A + B if needs_t else None
-    xi0 = A + B + int(needs_t)  # first enclosure auxiliary
+    t_idx = r + B if needs_t else None
+    xi0 = r + B + int(needs_t)  # first enclosure auxiliary
     xi_index: dict = {}
     for rec in records:
         prov = tuple(rec.provenance)
@@ -252,9 +263,9 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
 
     reg = spec.regularizer
     if isinstance(reg, Ridge):
-        # ||f||^2 = u.u in whitened coordinates (the jitter-stabilized
+        # ||f||^2 <= u.u in whitened coordinates (the jitter-stabilized
         # norm, matching Model.norm and the epigraph row).
-        P_mat[:A, :A] += 2.0 * reg.lam * np.eye(A)
+        P_mat[:r, :r] += 2.0 * reg.lam * np.eye(r)
     elif isinstance(reg, NormMin):
         q_vec[t_idx] += 1.0
 
@@ -275,19 +286,19 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     # conic.store_rows sizes the store either way.
     l = sum(rec.size if isinstance(rec, AnchorRecord) else 1
             for rec in records)
-    soc_dims = [1 + A if isinstance(rec, InclusionRecord) else 3
+    soc_dims = [1 + r if isinstance(rec, InclusionRecord) else 3
                 for rec in records
                 if not (isinstance(rec, AnchorRecord) and rec.size == 1)]
     norms = []  # (unit rows, h of the head row, provenance)
     if isinstance(reg, NormBound):  # ||u|| <= lam_tilde
-        norms.append((UnitRows((1 + A, n), np.arange(1, 1 + A),
-                               np.arange(A), -1.0),
+        norms.append((UnitRows((1 + r, n), np.arange(1, 1 + r),
+                               np.arange(r), -1.0),
                       reg.lam_tilde, ("norm_bound",)))
     if needs_t:  # the norm epigraph ||u|| <= t
-        norms.append((UnitRows((1 + A, n), np.arange(1 + A),
-                               np.r_[t_idx, np.arange(A)], -1.0),
+        norms.append((UnitRows((1 + r, n), np.arange(1 + r),
+                               np.r_[t_idx, np.arange(r)], -1.0),
                       0.0, ("epigraph",)))
-    dims = [l] + soc_dims + [1 + A] * len(norms)
+    dims = [l] + soc_dims + [1 + r] * len(norms)
     unit = [False] * (1 + len(soc_dims)) + [True] * len(norms)
     G = np.zeros((store_rows(n, dims, unit), n))
     h = np.zeros(sum(dims))
@@ -342,8 +353,8 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
                 cone.h[1] = (h[g0] - h[g1]) / _SQRT2
         elif isinstance(rec, InclusionRecord):
             pos, sign = _oriented(rec.normal)
-            col = basis_index[pos.key()]
-            cone = add_soc(1 + A, ("record",) + prov)
+            col = np.searchsorted(S, basis_index[pos.key()])  # its pivot
+            cone = add_soc(1 + r, ("record",) + prov)
             # s0 = gamma.b - offset - xi*rho
             bias_row = np.zeros(n)
             bias_part(bias_row, rec.gamma)
@@ -355,14 +366,14 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
             xi_row[xi_idx] = 1.0
             add_nonneg(xi_row, 0.0, ("xi",) + prov)
             # s1 = r0 * (u + sign*xi*L^T e_col)
-            cone.G[1:, a_cols] = -rec.r0 * np.eye(A)
+            cone.G[1:, a_cols] = -rec.r0 * np.eye(r)
             cone.G[1:, xi_idx] = -rec.r0 * sign * L.T[:, col]
         else:
             raise TypeError(f"unknown record type {type(rec).__name__}")
 
     for units, head, prov in norms:
         h[soc_row] = head
-        add_soc(1 + A, prov, units)
+        add_soc(1 + r, prov, units)
 
     if l:
         blocks.insert(0, ConeBlock("nonneg", G[:l], h[:l],
@@ -379,11 +390,12 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         G=G,
         h=h,
         meta={
-            "a_slice": (0, A),
-            "b_slice": (A, A + B),
+            "a_slice": (0, r),
+            "b_slice": (r, r + B),
             "t_index": t_idx,
             "xi_indices": xi_index,
             "factor": L,
+            "pivots": S,
         },
     )
     return prog
@@ -395,20 +407,19 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
 
 def recover_model(prog: ConeProgram, sol: Solution, basis: list[Atom],
                   spec: ProblemSpec) -> Model:
-    """Map a solver solution back to a Model; ``aux`` holds each enclosure
-    record's ``"xi"`` and, when the program has one, the epigraph's ``"t"``."""
+    """Map a solver solution back to a Model over the program's pivot
+    atoms ``basis[S]``, with coefficients ``a_S = L^{-T} u`` and the
+    program's factor L; ``aux`` holds each enclosure record's ``"xi"``
+    and, when the program has one, the epigraph's ``"t"``."""
     if sol.status not in ("optimal", "max_iter"):
         raise RuntimeError(
             f"cannot recover a model from solver status {sol.status!r}"
         )
     a_lo, a_hi = prog.meta["a_slice"]
     b_lo, b_hi = prog.meta["b_slice"]
-    u = sol.x[a_lo:a_hi]
-    if a_hi > a_lo:
-        # The program works in whitened coordinates u = L^T a.
-        coeffs = solve_triangular(prog.meta["factor"], u, trans=True)
-    else:
-        coeffs = u.copy()
+    # The program works in whitened coordinates u = L^T a_S.
+    coeffs = solve_triangular(prog.meta["factor"], sol.x[a_lo:a_hi],
+                              trans=True)
     bias = sol.x[b_lo:b_hi].copy()
     aux = {"xi": {prov: float(sol.x[idx])
                   for prov, idx in prog.meta["xi_indices"].items()}}
@@ -416,7 +427,7 @@ def recover_model(prog: ConeProgram, sol: Solution, basis: list[Atom],
         aux["t"] = float(sol.x[prog.meta["t_index"]])
     return Model(
         kernel=spec.kernel,
-        basis=tuple(basis),
+        basis=tuple(basis[i] for i in prog.meta["pivots"]),
         coeffs=coeffs,
         bias=bias,
         factor=prog.meta.get("factor"),
@@ -430,10 +441,12 @@ def solve_problem(spec: ProblemSpec, records: list,
     """Collect, assemble, solve, recover.  Returns (model, solution, program).
 
     This is the one solve path: every experiment, the reference solve and
-    the refinement loop go through it.  ``warm`` starts the solver from a
-    previous model: its coefficients on atoms that are still in the basis
-    are mapped into the whitened coordinates ``L^T a`` the program uses;
-    bias, epigraph and auxiliary variables start at zero.
+    the refinement loop go through it.  The program is over the basis
+    Gram's pivot set S (:func:`assemble`), and the model over ``basis[S]``.
+    ``warm`` starts the solver from a previous model: its coefficients on
+    atoms of S are mapped into the whitened coordinates ``L^T a_S`` the
+    program uses (a warm atom outside S is dropped); bias, epigraph and
+    auxiliary variables start at zero.
 
     Raises on infeasible/unbounded status so callers never mistake a
     certificate of infeasibility for a model.  A caller that does not read
@@ -449,8 +462,9 @@ def solve_problem(spec: ProblemSpec, records: list,
     prog = assemble(spec, basis, records)
     x0 = None
     if warm is not None:
-        index = {atom.key(): i for i, atom in enumerate(basis)}
-        a_prev = np.zeros(len(basis))
+        S = prog.meta["pivots"]
+        index = {basis[i].key(): k for k, i in enumerate(S)}
+        a_prev = np.zeros(S.size)
         for atom, coef in zip(warm.basis, warm.coeffs):
             pos = index.get(atom.key())
             if pos is not None:
@@ -494,7 +508,8 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
     termination the returned model is feasible on the *entire* grid, so its
     objective equals the full-grid discretized optimum.  Returns
     ``(model, value, points_used, statuses)``, the last the solver
-    ``(status, stop_reason, iterations, trace, objective)`` of every round.
+    ``(status, stop_reason, iterations, trace, objective, n)`` of every
+    round, ``n`` the program's column count.
     """
     if constraint.size != 1:
         raise ValueError("reference solve supports scalar constraints only")
@@ -518,7 +533,7 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
         model, sol = solve_problem(spec, records, settings=settings)[:2]
         value = sol.objective
         statuses.append((sol.status, sol.stop_reason, sol.iterations,
-                         sol.trace, sol.objective))
+                         sol.trace, sol.objective, sol.x.size))
         vals = model.apply(func, X)
         bias = model.bias[: gm.shape[1]] if gm.shape[1] else np.zeros(0)
         slack = vals + (gm[0] @ bias if gm.shape[1] else 0.0) - offset
@@ -553,9 +568,13 @@ def compute_bounds(spec: ProblemSpec, records: list, v_app: float,
                    grid_res: int = 33) -> BoundReport:
     """Certificate sandwich, error radius, buffer width and fill distance.
 
-    ``v_relax`` is the value of the relaxed program, when one was solved;
-    the radius ``sqrt(2 gap / mu_f)`` also needs the strong-convexity
-    modulus ``mu_f``.  ``eta_inf`` is the largest buffer width (enclosure
+    ``v_relax`` is the value of the relaxed program, when one was solved:
+    its optimum over span S, the pivot set of its own basis Gram
+    (:func:`assemble`).  Restricting to span S can only raise a minimum,
+    so ``v_relax`` lower-bounds the true optimum up to that restriction's
+    loss, which the residual diagonal at the cut bounds.  The radius
+    ``sqrt(2 gap / mu_f)`` also needs the strong-convexity modulus
+    ``mu_f``.  ``eta_inf`` is the largest buffer width (enclosure
     diameter), ``fill_dist`` the largest fill distance of any constraint's
     anchors in its region.
     """

@@ -243,37 +243,111 @@ def cross_gram(rows: Sequence[Atom], cols: Sequence[Atom],
     return _block_gram(rows, cols, kernel)
 
 
-def gram(basis: Sequence[Atom], kernel: Kernel
-         ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gram matrix of a basis plus a Cholesky factor of its jittered form.
+#: where :func:`gram`'s pivoted Cholesky stops: once every residual
+#: diagonal is at most this fraction of the Gram's largest diagonal entry.
+#: Eigenvalues above a fraction of the largest, by basis:
+#:
+#:  ============================ ====== ==== ==== ===== =====
+#:  basis                        atoms  1e-6 1e-8 1e-10 1e-12
+#:  ============================ ====== ==== ==== ===== =====
+#:  econ relaxation and ``both`` 1,153  37   51   64    80
+#:  econ ``monot``               478    30   41   52    66
+#:  control                      50     24   25   25    25
+#:  catenary's SOAP rounds       69-97  full full full  full
+#:  robotarm m = 81              390    380  390  390   390
+#:  ============================ ====== ==== ==== ===== =====
+#:
+#: So econ's programs shrink to about 86 and 71 columns, control's to 25,
+#: and catenary's and robotarm's keep every atom, and with it their bits.
+PIVOT_CUT = 1e-12
+
+
+def _full_gram(basis: Sequence[Atom], kernel: Kernel) -> np.ndarray:
+    """The symmetric Gram of ``basis``: its upper triangle by kernel
+    blocks, mirrored."""
+    A = len(basis)
+    G = _block_gram(basis, basis, kernel, upper=True)
+    for i in range(A - 1):
+        G[i + 1:, i] = G[i, i + 1:]
+    return G
+
+
+def _jitter(G: np.ndarray) -> float:
+    """``1e-10 * trace(G)/A``, the diagonal shift every factor takes."""
+    return 1e-10 * max(float(np.trace(G)) / len(G), np.finfo(float).tiny)
+
+
+def _factor(G: np.ndarray, jitter: float) -> np.ndarray:
+    """Cholesky factor L of ``G + jitter * I``."""
+    try:
+        return np.linalg.cholesky(G + jitter * np.eye(len(G)))
+    except np.linalg.LinAlgError:
+        raise ValueError("Gram numerically indefinite") from None
+
+
+def _pivots(G: np.ndarray, first: Sequence[int], jitter: float
+            ) -> np.ndarray:
+    """Greedy pivoted Cholesky of ``G``: the pivot set, sorted.
+
+    The indices in ``first`` are taken first, each time the one of largest
+    residual diagonal, while one of them has a residual above
+    :data:`PIVOT_CUT` times the largest diagonal entry; the rest of them
+    join without a step, their directions being in the span taken so far.
+    Then every atom is a candidate, until every residual is at most the
+    cut.  Taking the largest residual of the candidates keeps each step's
+    rounding relative to the residuals it updates.  A residual below
+    ``-jitter`` means G is not positive semidefinite.
+    """
+    A = len(G)
+    d = np.diagonal(G).copy()
+    cut = PIVOT_CUT * d.max()
+    rows = []  # the partial factor's rows, one per pivot stepped on
+    taken = np.zeros(A, dtype=bool)
+    forced = np.zeros(A, dtype=bool)
+    forced[list(first)] = True
+    for pool in (forced, np.ones(A, dtype=bool)):
+        while True:
+            p = int(np.argmax(np.where(pool & ~taken, d, -np.inf)))
+            if taken[p] or not pool[p] or d[p] <= cut:
+                break
+            taken[p] = True
+            R = np.reshape(rows, (len(rows), A))
+            rows.append((G[p] - R[:, p] @ R) / np.sqrt(d[p]))
+            d -= rows[-1] * rows[-1]
+        taken |= forced
+    if (d < -jitter).any():
+        raise ValueError("Gram numerically indefinite")
+    return np.flatnonzero(taken)
+
+
+def gram(basis: Sequence[Atom], kernel: Kernel, first: Sequence[int] = ()
+         ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Gram matrix of a basis, its pivot set and the pivots' factor.
 
     Atoms are grouped by ``functional.terms``; each pair of groups costs
     one :meth:`Kernel.partial_block` call per term pair, scattered into
     place.  Entry ``(i, j)``, ``i <= j``, is ``atom_inner(basis[i],
     basis[j])`` to rounding; the lower triangle mirrors the upper one.
 
-    Returns ``(G, L, jitter)`` with ``L L^T = G + jitter * I``.  The jitter
-    starts at ``1e-10 * trace(G)/A`` and escalates tenfold until the
-    factorization succeeds, capped at ``1e-6 * trace(G)/A`` — every SOC row
-    routes through ``L^T``, so the schedule is part of the numerical contract.
+    A greedy pivoted Cholesky (Harbrecht, Peters and Schneider, Appl.
+    Numer. Math. 62, 2012; Fine and Scheinberg, JMLR 2, 2001) then picks
+    the pivot set S: the indices ``first`` (enclosure normals, whose
+    columns a program needs), then the atoms of largest residual, until
+    every residual diagonal is at most :data:`PIVOT_CUT` of the largest
+    diagonal entry.  S is returned sorted, in basis order.
+
+    Returns ``(G, L, jitter, S)`` with ``L L^T = G[S, S] + jitter * I``
+    and ``jitter = 1e-10 * trace(G)/A``.  A full-rank basis has S = every
+    atom, and L has the bits of the full factor ``chol(G + jitter * I)``.
+    A factorization that fails, or a residual below ``-jitter``, raises
+    ``ValueError``.
     """
     if not basis:
         raise ValueError("basis must be non-empty")
-    A = len(basis)
-    G = _block_gram(basis, basis, kernel, upper=True)
-    for i in range(A - 1):
-        G[i + 1:, i] = G[i, i + 1:]
-    scale = max(float(np.trace(G)) / A, np.finfo(float).tiny)
-    eps = 1e-10
-    while True:
-        jitter = eps * scale
-        try:
-            L = np.linalg.cholesky(G + jitter * np.eye(A))
-            return G, L, jitter
-        except np.linalg.LinAlgError:
-            if eps >= 1e-6:
-                raise ValueError("Gram numerically indefinite") from None
-            eps *= 10.0
+    G = _full_gram(basis, kernel)
+    jitter = _jitter(G)
+    S = _pivots(G, first, jitter)
+    return G, _factor(G[np.ix_(S, S)], jitter), jitter, S
 
 
 # --------------------------------------------------------------------------
@@ -283,10 +357,12 @@ def gram(basis: Sequence[Atom], kernel: Kernel
 @dataclass(frozen=True)
 class Model:
     """A solved estimator: atom basis, coefficients, bias, and the factor L
-    of the basis Gram (``L L^T = G + jitter I``, :func:`gram`) that the
-    norm reads.  ``recover_model`` passes the program's factor; without
-    one, the factor is computed here.  The Gram itself is not kept: no
-    reader needs it, and it would double what a worker sends its caller."""
+    of the basis Gram (``L L^T = G + jitter I``) that the norm reads.
+    ``recover_model`` passes the program's factor, whose basis is the
+    program's pivot set (:func:`gram`); without one, the factor of the
+    whole basis is computed here, with the same jitter.  The Gram itself
+    is not kept: no reader needs it, and it would double what a worker
+    sends its caller."""
 
     kernel: Kernel
     basis: tuple[Atom, ...]
@@ -309,8 +385,8 @@ class Model:
                 f"{self.coeffs.size}"
             )
         if self.factor is None and self.basis:
-            object.__setattr__(self, "factor",
-                               gram(self.basis, self.kernel)[1])
+            G = _full_gram(self.basis, self.kernel)
+            object.__setattr__(self, "factor", _factor(G, _jitter(G)))
 
     @functools.cached_property
     def basis_index(self) -> dict:

@@ -96,21 +96,22 @@ def _ball_samples(center, radius: float, n: int,
 
 
 def _outcome(sol) -> tuple:
-    """``(status, stop_reason, iterations, trace, objective)`` of one
-    solution."""
+    """``(status, stop_reason, iterations, trace, objective, n)`` of one
+    solution, ``n`` its program's column count."""
     return (sol.status, sol.stop_reason, sol.iterations, sol.trace,
-            sol.objective)
+            sol.objective, sol.x.size)
 
 
 def _record_solve(solves: list, label: str, status: str, stop_reason: str,
                   iterations: int, trace: np.ndarray,
-                  objective: float) -> None:
-    """Add one runner solve, with its objective and its per-iteration trace
-    (one list per ``TRACE_FIELDS`` column, kept as array views until
-    written), to the summary's ``solves`` list."""
+                  objective: float, n: int) -> None:
+    """Add one runner solve, with its objective, its program's column count
+    ``n`` and its per-iteration trace (one list per ``TRACE_FIELDS``
+    column, kept as array views until written), to the summary's
+    ``solves`` list."""
     solves.append({"label": label, "status": status,
                    "stop_reason": stop_reason, "iterations": iterations,
-                   "objective": float(objective),
+                   "objective": float(objective), "n": int(n),
                    "trace": dict(zip(TRACE_FIELDS, trace.T))})
 
 
@@ -272,7 +273,8 @@ def run_catenary(cfg: ExperimentConfig):
             for row in hist:
                 _record_solve(solves, f"{scheme} round {row['k']}",
                               row["status"], row["stop_reason"],
-                              row["iterations"], row["trace"], row["v"])
+                              row["iterations"], row["trace"], row["v"],
+                              row["n"])
                 conv_rows.append([scheme, row["k"], row["M_total"], row["v"],
                                   None, None, row["v"] - v_ref,
                                   row["maxEta"]])
@@ -939,8 +941,10 @@ def run_econ(cfg: ExperimentConfig):
                              settings=settings)[1]
 
     # the relaxation goes first, so the calling process runs it: it is the
-    # longest solve, and the ``both`` fit, which needs more memory, runs in
-    # a worker, whose resident set holds fewer of the caller's pages
+    # longest solve of the benchmark's config (the default config's failing
+    # ``conv`` fits take longer), and the ``both`` fit, which needs more
+    # memory, runs in a worker, whose resident set holds fewer of the
+    # caller's pages
     fits = [(fit, rep, regime) for rep in range(reps)
             for regime in regime_names]
     relaxed = [(relax, last, "both")] if "both" in regime_names else []

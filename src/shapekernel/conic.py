@@ -44,7 +44,7 @@ when they come first.
 
 The narrow rows ``G_n`` enter through one of two products, chosen once per
 solve from the program's shape.  A large, short program (n > 192 and
-fewer than 8 n narrow rows: econ's fits) forms ``M^T M`` with ``M =
+fewer than 8 n narrow rows) forms ``M^T M`` with ``M =
 W^{-1} G_n``, as CVXOPT's cone QP solver forms ``(W^{-T} G)^T (W^{-T}
 G)``: numpy runs it as ``dsyrk``, half the flops of a general product,
 and the result is exactly symmetric.  Its Cholesky factor is then used by
@@ -54,6 +54,12 @@ below), which keeps their bits: SOAP's stop on the tall enclosure
 programs and control's fragile ``ball`` solve on the small ones turn on
 last bits, and up to n = 192 the shorter product would save at most
 1.3 ms per iteration (n = 192 with 1,535 narrow rows, one BLAS thread).
+Since ``assemble`` solves over the Gram's pivot set, econ's fits have
+at most about 90 columns, and no benchmark program is large and short.
+Of the shipped default configs (seed 0), one reaches the path: robotarm,
+whose m = 81 ``disc`` and ``ball`` fits (n = 390 and 391, 270 narrow
+rows) are 2 of its 8 solves.  The path stays, as the one all programs
+are to take once no stop turns on last bits.
 
 Workspace.  Each solve allocates one workspace, as ECOS allocates its
 memory at setup: an ``n x n`` buffer and one flat buffer of max(n^2,
@@ -734,8 +740,10 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
 def _large_and_short(n: int, r: int) -> bool:
     """Whether a program over ``n`` columns with ``r`` narrow rows forms
     its Newton product by ``dsyrk`` and solves by two triangular solves
-    (econ's fits).  Tall programs (``r >= 8 n``: SOAP rounds, robotarm's
-    enclosure program) and small ones (``n <= 192``) keep the gemm and the
+    (of the default configs, robotarm's m = 81 ``disc`` and ``ball``
+    fits).  Tall programs (``r >= 8 n``: SOAP rounds, robotarm's enclosure
+    program) and small ones (``n <= 192``: every benchmark program, econ's
+    included since it solves over the Gram's pivots) keep the gemm and the
     LU forward solve, whose bits SOAP's stop and control's fragile solves
     turn on."""
     return n > 192 and r < 8 * n

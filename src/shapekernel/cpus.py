@@ -7,8 +7,9 @@ import os
 #: the most CPUs one run keeps busy.  Time and memory were measured with
 #: two processes of one BLAS thread each and with one process of two
 #: threads, never more: each further process would hold one more fit.
-#: In one process with BLAS pinned, econ's whole default config (21 fits)
-#: peaks at 132 MB and robotarm's m = 81 ``hyp`` fit at 1,140 MB.
+#: In one process with BLAS pinned, econ's whole default config (21 fits,
+#: each over its Gram's pivots) peaks at 61 MB and robotarm's m = 81
+#: ``hyp`` fit (full rank, so over every atom) at 1,140 MB.
 MAX_PROCS = 2
 #: BLAS counts as pinned when each of these says one thread
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

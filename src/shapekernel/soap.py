@@ -256,6 +256,7 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             "stop_reason": sol.stop_reason,
             "iterations": sol.iterations,
             "trace": sol.trace,
+            "n": sol.x.size,
             "bursts": len(saturated),
             "maxEta": float(max(sizes)) if sizes else 0.0,
             "wallTime": time.perf_counter() - t0,

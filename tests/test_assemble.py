@@ -42,8 +42,11 @@ from shapekernel import (
     solve_reference,
     tighten_omega,
     tighten_soc,
+    verify_pointwise,
 )
+import shapekernel.assemble as am
 from shapekernel.assemble import assemble
+from shapekernel.atoms import PIVOT_CUT
 
 
 def value_obs(xs, ys, weights=None):
@@ -214,10 +217,11 @@ class TestNormEpigraph:
         assert len(epigraphs) == 1
         xi = prog.meta["xi_indices"]
         assert len(xi) == len(elems)
-        A = len(basis)
-        assert prog.n == A + 1 + 1 + len(xi)
+        r = prog.meta["pivots"].size  # u's columns: the Gram's pivots
+        assert r < len(basis)
+        assert prog.n == r + 1 + 1 + len(xi)
         t = prog.meta["t_index"]
-        assert t == A + 1
+        assert t == r + 1
         assert epigraphs[0].G[0, t] == -1.0
         # every buffered row of both constraints subtracts eta * t
         nonneg = prog.blocks[0]
@@ -636,10 +640,10 @@ class TestWideNorms:
             constraints=[slope])
         return spec, collect_atoms(spec, records), records
 
-    def test_store_ends_near_the_narrow_rows(self, kernel, monkeypatch):
-        import shapekernel.assemble as am
-
-        spec, basis, records = self.econ_shaped(kernel)
+    def test_store_ends_near_the_narrow_rows(self, monkeypatch):
+        # a kernel narrow enough that all 120 atoms are pivots, so the
+        # norm cones are 1 + A rows wide
+        spec, basis, records = self.econ_shaped(GaussianKernel([0.01]))
         assemble(spec, basis, records)  # first calls load their code
         phase = {}
         store_rows, block = am.store_rows, am.ConeBlock
@@ -672,3 +676,111 @@ class TestWideNorms:
         # identity would add 8 A^2 bytes
         rows = phase["peak"] - phase["start"]
         assert rows <= prog.G.nbytes + prog.h.nbytes + 2 * A * A
+
+
+class TestPivotBasis:
+    """Programs over the Gram's pivot set S: every atom when the Gram is
+    full rank, with the full factor's bits; fewer columns, exact rows and
+    a norm no larger than ||u|| when it is not."""
+
+    @staticmethod
+    def slope_problem(kernel, anchors=40):
+        xs = np.linspace(0.0, 1.0, 12)
+        slope = ShapeConstraint(region=((0.0, 1.0),),
+                                operator=SdpOperator.scalar(
+                                    DiffFunctional.partial(1, axis=0)),
+                                offset=(-1.0,))
+        cover = cover_box(slope.region, 0.5 / anchors)
+        records = tighten_soc(slope, cover, [
+            eta_for(kernel, slope.operator, b.center, b.radius, norm=b.norm)
+            for b in cover])
+        spec = ProblemSpec(kernel=kernel, observations=value_obs(
+            xs, np.sin(3 * xs)), loss="squared", regularizer=Ridge(0.01),
+            constraints=[slope])
+        return spec, records
+
+    def test_full_rank_program_has_the_full_factors_bits(self, monkeypatch):
+        kernel = GaussianKernel([0.01])
+        spec, records = self.slope_problem(kernel)
+        basis = collect_atoms(spec, records)
+        prog = assemble(spec, basis, records)
+        A = len(basis)
+        np.testing.assert_array_equal(prog.meta["pivots"], np.arange(A))
+        # the construction before pivoting: chol(G + jitter I), L^-1 G
+        G = gram(basis, kernel)[0]
+        jitter = 1e-10 * (np.trace(G) / A)
+        L = np.linalg.cholesky(G + jitter * np.eye(A))
+        W = solve_triangular(L, G, lower=True).T
+        assert prog.meta["factor"].tobytes() == L.tobytes()
+        index = [x.key() for x in basis]
+        rows = [index.index(rec.atoms[0][0].key()) for rec in records]
+        assert prog.blocks[0].G[:, :A].tobytes() == (-W[rows]).tobytes()
+        # the same program as one assembled over every atom
+        real_gram = am.gram
+
+        def every_atom(basis, kernel, first=()):
+            G, L, jitter, _ = real_gram(basis, kernel, first)
+            return G, L, jitter, np.arange(len(basis))
+        monkeypatch.setattr(am, "gram", every_atom)
+        whole = assemble(spec, basis, records)
+        for name in ("P", "q", "G", "h"):
+            assert getattr(prog, name).tobytes() == \
+                getattr(whole, name).tobytes()
+        assert prog.n == whole.n == A + 1
+
+    def test_low_rank_rows_are_exact_on_the_pivot_span(self):
+        kernel = GaussianKernel([0.5])
+        spec, records = self.slope_problem(kernel)
+        basis = collect_atoms(spec, records)
+        model, sol, prog = solve_problem(spec, records)
+        S, L = prog.meta["pivots"], prog.meta["factor"]
+        r = S.size
+        assert r < len(basis) // 2
+        assert prog.n == r + 1
+        assert prog.meta["t_index"] == len(model.basis) == r
+        assert [a.key() for a in model.basis] == \
+            [basis[i].key() for i in S]
+        # W u = G[:, S] L^-T u at the solution: each anchor row is exact
+        # on span S
+        G = gram(basis, kernel)[0]
+        u, a = sol.x[:r], model.coeffs
+        np.testing.assert_array_equal(
+            a, solve_triangular(L, u, lower=True, trans=1))
+        index = [x.key() for x in basis]
+        rows = [index.index(rec.atoms[0][0].key()) for rec in records]
+        exact = G[np.ix_(rows, S)] @ a
+        np.testing.assert_allclose(-prog.blocks[0].G[:, :r] @ u, exact,
+                                   rtol=0, atol=1e-12 * np.abs(exact).max())
+        # ||f||^2 = a^T G[S, S] a <= ||u||^2
+        assert math.sqrt(a @ G[np.ix_(S, S)] @ a) <= np.linalg.norm(u)
+        assert model.norm == pytest.approx(np.linalg.norm(u), rel=1e-12)
+
+    def test_enclosure_normals_below_the_cut_are_pivots(self):
+        kernel = GaussianKernel([0.5])
+        c = ShapeConstraint(
+            region=((0.2, 0.8),),
+            operator=SdpOperator.scalar(DiffFunctional.value(1)),
+            offset=(0.1,))
+        elems = omega_cover(kernel, c.operator.entries[0][0],
+                            cover_box([(0.2, 0.8)], 0.01), n_x=50, seed=0)
+        records = tighten_omega(c, elems)
+        xs = np.linspace(0.2, 0.8, 7)
+        spec = ProblemSpec(kernel=kernel, observations=value_obs(
+            xs, np.full(7, 0.5)), loss="squared", regularizer=Ridge(0.01),
+            constraints=[c])
+        basis = collect_atoms(spec, records)
+        normals = [index for index, atom in enumerate(basis)
+                   if any(atom.key() == am._oriented(rec.normal)[0].key()
+                          for rec in records)]
+        # on their own, some normals' residuals fall below the cut
+        G, _, _, free = gram(basis, kernel)
+        below = sorted(set(normals) - set(free))
+        assert below
+        R = np.diagonal(G) - np.einsum(
+            "ij,ji->i", G[:, free], np.linalg.solve(
+                G[np.ix_(free, free)], G[free]))
+        assert R[below].max() <= 1e3 * PIVOT_CUT * np.diagonal(G).max()
+        model, _, prog = solve_problem(spec, records)
+        assert set(normals) <= set(prog.meta["pivots"])
+        report = verify_pointwise(model, c, grid_res=2001)
+        assert report["maxViolation"] <= 1e-6

@@ -158,21 +158,49 @@ class TestAtomInner:
 
 class TestGram:
     def test_positive_semidefinite_and_factor(self, kernel, basis):
-        G, L, jitter = gram(basis, kernel)
+        G, L, jitter, S = gram(basis, kernel)
         np.testing.assert_allclose(G, G.T, atol=1e-14)
         assert np.linalg.eigvalsh(G).min() > -1e-10
-        np.testing.assert_allclose(
-            L @ L.T, G + jitter * np.eye(len(basis)), atol=1e-12
-        )
-        assert 0 < jitter < 1e-6 * np.trace(G) / len(basis) * 10
+        # a full-rank basis: every atom is a pivot, and L is the bits of
+        # the full jittered factor
+        np.testing.assert_array_equal(S, np.arange(len(basis)))
+        assert jitter == 1e-10 * (np.trace(G) / len(basis))
+        full = np.linalg.cholesky(G + jitter * np.eye(len(basis)))
+        assert L.tobytes() == full.tobytes()
 
-    def test_duplicate_atoms_escalate_jitter_but_succeed(self, kernel):
+    def test_duplicate_atoms_take_one_pivot(self, kernel):
         a = Atom((0.3, 0.3), DiffFunctional.value(2))
-        G, L, jitter = gram((a, a, a), kernel)
-        assert np.isfinite(L).all()
-        np.testing.assert_allclose(
-            L @ L.T, G + jitter * np.eye(3), atol=1e-10
-        )
+        G, L, jitter, S = gram((a, a, a), kernel)
+        np.testing.assert_array_equal(S, [0])
+        np.testing.assert_allclose(L @ L.T, G[:1, :1] + jitter, rtol=1e-15)
+
+    def test_pivots_cover_a_low_rank_gram(self):
+        # 60 value atoms of a wide Gaussian on [0, 1]: the pivots stop
+        # once every residual diagonal is at most PIVOT_CUT of the largest
+        kernel = GaussianKernel([0.5])
+        basis = [Atom((x,), DiffFunctional.value(1))
+                 for x in np.linspace(0.0, 1.0, 60)]
+        G, L, jitter, S = gram(basis, kernel)
+        assert 5 < S.size < 30
+        assert np.all(np.diff(S) > 0)  # basis order
+        np.testing.assert_allclose(L @ L.T,
+                                   G[np.ix_(S, S)] + jitter * np.eye(S.size),
+                                   rtol=0, atol=1e-14)
+        C = np.linalg.solve(G[np.ix_(S, S)], G[S])  # G[:, S] C: projection
+        residual = np.diagonal(G - G[:, S] @ C)
+        assert residual.max() <= 1e-10 * np.diagonal(G).max()
+
+    def test_first_atoms_are_pivots_below_the_cut(self):
+        # an atom whose residual is below the cut is still a pivot when it
+        # comes first, as an enclosure normal does
+        kernel = GaussianKernel([0.5])
+        basis = [Atom((x,), DiffFunctional.value(1))
+                 for x in np.linspace(0.0, 1.0, 60)]
+        S = gram(basis, kernel)[3]
+        left = [i for i in range(60) if i not in S]
+        forced = gram(basis, kernel, first=left[:3])[3]
+        assert set(left[:3]) <= set(forced)
+        assert set(S) - set(forced) or forced.size == S.size + 3
 
     def test_indefinite_input_raises(self):
         class BadKernel(Kernel):
@@ -233,7 +261,7 @@ class TestBlockGram:
             x = tuple(rng.uniform(-1, 1, 2))
             atoms += [Atom(x, DiffFunctional.mixed(2, axes))
                       for axes in ((0, 0), (0, 1), (1, 1))]
-        G, _, _ = gram(atoms, kernel)
+        G = gram(atoms, kernel)[0]
         ref = _reference_gram(atoms, kernel)
         scale = np.abs(ref).max()
         np.testing.assert_allclose(G, ref, rtol=1e-12, atol=1e-12 * scale)
@@ -248,7 +276,7 @@ class TestBlockGram:
         lap_basis = [Atom((x,), DiffFunctional.value(1, beta=b))
                      for x in rng.uniform(-1, 1, 20) for b in (1.0, -1.0)]
         rng.shuffle(lap_basis)
-        G, _, _ = gram(lap_basis, lap)
+        G = gram(lap_basis, lap)[0]
         assert np.array_equal(G, _reference_gram(lap_basis, lap))
 
     def test_lti_closed_form_matches_scalar_reference(self):
@@ -256,7 +284,7 @@ class TestBlockGram:
         lti = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
         basis = [Atom((t,), DiffFunctional.value(1, q=q))
                  for t in rng.uniform(0.1, 2, 20) for q in (0, 1)]
-        G, _, _ = gram(basis, lti)
+        G = gram(basis, lti)[0]
         np.testing.assert_allclose(G, _reference_gram(basis, lti),
                                    rtol=1e-10, atol=1e-14)
         assert np.array_equal(G, G.T)
@@ -270,7 +298,7 @@ class TestModel:
     def test_norm_matches_quadratic_form(self, kernel, basis):
         model = self.make_model(kernel, basis)
         a = model.coeffs
-        G, _, _ = gram(basis, kernel)
+        G = gram(basis, kernel)[0]
         direct = math.sqrt(a @ G @ a)
         assert model.norm == pytest.approx(direct, rel=1e-7)
 

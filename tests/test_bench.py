@@ -28,7 +28,8 @@ import types
 
 import pytest
 
-from shapekernel import ConeBlock, ConeProgram, conic, covering, cpus
+from shapekernel import (ConeBlock, ConeProgram, Model, conic, covering,
+                         cpus, verify_pointwise)
 from shapekernel.bench import cli
 from shapekernel.bench.cli import main
 from shapekernel.bench.config import (SCHEMES, CoveringConfig,
@@ -97,8 +98,9 @@ def test_summary_records_every_solve(tiny_run):
     assert solves
     for entry in solves:
         assert set(entry) == {"label", "status", "stop_reason",
-                              "iterations", "objective", "trace"}
+                              "iterations", "objective", "n", "trace"}
         assert entry["iterations"] >= 1
+        assert isinstance(entry["n"], int) and entry["n"] >= 1
         assert isinstance(entry["objective"], float)
         # a program without cone rows (robotarm's unconstrained fit) is
         # one direct solve, with no trace
@@ -162,6 +164,25 @@ def test_verify_passes_on_the_saved_tightened_model(tiny_run, capsys):
     if name == "robotarm":
         assert len(report["constraints"]) == \
             summary["medians"]["m16_ball"]["kept"]
+
+
+@pytest.mark.parametrize("tiny_run", ["econ"], indirect=True)
+def test_econ_tightened_models_hold_on_the_region(tiny_run):
+    # each tightened econ model is over its program's Gram pivots only (one
+    # more column for the epigraph's t) and meets its regime's constraints
+    # on a grid of the region
+    _, config, model_path, grid, summary = tiny_run
+    checks = dict(constraints_for(ExperimentConfig.load(config)))
+    n = {s["label"]: s["n"] for s in summary["solves"]}
+    for regime, labels in (("monot", ["monot_x1", "monot_x2"]),
+                           ("conv", ["convexity"]),
+                           ("both", list(checks))):
+        model = Model.from_json(json.loads(
+            (model_path.parent / f"model_{regime}.json").read_text()))
+        assert n[f"rep 4 {regime}"] == len(model.basis) + 1
+        for label in labels:
+            report = verify_pointwise(model, checks[label], grid_res=grid)
+            assert report["maxViolation"] <= 1e-6, (regime, label)
 
 
 def test_verify_fails_a_model_with_a_nan_coefficient(tiny_run, tmp_path,
@@ -561,6 +582,51 @@ def test_solve_digest_scales_csv_cells_by_their_column(tmp_path, capsys):
             f"{line}\n" for line in digest._file_hashes(str(side / "run"))))
     assert digest.main(["--compare", str(a), str(b), "--rtol",
                         "1e-13"]) == 1
+
+
+def test_solve_digest_judges_models_as_functions(tmp_path, capsys):
+    # one function on two bases (reordered, a zero coefficient, and an
+    # atom held as twice another) passes at 1e-8, as two f = 0 models do;
+    # a change of 1e-6 of the model norm fails
+    from shapekernel import Atom, DiffFunctional, GaussianKernel
+
+    digest = _load_tool("tools", "solve_digest")
+    kernel = GaussianKernel([0.3])
+
+    def atom(x, beta=1.0):
+        return Atom((x,), DiffFunctional.value(1, beta=beta))
+
+    def side(name, atoms, coeffs):
+        path = tmp_path / name
+        digest_side(path)
+        (path / "config.json").write_text('{"experiment": "catenary"}')
+        (path / "run" / "model_ball.json").write_text(json.dumps(
+            Model(kernel, atoms, coeffs).to_json()))
+        (path / "files.txt").write_text("".join(
+            f"{line}\n" for line in digest._file_hashes(str(path / "run"))))
+        return str(path)
+
+    def compare(a, b, rtol=1e-8):
+        code = digest.main(["--compare", a, b, "--rtol", str(rtol)])
+        return code, capsys.readouterr().out
+
+    a = side("a", [atom(0.2), atom(0.7)], [1.0, -0.5])
+    b = side("b", [atom(0.7), atom(0.45), atom(0.2, beta=2.0)],
+             [-0.5, 0.0, 0.5])
+    code, out = compare(a, b)
+    assert code == 0, out
+    assert "model_ball.json: function difference" in out
+    norm = Model(kernel, [atom(0.2), atom(0.7)], [1.0, -0.5]).norm
+    moved = side("moved", [atom(0.7), atom(0.45), atom(0.2, beta=2.0)],
+                 [-0.5, 1e-6 * norm, 0.5])
+    code, out = compare(a, moved)
+    assert code == 1
+    assert "function difference 1e-06" in out
+    assert compare(a, moved, rtol=2e-6)[0] == 0
+    zero_a = side("zero_a", [atom(0.2), atom(0.7)], [3e-12, -2e-12])
+    zero_b = side("zero_b", [atom(0.4)], [-4e-12])
+    assert compare(zero_a, zero_b)[0] == 0
+    assert digest.compare(a, b) == 1  # bytes by default
 
 
 def test_solve_digest_compares_peaks_by_role(tmp_path, capsys):

@@ -1322,9 +1322,12 @@ class TestLargeShort:
         assert ran and set(ran) == {prog.n}
 
     # (n, narrow rows, large and short): econ's relaxation and its `monot`
-    # fit; control's fit, catenary-soap's largest round and robotarm's
-    # m = 81 `hyp` fit keep the gemm and the LU; then the gate's edges
-    SHAPES = [(1153, 1575, True), (479, 450, True), (51, 50, False),
+    # fit over every atom, and robotarm's m = 81 `disc` fit; econ's
+    # relaxation over the Gram's pivots, control's fit, catenary-soap's
+    # largest round and robotarm's m = 81 `hyp` fit keep the gemm and the
+    # LU; then the gate's edges
+    SHAPES = [(1153, 1575, True), (479, 450, True), (390, 270, True),
+              (86, 1575, False), (51, 50, False),
               (192, 9404, False), (660, 105_840, False),
               (192, 1535, False), (193, 1543, True), (193, 1544, False)]
 
@@ -1723,8 +1726,8 @@ def unit_blocks(n, layout):
             for name in layout]
 
 
-#: (n, narrow rows, wide blocks): econ's cap then epigraph (the store
-#: ends 6 rows past the narrow ones), catenary's reference solve with the
+#: (n, narrow rows, wide blocks): econ's cap then epigraph over every
+#: atom (the store ends 6 rows past the narrow ones), catenary's reference solve with the
 #: epigraph's head and 5 unit rows in the store's last group of 8, and a
 #: wide start already on a multiple of 8
 UNIT_LAYOUTS = [(1154, 3394, ("cap", "epi")), (70, 66, ("epi",)),

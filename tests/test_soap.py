@@ -516,8 +516,8 @@ class TestRunSoapBall:
         assert len(rows) == 7
         for k, row in enumerate(rows):
             assert set(row) == {"k", "M_total", "v", "status", "stop_reason",
-                                "iterations", "trace", "bursts", "maxEta",
-                                "wallTime"}
+                                "iterations", "trace", "n", "bursts",
+                                "maxEta", "wallTime"}
             assert row["iterations"] >= 1
             assert len(row["trace"]) == row["iterations"]
             assert row["k"] == k

@@ -8,7 +8,8 @@ Run from the root of a checkout, with the source to test on ``PYTHONPATH``::
         --out DIR
     PYTHONPATH=src python3 tools/solve_digest.py --config cfg.json \\
         [--seed N] --out DIR
-    python3 tools/solve_digest.py --compare DIR_A DIR_B
+    PYTHONPATH=src python3 tools/solve_digest.py --compare DIR_A DIR_B \\
+        [--rtol R]
 
 ``--workload`` runs a benchmark workload's config overlay
 (``perfbench/workloads.py``); ``--config`` runs a config file merged over
@@ -37,7 +38,8 @@ worker against worker (in fork order), from ``DIR/peaks.txt``.
 With ``--rtol R`` it judges a change that moves bits.  Solves are matched
 by their runner label in each side's ``summary.json``: their status and
 stop reason must be equal and their objectives within ``|a - b| <= R *
-max(|a|, |b|)``, and iteration-count changes are printed, not judged.  A
+max(|a|, |b|)``, and changes of iteration count and of program column
+count (``n``) are printed, not judged.  A
 SOAP scheme (one whose summary has a ``stop``) must keep its element
 count and stop.  A file whose hash differs is read back from each side's
 ``run`` directory and compared value by value, the summary without its
@@ -46,6 +48,21 @@ relative rule, CSV cells within ``R`` times the largest ``|value|`` of
 their column on either side (which a cell within the relative rule always
 is), and text cells, JSON keys, strings and booleans exactly.  The
 largest such difference of each file is printed.
+
+A ``model_*.json`` file is judged as a function, since two bases can
+hold one function and coefficients are not identifiable where the Gram
+is near-singular.  On the union of the two bases (atoms deduplicated by
+``Atom.key``), ``||f_a - f_b||_H`` is ``||L^{-1} G[S, :] (c_a - c_b)||``
+with ``L`` the union Gram's pivoted factor (``atoms.gram``), and is
+judged over ``max(||f_a||_H, ||f_b||_H, MODEL_FLOOR)``.  A difference of
+squared norms from ``atoms.cross_gram`` would cancel and resolve no
+relative distance below about 1e-8.  Each output component is also
+evaluated on a grid of each region the experiment verifies
+(``experiments.constraints_for`` on the side's ``config.json``, at most
+``61^2`` points a region), and judged against its column's largest
+``|value|`` on either side, as CSV cells are, floored at
+``MODEL_FLOOR``.  Biases follow the JSON rule.  A comparison needs
+``shapekernel`` on ``PYTHONPATH`` when a model file differs.
 """
 
 from __future__ import annotations
@@ -67,10 +84,19 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS")
 #: summary keys that hold times or paths, left out of its hash
 SUMMARY_VOLATILE = ("timings", "timing_table", "out_dir", "config")
-#: keys and CSV columns that ``--rtol`` reports but does not judge
-REPORTED = ("iterations",)
+#: keys and CSV columns that ``--rtol`` reports but does not judge: a
+#: solve's iteration count and its program's column count
+REPORTED = ("iterations", "n")
 #: what a SOAP scheme's summary must keep under ``--rtol``
 SOAP = ("elements", "stop")
+#: the model norm (and value scale) below which ``--rtol`` judges two
+#: models' difference absolutely: econ's ``both`` fits are f = 0 up to
+#: rounding (norms up to 1e-11), and two of them compare equal down to
+#: ``--rtol 1e-8``; the other shipped fits have norms above 1
+MODEL_FLOOR = 1e-2
+#: grid points per region, at most, on which two models' values are
+#: compared: econ's benchmark re-check grid, 61 x 61
+GRID_POINTS = 61 ** 2
 
 
 def _sha(array) -> str:
@@ -279,6 +305,71 @@ def _csv_diff(a: list, b: list) -> float:
                default=0.0)
 
 
+def _regions(side: str) -> list:
+    """The distinct regions the side's experiment verifies its models on,
+    or none without a ``config.json``."""
+    path = os.path.join(side, "config.json")
+    if not os.path.exists(path):
+        return []
+    from shapekernel.bench.config import ExperimentConfig
+    from shapekernel.bench.experiments import constraints_for
+
+    regions = [tuple(map(tuple, c.region)) for _, c in
+               constraints_for(ExperimentConfig.load(path))]
+    return list(dict.fromkeys(regions))
+
+
+def _grid(region):
+    """At most :data:`GRID_POINTS` points, evenly spaced on each axis."""
+    import numpy as np
+
+    res = max(r for r in range(2, GRID_POINTS + 1)
+              if r ** len(region) <= GRID_POINTS)
+    axes = [np.linspace(lo, hi, res) for lo, hi in region]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(
+        -1, len(region))
+
+
+def _model_diff(a: str, b: str, regions: list) -> tuple:
+    """``(function, values, bias)``: two saved models' differences, as the
+    module docstring defines them; inf where their kernels differ."""
+    import numpy as np
+
+    from shapekernel.atoms import DiffFunctional, Model, gram
+    from shapekernel.conic import solve_triangular
+    from shapekernel.kernels import kernel_from_config
+
+    docs = []
+    for path in (a, b):
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    if docs[0]["kernel_fingerprint"] != docs[1]["kernel_fingerprint"]:
+        return math.inf, math.inf, math.inf
+    kernel = kernel_from_config(docs[0]["kernel"])
+    models = [Model.from_json(doc, kernel) for doc in docs]
+    union: dict = {}  # key -> (column, atom)
+    cols = [[union.setdefault(atom.key(), (len(union), atom))[0]
+             for atom in m.basis] for m in models]
+    C = np.zeros((len(union), 3))
+    for j, (col, m) in enumerate(zip(cols, models)):
+        np.add.at(C[:, j], col, m.coeffs)
+    C[:, 2] = C[:, 0] - C[:, 1]
+    G, L, _, S = gram([atom for _, atom in union.values()], kernel)
+    norms = np.linalg.norm(solve_triangular(L, G[S] @ C), axis=0)
+    function = norms[2] / max(norms[0], norms[1], MODEL_FLOOR)
+    values = 0.0
+    for region in regions:
+        X = _grid(region)
+        for q in range(kernel.out_dim):
+            func = DiffFunctional.value(kernel.dim, q)
+            va, vb = (m.apply(func, X) for m in models)
+            if not (np.isfinite(va).all() and np.isfinite(vb).all()):
+                return function, math.inf, math.inf
+            scale = max(np.abs(va).max(), np.abs(vb).max(), MODEL_FLOOR)
+            values = max(values, float(np.abs(va - vb).max()) / scale)
+    return function, values, _rel_diff(docs[0]["bias"], docs[1]["bias"])
+
+
 def _summary(side: str) -> dict:
     with open(os.path.join(side, "run", "summary.json"),
               encoding="utf-8") as fh:
@@ -306,9 +397,10 @@ def _compare_solves(a: str, b: str, rtol: float) -> bool:
                 print(f"solve {label!r}: " + ", ".join(
                     [f"{k} {x[k]} -> {y[k]}" for k in changed]
                     + [f"objective relative difference {rel:.3g}"]))
-            if x["iterations"] != y["iterations"]:
-                print(f"solve {label!r}: iterations {x['iterations']} -> "
-                      f"{y['iterations']}")
+            for key in REPORTED:
+                if x.get(key) != y.get(key):
+                    print(f"solve {label!r}: {key} {x.get(key)} -> "
+                          f"{y.get(key)}")
     for name, scheme in sorted(sa.get("schemes", {}).items()):
         other = sb.get("schemes", {}).get(name, {})
         if "stop" in scheme and [scheme.get(k) for k in SOAP] != \
@@ -353,9 +445,16 @@ def compare(a: str, b: str, rtol: float | None = None) -> int:
             differ = True
             print(f"file differs: {name}")
             continue
-        loaded = [_load(os.path.join(side, "run", name)) for side in (a, b)]
-        rel = (_csv_diff if name.endswith(".csv") else _rel_diff)(*loaded)
+        paths = [os.path.join(side, "run", name) for side in (a, b)]
         close.append(name)
+        if name.startswith("model_") and name.endswith(".json"):
+            function, values, bias = _model_diff(*paths, _regions(a))
+            differ = differ or not max(function, values, bias) <= rtol
+            print(f"file {name}: function difference {function:.3g}, "
+                  f"grid values {values:.3g}, bias {bias:.3g}")
+            continue
+        loaded = [_load(path) for path in paths]
+        rel = (_csv_diff if name.endswith(".csv") else _rel_diff)(*loaded)
         differ = differ or not rel <= rtol
         print(f"file {name}: largest relative difference {rel:.3g}")
     peaks = [_roles(side) for side in (a, b)]
