@@ -192,7 +192,8 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     ``u = L^T a_S`` with ``L L^T = G[S, S] + jitter I``, r = |S| columns
     instead of one per atom.  Evaluation rows ``G[i, S] . a_S`` become
     ``W[i] . u`` with ``W = (L^{-1} G[S, :])^T``, computed for the whole
-    basis in one triangular solve, and every norm expression becomes
+    basis in one triangular solve from the r x A pivot rows ``gram``
+    returns (no A x A Gram is formed), and every norm expression becomes
     ``||u||``, rows of ``-1`` on u's columns.  Every row is exact on span
     S and ``||f||^2 = a_S^T G[S, S] a_S <= ||u||^2``, so a tightened
     model stays feasible on the whole region; only optimality is
@@ -211,12 +212,12 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     basis_index = {atom.key(): i for i, atom in enumerate(basis)}
     normals = [basis_index[_oriented(rec.normal)[0].key()]
                for rec in records if isinstance(rec, InclusionRecord)]
-    G_mat, L, _, S = gram(basis, kernel, first=normals)
+    G_S, L, _, S = gram(basis, kernel, first=normals)
     r = S.size  # u's columns
     # Row i: exact whitened evaluation row of basis atom i on span S.  The
     # Gram is not held past them: the program and the model keep only L.
-    W_rows = solve_triangular(L, G_mat[S]).T
-    del G_mat
+    W_rows = solve_triangular(L, G_S).T
+    del G_S
 
     a_cols, b_cols = slice(0, r), slice(r, r + B)
     needs_t = isinstance(spec.regularizer, NormMin) or any(

@@ -24,11 +24,6 @@ from .kernels import Kernel
 #: above float noise.
 DEDUP_DIGITS = 12
 
-#: rows per kernel block when only a Gram's upper triangle is filled; small,
-#: so a per-pair kernel evaluates few entries below the diagonal
-_ROW_CHUNK = 4
-
-
 @dataclass(frozen=True)
 class DiffFunctional:
     """A linear functional  f -> sum_k beta_k * d^{r_k} f_{q_k}(x).
@@ -204,43 +199,57 @@ def atom_inner(a1: Atom, a2: Atom, kernel: Kernel) -> float:
     return total
 
 
-def _block_gram(rows: Sequence[Atom], cols: Sequence[Atom], kernel: Kernel,
-                upper: bool = False) -> np.ndarray:
-    """Inner products of two atom lists, one block per functional pair.
+def _groups(atoms: Sequence[Atom]) -> list[tuple[tuple, np.ndarray]]:
+    """``(terms, indices)`` per functional shape (its terms' ``(q, r)``),
+    each term with one weight per atom, so that atoms differing only in
+    their weights share kernel calls."""
+    index: dict[tuple, list[int]] = {}
+    for i, atom in enumerate(atoms):
+        shape = tuple((q, r) for q, r, _ in atom.functional.terms)
+        index.setdefault(shape, []).append(i)
+    groups = []
+    for shape, ix in index.items():
+        betas = np.array([[b for _, _, b in atoms[i].functional.terms]
+                          for i in ix])
+        groups.append((tuple((q, r, betas[:, t])
+                             for t, (q, r) in enumerate(shape)),
+                       np.array(ix)))
+    return groups
 
-    Terms are summed in :func:`atom_inner`'s order, so the per-pair default
-    block reproduces it bit for bit.  With ``upper`` only entries ``j >= i``
-    are filled: row chunks skip the columns left of their first row.
-    """
-    def groups(atoms):
-        index: dict[tuple, list[int]] = {}
-        for i, atom in enumerate(atoms):
-            index.setdefault(atom.functional.terms, []).append(i)
-        return [(terms, np.array(ix)) for terms, ix in index.items()]
 
-    X_rows = np.array([a.x for a in rows], dtype=float)
-    X_cols = np.array([a.x for a in cols], dtype=float)
-    col_groups = groups(cols)
-    G = np.zeros((len(rows), len(cols)))
-    for terms1, I in groups(rows):
-        chunks = np.split(I, range(_ROW_CHUNK, I.size, _ROW_CHUNK)) \
-            if upper else [I]
-        for terms2, J_all in col_groups:
-            for Ic in chunks:
-                J = J_all[J_all >= Ic[0]] if upper else J_all
-                block = 0.0
-                for q1, r1, b1 in terms1:
-                    for q2, r2, b2 in terms2:
-                        block = block + b1 * b2 * kernel.partial_block(
-                            r1, r2, q1, q2, X_rows[Ic], X_cols[J])
-                G[np.ix_(Ic, J)] = block
-    return G
+def _at(terms, index) -> list:
+    """A group's ``terms`` with their weight arrays indexed by ``index``."""
+    return [(q, r, b[index]) for q, r, b in terms]
+
+
+def _term_sum(partial, terms1, terms2, X1, X2):
+    """``sum beta1 beta2 partial(r1, r2, q1, q2, X1, X2)`` over the term
+    pairs, in :func:`atom_inner`'s order; ``partial`` is a kernel's
+    ``partial_block`` or ``partial_pairs``, and each weight a float or an
+    array that broadcasts against its result."""
+    block = 0.0
+    for q1, r1, b1 in terms1:
+        for q2, r2, b2 in terms2:
+            block = block + b1 * b2 * partial(r1, r2, q1, q2, X1, X2)
+    return block
 
 
 def cross_gram(rows: Sequence[Atom], cols: Sequence[Atom],
                kernel: Kernel) -> np.ndarray:
-    """Matrix of inner products between two atom lists."""
-    return _block_gram(rows, cols, kernel)
+    """Matrix of inner products between two atom lists, one kernel block
+    per pair of functional shapes.  Terms are summed in
+    :func:`atom_inner`'s order, so the per-pair default block reproduces
+    it bit for bit."""
+    X_rows = np.array([a.x for a in rows], dtype=float)
+    X_cols = np.array([a.x for a in cols], dtype=float)
+    col_groups = _groups(cols)
+    G = np.zeros((len(rows), len(cols)))
+    for terms1, I in _groups(rows):
+        for terms2, J in col_groups:
+            G[np.ix_(I, J)] = _term_sum(
+                kernel.partial_block, _at(terms1, np.s_[:, None]), terms2,
+                X_rows[I], X_cols[J])
+    return G
 
 
 #: where :func:`gram`'s pivoted Cholesky stops: once every residual
@@ -259,22 +268,51 @@ def cross_gram(rows: Sequence[Atom], cols: Sequence[Atom],
 #:
 #: So econ's programs shrink to about 86 and 71 columns, control's to 25,
 #: and catenary's and robotarm's keep every atom, and with it their bits.
+#: The cut also sets how much of the Gram is built: one row per pivot, so
+#: r x A entries (about 0.1M of econ's 1.33M).
 PIVOT_CUT = 1e-12
 
 
+def _gram_parts(basis: Sequence[Atom], kernel: Kernel):
+    """The Gram of ``basis`` as its diagonal, by one
+    :meth:`Kernel.partial_pairs` call per functional shape and term pair,
+    and ``row(p)``, by one :meth:`Kernel.partial_block` call per shape,
+    side and term pair.  Entry ``(i, j)`` has the bits of the block with
+    the smaller index on its row side, so the Gram is symmetric and a row's
+    bits do not depend on which rows were asked for."""
+    X = np.array([a.x for a in basis], dtype=float)
+    groups = _groups(basis)
+    diagonal = np.empty(len(basis))
+    for terms, I in groups:
+        diagonal[I] = _term_sum(kernel.partial_pairs, terms, terms,
+                                X[I], X[I])
+
+    def row(p: int) -> np.ndarray:
+        g, own, x = np.empty(len(basis)), basis[p].functional.terms, X[p:p + 1]
+        for terms, J in groups:
+            k = np.searchsorted(J, p)  # J[k:] >= p: p is the row side
+            if k < J.size:
+                g[J[k:]] = _term_sum(kernel.partial_block, own,
+                                     _at(terms, np.s_[k:]), x, X[J[k:]])[0]
+            if k:
+                g[J[:k]] = _term_sum(kernel.partial_block,
+                                     _at(terms, np.s_[:k, None]), own,
+                                     X[J[:k]], x)[:, 0]
+        return g
+
+    return diagonal, row
+
+
 def _full_gram(basis: Sequence[Atom], kernel: Kernel) -> np.ndarray:
-    """The symmetric Gram of ``basis``: its upper triangle by kernel
-    blocks, mirrored."""
-    A = len(basis)
-    G = _block_gram(basis, basis, kernel, upper=True)
-    for i in range(A - 1):
-        G[i + 1:, i] = G[i, i + 1:]
-    return G
+    """The whole Gram of ``basis``, row by row.  Only a model given no
+    factor builds it."""
+    row = _gram_parts(basis, kernel)[1]
+    return np.array([row(p) for p in range(len(basis))])
 
 
-def _jitter(G: np.ndarray) -> float:
-    """``1e-10 * trace(G)/A``, the diagonal shift every factor takes."""
-    return 1e-10 * max(float(np.trace(G)) / len(G), np.finfo(float).tiny)
+def _jitter(d: np.ndarray) -> float:
+    """``1e-10 * trace(G)/A`` from G's diagonal ``d``: every factor's shift."""
+    return 1e-10 * max(float(d.sum()) / d.size, np.finfo(float).tiny)
 
 
 def _factor(G: np.ndarray, jitter: float) -> np.ndarray:
@@ -285,9 +323,10 @@ def _factor(G: np.ndarray, jitter: float) -> np.ndarray:
         raise ValueError("Gram numerically indefinite") from None
 
 
-def _pivots(G: np.ndarray, first: Sequence[int], jitter: float
-            ) -> np.ndarray:
-    """Greedy pivoted Cholesky of ``G``: the pivot set, sorted.
+def _pivots(row, diagonal: np.ndarray, first: Sequence[int], jitter: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pivoted Cholesky of the Gram with this ``diagonal`` whose row
+    p is ``row(p)``: the pivot set S, sorted, and the rows ``G[S, :]``.
 
     The indices in ``first`` are taken first, each time the one of largest
     residual diagonal, while one of them has a residual above
@@ -296,12 +335,15 @@ def _pivots(G: np.ndarray, first: Sequence[int], jitter: float
     Then every atom is a candidate, until every residual is at most the
     cut.  Taking the largest residual of the candidates keeps each step's
     rounding relative to the residuals it updates.  A residual below
-    ``-jitter`` means G is not positive semidefinite.
+    ``-jitter`` means G is not positive semidefinite.  Each row is asked
+    for once, when its index joins S; the partial factor's rows share one
+    buffer, which grows by doubling.
     """
-    A = len(G)
-    d = np.diagonal(G).copy()
+    A = diagonal.size
+    d = diagonal.copy()
     cut = PIVOT_CUT * d.max()
-    rows = []  # the partial factor's rows, one per pivot stepped on
+    R = np.empty((min(A, 16), A))  # the partial factor, a row per step
+    rows: dict[int, np.ndarray] = {}  # G's row of each pivot stepped on
     taken = np.zeros(A, dtype=bool)
     forced = np.zeros(A, dtype=bool)
     forced[list(first)] = True
@@ -311,43 +353,48 @@ def _pivots(G: np.ndarray, first: Sequence[int], jitter: float
             if taken[p] or not pool[p] or d[p] <= cut:
                 break
             taken[p] = True
-            R = np.reshape(rows, (len(rows), A))
-            rows.append((G[p] - R[:, p] @ R) / np.sqrt(d[p]))
-            d -= rows[-1] * rows[-1]
+            k = len(rows)
+            if k == len(R):
+                R = np.resize(R, (min(2 * k, A), A))
+            rows[p] = row(p)
+            R[k] = (rows[p] - R[:k, p] @ R[:k]) / np.sqrt(d[p])
+            d -= R[k] * R[k]
         taken |= forced
     if (d < -jitter).any():
         raise ValueError("Gram numerically indefinite")
-    return np.flatnonzero(taken)
+    del R
+    S = np.flatnonzero(taken)
+    return S, np.array([rows.pop(i) if i in rows else row(i)
+                        for i in S]).reshape(S.size, A)
 
 
 def gram(basis: Sequence[Atom], kernel: Kernel, first: Sequence[int] = ()
          ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Gram matrix of a basis, its pivot set and the pivots' factor.
-
-    Atoms are grouped by ``functional.terms``; each pair of groups costs
-    one :meth:`Kernel.partial_block` call per term pair, scattered into
-    place.  Entry ``(i, j)``, ``i <= j``, is ``atom_inner(basis[i],
-    basis[j])`` to rounding; the lower triangle mirrors the upper one.
+    """The pivot rows of a basis's Gram, the pivot set and its factor.
 
     A greedy pivoted Cholesky (Harbrecht, Peters and Schneider, Appl.
-    Numer. Math. 62, 2012; Fine and Scheinberg, JMLR 2, 2001) then picks
-    the pivot set S: the indices ``first`` (enclosure normals, whose
-    columns a program needs), then the atoms of largest residual, until
-    every residual diagonal is at most :data:`PIVOT_CUT` of the largest
-    diagonal entry.  S is returned sorted, in basis order.
+    Numer. Math. 62, 2012; Fine and Scheinberg, JMLR 2, 2001) picks the
+    pivot set S: the indices ``first`` (enclosure normals, whose columns a
+    program needs), then the atoms of largest residual, until every
+    residual diagonal is at most :data:`PIVOT_CUT` of the largest diagonal
+    entry.  S is returned sorted, in basis order.
 
-    Returns ``(G, L, jitter, S)`` with ``L L^T = G[S, S] + jitter * I``
-    and ``jitter = 1e-10 * trace(G)/A``.  A full-rank basis has S = every
-    atom, and L has the bits of the full factor ``chol(G + jitter * I)``.
-    A factorization that fails, or a residual below ``-jitter``, raises
-    ``ValueError``.
+    The Gram is built only as far as the pivoting reads it, its diagonal
+    and the pivots' rows (:func:`_gram_parts`), so no A x A array is
+    formed.
+
+    Returns ``(G_S, L, jitter, S)``: the r x A rows ``G_S = G[S, :]``,
+    ``L L^T = G[S, S] + jitter * I`` and ``jitter = 1e-10 * trace(G)/A``.
+    A full-rank basis has S = every atom, and L has the bits of the full
+    factor ``chol(G + jitter * I)``.  A factorization that fails, or a
+    residual below ``-jitter``, raises ``ValueError``.
     """
     if not basis:
         raise ValueError("basis must be non-empty")
-    G = _full_gram(basis, kernel)
-    jitter = _jitter(G)
-    S = _pivots(G, first, jitter)
-    return G, _factor(G[np.ix_(S, S)], jitter), jitter, S
+    diagonal, row = _gram_parts(basis, kernel)
+    jitter = _jitter(diagonal)
+    S, G_S = _pivots(row, diagonal, first, jitter)
+    return G_S, _factor(G_S[:, S], jitter), jitter, S
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +433,8 @@ class Model:
             )
         if self.factor is None and self.basis:
             G = _full_gram(self.basis, self.kernel)
-            object.__setattr__(self, "factor", _factor(G, _jitter(G)))
+            object.__setattr__(self, "factor",
+                               _factor(G, _jitter(np.diagonal(G))))
 
     @functools.cached_property
     def basis_index(self) -> dict:

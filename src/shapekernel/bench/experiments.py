@@ -784,10 +784,15 @@ def _econ_dataset(cfg: ExperimentConfig):
 
 
 def _econ_bandwidth(X: np.ndarray) -> float:
-    diff = X[:, None, :] - X[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
-    iu = np.triu_indices(X.shape[0], k=1)
-    return float(math.sqrt(np.quantile(d2[iu], 0.8)))
+    """The 0.8 quantile of the distances between the rows of ``X``, from
+    the upper triangle's, row by row, with no n x n array."""
+    n = X.shape[0]
+    d2 = np.empty(n * (n - 1) // 2)
+    k = 0
+    for i in range(n - 1):
+        d2[k:k + n - 1 - i] = ((X[i] - X[i + 1:]) ** 2).sum(axis=1)
+        k += n - 1 - i
+    return float(math.sqrt(np.quantile(d2, 0.8, overwrite_input=True)))
 
 
 def _econ_constraints(box) -> dict:

@@ -119,7 +119,10 @@ def cover_box(box, delta_max: float, norm: str = "max") -> list[InputBall]:
 
 
 def fill_distance(points, box, grid_res: int) -> float:
-    """Max over a grid of the box of the euclidean distance to the points."""
+    """Max over a grid of the box of the euclidean distance to the points.
+
+    The grid goes in chunks of at most 2^15 grid-point and point pairs, so
+    no grid x points x d array is formed."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("need at least one point")
@@ -128,8 +131,12 @@ def fill_distance(points, box, grid_res: int) -> float:
             for i in range(lo.size)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     grid = grid.reshape(-1, lo.size)
-    d2 = ((grid[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min(axis=1).max()))
+    nearest = np.empty(len(grid))  # squared distance to the nearest point
+    step = max((1 << 15) // len(pts), 1)
+    for k in range(0, len(grid), step):
+        diff = grid[k:k + step, None, :] - pts[None, :, :]
+        nearest[k:k + step] = (diff ** 2).sum(axis=2).min(axis=1)
+    return float(np.sqrt(nearest.max()))
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import os
 #: two processes of one BLAS thread each and with one process of two
 #: threads, never more: each further process would hold one more fit.
 #: In one process with BLAS pinned, econ's whole default config (21 fits,
-#: each over its Gram's pivots) peaks at 61 MB and robotarm's m = 81
+#: each over its Gram's pivot rows) peaks at 49 MB and robotarm's m = 81
 #: ``hyp`` fit (full rank, so over every atom) at 1,140 MB.
 MAX_PROCS = 2
 #: BLAS counts as pinned when each of these says one thread

@@ -42,6 +42,10 @@ def _as_point(x, d: int, name: str = "x") -> np.ndarray:
     return p
 
 
+def _as_points(X) -> np.ndarray:
+    return np.atleast_2d(np.asarray(X, dtype=float))
+
+
 def _as_multi_index(r, d: int) -> MultiIndex:
     if r is None:
         return (0,) * d
@@ -58,11 +62,11 @@ class Kernel:
 
     ``partial_block(r1, r2, q1, q2, X1, X2)`` maps points ``X1`` (n1, d) and
     ``X2`` (n2, d) to the (n1, n2) matrix of ``eval_partial(r1, r2, q1, q2,
-    X1[i], X2[j])``; Gram matrices and ``eval_partial_many`` use it.  The
-    default loops over the pairs, so its entries equal the scalar calls bit
-    for bit.  Override it where the partial has a closed form that
-    vectorizes over point pairs and agrees with the scalar path to rounding.
+    X1[i], X2[j])``; Gram matrices and ``eval_partial_many`` use it.
     ``partial_pairs`` is the diagonal analogue: one value per row pair.
+    Both go through :meth:`_partial`, so a pair has the same bits in
+    either, as :func:`~shapekernel.atoms.gram` needs: its diagonal comes
+    from ``partial_pairs`` and its rows from ``partial_block``.
     """
 
     dim: int
@@ -85,20 +89,24 @@ class Kernel:
 
     def partial_block(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
         """Matrix of :meth:`eval_partial` over all rows of X1 times X2."""
-        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-        out = np.empty((X1.shape[0], X2.shape[0]))
-        for i, x in enumerate(X1):
-            for j, y in enumerate(X2):
-                out[i, j] = self.eval_partial(r1, r2, q1, q2, x, y)
-        return out
+        X1, X2 = _as_points(X1), _as_points(X2)
+        return self._partial(r1, r2, q1, q2, X1[:, None, :], X2[None, :, :])
 
     def partial_pairs(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
         """Vector of :meth:`eval_partial` at the pairs ``(X1[k], X2[k])``."""
-        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-        return np.array([self.eval_partial(r1, r2, q1, q2, x, y)
-                         for x, y in zip(X1, X2)])
+        return self._partial(r1, r2, q1, q2, _as_points(X1), _as_points(X2))
+
+    def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+        """:meth:`eval_partial` over two point arrays that broadcast to
+        ``shape + (d,)``, as an array of that shape.  The default loops
+        over the pairs, so its entries equal the scalar calls bit for bit.
+        Override it where the partial has a closed form that vectorizes
+        over point pairs and agrees with the scalar path to rounding."""
+        X1, X2 = np.broadcast_arrays(X1, X2)
+        out = np.empty(X1.shape[:-1])
+        for i in np.ndindex(out.shape):
+            out[i] = self.eval_partial(r1, r2, q1, q2, X1[i], X2[i])
+        return out
 
     def apply_expansion(self, functional, X, coeffs, atoms) -> np.ndarray:
         """``functional`` applied to ``f = sum_j coeffs[j] * atoms[j]`` at
@@ -228,22 +236,20 @@ class GaussianKernel(Kernel):
             raise ValueError("scalar kernel has a single output component")
         return self.scalar_partial(r1, r2, x, x2)
 
-    def partial_block(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
-        """exp of the outer differences times one polynomial per axis;
-        works axis by axis, so memory stays at a few (n1, n2) arrays."""
+    def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+        """exp of the differences times one polynomial per axis; works axis
+        by axis, so memory stays at a few arrays of the broadcast shape."""
         if q1 != 0 or q2 != 0:
             raise ValueError("scalar kernel has a single output component")
         r1 = _as_multi_index(r1, self.dim)
         r2 = _as_multi_index(r2, self.dim)
         self._check_orders(r1, r2)
-        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-        sq = np.zeros((X1.shape[0], X2.shape[0]))
+        sq = 0.0
         polys = []
         for i in range(self.dim):
-            diff = X1[:, i, None] - X2[None, :, i]
+            diff = X1[..., i] - X2[..., i]
             t = diff / self.lengthscales[i]
-            sq += t * t
+            sq = sq + t * t
             n = r1[i] + r2[i]
             if n:
                 s2 = float(self.lengthscales[i]) ** 2
@@ -303,17 +309,15 @@ class LaplacianKernel(Kernel):
 
     def eval_partial_many(self, r1, r2, q1: int, q2: int, X, x2) -> np.ndarray:
         self._check_value(r1, r2, q1, q2)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _as_points(X)
         y = _as_point(x2, self.dim, "x2")
         return np.exp(-self.rate * np.linalg.norm(X - y[None, :], axis=1))
 
-    def partial_block(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+    def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
         """:meth:`eval`'s bits over all pairs: one ``vecdot`` norm per pair,
         then ``math.exp`` (``np.exp`` differs in the last bit on some)."""
         self._check_value(r1, r2, q1, q2)
-        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-        D = X1[:, None, :] - X2[None, :, :]
+        D = X1 - X2
         arg = -self.rate * np.sqrt(np.vecdot(D, D))
         return np.fromiter(map(math.exp, arg.ravel().tolist()), float,
                            arg.size).reshape(arg.shape)
@@ -386,9 +390,9 @@ class DecomposableGaussianKernel(Kernel):
             self.output_cov[q1, q2]
         )
 
-    def partial_block(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+    def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
         self._check_q(q1, q2)
-        return self.scalar.partial_block(r1, r2, 0, 0, X1, X2) * float(
+        return self.scalar._partial(r1, r2, 0, 0, X1, X2) * float(
             self.output_cov[q1, q2]
         )
 
@@ -519,6 +523,9 @@ class LTIControlKernel(Kernel):
             if np.linalg.cond(V) < _EIG_COND_MAX:
                 Vinv = np.linalg.inv(V)
                 self._eig = (lam, V, Vinv @ self.BBt @ Vinv.T)
+                a = lam[:, None] + lam[None, :]  # for _g, once
+                self._a_zero = a == 0
+                self._a_safe = np.where(self._a_zero, 1.0, a)
         except np.linalg.LinAlgError:
             self._eig = None
 
@@ -537,12 +544,11 @@ class LTIControlKernel(Kernel):
     def _closed_form(self, S, T, q1=None, q2=None) -> np.ndarray:
         """K(S, T) over broadcast time arrays: entry ``[q1, q2]`` of shape
         ``broadcast(S, T)``, or the full ``(..., Q, Q)`` stack."""
-        S, T = np.broadcast_arrays(np.asarray(S, dtype=float),
-                                   np.asarray(T, dtype=float))
-        if np.any(S < 0) or np.any(T < 0):
+        S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+        M = np.minimum(S, T)
+        if (M < 0).any():
             raise ValueError("times must be nonnegative")
         lam, V, C = self._eig
-        M = np.minimum(S, T)
         g = self._g(M[..., None, None])
         inner = g * np.exp(lam[:, None] * (S - M)[..., None, None]
                            + lam[None, :] * (T - M)[..., None, None])
@@ -553,11 +559,8 @@ class LTIControlKernel(Kernel):
 
     def _g(self, m: np.ndarray) -> np.ndarray:
         """``g(lam_i + lam_j, m)`` over ``m`` of shape ``(..., 1, 1)``."""
-        lam = self._eig[0]
-        a = lam[:, None] + lam[None, :]
-        zero = a == 0
-        a_safe = np.where(zero, 1.0, a)
-        return np.where(zero, m, np.expm1(a_safe * m) / a_safe)
+        return np.where(self._a_zero, m,
+                        np.expm1(self._a_safe * m) / self._a_safe)
 
     def _eval_van_loan(self, s: float, t: float) -> np.ndarray:
         m = min(s, t)
@@ -582,21 +585,11 @@ class LTIControlKernel(Kernel):
         self._check_value(r1, r2, q1, q2)
         return float(self.eval(x, x2)[q1, q2])
 
-    def partial_block(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
+    def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
         if self._eig is None:
-            return super().partial_block(r1, r2, q1, q2, X1, X2)
+            return super()._partial(r1, r2, q1, q2, X1, X2)
         self._check_value(r1, r2, q1, q2)
-        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-        return self._closed_form(X1[:, 0, None], X2[None, :, 0], q1, q2)
-
-    def partial_pairs(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
-        if self._eig is None:
-            return super().partial_pairs(r1, r2, q1, q2, X1, X2)
-        self._check_value(r1, r2, q1, q2)
-        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-        return self._closed_form(X1[:, 0], X2[:, 0], q1, q2)
+        return self._closed_form(X1[..., 0], X2[..., 0], q1, q2)
 
     def apply_expansion(self, functional, X, coeffs, atoms) -> np.ndarray:
         """The sorted-time sweep (see the class docstring); a defective

@@ -46,7 +46,7 @@ from shapekernel import (
 )
 import shapekernel.assemble as am
 from shapekernel.assemble import assemble
-from shapekernel.atoms import PIVOT_CUT
+from shapekernel.atoms import PIVOT_CUT, _full_gram
 
 
 def value_obs(xs, ys, weights=None):
@@ -129,7 +129,8 @@ class TestAnchorRows:
         t = prog.meta["t_index"]
         np.testing.assert_array_equal(nonneg.G[:, t], [0.4, 0.4])
         np.testing.assert_array_equal(nonneg.h, [-0.1, -0.2])
-        # the whitened evaluation row of the off-diagonal atom b
+        # the whitened evaluation row of the off-diagonal atom b, from the
+        # Gram's pivot rows
         rows = solve_triangular(prog.meta["factor"],
                                 gram(basis, kernel)[0], lower=True).T
         off = np.zeros(prog.n)
@@ -707,7 +708,7 @@ class TestPivotBasis:
         A = len(basis)
         np.testing.assert_array_equal(prog.meta["pivots"], np.arange(A))
         # the construction before pivoting: chol(G + jitter I), L^-1 G
-        G = gram(basis, kernel)[0]
+        G = _full_gram(basis, kernel)
         jitter = 1e-10 * (np.trace(G) / A)
         L = np.linalg.cholesky(G + jitter * np.eye(A))
         W = solve_triangular(L, G, lower=True).T
@@ -719,14 +720,30 @@ class TestPivotBasis:
         real_gram = am.gram
 
         def every_atom(basis, kernel, first=()):
-            G, L, jitter, _ = real_gram(basis, kernel, first)
-            return G, L, jitter, np.arange(len(basis))
+            _, L, jitter, _ = real_gram(basis, kernel, first)
+            return (_full_gram(basis, kernel), L, jitter,
+                    np.arange(len(basis)))
         monkeypatch.setattr(am, "gram", every_atom)
         whole = assemble(spec, basis, records)
         for name in ("P", "q", "G", "h"):
             assert getattr(prog, name).tobytes() == \
                 getattr(whole, name).tobytes()
         assert prog.n == whole.n == A + 1
+
+    def test_low_rank_assembly_holds_no_whole_gram(self):
+        kernel = GaussianKernel([0.5])
+        spec, records = self.slope_problem(kernel, anchors=1000)
+        basis = collect_atoms(spec, records)
+        A = len(basis)
+        tracemalloc.start()
+        try:
+            prog = assemble(spec, basis, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A > 1000 and prog.n < 40
+        # one A x A array would take A^2 * 8 bytes
+        assert peak < A * A * 8 / 4
 
     def test_low_rank_rows_are_exact_on_the_pivot_span(self):
         kernel = GaussianKernel([0.5])
@@ -742,7 +759,7 @@ class TestPivotBasis:
             [basis[i].key() for i in S]
         # W u = G[:, S] L^-T u at the solution: each anchor row is exact
         # on span S
-        G = gram(basis, kernel)[0]
+        G = _full_gram(basis, kernel)
         u, a = sol.x[:r], model.coeffs
         np.testing.assert_array_equal(
             a, solve_triangular(L, u, lower=True, trans=1))
@@ -773,7 +790,8 @@ class TestPivotBasis:
                    if any(atom.key() == am._oriented(rec.normal)[0].key()
                           for rec in records)]
         # on their own, some normals' residuals fall below the cut
-        G, _, _, free = gram(basis, kernel)
+        free = gram(basis, kernel)[3]
+        G = _full_gram(basis, kernel)
         below = sorted(set(normals) - set(free))
         assert below
         R = np.diagonal(G) - np.einsum(

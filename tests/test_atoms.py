@@ -6,6 +6,7 @@ model's own pointwise evaluation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from shapekernel import (
     cross_gram,
     gram,
 )
+from shapekernel.atoms import PIVOT_CUT, _full_gram
 
 
 @pytest.fixture
@@ -158,21 +160,24 @@ class TestAtomInner:
 
 class TestGram:
     def test_positive_semidefinite_and_factor(self, kernel, basis):
-        G, L, jitter, S = gram(basis, kernel)
+        G_S, L, jitter, S = gram(basis, kernel)
+        G = _full_gram(basis, kernel)
         np.testing.assert_allclose(G, G.T, atol=1e-14)
         assert np.linalg.eigvalsh(G).min() > -1e-10
         # a full-rank basis: every atom is a pivot, and L is the bits of
         # the full jittered factor
         np.testing.assert_array_equal(S, np.arange(len(basis)))
+        assert G_S.tobytes() == G.tobytes()
         assert jitter == 1e-10 * (np.trace(G) / len(basis))
         full = np.linalg.cholesky(G + jitter * np.eye(len(basis)))
         assert L.tobytes() == full.tobytes()
 
     def test_duplicate_atoms_take_one_pivot(self, kernel):
         a = Atom((0.3, 0.3), DiffFunctional.value(2))
-        G, L, jitter, S = gram((a, a, a), kernel)
+        G_S, L, jitter, S = gram((a, a, a), kernel)
         np.testing.assert_array_equal(S, [0])
-        np.testing.assert_allclose(L @ L.T, G[:1, :1] + jitter, rtol=1e-15)
+        assert G_S.shape == (1, 3)
+        np.testing.assert_allclose(L @ L.T, G_S[:, :1] + jitter, rtol=1e-15)
 
     def test_pivots_cover_a_low_rank_gram(self):
         # 60 value atoms of a wide Gaussian on [0, 1]: the pivots stop
@@ -180,7 +185,9 @@ class TestGram:
         kernel = GaussianKernel([0.5])
         basis = [Atom((x,), DiffFunctional.value(1))
                  for x in np.linspace(0.0, 1.0, 60)]
-        G, L, jitter, S = gram(basis, kernel)
+        G_S, L, jitter, S = gram(basis, kernel)
+        G = _full_gram(basis, kernel)
+        assert G_S.tobytes() == G[S].tobytes()
         assert 5 < S.size < 30
         assert np.all(np.diff(S) > 0)  # basis order
         np.testing.assert_allclose(L @ L.T,
@@ -261,7 +268,7 @@ class TestBlockGram:
             x = tuple(rng.uniform(-1, 1, 2))
             atoms += [Atom(x, DiffFunctional.mixed(2, axes))
                       for axes in ((0, 0), (0, 1), (1, 1))]
-        G = gram(atoms, kernel)[0]
+        G = _full_gram(atoms, kernel)
         ref = _reference_gram(atoms, kernel)
         scale = np.abs(ref).max()
         np.testing.assert_allclose(G, ref, rtol=1e-12, atol=1e-12 * scale)
@@ -276,7 +283,7 @@ class TestBlockGram:
         lap_basis = [Atom((x,), DiffFunctional.value(1, beta=b))
                      for x in rng.uniform(-1, 1, 20) for b in (1.0, -1.0)]
         rng.shuffle(lap_basis)
-        G = gram(lap_basis, lap)[0]
+        G = _full_gram(lap_basis, lap)
         assert np.array_equal(G, _reference_gram(lap_basis, lap))
 
     def test_lti_closed_form_matches_scalar_reference(self):
@@ -284,10 +291,129 @@ class TestBlockGram:
         lti = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])
         basis = [Atom((t,), DiffFunctional.value(1, q=q))
                  for t in rng.uniform(0.1, 2, 20) for q in (0, 1)]
-        G = gram(basis, lti)[0]
+        G = _full_gram(basis, lti)
         np.testing.assert_allclose(G, _reference_gram(basis, lti),
                                    rtol=1e-10, atol=1e-14)
         assert np.array_equal(G, G.T)
+
+
+def _reference_pivots(G, first, jitter):
+    """The pivot set of a whole Gram, by the loop ``gram`` ran before it
+    built rows on demand: each step reshapes the list of factor rows."""
+    A = len(G)
+    d = np.diagonal(G).copy()
+    cut = PIVOT_CUT * d.max()
+    rows = []
+    taken = np.zeros(A, dtype=bool)
+    forced = np.zeros(A, dtype=bool)
+    forced[list(first)] = True
+    for pool in (forced, np.ones(A, dtype=bool)):
+        while True:
+            p = int(np.argmax(np.where(pool & ~taken, d, -np.inf)))
+            if taken[p] or not pool[p] or d[p] <= cut:
+                break
+            taken[p] = True
+            R = np.reshape(rows, (len(rows), A))
+            rows.append((G[p] - R[:, p] @ R) / np.sqrt(d[p]))
+            d -= rows[-1] * rows[-1]
+        taken |= forced
+    return np.flatnonzero(taken)
+
+
+def _gaussian_mixed_basis():
+    # a dense low-rank basis: values, negated partials, a two-term
+    # functional and second partials, interleaved
+    rng = np.random.default_rng(21)
+    two_term = DiffFunctional(((0, (0, 0), 1.0), (0, (1, 0), -0.5)))
+    atoms = []
+    for i in range(90):
+        x = tuple(rng.uniform(0, 1, 2))
+        atoms.append(Atom(x, [DiffFunctional.value(2),
+                              DiffFunctional.partial(2, i % 2, beta=-1.0),
+                              two_term,
+                              DiffFunctional.mixed(2, (0, 1))][i % 4]))
+    return GaussianKernel([0.7, 0.9]), atoms, [2, 6, 10]
+
+
+def _laplacian_basis():
+    rng = np.random.default_rng(22)
+    return LaplacianKernel(2.0, dim=2), [
+        Atom(tuple(rng.uniform(-1, 1, 2)), DiffFunctional.value(2, beta=b))
+        for b in (1.0, -1.0, 2.0) for _ in range(15)], [3]
+
+
+def _decomposable_basis():
+    rng = np.random.default_rng(23)
+    kernel = DecomposableGaussianKernel([0.8],
+                                        [[1.0, 0.4], [0.4, 2.0]])
+    return kernel, [Atom((x,), D) for x in rng.uniform(-1, 1, 20)
+                    for D in (DiffFunctional.value(1, q=1),
+                              DiffFunctional.partial(1, 0, q=0, beta=-1.0))
+                    ], []
+
+
+def _lti_basis(A, count):
+    rng = np.random.default_rng(24)
+    return LTIControlKernel(A, [[0.0], [1.0]]), [
+        Atom((t,), DiffFunctional.value(1, q=q, beta=b))
+        for t in rng.uniform(0.1, 2.0, count)
+        for q, b in ((0, 1.0), (1, -1.0))], [1]
+
+
+class TestGramRows:
+    """``gram`` builds the diagonal and the pivot rows only; they keep the
+    bits of the whole Gram's upper triangle and its mirror, and so do S, L
+    and the jitter."""
+
+    @pytest.mark.parametrize("case", [
+        _gaussian_mixed_basis, _laplacian_basis, _decomposable_basis,
+        lambda: _lti_basis([[0.0, 1.0], [0.0, -1.0]], 30),
+        lambda: _lti_basis([[0.0, 1.0], [0.0, 0.0]], 6),  # defective
+    ], ids=["gaussian", "laplacian", "decomposable", "lti", "lti-van-loan"])
+    def test_rows_keep_the_whole_grams_bits(self, case):
+        kernel, basis, first = case()
+        if isinstance(kernel, LTIControlKernel):
+            assert (kernel._eig is None) == (kernel.A[1, 1] == 0.0)
+        # the upper triangle, one kernel block per pair and term pair,
+        # summed in atom_inner's order, mirrored
+        G = np.empty((len(basis), len(basis)))
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis[i:], i):
+                G[i, j] = G[j, i] = sum(
+                    (b1 * b2 * kernel.partial_block(
+                        r1, r2, q1, q2, [a.x], [b.x])[0, 0]
+                     for q1, r1, b1 in a.functional.terms
+                     for q2, r2, b2 in b.functional.terms), 0.0)
+        assert _full_gram(basis, kernel).tobytes() == G.tobytes()
+        jitter = 1e-10 * (np.trace(G) / len(basis))
+        S = _reference_pivots(G, first, jitter)
+        L = np.linalg.cholesky(G[np.ix_(S, S)] + jitter * np.eye(S.size))
+        got = gram(basis, kernel, first)
+        assert got[0].tobytes() == G[S].tobytes()
+        assert got[1].tobytes() == L.tobytes()
+        assert got[2] == jitter
+        np.testing.assert_array_equal(got[3], S)
+        if isinstance(kernel, GaussianKernel):
+            assert set(first) < set(S) and S.size < len(basis)
+
+    def test_rows_allocate_far_less_than_the_gram(self):
+        kernel = GaussianKernel([0.5, 0.5])
+        xs = np.linspace(0.0, 1.0, 32)
+        basis = [Atom((x, y), DiffFunctional.value(2))
+                 for x in xs for y in xs]
+        basis += [Atom((x, y), DiffFunctional.partial(2, 0))
+                  for x in xs[::4] for y in xs[::4]]
+        A = len(basis)
+        tracemalloc.start()
+        try:
+            G_S, _, _, S = gram(basis, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A > 1000 and S.size < 100
+        assert G_S.shape == (S.size, A)
+        # the whole Gram alone would take A^2 * 8 bytes
+        assert peak < A * A * 8 / 3
 
 
 class TestModel:
@@ -298,7 +424,7 @@ class TestModel:
     def test_norm_matches_quadratic_form(self, kernel, basis):
         model = self.make_model(kernel, basis)
         a = model.coeffs
-        G = gram(basis, kernel)[0]
+        G = _full_gram(basis, kernel)
         direct = math.sqrt(a @ G @ a)
         assert model.norm == pytest.approx(direct, rel=1e-7)
 

@@ -805,3 +805,72 @@ def test_control_never_evaluates_the_kernel_pair_by_pair(tmp_path,
     monkeypatch.setattr(LTIControlKernel, "eval_partial", counted)
     _run_tiny("control", tmp_path)
     assert not calls
+
+
+def _broadcast_bandwidth(X):
+    """Econ's bandwidth through one n x n x d difference array: the
+    reference the row-by-row form must match bit for bit."""
+    import numpy as np
+
+    diff = X[:, None, :] - X[None, :, :]
+    d2 = (diff ** 2).sum(axis=2)
+    iu = np.triu_indices(X.shape[0], k=1)
+    return float(math.sqrt(np.quantile(d2[iu], 0.8)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_econ_bandwidth_keeps_the_broadcast_bits(dim):
+    import numpy as np
+
+    from shapekernel.bench.experiments import _econ_bandwidth
+
+    rng = np.random.default_rng(dim)
+    for n in (2, 3, 157):
+        X = rng.lognormal(size=(n, dim))
+        assert _econ_bandwidth(X) == _broadcast_bandwidth(X)
+
+
+def test_econ_bandwidth_holds_no_n_by_n_array():
+    import tracemalloc
+
+    import numpy as np
+
+    from shapekernel.bench.experiments import _econ_bandwidth
+
+    X = np.random.default_rng(5).normal(size=(600, 2))
+    _econ_bandwidth(X[:10])  # first calls load their code
+    tracemalloc.start()
+    try:
+        _econ_bandwidth(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the upper triangle's squared distances take n^2 / 2 * 8 bytes; the
+    # broadcast form held n x n x 2 differences, five times that in all
+    assert peak < 600 * 600 * 8 * 0.75
+
+
+def test_defaults_tool_reports_control(tmp_path, capsys, monkeypatch):
+    # control's default config in a process of its own: its row carries a
+    # wall time, the solve count, the caller's peak and every solve the
+    # summary marks as not optimal
+    tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
+    src = pathlib.Path(importlib.import_module("shapekernel").__file__)
+    monkeypatch.setenv("PYTHONPATH", str(src.parents[1]))
+    monkeypatch.syspath_prepend(str(tools))
+    defaults = _load_tool("tools", "defaults")
+    assert defaults.main(["--out", str(tmp_path), "control"]) == 0
+    header, row, total = capsys.readouterr().out.splitlines()
+    solves = json.loads((tmp_path / "control" / "run" / "summary.json")
+                        .read_text())["solves"]
+    name, wall, count, rest = row.split(maxsplit=3)
+    assert name == "control" and float(wall) > 0
+    assert int(count) == len(solves) == 2
+    assert rest.startswith("caller ")
+    not_optimal = [s for s in solves if s["status"] != "optimal"]
+    for s in not_optimal:
+        assert f"{s['label']}: {s['status']} ({s['stop_reason']})" in rest
+    assert rest.endswith("; -") == (not not_optimal)
+    assert total.split()[:3] == ["total", wall, count]
+    with pytest.raises(SystemExit):
+        defaults.main(["--out", str(tmp_path), "bogus"])

@@ -6,6 +6,7 @@ computed from the kernel's own (already validated) partials.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,41 @@ class TestFillDistance:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError, match="at least one point"):
             fill_distance(np.zeros((0, 1)), [(0.0, 1.0)], grid_res=10)
+
+    @staticmethod
+    def broadcast(points, box, grid_res):
+        """The whole grid against every point in one grid x points x d
+        array: the reference the chunked form must match bit for bit."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        lo, hi = np.asarray(box, dtype=float).T
+        axes = [np.linspace(lo[i], hi[i], max(int(grid_res), 2))
+                for i in range(lo.size)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        grid = grid.reshape(-1, lo.size)
+        d2 = ((grid[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        return float(np.sqrt(d2.min(axis=1).max()))
+
+    @pytest.mark.parametrize("dim, grid_res", [(1, 2001), (2, 61), (3, 17)])
+    def test_chunks_keep_the_broadcast_bits(self, dim, grid_res):
+        rng = np.random.default_rng(dim)
+        box = [(-1.0, 0.5), (0.0, 2.0), (-0.3, 0.3)][:dim]
+        pts = rng.uniform(-1.0, 1.0, size=(37, dim))
+        # several chunks, the last one short
+        assert grid_res ** dim * 37 > 2 ** 16
+        assert fill_distance(pts, box, grid_res) == \
+            self.broadcast(pts, box, grid_res)
+
+    def test_chunks_bound_the_memory(self):
+        pts = np.random.default_rng(4).uniform(size=(400, 2))
+        tracemalloc.start()
+        try:
+            fill_distance(pts, [(0.0, 1.0), (0.0, 1.0)], grid_res=101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one grid x points array of squared distances: 101^2 * 400 * 8
+        # bytes, and the differences twice that
+        assert peak < 101 ** 2 * 400 * 8 / 10
 
 
 class TestEtaRadial:

@@ -339,6 +339,29 @@ class TestPartialBlock:
         with pytest.raises(ValueError, match="not differentiable"):
             lap.partial_block((1,) + zero[1:], zero, 0, 0, X1, X2)
 
+    @pytest.mark.parametrize("kernel", [
+        GaussianKernel([0.8]),
+        GaussianKernel([0.8, 1.1]),
+        GaussianKernel([0.8, 1.1, 0.6]),
+        DecomposableGaussianKernel([0.7, 1.3], [[2.0, 0.5], [0.5, 1.0]]),
+        LaplacianKernel(1.3, dim=3),
+    ], ids=["gaussian-1d", "gaussian-2d", "gaussian-3d", "decomposable",
+            "laplacian"])
+    def test_pairs_have_the_block_diagonals_bytes(self, kernel):
+        # a Gram's diagonal comes from partial_pairs and its rows from
+        # partial_block, so the two must agree bit for bit on each pair
+        rng = np.random.default_rng(5)
+        d = kernel.dim
+        X1 = rng.uniform(-1, 1, size=(9, d))
+        X2 = np.vstack([rng.uniform(-1, 1, size=(5, d)), X1[5:]])
+        for r1 in _multi_indices(d, kernel.smoothness):
+            for r2 in _multi_indices(d, kernel.smoothness):
+                for q1, q2 in itertools.product(range(kernel.out_dim),
+                                                repeat=2):
+                    block = kernel.partial_block(r1, r2, q1, q2, X1, X2)
+                    pairs = kernel.partial_pairs(r1, r2, q1, q2, X1, X2)
+                    assert pairs.tobytes() == np.diag(block).tobytes()
+
 
 def _van_loan(k, s, t):
     """K(s, t) from the Van Loan Gramian and ``expm``, one pair at a time."""

@@ -52,9 +52,10 @@ largest such difference of each file is printed.
 A ``model_*.json`` file is judged as a function, since two bases can
 hold one function and coefficients are not identifiable where the Gram
 is near-singular.  On the union of the two bases (atoms deduplicated by
-``Atom.key``), ``||f_a - f_b||_H`` is ``||L^{-1} G[S, :] (c_a - c_b)||``
-with ``L`` the union Gram's pivoted factor (``atoms.gram``), and is
-judged over ``max(||f_a||_H, ||f_b||_H, MODEL_FLOOR)``.  A difference of
+``Atom.key``), ``||f_a - f_b||_H`` is ``||L^{-1} G_S (c_a - c_b)||``,
+with ``G_S = G[S, :]`` the union Gram's pivot rows and ``L`` their
+factor, both as ``atoms.gram`` returns them, and is judged over
+``max(||f_a||_H, ||f_b||_H, MODEL_FLOOR)``.  A difference of
 squared norms from ``atoms.cross_gram`` would cancel and resolve no
 relative distance below about 1e-8.  Each output component is also
 evaluated on a grid of each region the experiment verifies
@@ -354,8 +355,8 @@ def _model_diff(a: str, b: str, regions: list) -> tuple:
     for j, (col, m) in enumerate(zip(cols, models)):
         np.add.at(C[:, j], col, m.coeffs)
     C[:, 2] = C[:, 0] - C[:, 1]
-    G, L, _, S = gram([atom for _, atom in union.values()], kernel)
-    norms = np.linalg.norm(solve_triangular(L, G[S] @ C), axis=0)
+    G_S, L, _, _ = gram([atom for _, atom in union.values()], kernel)
+    norms = np.linalg.norm(solve_triangular(L, G_S @ C), axis=0)
     function = norms[2] / max(norms[0], norms[1], MODEL_FLOOR)
     values = 0.0
     for region in regions:
