@@ -508,9 +508,8 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
     solves, adds the most violated grid points, and repeats; at
     termination the returned model is feasible on the *entire* grid, so its
     objective equals the full-grid discretized optimum.  Returns
-    ``(model, value, points_used, statuses)``, the last the solver
-    ``(status, stop_reason, iterations, trace, objective, n)`` of every
-    round, ``n`` the program's column count.
+    ``(model, value, points_used, solves)``, the last one
+    :meth:`~shapekernel.conic.Solution.record` per round.
     """
     if constraint.size != 1:
         raise ValueError("reference solve supports scalar constraints only")
@@ -526,15 +525,14 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
     active_idx = sorted(set(range(0, len(X), stride)) | {len(X) - 1})
     model = None
     value = math.nan
-    statuses = []
+    solves = []
     for _ in range(max_rounds):
         pts = [tuple(X[i]) for i in active_idx]
         records = discretize(constraint, pts,
                              constraint_index=constraint_index)
         model, sol = solve_problem(spec, records, settings=settings)[:2]
         value = sol.objective
-        statuses.append((sol.status, sol.stop_reason, sol.iterations,
-                         sol.trace, sol.objective, sol.x.size))
+        solves.append(sol.record())
         vals = model.apply(func, X)
         bias = model.bias[: gm.shape[1]] if gm.shape[1] else np.zeros(0)
         slack = vals + (gm[0] @ bias if gm.shape[1] else 0.0) - offset
@@ -543,7 +541,7 @@ def solve_reference(spec: ProblemSpec, constraint: ShapeConstraint,
             break
         worst = violated[np.argsort(slack[violated])][:batch]
         active_idx = sorted(set(active_idx) | set(int(i) for i in worst))
-    return model, float(value), len(active_idx), statuses
+    return model, float(value), len(active_idx), solves
 
 
 # --------------------------------------------------------------------------

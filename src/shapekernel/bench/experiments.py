@@ -14,15 +14,16 @@ Four fully scripted studies exercise the whole pipeline end to end:
               concavity (after a negative-log transform), with a norm cap
               cross-validated on held-out data.
 
-Each runner returns ``(summary, tables, models)``; :func:`run_experiment`
-looks the runner up in a fixed table by experiment name, stamps timings,
-and writes artifacts, and :func:`constraints_for` gives the constraints a
-saved model is re-checked against.  The covering schemes ``disc``, ``ball``
-and ``hyp`` build their rows through one function, :func:`records_for`
-(``ball`` and ``hyp`` through the adaptive scheme's own pair of functions);
-every solve goes through :func:`~shapekernel.assemble.solve_problem`.  All
-randomness derives from the config seed, so numeric outputs are
-reproducible bit-for-bit; wall-clock timings live only in the summary.
+Each runner returns one :class:`Fit` record, its fits' records joined by
+:func:`merge`; :func:`run_experiment` looks the runner up in a fixed table
+by experiment name and writes all artifacts, and :func:`constraints_for`
+gives the constraints a saved model is re-checked against.  The covering
+schemes ``disc``, ``ball`` and ``hyp`` build their rows through one
+function, :func:`records_for` (``ball`` and ``hyp`` through the adaptive
+scheme's own pair of functions); every solve goes through
+:func:`~shapekernel.assemble.solve_problem`.  All randomness derives from
+the config seed, so numeric outputs are reproducible bit-for-bit;
+wall-clock timings live only in the summary.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from ..assemble import (
     solve_reference,
 )
 from ..atoms import DiffFunctional, SdpOperator
-from ..conic import TRACE_FIELDS
 from ..covering import InputBall, cover_box, eta_for, grid_cover
 from ..kernels import (
     DecomposableGaussianKernel,
@@ -95,32 +96,41 @@ def _ball_samples(center, radius: float, n: int,
     return center[None, :] + radius * v * r[:, None]
 
 
-def _outcome(sol) -> tuple:
-    """``(status, stop_reason, iterations, trace, objective, n)`` of one
-    solution, ``n`` its program's column count."""
-    return (sol.status, sol.stop_reason, sol.iterations, sol.trace,
-            sol.objective, sol.x.size)
+@dataclass
+class Fit:
+    """One fit's part of a run, or a run's fits joined by :func:`merge`:
+    ``solves``, its labelled solve records
+    (:meth:`~shapekernel.conic.Solution.record`); ``timings``, seconds by
+    name; ``tables``, ``name: (header, rows)``; ``models``, by file stem;
+    and ``summary``, its other summary entries."""
+
+    solves: list = field(default_factory=list)
+    timings: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
+    models: dict = field(default_factory=dict)
+    summary: dict = field(default_factory=dict)
+
+    def solved(self, label: str, record: dict) -> None:
+        """Add one solve's record under its runner label."""
+        self.solves.append({"label": label, **record})
 
 
-def _record_solve(solves: list, label: str, status: str, stop_reason: str,
-                  iterations: int, trace: np.ndarray,
-                  objective: float, n: int) -> None:
-    """Add one runner solve, with its objective, its program's column count
-    ``n`` and its per-iteration trace (one list per ``TRACE_FIELDS``
-    column, kept as array views until written), to the summary's
-    ``solves`` list."""
-    solves.append({"label": label, "status": status,
-                   "stop_reason": stop_reason, "iterations": iterations,
-                   "objective": float(objective), "n": int(n),
-                   "trace": dict(zip(TRACE_FIELDS, trace.T))})
-
-
-def _solve_warnings(solves: list) -> list:
-    """A warning naming each solve that did not end ``optimal`` and why it
-    stopped."""
-    return [f"{s['label']}: solver status {s['status']!r} "
-            f"(stop reason {s['stop_reason']!r})"
-            for s in solves if s["status"] != "optimal"]
+def merge(fits) -> Fit:
+    """The fits joined in order: a table several give has their rows, under
+    the first header, and a dict summary entry their keys; any other entry,
+    timing or model replaces one of its name."""
+    run = Fit()
+    for fit in fits:
+        run.solves += fit.solves
+        run.timings.update(fit.timings)
+        run.models.update(fit.models)
+        for name, (header, rows) in fit.tables.items():
+            run.tables.setdefault(name, (header, []))[1].extend(rows)
+        for key, value in fit.summary.items():
+            if isinstance(value, dict):
+                value = {**run.summary.get(key, {}), **value}
+            run.summary[key] = value
+    return run
 
 
 def records_for(scheme: str, c: ShapeConstraint, balls: list, kernel, cov,
@@ -142,14 +152,24 @@ def records_for(scheme: str, c: ShapeConstraint, balls: list, kernel, cov,
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Dispatch to the named runner and write all artifacts."""
+    """Run the named experiment and write its artifacts.  The summary
+    holds the runner's entries, its timings with ``total_s``, its solves,
+    its ``warnings`` and one per solve not ``optimal``, the name and
+    config, and the written ``files`` and ``out_dir``."""
     t0 = time.perf_counter()
-    summary, tables, models = _RUNNERS[cfg.experiment](cfg)
-    summary.setdefault("timings", {})["total_s"] = time.perf_counter() - t0
-    summary["experiment"] = cfg.experiment
-    summary["config"] = cfg.to_json()
+    run = _RUNNERS[cfg.experiment](cfg)
+    summary = {
+        **run.summary,
+        "timings": {**run.timings, "total_s": time.perf_counter() - t0},
+        "solves": run.solves,
+        "warnings": run.summary.get("warnings", []) + [
+            f"{s['label']}: solver status {s['status']!r} "
+            f"(stop reason {s['stop_reason']!r})"
+            for s in run.solves if s["status"] != "optimal"],
+        "experiment": cfg.experiment, "config": cfg.to_json(),
+    }
     out_dir = cfg.out_dir or os.path.join("results", cfg.experiment)
-    written = emit_results(summary, tables, out_dir, models)
+    written = emit_results(summary, run.tables, out_dir, run.models)
     summary["files"] = sorted(os.path.basename(p) for p in written)
     summary["out_dir"] = str(out_dir)
     return summary
@@ -196,7 +216,7 @@ def _catenary_spec(objective: str = "norm",
     )
 
 
-def run_catenary(cfg: ExperimentConfig):
+def run_catenary(cfg: ExperimentConfig) -> Fit:
     p = cfg.params
     cov = cfg.covering
     settings = cfg.settings
@@ -206,30 +226,35 @@ def run_catenary(cfg: ExperimentConfig):
     schemes = [cfg.scheme] if cfg.scheme else \
         ["ball", "hyp", "soap-ball", "soap-hyp"]
     verify_res = int(p.get("verify_res", 10_000))
-    timings: dict = {}
 
     spec = _catenary_spec(objective)
     c = spec.constraints[0]
 
     t0 = time.perf_counter()
-    _, v_ref, ref_active, ref_statuses = solve_reference(
+    _, v_ref, ref_active, ref_solves = solve_reference(
         spec, c, int(p.get("reference_points", 10_000)), settings=settings)
-    timings["reference_s"] = time.perf_counter() - t0
-    solves: list = []
-    for k, outcome in enumerate(ref_statuses):
-        _record_solve(solves, f"reference round {k}", *outcome)
+    reference = Fit(
+        timings={"reference_s": time.perf_counter() - t0},
+        summary={"objective": objective,
+                 "reference": {"value": v_ref, "grid_points":
+                               int(p.get("reference_points", 10_000)),
+                               "active_points": ref_active}})
+    for k, record in enumerate(ref_solves):
+        reference.solved(f"reference round {k}", record)
 
     grid = np.linspace(0.0, 1.0, cfg.grid_res).reshape(-1, 1)
-    conv_header = ["scheme", "step", "elements", "v_app", "v_relax", "gap",
-                   "err_vs_ref", "max_eta"]
 
     def run_scheme(scheme):
-        """One covering scheme: its solves, its rows of the convergence and
-        timing tables, its own tables, model and summary, and its time."""
-        solves: list = []
-        conv_rows: list = []
-        timing_rows: list = []
-        tables: dict = {}
+        """One covering scheme's fit: its solves, its rows of the
+        convergence and timing tables, its own tables, model and summary,
+        and its time."""
+        conv_rows, timing_rows = [], []
+        # the summary's timing table goes through the tables until the merge
+        fit = Fit(tables={
+            "convergence": (["scheme", "step", "elements", "v_app", "v_relax",
+                             "gap", "err_vs_ref", "max_eta"], conv_rows),
+            "timing": (["scheme", "elements", "err_vs_ref", "seconds"],
+                       timing_rows)})
         t0 = time.perf_counter()
         if scheme in ("ball", "hyp", "disc"):
             (lo, hi), = c.region
@@ -240,15 +265,14 @@ def run_catenary(cfg: ExperimentConfig):
                                       cfg.seed)
                 model, sol = solve_problem(spec, records,
                                            settings=settings)[:2]
-                _record_solve(solves, f"{scheme} m={m}", *_outcome(sol))
+                fit.solved(f"{scheme} m={m}", sol.record())
                 v_app = sol.objective
                 v_relax = None
                 if scheme != "disc":
                     # the relaxation: the same anchors without buffers
                     relaxed = discretize(c, [b.center for b in cover])
                     rsol = solve_problem(spec, relaxed, settings=settings)[1]
-                    _record_solve(solves, f"{scheme} m={m} relaxation",
-                                  *_outcome(rsol))
+                    fit.solved(f"{scheme} m={m} relaxation", rsol.record())
                     v_relax = rsol.objective
                 max_eta = max(
                     (getattr(r, "eta", 0.0) for r in records), default=0.0)
@@ -257,7 +281,6 @@ def run_catenary(cfg: ExperimentConfig):
                                   v_app - v_ref, max_eta])
                 timing_rows.append([scheme, m, v_app - v_ref,
                                     time.perf_counter() - ts])
-            relax_value = v_relax
             elements = m_list[-1]
             extra = {"iterations": sol.iterations, "status": sol.status}
         elif scheme in ("soap-ball", "soap-hyp"):
@@ -268,13 +291,9 @@ def run_catenary(cfg: ExperimentConfig):
                 n_x=cov.n_x, n_u=cov.n_u, seed=cfg.seed,
                 safety=cov.eta_safety,
                 max_elements=int(p.get("max_elements", 4000)))
-            hist = state.history
             hist_rows = []
-            for row in hist:
-                _record_solve(solves, f"{scheme} round {row['k']}",
-                              row["status"], row["stop_reason"],
-                              row["iterations"], row["trace"], row["v"],
-                              row["n"])
+            for row in state.history:
+                fit.solved(f"{scheme} round {row['k']}", row["solve"])
                 conv_rows.append([scheme, row["k"], row["M_total"], row["v"],
                                   None, None, row["v"] - v_ref,
                                   row["maxEta"]])
@@ -282,15 +301,15 @@ def run_catenary(cfg: ExperimentConfig):
                                   row["bursts"], row["maxEta"]])
                 timing_rows.append([scheme, row["M_total"],
                                     row["v"] - v_ref, row["wallTime"]])
-            tables[f"history_{scheme}"] = (
+            fit.tables[f"history_{scheme}"] = (
                 ["k", "M_total", "v", "bursts", "max_eta"], hist_rows)
-            v_app = hist[-1]["v"]
+            v_app = state.history[-1]["v"]
             # relaxation at the final anchors
             balls = state.coverings[0]
             records = discretize(c, [b.center for b in balls])
             rsol = solve_problem(spec, records, settings=settings)[1]
-            _record_solve(solves, f"{scheme} relaxation", *_outcome(rsol))
-            relax_value = rsol.objective
+            fit.solved(f"{scheme} relaxation", rsol.record())
+            v_relax = rsol.objective
             records = scheme_rows(state.mode, c, balls, state.widths[0])
             elements = state.total_elements()
             extra = {"iterations": state.iteration,
@@ -298,70 +317,39 @@ def run_catenary(cfg: ExperimentConfig):
         elif scheme == "none":
             spec_free = _catenary_spec(objective, constrained=False)
             model, sol = solve_problem(spec_free, [], settings=settings)[:2]
-            _record_solve(solves, scheme, *_outcome(sol))
-            v_app = sol.objective
-            records = []
-            relax_value = None
-            elements = 0
+            fit.solved(scheme, sol.record())
+            v_app, v_relax, records, elements = sol.objective, None, [], 0
             extra = {"iterations": sol.iterations, "status": sol.status}
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        seconds = time.perf_counter() - t0
+        fit.timings[f"{scheme}_s"] = time.perf_counter() - t0
 
         check = verify_pointwise(model, c, grid_res=verify_res)
-        report = compute_bounds(spec, records, v_app, v_relax=relax_value,
+        report = compute_bounds(spec, records, v_app, v_relax=v_relax,
                                 mu_f=mu_f)
-        scheme_summary = {
+        fit.summary["schemes"] = {scheme: {
             "v_app": v_app,
-            "v_relax": relax_value,
-            "gap": None if relax_value is None else v_app - relax_value,
+            "v_relax": v_relax,
+            "gap": None if v_relax is None else v_app - v_relax,
             "err_vs_ref": v_app - v_ref,
             "elements": elements,
             "max_violation": check["maxViolation"],
             "norm": model.norm,
             "bound_report": report.to_json(),
             **extra,
-        }
-        tables[f"solution_{scheme}"] = (
+        }}
+        fit.tables[f"solution_{scheme}"] = (
             ["x", "f"],
             [[float(x), float(v)] for x, v in
              zip(grid[:, 0], model.eval_component_many(grid, 0))],
         )
-        return (solves, conv_rows, timing_rows, tables, model,
-                scheme_summary, seconds)
+        fit.models[f"model_{scheme}"] = model
+        return fit
 
-    conv_rows: list = []
-    timing_table: list = []
-    tables: dict = {}
-    models: dict = {}
-    scheme_summaries: dict = {}
-    for scheme, (scheme_solves, scheme_conv, scheme_timing, scheme_tables,
-                 model, scheme_summary, seconds) in zip(
-            schemes, run_tasks(run_scheme, [(s,) for s in schemes])):
-        solves += scheme_solves
-        conv_rows += scheme_conv
-        timing_table += scheme_timing
-        tables.update(scheme_tables)
-        models[f"model_{scheme}"] = model
-        scheme_summaries[scheme] = scheme_summary
-        timings[f"{scheme}_s"] = seconds
-
-    tables["convergence"] = (conv_header, conv_rows)
-    summary = {
-        "objective": objective,
-        "reference": {"value": v_ref, "grid_points":
-                      int(p.get("reference_points", 10_000)),
-                      "active_points": ref_active},
-        "schemes": scheme_summaries,
-        "timing_table": {
-            "columns": ["scheme", "elements", "err_vs_ref", "seconds"],
-            "rows": timing_table,
-        },
-        "timings": timings,
-        "solves": solves,
-        "warnings": _solve_warnings(solves),
-    }
-    return summary, tables, models
+    run = merge([reference, *run_tasks(run_scheme, [(s,) for s in schemes])])
+    columns, rows = run.tables.pop("timing")
+    run.summary["timing_table"] = {"columns": columns, "rows": rows}
+    return run
 
 
 def _catenary_verify_constraints(cfg: ExperimentConfig) -> list:
@@ -424,7 +412,7 @@ def _control_constraints(p: dict, seed):
     return cons, walls, gen
 
 
-def run_control(cfg: ExperimentConfig):
+def run_control(cfg: ExperimentConfig) -> Fit:
     p = cfg.params
     cov = cfg.covering
     settings = cfg.settings
@@ -434,7 +422,6 @@ def run_control(cfg: ExperimentConfig):
                        constraints=cons)
     schemes = [cfg.scheme] if cfg.scheme else ["ball", "disc"]
     verify_res = int(p.get("verify_res", 10_000))
-    timings: dict = {}
 
     # one anchor ball per wall; the walls table reports the widths, and the
     # ``ball`` records below find them in the buffer cache (same arguments)
@@ -444,7 +431,7 @@ def run_control(cfg: ExperimentConfig):
                     balls[i // 2].radius, norm="max", n_x=cov.n_x,
                     n_u=cov.n_u, seed=cfg.seed, safety=cov.eta_safety)
             for i, c in enumerate(cons)]
-    timings["buffers_s"] = time.perf_counter() - t0
+    buffers_s = time.perf_counter() - t0
 
     low_arr = np.array([w["low"] for w in walls])
     up_arr = np.array([w["up"] for w in walls])
@@ -460,21 +447,20 @@ def run_control(cfg: ExperimentConfig):
         viol = np.maximum(np.maximum(low_arr[idx] - z, z - up_arr[idx]), 0.0)
         return float(viol.max()), int((viol > 1e-9).sum())
 
-    scheme_summaries: dict = {}
-    models: dict = {}
-    solved: dict = {}
-    solves: list = []
-    for scheme in schemes:
+    def fit(scheme):
+        """One scheme's fit, in this process: its solve, its time, model
+        and summary."""
         records = []
         for i, c in enumerate(cons):
             records.extend(records_for(scheme, c, [balls[i // 2]], kernel,
                                        cov, cfg.seed, constraint_index=i))
         t0 = time.perf_counter()
         model, sol = solve_problem(spec, records, settings=settings)[:2]
-        timings[f"{scheme}_s"] = time.perf_counter() - t0
-        _record_solve(solves, scheme, *_outcome(sol))
+        out = Fit(timings={f"{scheme}_s": time.perf_counter() - t0},
+                  models={f"model_{scheme}": model})
+        out.solved(scheme, sol.record())
         max_violation, n_violated = violations(model, verify_res)
-        scheme_summaries[scheme] = {
+        out.summary["schemes"] = {scheme: {
             "v_app": sol.objective,
             "norm": model.norm,
             "max_violation": max_violation,
@@ -482,20 +468,21 @@ def run_control(cfg: ExperimentConfig):
             "iterations": sol.iterations,
             "status": sol.status,
             "min_buffer": float(min(etas) * model.norm),
-        }
-        models[f"model_{scheme}"] = model
-        solved[scheme] = model
+        }}
+        return out
+
+    run = merge([Fit(timings={"buffers_s": buffers_s}),
+                 *(fit(scheme) for scheme in schemes)])
 
     t_grid = np.linspace(0.0, 1.0, cfg.grid_res)
     idx = wall_index(t_grid)
     traj_header = ["t", "generator", "wall_low", "wall_up"]
     traj_cols = [t_grid, gen(t_grid), low_arr[idx], up_arr[idx]]
-    for scheme, model in solved.items():
-        X = t_grid.reshape(-1, 1)
+    for scheme in schemes:
         traj_header += [f"z_{scheme}", f"zdot_{scheme}"]
-        traj_cols += [model.eval_component_many(X, 0),
-                      model.eval_component_many(X, 1)]
-    tables = {
+        traj_cols += [run.models[f"model_{scheme}"].eval_component_many(
+            t_grid.reshape(-1, 1), q) for q in (0, 1)]
+    run.tables = {
         "trajectory": (traj_header,
                        [list(row) for row in zip(*traj_cols)]),
         "walls": (
@@ -505,16 +492,9 @@ def run_control(cfg: ExperimentConfig):
              for i, w in enumerate(walls)],
         ),
     }
-    summary = {
-        "schemes": scheme_summaries,
-        "n_intervals": len(walls),
-        "n_constraints": len(cons),
-        "max_eta": float(max(etas)),
-        "timings": timings,
-        "solves": solves,
-        "warnings": _solve_warnings(solves),
-    }
-    return summary, tables, models
+    run.summary.update(n_intervals=len(walls), n_constraints=len(cons),
+                       max_eta=float(max(etas)))
+    return run
 
 
 def _control_verify_constraints(cfg: ExperimentConfig) -> list:
@@ -636,7 +616,7 @@ def _robot_metrics(model, geom: RobotGeometry, kept, p: dict, seed):
     return l2_err, l1_cons, l1_covered, worst
 
 
-def run_robotarm(cfg: ExperimentConfig):
+def run_robotarm(cfg: ExperimentConfig) -> Fit:
     p = cfg.params
     cov = cfg.covering
     settings = cfg.settings
@@ -651,7 +631,6 @@ def run_robotarm(cfg: ExperimentConfig):
     d = 2 * segments
 
     per_seed: dict = {}
-    timings: dict = {}
     t_all = time.perf_counter()
     contexts = []  # per seed: seed, geometry, kernel, observations, ridge
     anchors: dict = {}  # (seed index, anchor count) -> kept, candidates
@@ -672,12 +651,16 @@ def run_robotarm(cfg: ExperimentConfig):
             m_axis = round(m_per_axis_pow ** (1.0 / d))
             anchors[k, m_per_axis_pow] = _robot_anchors(geom, m_axis, p)
 
-    def fit(k, m_per_axis_pow, scheme):
-        """One scheme at one seed and anchor count: its ``results`` row, the
-        solution, the solve time, and the model if it is saved (the last
-        seed's at the last anchor count)."""
+    header = ["seed", "anchors", "scheme", "candidates", "kept", "l2_err",
+              "l1_cons", "l1_cons_covered", "l1_cons_covered_max", "norm",
+              "iterations"]
+
+    def fit(k, m, scheme):
+        """One scheme at one seed and anchor count: its solve, its time,
+        its ``results`` row, and its model if it is saved (the last seed's
+        at the last anchor count)."""
         seed, geom, kernel, obs, lam = contexts[k]
-        kept, n_candidates = anchors[k, m_per_axis_pow]
+        kept, n_candidates = anchors[k, m]
         spec = ProblemSpec(
             kernel=kernel, observations=obs, loss="squared",
             regularizer=Ridge(lam),
@@ -691,31 +674,22 @@ def run_robotarm(cfg: ExperimentConfig):
                     kernel, cov, cfg.seed, constraint_index=j))
         t0 = time.perf_counter()
         model, sol = solve_problem(spec, records, settings=settings)[:2]
-        elapsed = time.perf_counter() - t0
-        l2_err, l1_cons, l1_cov, l1_cov_max = _robot_metrics(
-            model, geom, kept, p, seed)
-        row = [seed, m_per_axis_pow, scheme, n_candidates, len(kept), l2_err,
-               l1_cons, l1_cov, l1_cov_max, model.norm, sol.iterations]
-        saved = k == len(seeds) - 1 and m_per_axis_pow == m_list[-1]
-        return row, sol, elapsed, model if saved else None
+        out = Fit(timings={f"seed{seed}_m{m}_{scheme}_s":
+                           time.perf_counter() - t0})
+        out.solved(f"seed {seed} m={m} {scheme}", sol.record())
+        out.tables["results"] = (header, [[
+            seed, m, scheme, n_candidates, len(kept),
+            *_robot_metrics(model, geom, kept, p, seed), model.norm,
+            sol.iterations]])
+        if k == len(seeds) - 1 and m == m_list[-1]:
+            out.models[f"model_{scheme}"] = model
+        return out
 
     fits = [(k, m, scheme) for k in range(len(seeds)) for m in m_list
             for scheme in schemes]
-    rows = []
-    models: dict = {}
-    solves: list = []
-    for (k, m, scheme), (row, sol, elapsed, model) in zip(
-            fits, run_tasks(fit, fits)):
-        seed = seeds[k]
-        timings[f"seed{seed}_m{m}_{scheme}_s"] = elapsed
-        _record_solve(solves, f"seed {seed} m={m} {scheme}", *_outcome(sol))
-        rows.append(row)
-        if model is not None:
-            models[f"model_{scheme}"] = model
-
-    header = ["seed", "anchors", "scheme", "candidates", "kept", "l2_err",
-              "l1_cons", "l1_cons_covered", "l1_cons_covered_max", "norm",
-              "iterations"]
+    run = merge([Fit(tables={"results": (header, [])}),
+                 *run_tasks(fit, fits)])
+    rows = run.tables["results"][1]
     medians: dict = {}
     for m in m_list:
         for scheme in schemes:
@@ -737,18 +711,12 @@ def run_robotarm(cfg: ExperimentConfig):
         if all(v is not None for v in have.values()):
             orderings[f"m{m}"] = bool(
                 have["ball"] <= have["disc"] <= have["none"])
-    summary = {
-        "dimension": d,
-        "seeds": seeds,
-        "hyperparams": per_seed,
-        "medians": medians,
-        "l1_ordering_ball_le_disc_le_none": orderings,
-        "constraint_cap": {str(m): int(d * m) for m in m_list},
-        "timings": {**timings, "all_seeds_s": time.perf_counter() - t_all},
-        "solves": solves,
-        "warnings": _solve_warnings(solves),
-    }
-    return summary, {"results": (header, rows)}, models
+    run.timings["all_seeds_s"] = time.perf_counter() - t_all
+    run.summary.update(
+        dimension=d, seeds=seeds, hyperparams=per_seed, medians=medians,
+        l1_ordering_ball_le_disc_le_none=orderings,
+        constraint_cap={str(m): int(d * m) for m in m_list})
+    return run
 
 
 def _robot_verify_constraints(cfg: ExperimentConfig) -> list:
@@ -862,7 +830,7 @@ def _cv_norm_cap(X, y, kernel, folds: int, grid, rng) -> float:
     return float(grid[int(np.argmin(scores))])
 
 
-def run_econ(cfg: ExperimentConfig):
+def run_econ(cfg: ExperimentConfig) -> Fit:
     p = cfg.params
     cov = cfg.covering
     settings = cfg.settings
@@ -876,7 +844,6 @@ def run_econ(cfg: ExperimentConfig):
     anchors = grid_cover(box, counts, norm="max")
     regimes = _econ_constraints(box)
     regime_names = list(p.get("regimes", ["none", "monot", "conv", "both"]))
-    timings: dict = {}
 
     # translation-invariant kernel: one buffer per constraint operator
     t0 = time.perf_counter()
@@ -893,7 +860,7 @@ def run_econ(cfg: ExperimentConfig):
         return recs
 
     records_map = {name: buffered(regimes[name]) for name in regime_names}
-    timings["buffers_s"] = time.perf_counter() - t0
+    buffers_s = time.perf_counter() - t0
 
     reps = int(p.get("reps", 5))
     folds = int(p.get("folds", 5))
@@ -922,28 +889,33 @@ def run_econ(cfg: ExperimentConfig):
                            constraints=regimes[regime])
 
     last = reps - 1
+    header = ["rep", "regime", "norm_cap", "mse_train", "mse_test", "norm",
+              "iterations"]
 
     def fit(rep, regime):
-        """One regime on one rep's split: its ``mse`` row, the solution,
-        the solve time, and the model if it is saved (the last rep's)."""
+        """One regime on one rep's split: its solve, its time, its ``mse``
+        row, and its model if it is saved (the last rep's)."""
         train_idx, test_idx, cap = splits[rep]
-        spec = spec_for(rep, regime)
         t0 = time.perf_counter()
-        model, sol = solve_problem(spec, records_map[regime],
+        model, sol = solve_problem(spec_for(rep, regime), records_map[regime],
                                    settings=settings)[:2]
-        elapsed = time.perf_counter() - t0
-        pred_tr = model.eval_component_many(X[train_idx], 0)
-        pred_te = model.eval_component_many(X[test_idx], 0)
-        mse_tr = float(((pred_tr - g[train_idx]) ** 2).mean())
-        mse_te = float(((pred_te - g[test_idx]) ** 2).mean())
-        row = [rep, regime, cap, mse_tr, mse_te, model.norm, sol.iterations]
-        return row, sol, elapsed, model if rep == last else None
+        out = Fit(timings={f"rep{rep}_{regime}_s": time.perf_counter() - t0})
+        out.solved(f"rep {rep} {regime}", sol.record())
+        mse = [float(((model.eval_component_many(X[idx], 0) - g[idx]) ** 2)
+                     .mean()) for idx in (train_idx, test_idx)]
+        out.tables["mse"] = (header, [[rep, regime, cap, *mse, model.norm,
+                                       sol.iterations]])
+        if rep == last:
+            out.models[f"model_{regime}"] = model
+        return out
 
     def relax(rep, regime):
-        """The solution of the relaxed program: no buffers, same anchors."""
-        return solve_problem(spec_for(rep, regime),
-                             relax_records(records_map[regime]),
-                             settings=settings)[1]
+        """The relaxed program's fit: no buffers, same anchors."""
+        out = Fit()
+        out.solved(f"rep {rep} {regime} relaxation", solve_problem(
+            spec_for(rep, regime), relax_records(records_map[regime]),
+            settings=settings)[1].record())
+        return out
 
     # the relaxation goes first, so the calling process runs it: it is the
     # longest solve of the benchmark's config (the default config's failing
@@ -954,30 +926,20 @@ def run_econ(cfg: ExperimentConfig):
             for regime in regime_names]
     relaxed = [(relax, last, "both")] if "both" in regime_names else []
     results = run_tasks(lambda task, *args: task(*args), relaxed + fits)
-    rsol = results[0] if relaxed else None
-
-    rows = []
-    models: dict = {}
+    fitted = results[len(relaxed):]
     bound_json = None
-    solves: list = []
-    for (_, rep, regime), (row, sol, elapsed, model) in zip(
-            fits, results[len(relaxed):]):
-        timings[f"rep{rep}_{regime}_s"] = elapsed
-        _record_solve(solves, f"rep {rep} {regime}", *_outcome(sol))
-        rows.append(row)
-        if model is not None:
-            models[f"model_{regime}"] = model
-        if regime == "both" and rep == last:
-            _record_solve(solves, f"rep {rep} {regime} relaxation",
-                          *_outcome(rsol))
-            report = compute_bounds(spec_for(rep, regime),
-                                    records_map[regime], sol.objective,
-                                    v_relax=rsol.objective)
-            bound_json = report.to_json()
-    timings["all_reps_s"] = time.perf_counter() - t_all
+    if relaxed:  # its record follows the fit it relaxes
+        i = fits.index((fit, last, "both")) + 1
+        fitted.insert(i, results[0])
+        v_app, v_relax = (r.solves[0]["objective"]
+                          for r in fitted[i - 1:i + 1])
+        bound_json = compute_bounds(
+            spec_for(last, "both"), records_map["both"], v_app,
+            v_relax=v_relax).to_json()
+    run = merge([Fit(timings={"buffers_s": buffers_s}), *fitted])
+    run.timings["all_reps_s"] = time.perf_counter() - t_all
 
-    header = ["rep", "regime", "norm_cap", "mse_train", "mse_test", "norm",
-              "iterations"]
+    rows = run.tables["mse"][1]
     medians = {}
     for regime in regime_names:
         sel = [r for r in rows if r[1] == regime]
@@ -989,23 +951,15 @@ def run_econ(cfg: ExperimentConfig):
     if "both" in medians and "none" in medians:
         ordered = bool(medians["both"]["mse_test"]
                        <= medians["none"]["mse_test"])
-    summary = {
-        "dataset": ds.preprocessing,
-        "fallback_dataset": fallback,
-        "count_mismatch": bool(ds.preprocessing.get("count_mismatch",
-                                                    False)),
-        "bandwidth": sigma,
-        "constraint_box": [list(b) for b in box],
-        "n_anchors": len(anchors),
-        "medians": medians,
-        "test_mse_both_le_none": ordered,
-        "bound_report": bound_json,
-        "timings": timings,
-        "solves": solves,
-        "warnings": (["dataset file missing: synthetic fallback in use"]
-                     if fallback else []) + _solve_warnings(solves),
-    }
-    return summary, {"mse": (header, rows)}, models
+    run.summary.update(
+        dataset=ds.preprocessing, fallback_dataset=fallback,
+        count_mismatch=bool(ds.preprocessing.get("count_mismatch", False)),
+        bandwidth=sigma, constraint_box=[list(b) for b in box],
+        n_anchors=len(anchors), medians=medians,
+        test_mse_both_le_none=ordered, bound_report=bound_json,
+        warnings=["dataset file missing: synthetic fallback in use"]
+        if fallback else [])
+    return run
 
 
 def _econ_verify_constraints(cfg: ExperimentConfig) -> list:

@@ -405,6 +405,15 @@ class Solution:
     trace: np.ndarray = field(
         default_factory=lambda: np.zeros((0, len(TRACE_FIELDS))))
 
+    def record(self) -> dict:
+        """This solve as a run summary records it: ``status``,
+        ``stop_reason``, ``iterations``, ``objective``, the column count
+        ``n`` and ``trace``, its columns (views) by :data:`TRACE_FIELDS`."""
+        return {"status": self.status, "stop_reason": self.stop_reason,
+                "iterations": self.iterations,
+                "objective": float(self.objective), "n": int(self.x.size),
+                "trace": dict(zip(TRACE_FIELDS, self.trace.T))}
+
 
 # --------------------------------------------------------------------------
 # Cone bookkeeping (canonical form: nonneg entries first, then SOC blocks)
@@ -1172,11 +1181,13 @@ def _dual_polish(P, q, A, G: _Rows, h, x, s, cones, feas_tol, qnorm):
     Nearly parallel covering rows and interval-valued enclosure auxiliaries
     make the endgame complementarity degenerate: the primal settles on the
     optimum while the dual estimate churns.  At such a point the exact
-    multipliers solve a small sign-constrained least-squares problem over
-    the active nonnegative rows (one weight each) and the active
-    second-order blocks (one weight along the reflected slack ray).
-    Returns ``(y, z)`` on success, ``None`` when no certifying dual exists
-    at the requested tolerance.
+    multipliers solve a small least-squares problem over the active
+    nonnegative rows (one weight each), the active second-order blocks
+    (one weight along the reflected slack ray) and the equality rows.
+    Returns ``(y, z)`` when the least-squares point keeps every cone weight
+    nonnegative and meets the requested tolerance, else ``None``.  No
+    bounded iteration (``lsq_linear``) follows a point off the bounds: on
+    the shipped default configs one ran twice and certified nothing.
     """
     grad = P @ x + q
     l = cones.l
@@ -1214,23 +1225,18 @@ def _dual_polish(P, q, A, G: _Rows, h, x, s, cones, feas_tol, qnorm):
         ok = float(np.linalg.norm(grad, np.inf)) <= feas_tol * qnorm
         return (y, z) if ok else None
     C = np.column_stack(cols)
-    lb = np.asarray(lower)
     # lsq_linear's own first step for a dense C, which it returns as it is
-    # when the point meets the bounds.  Only otherwise is scipy.optimize
-    # (about 0.3 s to load) imported, for lsq_linear's bounded iteration.
+    # when the point meets the bounds
     w = np.linalg.lstsq(C, -grad, rcond=-1)[0]
-    if not np.all(w >= lb):
-        from scipy.optimize import lsq_linear
-
-        w = lsq_linear(C, -grad, bounds=(lb, np.inf)).x
-    if float(np.linalg.norm(grad + C @ w, np.inf)) > feas_tol * qnorm:
+    if not np.all(w >= np.asarray(lower)) or \
+            float(np.linalg.norm(grad + C @ w, np.inf)) > feas_tol * qnorm:
         return None
     k = 0
     for i in nn_idx:
-        z[i] = max(w[k], 0.0)
+        z[i] = w[k]
         k += 1
     for sl, ray in ray_blocks:
-        z[sl] = max(w[k], 0.0) * ray
+        z[sl] = w[k] * ray
         k += 1
     if p:
         y = w[k:]

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import (Atom, DiffFunctional, SdpOperator, atom_inner,
-                    cross_gram)
+from .atoms import Atom, DiffFunctional, SdpOperator, atom_inner
 from .kernels import Kernel
 
 _NORMS = ("euclidean", "max")
@@ -251,12 +250,14 @@ def eta_sampled(kernel: Kernel, op: SdpOperator, z, delta: float,
 def _entry_products(evaluate, funcs, X1, X2) -> np.ndarray:
     """(n, P^2, P^2) inner products of the entry functionals ``funcs``, one
     P^2 x P^2 matrix per row of ``X2``; ``evaluate(r1, r2, q1, q2, X1, X2)``
-    is a kernel partial giving one value per row of ``X2``."""
+    is a kernel's ``partial_block`` (``X1`` one row) or ``partial_pairs``,
+    giving one value per row of ``X2``."""
     out = np.zeros((len(X2), len(funcs), len(funcs)))
     for (i, f1), (j, f2) in itertools.product(enumerate(funcs), repeat=2):
         for q1, r1, b1 in f1.terms:
             for q2, r2, b2 in f2.terms:
-                out[:, i, j] += b1 * b2 * evaluate(r1, r2, q1, q2, X1, X2)
+                out[:, i, j] += (b1 * b2 * evaluate(r1, r2, q1, q2, X1,
+                                                    X2)).ravel()
     return out
 
 
@@ -265,12 +266,8 @@ def _eta_sampled_raw(kernel, op, z, delta, norm, n_x, n_u, seed) -> float:
     base = np.zeros_like(z) if kernel.translation_invariant else z
     X = base + _unit_offsets(z.size, norm, n_x, seed) * float(delta)
     funcs = [f for row in op.entries for f in row]
-
-    def from_base(r1, r2, q1, q2, X1, X2):
-        return kernel.partial_block(r1, r2, q1, q2, X1, X2)[0]
-
-    Mzz = _entry_products(from_base, funcs, base[None], base[None])
-    Mzx = _entry_products(from_base, funcs, base[None], X)
+    Mzz = _entry_products(kernel.partial_block, funcs, base[None], base[None])
+    Mzx = _entry_products(kernel.partial_block, funcs, base[None], X)
     # translation invariance: the kernel sees only x - x = 0 = z - z
     Mxx = Mzz if kernel.translation_invariant else \
         _entry_products(kernel.partial_pairs, funcs, X, X)
@@ -281,20 +278,25 @@ def _eta_sampled_raw(kernel, op, z, delta, norm, n_x, n_u, seed) -> float:
     return float(np.sqrt(np.max(quad)))
 
 
+def _radial_radius(kernel: Kernel, op: SdpOperator, delta: float,
+                   norm: str) -> float | None:
+    """The radius at which the radial form reads a ball of radius ``delta``
+    (a max-norm ball's corner distance past one dimension), or ``None``
+    unless ``op`` is point evaluation under a radial kernel."""
+    if not (_is_identity_eval(op) and kernel.is_radial):
+        return None
+    d = kernel.dim
+    scale = 1.0 if norm == "euclidean" or d == 1 else float(np.sqrt(d))
+    return float(delta) * scale
+
+
 def eta_for(kernel: Kernel, op: SdpOperator, z, delta: float,
             norm: str = "max", n_x: int = 50, n_u: int = 20, seed=0,
             safety: float = 0.0) -> float:
-    """Dispatch: exact radial formula when available, else sampling.
-
-    The closed form applies to point evaluation under radial kernels on
-    euclidean balls; in one dimension the max-norm ball is the euclidean
-    ball, and in higher dimensions the max-norm corner distance rescales
-    the radius.
-    """
-    if _is_identity_eval(op) and kernel.is_radial:
-        d = kernel.dim
-        eff = float(delta) if (norm == "euclidean" or d == 1) \
-            else float(delta) * np.sqrt(d)
+    """Dispatch: exact radial formula at :func:`_radial_radius` when it
+    applies, else sampling."""
+    eff = _radial_radius(kernel, op, delta, norm)
+    if eff is not None:
         return eta_radial(kernel, eff)
     return eta_sampled(kernel, op, z, delta, norm=norm, n_x=n_x, n_u=n_u,
                        seed=seed, safety=safety)
@@ -372,17 +374,14 @@ def omega_cover(kernel: Kernel, functional: DiffFunctional,
 
 def _min_correlation(kernel: Kernel, functional: DiffFunctional,
                      ball: InputBall, n_x: int, seed) -> float:
-    """min over x in the ball of <phi_center, phi_x>."""
-    if _is_identity_eval(SdpOperator.scalar(functional)) and \
-            kernel.is_radial:
-        d = kernel.dim
-        eff = ball.radius if (ball.norm == "euclidean" or d == 1) \
-            else ball.radius * np.sqrt(d)
-        return float(kernel.radial_profile(float(eff)))
+    """min over x in the ball of <phi_center, phi_x>: the radial profile at
+    :func:`_radial_radius`, else over one :func:`_entry_products` row."""
+    eff = _radial_radius(kernel, SdpOperator.scalar(functional), ball.radius,
+                         ball.norm)
+    if eff is not None:
+        return float(kernel.radial_profile(eff))
     center = np.asarray(ball.center, dtype=float)
     base = np.zeros_like(center) if kernel.translation_invariant else center
-    offsets = _unit_offsets(center.size, ball.norm, n_x, seed) * ball.radius
-    row = cross_gram([Atom(tuple(base), functional)],
-                     [Atom(tuple(base + off), functional) for off in offsets],
-                     kernel)
-    return float(np.min(row))
+    X = base + _unit_offsets(center.size, ball.norm, n_x, seed) * ball.radius
+    return float(np.min(_entry_products(kernel.partial_block, [functional],
+                                        base[None], X)))

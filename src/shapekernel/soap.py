@@ -41,7 +41,12 @@ from .tighten import AnchorRecord, InclusionRecord, tighten_omega, tighten_soc
 @dataclass
 class SoapState:
     """Loop bookkeeping: each constraint's input balls (``coverings``) and
-    their :func:`scheme_widths` in scheme ``mode``, model, history rows."""
+    their :func:`scheme_widths` in scheme ``mode``, model, history rows.
+
+    One history row per round: ``k``, the element count ``M_total``, the
+    objective ``v``, the solve's :meth:`~shapekernel.conic.Solution.record`
+    under ``solve``, the number of ``bursts``, the largest width
+    ``maxEta`` and the round's ``wallTime``."""
 
     mode: str
     iteration: int = 0
@@ -252,11 +257,7 @@ def run_soap(spec: ProblemSpec, mode: str = "ball", gamma: float = 0.8,
             "k": k,
             "M_total": state.total_elements(),
             "v": float(sol.objective),
-            "status": sol.status,
-            "stop_reason": sol.stop_reason,
-            "iterations": sol.iterations,
-            "trace": sol.trace,
-            "n": sol.x.size,
+            "solve": sol.record(),
             "bursts": len(saturated),
             "maxEta": float(max(sizes)) if sizes else 0.0,
             "wallTime": time.perf_counter() - t0,

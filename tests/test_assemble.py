@@ -518,11 +518,12 @@ class TestSolveReference:
             constraints=[c],
         )
         n_points = 150
-        model, value, used, statuses = solve_reference(
+        model, value, used, solves = solve_reference(
             spec, c, n_points, init=16, batch=16)
-        assert statuses and {st[:2] for st in statuses} == {
-            ("optimal", "optimal")}
-        assert all(st[2] >= 1 for st in statuses)
+        assert solves and {(s["status"], s["stop_reason"])
+                           for s in solves} == {("optimal", "optimal")}
+        assert all(s["iterations"] >= 1 for s in solves)
+        assert solves[-1]["objective"] == value
         # One-shot solve on the full grid must agree.
         grid = [(float(v),) for v in np.linspace(0, 1, n_points)]
         records = discretize(c, grid)

@@ -762,9 +762,9 @@ def test_submodule_import_binds_the_module():
 def test_experiments_load_no_scipy(tmp_path):
     # neither the import nor a run whose solves reach the dual polish
     # loads scipy: the triangular solves bind numpy's own LAPACK, and the
-    # polish imports scipy.optimize only when its least-squares point
-    # leaves the bounds.  BLAS is left unpinned, so no worker is forked and
-    # every solve runs in the process that is checked.
+    # polish takes numpy's least-squares point or none.  BLAS is left
+    # unpinned, so no worker is forked and every solve runs in the process
+    # that is checked.
     src = pathlib.Path(importlib.import_module("shapekernel").__file__)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": "catenary",
@@ -783,6 +783,74 @@ def test_experiments_load_no_scipy(tmp_path):
     assert out.stdout.split() == ["False", "False"]
     solves = json.loads((tmp_path / "summary.json").read_text())["solves"]
     assert "polished" in {entry["stop_reason"] for entry in solves}
+
+
+def test_merge_keeps_fit_order_and_concatenates_table_rows():
+    from shapekernel.bench.experiments import Fit, merge
+
+    first = Fit(timings={"a_s": 1.0}, tables={"t": (["x"], [[1]])},
+                models={"model_a": "A"},
+                summary={"schemes": {"a": {"v": 1}}, "n": 1})
+    first.solved("a", {"status": "optimal"})
+    second = Fit(timings={"b_s": 2.0},
+                 tables={"t": (["x"], [[2], [3]]), "u": (["y"], [])},
+                 summary={"schemes": {"b": {"v": 2}}, "n": 2})
+    second.solved("b 0", {"status": "max_iter"})
+    second.solved("b 1", {"status": "optimal"})
+    run = merge([first, second, Fit(tables={"t": (["z"], [[4]])})])
+    assert run.solves == [{"label": "a", "status": "optimal"},
+                          {"label": "b 0", "status": "max_iter"},
+                          {"label": "b 1", "status": "optimal"}]
+    assert run.tables == {"t": (["x"], [[1], [2], [3], [4]]),
+                          "u": (["y"], [])}
+    assert run.summary == {"schemes": {"a": {"v": 1}, "b": {"v": 2}},
+                           "n": 2}
+    assert run.timings == {"a_s": 1.0, "b_s": 2.0}
+    assert run.models == {"model_a": "A"}
+    # the fits' own records are left as they were
+    assert first.tables == {"t": (["x"], [[1]])}
+    assert first.summary["schemes"] == {"a": {"v": 1}}
+
+
+def test_econ_relaxation_follows_the_fit_it_relaxes(tmp_path):
+    # with ``both`` first of the regimes, the relaxation (the first task,
+    # run by the caller) still comes right after the last rep's ``both``
+    # fit, and the bound report reads both solves
+    params = {**TINY["econ"][0]["params"], "regimes": ["both", "none"],
+              "reps": 2}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cpus, "usable_cpus", lambda: 2)
+        patch.setattr(cpus, "blas_pinned", lambda: True)
+        _, summary = _run_tiny("econ", tmp_path, params=params)
+    solves = {s["label"]: s for s in summary["solves"]}
+    assert list(solves) == ["rep 0 both", "rep 0 none", "rep 1 both",
+                            "rep 1 both relaxation", "rep 1 none"]
+    saved = json.loads((tmp_path / "summary.json").read_text())
+    report = saved["bound_report"]
+    assert report["v_app"] == solves["rep 1 both"]["objective"]
+    assert report["v_relax"] == solves["rep 1 both relaxation"]["objective"]
+
+
+def test_control_fits_fork_nothing(tmp_path):
+    # control's two fits run in the calling process: with BLAS pinned and
+    # two CPUs, where run_tasks would fork, the run loads no
+    # multiprocessing (which a forking run_tasks call does load)
+    src = pathlib.Path(importlib.import_module("shapekernel").__file__)
+    config, _ = _run_tiny("control", tmp_path)
+    code = ("import sys, shapekernel.cpus as cpus, "
+            "shapekernel.bench.experiments as e; "
+            "from shapekernel.bench.config import ExperimentConfig; "
+            "from shapekernel.bench.tasks import run_tasks; "
+            "cpus.usable_cpus = lambda: 2; "
+            f"e.run_experiment(ExperimentConfig.load({str(config)!r})); "
+            "print('multiprocessing' in sys.modules); "
+            "run_tasks(abs, [(-1,), (-2,)]); "
+            "print('multiprocessing' in sys.modules)")
+    env = {**os.environ, **dict.fromkeys(cpus.BLAS_THREAD_VARS, "1"),
+           "PYTHONPATH": str(src.parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_control_never_evaluates_the_kernel_pair_by_pair(tmp_path,

@@ -13,6 +13,7 @@ import pytest
 
 from shapekernel import (
     Atom,
+    DecomposableGaussianKernel,
     DiffFunctional,
     GaussianKernel,
     InputBall,
@@ -22,6 +23,7 @@ from shapekernel import (
     SdpOperator,
     atom_inner,
     cover_box,
+    cross_gram,
     eta_for,
     eta_radial,
     eta_sampled,
@@ -368,6 +370,42 @@ class TestOmegaCover:
         a0 = Atom((0.0, 0.0), D)
         want = min(atom_inner(a0, Atom(tuple(off), D), k) for off in offsets)
         assert -elem.halfspaces[0][1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kernel, functional, ball", [
+        (GaussianKernel([0.7]), DiffFunctional.partial(1, axis=0),
+         InputBall((0.4,), 0.1)),
+        (GaussianKernel([0.6, 1.1]),
+         DiffFunctional(((0, (1, 0), 1.0), (0, (0, 1), -0.5))),
+         InputBall((0.3, -0.4), 0.15, norm="euclidean")),
+        (GaussianKernel([0.6, 1.1]), DiffFunctional.mixed(2, (0, 1)),
+         InputBall((0.3, -0.4), 0.15)),
+        (GaussianKernel([0.5, 0.9]),
+         DiffFunctional(((0, (0, 0), 2.0), (0, (2, 0), -0.25))),
+         InputBall((0.1, 0.2), 0.05, norm="euclidean")),
+        (DecomposableGaussianKernel([0.8, 1.2], [[2.0, 0.3, 0.1],
+                                                 [0.3, 1.0, 0.2],
+                                                 [0.1, 0.2, 0.5]]),
+         DiffFunctional.partial(2, axis=1, q=2, beta=-1.0),
+         InputBall((0.5, 0.5), 0.02, norm="euclidean")),
+        (DecomposableGaussianKernel([0.8, 1.2], [[2.0, 0.3], [0.3, 1.0]]),
+         DiffFunctional(((0, (1, 0), 1.0), (1, (0, 1), 0.5))),
+         InputBall((0.2, 0.7), 0.1)),
+    ], ids=["partial", "two-term", "mixed", "value-plus-second",
+            "decomposable-q2", "decomposable-mixed-outputs"])
+    def test_sampled_level_row_has_cross_grams_bits(self, kernel,
+                                                     functional, ball):
+        # the level's row comes from the sampler's one-row products, with
+        # the bits of one cross_gram row of anchored atoms
+        base = np.zeros(len(ball.center))
+        X = base + covering._unit_offsets(base.size, ball.norm, 30, 3) \
+            * ball.radius
+        row = covering._entry_products(kernel.partial_block, [functional],
+                                       base[None], X)[:, 0, 0]
+        want = cross_gram([Atom(tuple(base), functional)],
+                          [Atom(tuple(x), functional) for x in X], kernel)[0]
+        assert row.tobytes() == want.tobytes()
+        level = covering._min_correlation(kernel, functional, ball, 30, 3)
+        assert level == float(np.min(want))
 
     def test_halfspace_needs_translation_invariance(self):
         k = LTIControlKernel([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]])

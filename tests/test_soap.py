@@ -515,11 +515,15 @@ class TestRunSoapBall:
         rows = state.history
         assert len(rows) == 7
         for k, row in enumerate(rows):
-            assert set(row) == {"k", "M_total", "v", "status", "stop_reason",
-                                "iterations", "trace", "n", "bursts",
+            assert set(row) == {"k", "M_total", "v", "solve", "bursts",
                                 "maxEta", "wallTime"}
-            assert row["iterations"] >= 1
-            assert len(row["trace"]) == row["iterations"]
+            solve = row["solve"]
+            assert set(solve) == {"status", "stop_reason", "iterations",
+                                  "objective", "n", "trace"}
+            assert solve["objective"] == row["v"]
+            assert solve["iterations"] >= 1
+            assert {len(column) for column in solve["trace"].values()} == \
+                {solve["iterations"]}
             assert row["k"] == k
             assert row["bursts"] >= 1
             assert row["wallTime"] >= 0.0
