@@ -575,7 +575,7 @@ def compute_bounds(spec: ProblemSpec, records: list, v_app: float,
     ``sqrt(2 gap / mu_f)`` also needs the strong-convexity modulus
     ``mu_f``.  ``eta_inf`` is the largest buffer width (enclosure
     diameter), ``fill_dist`` the largest fill distance of any constraint's
-    anchors in its region.
+    anchors in its region, computed once for each distinct pair.
     """
     rep = BoundReport(v_app=float(v_app), mu_f=mu_f)
     if v_relax is not None:
@@ -593,11 +593,12 @@ def compute_bounds(spec: ProblemSpec, records: list, v_app: float,
             else rec.normal
         if rec.provenance:
             by_constraint.setdefault(rec.provenance[0], []).append(anchor.x)
-    fills = []
+    fills = {}  # by (anchors, region), which constraints may share
     for ci, anchors in by_constraint.items():
         if ci < len(spec.constraints):
-            region = spec.constraints[ci].region
-            fills.append(fill_distance(anchors, region, grid_res))
-    rep.fill_dist = max(fills) if fills else None
+            key = (tuple(anchors), spec.constraints[ci].region)
+            if key not in fills:
+                fills[key] = fill_distance(anchors, key[1], grid_res)
+    rep.fill_dist = max(fills.values()) if fills else None
 
     return rep

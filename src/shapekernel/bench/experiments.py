@@ -28,6 +28,7 @@ wall-clock timings live only in the summary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -94,6 +95,30 @@ def _ball_samples(center, radius: float, n: int,
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     r = rng.random(n) ** (1.0 / d)
     return center[None, :] + radius * v * r[:, None]
+
+
+# ``np.setdiff1d``, ``np.quantile`` and ``np.median`` call ``np.unique``,
+# whose first call imports ``numpy.ma`` (10-20 ms).  The runners take
+# training rows from ``np.delete``, and these two keep numpy's bits.
+
+def _quantile(a: np.ndarray, q: float) -> float:
+    """``np.quantile(a, q)`` of a 1-D array without NaN, by numpy's linear
+    interpolation; partitions ``a`` in place."""
+    v = (a.size - 1) * q  # numpy's virtual index
+    i = -1 if v >= a.size - 1 else math.floor(v)
+    j = -1 if i == -1 else i + 1
+    a.partition([i, j])
+    lo, hi, t = float(a[i]), float(a[j]), v - i
+    return hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
+
+
+def _median(values) -> float:
+    """``np.median`` of a list of floats."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    s = sorted(values)
+    k = len(s) // 2
+    return float(s[k]) if len(s) % 2 else (s[k - 1] + s[k]) / 2
 
 
 @dataclass
@@ -565,7 +590,7 @@ def _robot_cv(X, Y, output_cov, p: dict, seed):
             err = 0.0
             for f in range(folds):
                 val = splits[f]
-                tr = np.setdiff1d(np.arange(n), val)
+                tr = np.delete(np.arange(n), val)
                 for q in range(Yt.shape[1]):
                     A = w[q] * K[np.ix_(tr, tr)] \
                         + len(tr) * lam * np.eye(len(tr))
@@ -697,9 +722,9 @@ def run_robotarm(cfg: ExperimentConfig) -> Fit:
             if not sel:
                 continue
             medians[f"m{m}_{scheme}"] = {
-                "l2_err": float(np.median([r[5] for r in sel])),
-                "l1_cons": float(np.median([r[6] for r in sel])),
-                "l1_cons_covered": float(np.median([r[7] for r in sel])),
+                "l2_err": _median([r[5] for r in sel]),
+                "l1_cons": _median([r[6] for r in sel]),
+                "l1_cons_covered": _median([r[7] for r in sel]),
                 "l1_cons_covered_max": float(max(r[8] for r in sel)),
                 "kept": int(sel[0][4]),
                 "candidates": int(sel[0][3]),
@@ -753,14 +778,20 @@ def _econ_dataset(cfg: ExperimentConfig):
 
 def _econ_bandwidth(X: np.ndarray) -> float:
     """The 0.8 quantile of the distances between the rows of ``X``, from
-    the upper triangle's, row by row, with no n x n array."""
+    the upper triangle's in chunks of 2^14 pairs (no n x n array), each
+    summed axis by axis, in order, as numpy sums fewer than eight terms."""
     n = X.shape[0]
     d2 = np.empty(n * (n - 1) // 2)
     k = 0
-    for i in range(n - 1):
-        d2[k:k + n - 1 - i] = ((X[i] - X[i + 1:]) ** 2).sum(axis=1)
-        k += n - 1 - i
-    return float(math.sqrt(np.quantile(d2, 0.8, overwrite_input=True)))
+    step = max((1 << 14) // n, 1)
+    for a in range(0, n - 1, step):
+        b = min(a + step, n - 1)
+        block = sum((X[a:b, None, i] - X[None, a + 1:, i]) ** 2
+                    for i in range(X.shape[1]))
+        upper = block[np.arange(a, b)[:, None] < np.arange(a + 1, n)]
+        d2[k:k + upper.size] = upper
+        k += upper.size
+    return math.sqrt(_quantile(d2, 0.8))
 
 
 def _econ_constraints(box) -> dict:
@@ -785,28 +816,30 @@ def _econ_constraints(box) -> dict:
     }
 
 
-def _ridge_weight_for_norm(s: np.ndarray, c: np.ndarray, n: int,
-                           target: float) -> float:
-    """Ridge weight at which the fitted norm equals ``target`` (bisection)."""
+def _ridge_weights_for_norms(s: np.ndarray, c: np.ndarray, n: int,
+                             targets) -> list:
+    """Ridge weights at which the fitted norm equals each target: one
+    bisection per target, all in lockstep.  Each target's squared norm is
+    the sum of its own row, the reduction a bisection of its own would
+    take, so each weight keeps its bits."""
     s = np.maximum(s, 0.0)
+    sc2 = s * c ** 2
+    t2 = np.asarray(targets, dtype=float) ** 2
 
-    def norm2(lam):
-        return float(((s * c ** 2) / (s + n * lam) ** 2).sum())
+    def above(lam):  # whether the norm at each weight exceeds its target
+        return (sc2 / (s + n * lam[:, None]) ** 2).sum(axis=1) > t2
 
-    t2 = target * target
-    lo = 1e-12
-    if norm2(lo) <= t2:
-        return lo
-    hi = 1.0
-    while norm2(hi) > t2 and hi < 1e8:
-        hi *= 10.0
+    lo = np.full(t2.size, 1e-12)
+    met = ~above(lo)  # already at the smallest weight
+    hi = np.ones(t2.size)
+    while (grow := above(hi) & (hi < 1e8)).any():
+        hi[grow] *= 10.0
     for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if norm2(mid) > t2:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+        mid = np.sqrt(lo * hi)
+        up = above(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return np.where(met, 1e-12, np.sqrt(lo * hi)).tolist()
 
 
 def _cv_norm_cap(X, y, kernel, folds: int, grid, rng) -> float:
@@ -818,13 +851,13 @@ def _cv_norm_cap(X, y, kernel, folds: int, grid, rng) -> float:
     scores = np.zeros(len(grid))
     for f in range(folds):
         val = splits[f]
-        tr = np.setdiff1d(np.arange(n), val)
+        tr = np.delete(np.arange(n), val)
         s, U = np.linalg.eigh(K[np.ix_(tr, tr)])
         s = np.maximum(s, 0.0)
         c = U.T @ y[tr]
         Kvt = K[np.ix_(val, tr)]
-        for gi, cap in enumerate(grid):
-            lam = _ridge_weight_for_norm(s, c, len(tr), float(cap))
+        lams = _ridge_weights_for_norms(s, c, len(tr), grid)
+        for gi, lam in enumerate(lams):
             a = U @ (c / (s + len(tr) * lam))
             scores[gi] += float(((Kvt @ a - y[val]) ** 2).sum())
     return float(grid[int(np.argmin(scores))])
@@ -849,17 +882,17 @@ def run_econ(cfg: ExperimentConfig) -> Fit:
     t0 = time.perf_counter()
     radius = anchors[0].radius
 
-    def buffered(clist):
-        recs = []
-        for j, c in enumerate(clist):
-            eta = eta_for(kernel, c.operator, (0.0, 0.0), radius,
-                          norm="max", n_x=cov.n_x, n_u=cov.n_u,
-                          seed=cfg.seed, safety=cov.eta_safety)
-            recs.extend(tighten_soc(c, anchors, [eta] * len(anchors),
-                                    constraint_index=j))
-        return recs
+    @functools.cache  # so ``both`` reuses ``monot``'s two record sets
+    def buffered(j, c):
+        eta = eta_for(kernel, c.operator, (0.0, 0.0), radius,
+                      norm="max", n_x=cov.n_x, n_u=cov.n_u,
+                      seed=cfg.seed, safety=cov.eta_safety)
+        return tighten_soc(c, anchors, [eta] * len(anchors),
+                           constraint_index=j)
 
-    records_map = {name: buffered(regimes[name]) for name in regime_names}
+    records_map = {name: [r for j, c in enumerate(regimes[name])
+                          for r in buffered(j, c)]
+                   for name in regime_names}
     buffers_s = time.perf_counter() - t0
 
     reps = int(p.get("reps", 5))
@@ -917,11 +950,12 @@ def run_econ(cfg: ExperimentConfig) -> Fit:
             settings=settings)[1].record())
         return out
 
-    # the relaxation goes first, so the calling process runs it: it is the
-    # longest solve of the benchmark's config (the default config's failing
-    # ``conv`` fits take longer), and the ``both`` fit, which needs more
-    # memory, runs in a worker, whose resident set holds fewer of the
-    # caller's pages
+    # the relaxation goes first, so the calling process runs it: at 28-31
+    # iterations it is the longest solve of the benchmark's config (the
+    # default config's failing ``conv`` fits take longer).  Memory does not
+    # set the order: on the pivot basis the relaxation's program and
+    # ``both``'s have one shape (n 85-88), and the caller peaks at 48 MB
+    # with the relaxation, the worker at 38 MB (econ seeds 0-2)
     fits = [(fit, rep, regime) for rep in range(reps)
             for regime in regime_names]
     relaxed = [(relax, last, "both")] if "both" in regime_names else []
@@ -944,8 +978,8 @@ def run_econ(cfg: ExperimentConfig) -> Fit:
     for regime in regime_names:
         sel = [r for r in rows if r[1] == regime]
         medians[regime] = {
-            "mse_train": float(np.median([r[3] for r in sel])),
-            "mse_test": float(np.median([r[4] for r in sel])),
+            "mse_train": _median([r[3] for r in sel]),
+            "mse_test": _median([r[4] for r in sel]),
         }
     ordered = None
     if "both" in medians and "none" in medians:

@@ -121,7 +121,8 @@ def fill_distance(points, box, grid_res: int) -> float:
     """Max over a grid of the box of the euclidean distance to the points.
 
     The grid goes in chunks of at most 2^15 grid-point and point pairs, so
-    no grid x points x d array is formed."""
+    no grid x points array is formed, and the squares are summed axis by
+    axis, in order, as numpy sums fewer than eight terms."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("need at least one point")
@@ -133,8 +134,9 @@ def fill_distance(points, box, grid_res: int) -> float:
     nearest = np.empty(len(grid))  # squared distance to the nearest point
     step = max((1 << 15) // len(pts), 1)
     for k in range(0, len(grid), step):
-        diff = grid[k:k + step, None, :] - pts[None, :, :]
-        nearest[k:k + step] = (diff ** 2).sum(axis=2).min(axis=1)
+        nearest[k:k + step] = sum(
+            (grid[k:k + step, None, i] - pts[None, :, i]) ** 2
+            for i in range(lo.size)).min(axis=1)
     return float(np.sqrt(nearest.max()))
 
 

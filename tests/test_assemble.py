@@ -597,6 +597,46 @@ class TestComputeBounds:
             fill_distance(anchors, c.region, 33), rel=1e-12
         )
 
+    def test_constraints_sharing_anchors_share_one_fill_distance(
+            self, kernel, monkeypatch):
+        # econ's three constraints share one anchor set and one box: one
+        # fill distance serves them, and a constraint with other anchors
+        # gets its own
+        value = SdpOperator.scalar(DiffFunctional.value(1))
+        slope = SdpOperator.scalar(DiffFunctional.partial(1, axis=0))
+        constraints = [ShapeConstraint(((0.2, 0.8),), op, (0.0,))
+                       for op in (value, slope, value, slope)]
+        fine = cover_box([(0.2, 0.8)], 0.05)
+        coarse = cover_box([(0.2, 0.8)], 0.15)
+        records = [r for j, (c, cover) in enumerate(
+            zip(constraints, [fine, fine, fine, coarse]))
+            for r in tighten_soc(c, cover, [0.0] * len(cover),
+                                 constraint_index=j)]
+        spec = ProblemSpec(kernel=kernel, observations=value_obs([0.5], [0.0]),
+                           loss="squared", constraints=constraints)
+        calls = []
+
+        def counted(points, box, grid_res):
+            calls.append(len(points))
+            return fill_distance(points, box, grid_res)
+
+        monkeypatch.setattr(am, "fill_distance", counted)
+        rep = compute_bounds(spec, records, 1.0)
+        assert sorted(calls) == sorted([len(fine), len(coarse)])
+        assert rep.fill_dist == max(
+            fill_distance([b.center for b in cover], ((0.2, 0.8),), 33)
+            for cover in (fine, coarse))
+        # three constraints on one anchor set report what one does
+        one = compute_bounds(
+            ProblemSpec(kernel=kernel, observations=value_obs([0.5], [0.0]),
+                        loss="squared", constraints=constraints[:3]),
+            records[:3 * len(fine)], 1.0)
+        alone = compute_bounds(
+            ProblemSpec(kernel=kernel, observations=value_obs([0.5], [0.0]),
+                        loss="squared", constraints=constraints[:1]),
+            records[:len(fine)], 1.0)
+        assert one.to_json() == alone.to_json()
+
     def test_report_serializes(self):
         rep = BoundReport(v_app=1.0, v_relax=0.5, gap=0.5)
         data = rep.to_json()

@@ -831,26 +831,49 @@ def test_econ_relaxation_follows_the_fit_it_relaxes(tmp_path):
     assert report["v_relax"] == solves["rep 1 both relaxation"]["objective"]
 
 
-def test_control_fits_fork_nothing(tmp_path):
+def test_control_fits_fork_nothing(tmp_path, monkeypatch):
     # control's two fits run in the calling process: with BLAS pinned and
-    # two CPUs, where run_tasks would fork, the run loads no
-    # multiprocessing (which a forking run_tasks call does load)
+    # two CPUs, where run_tasks forks, the run makes no fork
+    from shapekernel.bench.tasks import run_tasks
+
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cpus, "blas_pinned", lambda: True)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    _run_tiny("control", tmp_path)
+    assert not forks
+    assert run_tasks(abs, [(-1,), (-2,)]) == [1, 2]
+    assert len(forks) == 1
+
+
+def test_econ_caller_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
+    # with BLAS pinned and two CPUs the run forks its worker through the
+    # operating system's pipes, and it takes its training rows, quantile
+    # and medians without np.unique, whose first call imports numpy.ma
     src = pathlib.Path(importlib.import_module("shapekernel").__file__)
-    config, _ = _run_tiny("control", tmp_path)
-    code = ("import sys, shapekernel.cpus as cpus, "
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "econ",
+                                  "out_dir": str(tmp_path),
+                                  **TINY["econ"][0]}))
+    code = ("import os, sys, shapekernel.cpus as cpus, "
             "shapekernel.bench.experiments as e; "
             "from shapekernel.bench.config import ExperimentConfig; "
-            "from shapekernel.bench.tasks import run_tasks; "
-            "cpus.usable_cpus = lambda: 2; "
+            "cpus.usable_cpus = lambda: 2; forks = []; fork = os.fork; "
+            "os.fork = lambda: forks.append(0) or fork(); "
             f"e.run_experiment(ExperimentConfig.load({str(config)!r})); "
-            "print('multiprocessing' in sys.modules); "
-            "run_tasks(abs, [(-1,), (-2,)]); "
-            "print('multiprocessing' in sys.modules)")
+            "print(len(forks), 'numpy.ma' in sys.modules, "
+            "'multiprocessing' in sys.modules)")
     env = {**os.environ, **dict.fromkeys(cpus.BLAS_THREAD_VARS, "1"),
            "PYTHONPATH": str(src.parents[1])}
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, env=env)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["1", "False", "False"]
 
 
 def test_control_never_evaluates_the_kernel_pair_by_pair(tmp_path,
@@ -918,15 +941,20 @@ def test_econ_bandwidth_holds_no_n_by_n_array():
     assert peak < 600 * 600 * 8 * 0.75
 
 
-def test_defaults_tool_reports_control(tmp_path, capsys, monkeypatch):
-    # control's default config in a process of its own: its row carries a
-    # wall time, the solve count, the caller's peak and every solve the
-    # summary marks as not optimal
+@pytest.fixture
+def defaults(monkeypatch):
+    """``tools/defaults.py``, running the package under test."""
     tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
     src = pathlib.Path(importlib.import_module("shapekernel").__file__)
     monkeypatch.setenv("PYTHONPATH", str(src.parents[1]))
     monkeypatch.syspath_prepend(str(tools))
-    defaults = _load_tool("tools", "defaults")
+    return _load_tool("tools", "defaults")
+
+
+def test_defaults_tool_reports_control(defaults, tmp_path, capsys):
+    # control's default config in a process of its own: its row carries a
+    # wall time, the solve count, the caller's peak and every solve the
+    # summary marks as not optimal
     assert defaults.main(["--out", str(tmp_path), "control"]) == 0
     header, row, total = capsys.readouterr().out.splitlines()
     solves = json.loads((tmp_path / "control" / "run" / "summary.json")
@@ -942,3 +970,94 @@ def test_defaults_tool_reports_control(tmp_path, capsys, monkeypatch):
     assert total.split()[:3] == ["total", wall, count]
     with pytest.raises(SystemExit):
         defaults.main(["--out", str(tmp_path), "bogus"])
+
+
+def test_defaults_tool_repeats_a_run(defaults, tmp_path, capsys):
+    # with --repeat the wall time is the median of the runs, next to their
+    # range, and each run leaves its own digest
+    assert defaults.main(["--out", str(tmp_path), "--repeat", "3",
+                          "control"]) == 0
+    header, row, total = capsys.readouterr().out.splitlines()
+    assert "min-max" in header
+    name, wall, spread, count, rest = row.split(maxsplit=4)
+    low, high = map(float, spread.split("-"))
+    assert name == "control" and low <= float(wall) <= high
+    assert int(count) == 2 and rest.startswith("caller ")
+    assert total.split()[:3] == ["total", wall, count]
+    for digest in ("control", "control-2", "control-3"):
+        assert (tmp_path / digest / "files.txt").exists()
+    with pytest.raises(SystemExit):
+        defaults.main(["--out", str(tmp_path), "--repeat", "0", "control"])
+
+
+@pytest.mark.parametrize("q", [0.0, 0.8, 1.0])
+def test_quantile_keeps_numpys_bits(q):
+    import numpy as np
+
+    from shapekernel.bench.experiments import _quantile
+
+    rng = np.random.default_rng(int(10 * q))
+    for n in range(1, 2001):
+        # every other size draws from a few values, so it holds duplicates
+        a = rng.exponential(size=n) if n % 2 else \
+            rng.integers(0, 1 + n // 4, size=n).astype(float)
+        want = np.quantile(a, q)
+        assert _quantile(a.copy(), q) == want, n
+
+
+def test_median_keeps_numpys_bits():
+    import numpy as np
+
+    from shapekernel.bench.experiments import _median
+
+    rng = np.random.default_rng(7)
+    for n in range(1, 400):  # odd and even counts
+        values = rng.lognormal(size=n).tolist()
+        if n % 3 == 0:
+            values[: n // 2] = values[n // 2: 2 * (n // 2)]  # duplicates
+        assert _median(values) == float(np.median(values)), n
+    assert math.isnan(_median([1.0, math.nan, 2.0]))
+
+
+def _scalar_ridge_weight(s, c, n, target):
+    """One target's ridge weight by its own bisection: the lockstep form
+    must match it bit for bit."""
+    import numpy as np
+
+    s = np.maximum(s, 0.0)
+
+    def norm2(lam):
+        return float(((s * c ** 2) / (s + n * lam) ** 2).sum())
+
+    t2 = target * target
+    lo = 1e-12
+    if norm2(lo) <= t2:
+        return lo
+    hi = 1.0
+    while norm2(hi) > t2 and hi < 1e8:
+        hi *= 10.0
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if norm2(mid) > t2:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+def test_lockstep_ridge_weights_keep_the_scalar_bits():
+    import numpy as np
+
+    from shapekernel.bench.experiments import _ridge_weights_for_norms
+
+    rng = np.random.default_rng(3)
+    # econ's cap grid, with a cap met at the smallest weight and one that
+    # stops the growth of the upper bracket at its limit
+    caps = [1e-9, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 1e6]
+    for trial in range(100):
+        m = int(rng.integers(2, 250))
+        s = rng.lognormal(sigma=3.0, size=m) * (rng.random(m) > 0.1)
+        s[0] = -1e-12  # a rounding-negative eigenvalue
+        c = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
+        got = _ridge_weights_for_norms(s, c, m, caps)
+        assert got == [_scalar_ridge_weight(s, c, m, cap) for cap in caps]

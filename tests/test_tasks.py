@@ -7,18 +7,17 @@ workers, and start the same helpers, on any host.  Tasks tell the calling
 process from a worker by its pid.
 """
 
-import multiprocessing
 import os
 import signal
 import threading
 import time
-from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
 
 from shapekernel import conic
 from shapekernel import cpus as budget
+from shapekernel.bench import tasks
 from shapekernel.bench.tasks import run_tasks
 from shapekernel.soap import SoapInfeasible, SoapState
 
@@ -39,7 +38,7 @@ def two_cpus(monkeypatch):
 
 
 class Expired(Exception):
-    """Not an ``OSError``: ``multiprocessing`` swallows those from a wait."""
+    """Raised by the alarm of a test that hangs."""
 
 
 @pytest.fixture
@@ -59,6 +58,16 @@ def _in_caller() -> bool:
     return os.getpid() == CALLER
 
 
+def _no_child_left() -> bool:
+    """Whether this process has no child, running or ended and not waited
+    for: no worker outlived its call."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def _paced(k):
     time.sleep(0.05)
     return k, os.getpid()
@@ -72,19 +81,42 @@ def test_results_come_back_in_task_order(cpus, deadline):
     # further CPU
     assert out[0][1] == CALLER
     assert len(pids) == cpus
-    assert not multiprocessing.active_children()
+    assert _no_child_left()
+
+
+def test_every_task_runs_once_under_contention(monkeypatch, deadline,
+                                               tmp_path):
+    # four processes on any host take 400 short tasks from one queue: an
+    # index read twice or lost would run a task twice or never
+    monkeypatch.setattr(budget, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(budget, "MAX_PROCS", 4)
+    monkeypatch.setattr(budget, "blas_pinned", lambda: True)
+    log = tmp_path / "ran.txt"
+
+    def note(k):
+        with open(log, "a") as fh:  # one short append per task
+            fh.write(f"{k}\n")
+        return k, os.getpid()
+
+    out = run_tasks(note, [(k,) for k in range(400)])
+    assert [k for k, _ in out] == list(range(400))
+    assert sorted(map(int, log.read_text().split())) == list(range(400))
+    assert len({pid for _, pid in out}) > 1
+    assert _no_child_left()
 
 
 def test_first_task_runs_in_the_caller(two_cpus, deadline, monkeypatch):
     # the caller claims it before the fork, so a worker that starts first
     # still cannot take it
-    start = ForkProcess.start
+    fork = os.fork
 
-    def slow_start(self):
-        start(self)
-        time.sleep(0.3)
+    def slow_fork():
+        pid = fork()
+        if pid:
+            time.sleep(0.3)
+        return pid
 
-    monkeypatch.setattr(ForkProcess, "start", slow_start)
+    monkeypatch.setattr(os, "fork", slow_fork)
     out = run_tasks(_paced, [(k,) for k in range(4)])
     assert out[0][1] == CALLER
     assert any(pid != CALLER for _, pid in out)
@@ -93,7 +125,7 @@ def test_first_task_runs_in_the_caller(two_cpus, deadline, monkeypatch):
 def test_one_task_runs_in_the_caller(two_cpus):
     assert run_tasks(os.getpid, [()]) == [CALLER]
     assert run_tasks(os.getpid, []) == []
-    assert not multiprocessing.active_children()
+    assert _no_child_left()
 
 
 def test_no_fork_while_another_thread_runs(two_cpus):
@@ -132,6 +164,18 @@ def test_no_fork_unless_blas_is_pinned(monkeypatch):
     assert {pid for _, pid in out} == {CALLER}
 
 
+def test_no_fork_when_the_queue_may_not_fit_its_pipe(two_cpus, deadline,
+                                                    monkeypatch):
+    # the caller writes every task index but the first before the fork, so
+    # a queue that filled its pipe would block the caller
+    monkeypatch.setattr(tasks, "_QUEUE_BYTES", 8)
+    out = run_tasks(_paced, [(k,) for k in range(4)])
+    assert [k for k, _ in out] == list(range(4))
+    assert {pid for _, pid in out} == {CALLER}
+    assert len({pid for _, pid in run_tasks(_paced, [(k,) for k in range(3)])
+                }) == 2
+
+
 def test_results_larger_than_a_pipe_buffer_come_back(two_cpus, deadline):
     # a worker blocks in its send until the caller reads, so joining it
     # before reading its pipe would never return
@@ -143,7 +187,7 @@ def test_results_larger_than_a_pipe_buffer_come_back(two_cpus, deadline):
     assert [payload for _, payload in out] == \
         [bytes([k]) * 300_000 for k in range(4)]
     assert any(pid != CALLER for pid, _ in out)
-    assert not multiprocessing.active_children()
+    assert _no_child_left()
 
 
 def test_task_raising_in_a_worker_reraises_its_type(two_cpus, deadline):
@@ -157,7 +201,7 @@ def test_task_raising_in_a_worker_reraises_its_type(two_cpus, deadline):
         run_tasks(fail_in_worker, [(k,) for k in range(4)])
     # the worker's traceback comes along as the cause
     assert "fail_in_worker" in str(err.value.__cause__)
-    assert not multiprocessing.active_children()
+    assert _no_child_left()
 
 
 def test_no_task_starts_after_a_worker_failure(two_cpus, deadline):
@@ -187,7 +231,7 @@ def test_task_raising_in_the_caller_stops_the_workers(two_cpus, deadline):
     with pytest.raises(ValueError):
         run_tasks(fail_in_caller, [(k,) for k in range(2)])
     assert time.monotonic() - t0 < 20
-    assert not multiprocessing.active_children()
+    assert _no_child_left()
 
 
 def test_soap_failure_in_a_worker_keeps_its_state(two_cpus, deadline):
@@ -214,7 +258,7 @@ def test_worker_that_dies_is_reported(two_cpus, deadline):
 
     with pytest.raises(RuntimeError, match="without reporting"):
         run_tasks(die_in_worker, [(k,) for k in range(3)])
-    assert not multiprocessing.active_children()
+    assert _no_child_left()
 
 
 def test_unpicklable_result_is_reported(two_cpus, deadline):
@@ -226,7 +270,7 @@ def test_unpicklable_result_is_reported(two_cpus, deadline):
     with pytest.raises(Exception, match="pickle") as err:
         run_tasks(closure, [(k,) for k in range(3)])
     assert "send" in str(err.value.__cause__)
-    assert not multiprocessing.active_children()
+    assert _no_child_left()
 
 
 
