@@ -238,8 +238,8 @@ def cross_gram(rows: Sequence[Atom], cols: Sequence[Atom],
                kernel: Kernel) -> np.ndarray:
     """Matrix of inner products between two atom lists, one kernel block
     per pair of functional shapes.  Terms are summed in
-    :func:`atom_inner`'s order, so the per-pair default block reproduces
-    it bit for bit."""
+    :func:`atom_inner`'s order, which reads the same kernel ``_partial``
+    one pair at a time."""
     X_rows = np.array([a.x for a in rows], dtype=float)
     X_cols = np.array([a.x for a in cols], dtype=float)
     col_groups = _groups(cols)
@@ -468,11 +468,13 @@ class Model:
         the atoms sorted by time (to rounding), unless its ``A`` is
         defective.  Verification grids, component outputs
         and the experiments' tables all go through here.  The one-point
-        form, :func:`apply_functional`, uses the scalar kernel partials
-        instead; it stays separate because the refinement loop's
-        saturation test depends on last-bit rounding, where a kernel's
-        scalar and vector paths may differ (the Laplacian kernel's
-        ``math.exp``).
+        form, :func:`apply_functional`, reads the same closed form, the
+        kernel's ``_partial``, one atom pair at a time through
+        ``eval_partial``.  It stays separate because this method goes
+        through ``eval_partial_many``, which the Laplacian kernel
+        overrides with ``np.exp`` (``_partial`` takes ``math.exp``), and
+        the refinement loop's saturation test depends on last-bit
+        rounding.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         keep = [j for j, a_j in enumerate(self.coeffs) if a_j != 0.0]

@@ -129,7 +129,12 @@ _DEFAULTS: dict = {
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment configuration with JSON round-trip."""
+    """Validated experiment configuration with JSON round-trip.
+
+    ``params`` may name any of the experiment's runner parameters; an
+    unknown name raises ``ValueError``, and the config keeps the given
+    values over the defaults of the rest, so runners read every key.
+    """
 
     experiment: str
     seed: int = 0
@@ -165,8 +170,10 @@ class ExperimentConfig:
         self.grid_res = int(self.grid_res)
         if self.grid_res < 2:
             raise ValueError("grid_res must be at least 2")
-        _check_params(self.experiment,
-                      {**_DEFAULTS[self.experiment]["params"], **self.params})
+        defaults = _DEFAULTS[self.experiment]["params"]
+        _check_keys(f"{self.experiment} params", self.params, defaults)
+        self.params = {**copy.deepcopy(defaults), **self.params}
+        _check_params(self.experiment, self.params)
 
     # ---------------------------------------------------------- round-trip
     def to_json(self) -> dict:
@@ -193,12 +200,9 @@ def default_config(experiment: str) -> ExperimentConfig:
         raise ValueError(
             f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
         )
-    spec = _DEFAULTS[experiment]
-    return ExperimentConfig(
-        experiment=experiment,
-        covering=CoveringConfig(**spec.get("covering", {})),
-        params=copy.deepcopy(spec.get("params", {})),
-    )
+    covering = _DEFAULTS[experiment].get("covering", {})
+    return ExperimentConfig(experiment=experiment,
+                            covering=CoveringConfig(**covering))
 
 
 def _check_params(experiment: str, p: dict) -> None:
@@ -267,8 +271,6 @@ def _merge_config(base: ExperimentConfig, data: dict) -> ExperimentConfig:
     merged = base.to_json()
     for key, value in data.items():
         if key == "params" and isinstance(value, dict):
-            _check_keys(f"{base.experiment} params", value,
-                        _DEFAULTS[base.experiment]["params"])
             merged["params"].update(value)
         elif key == "covering" and isinstance(value, dict):
             merged["covering"].update(value)

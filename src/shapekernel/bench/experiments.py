@@ -245,24 +245,24 @@ def run_catenary(cfg: ExperimentConfig) -> Fit:
     p = cfg.params
     cov = cfg.covering
     settings = cfg.settings
-    objective = p.get("objective", "norm")
+    objective = p["objective"]
     mu_f = 2.0 if objective == "norm_squared" else None
-    m_list = [int(m) for m in p.get("m_list", [30, 60, 120])]
+    m_list = [int(m) for m in p["m_list"]]
     schemes = [cfg.scheme] if cfg.scheme else \
         ["ball", "hyp", "soap-ball", "soap-hyp"]
-    verify_res = int(p.get("verify_res", 10_000))
+    verify_res = int(p["verify_res"])
 
     spec = _catenary_spec(objective)
     c = spec.constraints[0]
 
     t0 = time.perf_counter()
     _, v_ref, ref_active, ref_solves = solve_reference(
-        spec, c, int(p.get("reference_points", 10_000)), settings=settings)
+        spec, c, int(p["reference_points"]), settings=settings)
     reference = Fit(
         timings={"reference_s": time.perf_counter() - t0},
         summary={"objective": objective,
                  "reference": {"value": v_ref, "grid_points":
-                               int(p.get("reference_points", 10_000)),
+                               int(p["reference_points"]),
                                "active_points": ref_active}})
     for k, record in enumerate(ref_solves):
         reference.solved(f"reference round {k}", record)
@@ -312,10 +312,10 @@ def run_catenary(cfg: ExperimentConfig) -> Fit:
             model, state = run_soap(
                 spec, mode=scheme[len("soap-"):], gamma=cov.gamma,
                 k_max=cov.k_max, delta0=cov.delta0,
-                tol_sat=float(p.get("tol_sat", 1e-8)), settings=settings,
+                tol_sat=float(p["tol_sat"]), settings=settings,
                 n_x=cov.n_x, n_u=cov.n_u, seed=cfg.seed,
                 safety=cov.eta_safety,
-                max_elements=int(p.get("max_elements", 4000)))
+                max_elements=int(p["max_elements"]))
             hist_rows = []
             for row in state.history:
                 fit.solved(f"{scheme} round {row['k']}", row["solve"])
@@ -388,10 +388,10 @@ def _catenary_verify_constraints(cfg: ExperimentConfig) -> list:
 def _wall_generator(p: dict, seed):
     """Seeded smooth random profile, pinned to zero at t = 0."""
     rng = np.random.default_rng([int(seed), 17])
-    n = int(p.get("wall_centers", 10))
+    n = int(p["wall_centers"])
     centers = rng.uniform(0.0, 1.0, n)
-    weights = rng.normal(0.0, float(p.get("wall_amplitude", 0.35)), n)
-    ls = float(p.get("wall_lengthscale", 0.15))
+    weights = rng.normal(0.0, float(p["wall_amplitude"]), n)
+    ls = float(p["wall_lengthscale"])
 
     def profile(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -405,8 +405,8 @@ def _wall_generator(p: dict, seed):
 
 def _control_walls(p: dict, seed):
     """Piecewise-constant wall levels hugging the random profile."""
-    m = int(p.get("m_intervals", 25))
-    clear = float(p.get("wall_clearance", 0.3))
+    m = int(p["m_intervals"])
+    clear = float(p["wall_clearance"])
     gen = _wall_generator(p, seed)
     delta = 0.5 / m
     walls = []
@@ -446,7 +446,7 @@ def run_control(cfg: ExperimentConfig) -> Fit:
     spec = ProblemSpec(kernel=kernel, loss="none", regularizer=Ridge(1.0),
                        constraints=cons)
     schemes = [cfg.scheme] if cfg.scheme else ["ball", "disc"]
-    verify_res = int(p.get("verify_res", 10_000))
+    verify_res = int(p["verify_res"])
 
     # one anchor ball per wall; the walls table reports the widths, and the
     # ``ball`` records below find them in the buffer cache (same arguments)
@@ -539,8 +539,8 @@ def _robot_anchors(geom: RobotGeometry, m_per_axis: int, p: dict):
     """Kept anchor constraints: one per (anchor, length axis, component)."""
     d = geom.dim
     cells = grid_cover([(0.0, 1.0)] * d, m_per_axis, norm="max")
-    delta = (1.0 / m_per_axis) / float(p.get("ball_shrink", 100.0))
-    floor = float(p.get("coeff_floor", 0.1))
+    delta = (1.0 / m_per_axis) / float(p["ball_shrink"])
+    floor = float(p["coeff_floor"])
     kept = []
     n_candidates = 0
     for cell in cells:
@@ -570,10 +570,10 @@ def _robot_anchors(geom: RobotGeometry, m_per_axis: int, p: dict):
 
 def _robot_cv(X, Y, output_cov, p: dict, seed):
     """Small-grid k-fold search for the kernel width and ridge weight."""
-    folds = int(p.get("cv_folds", 3))
-    sig_grid = [float(s) for s in p.get("cv_sigma_grid", [0.5, 1.0])]
-    lam_grid = [float(v) for v in p.get("cv_lambda_grid", [1e-3, 1e-2])]
-    if not p.get("cv", True):
+    folds = int(p["cv_folds"])
+    sig_grid = [float(s) for s in p["cv_sigma_grid"]]
+    lam_grid = [float(v) for v in p["cv_lambda_grid"]]
+    if not p["cv"]:
         return sig_grid[0], lam_grid[0]
     w, U = np.linalg.eigh(np.asarray(output_cov, dtype=float))
     w = np.maximum(w, 0.0)
@@ -604,7 +604,7 @@ def _robot_cv(X, Y, output_cov, p: dict, seed):
 
 def _robot_metrics(model, geom: RobotGeometry, kept, p: dict, seed):
     d = geom.dim
-    g = int(p.get("metric_grid", 5))
+    g = int(p["metric_grid"])
     axes = [np.linspace(0.0, 1.0, g)] * d
     Z = np.array(list(itertools.product(*axes)))
     F = geom.pose(Z)
@@ -612,7 +612,7 @@ def _robot_metrics(model, geom: RobotGeometry, kept, p: dict, seed):
     l2_err = float(((F - Fh) ** 2).sum(axis=1).mean())
 
     rng = np.random.default_rng([int(seed), 202])
-    Zc = latin_hypercube(int(p.get("cons_samples", 400)), d, rng)
+    Zc = latin_hypercube(int(p["cons_samples"]), d, rng)
     C = geom.partials(Zc)
     total = 0.0
     for i in range(d):
@@ -622,7 +622,7 @@ def _robot_metrics(model, geom: RobotGeometry, kept, p: dict, seed):
     l1_cons = total / Zc.shape[0]
 
     rng = np.random.default_rng([int(seed), 303])
-    n_ball = int(p.get("covered_samples", 20))
+    n_ball = int(p["covered_samples"])
     worst = 0.0
     covered_total = 0.0
     covered_n = 0
@@ -645,14 +645,13 @@ def run_robotarm(cfg: ExperimentConfig) -> Fit:
     p = cfg.params
     cov = cfg.covering
     settings = cfg.settings
-    segments = int(p.get("segments", 2))
-    n_obs = int(p.get("n_obs", 40))
-    noise = float(p.get("noise", 0.2))
+    segments = int(p["segments"])
+    n_obs = int(p["n_obs"])
+    noise = float(p["noise"])
     seeds = p.get("seeds") or [cfg.seed]
     seeds = [int(s) for s in seeds]
-    m_list = [int(m) for m in p.get("m_list", [16, 81])]
-    schemes = [cfg.scheme] if cfg.scheme else \
-        list(p.get("schemes", ["none", "disc", "ball", "hyp"]))
+    m_list = [int(m) for m in p["m_list"]]
+    schemes = [cfg.scheme] if cfg.scheme else list(p["schemes"])
     d = 2 * segments
 
     per_seed: dict = {}
@@ -746,9 +745,9 @@ def run_robotarm(cfg: ExperimentConfig) -> Fit:
 
 def _robot_verify_constraints(cfg: ExperimentConfig) -> list:
     p = cfg.params
-    geom = RobotGeometry(int(p.get("segments", 2)))
+    geom = RobotGeometry(int(p["segments"]))
     # the runner saves the models of the last anchor count
-    m = int(p.get("m_list", [16, 81])[-1])
+    m = int(p["m_list"][-1])
     m_axis = round(m ** (1.0 / geom.dim))
     kept, _ = _robot_anchors(geom, m_axis, p)
     return [
@@ -764,15 +763,15 @@ def _robot_verify_constraints(cfg: ExperimentConfig) -> list:
 
 def _econ_dataset(cfg: ExperimentConfig):
     p = cfg.params
-    path = p.get("dataset_path", "")
+    path = p["dataset_path"]
     if path and os.path.exists(path):
         return load_labour_csv(
-            path, expected_kept=int(p.get("expected_kept", 543))), False
-    x_raw, y_raw = cobb_douglas_data(int(p.get("synthetic_rows", 569)),
+            path, expected_kept=int(p["expected_kept"])), False
+    x_raw, y_raw = cobb_douglas_data(int(p["synthetic_rows"]),
                                      [cfg.seed, 11])
     ds = preprocess_econ(x_raw, y_raw)
     ds.preprocessing["count_mismatch"] = (
-        ds.preprocessing["n_kept"] != int(p.get("expected_kept", 543)))
+        ds.preprocessing["n_kept"] != int(p["expected_kept"]))
     return ds, True
 
 
@@ -873,10 +872,10 @@ def run_econ(cfg: ExperimentConfig) -> Fit:
     sigma = _econ_bandwidth(X)
     kernel = GaussianKernel([sigma, sigma])
     box = ((float(X[:, 0].min()), 2.0), (float(X[:, 1].min()), 2.0))
-    counts = [int(v) for v in p.get("counts", [15, 15])]
+    counts = [int(v) for v in p["counts"]]
     anchors = grid_cover(box, counts, norm="max")
     regimes = _econ_constraints(box)
-    regime_names = list(p.get("regimes", ["none", "monot", "conv", "both"]))
+    regime_names = list(p["regimes"])
 
     # translation-invariant kernel: one buffer per constraint operator
     t0 = time.perf_counter()
@@ -895,11 +894,10 @@ def run_econ(cfg: ExperimentConfig) -> Fit:
                    for name in regime_names}
     buffers_s = time.perf_counter() - t0
 
-    reps = int(p.get("reps", 5))
-    folds = int(p.get("folds", 5))
-    grid = [float(v) for v in p.get("lambda_grid",
-                                    [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])]
-    frac = float(p.get("train_fraction", 0.1))
+    reps = int(p["reps"])
+    folds = int(p["folds"])
+    grid = [float(v) for v in p["lambda_grid"]]
+    frac = float(p["train_fraction"])
 
     t_all = time.perf_counter()
     splits = []  # per rep: training rows, test rows, cross-validated cap

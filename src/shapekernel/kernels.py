@@ -3,7 +3,9 @@
 Every kernel maps a pair of points in ``R^d`` to a ``Q x Q`` matrix and
 exposes analytic mixed partials ``d^{r1}_x d^{r2}_y [e_q1^T K(x,y) e_q2]``
 up to its declared smoothness order.  Derivatives are closed-form; no finite
-differences appear outside the test suite.
+differences appear outside the test suite.  Each kernel writes its closed
+form once, in ``_partial`` over broadcast point arrays; the one-point
+:meth:`Kernel.eval_partial` and :meth:`Kernel.eval` are read from it.
 
 Shipped variants:
 
@@ -64,9 +66,11 @@ class Kernel:
     ``X2`` (n2, d) to the (n1, n2) matrix of ``eval_partial(r1, r2, q1, q2,
     X1[i], X2[j])``; Gram matrices and ``eval_partial_many`` use it.
     ``partial_pairs`` is the diagonal analogue: one value per row pair.
-    Both go through :meth:`_partial`, so a pair has the same bits in
-    either, as :func:`~shapekernel.atoms.gram` needs: its diagonal comes
-    from ``partial_pairs`` and its rows from ``partial_block``.
+    ``partial_block``, ``partial_pairs`` and ``eval_partial`` all go
+    through :meth:`_partial`, the one method a kernel defines its formula
+    in, so a pair has the same bits in each, as
+    :func:`~shapekernel.atoms.gram` needs: its diagonal comes from
+    ``partial_pairs`` and its rows from ``partial_block``.
     """
 
     dim: int
@@ -75,12 +79,17 @@ class Kernel:
 
     # ------------------------------------------------------------------ API
     def eval(self, x, x2) -> np.ndarray:
-        """Return the Q x Q matrix K(x, x2)."""
-        raise NotImplementedError
+        """Return the Q x Q matrix K(x, x2), one :meth:`eval_partial` per
+        entry."""
+        Q = range(self.out_dim)
+        return np.array([[self.eval_partial(None, None, q1, q2, x, x2)
+                          for q2 in Q] for q1 in Q])
 
     def eval_partial(self, r1, r2, q1: int, q2: int, x, x2) -> float:
         """Return d^{r1}_x d^{r2}_{x2} [e_q1^T K(x, x2) e_q2]."""
-        raise NotImplementedError
+        x = _as_point(x, self.dim, "x")
+        y = _as_point(x2, self.dim, "x2")
+        return float(self._partial(r1, r2, q1, q2, x, y))
 
     def eval_partial_many(self, r1, r2, q1: int, q2: int, X, x2) -> np.ndarray:
         """Vectorized :meth:`eval_partial` over the rows of ``X``."""
@@ -97,16 +106,10 @@ class Kernel:
         return self._partial(r1, r2, q1, q2, _as_points(X1), _as_points(X2))
 
     def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
-        """:meth:`eval_partial` over two point arrays that broadcast to
-        ``shape + (d,)``, as an array of that shape.  The default loops
-        over the pairs, so its entries equal the scalar calls bit for bit.
-        Override it where the partial has a closed form that vectorizes
-        over point pairs and agrees with the scalar path to rounding."""
-        X1, X2 = np.broadcast_arrays(X1, X2)
-        out = np.empty(X1.shape[:-1])
-        for i in np.ndindex(out.shape):
-            out[i] = self.eval_partial(r1, r2, q1, q2, X1[i], X2[i])
-        return out
+        """The mixed partial over two point arrays that broadcast to
+        ``shape + (d,)``, as an array of that shape: the one place a
+        kernel writes its closed form."""
+        raise NotImplementedError
 
     def apply_expansion(self, functional, X, coeffs, atoms) -> np.ndarray:
         """``functional`` applied to ``f = sum_j coeffs[j] * atoms[j]`` at
@@ -205,37 +208,6 @@ class GaussianKernel(Kernel):
         self.out_dim = 1
         self.smoothness = 2
 
-    def _scalar(self, x: np.ndarray, y: np.ndarray) -> float:
-        t = (x - y) / self.lengthscales
-        return math.exp(-0.5 * float(t @ t))
-
-    def eval(self, x, x2) -> np.ndarray:
-        x = _as_point(x, self.dim, "x")
-        y = _as_point(x2, self.dim, "x2")
-        return np.array([[self._scalar(x, y)]])
-
-    def scalar_partial(self, r1, r2, x, x2) -> float:
-        x = _as_point(x, self.dim, "x")
-        y = _as_point(x2, self.dim, "x2")
-        r1 = _as_multi_index(r1, self.dim)
-        r2 = _as_multi_index(r2, self.dim)
-        self._check_orders(r1, r2)
-        value = self._scalar(x, y)
-        sign = 1.0
-        for i in range(self.dim):
-            n = r1[i] + r2[i]
-            if n:
-                s2 = float(self.lengthscales[i]) ** 2
-                value *= _gauss_profile_derivative(n, float(x[i] - y[i]), s2)
-                if r2[i] % 2:
-                    sign = -sign
-        return sign * value
-
-    def eval_partial(self, r1, r2, q1: int, q2: int, x, x2) -> float:
-        if q1 != 0 or q2 != 0:
-            raise ValueError("scalar kernel has a single output component")
-        return self.scalar_partial(r1, r2, x, x2)
-
     def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
         """exp of the differences times one polynomial per axis; works axis
         by axis, so memory stays at a few arrays of the broadcast shape."""
@@ -298,24 +270,19 @@ class LaplacianKernel(Kernel):
         self.out_dim = 1
         self.smoothness = 0
 
-    def eval(self, x, x2) -> np.ndarray:
-        x = _as_point(x, self.dim, "x")
-        y = _as_point(x2, self.dim, "x2")
-        return np.array([[math.exp(-self.rate * float(np.linalg.norm(x - y)))]])
-
-    def eval_partial(self, r1, r2, q1: int, q2: int, x, x2) -> float:
-        self._check_value(r1, r2, q1, q2)
-        return float(self.eval(x, x2)[0, 0])
-
     def eval_partial_many(self, r1, r2, q1: int, q2: int, X, x2) -> np.ndarray:
+        """``np.exp`` over the rows, not :meth:`_partial`'s ``math.exp``:
+        models are evaluated with these bits, and at a verification
+        grid's size a Python call per entry would cost more."""
         self._check_value(r1, r2, q1, q2)
         X = _as_points(X)
         y = _as_point(x2, self.dim, "x2")
         return np.exp(-self.rate * np.linalg.norm(X - y[None, :], axis=1))
 
     def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
-        """:meth:`eval`'s bits over all pairs: one ``vecdot`` norm per pair,
-        then ``math.exp`` (``np.exp`` differs in the last bit on some)."""
+        """One ``vecdot`` norm per pair, then ``math.exp``: the bits of
+        ``math.exp(-rate * ||x - y||)`` (``np.exp`` differs in the last bit
+        on some)."""
         self._check_value(r1, r2, q1, q2)
         D = X1 - X2
         arg = -self.rate * np.sqrt(np.vecdot(D, D))
@@ -375,20 +342,11 @@ class DecomposableGaussianKernel(Kernel):
     def lengthscales(self) -> np.ndarray:
         return self.scalar.lengthscales
 
-    def eval(self, x, x2) -> np.ndarray:
-        return self.scalar.eval(x, x2)[0, 0] * self.output_cov
-
     def _check_q(self, q1: int, q2: int) -> None:
         if not (0 <= q1 < self.out_dim and 0 <= q2 < self.out_dim):
             raise ValueError(
                 f"output indices ({q1},{q2}) out of range for Q={self.out_dim}"
             )
-
-    def eval_partial(self, r1, r2, q1: int, q2: int, x, x2) -> float:
-        self._check_q(q1, q2)
-        return self.scalar.scalar_partial(r1, r2, x, x2) * float(
-            self.output_cov[q1, q2]
-        )
 
     def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
         self._check_q(q1, q2)
@@ -486,11 +444,11 @@ class LTIControlKernel(Kernel):
     e^{lam_i (s - m) + lam_j (t - m)} g(lam_i + lam_j, m)``, ``m = min(s,
     t)``, ``g(a, m) = expm1(a m) / a`` and ``g(0, m) = m``.  It is evaluated
     over broadcast time arrays (in complex arithmetic when ``A`` has complex
-    eigenvalues, keeping the real part), so ``eval``, ``partial_block`` and
-    ``partial_pairs`` share one body.  A defective (or nearly defective)
-    ``A`` has no usable eigenbasis; then every entry comes from the Van Loan
-    (1978) Gramian and ``expm``, one time pair at a time; scipy, which
-    holds ``expm``, is imported only on that path.
+    eigenvalues, keeping the real part), one entry ``[q1, q2]`` at a time.
+    A defective (or nearly defective) ``A`` has no usable eigenbasis; then
+    every entry comes from the Van Loan (1978) Gramian and ``expm``, one
+    time pair at a time; scipy, which holds ``expm``, is imported only on
+    that path.
 
     A model is evaluated in one sweep over its atoms sorted by time
     (:meth:`apply_expansion`): the kernel is semiseparable, so at each point
@@ -541,10 +499,8 @@ class LTIControlKernel(Kernel):
                 f"output indices ({q1},{q2}) out of range for Q={self.out_dim}"
             )
 
-    def _closed_form(self, S, T, q1=None, q2=None) -> np.ndarray:
-        """K(S, T) over broadcast time arrays: entry ``[q1, q2]`` of shape
-        ``broadcast(S, T)``, or the full ``(..., Q, Q)`` stack."""
-        S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+    def _closed_form(self, S, T, q1: int, q2: int) -> np.ndarray:
+        """Entry ``[q1, q2]`` of K(S, T) over broadcast time arrays."""
         M = np.minimum(S, T)
         if (M < 0).any():
             raise ValueError("times must be nonnegative")
@@ -552,8 +508,6 @@ class LTIControlKernel(Kernel):
         g = self._g(M[..., None, None])
         inner = g * np.exp(lam[:, None] * (S - M)[..., None, None]
                            + lam[None, :] * (T - M)[..., None, None])
-        if q1 is None:
-            return np.real(V @ (C * inner) @ V.T)
         coef = V[q1][:, None] * V[q2][None, :] * C
         return np.real((coef * inner).sum(axis=(-2, -1)))
 
@@ -564,6 +518,8 @@ class LTIControlKernel(Kernel):
 
     def _eval_van_loan(self, s: float, t: float) -> np.ndarray:
         m = min(s, t)
+        if m < 0:
+            raise ValueError("times must be nonnegative")
         if m == 0.0:
             return np.zeros((self.out_dim, self.out_dim))
         from scipy.linalg import expm  # as in _gramian_van_loan
@@ -572,24 +528,15 @@ class LTIControlKernel(Kernel):
         return expm(self.A * (s - m)) @ W @ expm(self.A * (t - m)).T
 
     # ----------------------------------------------------------------- API
-    def eval(self, x, x2) -> np.ndarray:
-        s = float(_as_point(x, 1, "x")[0])
-        t = float(_as_point(x2, 1, "x2")[0])
-        if s < 0 or t < 0:
-            raise ValueError(f"times must be nonnegative, got ({s}, {t})")
-        if self._eig is None:
-            return self._eval_van_loan(s, t)
-        return self._closed_form(s, t)
-
-    def eval_partial(self, r1, r2, q1: int, q2: int, x, x2) -> float:
-        self._check_value(r1, r2, q1, q2)
-        return float(self.eval(x, x2)[q1, q2])
-
     def _partial(self, r1, r2, q1: int, q2: int, X1, X2) -> np.ndarray:
-        if self._eig is None:
-            return super()._partial(r1, r2, q1, q2, X1, X2)
         self._check_value(r1, r2, q1, q2)
-        return self._closed_form(X1[..., 0], X2[..., 0], q1, q2)
+        if self._eig is not None:
+            return self._closed_form(X1[..., 0], X2[..., 0], q1, q2)
+        S, T = np.broadcast_arrays(X1[..., 0], X2[..., 0])
+        out = np.empty(S.shape)
+        for i in np.ndindex(S.shape):
+            out[i] = self._eval_van_loan(float(S[i]), float(T[i]))[q1, q2]
+        return out
 
     def apply_expansion(self, functional, X, coeffs, atoms) -> np.ndarray:
         """The sorted-time sweep (see the class docstring); a defective

@@ -214,9 +214,9 @@ class TestGram:
             dim = 1
             out_dim = 1
 
-            def eval_partial(self, r1, r2, q1, q2, x, y):
+            def _partial(self, r1, r2, q1, q2, X1, X2):
                 M = np.array([[1.0, 2.0], [2.0, 1.0]])
-                return M[int(x[0]), int(y[0])]
+                return M[X1[..., 0].astype(int), X2[..., 0].astype(int)]
 
         bad = BadKernel()
         atoms = (

@@ -33,7 +33,7 @@ from shapekernel import (ConeBlock, ConeProgram, Model, conic, covering,
 from shapekernel.bench import cli
 from shapekernel.bench.cli import main
 from shapekernel.bench.config import (SCHEMES, CoveringConfig,
-                                      ExperimentConfig)
+                                      ExperimentConfig, default_config)
 from shapekernel.bench.experiments import constraints_for, run_experiment
 
 #: experiment -> (config overlay, saved tightened model, verify grid per axis)
@@ -400,6 +400,16 @@ def test_unknown_top_level_config_key_is_rejected(tmp_path):
         main(["run", "control", "--config", str(config), "--out",
               str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+def test_params_built_in_code_are_checked_and_completed():
+    # an unknown key used to be checked only in config files, and the run
+    # silently used the default of the key it misspelt
+    with pytest.raises(ValueError, match=r"unknown econ params keys "
+                       r"\['repz'\]"):
+        ExperimentConfig("econ", params={"repz": 1})
+    cfg = ExperimentConfig("econ", params={"reps": 2})
+    assert cfg.params == {**default_config("econ").params, "reps": 2}
 
 
 def test_verify_reports_config_and_file_errors(tmp_path):
@@ -878,22 +888,22 @@ def test_econ_caller_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
 
 def test_control_never_evaluates_the_kernel_pair_by_pair(tmp_path,
                                                          monkeypatch):
-    # the closed-form blocks carry every control evaluation; a lost
-    # override or a wrong eigenbasis test would fall back to one Van Loan
-    # exponential per time pair without failing any other test
+    # the closed-form blocks carry every control evaluation; a wrong
+    # eigenbasis test would fall back to one Van Loan exponential per time
+    # pair without failing any other test
     from shapekernel import covering
     from shapekernel.kernels import LTIControlKernel
 
     # widths cached by an earlier run would skip the sampler
     monkeypatch.setattr(covering, "_eta_cache", {})
     calls = []
-    scalar = LTIControlKernel.eval_partial
+    for name in ("eval_partial", "_eval_van_loan"):
+        def counted(self, *args, _method=getattr(LTIControlKernel, name),
+                    **kwargs):
+            calls.append(args)
+            return _method(self, *args, **kwargs)
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return scalar(self, *args, **kwargs)
-
-    monkeypatch.setattr(LTIControlKernel, "eval_partial", counted)
+        monkeypatch.setattr(LTIControlKernel, name, counted)
     _run_tiny("control", tmp_path)
     assert not calls
 

@@ -19,7 +19,8 @@ from shapekernel import (
     LTIControlKernel,
     kernel_from_config,
 )
-from shapekernel.kernels import Kernel, _gramian_van_loan
+from shapekernel import kernels
+from shapekernel.kernels import _gauss_profile_derivative, _gramian_van_loan
 
 
 def fd_mixed_partial(f, x, y, r1, r2, h=5e-3):
@@ -56,6 +57,23 @@ def fd_mixed_partial(f, x, y, r1, r2, h=5e-3):
                 -shift(2 * h) + 8 * shift(h) - 8 * shift(-h) + shift(-2 * h)
             ) / (12 * h)
     return f(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+def gauss_scalar_partial(lengthscales, r1, r2, x, y):
+    """The Gaussian kernel's mixed partial at one pair, from Python floats
+    and ``math.exp``: the scalar oracle of the vectorized closed form."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    t = (x - y) / lengthscales
+    value = math.exp(-0.5 * float(t @ t))
+    sign = 1.0
+    for i in range(x.size):
+        n = r1[i] + r2[i]
+        if n:
+            s2 = float(lengthscales[i]) ** 2
+            value *= _gauss_profile_derivative(n, float(x[i] - y[i]), s2)
+            if r2[i] % 2:
+                sign = -sign
+    return sign * value
 
 
 class TestGaussianKernel:
@@ -192,7 +210,8 @@ class TestDecomposableGaussianKernel:
         for q1 in range(3):
             for q2 in range(3):
                 got = k.eval_partial((1, 0), (0, 1), q1, q2, x, y)
-                want = scalar.scalar_partial((1, 0), (0, 1), x, y) * cov[q1, q2]
+                want = gauss_scalar_partial(scalar.lengthscales, (1, 0),
+                                            (0, 1), x, y) * cov[q1, q2]
                 assert got == pytest.approx(want, rel=1e-13)
 
     def test_output_index_out_of_range(self):
@@ -288,12 +307,18 @@ def _multi_indices(d, max_order):
 
 
 class TestPartialBlock:
-    """``partial_block`` against the per-pair ``eval_partial`` loop."""
+    """``partial_block`` against per-pair oracles and ``eval_partial``."""
 
     @staticmethod
     def loop(k, r1, r2, q1, q2, X1, X2):
         return np.array([[k.eval_partial(r1, r2, q1, q2, x, y) for y in X2]
                          for x in X1])
+
+    @staticmethod
+    def gauss_loop(k, r1, r2, q1, q2, X1, X2):
+        cov = getattr(k, "output_cov", np.ones((1, 1)))[q1, q2]
+        return np.array([[gauss_scalar_partial(k.lengthscales, r1, r2, x, y)
+                          * cov for y in X2] for x in X1])
 
     @pytest.mark.parametrize("kernel", [
         GaussianKernel([0.8, 1.1]),
@@ -312,7 +337,8 @@ class TestPartialBlock:
                         block = kernel.partial_block(r1, r2, q1, q2, X1, X2)
                         assert block.shape == (7, 5)
                         np.testing.assert_allclose(
-                            block, self.loop(kernel, r1, r2, q1, q2, X1, X2),
+                            block,
+                            self.gauss_loop(kernel, r1, r2, q1, q2, X1, X2),
                             rtol=1e-12, atol=1e-15)
 
     def test_per_pair_kernels_are_bit_identical(self):
@@ -325,15 +351,17 @@ class TestPartialBlock:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_laplacian_block_has_the_loops_bytes(self, dim):
-        # the closed form against the base class's per-pair loop, with
-        # coincident points and points at scales far apart
+        # the closed form against the scalar formula per pair, with
+        # coincident points and points at scales far apart: catenary's
+        # Grams and apply_functional rely on these bits
         rng = np.random.default_rng(dim)
         lap = LaplacianKernel(1.3, dim=dim)
         X1 = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-4, 3, (40, 1))
         X2 = np.vstack([rng.normal(size=(30, dim)), X1[::4]])
         zero = (0,) * dim
         block = lap.partial_block(zero, zero, 0, 0, X1, X2)
-        loop = Kernel.partial_block(lap, zero, zero, 0, 0, X1, X2)
+        loop = np.array([[math.exp(-lap.rate * float(np.linalg.norm(x - y)))
+                          for y in X2] for x in X1])
         assert block.tobytes() == loop.tobytes()
         assert np.count_nonzero(block == 1.0) >= 10
         with pytest.raises(ValueError, match="not differentiable"):
@@ -345,15 +373,20 @@ class TestPartialBlock:
         GaussianKernel([0.8, 1.1, 0.6]),
         DecomposableGaussianKernel([0.7, 1.3], [[2.0, 0.5], [0.5, 1.0]]),
         LaplacianKernel(1.3, dim=3),
+        LTIControlKernel([[-0.5, 1.0], [0.3, -2.0]], [[0.0], [1.0]]),
+        LTIControlKernel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]),
     ], ids=["gaussian-1d", "gaussian-2d", "gaussian-3d", "decomposable",
-            "laplacian"])
+            "laplacian", "lti", "lti-defective"])
     def test_pairs_have_the_block_diagonals_bytes(self, kernel):
         # a Gram's diagonal comes from partial_pairs and its rows from
-        # partial_block, so the two must agree bit for bit on each pair
+        # partial_block, and atom_inner reads eval_partial, so all must
+        # agree bit for bit on each pair, as must eval's entries
         rng = np.random.default_rng(5)
         d = kernel.dim
-        X1 = rng.uniform(-1, 1, size=(9, d))
-        X2 = np.vstack([rng.uniform(-1, 1, size=(5, d)), X1[5:]])
+        lo = 0.0 if isinstance(kernel, LTIControlKernel) else -1.0
+        X1 = rng.uniform(lo, 1, size=(9, d))
+        X2 = np.vstack([rng.uniform(lo, 1, size=(5, d)), X1[5:]])
+        values = [kernel.eval(x, y) for x, y in zip(X1, X2)]
         for r1 in _multi_indices(d, kernel.smoothness):
             for r2 in _multi_indices(d, kernel.smoothness):
                 for q1, q2 in itertools.product(range(kernel.out_dim),
@@ -361,6 +394,12 @@ class TestPartialBlock:
                     block = kernel.partial_block(r1, r2, q1, q2, X1, X2)
                     pairs = kernel.partial_pairs(r1, r2, q1, q2, X1, X2)
                     assert pairs.tobytes() == np.diag(block).tobytes()
+                    one = [kernel.eval_partial(r1, r2, q1, q2, x, y)
+                           for x, y in zip(X1, X2)]
+                    assert pairs.tobytes() == np.array(one).tobytes()
+                    if not sum(r1 + r2):
+                        entries = [v[q1, q2] for v in values]
+                        assert pairs.tobytes() == np.array(entries).tobytes()
 
 
 def _van_loan(k, s, t):
@@ -451,6 +490,19 @@ class TestLTIClosedForm:
             k.partial_block((1,), (0,), 0, 0, [[0.5]], [[1.0]])
         with pytest.raises(ValueError, match="nonnegative"):
             k.partial_pairs((0,), (0,), 0, 0, [[0.5]], [[-1.0]])
+
+
+def test_each_kernel_writes_its_formula_once():
+    # _partial is the one closed form; a scalar copy of it (eval,
+    # eval_partial, scalar_partial) could drift from it in the last bit
+    concrete = [cls for cls in vars(kernels).values()
+                if isinstance(cls, type) and issubclass(cls, kernels.Kernel)
+                and cls is not kernels.Kernel]
+    assert len(concrete) == 4
+    for cls in concrete:
+        assert "_partial" in vars(cls), cls.__name__
+        for name in ("eval", "eval_partial", "scalar_partial"):
+            assert name not in vars(cls), (cls.__name__, name)
 
 
 class TestConfigRoundTrip:
