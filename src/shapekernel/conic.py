@@ -49,8 +49,9 @@ W^{-1} G_n``, as CVXOPT's cone QP solver forms ``(W^{-T} G)^T (W^{-T}
 G)``: numpy runs it as ``dsyrk``, half the flops of a general product,
 and the result is exactly symmetric.  Its Cholesky factor is then used by
 two triangular solves.  Every other program forms ``G_n^T (W^{-2} G_n)``
-as one general product and solves through an LU of the factor (see
-below), which keeps their bits: SOAP's stop on the tall enclosure
+with the bits of one general product (streamed on a tall one, see
+Workspace) and solves through an LU of the factor (see below), which
+keeps their bits: SOAP's stop on the tall enclosure
 programs and control's fragile ``ball`` solve on the small ones turn on
 last bits, and up to n = 192 the shorter product would save at most
 1.3 ms per iteration (n = 192 with 1,535 narrow rows, one BLAS thread).
@@ -63,19 +64,42 @@ are to take once no stop turns on last bits.
 
 Workspace.  Each solve allocates one workspace, as ECOS allocates its
 memory at setup: an ``n x n`` buffer and one flat buffer of max(n^2,
-narrow rows x n) doubles.  The product writes ``W^{-2} G_n`` (or ``W^{-1}
-G_n``) into the flat buffer and the product into the ``n x n`` one; the
-symmetrized H then takes the flat buffer.  H is factored in place: numpy's
-own ``dpotrf`` factors a copy of it in the ``n x n`` buffer.  On the LU
-path L replaces H and L's LU takes the ``n x n`` buffer; on the
-triangular path the solves read the factor where ``dpotrf`` left it.  So
-no iteration allocates an ``n x n`` array, each iteration overwrites the
-last one's matrix and factor, and the solve drops the workspace before
-the dual polish builds its own matrices.  Where :func:`cpus.spare_cpu`
-allows, a tall program (n >= 64, at least 8 n narrow rows) forms the
-product in two column halves, the second on a helper thread.  Only shapes
-measured to keep the one product's bits are split: with OpenBLAS 0.3.31,
-n <= 192 or n a multiple of 8.
+w x n) doubles, w being the most rows of ``W^{-2} G_n`` the product holds
+at once.  A tall program (n >= 64, at least 8 n narrow rows: the SOAP
+rounds, robotarm's enclosure program, econ's fits) streams its product
+over the K panels of OpenBLAS's own ``dgemm`` (:func:`_k_panels`): the
+first panel's ``G_n^T (W^{-2} G_n)`` by ``np.matmul``, each later one
+added to it, which with BLAS on one thread sums the one call's panels in
+its order and so keeps its bits.
+Consecutive panels of at least :data:`WINDOW` doubles in all form their
+``W^{-2} G_n`` together, on a window of whole SOC blocks, and the rows a
+block carries past its panels stay for the next window, so each row is
+formed once and w is about ``WINDOW / n`` plus two panels and the largest
+narrow block, not the rows: on catenary-soap's largest program 1,628
+rows, not 9,404 (2.5 MB against 14.4 MB).  Forming one panel's rows at a
+time would hold fewer, but each window's dozen numpy calls cost some
+microseconds however small it is: with windows of one panel catenary-soap
+took 4-9% longer.  With BLAS on more threads OpenBLAS blocks K otherwise,
+and a tall product's last bits can differ from one call's, so an unpinned
+run can end solves otherwise than one product would: on catenary-soap
+with two BLAS threads 10 of 31 SOAP rounds changed status (between
+``optimal`` and ``max_iter``, objectives within 1e-10), while the rounds,
+the elements and the stop held.  The benchmark and the tools pin BLAS.
+Any other program forms its product in one window of every narrow row.
+The product goes to the ``n x n`` buffer; the symmetrized H then takes the
+flat buffer.  H is factored in place: numpy's own ``dpotrf`` factors a
+copy of it in the ``n x n`` buffer.  On the LU path L replaces H and
+L's LU takes the ``n x n`` buffer; on the triangular path the solves read
+the factor where ``dpotrf`` left it.  So no iteration allocates an
+``n x n`` array, each iteration overwrites the last one's matrix and
+factor, and the solve drops the workspace before the dual polish builds
+its own matrices.
+Where :func:`cpus.spare_cpu` allows, a solve starts one helper thread and
+joins it before it returns, and a tall program forms the product in two
+column halves, the second on the helper.  Only shapes measured to keep
+the one product's bits are split: with OpenBLAS 0.3.31, n <= 192 or n a
+multiple of 8.  The halves pay with the product streamed too: without
+them catenary-soap's benchmark pass took 5.2 s, not 4.2 s.
 
 Block runs.  Consecutive SOC blocks of one dimension sit on contiguous
 canonical rows, so each per-block step works on a whole run at once through
@@ -115,6 +139,7 @@ scipy's bits, at one BLAS thread and more; the tests compare the two.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import contextvars
 import ctypes
@@ -162,11 +187,6 @@ class UnitRows:
         for name, v in (("rows", rows), ("cols", cols),
                         ("signs", signs.copy())):
             object.__setattr__(self, name, v)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.signs
-        return out
 
 
 @dataclass
@@ -437,11 +457,13 @@ class _Cones:
                        if blk.kind == "nonneg"),
                    [blk.h.size for blk in prog.blocks if blk.kind == "soc"])
 
-    def runs_of(self, blocks) -> list[tuple[int, int, int, int]]:
+    def runs_of(self, blocks, row: int | None = None
+                ) -> list[tuple[int, int, int, int]]:
         """Runs ``(row0, count, dim, block0)``: consecutive equal-dimension
         SOC blocks among ``blocks``, ``row0`` counted in a vector of the
-        nonneg rows and then the rows of ``blocks``, in order."""
-        runs, row = [], self.l
+        nonneg rows (``row`` of them, all by default) and then the rows of
+        ``blocks``, in order."""
+        runs, row = [], self.l if row is None else row
         for k in blocks:
             r0, c, d, k0 = runs[-1] if runs else (0, 0, 0, 0)
             if d == self.soc_dims[k] and k0 + c == k:
@@ -578,21 +600,26 @@ class _Scaling:
         return self._apply(u, -1.0, blocks, out)
 
     def apply_w2inv_mat(self, M: np.ndarray, blocks=None,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None,
+                        nonneg: slice | None = None) -> np.ndarray:
         """(W^T W)^{-1} M for a matrix M, blockwise closed form.
 
-        With ``blocks`` (SOC block indices), M holds the nonneg rows and
-        then only the rows of those blocks, in that order.  The result is
-        written to ``out`` (M's shape, C-ordered), a new array if None:
-        the Newton product passes a slice of its workspace.
+        With ``blocks`` (SOC block indices), M holds the nonneg rows
+        ``nonneg`` (a slice of them, all by default) and then only the
+        rows of those blocks, in that order: any window of the Newton
+        product's narrow rows that cuts no block.  The result is written
+        to ``out`` (M's shape, C-ordered), a new array if None: the Newton
+        product passes a slice of its workspace.  Each row's result is
+        the same bits in any window.
         """
-        out = np.empty_like(M) if out is None else out
-        l = self.cones.l
-        if l:
-            np.divide(M[:l], (self.w_nn ** 2)[:, None], out=out[:l])
         cones = self.cones
+        out = np.empty_like(M) if out is None else out
+        nonneg = slice(0, cones.l) if nonneg is None else nonneg
+        l = nonneg.stop - nonneg.start
+        if l:
+            np.divide(M[:l], (self.w_nn[nonneg] ** 2)[:, None], out=out[:l])
         for r0, c, d, k0 in cones.runs if blocks is None else \
-                cones.runs_of(blocks):
+                cones.runs_of(blocks, l):
             # (2 wt (wt^T B) - J B) / eta^2 with wt = J wbar, per block
             wt = _run(self.wbar, cones.soc_slices[k0].start, c, d).copy()
             np.negative(wt[:, 1:], out=wt[:, 1:])
@@ -642,7 +669,8 @@ def _jordan_solve(lmbda: np.ndarray, d: np.ndarray,
 # Newton system
 # --------------------------------------------------------------------------
 
-def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
+def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
+                           helper: ThreadPoolExecutor | None = None):
     """``(newton_matrix, factor)``: ``newton_matrix(W)`` returns ``H = P +
     G^T W^{-2} G`` with wide SOC blocks as rank-one terms, and
     ``factor(H)`` is :func:`_chol_solve_factory` on it, with the n x n
@@ -665,16 +693,21 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
     :func:`_large_and_short`.  A large, short program forms ``M^T M`` with
     ``M = W^{-1} G_n`` (:meth:`_Scaling.apply_inv`), which numpy runs
     as ``dsyrk``, and its factor solves by two triangular solves.  Any
-    other program forms ``G_n^T (W^{-2} G_n)`` by one general product (or
-    two column halves, see the module docstring) and solves through an LU
-    of the factor, with the bits it always had.
+    other program forms ``G_n^T (W^{-2} G_n)`` by general products and
+    solves through an LU of the factor, with the bits it always had: a
+    tall one over OpenBLAS's K panels, with ``W^{-2} G_n`` on the windows
+    of :func:`_windows`, and in two column halves when ``helper`` (the
+    solve's one helper thread, or None) can form the second; any other
+    in one product over every narrow row.
 
     The workspace is allocated here, once per solve: the n x n buffer and
-    one flat buffer of max(n^2, narrow rows x n) doubles.  The flat buffer
-    holds ``W^{-2} G_n`` or ``W^{-1} G_n`` during the product (each column
-    half in its own part) and then the symmetrized H that a call returns,
-    so each call overwrites the matrix the last one returned.  ``factor``
-    factors that matrix in place, in the n x n buffer.
+    one flat buffer of max(n^2, w x n) doubles, w the most rows a window
+    holds (every narrow row in the one window of a program that is not
+    tall).  The flat buffer holds ``W^{-2} G_n`` or ``W^{-1} G_n`` during
+    the product (each column half in its own part) and then the
+    symmetrized H that a call returns, so each call overwrites the matrix
+    the last one returned.  ``factor`` factors that matrix in place, in
+    the n x n buffer.
     """
     units = dict(G.units)
     G = G.G
@@ -703,31 +736,44 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
         terms.append((k, functools.partial(
             _unit_v, head, u.rows[body], u.cols[body], u.signs[body]), C))
     r = rows.size
-    H, flat = np.empty((n, n)), np.empty(max(n * n, r * n))
+    short = _large_and_short(n, r)
+    tall = n >= 64 and r >= 8 * n
+    windows, R = _windows(_k_panels(r) if tall else [(0, r)], cones.l,
+                          narrow, [cones.soc_dims[k] for k in narrow],
+                          WINDOW // n)
+    H, flat = np.empty((n, n)), np.empty(max(n * n, R * n))
     T = flat[: n * n].reshape(n, n)
     T_diag = T.reshape(-1)[:: n + 1]  # a view of T's diagonal
-    short = _large_and_short(n, r)
-    # tall, and two halves measured to keep the one product's bits
-    split = n >= 64 and r >= 8 * n and (n <= 192 or n % 8 == 0)
+    # two halves measured to keep the one product's bits
+    split = helper is not None and tall and (n <= 192 or n % 8 == 0)
     mid = n // 2 // 8 * 8
 
     def newton_matrix(W: _Scaling) -> np.ndarray:
         def product(a: int, b: int) -> None:
-            """H[:, a:b] = Gn^T W^-2 Gn[:, a:b], with W^-2 Gn[:, a:b] in
-            its own part of the flat buffer."""
-            w2g = flat[r * a: r * b].reshape(r, b - a)
-            W.apply_w2inv_mat(Gn[:, a:b], narrow, out=w2g)
-            np.matmul(Gn.T, w2g, out=H[:, a:b])
+            """H[:, a:b] = Gn^T W^-2 Gn[:, a:b], a K panel at a time,
+            with W^-2 Gn[:, a:b] on windows of rows in its own part of
+            the flat buffer."""
+            w2g = flat[R * a: R * b].reshape(R, b - a)
+            for k0, panels, shift, lo, hi, nonneg, blocks in windows:
+                if lo > k0:  # the last window's rows from k0 on
+                    w2g[: lo - k0] = w2g[shift: shift + lo - k0]
+                if hi > lo:
+                    W.apply_w2inv_mat(Gn[lo:hi, a:b], blocks, nonneg=nonneg,
+                                      out=w2g[lo - k0: hi - k0])
+                for p0, p1 in panels:
+                    if p0:
+                        H[:, a:b] += Gn[p0:p1].T @ w2g[p0 - k0: p1 - k0]
+                    else:
+                        np.matmul(Gn[:p1].T, w2g[:p1], out=H[:, a:b])
         if short:  # M^T M with M = W^-1 Gn: dsyrk, exactly symmetric
             M = W.apply_inv(Gn, narrow, out=flat[: r * n].reshape(r, n))
             np.matmul(M.T, M, out=H)
-        elif split and cpus.spare_cpu():
-            with ThreadPoolExecutor(1) as helper:  # joined at the exit
-                # in a copy of this context, which holds np.errstate
-                second = helper.submit(contextvars.copy_context().run,
-                                       product, mid, n)
-                product(0, mid)
-                second.result()
+        elif split:
+            # in a copy of this context, which holds np.errstate
+            second = helper.submit(contextvars.copy_context().run,
+                                   product, mid, n)
+            product(0, mid)
+            second.result()
         else:
             product(0, n)
         np.add(H, P, out=H)
@@ -744,6 +790,65 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones):
         return T
     return newton_matrix, functools.partial(_chol_solve_factory, work=H,
                                             triangular=short)
+
+
+#: the fewest doubles of ``W^{-2} G_n`` (2 MB) a window of a tall Newton
+#: product forms at once, where there are that many: each window's numpy
+#: calls cost some microseconds, whatever its size
+WINDOW = 2 ** 18
+
+
+def _k_panels(r: int) -> list[tuple[int, int]]:
+    """The row ranges over which OpenBLAS's ``dgemm`` (0.3.31, SkylakeX
+    core, one thread) sums a product whose inner dimension is ``r``: a
+    panel of ``GEMM_Q`` = 384 rows while at least two remain, then a
+    remainder of more than one panel split in two, the first half rounded
+    up to a multiple of ``GEMM_UNROLL_M`` = 16.  Summed panel by panel in
+    this order, the product keeps the one call's bits; on another core, or
+    with BLAS on more threads, OpenBLAS may block K otherwise, and the sum
+    is then the product to rounding, not its bits."""
+    panels, k0 = [], 0
+    while k0 < r:
+        k = r - k0
+        if k >= 2 * 384:
+            k = 384
+        elif k > 384:
+            k = -(-(k // 2) // 16) * 16
+        panels.append((k0, k0 + k))
+        k0 += k
+    return panels
+
+
+def _windows(panels: list, l: int, blocks: list, dims: list, least: int):
+    """``(windows, rows)``: the K ``panels`` of the narrow rows (``l``
+    nonneg rows, then ``blocks`` of ``dims`` rows) in runs of at least
+    ``least`` rows where there are enough, and per run the window
+    ``(k0, panels, shift, lo, hi, nonneg, blocks)`` of ``W^{-2} G`` its
+    panels need, ``k0`` its first row.  Rows ``lo`` to ``hi`` are new:
+    from where the last window ended to the end of the block that holds
+    the run's last row, so no block is cut and each row is formed once;
+    ``nonneg`` and ``blocks`` are theirs.  Rows ``k0`` to ``lo`` were the
+    last window's, ``shift`` rows into it.  ``rows`` is the most rows a
+    window holds, ``hi - k0``: less than the longest run plus the largest
+    block."""
+    runs = []
+    for panel in panels:
+        if runs and runs[-1][-1][1] - runs[-1][0][0] < least:
+            runs[-1].append(panel)
+        else:
+            runs.append([panel])
+    ends = np.cumsum([l, *dims]).tolist()  # ends[i + 1]: block i's end
+    windows, hi, last, rows = [], 0, 0, 0
+    for run in runs:
+        k0, k1 = run[0][0], run[-1][1]
+        lo = hi
+        hi = k1 if k1 <= l else ends[bisect.bisect_left(ends, k1)]
+        first = bisect.bisect_left(ends, max(lo, l))
+        windows.append((k0, run, k0 - last, lo, hi,
+                        slice(min(lo, l), min(hi, l)),
+                        blocks[first: bisect.bisect_left(ends, hi)]))
+        last, rows = k0, max(rows, hi - k0)
+    return windows, rows
 
 
 def _large_and_short(n: int, r: int) -> bool:
@@ -974,7 +1079,11 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     if m == 0:
         return _solve_equality_qp(prog, st, A, b)
 
-    newton_matrix, factor = _newton_matrix_factory(P, G, cones)
+    # One helper thread per solve, for the second half of a tall product;
+    # joined before the solve returns: ``run_tasks`` forks no process while
+    # another thread runs.
+    helper = ThreadPoolExecutor(1) if cpus.spare_cpu() else None
+    newton_matrix, factor = _newton_matrix_factory(P, G, cones, helper)
     # Infeasible start: x from the warm start (or zero), multipliers at the
     # cone identity.  The iteration drives the residuals to zero itself.
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -995,138 +1104,145 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
     dual_stall = 0
     x_prev, y_prev, s_prev, z_prev = x, y, s, z
     trace = np.full((st.max_iter, len(TRACE_FIELDS)), np.nan)
-    for it in range(st.max_iter):
-        iters = it + 1
-        rx = P @ x + q + G.tdot(z) + (A.T @ y if p else 0.0)
-        ry = A @ x - b if p else np.zeros(0)
-        rz = G.dot(x) + s - h
-        cgap = float(s @ z)
-        pobj = prog.objective(x)
+    try:
+        for it in range(st.max_iter):
+            iters = it + 1
+            rx = P @ x + q + G.tdot(z) + (A.T @ y if p else 0.0)
+            ry = A @ x - b if p else np.zeros(0)
+            rz = G.dot(x) + s - h
+            cgap = float(s @ z)
+            pobj = prog.objective(x)
 
-        pres = float(np.linalg.norm(rz, np.inf)) / hnorm
-        if p:
-            pres = max(pres, float(np.linalg.norm(ry, np.inf)) / bnorm)
-        dres = float(np.linalg.norm(rx, np.inf)) / qnorm
-        relgap = cgap / max(1.0, abs(pobj))
-        mu = cgap / cones.degree
-        row = trace[it]  # filled in TRACE_FIELDS order
-        row[:4] = pres, dres, relgap, mu
+            pres = float(np.linalg.norm(rz, np.inf)) / hnorm
+            if p:
+                pres = max(pres, float(np.linalg.norm(ry, np.inf)) / bnorm)
+            dres = float(np.linalg.norm(rx, np.inf)) / qnorm
+            relgap = cgap / max(1.0, abs(pobj))
+            mu = cgap / cones.degree
+            row = trace[it]  # filled in TRACE_FIELDS order
+            row[:4] = pres, dres, relgap, mu
 
-        if not (np.isfinite(pobj) and np.isfinite(cgap)):
-            x, y, s, z = x_prev, y_prev, s_prev, z_prev
-            stop = "non_finite"
-            break
-        if pres <= st.feas_tol and dres <= st.feas_tol and relgap <= st.gap_tol:
-            status = stop = "optimal"
-            break
-        if _infeasibility_certificate(A, b, G, h, y, z, cones, st.feas_tol):
-            status = stop = "infeasible"
-            break
-        if (
-            float(np.linalg.norm(x, np.inf)) >= 1e8
-            and pres <= st.feas_tol
-            and pobj <= -1e8
-        ):
-            status = stop = "unbounded"
-            break
-        if pres <= st.feas_tol and relgap <= st.gap_tol:
-            # Primal and gap are done; only dual stationarity is lagging.
-            # If it stops improving the iteration is churning on a
-            # degenerate face -- exit and let the dual polish finish.
-            if dres < 0.5 * best_dres:
-                best_dres = dres
-                dual_stall = 0
-            else:
-                dual_stall += 1
-            if dual_stall >= 15:
-                stop = "dual_stall"
-                break
-        x_prev, y_prev, s_prev, z_prev = x, y, s, z
-
-        # Near a degenerate face the Nesterov-Todd scaling blows up and the
-        # direction solve can run through inf/nan.  Compute it with the FP
-        # traps off and bail out of the loop if the result is not finite:
-        # the current iterate is still the last accepted one, and the dual
-        # polish below can usually finish from it.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            W = _Scaling(s, z, cones)
-            lmbda = W.lmbda
-
-            H = newton_matrix(W)
-            if not np.all(np.isfinite(H)):
+            if not (np.isfinite(pobj) and np.isfinite(cgap)):
+                x, y, s, z = x_prev, y_prev, s_prev, z_prev
                 stop = "non_finite"
                 break
-            try:
-                hsolve, row[4] = factor(H)
-            except np.linalg.LinAlgError:
-                stop = "factorization"
+            if (pres <= st.feas_tol and dres <= st.feas_tol
+                    and relgap <= st.gap_tol):
+                status = stop = "optimal"
                 break
-
-            if p:
-                HinvAt = np.column_stack([hsolve(A[i]) for i in range(p)])
-                S = A @ HinvAt
-                s_solve = _chol_solve_factory(_sym(S), np.empty((p, p)))[0]
-
-            def newton(bx, by, bz, d):
-                # Solve   P dx + A^T dy + G^T dz = bx
-                #         A dx                   = by
-                #         G dx + ds              = bz
-                #         lambda o (W dz + W^{-1} ds) = d
-                # by eliminating ds = W(g - W dz), g = lambda \ d, then dz,
-                # leaving the symmetric reduced system in (dx, dy).
-                g = _jordan_solve(lmbda, d, cones)
-                wg_minus_bz = W.apply(g) - bz
-                rx_mod = bx - G.tdot(W.apply_w2inv_mat(
-                    wg_minus_bz.reshape(-1, 1)).ravel())
-                if p:
-                    t = hsolve(rx_mod)
-                    dy = s_solve(A @ t - by)
-                    dx = t - HinvAt @ dy
+            if _infeasibility_certificate(A, b, G, h, y, z, cones,
+                                          st.feas_tol):
+                status = stop = "infeasible"
+                break
+            if (
+                float(np.linalg.norm(x, np.inf)) >= 1e8
+                and pres <= st.feas_tol
+                and pobj <= -1e8
+            ):
+                status = stop = "unbounded"
+                break
+            if pres <= st.feas_tol and relgap <= st.gap_tol:
+                # Primal and gap are done; only dual stationarity is lagging.
+                # If it stops improving the iteration is churning on a
+                # degenerate face -- exit and let the dual polish finish.
+                if dres < 0.5 * best_dres:
+                    best_dres = dres
+                    dual_stall = 0
                 else:
-                    dy = np.zeros(0)
-                    dx = hsolve(rx_mod)
-                Gdx = G.dot(dx)
-                dz = W.apply_w2inv_mat(
-                    (Gdx + wg_minus_bz).reshape(-1, 1)).ravel()
-                ds = bz - Gdx
-                return dx, dy, dz, ds
+                    dual_stall += 1
+                if dual_stall >= 15:
+                    stop = "dual_stall"
+                    break
+            x_prev, y_prev, s_prev, z_prev = x, y, s, z
 
-            # --- affine (predictor) direction
-            d_aff = -_jordan_product(lmbda, lmbda, cones)
-            dxa, dya, dza, dsa = newton(-rx, -ry, -rz, d_aff)
-            alpha_aff = min(
-                1.0,
-                _max_step(s, dsa, cones),
-                _max_step(z, dza, cones),
-            )
-            mu_aff = float((s + alpha_aff * dsa) @ (z + alpha_aff * dza))
-            mu_aff /= cones.degree
-            sigma = _centering(mu_aff, mu)
+            # Near a degenerate face the Nesterov-Todd scaling blows up and the
+            # direction solve can run through inf/nan.  Compute it with the FP
+            # traps off and bail out of the loop if the result is not finite:
+            # the current iterate is still the last accepted one, and the dual
+            # polish below can usually finish from it.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                W = _Scaling(s, z, cones)
+                lmbda = W.lmbda
 
-            # --- combined (corrector) direction
-            corr = _jordan_product(W.apply_inv(dsa), W.apply(dza), cones)
-            d_comb = d_aff - corr + sigma * mu * e
-            dx, dy, dz, ds = newton(-rx, -ry, -rz, d_comb)
-            alpha = min(
-                1.0,
-                st.step_fraction * _max_step(s, ds, cones),
-                st.step_fraction * _max_step(z, dz, cones),
-            )
-        if not (np.isfinite(alpha) and np.all(np.isfinite(dx))
-                and np.all(np.isfinite(ds)) and np.all(np.isfinite(dz))
-                and np.all(np.isfinite(dy))):
-            stop = "non_finite"
-            break
-        for _ in range(10):
-            s_new, z_new = s + alpha * ds, z + alpha * dz
-            if _in_cone(s_new, cones) and _in_cone(z_new, cones):
+                H = newton_matrix(W)
+                if not np.all(np.isfinite(H)):
+                    stop = "non_finite"
+                    break
+                try:
+                    hsolve, row[4] = factor(H)
+                except np.linalg.LinAlgError:
+                    stop = "factorization"
+                    break
+
+                if p:
+                    HinvAt = np.column_stack([hsolve(A[i]) for i in range(p)])
+                    S = A @ HinvAt
+                    s_solve = _chol_solve_factory(_sym(S), np.empty((p, p)))[0]
+
+                def newton(bx, by, bz, d):
+                    # Solve   P dx + A^T dy + G^T dz = bx
+                    #         A dx                   = by
+                    #         G dx + ds              = bz
+                    #         lambda o (W dz + W^{-1} ds) = d
+                    # by eliminating ds = W(g - W dz), g = lambda \ d, then dz,
+                    # leaving the symmetric reduced system in (dx, dy).
+                    g = _jordan_solve(lmbda, d, cones)
+                    wg_minus_bz = W.apply(g) - bz
+                    rx_mod = bx - G.tdot(W.apply_w2inv_mat(
+                        wg_minus_bz.reshape(-1, 1)).ravel())
+                    if p:
+                        t = hsolve(rx_mod)
+                        dy = s_solve(A @ t - by)
+                        dx = t - HinvAt @ dy
+                    else:
+                        dy = np.zeros(0)
+                        dx = hsolve(rx_mod)
+                    Gdx = G.dot(dx)
+                    dz = W.apply_w2inv_mat(
+                        (Gdx + wg_minus_bz).reshape(-1, 1)).ravel()
+                    ds = bz - Gdx
+                    return dx, dy, dz, ds
+
+                # --- affine (predictor) direction
+                d_aff = -_jordan_product(lmbda, lmbda, cones)
+                dxa, dya, dza, dsa = newton(-rx, -ry, -rz, d_aff)
+                alpha_aff = min(
+                    1.0,
+                    _max_step(s, dsa, cones),
+                    _max_step(z, dza, cones),
+                )
+                mu_aff = float((s + alpha_aff * dsa) @ (z + alpha_aff * dza))
+                mu_aff /= cones.degree
+                sigma = _centering(mu_aff, mu)
+
+                # --- combined (corrector) direction
+                corr = _jordan_product(W.apply_inv(dsa), W.apply(dza), cones)
+                d_comb = d_aff - corr + sigma * mu * e
+                dx, dy, dz, ds = newton(-rx, -ry, -rz, d_comb)
+                alpha = min(
+                    1.0,
+                    st.step_fraction * _max_step(s, ds, cones),
+                    st.step_fraction * _max_step(z, dz, cones),
+                )
+            if not (np.isfinite(alpha) and np.all(np.isfinite(dx))
+                    and np.all(np.isfinite(ds)) and np.all(np.isfinite(dz))
+                    and np.all(np.isfinite(dy))):
+                stop = "non_finite"
                 break
-            alpha *= 0.8
-        x = x + alpha * dx
-        y = y + alpha * dy
-        s = s + alpha * ds
-        z = z + alpha * dz
-        row[5:] = sigma, alpha
+            for _ in range(10):
+                s_new, z_new = s + alpha * ds, z + alpha * dz
+                if _in_cone(s_new, cones) and _in_cone(z_new, cones):
+                    break
+                alpha *= 0.8
+            x = x + alpha * dx
+            y = y + alpha * dy
+            s = s + alpha * ds
+            z = z + alpha * dz
+            row[5:] = sigma, alpha
+
+    finally:
+        if helper is not None:
+            helper.shutdown()
 
     # the polish below builds its own matrices: drop the workspace first
     newton_matrix = factor = H = hsolve = None

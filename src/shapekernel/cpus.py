@@ -9,7 +9,8 @@ import os
 #: threads, never more: each further process would hold one more fit.
 #: In one process with BLAS pinned, econ's whole default config (21 fits,
 #: each over its Gram's pivot rows) peaks at 49 MB and robotarm's m = 81
-#: ``hyp`` fit (full rank, so over every atom) at 1,140 MB.
+#: ``hyp`` fit (full rank, so over every atom) at 614 MB, 559 MB of it its
+#: dense row store (``tools/defaults.py``).
 MAX_PROCS = 2
 #: BLAS counts as pinned when each of these says one thread
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

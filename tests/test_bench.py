@@ -651,6 +651,8 @@ def test_solve_digest_compares_peaks_by_role(tmp_path, capsys):
     assert "peak RSS caller: 128.4 MB -> 118.7 MB" in out
     assert "peak RSS worker 1: 100.0 MB -> 113.6 MB" in out
     assert "peak RSS worker 2: 132.7 MB -> -" in out
+    # and the largest over all processes, whichever did the work
+    assert "peak RSS largest: 132.7 MB -> 118.7 MB" in out
 
 
 def test_every_traced_name_resolves():

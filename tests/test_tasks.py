@@ -295,12 +295,12 @@ def threads(monkeypatch):
     seen = []
     apply = conic._Scaling.apply_w2inv_mat
 
-    def spy(self, M, blocks=None, out=None):
+    def spy(self, M, blocks=None, out=None, nonneg=None):
         if M.shape[1] > 1:  # a Newton product, not a Newton step's vector
             seen.append(threading.get_ident())
             if threading.current_thread() is threading.main_thread():
                 time.sleep(0.005)  # time for a helper to start
-        return apply(self, M, blocks, out=out)
+        return apply(self, M, blocks, out=out, nonneg=nonneg)
 
     monkeypatch.setattr(conic._Scaling, "apply_w2inv_mat", spy)
     return seen
@@ -340,10 +340,10 @@ def test_no_helper_while_tasks_run_side_by_side(two_cpus, threads,
 def test_helper_failure_reaches_the_caller(two_cpus, monkeypatch):
     apply = conic._Scaling.apply_w2inv_mat
 
-    def fail_off_main(self, M, blocks=None, out=None):
+    def fail_off_main(self, M, blocks=None, out=None, nonneg=None):
         if threading.current_thread() is not threading.main_thread():
             raise ZeroDivisionError("in the helper")
-        return apply(self, M, blocks, out=out)
+        return apply(self, M, blocks, out=out, nonneg=nonneg)
 
     monkeypatch.setattr(conic._Scaling, "apply_w2inv_mat", fail_off_main)
     before = threading.active_count()

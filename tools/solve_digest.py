@@ -33,7 +33,11 @@ reports only the largest.
 lines as sorted multisets, times and memory ignored, and their file
 hashes.  It prints what differs and exits 1 if anything does.  It also
 prints each side's peaks next to each other, caller against caller and
-worker against worker (in fork order), from ``DIR/peaks.txt``.
+worker against worker (in fork order), from ``DIR/peaks.txt``, and each
+side's largest peak over all its processes, the number the benchmark's
+``peak_rss_mb`` reports.  That line compares like with like even when
+``run_tasks`` split the fits between the processes differently on the two
+sides, which it can, since its workers race for the tasks.
 
 With ``--rtol R`` it judges a change that moves bits.  Solves are matched
 by their runner label in each side's ``summary.json``: their status and
@@ -462,6 +466,9 @@ def compare(a: str, b: str, rtol: float | None = None) -> int:
     for role in sorted(set(peaks[0]) | set(peaks[1])):
         print(f"peak RSS {role}: " + " -> ".join(
             f"{p[role]:.1f} MB" if role in p else "-" for p in peaks))
+    if any(peaks):
+        print("peak RSS largest: " + " -> ".join(
+            f"{max(p.values()):.1f} MB" if p else "-" for p in peaks))
     if not differ:
         print(f"identical: {sum(solves[a].values())} solves, "
               f"{len(files[a]) - len(close)} files"
