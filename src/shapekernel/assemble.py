@@ -28,10 +28,11 @@ from .atoms import (
     gram,
     lead_sign,
 )
-from .conic import (ConeBlock, ConeProgram, SolverSettings, Solution,
-                    UnitRows, solve, solve_triangular, store_rows)
+from .conic import (ConeBlock, ConeProgram, SolverSettings, Solution, solve,
+                    solve_triangular)
 from .covering import fill_distance
 from .kernels import Kernel
+from .rows import SparseRows, store_rows
 from .tighten import (
     AnchorRecord,
     InclusionRecord,
@@ -179,12 +180,14 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
     auxiliary per enclosure record.  Functional evaluations become Gram
     rows; every buffered anchor row subtracts ``eta t``; enclosure records
     get their own SOC row over the extended coefficient vector.  Each cone
-    row is written once, into the program's one row store and in the order
-    the solver reads it; a 2x2 record's rotated cone goes in as a plain SOC
-    block.  The norm cap and the epigraph come last, as
-    :class:`~shapekernel.conic.UnitRows`: when they are wide (no bias and
-    no enclosure auxiliary, as in econ) the store holds no ``-I`` block and
-    ends within 8 rows of the rows before them.
+    row is written once, in the order the solver reads it.  Nonnegative
+    rows and a 2x2 record's rotated cone (a plain SOC block) go into the
+    program's dense row store.  Enclosure cones, whose body ``-r0 [I_u |
+    c_b]`` has one or two nonzeros a row, and the norm cap and epigraph
+    that come last (unit rows) are
+    :class:`~shapekernel.rows.SparseRows` triples, so the store ends
+    within 8 rows of the first of them and no ``m x n`` array is formed;
+    a 2x2 record's cone after an enclosure is held as its nonzeros too.
 
     The coefficient block of the decision vector carries whitened
     coordinates over span S, the pivot set of the basis Gram
@@ -281,27 +284,30 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
 
     # The cone rows are counted first and then written once each, in the
     # order the solver reads them: every nonnegative row, then the SOC
-    # blocks in record order, the norm cap, the epigraph.  The last two are
-    # unit rows over u (and the epigraph's head on t), which ConeProgram
-    # writes into the dense store, or keeps as triples when they are wide;
-    # conic.store_rows sizes the store either way.
+    # blocks in record order, the norm cap, the epigraph.  Enclosure cones
+    # and the two norm cones (unit rows over u, and the epigraph's head on
+    # t) are triples, and rows.store_rows ends the dense store near the
+    # first of them; a 2x2 record's cone after it gets rows of its own,
+    # which ConeProgram holds as their nonzeros.
     l = sum(rec.size if isinstance(rec, AnchorRecord) else 1
             for rec in records)
-    soc_dims = [1 + r if isinstance(rec, InclusionRecord) else 3
-                for rec in records
-                if not (isinstance(rec, AnchorRecord) and rec.size == 1)]
+    socs = [rec for rec in records
+            if not (isinstance(rec, AnchorRecord) and rec.size == 1)]
     norms = []  # (unit rows, h of the head row, provenance)
     if isinstance(reg, NormBound):  # ||u|| <= lam_tilde
-        norms.append((UnitRows((1 + r, n), np.arange(1, 1 + r),
-                               np.arange(r), -1.0),
+        norms.append((SparseRows((1 + r, n), np.arange(1, 1 + r),
+                                 np.arange(r), -1.0),
                       reg.lam_tilde, ("norm_bound",)))
     if needs_t:  # the norm epigraph ||u|| <= t
-        norms.append((UnitRows((1 + r, n), np.arange(1 + r),
-                               np.r_[t_idx, np.arange(r)], -1.0),
+        norms.append((SparseRows((1 + r, n), np.arange(1 + r),
+                                 np.r_[t_idx, np.arange(r)], -1.0),
                       0.0, ("epigraph",)))
-    dims = [l] + soc_dims + [1 + r] * len(norms)
-    unit = [False] * (1 + len(soc_dims)) + [True] * len(norms)
-    G = np.zeros((store_rows(n, dims, unit), n))
+    enclosure = [isinstance(rec, InclusionRecord) for rec in socs]
+    dims = [l] + [1 + r if e else 3 for e in enclosure] + \
+        [1 + r] * len(norms)
+    held = [False] + enclosure + [True] * len(norms)
+    G = np.zeros((store_rows(dims, held), n))
+    dense_rows = sum(dims[: held.index(True)] if True in held else dims)
     h = np.zeros(sum(dims))
     blocks: list[ConeBlock] = []
     nn_prov: list = []
@@ -313,14 +319,15 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         h[len(nn_prov)] = -rhs
         nn_prov.append(prov)
 
-    def add_soc(dim, prov, units=None):
-        """The next SOC block: rows of the store that its caller fills in,
-        or ``units``."""
+    def add_soc(dim, prov, given=None):
+        """The next SOC block: ``given`` triples, or rows that its caller
+        fills in, the store's up to the first block held as triples."""
         nonlocal soc_row
         rows = slice(soc_row, soc_row + dim)
         soc_row = rows.stop
-        blocks.append(ConeBlock("soc", G[rows] if units is None else units,
-                                h[rows], provenance=prov))
+        if given is None:
+            given = G[rows] if rows.stop <= dense_rows else np.zeros((dim, n))
+        blocks.append(ConeBlock("soc", given, h[rows], provenance=prov))
         return blocks[-1]
 
     for rec in records:
@@ -355,26 +362,25 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         elif isinstance(rec, InclusionRecord):
             pos, sign = _oriented(rec.normal)
             col = np.searchsorted(S, basis_index[pos.key()])  # its pivot
-            cone = add_soc(1 + r, ("record",) + prov)
             # s0 = gamma.b - offset - xi*rho
-            bias_row = np.zeros(n)
-            bias_part(bias_row, rec.gamma)
-            cone.G[0] = -bias_row
-            cone.h[0] = -rec.offset
+            head = np.zeros(n)
+            bias_part(head, rec.gamma)
+            head = -head
             xi_idx = xi_index[prov]
-            cone.G[0, xi_idx] += rec.rho
+            head[xi_idx] += rec.rho
             xi_row = np.zeros(n)
             xi_row[xi_idx] = 1.0
             add_nonneg(xi_row, 0.0, ("xi",) + prov)
-            # s1 = r0 * (u + sign*xi*L^T e_col)
-            cone.G[1:, a_cols] = -rec.r0 * np.eye(r)
-            cone.G[1:, xi_idx] = -rec.r0 * sign * L.T[:, col]
+            # s1 = r0 * (u + sign*xi*L^T e_col): the body -r0 [I_u | c_b]
+            cone = add_soc(1 + r, ("record",) + prov, _enclosure_rows(
+                head, -rec.r0, -rec.r0 * sign * L.T[:, col], xi_idx))
+            cone.h[0] = -rec.offset
         else:
             raise TypeError(f"unknown record type {type(rec).__name__}")
 
-    for units, head, prov in norms:
+    for triples, head, prov in norms:
         h[soc_row] = head
-        add_soc(1 + r, prov, units)
+        add_soc(1 + r, prov, triples)
 
     if l:
         blocks.insert(0, ConeBlock("nonneg", G[:l], h[:l],
@@ -400,6 +406,22 @@ def assemble(spec: ProblemSpec, basis: list[Atom], records: list
         },
     )
     return prog
+
+
+def _enclosure_rows(head: np.ndarray, diag: float, c: np.ndarray,
+                    xi: int) -> SparseRows:
+    """An enclosure cone's rows as triples, without their zeros: the head
+    row ``head``, then the body ``[diag I_u | c]``, ``c`` on column
+    ``xi``.  Each body row has one nonzero, or two where ``c`` has one."""
+    r, on_head, on_c = c.size, np.flatnonzero(head), np.flatnonzero(c)
+    rows = np.concatenate([np.zeros(on_head.size, dtype=np.int64),
+                           np.arange(1, r + 1), on_c + 1])
+    cols = np.concatenate([on_head, np.arange(r), np.full(on_c.size, xi)])
+    vals = np.concatenate([head[on_head], np.full(r, diag), c[on_c]])
+    order = np.lexsort((cols, rows))
+    order = order[vals[order] != 0.0]
+    return SparseRows((1 + r, head.size), rows[order], cols[order],
+                      vals[order])
 
 
 # --------------------------------------------------------------------------
@@ -453,11 +475,11 @@ def solve_problem(spec: ProblemSpec, records: list,
     certificate of infeasibility for a model.  A caller that does not read
     the program should drop it (``solve_problem(...)[:2]``): it holds the
     program's rows, which would otherwise stay alive through the caller's
-    next solve.  Those rows are the dense store and, for a wide norm cap
-    or epigraph, their unit-row triples, O(n) where the dense rows were
-    O(n^2).  The program and the model share the Gram's factor L in
-    ``meta["factor"]``; the Gram itself is dropped once L exists.  The
-    solver's workspace lives only as long as the solve.
+    next solve.  Those rows are the dense store (nonneg rows and 2x2
+    anchor cones) and the triples of the enclosure and norm cones, about
+    as many as their nonzeros.  The program and the model share the
+    Gram's factor L in ``meta["factor"]``; the Gram itself is dropped once
+    L exists.  The solver's workspace lives only as long as the solve.
     """
     basis = collect_atoms(spec, records)
     prog = assemble(spec, basis, records)

@@ -10,16 +10,12 @@ where ``C`` is a product of nonnegative-orthant and second-order cones.
 The rows ``G``, ``h`` arrive in canonical order, every nonnegative row
 first and then the second-order blocks, and the solver works on them as
 they are: ``Solution.s`` and ``Solution.z`` come out in the same order.
-They sit in one dense store, except trailing wide blocks whose rows are
-each zero or one +-1 (a norm cap or norm epigraph over the coefficients):
-those are held as :class:`UnitRows` triples, the way ECOS keeps its cone
-rows sparse, and the store ends within 8 rows of them.  One pair of
-products (``ConeProgram.rows``) serves the iteration, the Newton
-directions, the certificates, the polish and the final residuals; it has
-the bits of the dense products, because each unit row's term is exact and
-is added in row order after the store's ``dgemv``, as that ``dgemv``
-accumulates it (with BLAS on one thread; on more, OpenBLAS splits ``G x``
-by its row count).
+
+Row store.  The rows sit in one dense store up to the first block given
+as :class:`~shapekernel.rows.SparseRows` triples; that block and every
+one after it stay triples (:mod:`shapekernel.rows`), so no ``m x n``
+array is formed, and ``ConeProgram.rows`` applies them with the bits of
+the dense products.
 
 The iteration is a Mehrotra-style predictor-corrector with Nesterov-Todd
 scaling, dense linear algebra, and infeasible start: problem sizes here are a
@@ -39,8 +35,10 @@ O(n^2) per iteration instead of O(d n^2).  That matrix is kept as its
 diagonal when it has no off-diagonal nonzero.  For a block of unit rows
 (econ's) the diagonal and ``v`` are read off the triples, in O(n) and
 with the dense products' bits, so no ``n^3`` product runs per solve and no
-``n^2`` one per iteration.  The other blocks' rows are a view of the store
-when they come first.
+``n^2`` one per iteration.  The other blocks' rows are views of the store
+when they come first and the store holds them; a tall product densifies
+those past it a window at a time (see Workspace), and any other program
+densifies them once per solve.
 
 The narrow rows ``G_n`` enter through one of two products, chosen once per
 solve from the program's shape.  A large, short program (n > 192 and
@@ -75,11 +73,16 @@ Consecutive panels of at least :data:`WINDOW` doubles in all form their
 ``W^{-2} G_n`` together, on a window of whole SOC blocks, and the rows a
 block carries past its panels stay for the next window, so each row is
 formed once and w is about ``WINDOW / n`` plus two panels and the largest
-narrow block, not the rows: on catenary-soap's largest program 1,628
-rows, not 9,404 (2.5 MB against 14.4 MB).  Forming one panel's rows at a
-time would hold fewer, but each window's dozen numpy calls cost some
+narrow block, not the rows: on catenary-soap's largest program 956 rows,
+not 9,404 (1.4 MB against 14.4 MB).  Forming one panel's rows at a
+time would hold fewer, but each window's numpy calls cost some
 microseconds however small it is: with windows of one panel catenary-soap
-took 4-9% longer.  With BLAS on more threads OpenBLAS blocks K otherwise,
+took 4-9% longer.  A window past the store's rows is densified into a
+``w x n`` buffer of its own (one per column half), kept zero between
+windows; its ``W^{-2} G_n`` adds the ``-J G`` term at the window's
+nonzeros only, found in the solve's first call and kept
+(:meth:`_Scaling.apply_w2inv_mat`'s ``nz``).  With BLAS on more threads
+OpenBLAS blocks K otherwise,
 and a tall product's last bits can differ from one call's, so an unpinned
 run can end solves otherwise than one product would: on catenary-soap
 with two BLAS threads 10 of 31 SOAP rounds changed status (between
@@ -151,58 +154,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cpus
+from .rows import SparseRows, _Rows, _wide, store_rows
 
 # --------------------------------------------------------------------------
 # Program description
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitRows:
-    """The rows of a SOC block whose every row is zero or one +-1 in a
-    column no other row of the block uses: ``(row, column, sign)`` triples
-    in row order for a block of ``shape = (d, n)``, ``signs`` one per
-    triple or one for all.  Norm cones over coefficients are such blocks
-    (``-I``, and the epigraph's head ``-1`` on ``t``), held without their
-    zeros."""
-
-    shape: tuple
-    rows: np.ndarray
-    cols: np.ndarray
-    signs: np.ndarray
-
-    def __post_init__(self):
-        d, n = self.shape
-        rows, cols = (np.asarray(v, dtype=np.int64).ravel()
-                      for v in (self.rows, self.cols))
-        signs = np.broadcast_to(np.asarray(self.signs, dtype=float),
-                                rows.shape)  # one per triple, or for all
-        if not (rows.size == cols.size
-                and np.all(np.diff(rows) > 0)
-                and np.all((rows >= 0) & (rows < d))
-                and np.all((cols >= 0) & (cols < n))
-                and np.bincount(cols, minlength=1).max() <= 1
-                and np.all(np.abs(signs) == 1.0)):
-            raise ValueError("unit rows need increasing rows, distinct "
-                             "columns and signs +-1 within the shape")
-        for name, v in (("rows", rows), ("cols", cols),
-                        ("signs", signs.copy())):
-            object.__setattr__(self, name, v)
-
-
 @dataclass
 class ConeBlock:
     """One cone-constrained row block ``h - G x in cone(kind)``.  In a
-    :class:`ConeProgram`, ``G`` and ``h`` are views of the program's rows,
-    except that a trailing wide SOC block given as :class:`UnitRows` keeps
-    its triples."""
+    :class:`ConeProgram`, ``h`` is a view of the program's rows, and so is
+    ``G`` up to the first block given as :class:`SparseRows`; from that
+    block on each SOC block keeps its triples (a dense one, its
+    nonzeros)."""
 
     kind: str  # 'nonneg' | 'soc'
-    G: np.ndarray | UnitRows
+    G: np.ndarray | SparseRows
     h: np.ndarray
     provenance: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.G, UnitRows):
+        if not isinstance(self.G, SparseRows):
             self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
         self.h = np.asarray(self.h, dtype=float).ravel()
         if self.kind not in ("nonneg", "soc"):
@@ -211,47 +183,20 @@ class ConeBlock:
             raise ValueError("cone block G/h row mismatch")
 
 
-def _wide(d: int, n: int) -> bool:
-    """Whether a SOC block of ``d`` rows over ``n`` columns is wide: its
-    Newton term is a rank-one update of a fixed matrix, and given as
-    :class:`UnitRows` after every other block it stays triples."""
-    return d >= n
-
-
-def _first_held(n: int, dims: list, unit: list) -> int:
-    """Index of the first block held as triples: the trailing run of wide
-    blocks given as :class:`UnitRows` (``unit``), of ``dims`` rows each."""
-    k = len(dims)
-    while k and unit[k - 1] and _wide(dims[k - 1], n):
-        k -= 1
-    return k
-
-
-def store_rows(n: int, dims: list, unit: list) -> int:
-    """Rows of the dense store of a program over ``n`` columns whose blocks
-    have ``dims`` rows, ``unit`` flagging those given as :class:`UnitRows`.
-    It ends at the next multiple of 8 at or after the first row held as
-    triples (every row when none is): OpenBLAS's ``dgemv`` takes rows in
-    groups, so a store ending anywhere else can change the bits of ``G x``
-    on its last narrow rows."""
-    first = sum(dims[:_first_held(n, dims, unit)])
-    return min(sum(dims), -(-first // 8) * 8)
-
-
 @dataclass
 class ConeProgram:
     """Finite-dimensional conic program with provenance-tagged rows.
 
     The cone rows live in the solver's order, every nonneg block before
-    the SOC blocks.  Their dense store ``G`` is C-contiguous with ``n``
-    columns and each dense block's ``G``, ``h`` are views of its rows
-    there; ``h`` holds every row.  SOC blocks may be given as
-    :class:`UnitRows`.  Those in the trailing run of wide ones (``d >= n``)
-    stay triples: the store ends at :func:`store_rows`, the unit rows that
-    fall inside it are written here, and ``rows`` applies the rest.  Any
-    other unit-row block is written into the store here and becomes a view
-    of it.  ``assemble`` passes the store it wrote (zero on unit-row
-    blocks' rows); blocks given without one are stacked into it here.
+    the SOC blocks; ``h`` holds every row.  SOC blocks may be given as
+    :class:`SparseRows`.  Every block before the first of those is dense:
+    its ``G`` and ``h`` are views of the program's rows, and its rows sit
+    in the dense store ``G``, C-contiguous with ``n`` columns.  Every
+    block from it on is held as triples (a dense one is turned into its
+    nonzeros here), so no ``m x n`` array is formed: the store ends at
+    :func:`store_rows`, the triples' rows that fall inside it are written
+    there, and ``rows`` applies the rest.  ``assemble`` passes the store
+    it wrote; blocks given without one are stacked into it here.
     ``block_slices`` holds each block's rows.
     """
 
@@ -292,91 +237,45 @@ class ConeProgram:
                     f"cone block {blk.provenance} has {blk.G.shape[1]} "
                     f"columns, expected {self.n}"
                 )
-        unit = [isinstance(blk.G, UnitRows) for blk in self.blocks]
-        if any(u and blk.kind != "soc" for u, blk in zip(unit, self.blocks)):
-            raise ValueError("unit rows are for SOC blocks only")
+        held = [isinstance(blk.G, SparseRows) for blk in self.blocks]
+        if any(u and blk.kind != "soc" for u, blk in zip(held, self.blocks)):
+            raise ValueError("sparse rows are for SOC blocks only")
+        first = held.index(True) if True in held else len(held)
         dims = [blk.h.size for blk in self.blocks]
         ends = np.cumsum([0] + dims).tolist()
-        held = _first_held(self.n, dims, unit)
-        R = store_rows(self.n, dims, unit)
+        R = store_rows(dims, held)
         stacked = self.G is None
-        if stacked:  # the blocks' rows, stacked once
+        if stacked:  # the dense blocks' rows, stacked once
             self.G = np.zeros((R, self.n))
             self.h = np.concatenate([blk.h for blk in self.blocks]
                                     or [np.zeros(0)])
         if ends[-1] != self.h.size or self.G.shape[0] != R:
             raise ValueError("cone blocks do not cover the program's rows")
         self.block_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
-        units = []
+        triples = []
         for j, (blk, sl) in enumerate(zip(self.blocks, self.block_slices)):
-            if unit[j]:
+            if j >= first:
+                if not held[j]:
+                    blk.G = SparseRows.of(blk.G)
                 u = blk.G
                 inside = u.rows < R - sl.start
                 self.G[sl.start + u.rows[inside], u.cols[inside]] = \
-                    u.signs[inside]
-                if j >= held:
-                    units.append((sl.start, u))
-                    blk.h = self.h[sl]
-                    continue
-            elif stacked:
+                    u.vals[inside]
+                triples.append((sl.start, u))
+                blk.h = self.h[sl]
+                continue
+            if stacked:
                 self.G[sl] = blk.G
             rows = self.G[sl], self.h[sl]
-            if not (stacked or unit[j]) and [
-                    v.__array_interface__ for v in rows] != [
+            if not stacked and [v.__array_interface__ for v in rows] != [
                     blk.G.__array_interface__, blk.h.__array_interface__]:
                 raise ValueError(f"cone block {blk.provenance} is not a "
                                  "view of the program's rows")
             blk.G, blk.h = rows
-        self.rows = _Rows(self.G, units, ends[-1])
+        self.rows = _Rows(self.G, triples, ends[-1])
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.P @ x + self.q @ x + self.const)
-
-
-class _Rows:
-    """``G`` as the solver reads it: the dense store ``G`` (its first rows),
-    then the unit rows ``units`` (``(row0, UnitRows)`` per block) past it.
-
-    ``dot`` and ``tdot`` keep the bits of the dense ``G @ x`` and
-    ``G.T @ z`` over every row: the store's product first, then each unit
-    row's exact ``0.0 + sign * v``, one block at a time in row order, as
-    the ``dgemv`` of the dense rows accumulates them from +0.0.
-    """
-
-    def __init__(self, G: np.ndarray, units=(), m: int | None = None):
-        self.G, self.units = G, list(units)
-        self.m = G.shape[0] if m is None else m
-        self.tail = []  # per unit block, its triples past the store
-        for r0, u in self.units:
-            past = r0 + u.rows >= G.shape[0]
-            self.tail.append((r0 + u.rows[past], u.cols[past],
-                              u.signs[past]))
-
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        """``G x``."""
-        if self.G.shape[0] == self.m:
-            return self.G @ x
-        out = np.zeros(self.m)
-        out[: self.G.shape[0]] = self.G @ x
-        for rows, cols, signs in self.tail:
-            out[rows] = 0.0 + signs * x[cols]
-        return out
-
-    def tdot(self, z: np.ndarray) -> np.ndarray:
-        """``G^T z``."""
-        out = self.G.T @ z[: self.G.shape[0]]
-        for rows, cols, signs in self.tail:
-            out[cols] += signs * z[rows]
-        return out
-
-    def block_tdot(self, sl: slice, v: np.ndarray) -> np.ndarray:
-        """``G[sl]^T v`` for the block on rows ``sl``."""
-        for r0, u in self.units:
-            if r0 == sl.start:
-                out = np.zeros(self.G.shape[1])
-                out[u.cols] += u.signs * v[u.rows]
-                return out
-        return self.G[sl].T @ v
 
 
 @dataclass
@@ -601,7 +500,7 @@ class _Scaling:
 
     def apply_w2inv_mat(self, M: np.ndarray, blocks=None,
                         out: np.ndarray | None = None,
-                        nonneg: slice | None = None) -> np.ndarray:
+                        nonneg: slice | None = None, nz=None) -> np.ndarray:
         """(W^T W)^{-1} M for a matrix M, blockwise closed form.
 
         With ``blocks`` (SOC block indices), M holds the nonneg rows
@@ -611,6 +510,12 @@ class _Scaling:
         to ``out`` (M's shape, C-ordered), a new array if None: the Newton
         product passes a slice of its workspace.  Each row's result is
         the same bits in any window.
+
+        ``nz``, for a window densified from triples, holds the nonzeros
+        of M's SOC rows as flat indices into ``out`` and their ``-J M``:
+        that term is added there alone, and the 2 is folded into ``wt``
+        (``(2 wt) t`` rounds as ``(wt t) 2`` does), where four passes over
+        every entry would add zeros.  Only signs of zeros can differ.
         """
         cones = self.cones
         out = np.empty_like(M) if out is None else out
@@ -618,17 +523,27 @@ class _Scaling:
         l = nonneg.stop - nonneg.start
         if l:
             np.divide(M[:l], (self.w_nn[nonneg] ** 2)[:, None], out=out[:l])
-        for r0, c, d, k0 in cones.runs if blocks is None else \
-                cones.runs_of(blocks, l):
+        runs = cones.runs if blocks is None else cones.runs_of(blocks, l)
+        for r0, c, d, k0 in runs:
             # (2 wt (wt^T B) - J B) / eta^2 with wt = J wbar, per block
             wt = _run(self.wbar, cones.soc_slices[k0].start, c, d).copy()
             np.negative(wt[:, 1:], out=wt[:, 1:])
             blk, ob = _run(M, r0, c, d), _run(out, r0, c, d)
+            if nz is not None:
+                np.multiply(2.0 * wt[:, :, None], wt[:, None, :] @ blk,
+                            out=ob)
+                continue
             np.multiply(wt[:, :, None], wt[:, None, :] @ blk, out=ob)
             ob *= 2.0
             ob[:, :1] -= blk[:, :1]
             ob[:, 1:] += blk[:, 1:]
             ob /= np.square(self.eta[k0: k0 + c])[:, None, None]
+        if nz is not None:
+            at, jg = nz
+            out.reshape(-1)[at] += jg
+            for r0, c, d, k0 in runs:
+                ob = _run(out, r0, c, d)
+                ob /= np.square(self.eta[k0: k0 + c])[:, None, None]
         return out
 
 
@@ -685,9 +600,12 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
     with no off-diagonal nonzero is kept as its diagonal (``x - 0`` is
     exact).  A block of unit rows has such a ``C_b``, read off its triples
     (the head's square, less 1 on each other row's column), and its ``v``
-    costs O(n): the bits of the dense products, whose sums are exact.  The
-    narrow rows are a view of the store when they come first, as in every
-    program ``assemble`` builds.
+    costs O(n): the bits of the dense products, whose sums are exact.  A
+    wide block of other triples is made dense here, once.  The narrow rows
+    are views of the store when they come first and it holds them (econ's
+    and control's programs).  Past the store a tall product densifies
+    them a window at a time (:meth:`_Rows.fill`), and any other program
+    has them all dense once per solve.
 
     The narrow rows' product is decided here, once per solve, by
     :func:`_large_and_short`.  A large, short program forms ``M^T M`` with
@@ -703,26 +621,35 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
     The workspace is allocated here, once per solve: the n x n buffer and
     one flat buffer of max(n^2, w x n) doubles, w the most rows a window
     holds (every narrow row in the one window of a program that is not
-    tall).  The flat buffer holds ``W^{-2} G_n`` or ``W^{-1} G_n`` during
-    the product (each column half in its own part) and then the
-    symmetrized H that a call returns, so each call overwrites the matrix
-    the last one returned.  ``factor`` factors that matrix in place, in
-    the n x n buffer.
+    tall), and for a tall product with rows past the store a w x n window
+    buffer per column half.  The flat buffer holds ``W^{-2} G_n`` or
+    ``W^{-1} G_n`` during the product (each column half in its own part)
+    and then the symmetrized H that a call returns, so each call
+    overwrites the matrix the last one returned.  ``factor`` factors that
+    matrix in place, in the n x n buffer.
     """
-    units = dict(G.units)
-    G = G.G
-    n = G.shape[1]
+    held, n = dict(G.held), G.n
     wide = [k for k, d in enumerate(cones.soc_dims) if _wide(d, n)]
     narrow = [k for k in range(len(cones.soc_dims)) if k not in wide]
-    rows = np.concatenate([np.arange(cones.l)] + [
-        np.arange(cones.soc_slices[k].start, cones.soc_slices[k].stop)
-        for k in narrow])
-    Gn = G[rows] if (rows != np.arange(rows.size)).any() else G[: rows.size]
+    spans = [(0, cones.l)] + [(cones.soc_slices[k].start,
+                               cones.soc_slices[k].stop) for k in narrow]
+    r = sum(hi - lo for lo, hi in spans)
+    short = _large_and_short(n, r)
+    tall = n >= 64 and r >= 8 * n
+    prefix = spans[-1][1] == r  # the narrow rows come first
+    if prefix and (r <= G.G.shape[0] or tall):
+        Gn = G.G[:r]  # views; a tall product densifies the rows past it
+    else:  # every narrow row, dense once
+        Gn, k0 = np.zeros((r, n)), 0
+        for lo, hi in spans:
+            G.fill(lo, hi, Gn[k0: k0 + hi - lo])
+            k0 += hi - lo
+    kd = Gn.shape[0]
     terms = []  # (k, v(wbar) of the block, C_b or its diagonal)
     for k in wide:
-        u = units.get(cones.soc_slices[k].start)
-        if u is None:
-            Gb = G[cones.soc_slices[k]]
+        u = held.get(cones.soc_slices[k].start)
+        if u is None or not u.unit:
+            Gb = G.G[cones.soc_slices[k]] if u is None else u.toarray()
             C = np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]
             if np.count_nonzero(C) == np.count_nonzero(np.diagonal(C)):
                 C = np.diagonal(C).copy()
@@ -730,14 +657,11 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
             continue
         head, body = np.zeros(n), u.rows > 0
         if u.rows.size and u.rows[0] == 0:
-            head[u.cols[0]] = u.signs[0]
+            head[u.cols[0]] = u.vals[0]
         C = head * head
         C[u.cols[body]] -= 1.0
         terms.append((k, functools.partial(
-            _unit_v, head, u.rows[body], u.cols[body], u.signs[body]), C))
-    r = rows.size
-    short = _large_and_short(n, r)
-    tall = n >= 64 and r >= 8 * n
+            _unit_v, head, u.rows[body], u.cols[body], u.vals[body]), C))
     windows, R = _windows(_k_panels(r) if tall else [(0, r)], cones.l,
                           narrow, [cones.soc_dims[k] for k in narrow],
                           WINDOW // n)
@@ -747,6 +671,24 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
     # two halves measured to keep the one product's bits
     split = helper is not None and tall and (n <= 192 or n % 8 == 0)
     mid = n // 2 // 8 * 8
+    # A window past the store's rows is densified into its half's buffer
+    # (:meth:`_Rows.fill`), kept zero between windows.  The -J G term of
+    # W^-2 G_n goes on at the nonzeros of its SOC rows, found in the first
+    # call and kept for the solve, per window and half.
+    bufs = {a: np.zeros((R, n)) for a in ((0, mid) if split else (0,))
+            } if kd < r else {}
+    minus_jg = {}
+
+    def nonzeros(M: np.ndarray, nonneg: slice, blocks: list) -> tuple:
+        """Flat indices into ``W^-2 M`` of the nonzeros of M's SOC rows,
+        and their ``-J M``: less on each block's head row, more on the
+        others."""
+        l = nonneg.stop - nonneg.start
+        i, j = np.nonzero(M[l:])
+        sign = np.ones(M.shape[0] - l)
+        sign[np.cumsum([0] + [cones.soc_dims[k] for k in blocks])[:-1]] \
+            = -1.0
+        return (i + l) * M.shape[1] + j, sign[i] * M[l:][i, j]
 
     def newton_matrix(W: _Scaling) -> np.ndarray:
         def product(a: int, b: int) -> None:
@@ -754,17 +696,31 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
             with W^-2 Gn[:, a:b] on windows of rows in its own part of
             the flat buffer."""
             w2g = flat[R * a: R * b].reshape(R, b - a)
-            for k0, panels, shift, lo, hi, nonneg, blocks in windows:
+            g = bufs.get(a)
+            for i, (k0, panels, shift, lo, hi, nonneg, blocks) in enumerate(
+                    windows):
+                src, base, nz = Gn, 0, None
+                if hi > kd:  # rows k0 to hi, densified
+                    filled = G.fill(k0, hi, g)
+                    src, base = g, k0
                 if lo > k0:  # the last window's rows from k0 on
                     w2g[: lo - k0] = w2g[shift: shift + lo - k0]
                 if hi > lo:
-                    W.apply_w2inv_mat(Gn[lo:hi, a:b], blocks, nonneg=nonneg,
-                                      out=w2g[lo - k0: hi - k0])
+                    M = src[lo - base: hi - base, a:b]
+                    if src is g:
+                        nz = minus_jg.get((i, a))
+                        if nz is None:
+                            nz = minus_jg[i, a] = nonzeros(M, nonneg, blocks)
+                    W.apply_w2inv_mat(M, blocks, nonneg=nonneg,
+                                      out=w2g[lo - k0: hi - k0], nz=nz)
                 for p0, p1 in panels:
                     if p0:
-                        H[:, a:b] += Gn[p0:p1].T @ w2g[p0 - k0: p1 - k0]
+                        H[:, a:b] += src[p0 - base: p1 - base].T @ \
+                            w2g[p0 - k0: p1 - k0]
                     else:
-                        np.matmul(Gn[:p1].T, w2g[:p1], out=H[:, a:b])
+                        np.matmul(src[:p1].T, w2g[:p1], out=H[:, a:b])
+                if src is g:
+                    G.clear(g, filled)
         if short:  # M^T M with M = W^-1 Gn: dsyrk, exactly symmetric
             M = W.apply_inv(Gn, narrow, out=flat[: r * n].reshape(r, n))
             np.matmul(M.T, M, out=H)
@@ -792,10 +748,11 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
                                             triangular=short)
 
 
-#: the fewest doubles of ``W^{-2} G_n`` (2 MB) a window of a tall Newton
+#: the fewest doubles of ``W^{-2} G_n`` (1 MB) a window of a tall Newton
 #: product forms at once, where there are that many: each window's numpy
-#: calls cost some microseconds, whatever its size
-WINDOW = 2 ** 18
+#: calls cost some microseconds, whatever its size (catenary-soap's
+#: products took no longer than with windows of 2 MB)
+WINDOW = 2 ** 17
 
 
 def _k_panels(r: int) -> list[tuple[int, int]]:
@@ -1186,8 +1143,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                     #         lambda o (W dz + W^{-1} ds) = d
                     # by eliminating ds = W(g - W dz), g = lambda \ d, then dz,
                     # leaving the symmetric reduced system in (dx, dy).
-                    g = _jordan_solve(lmbda, d, cones)
-                    wg_minus_bz = W.apply(g) - bz
+                    wg_minus_bz = W.apply(_jordan_solve(lmbda, d, cones)) - bz
                     rx_mod = bx - G.tdot(W.apply_w2inv_mat(
                         wg_minus_bz.reshape(-1, 1)).ravel())
                     if p:
@@ -1215,9 +1171,11 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                 mu_aff /= cones.degree
                 sigma = _centering(mu_aff, mu)
 
-                # --- combined (corrector) direction
-                corr = _jordan_product(W.apply_inv(dsa), W.apply(dza), cones)
-                d_comb = d_aff - corr + sigma * mu * e
+                # --- combined (corrector) direction, with the predictor's
+                # rows-sized vectors dropped first
+                d_comb = d_aff - _jordan_product(
+                    W.apply_inv(dsa), W.apply(dza), cones) + sigma * mu * e
+                del d_aff, dsa, dza
                 dx, dy, dz, ds = newton(-rx, -ry, -rz, d_comb)
                 alpha = min(
                     1.0,
@@ -1230,8 +1188,8 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                 stop = "non_finite"
                 break
             for _ in range(10):
-                s_new, z_new = s + alpha * ds, z + alpha * dz
-                if _in_cone(s_new, cones) and _in_cone(z_new, cones):
+                if _in_cone(s + alpha * ds, cones) and \
+                        _in_cone(z + alpha * dz, cones):
                     break
                 alpha *= 0.8
             x = x + alpha * dx

@@ -8,9 +8,10 @@ import os
 #: two processes of one BLAS thread each and with one process of two
 #: threads, never more: each further process would hold one more fit.
 #: In one process with BLAS pinned, econ's whole default config (21 fits,
-#: each over its Gram's pivot rows) peaks at 49 MB and robotarm's m = 81
-#: ``hyp`` fit (full rank, so over every atom) at 614 MB, 559 MB of it its
-#: dense row store (``tools/defaults.py``).
+#: each over its Gram's pivot rows) peaks at 49 MB, and the process that
+#: runs robotarm's m = 81 ``hyp`` fit (full rank, so over every atom) at
+#: 99 MB, its enclosure cones held as triples where their dense rows took
+#: 559 MB (``tools/defaults.py``).
 MAX_PROCS = 2
 #: BLAS counts as pinned when each of these says one thread
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

@@ -3,7 +3,8 @@
 Kernel ridge solutions are checked against their normal equations,
 minimum-norm interpolation against the Gram-inverse formula, and the
 constrained programs against feasibility guarantees evaluated on dense
-grids.
+grids.  Enclosure cones are held as triples: a tall enclosure program is
+assembled and solved below the memory of its rows dense.
 """
 
 import math
@@ -28,6 +29,7 @@ from shapekernel import (
     Ridge,
     SdpOperator,
     ShapeConstraint,
+    SolverSettings,
     apply_functional,
     collect_atoms,
     compute_bounds,
@@ -39,6 +41,7 @@ from shapekernel import (
     omega_cover,
     relax_records,
     solve_problem,
+    solve,
     solve_reference,
     tighten_omega,
     tighten_soc,
@@ -47,6 +50,7 @@ from shapekernel import (
 import shapekernel.assemble as am
 from shapekernel.assemble import assemble
 from shapekernel.atoms import PIVOT_CUT, _full_gram
+from shapekernel.conic import SparseRows
 
 
 def value_obs(xs, ys, weights=None):
@@ -142,10 +146,13 @@ class TestAnchorRows:
         assert cone.G.tobytes() == expected_G.tobytes()
         assert cone.h.tobytes() == expected_h.tobytes()
 
-    def test_blocks_are_views_of_one_row_store(self, kernel):
+    def test_dense_blocks_are_store_views_and_enclosures_triples(
+            self, kernel):
         # P = 1 and P = 2 anchor records, enclosure records and a norm
-        # cap: every block's rows sit in the program's one store, nonneg
-        # rows first, then the SOC blocks in record order
+        # cap, nonneg rows first, then the SOC blocks in record order: the
+        # dense blocks are views of the program's store, and from the
+        # first enclosure on every block is triples; the store ends at
+        # the next multiple of 8
         val = DiffFunctional.value(1)
         der = DiffFunctional.partial(1, axis=0)
         slope = ShapeConstraint(region=((0.0, 1.0),),
@@ -169,23 +176,49 @@ class TestAnchorRows:
             constraint_index=2)
         assert {rec.size for rec in records
                 if isinstance(rec, AnchorRecord)} == {1, 2}
-        assert any(isinstance(rec, InclusionRecord) for rec in records)
+        enclosures = [rec for rec in records
+                      if isinstance(rec, InclusionRecord)]
+        assert enclosures
         spec = ProblemSpec(kernel=kernel, regularizer=NormBound(3.0),
                            constraints=[slope, matrix, floor])
         prog = assemble(spec, collect_atoms(spec, records), records)
-        assert prog.G.flags.c_contiguous
-        assert prog.G.shape == (prog.h.size, prog.n)
         kinds = [blk.kind for blk in prog.blocks]
         assert kinds == ["nonneg"] + ["soc"] * (len(kinds) - 1)
         assert prog.blocks[-2].provenance == ("norm_bound",)
-        row = 0
-        for blk in prog.blocks:
-            assert np.shares_memory(blk.G, prog.G)
-            assert np.shares_memory(blk.h, prog.h)
-            assert blk.G.__array_interface__ == \
-                prog.G[row: row + blk.h.size].__array_interface__
-            row += blk.h.size
-        assert row == prog.h.size
+        held = [isinstance(blk.G, SparseRows) for blk in prog.blocks]
+        first = held.index(True)
+        assert held == [False] * first + [True] * (len(held) - first)
+        assert len(held) - first == len(enclosures) + 2  # and cap, epigraph
+        start = prog.block_slices[first].start
+        assert prog.G.flags.c_contiguous
+        assert prog.G.shape == (-(-start // 8) * 8, prog.n)
+        for blk, sl, h in zip(prog.blocks, prog.block_slices, held):
+            assert blk.h.__array_interface__ == \
+                prog.h[sl].__array_interface__
+            assert h or blk.G.__array_interface__ == \
+                prog.G[sl].__array_interface__
+        # each enclosure cone: the head row, then -r0 [I_u | c_b], one or
+        # two nonzeros a body row
+        r, L = prog.meta["pivots"].size, prog.meta["factor"]
+        basis_keys = [atom.key() for atom in collect_atoms(spec, records)]
+        for rec in enclosures:
+            prov = ("record",) + tuple(rec.provenance)
+            blk, = [b for b in prog.blocks if b.provenance == prov]
+            xi = prog.meta["xi_indices"][tuple(rec.provenance)]
+            pos, sign = am._oriented(rec.normal)
+            col = np.searchsorted(prog.meta["pivots"],
+                                  basis_keys.index(pos.key()))
+            rows = blk.G.toarray()
+            head = np.zeros(prog.n)
+            head[xi] = rec.rho
+            np.testing.assert_array_equal(rows[0], head)
+            np.testing.assert_array_equal(rows[1:, :r],
+                                          -rec.r0 * np.eye(r))
+            np.testing.assert_array_equal(rows[1:, xi],
+                                          -rec.r0 * sign * L.T[:, col])
+            assert not rows[1:, r:xi].any() and not rows[1:, xi + 1:].any()
+            assert np.bincount(blk.G.rows).max(initial=0) <= 2
+            assert not blk.G.unit
 
 
 class TestNormEpigraph:
@@ -223,7 +256,7 @@ class TestNormEpigraph:
         assert prog.n == r + 1 + 1 + len(xi)
         t = prog.meta["t_index"]
         assert t == r + 1
-        assert epigraphs[0].G[0, t] == -1.0
+        assert epigraphs[0].G.toarray()[0, t] == -1.0
         # every buffered row of both constraints subtracts eta * t
         nonneg = prog.blocks[0]
         buffered = [r for r in records if isinstance(r, AnchorRecord)]
@@ -713,13 +746,64 @@ class TestWideNorms:
         assert prog.h.size == narrow + 2 * (1 + A)
         epi = prog.blocks[-1].G  # unit rows, compared with their zeros
         dense = np.zeros(epi.shape)
-        dense[epi.rows, epi.cols] = epi.signs
+        dense[epi.rows, epi.cols] = epi.vals
         np.testing.assert_array_equal(
             dense[:, :A], np.r_[np.zeros((1, A)), -np.eye(A)])
         # writing the rows takes the store and a few rows: an A x A
         # identity would add 8 A^2 bytes
         rows = phase["peak"] - phase["start"]
         assert rows <= prog.G.nbytes + prog.h.nbytes + 2 * A * A
+
+
+class TestEnclosureTriples:
+    """Enclosure cones are held as triples, so a tall enclosure program is
+    assembled and solved with no m x n array."""
+
+    @staticmethod
+    def tall_enclosure_problem():
+        # 95 enclosures over [0, 1] and two observations, with a kernel
+        # narrow enough that every atom is a pivot: 97 + 95 columns and 95
+        # cones of 98 rows, the shape of catenary-soap's largest program
+        kernel = GaussianKernel([0.01])
+        c = ShapeConstraint(region=((0.0, 1.0),),
+                            operator=SdpOperator.scalar(
+                                DiffFunctional.value(1)),
+                            offset=(-1.0,))
+        records = tighten_omega(c, omega_cover(
+            kernel, DiffFunctional.value(1), cover_box([(0.0, 1.0)],
+                                                        0.5 / 95)))
+        spec = ProblemSpec(kernel=kernel, observations=value_obs(
+            [0.25, 0.75], [0.5, 0.5]), loss="squared",
+            regularizer=Ridge(0.01), constraints=[c])
+        return spec, collect_atoms(spec, records), records
+
+    def test_assemble_and_solve_hold_no_m_by_n_array(self):
+        spec, basis, records = self.tall_enclosure_problem()
+        settings = SolverSettings(max_iter=5)
+        solve(assemble(spec, basis, records), settings)  # code loaded
+        tracemalloc.start()
+        try:
+            prog = assemble(spec, basis, records)
+            sol = solve(prog, settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, n = prog.h.size, prog.n
+        assert (n, m) == (192, 95 + 95 * 98) and sol.iterations == 5
+        # the rows dense take 13.8 MB; assembly and five iterations peak
+        # at 7.7 MB, and with every row in one dense store at 18.8 MB
+        assert peak < 8 * m * n
+
+    def test_enclosure_records_are_triples(self):
+        spec, basis, records = self.tall_enclosure_problem()
+        prog = assemble(spec, basis, records)
+        socs = [blk for blk in prog.blocks if blk.kind == "soc"]
+        assert len(socs) == 95
+        assert all(isinstance(blk.G, SparseRows) for blk in socs)
+        # the store holds the xi rows and the first cone's first row
+        assert prog.G.shape == (96, prog.n)
+        nnz = sum(blk.G.rows.size for blk in socs)
+        assert 95 * 98 <= nnz <= 95 * (98 + 97)
 
 
 class TestPivotBasis:

@@ -11,7 +11,8 @@ outputs do not depend on how many CPUs run the independent fits, and that
 out of its comparison and prints the two sides' peaks by role, and under
 ``--rtol`` matches solves by label, compares output files within the
 tolerance (CSV cells against their column's scale) and reports iteration
-counts without judging them.
+counts without judging them, and that its ``--dump`` writes programs
+that ``--replay`` solves again with the same bits.
 """
 
 import ast
@@ -458,6 +459,45 @@ def test_solve_digest_records_each_process_peak(tmp_path, capsys):
     assert digest.compare(*map(str, sides)) == 0
     assert "identical: 1 solves" in capsys.readouterr().out
     assert digest._peaks(str(sides[1])) == {os.getpid(): (1, 1)}
+
+
+def test_solve_digest_dumps_programs_that_replay_identically(tmp_path):
+    # --dump writes every solve of the tiny control and catenary-soap
+    # passes to a program file, and --replay solves each again with its
+    # digest line's bits; a program changed after the dump is reported
+    import numpy as np
+
+    workloads = _load_tool("perfbench", "workloads")
+    tool = str(pathlib.Path(__file__).resolve().parents[1] / "tools"
+               / "solve_digest.py")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(
+        cpus.__file__).parents[1]), **dict.fromkeys(cpus.BLAS_THREAD_VARS,
+                                                    "1")}
+
+    def replay(dump):
+        return subprocess.run([sys.executable, tool, "--replay", str(dump)],
+                              capture_output=True, text=True, env=env)
+
+    for name in ("control", "catenary-soap"):
+        config, dump = tmp_path / f"{name}.json", tmp_path / name
+        config.write_text(json.dumps(workloads.overlay(name, 0, "",
+                                                       tiny=True)))
+        subprocess.run([sys.executable, tool, "--config", str(config),
+                        "--out", str(tmp_path / f"{name}-digest"), "--dump",
+                        str(dump)], check=True, capture_output=True, env=env)
+        programs = sorted((dump / "programs").glob("*.npz"))
+        solves = sum(len(path.read_text().splitlines()) for path in
+                     (tmp_path / f"{name}-digest").glob("solves-*.txt"))
+        assert len(programs) == solves > 0
+        done = replay(dump)
+        assert done.returncode == 0, done.stdout
+        assert f"{solves} of {solves} programs replay identically" in \
+            done.stdout
+    arrays = dict(np.load(programs[0]))
+    arrays["q"] = arrays["q"] * (1.0 + 1e-9)
+    np.savez(programs[0], **arrays)
+    done = replay(dump)
+    assert done.returncode == 1 and f"{programs[0].name}: " in done.stdout
 
 
 def test_solve_digest_compares_files_within_a_tolerance(tmp_path, capsys):

@@ -23,7 +23,10 @@ the triangular solves through numpy's own ``dtrtrs`` have the bits of
 scipy's ``solve_triangular``, and the dual polish's unbounded least-squares
 step those of ``lsq_linear``.  Wide norm cones held as unit rows give the
 dense rows' products, wide-block terms, Newton matrix and polish, bit for
-bit.
+bit.  Rows held as triples (blocks shaped like enclosure cones, dense
+blocks after them, wide unit tails), densified a window at a time, give
+``G x``, ``G^T z`` and the Newton matrix of the dense rows bit for bit
+with BLAS pinned, on a sweep of n from 1 to 700 and up to 40,000 rows.
 """
 
 import ctypes
@@ -64,7 +67,7 @@ from shapekernel.conic import (
     _Rows,
     _Scaling,
     _sym,
-    UnitRows,
+    SparseRows,
 )
 
 
@@ -1188,13 +1191,13 @@ class TestNewtonHalves:
         calls = []
         apply = _Scaling.apply_w2inv_mat
 
-        def spy(self, M, blocks=None, out=None, nonneg=None):
+        def spy(self, M, blocks=None, out=None, **kw):
             # each window writes W^-2 G_n into the one flat buffer
             assert out is not None and out.base is not None
             calls.append((M.shape[0], M.shape[1], threading.get_ident()))
             if threading.current_thread() is threading.main_thread():
                 time.sleep(0.002)  # time for the helper to start
-            return apply(self, M, blocks, out=out, nonneg=nonneg)
+            return apply(self, M, blocks, out=out, **kw)
 
         with monkeypatch.context() as patch:
             patch.setattr(_Scaling, "apply_w2inv_mat", spy)
@@ -1261,9 +1264,9 @@ class TestNewtonHalves:
         seen = []
         apply = _Scaling.apply_w2inv_mat
 
-        def spy(self, M, blocks=None, out=None, nonneg=None):
+        def spy(self, M, blocks=None, out=None, **kw):
             seen.append((threading.get_ident(), np.geterr()["over"]))
-            return apply(self, M, blocks, out=out, nonneg=nonneg)
+            return apply(self, M, blocks, out=out, **kw)
 
         monkeypatch.setattr(_Scaling, "apply_w2inv_mat", spy)
         with ThreadPoolExecutor(1) as helper, np.errstate(over="raise"):
@@ -1906,11 +1909,12 @@ class TestDualPolish:
 
 def unit_blocks(n, layout):
     """The norm cap and the norm epigraph over the first n - 1 columns as
-    :class:`UnitRows`, in ``layout`` order (``"cap"``, ``"epi"``), with
+    :class:`SparseRows`, in ``layout`` order (``"cap"``, ``"epi"``), with
     their ``h``; the last column is t."""
-    units = {"cap": UnitRows((n, n), np.arange(1, n), np.arange(n - 1), -1.0),
-             "epi": UnitRows((n, n), np.arange(n),
-                             np.r_[n - 1, np.arange(n - 1)], -1.0)}
+    units = {"cap": SparseRows((n, n), np.arange(1, n), np.arange(n - 1),
+                               -1.0),
+             "epi": SparseRows((n, n), np.arange(n),
+                               np.r_[n - 1, np.arange(n - 1)], -1.0)}
     return [ConeBlock("soc", units[name], np.r_[2.0 * (name == "cap"),
                                                 np.zeros(n - 1)], (name,))
             for name in layout]
@@ -1937,14 +1941,14 @@ def unit_program(n, narrow, layout, rng):
     blocks += unit_blocks(n, layout)
     prog = ConeProgram(n=n, blocks=blocks)
     dense = np.vstack([G] + [dense_of(blk.G) for blk in blocks
-                             if isinstance(blk.G, UnitRows)])
+                             if isinstance(blk.G, SparseRows)])
     return prog, dense
 
 
-def dense_of(u: UnitRows) -> np.ndarray:
+def dense_of(u: SparseRows) -> np.ndarray:
     """The rows of ``u`` with their zeros: the oracle for unit rows."""
     out = np.zeros(u.shape)
-    out[u.rows, u.cols] = u.signs
+    out[u.rows, u.cols] = u.vals
     return out
 
 
@@ -1967,6 +1971,128 @@ def unit_products_keep_the_bits():
                   and bits(prog.rows.tdot(z)) == bits(dense.T @ z))
 
 
+# --------------------------------------------------------------------------
+# Rows held as triples, densified a window at a time
+# --------------------------------------------------------------------------
+
+def scaled(rng, shape):
+    """Random rows at scales 1e-6 to 1e6."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, (shape[0], 1))
+
+
+def enclosure_rows(d, n, rng):
+    """A SOC block of ``d`` rows shaped like an enclosure cone, as
+    triples: a head row with two nonzeros, then one nonzero a row on a
+    diagonal and, on about half the rows, one in the last column."""
+    G = np.zeros((d, n))
+    head = rng.choice(n, size=min(2, n), replace=False)
+    G[0, head] = scaled(rng, (head.size, 1))[:, 0]
+    body = np.arange(1, d)
+    G[body, (body - 1) % n] = scaled(rng, (d - 1, 1))[:, 0]
+    some = body[rng.random(d - 1) < 0.5]
+    G[some, n - 1] = scaled(rng, (some.size, 1))[:, 0]
+    return SparseRows.of(G)
+
+
+def mixed_program(n, nonneg, dense_socs, held_dims, after, tail, rng):
+    """``nonneg`` dense rows and ``dense_socs`` dense SOC blocks of 3, then
+    SOC blocks of ``held_dims`` rows given as triples, ``after`` dense SOC
+    blocks of 3 past them (held as their nonzeros) and, with ``tail``, a
+    wide norm cap and epigraph of unit rows; and the same rows dense."""
+    blocks = [ConeBlock("nonneg", scaled(rng, (nonneg, n)), np.ones(nonneg))]
+    blocks += [ConeBlock("soc", scaled(rng, (3, n)), np.zeros(3))
+               for _ in range(dense_socs)]
+    blocks += [ConeBlock("soc", enclosure_rows(d, n, rng), np.zeros(d))
+               for d in held_dims]
+    blocks += [ConeBlock("soc", scaled(rng, (3, n)), np.zeros(3))
+               for _ in range(after)]
+    if tail:
+        blocks += unit_blocks(n, ("cap", "epi"))
+    dense = np.vstack([blk.G.toarray() if isinstance(blk.G, SparseRows)
+                       else blk.G for blk in blocks])
+    M = rng.normal(size=(n, n))
+    return ConeProgram(n=n, P=M @ M.T, blocks=blocks), dense
+
+
+def mixed_shapes():
+    """Programs for the pinned sweep of rows held as triples, as
+    :func:`mixed_program`'s first arguments: every n from 1 to 15, one of
+    each remainder mod 16 from 16 to 271, and 390, 660 and 700; per n a
+    program with a few dense SOC blocks, a dozen held blocks and the wide
+    tail, and one of 2,000 to 20,000 rows (tall from n = 16 on, and 40,000
+    once, whose products take chunks of 4 columns).  The held blocks have
+    n / 2 + 1 rows (wide below n = 3), or 391 at n >= 390."""
+    ns = [*range(1, 16), *range(16, 272, 17), 390, 660, 700]
+    shapes = []
+    for i, n in enumerate(ns):
+        d = 391 if n >= 390 else n // 2 + 1
+        rows = 2000 if n < 16 else 20_000 if n <= 136 else 8 * n + 385
+        if n == 67:
+            rows = 40_000
+        shapes.append((n, 5, 2, [d] * 12, 0, True))
+        shapes.append((n, 13 + i % 8, i % 2, [d] * (rows // d), i % 3,
+                       i % 2 == 0))
+    return shapes
+
+
+def held_products_keep_the_bits():
+    """Print, per program of :func:`mixed_shapes`, whether ``rows.dot``,
+    ``rows.tdot`` and, where it is neither large and short nor over 4e8
+    flops, the Newton matrix built with and without a helper thread have
+    the bits of the dense products over the same rows."""
+    with ThreadPoolExecutor(1) as helper:
+        for i, shape in enumerate(mixed_shapes()):
+            rng = np.random.default_rng(i)
+            prog, dense = mixed_program(*shape, rng)
+            n, m = dense.shape[1], dense.shape[0]
+            ok = all(bits(prog.rows.dot(x)) == bits(dense @ x)
+                     and bits(prog.rows.tdot(z)) == bits(dense.T @ z)
+                     for x, z in [(spread(rng, n), spread(rng, m))
+                                  for _ in range(2)])
+            cones = _Cones.of(prog)
+            r = cones.l + sum(d for d in cones.soc_dims if d < n)
+            if not conic._large_and_short(n, r) and r * n * n <= 4e8:
+                W = TestNewtonWorkspace.scaling(rng, cones)
+                ref = bits(ref_newton_matrix_factory(prog.P, dense, cones)(W))
+                ok = ok and all(bits(_newton_matrix_factory(
+                    prog.P, prog.rows, cones, h)[0](W)) == ref
+                    for h in (None, helper))
+            print(ok)
+
+
+class TestHeldRows:
+    """SOC blocks held as triples (enclosure cones, and any block after
+    the first given as triples): no m x n array, and the dense products'
+    bits."""
+
+    def test_products_have_the_dense_bits_with_blas_pinned(self):
+        assert pinned("held_products_keep_the_bits()") == \
+            ["True"] * len(mixed_shapes())
+
+    def test_windows_cover_the_rows_past_the_store(self):
+        # dot's windows are multiples of 8 rows from the store's end, and
+        # tdot's chunks of 16 columns take the remainder in the last
+        prog, dense = mixed_program(70, 13, 1, [36] * 30, 1, True,
+                                    np.random.default_rng(0))
+        rows = prog.rows
+        assert rows.G.shape[0] == 16 and rows.held[0][0] == 16
+        assert rows.E == -(-prog.block_slices[-2].start // 8) * 8
+        bounds = [w[:2] for w in rows.windows]
+        step = bounds[0][1] - 16
+        assert step % 8 == 0 and bounds[-1][1] == rows.E
+        assert [lo for lo, _ in bounds] == list(range(16, rows.E, step))
+        assert rows.chunks == [(0, 16), (16, 32), (32, 48), (48, 70)]
+        buf = rows.buf
+        g = np.zeros((rows.E - 16, 70))
+        filled = rows.fill(16, rows.E, g)
+        np.testing.assert_array_equal(g, dense[16: rows.E])
+        rows.clear(g, filled)
+        assert not g.any() and not buf.any()
+        rows.tdot(np.ones(dense.shape[0]))
+        rows.dot(np.ones(70))
+        assert not buf.any()  # zero between windows
+
+
 class TestUnitRows:
 
     def test_products_have_the_dense_bits_with_blas_pinned(self):
@@ -1987,7 +2113,7 @@ class TestUnitRows:
         for sl, blk in zip(prog.block_slices, prog.blocks):
             v = spread(np.random.default_rng(2), sl.stop - sl.start)
             assert bits(prog.rows.block_tdot(sl, v)) == bits(dense[sl].T @ v)
-            if isinstance(blk.G, UnitRows):
+            if isinstance(blk.G, SparseRows):
                 assert np.array_equal(dense_of(blk.G), dense[sl])
 
     def test_wide_terms_keep_their_bytes(self):
@@ -2057,36 +2183,49 @@ class TestUnitRows:
         assert got is not None
         assert bits(got[0]) == bits(ref[0]) and bits(got[1]) == bits(ref[1])
 
-    def test_only_the_trailing_wide_run_stays_triples(self):
-        # a unit block that is narrow, or followed by a dense block, is
-        # written into the store and becomes a view of it
+    def test_blocks_from_the_first_triples_on_stay_triples(self):
+        # every block from the first given as triples on is held as
+        # triples, a dense one as its nonzeros; the store ends at the next
+        # multiple of 8 at or after its first row, and the triples' rows
+        # inside it are written there
         n = 4
-        dense = ConeBlock("soc", np.ones((3, n)), np.zeros(3))
+        dense = lambda: ConeBlock(  # noqa: E731
+            "soc", np.ones((3, n)), np.zeros(3))
         short = lambda: ConeBlock(  # noqa: E731
-            "soc", UnitRows((3, n), [1, 2], [0, 1], -1.0), np.zeros(3))
-        for blocks in ([*unit_blocks(n, ("cap",)), dense], [short()],
-                       [short(), *unit_blocks(n, ("epi",))]):
-            ref = np.vstack([dense_of(blk.G) if isinstance(blk.G, UnitRows)
+            "soc", SparseRows((3, n), [1, 2], [0, 1], -1.0), np.zeros(3))
+        for blocks in ([*unit_blocks(n, ("cap",)), dense()], [short()],
+                       [dense(), short(), *unit_blocks(n, ("epi",))],
+                       [dense(), dense()]):
+            ref = np.vstack([dense_of(blk.G) if isinstance(blk.G, SparseRows)
                              else blk.G for blk in blocks])
-            last = isinstance(blocks[-1].G, UnitRows) and \
-                blocks[-1].h.size >= n
+            first = next((j for j, blk in enumerate(blocks)
+                          if isinstance(blk.G, SparseRows)), len(blocks))
             prog = ConeProgram(n=n, blocks=blocks)
-            held = [isinstance(blk.G, UnitRows) for blk in prog.blocks]
-            assert held == [False] * (len(blocks) - 1) + [last]
+            held = [isinstance(blk.G, SparseRows) for blk in prog.blocks]
+            assert held == [j >= first for j in range(len(blocks))]
+            start = sum(blk.h.size for blk in blocks[:first])
+            assert prog.G.shape[0] == min(ref.shape[0], -(-start // 8) * 8)
             assert np.array_equal(prog.G, ref[: prog.G.shape[0]])
             for blk, sl, h in zip(prog.blocks, prog.block_slices, held):
-                if not h:
-                    assert np.shares_memory(blk.G, prog.G)
-                    assert np.array_equal(blk.G, ref[sl])
+                assert np.array_equal(dense_of(blk.G) if h else blk.G,
+                                      ref[sl])
+                assert h or np.shares_memory(blk.G, prog.G)
 
     def test_unit_rows_are_soc_rows(self):
         n = 4
-        unit = UnitRows((n, n), np.arange(n), np.arange(n), 1.0)
+        unit = SparseRows((n, n), np.arange(n), np.arange(n), 1.0)
+        assert unit.unit
         with pytest.raises(ValueError, match="SOC blocks only"):
             ConeProgram(n=n, blocks=[ConeBlock("nonneg", unit, np.zeros(n))])
-        for rows, cols, signs in (([1, 1], [0, 1], -1.0),   # one row twice
-                                  ([0, 1], [2, 2], -1.0),   # one column
-                                  ([0, 1], [0, 1], 2.0),    # not +-1
-                                  ([0, 4], [0, 1], 1.0)):   # past the rows
-            with pytest.raises(ValueError, match="unit rows need"):
-                UnitRows((4, n), rows, cols, signs)
+        # triples hold any values, one or more a row; unit rows are flagged
+        for rows, cols, vals in (([1, 1], [0, 1], -1.0),   # one row twice
+                                 ([0, 1], [2, 2], -1.0),   # one column
+                                 ([0, 1], [0, 1], 2.0)):   # not +-1
+            assert not SparseRows((4, n), rows, cols, vals).unit
+        for rows, cols in (([1, 0], [0, 1]),   # rows out of order
+                           ([1, 1], [1, 0]),   # a row's columns too
+                           ([1, 1], [0, 0]),   # one entry twice
+                           ([0, 4], [0, 1]),   # past the rows
+                           ([0, 1], [0, 4])):  # past the columns
+            with pytest.raises(ValueError, match="sparse rows need"):
+                SparseRows((4, n), rows, cols, 1.0)

@@ -10,6 +10,7 @@ Run from the root of a checkout, with the source to test on ``PYTHONPATH``::
         [--seed N] --out DIR
     PYTHONPATH=src python3 tools/solve_digest.py --compare DIR_A DIR_B \\
         [--rtol R]
+    PYTHONPATH=src python3 tools/solve_digest.py --replay DIR
 
 ``--workload`` runs a benchmark workload's config overlay
 (``perfbench/workloads.py``); ``--config`` runs a config file merged over
@@ -28,6 +29,19 @@ timings, configuration and output directory, and the run prints each
 process's peak at its last solve, and writes it to ``DIR/peaks.txt``: the
 caller's and each forked worker's, where the benchmark's ``peak_rss_mb``
 reports only the largest.
+
+With ``--dump DIR`` a run also writes each solve's program to the next
+free ``DIR/programs/NNN.npz`` (numbered from 000 in the order the solves
+return, across processes): ``P``, ``q``, ``const``, ``A`` and ``b``
+(the equality rows), ``h``, the cone dimensions (``soc`` flags each
+block's kind, ``dims`` its rows, and blocks from ``held`` on are held as
+triples), the rows as COO (``rows``, ``cols``, ``vals``: every entry of
+the dense blocks that is not +0.0, then every held block's triples), the
+``settings`` (``max_iter``, ``feas_tol``, ``gap_tol``,
+``step_fraction``), the warm start ``x0`` (empty for none) and the
+solve's ``digest`` line.  ``--replay DIR`` solves every dumped program
+again, with BLAS pinned unless the environment says otherwise, prints
+each whose digest line differs and exits 1 if any does.
 
 ``--compare`` reads two digests and, by default, compares their solve
 lines as sorted multisets, times and memory ignored, and their file
@@ -77,6 +91,7 @@ import collections
 import csv
 import glob
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -111,18 +126,22 @@ def _sha(array) -> str:
                           .tobytes()).hexdigest()
 
 
-def _wrap(solve, out: str):
+def _line(sol) -> str:
+    """A solve's digest line, without its time and memory."""
+    return " ".join([
+        f"status={sol.status}", f"stop={sol.stop_reason}",
+        f"iters={sol.iterations}", f"obj={float(sol.objective).hex()}",
+        *(f"{name}={_sha(getattr(sol, attr))}" for name, attr in
+          (("x", "x"), ("y", "y_eq"), ("z", "z"), ("s", "s")))])
+
+
+def _wrap(solve, out: str, dump: str | None = None):
     def digest_solve(*args, **kwargs):
         t0 = time.perf_counter()
         line = "raised"
         try:
             sol = solve(*args, **kwargs)
-            line = " ".join([
-                f"status={sol.status}", f"stop={sol.stop_reason}",
-                f"iters={sol.iterations}",
-                f"obj={float(sol.objective).hex()}",
-                *(f"{name}={_sha(getattr(sol, attr))}" for name, attr in
-                  (("x", "x"), ("y", "y_eq"), ("z", "z"), ("s", "s")))])
+            line = _line(sol)
             return sol
         except Exception as err:
             line = f"raised={type(err).__name__}"
@@ -133,16 +152,107 @@ def _wrap(solve, out: str):
             with open(path, "a", encoding="utf-8") as fh:
                 fh.write(f"{line} t={time.perf_counter() - t0:.6f} "
                          f"rss_kb={rss}\n")
+            if dump:
+                _dump(dump, line, *args, **kwargs)
     return digest_solve
 
 
-def _install(out: str) -> None:
+def _dump(dump: str, line: str, prog, settings=None, x0=None) -> None:
+    """Write one solve's program, as the module docstring describes, to
+    the next free ``dump/programs/NNN.npz``."""
+    import numpy as np
+
+    from shapekernel.conic import SolverSettings
+    from shapekernel.rows import SparseRows
+
+    st = settings or SolverSettings()
+    held = [isinstance(blk.G, SparseRows) for blk in prog.blocks]
+    first = held.index(True) if True in held else len(held)
+    dense = prog.G[: sum(blk.h.size for blk in prog.blocks[:first])]
+    r, c = np.nonzero((dense != 0.0) | np.signbit(dense))
+    rows, cols, vals = (np.concatenate(v) for v in zip(
+        (r, c, dense[r, c]), *[(sl.start + blk.G.rows, blk.G.cols,
+                                blk.G.vals) for blk, sl in
+                               zip(prog.blocks[first:],
+                                   prog.block_slices[first:])]))
+    arrays = {
+        "n": prog.n, "P": prog.P, "q": prog.q, "const": prog.const,
+        "A": prog.A_eq, "b": prog.b_eq, "h": prog.h,
+        "soc": [blk.kind == "soc" for blk in prog.blocks],
+        "dims": [blk.h.size for blk in prog.blocks], "held": first,
+        "rows": rows, "cols": cols, "vals": vals,
+        "settings": [st.max_iter, st.feas_tol, st.gap_tol,
+                     st.step_fraction],
+        "x0": np.zeros(0) if x0 is None else x0, "digest": line}
+    folder = os.path.join(dump, "programs")
+    os.makedirs(folder, exist_ok=True)
+    for k in itertools.count():  # claim the next free number
+        try:
+            fd = os.open(os.path.join(folder, f"{k:03d}.npz"),
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            continue
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        return
+
+
+def load_program(path: str) -> tuple:
+    """A dumped program's ``(program, settings, x0, digest line)``."""
+    import numpy as np
+
+    from shapekernel import conic
+    from shapekernel.rows import SparseRows
+
+    d = np.load(path)
+    n, rows, cols, vals = int(d["n"]), d["rows"], d["cols"], d["vals"]
+    ends = np.cumsum([0, *d["dims"]]).tolist()
+    blocks = []
+    for j, (soc, lo, hi) in enumerate(zip(d["soc"], ends, ends[1:])):
+        on = (rows >= lo) & (rows < hi)
+        if j >= int(d["held"]):
+            G = SparseRows((hi - lo, n), rows[on] - lo, cols[on], vals[on])
+        else:
+            G = np.zeros((hi - lo, n))
+            G[rows[on] - lo, cols[on]] = vals[on]
+        blocks.append(conic.ConeBlock("soc" if soc else "nonneg", G,
+                                      d["h"][lo:hi]))
+    prog = conic.ConeProgram(n=n, P=d["P"], q=d["q"],
+                             const=float(d["const"]), A_eq=d["A"],
+                             b_eq=d["b"], blocks=blocks)
+    max_iter, *tols = d["settings"].tolist()
+    settings = conic.SolverSettings(int(max_iter), *tols)
+    x0 = d["x0"] if d["x0"].size else None
+    return prog, settings, x0, str(d["digest"])
+
+
+def replay(dump: str) -> int:
+    """Solve every program dumped in ``dump`` again; 1 if any solve's
+    digest line differs from the one dumped with it."""
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
+    from shapekernel import conic
+
+    paths = sorted(glob.glob(os.path.join(dump, "programs", "*.npz")))
+    differ = 0
+    for path in paths:
+        prog, settings, x0, line = load_program(path)
+        got = _line(conic.solve(prog, settings, x0))
+        if got != line:
+            differ += 1
+            print(f"{os.path.basename(path)}: {line} -> {got}")
+    print(f"{len(paths) - differ} of {len(paths)} programs replay "
+          "identically")
+    return 1 if differ else 0
+
+
+def _install(out: str, dump: str | None = None) -> None:
     """Route every module-level name bound to ``conic.solve`` through the
     digest wrapper; forked workers inherit it."""
     from shapekernel import conic
 
     solve = conic.solve
-    wrapped = _wrap(solve, out)
+    wrapped = _wrap(solve, out, dump)
     for name, module in list(sys.modules.items()):
         if name == "shapekernel" or name.startswith("shapekernel."):
             for attr, value in list(vars(module).items()):
@@ -195,7 +305,7 @@ def run(args) -> int:
     from shapekernel.bench.config import ExperimentConfig
     from shapekernel.bench.experiments import run_experiment
 
-    _install(out)
+    _install(out, args.dump and os.path.abspath(args.dump))
     run_experiment(ExperimentConfig.load(config_path))
     with open(os.path.join(out, "files.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(f"{line}\n" for line in _file_hashes(overlay["out_dir"]))
@@ -483,17 +593,27 @@ def main(argv=None) -> int:
     source.add_argument("--config", help="experiment config JSON file")
     source.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two digest directories")
+    source.add_argument("--replay", metavar="DIR",
+                        help="solve the programs a run dumped to DIR "
+                        "again and compare their digest lines")
     parser.add_argument("--rtol", type=float,
                         help="with --compare: match solves by label and "
                         "compare differing files value by value within "
                         "this relative tolerance")
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--out", help="digest directory to write")
+    parser.add_argument("--dump", metavar="DIR",
+                        help="with a run: write each solve's program to "
+                        "DIR/programs/NNN.npz")
     args = parser.parse_args(argv)
     if args.rtol is not None and not (args.compare and args.rtol >= 0):
         parser.error("--rtol needs --compare and a value of at least 0")
+    if args.dump and (args.compare or args.replay):
+        parser.error("--dump goes with a run")
     if args.compare:
         return compare(*args.compare, rtol=args.rtol)
+    if args.replay:
+        return replay(args.replay)
     if args.out is None or (args.workload and args.seed is None):
         parser.error("a run needs --out, and a workload also --seed")
     return run(args)
