@@ -25,7 +25,6 @@ from .atoms import (
     SdpOperator,
     apply_functional,
     atom_inner,
-    cross_gram,
     gram,
 )
 from .assemble import (

@@ -605,9 +605,7 @@ def compute_bounds(spec: ProblemSpec, records: list, v_app: float,
         rep.gap = rep.v_app - rep.v_relax
         if mu_f:
             rep.radius_f = math.sqrt(2.0 * max(rep.gap, 0.0) / mu_f)
-    widths = [r.eta if isinstance(r, AnchorRecord) else r.diameter
-              for r in records]
-    rep.eta_inf = max(widths) if widths else None
+    rep.eta_inf = max((r.width for r in records), default=None)
 
     by_constraint: dict = {}
     for rec in records:

@@ -234,24 +234,6 @@ def _term_sum(partial, terms1, terms2, X1, X2):
     return block
 
 
-def cross_gram(rows: Sequence[Atom], cols: Sequence[Atom],
-               kernel: Kernel) -> np.ndarray:
-    """Matrix of inner products between two atom lists, one kernel block
-    per pair of functional shapes.  Terms are summed in
-    :func:`atom_inner`'s order, which reads the same kernel ``_partial``
-    one pair at a time."""
-    X_rows = np.array([a.x for a in rows], dtype=float)
-    X_cols = np.array([a.x for a in cols], dtype=float)
-    col_groups = _groups(cols)
-    G = np.zeros((len(rows), len(cols)))
-    for terms1, I in _groups(rows):
-        for terms2, J in col_groups:
-            G[np.ix_(I, J)] = _term_sum(
-                kernel.partial_block, _at(terms1, np.s_[:, None]), terms2,
-                X_rows[I], X_cols[J])
-    return G
-
-
 #: where :func:`gram`'s pivoted Cholesky stops: once every residual
 #: diagonal is at most this fraction of the Gram's largest diagonal entry.
 #: Eigenvalues above a fraction of the largest, by basis:

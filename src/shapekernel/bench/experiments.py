@@ -299,8 +299,7 @@ def run_catenary(cfg: ExperimentConfig) -> Fit:
                     rsol = solve_problem(spec, relaxed, settings=settings)[1]
                     fit.solved(f"{scheme} m={m} relaxation", rsol.record())
                     v_relax = rsol.objective
-                max_eta = max(
-                    (getattr(r, "eta", 0.0) for r in records), default=0.0)
+                max_eta = max((r.width for r in records), default=0.0)
                 gap = None if v_relax is None else v_app - v_relax
                 conv_rows.append([scheme, m, m, v_app, v_relax, gap,
                                   v_app - v_ref, max_eta])

@@ -27,22 +27,20 @@ Newton matrix.  Eliminating the slack and cone-multiplier steps leaves
 on top), factored once per iteration.  ``W^{-2}`` is diagonal on the
 nonnegative rows and ``(2 wt wt^T - J) / eta^2`` on a second-order block,
 with ``wt = J wbar`` and ``J = diag(1, -1, ..., -1)``.  Blocks enter ``H``
-through one dense product over their rows, except wide ones: a block with
-``d >= n`` rows (a norm cap or norm epigraph over the whole coefficient
-vector) adds ``(2 v v^T - G_b^T J G_b) / eta^2`` with ``v = G_b^T wt``, a
-rank-one update of an ``n x n`` matrix formed once per solve, so it costs
-O(n^2) per iteration instead of O(d n^2).  That matrix is kept as its
-diagonal when it has no off-diagonal nonzero.  For a block of unit rows
-(econ's) the diagonal and ``v`` are read off the triples, in O(n) and
-with the dense products' bits, so no ``n^3`` product runs per solve and no
-``n^2`` one per iteration.  The other blocks' rows are views of the store
-when they come first and the store holds them; a tall product densifies
-those past it a window at a time (see Workspace), and any other program
-densifies them once per solve.
+through one dense product over their rows, except the wide ones: the
+trailing run of unit-row blocks of ``d >= n`` rows (a norm cap and a norm
+epigraph over the whole coefficient vector, econ's) that
+:class:`~shapekernel.rows._Rows` finds, as ``rows.wide``.  Each adds ``(2
+v v^T - G_b^T J G_b) / eta^2`` with ``v = G_b^T wt``, its constant a
+diagonal and ``v`` read off the triples in O(n) with the dense products'
+bits, where its rows would add O(d n^2) to every iteration.  Every other
+row is narrow, whatever its block's shape: the narrow rows are the prefix
+``G[:rows.narrow]``, views of the store, and a product densifies those
+past the store a window at a time (see Workspace).
 
 The narrow rows ``G_n`` enter through one of two products, chosen once per
 solve from the program's shape.  A large, short program (n > 192 and
-fewer than 8 n narrow rows) forms ``M^T M`` with ``M =
+fewer than 8 n narrow rows, all in the store) forms ``M^T M`` with ``M =
 W^{-1} G_n``, as CVXOPT's cone QP solver forms ``(W^{-T} G)^T (W^{-T}
 G)``: numpy runs it as ``dsyrk``, half the flops of a general product,
 and the result is exactly symmetric.  Its Cholesky factor is then used by
@@ -88,7 +86,8 @@ run can end solves otherwise than one product would: on catenary-soap
 with two BLAS threads 10 of 31 SOAP rounds changed status (between
 ``optimal`` and ``max_iter``, objectives within 1e-10), while the rounds,
 the elements and the stop held.  The benchmark and the tools pin BLAS.
-Any other program forms its product in one window of every narrow row.
+Any other program forms its product in one window of every narrow row,
+densified past the store in the same way.
 The product goes to the ``n x n`` buffer; the symmetrized H then takes the
 flat buffer.  H is factored in place: numpy's own ``dpotrf`` factors a
 copy of it in the ``n x n`` buffer.  On the LU path L replaces H and
@@ -154,7 +153,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cpus
-from .rows import SparseRows, _Rows, _wide, store_rows
+from .rows import SparseRows, _Rows, store_rows
 
 # --------------------------------------------------------------------------
 # Program description
@@ -197,7 +196,10 @@ class ConeProgram:
     :func:`store_rows`, the triples' rows that fall inside it are written
     there, and ``rows`` applies the rest.  ``assemble`` passes the store
     it wrote; blocks given without one are stacked into it here.
-    ``block_slices`` holds each block's rows.
+    ``block_slices`` holds each block's rows.  The solver takes the
+    trailing run of unit-row blocks of at least ``n`` rows (``rows.wide``)
+    as rank-one terms of its Newton matrix, and every row before it
+    (``rows.narrow``), a dense block's included, in its products.
     """
 
     n: int
@@ -592,69 +594,48 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
     buffer H was formed in (dead once ``newton_matrix`` returns) for its
     scratch and the solve that suits the program's shape.
 
-    A SOC block of dimension d >= n is wide: its n x n matrix
-    ``C_b = G_b^T J G_b`` (J = diag(1, -1, ..., -1)) is no larger than its
-    own rows, so ``C_b`` is formed once here and the block's rows leave the
-    per-iteration product.  Each call then adds the block's exact term
-    ``(2 v v^T - C_b) / eta_b^2`` with ``v = G_b^T J wbar_b``; a ``C_b``
-    with no off-diagonal nonzero is kept as its diagonal (``x - 0`` is
-    exact).  A block of unit rows has such a ``C_b``, read off its triples
-    (the head's square, less 1 on each other row's column), and its ``v``
-    costs O(n): the bits of the dense products, whose sums are exact.  A
-    wide block of other triples is made dense here, once.  The narrow rows
-    are views of the store when they come first and it holds them (econ's
-    and control's programs).  Past the store a tall product densifies
-    them a window at a time (:meth:`_Rows.fill`), and any other program
-    has them all dense once per solve.
+    The wide blocks are ``G.wide``, the trailing run of unit-row blocks
+    of d >= n rows (a norm cap and epigraph over every coefficient), and
+    the rows before it, ``G_n = G[:G.narrow]``, are narrow.  A wide block
+    adds its exact term ``(2 v v^T - C_b) / eta_b^2`` with ``v = G_b^T J
+    wbar_b`` and ``C_b = G_b^T J G_b`` (J = diag(1, -1, ..., -1)), where
+    its rows would add d x n^2 flops to each product.  ``C_b`` is a
+    diagonal read off the triples once (the head's square, less 1 on each
+    other row's column; ``x - 0`` is exact off it) and ``v`` costs O(n):
+    the bits of the dense products, whose sums are exact.  The narrow rows
+    are views of the store, and those past it are densified a window at a
+    time (:meth:`_Rows.fill`).
 
-    The narrow rows' product is decided here, once per solve, by
-    :func:`_large_and_short`.  A large, short program forms ``M^T M`` with
-    ``M = W^{-1} G_n`` (:meth:`_Scaling.apply_inv`), which numpy runs
-    as ``dsyrk``, and its factor solves by two triangular solves.  Any
-    other program forms ``G_n^T (W^{-2} G_n)`` by general products and
-    solves through an LU of the factor, with the bits it always had: a
-    tall one over OpenBLAS's K panels, with ``W^{-2} G_n`` on the windows
-    of :func:`_windows`, and in two column halves when ``helper`` (the
+    The narrow rows' product is decided here, once per solve.  A large,
+    short program (:func:`_large_and_short`) whose narrow rows the store
+    holds forms ``M^T M`` with ``M = W^{-1} G_n``
+    (:meth:`_Scaling.apply_inv`), which numpy runs as ``dsyrk``, and its
+    factor solves by two triangular solves.  Any other program forms
+    ``G_n^T (W^{-2} G_n)`` by general products and solves through an LU
+    of the factor, with the bits it always had: a tall one over
+    OpenBLAS's K panels, with ``W^{-2} G_n`` on the windows of
+    :func:`_windows`, and in two column halves when ``helper`` (the
     solve's one helper thread, or None) can form the second; any other
-    in one product over every narrow row.
+    in one window of every narrow row.
 
     The workspace is allocated here, once per solve: the n x n buffer and
     one flat buffer of max(n^2, w x n) doubles, w the most rows a window
     holds (every narrow row in the one window of a program that is not
-    tall), and for a tall product with rows past the store a w x n window
-    buffer per column half.  The flat buffer holds ``W^{-2} G_n`` or
+    tall), and for narrow rows past the store a w x n window buffer per
+    column half.  The flat buffer holds ``W^{-2} G_n`` or
     ``W^{-1} G_n`` during the product (each column half in its own part)
     and then the symmetrized H that a call returns, so each call
     overwrites the matrix the last one returned.  ``factor`` factors that
     matrix in place, in the n x n buffer.
     """
-    held, n = dict(G.held), G.n
-    wide = [k for k, d in enumerate(cones.soc_dims) if _wide(d, n)]
-    narrow = [k for k in range(len(cones.soc_dims)) if k not in wide]
-    spans = [(0, cones.l)] + [(cones.soc_slices[k].start,
-                               cones.soc_slices[k].stop) for k in narrow]
-    r = sum(hi - lo for lo, hi in spans)
-    short = _large_and_short(n, r)
-    tall = n >= 64 and r >= 8 * n
-    prefix = spans[-1][1] == r  # the narrow rows come first
-    if prefix and (r <= G.G.shape[0] or tall):
-        Gn = G.G[:r]  # views; a tall product densifies the rows past it
-    else:  # every narrow row, dense once
-        Gn, k0 = np.zeros((r, n)), 0
-        for lo, hi in spans:
-            G.fill(lo, hi, Gn[k0: k0 + hi - lo])
-            k0 += hi - lo
+    n, r = G.n, G.narrow
+    narrow = list(range(len(cones.soc_dims) - len(G.wide)))
+    Gn = G.G[:r]  # views; the rows past the store are densified by window
     kd = Gn.shape[0]
-    terms = []  # (k, v(wbar) of the block, C_b or its diagonal)
-    for k in wide:
-        u = held.get(cones.soc_slices[k].start)
-        if u is None or not u.unit:
-            Gb = G.G[cones.soc_slices[k]] if u is None else u.toarray()
-            C = np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]
-            if np.count_nonzero(C) == np.count_nonzero(np.diagonal(C)):
-                C = np.diagonal(C).copy()
-            terms.append((k, functools.partial(_dense_v, Gb), C))
-            continue
+    short = _large_and_short(n, r) and r <= kd
+    tall = n >= 64 and r >= 8 * n
+    terms = []  # (k, v(wbar) of the block, the diagonal of C_b)
+    for k, (_, u) in enumerate(G.wide, len(narrow)):
         head, body = np.zeros(n), u.rows > 0
         if u.rows.size and u.rows[0] == 0:
             head[u.cols[0]] = u.vals[0]
@@ -737,8 +718,7 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
             eta, v = W.eta[k], v_of(W.wbar[cones.soc_slices[k]])
             np.outer(v, v, out=T)
             np.multiply(T, 2.0, out=T)
-            T_C = T_diag if C.ndim == 1 else T
-            np.subtract(T_C, C, out=T_C)
+            np.subtract(T_diag, C, out=T_diag)
             np.divide(T, eta * eta, out=T)
             np.add(H, T, out=H)
         np.add(H, H.T, out=T)  # _sym(H), in T
@@ -818,11 +798,6 @@ def _large_and_short(n: int, r: int) -> bool:
     LU forward solve, whose bits SOAP's stop and control's fragile solves
     turn on."""
     return n > 192 and r < 8 * n
-
-
-def _dense_v(Gb: np.ndarray, wbar: np.ndarray) -> np.ndarray:
-    """``G_b^T J wbar`` for a wide block's dense rows."""
-    return Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:]
 
 
 def _unit_v(head, rows, cols, signs, wbar: np.ndarray) -> np.ndarray:

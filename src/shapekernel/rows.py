@@ -17,10 +17,12 @@ Rows past the store are densified a window at a time into a buffer kept
 zero between windows, and BLAS gets the operand the dense product would
 hand it: row windows of a multiple of 8 rows for ``G x``, and chunks of
 16 columns (at least 4, the remainder joined to the last) over every row
-for ``G^T z``.  A trailing run of wide unit-row blocks adds each row's
-exact term in row order, as the dense ``dgemv`` accumulates it; a program
-with nothing else past its store (econ's, control's) makes exactly the
-one store product.
+for ``G^T z``.  A trailing run of wide unit-row blocks (``d >= n``) adds
+each row's exact term in row order, as the dense ``dgemv`` accumulates
+it; a program with nothing else past its store (econ's, control's) makes
+exactly the one store product.  That run is also the one set of wide
+blocks the Newton matrix takes as rank-one terms, and the rows before it
+are its narrow rows.
 """
 
 from __future__ import annotations
@@ -86,12 +88,6 @@ class SparseRows:
         return out
 
 
-def _wide(d: int, n: int) -> bool:
-    """Whether a SOC block of ``d`` rows over ``n`` columns is wide: its
-    Newton term is a rank-one update of a fixed matrix."""
-    return d >= n
-
-
 def store_rows(dims: list, held: list) -> int:
     """Rows of the dense store of a program whose blocks have ``dims``
     rows, ``held`` flagging those given as :class:`SparseRows`.  Every
@@ -133,7 +129,9 @@ class _Rows:
     value * v``, one block at a time in row order, as the dense product
     accumulates it.  A program with nothing between its store and that run
     (econ's, or one with no triples) reads only the store there, in one
-    product.
+    product.  ``wide`` holds the run's ``(row0, SparseRows)`` pairs and
+    ``narrow`` the row it starts at (``m`` when there is none): the Newton
+    matrix's rank-one blocks and the end of its narrow rows.
     """
 
     def __init__(self, G: np.ndarray, held=(), m: int | None = None):
@@ -141,13 +139,14 @@ class _Rows:
         R, n = G.shape
         self.n, self.m = n, R if m is None else m
         k = len(self.held)
-        while k and self.held[k - 1][1].unit and _wide(
-                *self.held[k - 1][1].shape):
+        while k and self.held[k - 1][1].unit and \
+                self.held[k - 1][1].shape[0] >= n:
             k -= 1
-        start = self.held[k][0] if k < len(self.held) else self.m
-        self.E = E = min(self.m, max(R, -(-start // 8) * 8))
+        self.wide = self.held[k:]
+        self.narrow = self.held[k][0] if self.wide else self.m
+        self.E = E = min(self.m, max(R, -(-self.narrow // 8) * 8))
         self.tail = []  # per block of the wide run, its triples from E on
-        for r0, u in self.held[k:]:
+        for r0, u in self.wide:
             past = r0 + u.rows >= E
             self.tail.append((r0 + u.rows[past], u.cols[past], u.vals[past]))
         self.windows = []  # G x's past the store: rows, triples, values

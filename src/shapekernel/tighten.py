@@ -128,6 +128,11 @@ class AnchorRecord:
     def size(self) -> int:
         return len(self.atoms)
 
+    @property
+    def width(self) -> float:
+        """The buffer width: ``eta``."""
+        return self.eta
+
 
 @dataclass(frozen=True)
 class InclusionRecord:
@@ -151,6 +156,11 @@ class InclusionRecord:
             raise ValueError("ambient ball radius must be positive")
         if not np.isfinite(self.rho):
             raise ValueError("halfspace level must be finite")
+
+    @property
+    def width(self) -> float:
+        """The buffer width: the enclosure's ``diameter``."""
+        return self.diameter
 
 
 # --------------------------------------------------------------------------

@@ -755,6 +755,42 @@ class TestWideNorms:
         assert rows <= prog.G.nbytes + prog.h.nbytes + 2 * A * A
 
 
+    def test_the_solver_takes_the_norm_cones_over_u_and_t_as_wide(self):
+        # the rows' wide blocks are the norm cones of 1 + r rows when the
+        # program has no other column than u and t: econ's cap and
+        # epigraph, control's epigraph, and no block once enclosure
+        # auxiliaries add columns (catenary's hyp rows)
+        kernel = GaussianKernel([0.1])
+        spec, _, records = self.econ_shaped(kernel, anchors=20)
+        floor = ShapeConstraint(region=((0.0, 1.0),),
+                                operator=SdpOperator.scalar(
+                                    DiffFunctional.value(1)),
+                                offset=(-2.0,))
+        enclosures = tighten_omega(floor, omega_cover(
+            kernel, DiffFunctional.value(1), cover_box(floor.region, 0.1)),
+            constraint_index=1)
+        cases = [
+            (spec, records, [("norm_bound",), ("epigraph",)]),
+            (ProblemSpec(kernel=kernel, observations=spec.observations,
+                         loss="squared", regularizer=Ridge(1.0),
+                         constraints=spec.constraints), records,
+             [("epigraph",)]),
+            (ProblemSpec(kernel=kernel, observations=spec.observations,
+                         loss="squared", regularizer=NormMin(),
+                         constraints=[*spec.constraints, floor]),
+             records + enclosures, []),
+        ]
+        for spec, records, wide in cases:
+            prog = assemble(spec, collect_atoms(spec, records), records)
+            rows, k = prog.rows, len(prog.blocks) - len(wide)
+            assert [(r0, id(u)) for r0, u in rows.wide] == [
+                (sl.start, id(blk.G)) for blk, sl in
+                zip(prog.blocks[k:], prog.block_slices[k:])]
+            assert [blk.provenance for blk in prog.blocks[k:]] == wide
+            assert rows.narrow == prog.block_slices[k - 1].stop
+            assert prog.blocks[-1].provenance == ("epigraph",)
+
+
 class TestEnclosureTriples:
     """Enclosure cones are held as triples, so a tall enclosure program is
     assembled and solved with no m x n array."""

@@ -23,7 +23,6 @@ from shapekernel import (
     SdpOperator,
     apply_functional,
     atom_inner,
-    cross_gram,
     gram,
 )
 from shapekernel.atoms import PIVOT_CUT, _full_gram
@@ -230,13 +229,6 @@ class TestGram:
         with pytest.raises(ValueError, match="non-empty"):
             gram((), kernel)
 
-    def test_cross_gram_matches_atom_inner(self, kernel, basis):
-        C = cross_gram(basis[:2], basis[2:5], kernel)
-        for i, a in enumerate(basis[:2]):
-            for j, b in enumerate(basis[2:5]):
-                assert C[i, j] == pytest.approx(
-                    atom_inner(a, b, kernel), rel=1e-14
-                )
 
 
 def _reference_gram(basis, kernel):
@@ -273,9 +265,6 @@ class TestBlockGram:
         scale = np.abs(ref).max()
         np.testing.assert_allclose(G, ref, rtol=1e-12, atol=1e-12 * scale)
         assert np.array_equal(G, G.T)
-        C = cross_gram(atoms[:30], atoms[25:], kernel)
-        np.testing.assert_allclose(C, ref[:30, 25:], rtol=1e-12,
-                                   atol=1e-12 * scale)
 
     def test_per_pair_kernels_match_scalar_reference_exactly(self):
         rng = np.random.default_rng(13)

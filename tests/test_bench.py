@@ -16,6 +16,7 @@ that ``--replay`` solves again with the same bits.
 """
 
 import ast
+import csv
 import dataclasses
 import importlib
 import importlib.util
@@ -462,12 +463,15 @@ def test_solve_digest_records_each_process_peak(tmp_path, capsys):
 
 
 def test_solve_digest_dumps_programs_that_replay_identically(tmp_path):
-    # --dump writes every solve of the tiny control and catenary-soap
-    # passes to a program file, and --replay solves each again with its
-    # digest line's bits; a program changed after the dump is reported
+    # --dump writes every solve of the tiny control, catenary-soap and
+    # econ passes to a program file (econ's with its norm cap and epigraph
+    # as the Newton matrix's wide blocks), and --replay solves each again
+    # with its digest line's bits; a program changed after the dump is
+    # reported
     import numpy as np
 
     workloads = _load_tool("perfbench", "workloads")
+    digest = _load_tool("tools", "solve_digest")
     tool = str(pathlib.Path(__file__).resolve().parents[1] / "tools"
                / "solve_digest.py")
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(
@@ -478,7 +482,7 @@ def test_solve_digest_dumps_programs_that_replay_identically(tmp_path):
         return subprocess.run([sys.executable, tool, "--replay", str(dump)],
                               capture_output=True, text=True, env=env)
 
-    for name in ("control", "catenary-soap"):
+    for name in ("control", "catenary-soap", "econ"):
         config, dump = tmp_path / f"{name}.json", tmp_path / name
         config.write_text(json.dumps(workloads.overlay(name, 0, "",
                                                        tiny=True)))
@@ -489,6 +493,9 @@ def test_solve_digest_dumps_programs_that_replay_identically(tmp_path):
         solves = sum(len(path.read_text().splitlines()) for path in
                      (tmp_path / f"{name}-digest").glob("solves-*.txt"))
         assert len(programs) == solves > 0
+        if name == "econ":  # a norm cap and an epigraph, both wide
+            assert 2 in [len(digest.load_program(str(path))[0].rows.wide)
+                         for path in programs]
         done = replay(dump)
         assert done.returncode == 0, done.stdout
         assert f"{solves} of {solves} programs replay identically" in \
@@ -803,6 +810,20 @@ def test_reference_solve_status_becomes_a_warning(tmp_path, monkeypatch):
     assert reference[0] == f"reference round 0: {text}"
     assert summary["warnings"][len(reference):] == [
         f"ball m=30: {text}", f"ball m=30 relaxation: {text}"]
+
+
+def test_catenary_hyp_rows_report_their_enclosure_widths(tmp_path):
+    # each hyp row's max_eta is the largest enclosure diameter of its
+    # records, the width the bound report's eta_inf reads, not 0.0
+    _, summary = _run_tiny("catenary", tmp_path, scheme="hyp",
+                           params={**TINY["catenary"][0]["params"],
+                                   "m_list": [20, 30]})
+    with open(tmp_path / "convergence.csv", newline="") as f:
+        rows = [row for row in csv.DictReader(f) if row["scheme"] == "hyp"]
+    assert [int(row["step"]) for row in rows] == [20, 30]
+    assert all(float(row["max_eta"]) > 0.0 for row in rows)
+    eta_inf = summary["schemes"]["hyp"]["bound_report"]["eta_inf"]
+    assert float(rows[-1]["max_eta"]) == eta_inf
 
 
 def test_submodule_import_binds_the_module():

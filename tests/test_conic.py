@@ -896,30 +896,33 @@ class TestBlockRuns:
 # The Newton workspace against the factory it replaced
 # --------------------------------------------------------------------------
 
-def ref_newton_matrix_factory(P, G, cones):
-    """H with fresh temporaries per call and dense wide constants."""
-    n = G.shape[1]
-    wide = [k for k, d in enumerate(cones.soc_dims) if d >= n]
-    if not wide:
+def ref_newton_matrix_factory(P, G, cones, narrow=None):
+    """H with fresh temporaries per call: the SOC blocks from row
+    ``narrow`` on (none by default) as wide terms with dense constants."""
+    if narrow is None or narrow == G.shape[0]:
         return lambda W: _sym(P + G.T @ W.apply_w2inv_mat(G))
-    narrow = [k for k in range(len(cones.soc_dims)) if k not in wide]
-    rows = np.concatenate([np.arange(cones.l)] + [
-        np.arange(cones.soc_slices[k].start, cones.soc_slices[k].stop)
-        for k in narrow])
-    Gn = G[rows]
+    wide = [k for k, sl in enumerate(cones.soc_slices) if sl.start >= narrow]
+    blocks = [k for k in range(len(cones.soc_dims)) if k not in wide]
+    Gn = G[:narrow]
     terms = []
     for k in wide:
         Gb = G[cones.soc_slices[k]]
         terms.append((k, Gb, np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]))
 
     def newton_matrix(W):
-        H = P + Gn.T @ W.apply_w2inv_mat(Gn, narrow)
+        H = P + Gn.T @ W.apply_w2inv_mat(Gn, blocks)
         for k, Gb, C in terms:
             eta, wbar = W.eta[k], W.wbar[cones.soc_slices[k]]
             v = Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:]
             H += (2.0 * np.outer(v, v) - C) / (eta * eta)
         return _sym(H)
     return newton_matrix
+
+
+def dense_rows(prog):
+    """Every row of ``prog``, its triples with their zeros."""
+    return np.vstack([blk.G.toarray() if isinstance(blk.G, SparseRows)
+                      else blk.G for blk in prog.blocks])
 
 
 def norm_blocks(n, rng, dense_row0=False):
@@ -947,6 +950,10 @@ class TestNewtonWorkspace:
 
     @classmethod
     def program(cls, layout, rng, psd_P=True):
+        """P, the program and its cones: 6 nonneg rows, then per name of
+        ``layout`` a SOC block of 3 or 4 random rows, or a norm cap and
+        epigraph, as unit triples (``"norms"``) or dense with a random
+        leading row (``"dense"``)."""
         n = cls.N
         blocks = [ConeBlock("nonneg", rng.normal(size=(6, n)), np.zeros(6))]
         for name in layout:
@@ -954,12 +961,14 @@ class TestNewtonWorkspace:
                 d = 3 if name == "soc" else 4
                 blocks.append(ConeBlock("soc", rng.normal(size=(d, n)),
                                         np.zeros(d)))
+            elif name == "norms":
+                blocks += unit_blocks(n, ("cap", "epi"))
             else:
-                blocks += norm_blocks(n, rng, dense_row0=name == "dense")
+                blocks += norm_blocks(n, rng, dense_row0=True)
         M = rng.normal(size=(n, n))
         P = M @ M.T if psd_P else np.zeros((n, n))
         prog = ConeProgram(n=n, blocks=blocks)
-        return P, prog.G, _Cones.of(prog)
+        return P, prog, _Cones.of(prog)
 
     @staticmethod
     def scaling(rng, cones):
@@ -967,36 +976,45 @@ class TestNewtonWorkspace:
                         TestBlockRuns.interior(rng, cones), cones)
 
     @staticmethod
-    def narrow_rows(factory):
-        cells = factory.__code__.co_freevars
-        return dict(zip(cells, (c.cell_contents
-                                for c in factory.__closure__)))["Gn"]
+    def cells(factory):
+        return dict(zip(factory.__code__.co_freevars,
+                        (c.cell_contents for c in factory.__closure__)))
 
-    @pytest.mark.parametrize("layout, psd_P, prefix", [
-        (["soc", "soc4", "soc"], False, True),    # no wide block
+    @pytest.mark.parametrize("layout, psd_P, last", [
+        (["soc", "soc4", "soc"], False, True),    # no norm block
         (["soc", "soc4", "soc"], True, True),
-        (["soc", "norms"], True, True),           # diagonal constants
+        (["soc", "norms"], True, True),           # wide unit blocks
         (["soc", "norms"], False, True),
-        (["soc4", "dense"], True, True),          # dense leading row
-        (["norms", "soc", "soc4"], True, False),  # wide blocks not last
+        (["soc4", "dense"], True, True),          # d >= n, dense: narrow
+        (["norms", "soc", "soc4"], True, False),  # unit, not last: narrow
         (["dense", "soc"], False, False),
     ])
-    def test_matches_the_per_call_factory(self, layout, psd_P, prefix):
+    def test_matches_the_per_call_factory(self, layout, psd_P, last):
+        # only unit blocks that come last are wide; every other row is
+        # narrow and a view of the store, or densified past it
         rng = np.random.default_rng(len(layout) + 10 * psd_P)
-        P, G, cones = self.program(layout, rng, psd_P)
-        factory, _ = _newton_matrix_factory(P, _Rows(G), cones)
-        ref = ref_newton_matrix_factory(P, G, cones)
-        # the narrow rows are a view of G exactly when they come first
-        assert np.shares_memory(self.narrow_rows(factory), G) == prefix
+        P, prog, cones = self.program(layout, rng, psd_P)
+        rows = prog.rows
+        wide = 2 if last and "norms" in layout else 0
+        assert [id(u) for _, u in rows.wide] == [
+            id(blk.G) for blk in prog.blocks[len(prog.blocks) - wide:]]
+        assert rows.narrow == prog.h.size - wide * self.N
+        factory, _ = _newton_matrix_factory(P, rows, cones)
+        cells = self.cells(factory)
+        assert len(cells["terms"]) == wide
+        assert np.shares_memory(cells["Gn"], prog.G)
+        ref = ref_newton_matrix_factory(P, dense_rows(prog), cones,
+                                        rows.narrow)
         for _ in range(2):
             W = self.scaling(rng, cones)
             assert bits(factory(W)) == bits(ref(W))
 
     def test_next_call_overwrites_the_returned_matrix(self):
         rng = np.random.default_rng(7)
-        P, G, cones = self.program(["soc", "norms"], rng)
-        factory, _ = _newton_matrix_factory(P, _Rows(G), cones)
-        ref = ref_newton_matrix_factory(P, G, cones)
+        P, prog, cones = self.program(["soc", "norms"], rng)
+        factory, _ = _newton_matrix_factory(P, prog.rows, cones)
+        ref = ref_newton_matrix_factory(P, dense_rows(prog), cones,
+                                        prog.rows.narrow)
         W1, W2 = self.scaling(rng, cones), self.scaling(rng, cones)
         first = factory(W1)
         second = factory(W2)
@@ -1098,7 +1116,8 @@ class TestNewtonWorkspace:
 
 def tall_program(n, soc_dims, nonneg, rng, wide=False):
     """Dense random rows: ``nonneg`` nonneg rows, SOC blocks of
-    ``soc_dims``, and with ``wide`` a norm cap and epigraph (d = n)."""
+    ``soc_dims``, and with ``wide`` a norm cap and epigraph (d = n), which
+    are dense and so narrow."""
     blocks = [ConeBlock("nonneg", rng.normal(size=(nonneg, n)),
                         np.ones(nonneg))]
     blocks += [ConeBlock("soc", rng.normal(size=(d, n)), np.zeros(d))
@@ -1210,7 +1229,7 @@ class TestNewtonHalves:
         rng = np.random.default_rng(n + len(soc_dims))
         P, G, cones = tall_program(n, soc_dims, nonneg, rng, wide)
         W = TestNewtonWorkspace.scaling(rng, cones)
-        r = nonneg + sum(d for d in soc_dims if d < n)
+        r = G.shape[0]  # dense norm blocks are narrow too
         main = threading.get_ident()
         _, calls = self.build(monkeypatch, None, P, G, cones, W)
         # every narrow row formed once, a window at a time
@@ -2049,11 +2068,11 @@ def held_products_keep_the_bits():
                      and bits(prog.rows.tdot(z)) == bits(dense.T @ z)
                      for x, z in [(spread(rng, n), spread(rng, m))
                                   for _ in range(2)])
-            cones = _Cones.of(prog)
-            r = cones.l + sum(d for d in cones.soc_dims if d < n)
+            cones, r = _Cones.of(prog), prog.rows.narrow
             if not conic._large_and_short(n, r) and r * n * n <= 4e8:
                 W = TestNewtonWorkspace.scaling(rng, cones)
-                ref = bits(ref_newton_matrix_factory(prog.P, dense, cones)(W))
+                ref = bits(ref_newton_matrix_factory(prog.P, dense, cones,
+                                                     r)(W))
                 ok = ok and all(bits(_newton_matrix_factory(
                     prog.P, prog.rows, cones, h)[0](W)) == ref
                     for h in (None, helper))
@@ -2130,9 +2149,9 @@ class TestUnitRows:
         dense = ConeProgram(n=n, P=P, blocks=narrow + norm_blocks(n, rng))
         cones = _Cones.of(prog)
         factory, _ = _newton_matrix_factory(P, prog.rows, cones)
-        cells = dict(zip(factory.__code__.co_freevars,
-                         (c.cell_contents for c in factory.__closure__)))
-        for k, v_of, C in cells["terms"]:
+        terms = TestNewtonWorkspace.cells(factory)["terms"]
+        assert [k for k, _, _ in terms] == [1, 2]
+        for k, v_of, C in terms:
             Gb = dense.G[cones.soc_slices[k]]
             C_ref = np.outer(Gb[0], Gb[0]) - Gb[1:].T @ Gb[1:]
             assert bits(C) == bits(np.diagonal(C_ref).copy())
@@ -2140,22 +2159,24 @@ class TestUnitRows:
                 wbar = spread(rng, n)
                 assert bits(v_of(wbar)) == bits(
                     Gb[0] * wbar[0] - Gb[1:].T @ wbar[1:])
-        ref = ref_newton_matrix_factory(P, dense.G, cones)
+        ref = ref_newton_matrix_factory(P, dense.G, cones, prog.rows.narrow)
         for _ in range(2):
             W = TestNewtonWorkspace.scaling(rng, cones)
             assert bits(factory(W)) == bits(ref(W))
 
     def test_solve_matches_the_dense_program(self):
-        # a small econ-like fit: every output equal, bit for bit
+        # a small econ-like fit, its norm blocks the nonzeros of dense
+        # rows or built as unit rows: every output equal, bit for bit
         n = 12
         rng = np.random.default_rng(6)
         J = rng.normal(size=(20, n))
         P, q = J.T @ J, -J.T @ rng.normal(size=20)
         G = -np.abs(rng.normal(size=(9, n)))
         nonneg = lambda: ConeBlock("nonneg", G, -np.ones(9))  # noqa: E731
-        cap, epi = norm_blocks(n, rng)
+        of_dense = [ConeBlock("soc", SparseRows.of(blk.G), blk.h)
+                    for blk in norm_blocks(n, rng)]
         sols = [solve(ConeProgram(n=n, P=P, q=q, blocks=[nonneg(), *wide]))
-                for wide in ((cap, epi), unit_blocks(n, ("cap", "epi")))]
+                for wide in (of_dense, unit_blocks(n, ("cap", "epi")))]
         assert sols[0].status == "optimal"
         for name in ("x", "y_eq", "z", "s", "trace"):
             assert bits(getattr(sols[0], name)) == bits(getattr(sols[1],

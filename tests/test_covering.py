@@ -23,7 +23,6 @@ from shapekernel import (
     SdpOperator,
     atom_inner,
     cover_box,
-    cross_gram,
     eta_for,
     eta_radial,
     eta_sampled,
@@ -32,6 +31,7 @@ from shapekernel import (
     omega_cover,
 )
 from shapekernel import covering
+from shapekernel.atoms import _full_gram
 
 
 def _cross_matrix_loop(kernel, op, x1, x2):
@@ -395,14 +395,14 @@ class TestOmegaCover:
     def test_sampled_level_row_has_cross_grams_bits(self, kernel,
                                                      functional, ball):
         # the level's row comes from the sampler's one-row products, with
-        # the bits of one cross_gram row of anchored atoms
+        # the bits of the Gram's row of the base atom over anchored atoms
         base = np.zeros(len(ball.center))
         X = base + covering._unit_offsets(base.size, ball.norm, 30, 3) \
             * ball.radius
         row = covering._entry_products(kernel.partial_block, [functional],
                                        base[None], X)[:, 0, 0]
-        want = cross_gram([Atom(tuple(base), functional)],
-                          [Atom(tuple(x), functional) for x in X], kernel)[0]
+        want = _full_gram([Atom(tuple(x), functional) for x in (base, *X)],
+                          kernel)[0, 1:]
         assert row.tobytes() == want.tobytes()
         level = covering._min_correlation(kernel, functional, ball, 30, 3)
         assert level == float(np.min(want))

@@ -74,8 +74,8 @@ is near-singular.  On the union of the two bases (atoms deduplicated by
 with ``G_S = G[S, :]`` the union Gram's pivot rows and ``L`` their
 factor, both as ``atoms.gram`` returns them, and is judged over
 ``max(||f_a||_H, ||f_b||_H, MODEL_FLOOR)``.  A difference of
-squared norms from ``atoms.cross_gram`` would cancel and resolve no
-relative distance below about 1e-8.  Each output component is also
+squared norms, each from its own basis's Gram, would cancel and resolve
+no relative distance below about 1e-8.  Each output component is also
 evaluated on a grid of each region the experiment verifies
 (``experiments.constraints_for`` on the side's ``config.json``, at most
 ``61^2`` points a region), and judged against its column's largest
