@@ -75,13 +75,16 @@ narrow block, not the rows: on catenary-soap's largest program 956 rows,
 not 9,404 (1.4 MB against 14.4 MB).  Forming one panel's rows at a
 time would hold fewer, but each window's numpy calls cost some
 microseconds however small it is: with windows of one panel catenary-soap
-took 4-9% longer.  A window past the store's rows is densified into a
-``w x n`` buffer of its own (one per column half), kept zero between
-windows; its ``W^{-2} G_n`` adds the ``-J G`` term at the window's
-nonzeros only, found in the solve's first call and kept
-(:meth:`_Scaling.apply_w2inv_mat`'s ``nz``).  With BLAS on more threads
-OpenBLAS blocks K otherwise,
-and a tall product's last bits can differ from one call's, so an unpinned
+took 4-9% longer.  A window past the store's rows is densified into the
+program's one buffer (:meth:`_Rows.window`), where ``G x`` and ``G^T z``
+densify theirs, grown once to the largest of the three; only the helper's
+column half has a ``w x n`` buffer of its own (one shared by both halves,
+handed over per window, saved 1.4 MB on catenary-soap and cost 6-9% of
+its solve time).  Each is kept zero between windows, and a window's
+``W^{-2} G_n`` adds the ``-J G`` term at its nonzeros only, found in the
+solve's first call and kept (:meth:`_Scaling.apply_w2inv_mat`'s ``nz``).
+With BLAS on more threads OpenBLAS blocks K otherwise, and a tall
+product's last bits can differ from one call's, so an unpinned
 run can end solves otherwise than one product would: on catenary-soap
 with two BLAS threads 10 of 31 SOAP rounds changed status (between
 ``optimal`` and ``max_iter``, objectives within 1e-10), while the rounds,
@@ -95,7 +98,10 @@ L's LU takes the ``n x n`` buffer; on the triangular path the solves read
 the factor where ``dpotrf`` left it.  So no iteration allocates an
 ``n x n`` array, each iteration overwrites the last one's matrix and
 factor, and the solve drops the workspace before the dual polish builds
-its own matrices.
+its own matrices.  Rows-sized vectors go at their last use: the scaling,
+its ``lambda`` and the corrector's right-hand side once the corrector's
+direction is formed, the directions once the iterate has taken them, so
+the next iteration's are not built on top of them.
 Where :func:`cpus.spare_cpu` allows, a solve starts one helper thread and
 joins it before it returns, and a tall program forms the product in two
 column halves, the second on the helper.  Only shapes measured to keep
@@ -621,12 +627,14 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
     The workspace is allocated here, once per solve: the n x n buffer and
     one flat buffer of max(n^2, w x n) doubles, w the most rows a window
     holds (every narrow row in the one window of a program that is not
-    tall), and for narrow rows past the store a w x n window buffer per
-    column half.  The flat buffer holds ``W^{-2} G_n`` or
-    ``W^{-1} G_n`` during the product (each column half in its own part)
-    and then the symmetrized H that a call returns, so each call
-    overwrites the matrix the last one returned.  ``factor`` factors that
-    matrix in place, in the n x n buffer.
+    tall).  Narrow rows past the store are densified a window at a time,
+    the first column half's (or the whole product's) in a w x n view of
+    the program's one buffer (:meth:`_Rows.window`), and only the
+    helper's half in a w x n buffer of its own.  The flat buffer holds
+    ``W^{-2} G_n`` or ``W^{-1} G_n`` during the product (each column half
+    in its own part) and then the symmetrized H that a call returns, so
+    each call overwrites the matrix the last one returned.  ``factor``
+    factors that matrix in place, in the n x n buffer.
     """
     n, r = G.n, G.narrow
     narrow = list(range(len(cones.soc_dims) - len(G.wide)))
@@ -652,12 +660,16 @@ def _newton_matrix_factory(P: np.ndarray, G: _Rows, cones: _Cones,
     # two halves measured to keep the one product's bits
     split = helper is not None and tall and (n <= 192 or n % 8 == 0)
     mid = n // 2 // 8 * 8
-    # A window past the store's rows is densified into its half's buffer
-    # (:meth:`_Rows.fill`), kept zero between windows.  The -J G term of
-    # W^-2 G_n goes on at the nonzeros of its SOC rows, found in the first
-    # call and kept for the solve, per window and half.
-    bufs = {a: np.zeros((R, n)) for a in ((0, mid) if split else (0,))
-            } if kd < r else {}
+    # A window past the store's rows is densified (:meth:`_Rows.fill`):
+    # the first half's in the program's one buffer, the helper's in one
+    # of its own, each kept zero between windows.  The -J G term of W^-2
+    # G_n goes on at the nonzeros of its SOC rows, found in the first call
+    # and kept for the solve, per window and half.
+    bufs = {}
+    if kd < r:
+        bufs[0] = G.window(R)
+        if split:
+            bufs[mid] = np.zeros((R, n))
     minus_jg = {}
 
     def nonzeros(M: np.ndarray, nonneg: slice, blocks: list) -> tuple:
@@ -1152,6 +1164,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
                     W.apply_inv(dsa), W.apply(dza), cones) + sigma * mu * e
                 del d_aff, dsa, dza
                 dx, dy, dz, ds = newton(-rx, -ry, -rz, d_comb)
+                del d_comb, newton, W, lmbda  # dead rows-sized vectors
                 alpha = min(
                     1.0,
                     st.step_fraction * _max_step(s, ds, cones),
@@ -1171,6 +1184,7 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
             y = y + alpha * dy
             s = s + alpha * ds
             z = z + alpha * dz
+            del dx, dy, dz, ds
             row[5:] = sigma, alpha
 
     finally:

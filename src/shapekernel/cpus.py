@@ -10,7 +10,7 @@ import os
 #: In one process with BLAS pinned, econ's whole default config (21 fits,
 #: each over its Gram's pivot rows) peaks at 49 MB, and the process that
 #: runs robotarm's m = 81 ``hyp`` fit (full rank, so over every atom) at
-#: 99 MB, its enclosure cones held as triples where their dense rows took
+#: 84 MB, its enclosure cones held as triples where their dense rows took
 #: 559 MB (``tools/defaults.py``).
 MAX_PROCS = 2
 #: BLAS counts as pinned when each of these says one thread

@@ -13,16 +13,18 @@ rows of the first triple.  One pair of products (``ConeProgram.rows``)
 serves the iteration, the Newton directions, the certificates, the
 polish and the final residuals, with the bits of the dense products (with
 BLAS on one thread; on more, OpenBLAS splits ``G x`` by its row count).
-Rows past the store are densified a window at a time into a buffer kept
-zero between windows, and BLAS gets the operand the dense product would
-hand it: row windows of a multiple of 8 rows for ``G x``, and chunks of
-16 columns (at least 4, the remainder joined to the last) over every row
-for ``G^T z``.  A trailing run of wide unit-row blocks (``d >= n``) adds
-each row's exact term in row order, as the dense ``dgemv`` accumulates
-it; a program with nothing else past its store (econ's, control's) makes
-exactly the one store product.  That run is also the one set of wide
-blocks the Newton matrix takes as rank-one terms, and the rows before it
-are its narrow rows.
+Rows past the store are densified a window at a time into the program's
+one buffer (``_Rows.window``), kept zero between windows, and BLAS gets
+the operand the dense product would hand it: row windows of a multiple of
+8 rows for ``G x``, and chunks of 16 columns (at least 4, the remainder
+joined to the last) over every row for ``G^T z``.  The Newton product's
+first column half densifies its windows there too, and the buffer grows
+once per program to the largest of the three.  A trailing run of wide
+unit-row blocks (``d >= n``) adds each row's exact term in row order, as
+the dense ``dgemv`` accumulates it; a program with nothing else past its
+store (econ's, control's) makes exactly the one store product.  That run
+is also the one set of wide blocks the Newton matrix takes as rank-one
+terms, and the rows before it are its narrow rows.
 """
 
 from __future__ import annotations
@@ -119,19 +121,22 @@ class _Rows:
     ``dot`` and ``tdot`` keep the bits of the dense ``G @ x`` and
     ``G.T @ z`` over every row (with BLAS on one thread; on more,
     OpenBLAS splits ``G x`` by its row count).  Rows past the store are
-    densified a window at a time (:meth:`fill`) into one buffer, kept
-    zero between windows, and handed to BLAS as the dense product's
-    operand: ``G x`` by windows of :data:`SLICE` doubles whose rows are a
-    multiple of 8 and ``G^T z`` by chunks of :data:`CHUNK` columns over
-    every row.  The trailing run of wide unit-row blocks (a norm cap and
-    epigraph over every coefficient) is exact past row ``E``, the next
-    multiple of 8 at or after its start: each of its rows adds ``0.0 +
-    value * v``, one block at a time in row order, as the dense product
-    accumulates it.  A program with nothing between its store and that run
-    (econ's, or one with no triples) reads only the store there, in one
-    product.  ``wide`` holds the run's ``(row0, SparseRows)`` pairs and
-    ``narrow`` the row it starts at (``m`` when there is none): the Newton
-    matrix's rank-one blocks and the end of its narrow rows.
+    densified a window at a time into the one buffer ``buf``
+    (:meth:`window`), kept zero between windows, and handed to BLAS as
+    the dense product's operand: ``G x`` by windows of :data:`SLICE`
+    doubles whose rows are a multiple of 8 and ``G^T z`` by chunks of
+    :data:`CHUNK` columns over every row.  The Newton product's first
+    column half (:meth:`fill`) takes its windows there as well, so the
+    buffer grows once per program, to the largest of the three.  The
+    trailing run of wide unit-row blocks (a norm cap and epigraph over
+    every coefficient) is exact past row ``E``, the next multiple of 8 at
+    or after its start: each of its rows adds ``0.0 + value * v``, one
+    block at a time in row order, as the dense product accumulates it.  A
+    program with nothing between its store and that run (econ's, or one
+    with no triples) reads only the store there, in one product.
+    ``wide`` holds the run's ``(row0, SparseRows)`` pairs and ``narrow``
+    the row it starts at (``m`` when there is none): the Newton matrix's
+    rank-one blocks and the end of its narrow rows.
     """
 
     def __init__(self, G: np.ndarray, held=(), m: int | None = None):
@@ -150,6 +155,7 @@ class _Rows:
             past = r0 + u.rows >= E
             self.tail.append((r0 + u.rows[past], u.cols[past], u.vals[past]))
         self.windows = []  # G x's past the store: rows, triples, values
+        self.buf = np.zeros(0)  # the one densification buffer, kept zero
         if E == R:
             return
         # the triples of rows R to E, as flat indices row * n + col
@@ -174,8 +180,21 @@ class _Rows:
         cuts = np.searchsorted(cols, [c0 for c0, _ in self.chunks] + [n])
         self.by_col = [(rows[a:b] * (c1 - c0) + cols[a:b] - c0, vals[a:b])
                        for (c0, c1), a, b in zip(self.chunks, cuts, cuts[1:])]
-        # the windows' buffer, zero between windows
-        self.buf = np.zeros(max(step * n, E * (n - w * (q - 1))))
+        # room for the largest window of G x and chunk of G^T z
+        self.window(max(step, -(-E * (n - w * (q - 1)) // n)))
+
+    def window(self, rows: int, cols: int | None = None) -> np.ndarray:
+        """A zero C-ordered ``(rows, cols)`` view (``cols`` = n by
+        default) of the program's one densification buffer, which grows
+        to hold it.  Whoever writes a window zeroes it again before the
+        buffer's next use: ``dot``, ``tdot`` and the Newton product's
+        first column half (:meth:`fill`, :meth:`clear`) take turns in it,
+        never at once."""
+        cols = self.n if cols is None else cols
+        if self.buf.size < rows * cols:
+            self.buf = None  # freed before its successor is allocated
+            self.buf = np.zeros(rows * cols)
+        return self.buf[: rows * cols].reshape(rows, cols)
 
     def fill(self, lo: int, hi: int, out: np.ndarray) -> tuple:
         """Write rows ``lo`` to ``hi`` of G (before ``E``) over the first
@@ -205,10 +224,10 @@ class _Rows:
         out = np.zeros(self.m)
         out[:R] = self.G @ x
         for lo, hi, at, vals in self.windows:
-            self.buf[at] = vals
-            np.matmul(self.buf[: (hi - lo) * self.n].reshape(hi - lo, self.n),
-                      x, out=out[lo:hi])
-            self.buf[at] = 0.0
+            win = self.window(hi - lo)
+            win.reshape(-1)[at] = vals
+            np.matmul(win, x, out=out[lo:hi])
+            win.reshape(-1)[at] = 0.0
         for rows, cols, vals in self.tail:
             out[rows] = 0.0 + vals * x[cols]
         return out
@@ -219,14 +238,14 @@ class _Rows:
         if E == R:
             out = self.G.T @ z[:R]
         else:
-            out, buf = np.empty(self.n), self.buf
+            out = np.empty(self.n)
             for (c0, c1), (at, vals) in zip(self.chunks, self.by_col):
-                win = buf[: E * (c1 - c0)].reshape(E, c1 - c0)
+                win = self.window(E, c1 - c0)
                 win[:R] = self.G[:, c0:c1]
-                buf[at] = vals
+                win.reshape(-1)[at] = vals
                 np.matmul(win.T, z[:E], out=out[c0:c1])
-                buf[at] = 0.0
-            buf[: R * (c1 - c0)] = 0.0  # the store's rows, widest last
+                win.reshape(-1)[at] = 0.0
+            win[:R] = 0.0  # the store's rows, widest last
         for rows, cols, vals in self.tail:
             out[cols] += vals * z[rows]
         return out

@@ -465,9 +465,9 @@ def test_solve_digest_records_each_process_peak(tmp_path, capsys):
 def test_solve_digest_dumps_programs_that_replay_identically(tmp_path):
     # --dump writes every solve of the tiny control, catenary-soap and
     # econ passes to a program file (econ's with its norm cap and epigraph
-    # as the Newton matrix's wide blocks), and --replay solves each again
-    # with its digest line's bits; a program changed after the dump is
-    # reported
+    # as the Newton matrix's wide blocks), labelled as its summary record
+    # is, and --replay solves each again with its digest line's bits; a
+    # program changed after the dump is reported with its label
     import numpy as np
 
     workloads = _load_tool("perfbench", "workloads")
@@ -493,6 +493,19 @@ def test_solve_digest_dumps_programs_that_replay_identically(tmp_path):
         solves = sum(len(path.read_text().splitlines()) for path in
                      (tmp_path / f"{name}-digest").glob("solves-*.txt"))
         assert len(programs) == solves > 0
+        labels = json.loads((dump / "programs" / "labels.json").read_text())
+        records = json.loads((tmp_path / f"{name}-digest" / "run"
+                              / "summary.json").read_text())["solves"]
+        assert sorted(labels) == [path.name for path in programs]
+        assert sorted(labels.values()) == sorted(r["label"] for r in records)
+        for path in programs:  # the record of its label has its solve
+            prog, _, _, line = digest.load_program(str(path))
+            status, stop, iters, obj = (field.split("=", 1)[1] for field in
+                                        line.split()[:4])
+            assert (prog.n, status, stop, int(iters), obj) in [
+                (r["n"], r["status"], r["stop_reason"], r["iterations"],
+                 float(r["objective"]).hex()) for r in records
+                if r["label"] == labels[path.name]]
         if name == "econ":  # a norm cap and an epigraph, both wide
             assert 2 in [len(digest.load_program(str(path))[0].rows.wide)
                          for path in programs]
@@ -504,7 +517,8 @@ def test_solve_digest_dumps_programs_that_replay_identically(tmp_path):
     arrays["q"] = arrays["q"] * (1.0 + 1e-9)
     np.savez(programs[0], **arrays)
     done = replay(dump)
-    assert done.returncode == 1 and f"{programs[0].name}: " in done.stdout
+    assert done.returncode == 1 and \
+        f"{programs[0].name} ({labels[programs[0].name]}): " in done.stdout
 
 
 def test_solve_digest_compares_files_within_a_tolerance(tmp_path, capsys):

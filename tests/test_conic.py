@@ -1053,6 +1053,37 @@ class TestNewtonWorkspace:
         assert m == l + c * d
         assert peak <= 8 * (prog.G.size + 40 * m + 6 * n * n)
 
+    def test_solve_drops_dead_rows_sized_vectors(self, monkeypatch):
+        # n = 2 and 26,000 rows (20,000 nonneg rows and 2,000 SOC blocks
+        # of 3), so vectors over the rows dominate.  Above the program the
+        # solve holds the flat buffer of W^-2 G over every row, H and
+        # 15.5 rows-sized vectors at its peak (in the corrector's Newton
+        # step) against a bound of 17.  Keeping the last iteration's
+        # scaling, d_comb and directions alive under the next one's
+        # fails it: that peak was 18.3 vectors.
+        monkeypatch.setattr(cpus, "spare_cpu", lambda: False)
+        n, l, c, d = 2, 20_000, 2_000, 3
+        rng = np.random.default_rng(14)
+        soc_h = np.zeros((c, d))
+        soc_h[:, 0] = 10.0
+        tracemalloc.start()
+        try:
+            blocks = [ConeBlock("nonneg", rng.normal(size=(l, n)), np.ones(l))]
+            blocks += [ConeBlock("soc", rng.normal(size=(d, n)), hb)
+                       for hb in soc_h]
+            prog = ConeProgram(n=n, P=np.eye(n), q=-rng.normal(size=n),
+                               blocks=blocks)
+            del blocks
+            program = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sol = solve(prog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = prog.h.size
+        assert sol.stop_reason == "optimal" and prog.rows.narrow == m
+        assert (peak - program) / 8 - (m * n + n * n) <= 17 * m
+
     @staticmethod
     def square_program():
         """n = 300 and 450 narrow rows: 300 nonneg rows and 3 SOC blocks
@@ -2110,6 +2141,92 @@ class TestHeldRows:
         rows.tdot(np.ones(dense.shape[0]))
         rows.dot(np.ones(70))
         assert not buf.any()  # zero between windows
+
+
+    @staticmethod
+    def enclosure_program(n, nonneg, dims, rng):
+        """``nonneg`` dense rows, then SOC blocks of ``dims`` rows shaped
+        like enclosure cones as triples, with a head at 10: a program the
+        solver takes to ``optimal``."""
+        blocks = [ConeBlock("nonneg", rng.normal(size=(nonneg, n))
+                            / np.sqrt(n), np.ones(nonneg))]
+        for d in dims:
+            G = np.zeros((d, n))
+            G[0, rng.choice(n, 2, replace=False)] = rng.normal(size=2)
+            body = np.arange(1, d)
+            G[body, (body - 1) % (n - 1)] = -1.0 - rng.random(d - 1)
+            some = body[rng.random(d - 1) < 0.5]
+            G[some, n - 1] = rng.normal(size=some.size)
+            h = np.zeros(d)
+            h[0] = 10.0
+            blocks.append(ConeBlock("soc", SparseRows.of(G), h))
+        return ConeProgram(n=n, P=np.eye(n), q=-rng.normal(size=n),
+                           blocks=blocks)
+
+    def test_one_buffer_holds_the_first_halfs_window(self):
+        # the Newton product's first column half densifies its windows in
+        # a view of the program's one buffer, grown once to hold them, and
+        # the helper's half in a buffer of its own; dot, tdot and both
+        # halves' calls take turns and leave every entry +0.0
+        rng = np.random.default_rng(3)
+        prog, dense = mixed_program(70, 13, 1, [36] * 30, 1, True, rng)
+        rows, cones, r = prog.rows, _Cones.of(prog), prog.rows.narrow
+        ref = ref_newton_matrix_factory(prog.P, dense, cones, r)
+        with ThreadPoolExecutor(1) as helper:
+            factories = [_newton_matrix_factory(prog.P, rows, cones, h)[0]
+                         for h in (None, helper)]
+            buf = rows.buf
+            for factory in factories:
+                bufs = TestNewtonWorkspace.cells(factory)["bufs"]
+                assert bufs[0].flags.c_contiguous
+                assert np.shares_memory(bufs[0], buf)
+                assert [np.shares_memory(g, buf) for g in bufs.values()] \
+                    == [True] + [False] * (factory is factories[1])
+            for _ in range(2):
+                for factory in factories:
+                    W = TestNewtonWorkspace.scaling(rng, cones)
+                    H = ref(W)
+                    np.testing.assert_allclose(
+                        factory(W), H, rtol=0, atol=1e-12 * np.abs(H).max())
+                    assert not buf.any() and not np.signbit(buf).any()
+                    x, z = rng.normal(size=70), rng.normal(size=r + 140)
+                    np.testing.assert_allclose(rows.dot(x), dense @ x,
+                                               rtol=1e-12, atol=1e-6)
+                    np.testing.assert_allclose(rows.tdot(z), dense.T @ z,
+                                               rtol=1e-12, atol=1e-6)
+                    assert not buf.any() and not np.signbit(buf).any()
+        assert rows.buf is buf
+
+    def test_tall_solve_holds_one_window(self, monkeypatch):
+        # n = 96 and 4,916 narrow rows: 16 nonneg rows and 100 enclosure-
+        # shaped blocks of 49 rows held as triples, tall, with no helper.
+        # Above the program without its buffer the solve holds the flat
+        # buffer, H, one densified (R, n) window (the program's buffer,
+        # grown to hold it) and 22.7 rows-sized vectors at its peak (the
+        # iteration's, and the windows' -J G nonzeros) against a bound
+        # of 32: 4.09 MB in all.  A window of the Newton product's own
+        # beside the program's buffer fails the bound: that peak was
+        # 5.22 MB, 51.5 vectors.
+        monkeypatch.setattr(cpus, "spare_cpu", lambda: False)
+        n = 96
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            prog = self.enclosure_program(n, 16, [49] * 100, rng)
+            program = tracemalloc.get_traced_memory()[0] \
+                - prog.rows.buf.nbytes
+            tracemalloc.reset_peak()
+            sol = solve(prog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cones, r = _Cones.of(prog), prog.rows.narrow
+        R = conic._windows(conic._k_panels(r), cones.l,
+                           list(range(len(cones.soc_dims))), cones.soc_dims,
+                           conic.WINDOW // n)[1]
+        assert sol.stop_reason == "optimal" and r >= 8 * n
+        assert (peak - program) / 8 - (max(n * n, R * n) + n * n + R * n) \
+            <= 32 * prog.h.size
 
 
 class TestUnitRows:

@@ -39,9 +39,14 @@ triples), the rows as COO (``rows``, ``cols``, ``vals``: every entry of
 the dense blocks that is not +0.0, then every held block's triples), the
 ``settings`` (``max_iter``, ``feas_tol``, ``gap_tol``,
 ``step_fraction``), the warm start ``x0`` (empty for none) and the
-solve's ``digest`` line.  ``--replay DIR`` solves every dumped program
-again, with BLAS pinned unless the environment says otherwise, prints
-each whose digest line differs and exits 1 if any does.
+solve's ``digest`` line.  After the run, ``DIR/programs/labels.json``
+maps each program file to its runner label: the label of the
+``summary.json`` solve record whose status, stop reason, iteration count
+and objective (as ``float.hex``) its digest line holds, records and
+programs of one such key taken in order (``null`` where no record has
+it).  ``--replay DIR`` solves every dumped program again, with BLAS
+pinned unless the environment says otherwise, prints each whose digest
+line differs, with its label, and exits 1 if any does.
 
 ``--compare`` reads two digests and, by default, compares their solve
 lines as sorted multisets, times and memory ignored, and their file
@@ -126,11 +131,17 @@ def _sha(array) -> str:
                           .tobytes()).hexdigest()
 
 
+def _key(status, stop, iterations, objective) -> str:
+    """The part of a digest line that a summary's solve record also
+    holds."""
+    return (f"status={status} stop={stop} iters={iterations} "
+            f"obj={float(objective).hex()}")
+
+
 def _line(sol) -> str:
     """A solve's digest line, without its time and memory."""
     return " ".join([
-        f"status={sol.status}", f"stop={sol.stop_reason}",
-        f"iters={sol.iterations}", f"obj={float(sol.objective).hex()}",
+        _key(sol.status, sol.stop_reason, sol.iterations, sol.objective),
         *(f"{name}={_sha(getattr(sol, attr))}" for name, attr in
           (("x", "x"), ("y", "y_eq"), ("z", "z"), ("s", "s")))])
 
@@ -226,6 +237,26 @@ def load_program(path: str) -> tuple:
     return prog, settings, x0, str(d["digest"])
 
 
+def write_labels(dump: str, summary: dict) -> None:
+    """Write ``dump/programs/labels.json``, each program's runner label,
+    as the module docstring describes."""
+    import numpy as np
+
+    labels = collections.defaultdict(list)
+    for solve in summary.get("solves", []):
+        labels[_key(solve["status"], solve["stop_reason"],
+                    solve["iterations"], solve["objective"])].append(
+                        solve["label"])
+    named = {}
+    for path in sorted(glob.glob(os.path.join(dump, "programs", "*.npz"))):
+        key = " ".join(str(np.load(path)["digest"]).split()[:4])
+        named[os.path.basename(path)] = (labels[key].pop(0) if labels[key]
+                                         else None)
+    with open(os.path.join(dump, "programs", "labels.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(named, fh, indent=1)
+
+
 def replay(dump: str) -> int:
     """Solve every program dumped in ``dump`` again; 1 if any solve's
     digest line differs from the one dumped with it."""
@@ -234,13 +265,20 @@ def replay(dump: str) -> int:
     from shapekernel import conic
 
     paths = sorted(glob.glob(os.path.join(dump, "programs", "*.npz")))
+    try:
+        with open(os.path.join(dump, "programs", "labels.json"),
+                  encoding="utf-8") as fh:
+            labels = json.load(fh)
+    except FileNotFoundError:  # a dump whose run did not finish
+        labels = {}
     differ = 0
     for path in paths:
         prog, settings, x0, line = load_program(path)
         got = _line(conic.solve(prog, settings, x0))
         if got != line:
             differ += 1
-            print(f"{os.path.basename(path)}: {line} -> {got}")
+            name = os.path.basename(path)
+            print(f"{name} ({labels.get(name)}): {line} -> {got}")
     print(f"{len(paths) - differ} of {len(paths)} programs replay "
           "identically")
     return 1 if differ else 0
@@ -307,6 +345,10 @@ def run(args) -> int:
 
     _install(out, args.dump and os.path.abspath(args.dump))
     run_experiment(ExperimentConfig.load(config_path))
+    if args.dump:
+        with open(os.path.join(overlay["out_dir"], "summary.json"),
+                  encoding="utf-8") as fh:
+            write_labels(args.dump, json.load(fh))
     with open(os.path.join(out, "files.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(f"{line}\n" for line in _file_hashes(overlay["out_dir"]))
     solves = sum(_read_solves(out).values())
